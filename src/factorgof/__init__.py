@@ -76,6 +76,7 @@ from .simstudy import (
     Study2Config,
     generate_study1,
     generate_study2,
+    replication,
     run_rejection_study,
     study1_paramset,
     study2_paramset,

@@ -458,9 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="factorgof",
         description=(
             "Generalized-residual goodness-of-fit diagnostics for linear "
-            "normal common factor models. Set FACTORGOF_WORKERS to cap "
-            "kernel threads and FACTORGOF_NO_NUMBA=1 to force the pure-numpy "
-            "kernel lane."
+            "normal common factor models."
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)

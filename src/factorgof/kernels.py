@@ -1,131 +1,18 @@
-"""Numeric kernels with a numba-accelerated lane and a pure-numpy fallback.
-
-The active lane is selected once at import time: numba is used when it is
-importable and the environment variable ``FACTORGOF_NO_NUMBA`` is not set to
-a truthy value.  Both lanes are importable under explicit names
-(``*_numpy`` / ``*_numba``) so they can be benchmarked and cross-checked.
-
-``FACTORGOF_WORKERS`` caps the numba thread count.  Every kernel writes each
-output element from a single loop iteration, so results are independent of
-the thread count.
-"""
-
-import os
+"""Numeric kernels: multivariate normal log-density rows and compensated
+reductions over Monte Carlo draws, in numpy."""
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-_TRUTHY = {"1", "true", "yes", "on"}
-
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in _TRUTHY
-
-
-try:
-    import numba
-    from numba import njit, prange
-
-    # workqueue is always available and adequate; avoids TBB version probing
-    numba.config.THREADING_LAYER = "workqueue"
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        return wrap
-
-    prange = range
-
-USE_NUMBA = HAS_NUMBA and not _env_flag("FACTORGOF_NO_NUMBA")
-
-
 def backend() -> str:
-    """Name of the active kernel lane, ``"numba"`` or ``"numpy"``."""
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the kernel implementation; always ``"numpy"``."""
+    return "numpy"
 
 
-def worker_count() -> int:
-    """Worker cap from ``FACTORGOF_WORKERS``, defaulting to 1."""
-    raw = os.environ.get("FACTORGOF_WORKERS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"FACTORGOF_WORKERS must be an integer, got {raw!r}") from exc
-    return max(1, n)
-
-
-def _configure_threads() -> None:
-    if not USE_NUMBA:
-        return
-    try:
-        limit = min(worker_count(), numba.config.NUMBA_NUM_THREADS)
-        numba.set_num_threads(max(1, limit))
-    except ValueError:
-        pass
-
-
-# ---------------------------------------------------------------------------
-# conditional log-likelihood over a latent grid
-# ---------------------------------------------------------------------------
-
-
-def cond_loglik_grid_numpy(Y, mu, theta):
-    """Sum over variables of normal log-densities, per row and grid point.
-
-    Parameters
-    ----------
-    Y : (n, m) data rows.
-    mu : (Q, m) conditional means, one row per grid point.
-    theta : (m,) conditional variances.
-
-    Returns
-    -------
-    (n, Q) array with entry [i, q] = sum_j log N(Y[i, j]; mu[q, j], theta[j]).
-    """
-    inv_t = 1.0 / theta
-    const = -0.5 * float(np.sum(np.log(theta)) + theta.shape[0] * _LOG_2PI)
-    Yw = Y * inv_t
-    row = 0.5 * np.einsum("ij,ij->i", Yw, Y)
-    col = 0.5 * np.einsum("qj,qj->q", mu * inv_t, mu)
-    return (const - row[:, None] - col[None, :]) + Yw @ mu.T
-
-
-@njit(cache=True, parallel=True)
-def cond_loglik_grid_numba(Y, mu, theta):  # pragma: no cover - jitted
-    n, m = Y.shape
-    Q = mu.shape[0]
-    inv_t = np.empty(m)
-    const = 0.0
-    for j in range(m):
-        inv_t[j] = 1.0 / theta[j]
-        const += np.log(theta[j])
-    const = -0.5 * (const + m * _LOG_2PI)
-    out = np.empty((n, Q))
-    for i in prange(n):
-        for q in range(Q):
-            acc = 0.0
-            for j in range(m):
-                r = Y[i, j] - mu[q, j]
-                acc += r * r * inv_t[j]
-            out[i, q] = const - 0.5 * acc
-    return out
-
-
-# ---------------------------------------------------------------------------
-# multivariate normal log-density rows
-# ---------------------------------------------------------------------------
-
-
-def mvn_loglik_rows_numpy(Y, nu, chol_lower):
+def mvn_loglik_rows(Y, nu, chol_lower):
     """Log N(y; nu, L L^T) for each row of Y, given the lower Cholesky L."""
     resid = Y - nu
     Z = solve_triangular(chol_lower, resid.T, lower=True).T
@@ -133,34 +20,12 @@ def mvn_loglik_rows_numpy(Y, nu, chol_lower):
     return const - 0.5 * np.einsum("ij,ij->i", Z, Z)
 
 
-@njit(cache=True, parallel=True)
-def mvn_loglik_rows_numba(Y, nu, chol_lower):  # pragma: no cover - jitted
-    n, m = Y.shape
-    logdet = 0.0
-    for j in range(m):
-        logdet += np.log(chol_lower[j, j])
-    const = -0.5 * m * _LOG_2PI - logdet
-    out = np.empty(n)
-    for i in prange(n):
-        z = np.empty(m)
-        acc = 0.0
-        for j in range(m):
-            s = Y[i, j] - nu[j]
-            for k in range(j):
-                s -= chol_lower[j, k] * z[k]
-            z[j] = s / chol_lower[j, j]
-            acc += z[j] * z[j]
-        out[i] = const - 0.5 * acc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # compensated reductions
 #
-# Reductions over draws are BLAS-bound, so both lanes share one
-# implementation: per-chunk partial sums combined with Kahan compensation.
-# Chunk boundaries are where a parallel partition of the draws would be
-# merged, so results do not depend on how chunks are scheduled.
+# Reductions over draws are BLAS-bound: per-chunk partial sums combined with
+# Kahan compensation.  Chunk boundaries are fixed by the row count, so
+# results do not depend on how the draws are scheduled.
 # ---------------------------------------------------------------------------
 
 _CHUNK = 1024
@@ -182,26 +47,6 @@ def colmean(X):
     return total / X.shape[0]
 
 
-@njit(cache=True, parallel=True)
-def colmean_neumaier(X):  # pragma: no cover - jitted
-    """Per-element Neumaier summation; accuracy reference for ``colmean``."""
-    n, k = X.shape
-    out = np.empty(k)
-    for j in prange(k):
-        s = 0.0
-        c = 0.0
-        for i in range(n):
-            x = X[i, j]
-            t = s + x
-            if abs(s) >= abs(x):
-                c += (s - t) + x
-            else:
-                c += (x - t) + s
-            s = t
-        out[j] = (s + c) / n
-    return out
-
-
 def _chunked_crossprod_sum(X, W):
     total = np.zeros((X.shape[1], W.shape[1]))
     comp = np.zeros_like(total)
@@ -221,24 +66,3 @@ def covariance(X):
     Xc = X - colmean(X)
     raw = _chunked_crossprod_sum(Xc, Xc) / (X.shape[0] - 1)
     return 0.5 * (raw + raw.T)
-
-
-# Wide grids are GEMM-bound and BLAS wins there; the fused loop wins on
-# narrow grids.  The cutoff is shape-based, so dispatch stays deterministic.
-_GRID_GEMM_CUTOFF = 128
-
-
-def _cond_loglik_grid_auto(Y, mu, theta):
-    if mu.shape[0] >= _GRID_GEMM_CUTOFF:
-        return cond_loglik_grid_numpy(Y, mu, theta)
-    return cond_loglik_grid_numba(Y, mu, theta)
-
-
-if USE_NUMBA:
-    cond_loglik_grid = _cond_loglik_grid_auto
-    mvn_loglik_rows = mvn_loglik_rows_numba
-else:
-    cond_loglik_grid = cond_loglik_grid_numpy
-    mvn_loglik_rows = mvn_loglik_rows_numpy
-
-_configure_threads()

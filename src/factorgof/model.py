@@ -235,16 +235,6 @@ def conditional_mean_grid(points: np.ndarray, params: ParamSet) -> np.ndarray:
     return params.nu + points @ params.lam.T
 
 
-def conditional_logpdf_grid(Y: np.ndarray, points: np.ndarray, params: ParamSet) -> np.ndarray:
-    """Joint conditional log-density of each data row at each grid row.
-
-    Returns an (n, Q) array of sum_j log f_j(y_ij | x_q).
-    """
-    Y = np.ascontiguousarray(Y, dtype=np.float64)
-    mu = np.ascontiguousarray(conditional_mean_grid(points, params))
-    return kernels.cond_loglik_grid(Y, mu, params.theta)
-
-
 def marginal_logpdf(Y: np.ndarray, params: ParamSet) -> np.ndarray:
     """Log marginal density for each data row ((n, m) -> (n,))."""
     Y = np.ascontiguousarray(Y, dtype=np.float64)
@@ -252,8 +242,20 @@ def marginal_logpdf(Y: np.ndarray, params: ParamSet) -> np.ndarray:
 
 
 def posterior_log_weights(Y: np.ndarray, points: np.ndarray, params: ParamSet) -> np.ndarray:
-    """Log posterior density of each grid row given each data row ((n, Q))."""
-    cond = conditional_logpdf_grid(Y, points, params)
-    prior = lv_logpdf(points, params)
-    marg = marginal_logpdf(Y, params)
-    return cond + prior[None, :] - marg[:, None]
+    """Log posterior density of each grid row given each data row ((n, Q)).
+
+    The posterior is normal: x | y ~ N(P^-1 b, P^-1) with precision
+    P = phi^-1 + lambda' theta^-1 lambda and b = lambda' theta^-1 (y - nu), so
+    the log-density at x is const - (x'P x + b'P^-1 b) / 2 + b'x.
+    """
+    Y = np.asarray(Y, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
+    lam_w = params.lam / params.theta[:, None]
+    prec = np.linalg.inv(params.phi) + params.lam.T @ lam_w
+    B = (Y - params.nu) @ lam_w
+    _, logdet = np.linalg.slogdet(prec)
+    const = 0.5 * (logdet - params.d * np.log(2.0 * np.pi))
+    out = B @ points.T
+    out -= 0.5 * np.einsum("ij,ij->i", B @ np.linalg.inv(prec), B)[:, None]
+    out += const - 0.5 * np.einsum("qj,qj->q", points @ prec, points)
+    return out

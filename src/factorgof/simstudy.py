@@ -15,8 +15,8 @@ Two bundled designs:
 ``run_rejection_study`` replicates generate -> fit -> test, counting
 rejections per grid point and per summary statistic.  Replication r of a run
 seeded with master seed ``seed`` derives all randomness from
-``SeedSequence((seed, r))``, so tables reproduce bit-for-bit and
-replications could be executed in any order.
+``SeedSequence((seed, r))`` (see ``replication``), so tables reproduce
+bit-for-bit and replications could be executed in any order.
 """
 
 from dataclasses import dataclass
@@ -229,6 +229,24 @@ def _build_problems(grid, items, kinds, is_study1):
     return problems
 
 
+def replication(cfg, seed: int, rep: int, max_iter: int = 500):
+    """Data, fit and Monte Carlo seed of replication ``rep`` of a study seeded
+    with ``seed``.
+
+    Returns ``(data, fit, mc_seed)``.  ``run_rejection_study`` runs each
+    replication from exactly these, so a test run on them with
+    ``McConfig(seed=mc_seed)`` reproduces that replication's report.
+    """
+    data_seq, mc_seq = np.random.SeedSequence((seed, rep)).spawn(2)
+    data_rng = np.random.default_rng(data_seq)
+    if isinstance(cfg, Study1Config):
+        data, spec = generate_study1(cfg, data_rng), model_spec_study1()
+    else:
+        data, spec = generate_study2(cfg, data_rng), model_spec_study2()
+    fit = fit_ml(data, spec, OptimOptions(info_draws=0, max_iter=max_iter))
+    return data, fit, int(mc_seq.generate_state(1)[0])
+
+
 def run_rejection_study(
     cfg,
     *,
@@ -272,24 +290,16 @@ def run_rejection_study(
             raw[name] = {"T": [], "z": []}
     base_acc = {"lr_rejections": 0, "cfi": 0.0, "tli": 0.0, "srmr": 0.0, "rmsea": 0.0}
 
-    opts = OptimOptions(info_draws=0, max_iter=max_iter)
     converged_reps = 0
     excluded = 0
     for rep in range(reps):
-        ss = np.random.SeedSequence((seed, rep))
-        data_seq, mc_seq = ss.spawn(2)
-        data_rng = np.random.default_rng(data_seq)
-        if is_study1:
-            data = generate_study1(cfg, data_rng)
-        else:
-            data = generate_study2(cfg, data_rng)
-        fit = fit_ml(data, spec, opts)
+        data, fit, mc_seed = replication(cfg, seed, rep, max_iter=max_iter)
         if not fit.converged:
             excluded += 1
             continue
         converged_reps += 1
         if problems:
-            mc = McConfig(M=M, seed=int(mc_seq.generate_state(1)[0]), s=s)
+            mc = McConfig(M=M, seed=mc_seed, s=s)
             reports = run_residual_batch(problems, fit, data, mc)
             for prob, report in zip(problems, reports):
                 acc = counts[prob.battery.name]

@@ -18,7 +18,6 @@ from factorgof.model import marginal_logpdf
 from factorgof.simstudy import (
     _STUDY1_PHI,
     mixture_lv_logpdf,
-    model_spec_study1,
     model_spec_study2,
 )
 
@@ -43,18 +42,6 @@ def _in_band(rate: float, halfwidth: float) -> bool:
 def _halfwidth_99(rate: float, reps: int) -> float:
     """99% binomial half-width of a rejection rate over ``reps`` replications."""
     return Z_99 * math.sqrt(rate * (1.0 - rate) / reps)
-
-
-def _study1_replication(cfg: fg.Study1Config, seed: int, rep: int):
-    """Data and fit of replication ``rep`` of ``run_rejection_study(cfg, seed=seed)``.
-
-    Returns ``(data, fit, mc_seed)`` with the same seed derivation as the
-    driver, so a test run on them reproduces that replication exactly.
-    """
-    data_seq, mc_seq = np.random.SeedSequence((seed, rep)).spawn(2)
-    data = fg.generate_study1(cfg, np.random.default_rng(data_seq))
-    fit = fg.fit_ml(data, model_spec_study1(), OptimOptions(info_draws=0))
-    return data, fit, int(mc_seq.generate_state(1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +334,7 @@ def test_criterion_5_lv_density(s1_correct, s1_missp):
 
     # leading eigenvalue ratio of the summary covariance, replication 0
     cfg = fg.Study1Config(n=s1_missp.n, misspecified=True)
-    data, fit, mc_seed = _study1_replication(cfg, s1_missp.seed, 0)
+    data, fit, mc_seed = fg.replication(cfg, s1_missp.seed, 0)
     grid = fg.default_grid(2)
     rep0 = fg.run_residual_test(fg.lv_density_problem(grid), fit, data,
                                 fg.McConfig(M=s1_missp.M, seed=mc_seed, s=s1_missp.s))

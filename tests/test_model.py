@@ -18,7 +18,7 @@ from factorgof import (
     marginal_density,
     posterior_lv_density,
 )
-from factorgof.model import lv_logpdf, marginal_logpdf
+from factorgof.model import lv_logpdf, marginal_logpdf, posterior_log_weights
 
 SQ5 = math.sqrt(0.5)
 
@@ -239,5 +239,22 @@ def test_vectorized_matches_scalar(two_factor_params, rng):
     np.testing.assert_allclose(
         lv_logpdf(pts, p),
         [lv_density(x, p) for x in pts],
+        rtol=1e-12,
+    )
+    _assert_posterior_matches_bayes_rule(Y, pts, p)
+
+
+def test_vectorized_posterior_matches_scalar_one_factor(one_factor_params, rng):
+    p = one_factor_params
+    Y = rng.normal(size=(7, p.m))
+    pts = rng.normal(size=(5, 1))
+    _assert_posterior_matches_bayes_rule(Y, pts, p)
+
+
+def _assert_posterior_matches_bayes_rule(Y, pts, p):
+    """Closed-form normal posterior against prior x likelihood / marginal."""
+    np.testing.assert_allclose(
+        posterior_log_weights(Y, pts, p),
+        [[posterior_lv_density(x, y, p) for x in pts] for y in Y],
         rtol=1e-12,
     )

@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from factorgof import (
+    McConfig,
     NotConvergedError,
     Study1Config,
     Study2Config,
+    default_grid,
     generate_study1,
     generate_study2,
+    mv_homoscedasticity_problem,
+    replication,
     run_rejection_study,
+    run_residual_test,
     simulate_data,
     study1_paramset,
     study2_paramset,
@@ -156,6 +161,21 @@ class TestRejectionStudy:
         (name,) = table.raw
         assert table.raw[name]["T"].shape == (2,)
         assert table.raw[name]["z"].shape == (2, 31)
+
+    def test_replication_reproduces_driver_report(self):
+        cfg = Study2Config(n=150)
+        table = run_rejection_study(
+            cfg, reps=2, seed=7, M=1000, items=(1,), kinds=("variance",),
+            collect_raw=True,
+        )
+        data, fit, mc_seed = replication(cfg, 7, 1)
+        report = run_residual_test(
+            mv_homoscedasticity_problem(default_grid(1), 1), fit, data,
+            McConfig(M=1000, seed=mc_seed),
+        )
+        (name,) = table.raw
+        assert report.summary.T == table.raw[name]["T"][1]
+        assert np.array_equal([pt.z for pt in report.points], table.raw[name]["z"][1])
 
     def test_misspecified_arm_srmr_stays_tiny(self):
         # item-level distortions barely move the covariance residuals
