@@ -7,17 +7,19 @@ that touches the filesystem.
 
 Output files are written atomically and carry a provenance header (tool
 version, seed, Monte Carlo budget, grid, input digests) but no timestamps,
-so a rerun with the same seed and worker count is byte-identical.  Item
-indices are 1-based on the command line.
+so a rerun with the same seed on the same machine and BLAS thread count is
+byte-identical.  Item indices are 1-based on the command line.
 """
 
 import argparse
+import csv
 import hashlib
 import json
 import math
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -69,49 +71,106 @@ def ingest_csv(path: str) -> DataMatrix:
     """Read a comma-delimited file with a header row into a DataMatrix.
 
     Every data cell must be a finite number; failures report the offending
-    line and column.
+    line and column.  The body is parsed in one pass by ``np.loadtxt``; only
+    when that pass or its checks fail is the file re-read row by row, to name
+    the first bad line or cell.
     """
-    import csv
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = _read_header(path, csv.reader(fh))
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is reported as "no data rows" below
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(
+                    fh, delimiter=",", quotechar='"', comments=None, ndmin=2
+                )
+        except ValueError as exc:
+            failure = str(exc)
+        else:
+            failure = None
+            if not len(values):
+                failure = "no data rows after the header"
+            elif values.shape[1] != len(header):
+                failure = f"expected {len(header)} fields, got {values.shape[1]}"
+            elif not np.isfinite(values).all():
+                failure = "non-finite value"
+    # np.loadtxt skips empty lines, so one shows as a line beyond header + rows
+    if failure is None and _count_lines(path) == len(values) + 1:
+        return DataMatrix(values, column_names=header)
+    error = _first_row_error(path, header)
+    if error is not None:
+        raise error
+    if failure is None:
+        # the extra lines are breaks inside quoted fields: the parse stands
+        return DataMatrix(values, column_names=header)
+    raise DataError(f"{path}: {failure}")
 
+
+def _read_header(path: str, reader) -> list:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: file is empty") from None
+    header = [name.strip() for name in header]
+    if not header or any(not name for name in header):
+        raise DataError(f"{path}: line 1: malformed header")
+    return header
+
+
+def _count_lines(path: str) -> int:
+    """Number of lines in ``path``, ended by LF, CRLF or a lone CR.
+
+    UTF-8 never uses CR or LF bytes inside a multi-byte character, so the
+    raw bytes are counted in chunks.
+    """
+    breaks, last = 0, b""
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            breaks += chunk.count(b"\n")
+            if b"\r" in chunk:
+                breaks += chunk.count(b"\r") - chunk.count(b"\r\n")
+            if last == b"\r" and chunk[:1] == b"\n":
+                breaks -= 1
+            last = chunk[-1:]
+    return breaks + (last not in (b"\n", b"\r", b""))
+
+
+def _first_row_error(path: str, header: list):
+    """Re-read ``path`` row by row and return a DataError for its first bad
+    line or cell, or None if every row is well formed.
+
+    A cell is numeric when ``float`` accepts it and it holds neither an
+    underscore nor a non-ASCII character, which ``np.loadtxt`` rejects.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        header = [name.strip() for name in header]
-        if not header or any(not name for name in header):
-            raise DataError(f"{path}: line 1: malformed header")
-        rows = []
+        next(reader)
+        lineno = 1
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
-                raise DataError(
+                return DataError(
                     f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
                 )
-            parsed = np.empty(len(header))
             for j, cell in enumerate(row):
                 cell = cell.strip()
+                problem = None
                 if not cell:
-                    raise DataError(
-                        f"{path}: line {lineno}, column {j + 1} ({header[j]}): empty cell"
+                    problem = "empty cell"
+                else:
+                    try:
+                        if "_" in cell or not cell.isascii():
+                            raise ValueError(cell)
+                        if not math.isfinite(float(cell)):
+                            problem = f"non-finite value {cell!r}"
+                    except ValueError:
+                        problem = f"non-numeric value {cell!r}"
+                if problem:
+                    return DataError(
+                        f"{path}: line {lineno}, column {j + 1} ({header[j]}): {problem}"
                     )
-                try:
-                    val = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: line {lineno}, column {j + 1} ({header[j]}): "
-                        f"non-numeric value {cell!r}"
-                    ) from None
-                if not math.isfinite(val):
-                    raise DataError(
-                        f"{path}: line {lineno}, column {j + 1} ({header[j]}): "
-                        f"non-finite value {cell!r}"
-                    )
-                parsed[j] = val
-            rows.append(parsed)
-    if not rows:
-        raise DataError(f"{path}: no data rows after the header")
-    return DataMatrix(np.vstack(rows), column_names=header)
+    if lineno == 1:
+        return DataError(f"{path}: no data rows after the header")
+    return None
 
 
 def load_model_file(path: str) -> ModelSpec:

@@ -21,6 +21,8 @@ from factorgof.simstudy import (
     model_spec_study2,
 )
 
+pytestmark = pytest.mark.acceptance
+
 CHI2_1_CRIT = 3.841458820694124
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 

@@ -29,6 +29,23 @@ def workdir(tmp_path):
     return tmp_path, str(csv_path), str(model_path)
 
 
+def _ingest_error(tmp_path, text):
+    """Write ``text`` verbatim and return ingest_csv's message without the path."""
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(DataError) as info:
+        ingest_csv(str(path))
+    message = str(info.value)
+    assert message.startswith(f"{path}: ")
+    return message[len(f"{path}: "):]
+
+
+def _ingest_values(tmp_path, text):
+    path = tmp_path / "ok.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return ingest_csv(str(path))
+
+
 class TestIngestCsv:
     def test_well_formed(self, tmp_path):
         path = tmp_path / "ok.csv"
@@ -38,34 +55,152 @@ class TestIngestCsv:
         assert dm.column_names == ["a", "b"]
 
     def test_empty_cell_names_row_and_column(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n3,\n")
-        with pytest.raises(DataError, match=r"line 3, column 2 \(b\): empty cell"):
-            ingest_csv(str(path))
+        assert _ingest_error(tmp_path, "a,b\n1,2\n3,\n") == "line 3, column 2 (b): empty cell"
 
     def test_non_numeric_cell(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\nx,4\n")
-        with pytest.raises(DataError, match=r"line 3, column 1 \(a\)"):
-            ingest_csv(str(path))
+        assert (_ingest_error(tmp_path, "a,b\n1,2\nx,4\n")
+                == "line 3, column 1 (a): non-numeric value 'x'")
 
     def test_header_only(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("a,b\n")
-        with pytest.raises(DataError, match="no data rows"):
-            ingest_csv(str(path))
+        assert _ingest_error(tmp_path, "a,b\n") == "no data rows after the header"
+
+    def test_empty_file(self, tmp_path):
+        assert _ingest_error(tmp_path, "") == "file is empty"
+
+    def test_malformed_header(self, tmp_path):
+        assert _ingest_error(tmp_path, "a,,c\n1,2,3\n") == "line 1: malformed header"
 
     def test_ragged_row(self, tmp_path):
-        path = tmp_path / "ragged.csv"
-        path.write_text("a,b\n1,2\n1,2,3\n")
-        with pytest.raises(DataError, match="expected 2 fields, got 3"):
-            ingest_csv(str(path))
+        assert _ingest_error(tmp_path, "a,b\n1,2\n1,2,3\n") == "line 3: expected 2 fields, got 3"
+
+    def test_every_row_ragged(self, tmp_path):
+        assert (_ingest_error(tmp_path, "a,b\n1,2,3\n4,5,6\n7,8,9\n")
+                == "line 2: expected 2 fields, got 3")
 
     def test_zero_variance_column(self, tmp_path):
         path = tmp_path / "const.csv"
         path.write_text("a,b\n1,2\n3,2\n5,2\n")
         with pytest.raises(DataError, match="zero sample variance"):
             ingest_csv(str(path))
+
+    @pytest.mark.parametrize("text, line", [
+        ("a,b\n1,2\n\n3,4\n", 3),
+        ("a,b\n\n1,2\n3,4\n", 2),
+        ("a,b\n1,2\n3,4\n\n", 4),
+        ("a,b\r\n1,2\r\n\r\n3,4\r\n", 3),
+    ])
+    def test_blank_line_rejected(self, tmp_path, text, line):
+        assert _ingest_error(tmp_path, text) == f"line {line}: expected 2 fields, got 0"
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_blank_line_across_read_chunks(self, tmp_path, eol):
+        # the blank line's two breaks straddle byte 65536 of the file
+        row = "1,2" + eol
+        pad = (65536 - len("a,b" + eol)) % len(row)
+        header = "a,b" + " " * pad + eol
+        k = (65536 - len(header)) // len(row)
+        text = header + row * k + eol + "3,4" + eol
+        assert len((header + row * k).encode()) == 65536
+        assert _ingest_error(tmp_path, text) == f"line {k + 2}: expected 2 fields, got 0"
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_well_formed_file_is_not_reread(self, tmp_path, eol, monkeypatch):
+        # the line break ending the last row of the first 65536 bytes straddles
+        # the read-chunk boundary when it is CRLF
+        import factorgof.cli as cli
+
+        monkeypatch.setattr(cli, "_first_row_error", lambda path, header: pytest.fail("re-read"))
+        end = 65536 + len(eol) - 1
+        pad = (end - len("a,b" + eol)) % (3 + len(eol))
+        header = "a,b" + " " * pad + eol
+        k = (end - len(header)) // (3 + len(eol))
+        text = header + "".join(f"{i % 7},{i % 5}" + eol for i in range(k + 3))
+        assert text.encode()[65535:end] == eol.encode()
+        assert _ingest_values(tmp_path, text).n == k + 3
+
+    def test_lone_cr_line_breaks(self, tmp_path):
+        dm = _ingest_values(tmp_path, "a,b\r1,2\r3,4\r5,7\r")
+        np.testing.assert_array_equal(dm.values, [[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])
+        assert _ingest_error(tmp_path, "a,b\r1,2\r\r3,4\r") == "line 3: expected 2 fields, got 0"
+
+    def test_blank_only_body_rejected(self, tmp_path):
+        assert _ingest_error(tmp_path, "a,b\n\n") == "line 2: expected 2 fields, got 0"
+
+    def test_whitespace_only_line_rejected(self, tmp_path):
+        assert _ingest_error(tmp_path, "a,b\n1,2\n  \n3,4\n") == "line 3: expected 2 fields, got 1"
+        assert _ingest_error(tmp_path, "a\n1\n  \n3\n") == "line 3, column 1 (a): empty cell"
+
+    def test_hash_lines_are_data_not_comments(self, tmp_path):
+        assert (_ingest_error(tmp_path, "a,b\n1,2\n# note\n3,4\n")
+                == "line 3: expected 2 fields, got 1")
+        assert (_ingest_error(tmp_path, "a,b\n1,2\n#x,1\n3,4\n")
+                == "line 3, column 1 (a): non-numeric value '#x'")
+        assert (_ingest_error(tmp_path, "a,b\n1,2\n3,4 # note\n5,6\n")
+                == "line 3, column 2 (b): non-numeric value '4 # note'")
+
+    def test_quoted_header_and_cells(self, tmp_path):
+        dm = _ingest_values(tmp_path, '"a","b c"\n"1","2.5"\n3,"-4e1"\n5,6\n')
+        assert dm.column_names == ["a", "b c"]
+        np.testing.assert_array_equal(dm.values, [[1.0, 2.5], [3.0, -40.0], [5.0, 6.0]])
+
+    def test_crlf_and_padded_cells(self, tmp_path):
+        dm = _ingest_values(tmp_path, "a , b\r\n 1 ,\t2\r\n3 , 4 \r\n5,6\r\n")
+        assert dm.column_names == ["a", "b"]
+        np.testing.assert_array_equal(dm.values, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
+    def test_missing_final_newline(self, tmp_path):
+        dm = _ingest_values(tmp_path, "a,b\n1,2\n3,4\n5,7")
+        np.testing.assert_array_equal(dm.values[-1], [5.0, 7.0])
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity", "1e400"])
+    def test_non_finite_rejected(self, tmp_path, cell):
+        assert (_ingest_error(tmp_path, f"a,b\n1,2\n3,4\n5,{cell}\n")
+                == f"line 4, column 2 (b): non-finite value {cell!r}")
+
+    def test_first_error_in_file_order_wins(self, tmp_path):
+        ragged_first = "a,b\n1,2\n1,2,3\nx,4\n"
+        assert _ingest_error(tmp_path, ragged_first) == "line 3: expected 2 fields, got 3"
+        cell_first = "a,b\n1,2\nx,4\n1,2,3\n"
+        assert _ingest_error(tmp_path, cell_first) == "line 3, column 1 (a): non-numeric value 'x'"
+        non_finite_first = "a,b\n1,2\n3,inf\n1,2,3\n"
+        assert _ingest_error(tmp_path, non_finite_first) == "line 3, column 2 (b): non-finite value 'inf'"
+        non_finite_before_blank = "a,b\n1,2\n3,nan\n\n5,6\n"
+        assert (_ingest_error(tmp_path, non_finite_before_blank)
+                == "line 3, column 2 (b): non-finite value 'nan'")
+        blank_before_cell = "a,b\n1,2\n\n5,y\n"
+        assert _ingest_error(tmp_path, blank_before_cell) == "line 3: expected 2 fields, got 0"
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "\uff11"])
+    def test_underscores_and_non_ascii_digits_rejected(self, tmp_path, cell):
+        # float() accepts these; the reader does not
+        assert (_ingest_error(tmp_path, f"a,b\n1,2\n3,{cell}\n5,6\n")
+                == f"line 3, column 2 (b): non-numeric value {cell!r}")
+
+    def test_blank_line_inside_quoted_cell_accepted(self, tmp_path):
+        dm = _ingest_values(tmp_path, 'a,b\n"1\n\n",2\n3,4\n5,7\n')
+        np.testing.assert_array_equal(dm.values, [[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])
+
+    def test_unexplained_parse_failure_still_raises(self, tmp_path, monkeypatch):
+        import factorgof.cli as cli
+
+        monkeypatch.setattr(cli, "_first_row_error", lambda path, header: None)
+        message = _ingest_error(tmp_path, "a,b\n1,2\nx,4\n")
+        assert "could not convert string 'x'" in message
+
+    def test_parse_is_bit_identical_to_float(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        n, m = 2000, 5
+        values = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-150, 150, size=(n, m))
+        values[:, 0] = rng.standard_normal(n)
+        values[::7, 1] = 5e-324 * rng.integers(1, 100, size=len(values[::7, 1]))
+        lines = [",".join(f"c{j}" for j in range(m))]
+        lines += [",".join("%.17g" % v for v in row) for row in values]
+        text = "\n".join(lines) + "\n"
+        dm = _ingest_values(tmp_path, text)
+        reference = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+        assert dm.values.shape == (n, m)
+        assert np.array_equal(dm.values.view(np.uint64), reference.view(np.uint64))
+        assert np.array_equal(reference, values)
 
 
 class TestModelFile:
