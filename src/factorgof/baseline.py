@@ -14,6 +14,7 @@ from scipy.special import chdtrc
 
 from .errors import NotConvergedError
 from .estimate import DataMatrix, FitResult
+from .kernels import single_blas_thread
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -96,6 +97,7 @@ def fit_indices(fit: FitResult, data: DataMatrix) -> tuple:
     return float(cfi), float(tli), srmr, rmsea
 
 
+@single_blas_thread
 def baseline_report(fit: FitResult, data: DataMatrix) -> BaselineReport:
     chi2, df, p = lr_chi2(fit, data)
     cfi, tli, srmr, rmsea = fit_indices(fit, data)

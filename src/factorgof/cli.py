@@ -7,8 +7,10 @@ that touches the filesystem.
 
 Output files are written atomically and carry a provenance header (tool
 version, seed, Monte Carlo budget, grid, input digests) but no timestamps,
-so a rerun with the same seed on the same machine and BLAS thread count is
-byte-identical.  Item indices are 1-based on the command line.
+so a rerun with the same seed on the same machine is byte-identical; where
+OpenBLAS is the BLAS, the caller's BLAS thread count does not change a bit
+(``kernels.single_blas_thread``).  Item indices are 1-based on the command
+line.
 """
 
 import argparse
@@ -34,6 +36,7 @@ from .batteries import (
 )
 from .errors import ConfigurationError, DataError, FactorGofError
 from .estimate import DataMatrix, FitResult, OptimOptions, ParamMapping, fit_ml
+from .kernels import single_blas_thread
 from .model import ModelSpec
 from .residuals import McConfig, run_residual_test
 from .simstudy import Study1Config, Study2Config, run_rejection_study
@@ -589,6 +592,7 @@ def _merge_grid_flags(argv):
     return out
 
 
+@single_blas_thread
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]

@@ -50,14 +50,14 @@ class DataMatrix:
         if bad.any():
             i, j = np.argwhere(bad)[0]
             raise DataError(f"non-finite value at row {i}, column {j}")
+        if self.column_names is not None and len(self.column_names) != vals.shape[1]:
+            raise DataError("column_names length does not match data")
         if vals.shape[0] >= 2:
             var = vals.var(axis=0, ddof=1)
             if (var <= 0).any():
                 j = int(np.argmin(var))
                 name = self.column_names[j] if self.column_names else str(j)
                 raise DataError(f"column {name} has zero sample variance")
-        if self.column_names is not None and len(self.column_names) != vals.shape[1]:
-            raise DataError("column_names length does not match data")
         if vals.shape[0] <= vals.shape[1]:
             warnings.warn(
                 f"n={vals.shape[0]} <= m={vals.shape[1]}: too few rows for a stable fit",
@@ -338,6 +338,7 @@ def _fd_hessian(v, mapping, ybar, S, step=1e-5):
 # ---------------------------------------------------------------------------
 
 
+@kernels.single_blas_thread
 def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitResult:
     """Fit the factor model by maximum likelihood.
 

@@ -1,5 +1,11 @@
 """Numeric kernels: multivariate normal log-density rows and compensated
-reductions over Monte Carlo draws, in numpy."""
+reductions over Monte Carlo draws, in numpy, and the single-BLAS-thread
+scope that the package's entry points run in."""
+
+import ctypes
+import functools
+import os
+import threading
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -10,6 +16,85 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 def backend() -> str:
     """Name of the kernel implementation; always ``"numpy"``."""
     return "numpy"
+
+
+# ---------------------------------------------------------------------------
+# BLAS threading
+#
+# numpy and scipy each load their own OpenBLAS, and each keeps a worker pool.
+# On this package's small matrices the pools cost more than they save: a
+# worker woken by scipy keeps spinning while numpy's threaded GEMMs run, and
+# threaded reductions round differently from serial ones.  Entry points
+# therefore run with every loaded OpenBLAS at one thread and give the
+# caller's counts back on return.
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_pools() -> tuple:
+    """``(get, set)`` thread-count functions of each loaded OpenBLAS.
+
+    Empty where none is loaded or the loaded libraries cannot be listed
+    (MKL, Accelerate, non-Linux).
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh}
+    except OSError:
+        return ()
+    pools = []
+    for path in sorted(paths):
+        name = os.path.basename(path).lower()
+        if "openblas" not in name or ".so" not in name:
+            continue
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                pools.append((get, set_))
+                break
+    return tuple(pools)
+
+
+# The pools are process-wide, so the scope's state is too: one depth count
+# shared by every Python thread, and the counts to restore at depth 0.
+_scope_lock = threading.Lock()
+_scope_depth = 0
+_saved_counts = ()
+
+
+def single_blas_thread(fn):
+    """Run ``fn`` with every loaded OpenBLAS at one thread.
+
+    The caller's thread counts are restored when the outermost such call
+    returns or raises; nested calls, including calls from other Python
+    threads while one is active, leave them alone.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        global _scope_depth, _saved_counts
+        with _scope_lock:
+            if _scope_depth == 0:
+                pools = _openblas_pools()
+                _saved_counts = tuple((set_, get()) for get, set_ in pools)
+                for _, set_ in pools:
+                    set_(1)
+            _scope_depth += 1
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            with _scope_lock:
+                _scope_depth -= 1
+                if _scope_depth == 0:
+                    for set_, count in _saved_counts:
+                        set_(count)
+
+    return wrapper
 
 
 def mvn_loglik_rows(Y, nu, chol_lower):

@@ -339,6 +339,7 @@ def run_residual_test(problem: ResidualProblem, fit: FitResult, data: DataMatrix
     return run_residual_batch([problem], fit, data, mc)[0]
 
 
+@kernels.single_blas_thread
 def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
                        mc: McConfig = None) -> list:
     """Run several residual tests sharing one draw set.

@@ -32,6 +32,7 @@ from .batteries import (
 from .baseline import baseline_report
 from .errors import ConfigurationError, NotConvergedError
 from .estimate import DataMatrix, OptimOptions, fit_ml, simulate_data
+from .kernels import single_blas_thread
 from .model import ModelSpec, ParamSet
 from .residuals import McConfig, run_residual_batch
 
@@ -247,6 +248,7 @@ def replication(cfg, seed: int, rep: int, max_iter: int = 500):
     return data, fit, int(mc_seq.generate_state(1)[0])
 
 
+@single_blas_thread
 def run_rejection_study(
     cfg,
     *,

@@ -40,6 +40,11 @@ class TestDataMatrix:
         with pytest.raises(DataError, match="zero sample variance"):
             DataMatrix(vals, column_names=["a", "b"])
 
+    def test_short_column_names_checked_before_variance(self):
+        vals = np.column_stack([np.arange(5.0), np.arange(5.0) ** 2, np.full(5, 2.0)])
+        with pytest.raises(DataError, match="column_names length does not match data"):
+            DataMatrix(vals, column_names=["a"])
+
     def test_single_row_allowed(self):
         with pytest.warns(UserWarning, match="too few rows"):
             dm = DataMatrix(np.array([[1.0, 2.0]]))

@@ -1,11 +1,33 @@
-"""Accuracy of the numeric kernels against direct references."""
+"""Accuracy of the numeric kernels against direct references, and the
+single-BLAS-thread scope around the entry points."""
 
 import math
+import sys
+import threading
 
 import numpy as np
+import pytest
 from scipy.stats import multivariate_normal
 
-from factorgof import kernels
+from factorgof import (
+    ConfigurationError,
+    McConfig,
+    ModelSpec,
+    OptimOptions,
+    SummaryBattery,
+    Study2Config,
+    default_grid,
+    fit_ml,
+    identity_transformation,
+    kernels,
+    make_grid,
+    mv_linearity_problem,
+    run_residual_test,
+    simstudy,
+    simulate_data,
+    study2_paramset,
+)
+from factorgof.residuals import ResidualProblem
 
 
 def test_backend_reports_active_lane():
@@ -45,3 +67,161 @@ def test_covariance_matches_npcov(rng):
     got = kernels.covariance(X)
     np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
     assert np.array_equal(got, got.T)
+
+
+# ---------------------------------------------------------------------------
+# single-BLAS-thread scope
+# ---------------------------------------------------------------------------
+
+# the scope's own lookup, kept so tests that patch it can still read the pools
+_openblas_pools = kernels._openblas_pools
+
+needs_openblas = pytest.mark.skipif(not _openblas_pools(), reason="no loaded OpenBLAS found")
+
+
+def _pool_counts():
+    return [get() for get, _ in _openblas_pools()]
+
+
+@pytest.fixture
+def set_caller_threads():
+    """Set every loaded OpenBLAS pool to n threads; restored after the test."""
+    pools = _openblas_pools()
+    saved = _pool_counts()
+
+    def set_all(n):
+        for _, set_ in pools:
+            set_(n)
+
+    yield set_all
+    for (_, set_), n in zip(pools, saved):
+        set_(n)
+
+
+@pytest.fixture(scope="module")
+def small_fit():
+    params = study2_paramset()
+    spec = ModelSpec(m=10, d=1, loading_pattern=np.ones((10, 1), dtype=int))
+    data = simulate_data(params, 600, np.random.default_rng(2024))
+    fit = fit_ml(data, spec, OptimOptions(info_draws=0))
+    assert fit.converged
+    return data, fit
+
+
+def _recording_problem(seen, k=3):
+    """A 3-point problem whose battery records the pool counts it runs under
+    and returns k components."""
+
+    def evaluate(Y, p):
+        seen.append(_pool_counts())
+        return Y[:, :k]
+
+    battery = SummaryBattery(k=3, name="record", _evaluate=evaluate, _eta=lambda p: p.nu[:3])
+    return ResidualProblem(battery, identity_transformation(3), make_grid([(-1, 1, 3)]))
+
+
+@needs_openblas
+def test_scope_runs_battery_on_one_thread(small_fit, set_caller_threads):
+    data, fit = small_fit
+    set_caller_threads(2)
+    seen = []
+    run_residual_test(_recording_problem(seen), fit, data, McConfig(M=1000, seed=1))
+    assert seen and all(counts == [1] * len(counts) for counts in seen)
+    assert _pool_counts() == [2] * len(seen[0])
+
+
+@needs_openblas
+def test_scope_restores_counts_after_an_error(small_fit, set_caller_threads):
+    data, fit = small_fit
+    set_caller_threads(2)
+    seen = []
+    with pytest.raises(ConfigurationError, match="returned 2 components"):
+        run_residual_test(_recording_problem(seen, k=2), fit, data, McConfig(M=1000, seed=1))
+    assert seen == [[1] * len(seen[0])]
+    assert _pool_counts() == [2] * len(seen[0])
+    assert kernels._scope_depth == 0
+
+
+class _FakePool:
+    def __init__(self, count):
+        self.count = count
+        self.sets = []
+
+    def get(self):
+        return self.count
+
+    def set(self, n):
+        self.sets.append(n)
+        self.count = n
+
+
+def test_nested_scopes_restore_once_at_outermost_exit(monkeypatch):
+    pool = _FakePool(2)
+    monkeypatch.setattr(kernels, "_openblas_pools", lambda: ((pool.get, pool.set),))
+    inner = []
+
+    def recording_fit_ml(*args, **kwargs):
+        out = fit_ml(*args, **kwargs)
+        inner.append(pool.count)
+        return out
+
+    monkeypatch.setattr(simstudy, "fit_ml", recording_fit_ml)
+    simstudy.run_rejection_study(
+        Study2Config(n=150), reps=2, seed=3, M=1000, items=(1,), kinds=("linearity",)
+    )
+    assert inner == [1, 1]
+    assert pool.sets == [1, 2]
+    assert kernels._scope_depth == 0
+
+
+def test_scope_does_nothing_without_openblas(small_fit, set_caller_threads, monkeypatch):
+    data, fit = small_fit
+    set_caller_threads(2)
+    n_pools = len(_openblas_pools())
+    monkeypatch.setattr(kernels, "_openblas_pools", lambda: ())
+    seen = []
+    run_residual_test(_recording_problem(seen), fit, data, McConfig(M=1000, seed=1))
+    assert seen and all(counts == [2] * n_pools for counts in seen)
+    assert _pool_counts() == [2] * n_pools
+
+
+@needs_openblas
+def test_outputs_do_not_depend_on_caller_threads(small_fit, set_caller_threads):
+    # A case whose T and z differ between one and two OpenBLAS threads when
+    # the caller's counts are used.
+    data, fit = small_fit
+    problem = mv_linearity_problem(default_grid(1), 8)
+    runs = []
+    for threads in (1, 2):
+        set_caller_threads(threads)
+        report = run_residual_test(problem, fit, data, McConfig(M=1000, seed=3))
+        runs.append((report.summary.T, [pt.z for pt in report.points]))
+    assert runs[0] == runs[1]
+
+
+def test_scope_from_many_threads_restores_once(monkeypatch):
+    pool = _FakePool(2)
+    monkeypatch.setattr(kernels, "_openblas_pools", lambda: ((pool.get, pool.set),))
+    seen = []
+    pinned = kernels.single_blas_thread(lambda: seen.append(pool.count))
+
+    def loop():
+        for _ in range(300):
+            pinned()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=loop) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 6 * 300 and set(seen) == {1}
+    assert pool.count == 2 and kernels._scope_depth == 0
+    # every entry at depth 0 pins, every exit back to depth 0 restores
+    assert pool.sets[::2] == [1] * (len(pool.sets) // 2)
+    assert pool.sets[1::2] == [2] * (len(pool.sets) // 2)
