@@ -30,24 +30,36 @@ def backend() -> str:
 # ---------------------------------------------------------------------------
 
 
+_MAPS = "/proc/self/maps"
+
+
 @functools.lru_cache(maxsize=None)
 def _openblas_pools() -> tuple:
     """``(get, set)`` thread-count functions of each loaded OpenBLAS.
 
     Empty where none is loaded or the loaded libraries cannot be listed
-    (MKL, Accelerate, non-Linux).
+    (MKL, Accelerate, non-Linux).  A listed library that cannot be opened
+    again by its path is skipped.
     """
     try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split()[-1] for line in fh}
+        with open(_MAPS, "rb") as fh:
+            # The pathname is the sixth field; it may contain spaces and need
+            # not be valid UTF-8.  Anonymous mappings have five fields.
+            fields = [line.rstrip(b"\n").split(None, 5) for line in fh]
     except OSError:
         return ()
+    paths = {os.fsdecode(f[5]) for f in fields if len(f) == 6}
     pools = []
     for path in sorted(paths):
         name = os.path.basename(path).lower()
         if "openblas" not in name or ".so" not in name:
             continue
-        lib = ctypes.CDLL(path)
+        try:
+            lib = ctypes.CDLL(path)
+        except (OSError, ValueError):
+            # dlopen failed; for a path that is not UTF-8 its message cannot
+            # be decoded, which ctypes raises as UnicodeDecodeError.
+            continue
         for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
                                ("openblas", "64_"), ("openblas", "")):
             get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)

@@ -2,6 +2,7 @@
 single-BLAS-thread scope around the entry points."""
 
 import math
+import os
 import sys
 import threading
 
@@ -183,6 +184,59 @@ def test_scope_does_nothing_without_openblas(small_fit, set_caller_threads, monk
     run_residual_test(_recording_problem(seen), fit, data, McConfig(M=1000, seed=1))
     assert seen and all(counts == [2] * n_pools for counts in seen)
     assert _pool_counts() == [2] * n_pools
+
+
+def _loaded_openblas_paths():
+    with open("/proc/self/maps", "rb") as fh:
+        return sorted({line[line.index(b"/"):].rstrip(b"\n")
+                       for line in fh if b"openblas" in line.lower() and b"/" in line})
+
+
+def test_lookup_reads_paths_with_spaces_and_skips_unopenable(
+        small_fit, set_caller_threads, tmp_path, monkeypatch):
+    # Each loaded OpenBLAS is listed again through a symlink in a directory
+    # whose path has a space and a byte that is not UTF-8; dlopen resolves it
+    # to the library already loaded.  Around them: paths that cannot be
+    # opened (one with a space, one not UTF-8) and anonymous mappings.
+    real = _openblas_pools()
+    set_caller_threads(2)
+    spaced = tmp_path / "Jane Doe" / os.fsdecode(b"venv \xff")
+    spaced.mkdir(parents=True)
+    lines = [b"7f0000000000-7f0000001000 rw-p 00000000 00:00 0",
+             b"7f0000001000-7f0000002000 rw-p 00000000 00:00 0 ",
+             b"7f0000002000-7f0000003000 r-xp 00000000 08:01 7    "
+             + bytes(spaced / "libscipy_openblas64_-missing.so"),
+             b"7f0000003000-7f0000004000 r-xp 00000000 08:01 8    "
+             + bytes(tmp_path) + b"/\xff\xfe/libopenblas.so.0"]
+    for i, path in enumerate(_loaded_openblas_paths()):
+        link = spaced / os.path.basename(os.fsdecode(path))
+        link.symlink_to(os.fsdecode(path))
+        lines.append(b"7f10%08x-7f10%08x r-xp 00000000 08:01 %d    " % (i, i + 1, 100 + i)
+                     + bytes(link))
+    maps = tmp_path / "maps"
+    maps.write_bytes(b"\n".join(lines) + b"\n")
+
+    monkeypatch.setattr(kernels, "_MAPS", str(maps))
+    _openblas_pools.cache_clear()
+    try:
+        found = _openblas_pools()
+        assert len(found) == len(real)
+        data, fit = small_fit
+        seen = []
+
+        def evaluate(Y, p):
+            seen.append([get() for get, _ in real])
+            return Y[:, :3]
+
+        battery = SummaryBattery(k=3, name="record", _evaluate=evaluate, _eta=lambda p: p.nu[:3])
+        problem = ResidualProblem(battery, identity_transformation(3), make_grid([(-1, 1, 3)]))
+        refit = fit_ml(data, fit.spec, OptimOptions(info_draws=0))
+        assert refit.converged
+        run_residual_test(problem, refit, data, McConfig(M=1000, seed=1))
+    finally:
+        _openblas_pools.cache_clear()
+    assert seen and all(counts == [1] * len(real) for counts in seen)
+    assert [get() for get, _ in real] == [2] * len(real)
 
 
 @needs_openblas
