@@ -52,6 +52,7 @@ from .model import (
 )
 from .residuals import (
     AcmEstimate,
+    DenseAcm,
     McConfig,
     ResidualProblem,
     SummaryBattery,

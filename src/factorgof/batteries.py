@@ -122,7 +122,8 @@ def _check_item_index(item: int) -> int:
 
 
 def _posterior_weights(Y, grid, params):
-    return np.exp(posterior_log_weights(Y, grid.points, params))
+    out = posterior_log_weights(Y, grid.points, params)
+    return np.exp(out, out=out)
 
 
 def lv_density_problem(grid: LvGrid) -> ResidualProblem:

@@ -158,8 +158,26 @@ def crossprod_mean(X, W):
     return _chunked_crossprod_sum(X, W) / X.shape[0]
 
 
+def centred_sums(X, mean, cols):
+    """Centred sums of squares of every column of X, and centred cross
+    products among the columns ``cols``, with chunk-compensated
+    accumulation.  Each chunk is centred on its own, so no centred copy of X
+    is made."""
+    sq = np.zeros(X.shape[1])
+    sq_comp = np.zeros_like(sq)
+    cross = np.zeros((len(cols), len(cols)))
+    cross_comp = np.zeros_like(cross)
+    for start in range(0, X.shape[0], _CHUNK):
+        Xc = X[start:start + _CHUNK] - mean
+        sq, sq_comp = _kahan_combine(sq, sq_comp, np.einsum("ij,ij->j", Xc, Xc))
+        Xs = Xc[:, cols]
+        cross, cross_comp = _kahan_combine(cross, cross_comp, Xs.T @ Xs)
+    return sq, cross
+
+
 def covariance(X):
-    """Sample covariance with divisor n - 1, centered before the cross product."""
-    Xc = X - colmean(X)
-    raw = _chunked_crossprod_sum(Xc, Xc) / (X.shape[0] - 1)
+    """Sample covariance with divisor n - 1, each chunk centred before its
+    cross product."""
+    _, cross = centred_sums(X, colmean(X), np.arange(X.shape[1]))
+    raw = cross / (X.shape[0] - 1)
     return 0.5 * (raw + raw.T)

@@ -15,6 +15,17 @@ estimated from one shared set of Monte Carlo draws from the fitted model.
 Pointwise residuals are referred to N(0, 1) after standardization; a summary
 quadratic form over a designated subgrid is referred to a chi-square whose
 weight matrix inverts only the leading s eigenvalues of sigma_phi.
+
+A report reads two parts of sigma_phi: its diagonal, for the pointwise
+standard errors, and its block on the stable summary points, for T.  The
+engine forms only those.  It maps the (M, k) battery draws H onto the
+reported scale first, G = H J' (H itself for the identity, two scaled column
+blocks for ratios), so that J sigma_H J' is the covariance of G and J A is
+the mean cross product of G with the scores.  The diagonal is then each
+column's centred sum of squares over M - 1 minus the row-wise
+(JA) I^{-1} (JA)', and the block is the centred cross product of the kept
+columns minus the same term on them.  ``assemble_acm`` builds the full
+matrix from sigma_H and A and is kept as the dense reference.
 """
 
 from dataclasses import dataclass
@@ -92,9 +103,33 @@ class Transformation:
     def jacobian(self, g: np.ndarray) -> np.ndarray:
         return self._jacobian(np.asarray(g, dtype=np.float64))
 
+    def project(self, H: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Draws mapped onto the reported scale, H J(g)' ((M, k_out))."""
+        return H @ self.jacobian(g).T
+
+
+class _IdentityTransformation(Transformation):
+    """Identity map; its projection is H itself, without a copy."""
+
+    def project(self, H, g):
+        return H
+
+
+class _RatioTransformation(Transformation):
+    """Componentwise ratios of the first to the second half of g."""
+
+    def project(self, H, g):
+        # J is zero off the diagonals of its two Q x Q blocks, so each output
+        # column combines one numerator and one denominator column of H;
+        # einsum forms that without temporaries the size of H's halves
+        Q = self.k_out
+        J = self.jacobian(g)
+        scale = np.stack([np.diagonal(J[:, :Q]), np.diagonal(J[:, Q:])])
+        return np.einsum("mkq,kq->mq", H.reshape(H.shape[0], 2, Q), scale)
+
 
 def identity_transformation(k: int) -> Transformation:
-    return Transformation(
+    return _IdentityTransformation(
         k_in=k,
         k_out=k,
         _apply=lambda g: g.copy(),
@@ -116,7 +151,7 @@ def ratio_transformation(Q: int) -> Transformation:
         J[idx, Q + idx] = -g[:Q] / g[Q:] ** 2
         return J
 
-    return Transformation(
+    return _RatioTransformation(
         k_in=2 * Q,
         k_out=Q,
         _apply=_apply,
@@ -143,15 +178,34 @@ class ResidualProblem:
 
 @dataclass(eq=False)
 class AcmEstimate:
-    """Assembled asymptotic covariance of the transformed residuals."""
+    """The entries of the residual covariance sigma_phi that a report reads.
 
-    A_hat: np.ndarray
-    sigma_H_hat: np.ndarray
-    inv_info: np.ndarray
-    sigma_phi_hat: np.ndarray
+    ``diag`` is the diagonal of sigma_phi (k_out,), from which the pointwise
+    se are taken.  ``summary_index`` lists the summary points that entered T
+    (the summary subgrid less its unstable points), ``summary_block`` is
+    sigma_phi on those rows and columns, and ``summary_eigvals`` holds that
+    block's eigenvalues in descending order, from the eigendecomposition
+    behind T's truncated inverse.  Without a summary statistic the three are
+    empty.  The engine forms them from the projected draws G = H J' (see the
+    module docstring) and never forms the full k_out x k_out matrix.
+    """
+
+    diag: np.ndarray
+    summary_index: np.ndarray
+    summary_block: np.ndarray
+    summary_eigvals: np.ndarray
     M: int
-    min_eig: float
-    max_eig: float
+
+
+@dataclass(eq=False)
+class DenseAcm:
+    """Full residual covariance J (sigma_H - A I^-1 A') J' from ``assemble_acm``.
+
+    ``sym_delta`` is the largest asymmetry before symmetrization and
+    ``unstable`` flags diagonal entries at or below 1e-12.
+    """
+
+    sigma_phi_hat: np.ndarray
     sym_delta: float
     unstable: np.ndarray
 
@@ -259,11 +313,13 @@ def estimate_sigma_H(battery: SummaryBattery, params: ParamSet, draws: np.ndarra
 
 
 def assemble_acm(jac: np.ndarray, A: np.ndarray, inv_info: np.ndarray,
-                 sigma_H: np.ndarray, M: int = 0) -> AcmEstimate:
-    """Assemble and symmetrize the residual covariance.
+                 sigma_H: np.ndarray) -> DenseAcm:
+    """Assemble and symmetrize the full residual covariance.
 
     Outputs with a diagonal entry at or below 1e-12 are flagged unstable;
-    they are reported but excluded from z and summary statistics.
+    the engine reports them but excludes them from z and summary
+    statistics.  The engine forms only the entries it reads; this dense
+    assembly is the reference those entries are tested against.
     """
     k = sigma_H.shape[0]
     if A.shape[0] != k or inv_info.shape[0] != A.shape[1] or jac.shape[1] != k:
@@ -275,19 +331,10 @@ def assemble_acm(jac: np.ndarray, A: np.ndarray, inv_info: np.ndarray,
     raw = jac @ inner @ jac.T
     sym_delta = float(np.abs(raw - raw.T).max())
     sigma_phi = 0.5 * (raw + raw.T)
-    diag = np.diag(sigma_phi)
-    unstable = diag <= _DIAG_FLOOR
-    eigs = np.linalg.eigvalsh(sigma_phi)
-    return AcmEstimate(
-        A_hat=A,
-        sigma_H_hat=sigma_H,
-        inv_info=inv_info,
+    return DenseAcm(
         sigma_phi_hat=sigma_phi,
-        M=M,
-        min_eig=float(eigs[0]),
-        max_eig=float(eigs[-1]),
         sym_delta=sym_delta,
-        unstable=unstable,
+        unstable=np.diag(sigma_phi) <= _DIAG_FLOOR,
     )
 
 
@@ -306,6 +353,11 @@ def truncated_inverse(sigma: np.ndarray, s: int) -> np.ndarray:
     Eigenvalues at or below 1e-10 times the largest are treated as zero;
     requesting more than the numerically positive count raises RankError.
     """
+    return _truncated_inverse(sigma, s)[0]
+
+
+def _truncated_inverse(sigma, s):
+    """``truncated_inverse`` and the eigenvalues of sigma, descending."""
     sigma = 0.5 * (sigma + sigma.T)
     vals, vecs = np.linalg.eigh(sigma)
     vals = vals[::-1]
@@ -317,15 +369,20 @@ def truncated_inverse(sigma: np.ndarray, s: int) -> np.ndarray:
     inv_vals = np.zeros_like(vals)
     inv_vals[:s] = 1.0 / vals[:s]
     W = (vecs * inv_vals) @ vecs.T
-    return 0.5 * (W + W.T)
+    return 0.5 * (W + W.T), vals
 
 
 def chi2_statistic(e: np.ndarray, sigma: np.ndarray, n: int, s: int) -> tuple:
     """Quadratic-form statistic n e' W e and its chi-square(s) p-value."""
-    W = truncated_inverse(sigma, s)
+    return _chi2_statistic(e, sigma, n, s)[:2]
+
+
+def _chi2_statistic(e, sigma, n, s):
+    """``chi2_statistic`` and the eigenvalues of sigma, descending."""
+    W, vals = _truncated_inverse(sigma, s)
     T = float(n * e @ W @ e)
     T = max(T, 0.0)
-    return T, float(chdtrc(s, T))
+    return T, float(chdtrc(s, T)), vals
 
 
 # ---------------------------------------------------------------------------
@@ -357,98 +414,96 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
         )
     if mc.M < 1000:
         raise ConfigurationError(f"M={mc.M} below the minimum of 1000")
+    if mc.info_source not in ("mc-shared", "observed"):
+        raise ConfigurationError(f"unknown info_source {mc.info_source!r}")
+    if mc.info_source == "observed" and fit.inv_observed_information is None:
+        raise ConfigurationError(
+            "fit carries no observed information; refit or use info_source='mc-shared'"
+        )
     params = fit.params
     rng = np.random.default_rng(mc.seed)
     draws = simulate_data(params, mc.M, rng).values
     scores = np.ascontiguousarray(score_rows(params, fit.mapping, draws))
     if mc.info_source == "observed":
-        if fit.inv_observed_information is None:
-            raise ConfigurationError(
-                "fit carries no observed information; refit or use info_source='mc-shared'"
-            )
         inv_info = fit.inv_observed_information
-    elif mc.info_source == "mc-shared":
-        inv_info = invert_information(monte_carlo_information(params, fit.mapping, draws))
     else:
-        raise ConfigurationError(f"unknown info_source {mc.info_source!r}")
+        inv_info = invert_information(monte_carlo_information(params, fit.mapping, draws))
+    return [_run_problem(problem, params, data, draws, scores, inv_info, mc)
+            for problem in problems]
 
-    reports = []
-    for problem in problems:
-        battery = problem.battery
-        trans = problem.transformation
-        H_draws = np.ascontiguousarray(battery.evaluate(draws, params))
-        A = kernels.crossprod_mean(H_draws, scores)
-        sigma_H = kernels.covariance(H_draws)
-        g_hat = eta_hat(battery, data, params)
-        g = battery.eta_closed(params)
-        if g is None:
-            g = kernels.colmean(H_draws)
-        jac = trans.jacobian(g)
-        acm = assemble_acm(jac, A, inv_info, sigma_H, M=mc.M)
 
-        unstable = acm.unstable.copy()
-        if trans.denominator_index is not None:
-            denom = g_hat[trans.denominator_index] * data.n
-            unstable |= denom < _DENOM_FLOOR
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_hat = trans.apply(g_hat)
-            t_pop = trans.apply(g)
-        resid = t_hat - t_pop
-        var = np.diag(acm.sigma_phi_hat)
-        se = np.full(trans.k_out, np.nan)
-        z = np.full(trans.k_out, np.nan)
-        p = np.full(trans.k_out, np.nan)
-        ok = ~unstable & np.isfinite(resid)
-        unstable |= ~np.isfinite(resid)
-        se[ok] = np.sqrt(var[ok])
-        z[ok] = resid[ok] / (se[ok] / np.sqrt(data.n))
-        p[ok] = 2.0 * ndtr(-np.abs(z[ok]))
+def _run_problem(problem, params, data, draws, scores, inv_info, mc):
+    """One problem's report from the shared draws, scores and inverse information."""
+    battery = problem.battery
+    trans = problem.transformation
+    H = np.ascontiguousarray(battery.evaluate(draws, params))
+    g = battery.eta_closed(params)
+    if g is None:
+        g = kernels.colmean(H)
+    G = trans.project(H, g)
+    del H  # the k-column block is no longer needed once projected
+    g_hat = eta_hat(battery, data, params)
 
-        coords = getattr(problem.grid, "points", None)
-        points = []
-        for l in range(trans.k_out):
-            c = coords[l] if coords is not None and len(coords) == trans.k_out else np.array([float(l)])
-            points.append(TestPoint(
-                coords=np.asarray(c, dtype=np.float64),
-                eta_hat=float(t_hat[l]) if np.isfinite(t_hat[l]) else float("nan"),
-                eta=float(t_pop[l]),
-                residual=float(resid[l]) if np.isfinite(resid[l]) else float("nan"),
-                se=float(se[l]),
-                z=float(z[l]),
-                p=float(p[l]),
-                unstable=bool(unstable[l]),
-            ))
+    subset = getattr(problem.grid, "summary_subset", None)
+    subset = np.empty(0, dtype=np.intp) if subset is None else np.asarray(subset, dtype=np.intp)
+    JA = kernels.crossprod_mean(G, scores)
+    penalty = JA @ inv_info
+    sq, cross = kernels.centred_sums(G, kernels.colmean(G), subset)
+    var = sq / (mc.M - 1) - np.einsum("ij,ij->i", penalty, JA)
 
-        summary = None
-        subset = getattr(problem.grid, "summary_subset", None)
-        if subset is not None:
-            subset = np.asarray(subset, dtype=np.intp)
-            keep = subset[~unstable[subset]]
-            n_dropped = len(subset) - len(keep)
-            if len(keep) >= 1:
-                T, p_sum = chi2_statistic(
-                    resid[keep],
-                    acm.sigma_phi_hat[np.ix_(keep, keep)],
-                    data.n,
-                    mc.s,
-                )
-                summary = SummaryStat(T=T, s=mc.s, p=p_sum,
-                                      n_points=len(keep), n_dropped=n_dropped)
+    unstable = var <= _DIAG_FLOOR
+    if trans.denominator_index is not None:
+        denom = g_hat[trans.denominator_index] * data.n
+        unstable |= denom < _DENOM_FLOOR
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_hat = trans.apply(g_hat)
+        t_pop = trans.apply(g)
+    resid = t_hat - t_pop
+    se = np.full(trans.k_out, np.nan)
+    z = np.full(trans.k_out, np.nan)
+    p = np.full(trans.k_out, np.nan)
+    ok = ~unstable & np.isfinite(resid)
+    unstable |= ~np.isfinite(resid)
+    se[ok] = np.sqrt(var[ok])
+    z[ok] = resid[ok] / (se[ok] / np.sqrt(data.n))
+    p[ok] = 2.0 * ndtr(-np.abs(z[ok]))
 
-        config = {
-            "battery": battery.name,
-            "M": mc.M,
-            "seed": mc.seed,
-            "s": mc.s,
-            "n": data.n,
-            "grid": getattr(problem.grid, "label", ""),
-            "summary_grid": getattr(problem.grid, "summary_label", ""),
-        }
-        reports.append(TestReport(
-            battery=battery.name,
-            points=points,
-            summary=summary,
-            config=config,
-            acm=acm,
+    coords = getattr(problem.grid, "points", None)
+    points = []
+    for l in range(trans.k_out):
+        c = coords[l] if coords is not None and len(coords) == trans.k_out else np.array([float(l)])
+        points.append(TestPoint(
+            coords=np.asarray(c, dtype=np.float64),
+            eta_hat=float(t_hat[l]) if np.isfinite(t_hat[l]) else float("nan"),
+            eta=float(t_pop[l]),
+            residual=float(resid[l]) if np.isfinite(resid[l]) else float("nan"),
+            se=float(se[l]),
+            z=float(z[l]),
+            p=float(p[l]),
+            unstable=bool(unstable[l]),
         ))
-    return reports
+
+    kept = np.flatnonzero(~unstable[subset])
+    keep = subset[kept]
+    block = cross[np.ix_(kept, kept)] / (mc.M - 1) - penalty[keep] @ JA[keep].T
+    block = 0.5 * (block + block.T)
+    eigvals = np.empty(0)
+    summary = None
+    if len(keep) >= 1:
+        T, p_sum, eigvals = _chi2_statistic(resid[keep], block, data.n, mc.s)
+        summary = SummaryStat(T=T, s=mc.s, p=p_sum,
+                              n_points=len(keep), n_dropped=len(subset) - len(keep))
+
+    config = {
+        "battery": battery.name,
+        "M": mc.M,
+        "seed": mc.seed,
+        "s": mc.s,
+        "n": data.n,
+        "grid": getattr(problem.grid, "label", ""),
+        "summary_grid": getattr(problem.grid, "summary_label", ""),
+    }
+    acm = AcmEstimate(diag=var, summary_index=keep, summary_block=block,
+                      summary_eigvals=eigvals, M=mc.M)
+    return TestReport(battery=battery.name, points=points, summary=summary,
+                      config=config, acm=acm)

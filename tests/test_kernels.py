@@ -70,6 +70,19 @@ def test_covariance_matches_npcov(rng):
     assert np.array_equal(got, got.T)
 
 
+def test_centred_sums_match_covariance(rng):
+    # several chunks and a short last one; the mean is far from zero, so an
+    # uncentred accumulation would lose digits
+    X = np.ascontiguousarray(rng.normal(size=(2600, 6)) + 40.0)
+    cols = np.array([4, 1, 3])
+    sq, cross = kernels.centred_sums(X, kernels.colmean(X), cols)
+    ref = np.cov(X.T, ddof=1) * (X.shape[0] - 1)
+    np.testing.assert_allclose(sq, np.diag(ref), rtol=1e-12)
+    np.testing.assert_allclose(cross, ref[np.ix_(cols, cols)], rtol=1e-10, atol=1e-9)
+    sq0, cross0 = kernels.centred_sums(X, kernels.colmean(X), np.empty(0, dtype=np.intp))
+    assert np.array_equal(sq0, sq) and cross0.shape == (0, 0)
+
+
 # ---------------------------------------------------------------------------
 # single-BLAS-thread scope
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Residual engine: weight-matrix algebra, statistics, ACM assembly,
 and the end-to-end orchestration contract."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import chi2 as chi2_dist
@@ -13,6 +15,7 @@ from factorgof import (
     OptimOptions,
     RankError,
     SummaryBattery,
+    Transformation,
     assemble_acm,
     chi2_statistic,
     estimate_A,
@@ -29,7 +32,13 @@ from factorgof import (
     truncated_inverse,
     z_statistic,
 )
-from factorgof.estimate import ParamMapping, monte_carlo_information, score_rows
+from factorgof import residuals
+from factorgof.estimate import (
+    ParamMapping,
+    invert_information,
+    monte_carlo_information,
+    score_rows,
+)
 from factorgof.residuals import ResidualProblem, run_residual_batch
 
 
@@ -298,6 +307,85 @@ class TestAssembleAcm:
         assert acm.sym_delta < 1e-12
 
 
+def _engine_cases():
+    """One problem per projection path: identity, ratio, and a dense
+    Jacobian through the generic H J' product.  The custom battery has no
+    closed-form expectation, and its last output loads only on a constant
+    component, so it is unstable and drops out of the summary subgrid."""
+    from factorgof import mv_linearity_problem
+
+    grid = make_grid([(-3, 3, 7)], [(-2, 2, 5)])
+    mix = np.array([[1.0, 0.5, -0.3, 0.2],
+                    [0.2, 1.0, 0.4, -0.1],
+                    [-0.4, 0.3, 1.0, 0.6],
+                    [0.0, 0.0, 0.0, 1.0]])
+    battery = SummaryBattery(
+        k=4, name="dense-custom",
+        _evaluate=lambda Y, p: np.column_stack(
+            [Y[:, 0] ** 3, np.abs(Y[:, 1]), Y[:, 0] * Y[:, 2] * Y[:, 3],
+             np.full(len(Y), 2.0)]),
+    )
+    dense = Transformation(k_in=4, k_out=4, _apply=lambda g: mix @ g,
+                           _jacobian=lambda g: mix, name="dense")
+    custom_grid = make_grid([(-1.5, 1.5, 4)], [(-1.5, 1.5, 4)])
+    return {
+        "lv-density": lv_density_problem(grid),
+        "linearity": mv_linearity_problem(grid, 2),
+        "dense-custom": ResidualProblem(battery, dense, custom_grid),
+    }
+
+
+def _check_engine_against_dense(case, problem, fit, data):
+    """The engine's z, se, unstable flags, T and ACM entries against the
+    dense assembly and ``chi2_statistic`` on the same draws."""
+    mc = McConfig(M=2000, seed=99, s=2)
+    report = run_residual_test(problem, fit, data, mc)
+
+    draws = simulate_data(fit.params, mc.M, np.random.default_rng(mc.seed)).values
+    battery, trans = problem.battery, problem.transformation
+    H = battery.evaluate(draws, fit.params)
+    scores = score_rows(fit.params, fit.mapping, draws)
+    A = (H.T @ scores) / mc.M
+    sigma_H = np.cov(H.T, ddof=1)
+    inv_info = invert_information(monte_carlo_information(fit.params, fit.mapping, draws))
+    g = battery.eta_closed(fit.params)
+    if g is None:
+        g = H.mean(axis=0)
+    dense = assemble_acm(trans.jacobian(g), A, inv_info, sigma_H)
+    e = trans.apply(eta_hat(battery, data, fit.params)) - trans.apply(g)
+    var = np.diag(dense.sigma_phi_hat)
+
+    unstable = np.array([pt.unstable for pt in report.points])
+    np.testing.assert_array_equal(unstable, dense.unstable, err_msg=case)
+    ok = ~unstable
+    se_engine = np.array([pt.se for pt in report.points])
+    z_engine = np.array([pt.z for pt in report.points])
+    np.testing.assert_allclose(se_engine[ok], np.sqrt(var[ok]), rtol=1e-12,
+                               err_msg=case)
+    np.testing.assert_allclose(z_engine[ok], e[ok] / np.sqrt(var[ok] / data.n),
+                               rtol=1e-12, err_msg=case)
+    assert np.isnan(z_engine[unstable]).all()
+    if case == "dense-custom":
+        assert unstable.tolist() == [False, False, False, True]
+
+    subset = problem.grid.summary_subset
+    keep = subset[ok[subset]]
+    assert report.summary.n_points == len(keep)
+    assert report.summary.n_dropped == len(subset) - len(keep)
+    block = dense.sigma_phi_hat[np.ix_(keep, keep)]
+    T_manual, _ = chi2_statistic(e[keep], block, data.n, mc.s)
+    assert report.summary.T == pytest.approx(T_manual, rel=1e-12), case
+
+    acm = report.acm
+    np.testing.assert_allclose(acm.diag[ok], var[ok], rtol=1e-12, err_msg=case)
+    np.testing.assert_array_equal(acm.summary_index, keep, err_msg=case)
+    np.testing.assert_allclose(acm.summary_block, block, rtol=1e-12,
+                               atol=1e-12 * np.abs(block).max(), err_msg=case)
+    eigs = np.linalg.eigvalsh(block)[::-1]
+    np.testing.assert_allclose(acm.summary_eigvals, eigs, rtol=1e-12,
+                               atol=1e-12 * eigs[0], err_msg=case)
+
+
 @pytest.fixture(scope="module")
 def fitted_setup():
     from factorgof import ModelSpec, study2_paramset
@@ -338,32 +426,26 @@ class TestRunResidualTest:
             run_residual_test(problem, fit, data, McConfig(M=500, seed=0))
 
     def test_identity_pipeline_matches_manual_assembly(self, fitted_setup):
+        # the engine forms only sigma_phi's diagonal and kept summary block
+        # from the projected draws; the dense assembly on the same draws is
+        # the reference, with the parameter penalty estimated independently
         spec, params, data, fit = fitted_setup
-        grid = make_grid([(-2, 2, 7)], [(-2, 2, 7)])
-        problem = lv_density_problem(grid)
-        mc = McConfig(M=2000, seed=99, s=1)
-        report = run_residual_test(problem, fit, data, mc)
+        for case, problem in _engine_cases().items():
+            _check_engine_against_dense(case, problem, fit, data)
 
-        # manual pipeline with the same draw stream
-        draws = simulate_data(fit.params, mc.M, np.random.default_rng(mc.seed)).values
-        battery = problem.battery
-        H = battery.evaluate(draws, fit.params)
-        scores = score_rows(fit.params, fit.mapping, draws)
-        A = (H.T @ scores) / mc.M
-        sigma_H = np.cov(H.T, ddof=1)
-        from factorgof.estimate import invert_information
+    def test_unknown_info_source_rejected_before_drawing(self, fitted_setup, monkeypatch):
+        spec, params, data, fit = fitted_setup
 
-        inv_info = invert_information(monte_carlo_information(fit.params, fit.mapping, draws))
-        e = eta_hat(battery, data, fit.params) - battery.eta_closed(fit.params)
-        var = np.diag(sigma_H - A @ inv_info @ A.T)
-        z_manual = e / np.sqrt(var / data.n)
-        z_engine = np.array([pt.z for pt in report.points])
-        np.testing.assert_allclose(z_engine, z_manual, rtol=1e-7, atol=1e-9)
-        T_manual, _ = chi2_statistic(
-            e, 0.5 * ((sigma_H - A @ inv_info @ A.T) + (sigma_H - A @ inv_info @ A.T).T),
-            data.n, 1,
-        )
-        assert report.summary.T == pytest.approx(T_manual, rel=1e-7)
+        def no_draws(*args, **kwargs):
+            raise AssertionError("simulate_data called before the configuration was checked")
+
+        monkeypatch.setattr(residuals, "simulate_data", no_draws)
+        problem = lv_density_problem(make_grid([(-2, 2, 5)]))
+        with pytest.raises(ConfigurationError, match="unknown info_source"):
+            run_residual_test(problem, fit, data, McConfig(M=2000, info_source="shared"))
+        bare = dataclasses.replace(fit, inv_observed_information=None)
+        with pytest.raises(ConfigurationError, match="no observed information"):
+            run_residual_test(problem, bare, data, McConfig(M=2000, info_source="observed"))
 
     def test_bit_reproducible_under_fixed_seed(self, fitted_setup):
         spec, params, data, fit = fitted_setup
@@ -399,12 +481,15 @@ class TestRunResidualTest:
         from factorgof import mv_homoscedasticity_problem, mv_linearity_problem
 
         grid = make_grid([(-2, 2, 5)], [(-2, 2, 5)])
-        p1 = mv_linearity_problem(grid, 1)
-        p2 = mv_homoscedasticity_problem(grid, 1)
+        problems = [mv_linearity_problem(grid, 1), mv_homoscedasticity_problem(grid, 1),
+                    lv_density_problem(grid)]
         mc = McConfig(M=1200, seed=5)
-        batch = run_residual_batch([p1, p2], fit, data, mc)
-        solo = [run_residual_test(p, fit, data, mc) for p in (p1, p2)]
+        batch = run_residual_batch(problems, fit, data, mc)
+        solo = [run_residual_test(p, fit, data, mc) for p in problems]
         for b, s_ in zip(batch, solo):
-            np.testing.assert_allclose(
-                [pt.z for pt in b.points], [pt.z for pt in s_.points], rtol=1e-12
-            )
+            for attr in ("z", "se"):
+                np.testing.assert_array_equal(
+                    [getattr(pt, attr) for pt in b.points],
+                    [getattr(pt, attr) for pt in s_.points],
+                )
+            assert b.summary.T == s_.summary.T
