@@ -31,7 +31,6 @@ from .estimate import (
     FitResult,
     OptimOptions,
     ParamMapping,
-    expected_information,
     fit_ml,
     log_likelihood,
     monte_carlo_information,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import conditional_mean_grid, lv_logpdf, posterior_log_weights
+from .model import _check_item, conditional_mean_grid, lv_logpdf, posterior_log_weights
 from .residuals import (
     ResidualProblem,
     SummaryBattery,
@@ -146,6 +146,7 @@ def mv_linearity_problem(grid: LvGrid, item: int) -> ResidualProblem:
     Q = grid.Q
 
     def ev(Y, params):
+        _check_item(item, params)
         W = _posterior_weights(Y, grid, params)
         return np.hstack([Y[:, item : item + 1] * W, W])
 
@@ -166,6 +167,7 @@ def mv_homoscedasticity_problem(grid: LvGrid, item: int) -> ResidualProblem:
     Q = grid.Q
 
     def ev(Y, params):
+        _check_item(item, params)
         W = _posterior_weights(Y, grid, params)
         mu = conditional_mean_grid(grid.points, params)[:, item]
         dev = (Y[:, item : item + 1] - mu[None, :]) ** 2
@@ -193,6 +195,7 @@ def mv_linearity_direct_problem(grid: LvGrid, item: int) -> ResidualProblem:
     Q = grid.Q
 
     def ev(Y, params):
+        _check_item(item, params)
         W = _posterior_weights(Y, grid, params)
         dens = np.exp(lv_logpdf(grid.points, params))
         return Y[:, item : item + 1] * W / dens[None, :]

@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .baseline import baseline_report
 from .batteries import (
+    default_grid,
     lv_density_problem,
     make_grid,
     mv_homoscedasticity_problem,
@@ -35,11 +36,17 @@ from .batteries import (
     mv_linearity_problem,
 )
 from .errors import ConfigurationError, DataError, FactorGofError
-from .estimate import DataMatrix, FitResult, OptimOptions, ParamMapping, fit_ml
+from .estimate import DataMatrix, FitResult, ParamMapping, fit_ml
 from .kernels import single_blas_thread
 from .model import ModelSpec
 from .residuals import McConfig, run_residual_test
-from .simstudy import Study1Config, Study2Config, run_rejection_study
+from .simstudy import (
+    Study1Config,
+    Study2Config,
+    model_spec_study1,
+    model_spec_study2,
+    run_rejection_study,
+)
 
 _BATTERIES_WITH_ITEM = ("linearity", "variance", "linearity-direct")
 
@@ -176,16 +183,17 @@ def _first_row_error(path: str, header: list):
     return None
 
 
-def load_model_file(path: str) -> ModelSpec:
-    """Parse a JSON model document: m, d, loading_pattern, mean_structure."""
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: model document must be a JSON object")
-    missing = [key for key in ("m", "d", "loading_pattern") if key not in doc]
+
+
+def _model_spec(path: str, doc: dict, prefix: str = "") -> ModelSpec:
+    """ModelSpec from a model object; ``prefix`` names it in messages."""
+    missing = [prefix + key for key in ("m", "d", "loading_pattern") if key not in doc]
     if missing:
         raise DataError(f"{path}: missing keys {missing}")
     try:
@@ -199,14 +207,23 @@ def load_model_file(path: str) -> ModelSpec:
         raise DataError(f"{path}: {exc}") from None
 
 
+def load_model_file(path: str) -> ModelSpec:
+    """Parse a JSON model document: m, d, loading_pattern, mean_structure."""
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: model document must be a JSON object")
+    return _model_spec(path, doc)
+
+
 def write_fit_document(path, fit: FitResult, data: DataMatrix, inputs: dict,
-                       seed: int, info_draws: int) -> None:
+                       seed: int) -> None:
+    """Write ``fit`` as a JSON fit document.  ``seed`` is recorded as
+    provenance only: the fit draws no random numbers."""
     doc = {
         "tool": "factorgof",
         "version": __version__,
         "kind": "fit",
         "seed": seed,
-        "info_draws": info_draws,
         "model": {
             "m": fit.spec.m,
             "d": fit.spec.d,
@@ -228,7 +245,6 @@ def write_fit_document(path, fit: FitResult, data: DataMatrix, inputs: dict,
         "gradient_norm": fit.gradient_norm,
         "n_iter": fit.n_iter,
         "warnings": fit.warnings,
-        "inv_information": None if fit.inv_information is None else fit.inv_information.tolist(),
         "inv_observed_information": (
             None if fit.inv_observed_information is None
             else fit.inv_observed_information.tolist()
@@ -238,42 +254,44 @@ def write_fit_document(path, fit: FitResult, data: DataMatrix, inputs: dict,
     _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+_FIT_KEYS = ("model", "free_vector", "loglik", "converged", "gradient_norm", "n_iter")
+
+
 def load_fit_document(path: str) -> FitResult:
-    """Reload a fit document so tests can run without refitting."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    if doc.get("kind") != "fit":
+    """Reload a fit document so tests can run without refitting.
+
+    Keys that older versions wrote and the fit no longer produces are
+    ignored; a missing key or a malformed value raises a DataError.
+    """
+    doc = _read_json(path)
+    if not isinstance(doc, dict) or doc.get("kind") != "fit":
         raise DataError(f"{path}: not a fit document")
-    model = doc["model"]
-    spec = ModelSpec(
-        m=int(model["m"]),
-        d=int(model["d"]),
-        loading_pattern=np.asarray(model["loading_pattern"]),
-        mean_structure=bool(model["mean_structure"]),
-    )
+    missing = [key for key in _FIT_KEYS if key not in doc]
+    if missing:
+        raise DataError(f"{path}: missing keys {missing}")
+    if not isinstance(doc["model"], dict):
+        raise DataError(f"{path}: model must be a JSON object")
+    spec = _model_spec(path, doc["model"], prefix="model.")
     mapping = ParamMapping(spec)
-    free_vector = np.asarray(doc["free_vector"], dtype=np.float64)
-
-    def _matrix(key):
-        val = doc.get(key)
-        return None if val is None else np.asarray(val, dtype=np.float64)
-
-    return FitResult(
-        params=mapping.unpack(free_vector),
-        spec=spec,
-        mapping=mapping,
-        free_vector=free_vector,
-        loglik=float(doc["loglik"]),
-        converged=bool(doc["converged"]),
-        gradient_norm=float(doc["gradient_norm"]),
-        n_iter=int(doc["n_iter"]),
-        inv_information=_matrix("inv_information"),
-        inv_observed_information=_matrix("inv_observed_information"),
-        warnings=list(doc.get("warnings", [])),
-    )
+    inv_observed = doc.get("inv_observed_information")
+    try:
+        free_vector = np.asarray(doc["free_vector"], dtype=np.float64)
+        return FitResult(
+            params=mapping.unpack(free_vector),
+            spec=spec,
+            mapping=mapping,
+            free_vector=free_vector,
+            loglik=float(doc["loglik"]),
+            converged=bool(doc["converged"]),
+            gradient_norm=float(doc["gradient_norm"]),
+            n_iter=int(doc["n_iter"]),
+            inv_observed_information=(
+                None if inv_observed is None else np.asarray(inv_observed, dtype=np.float64)
+            ),
+            warnings=list(doc.get("warnings", [])),
+        )
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +320,6 @@ def _parse_grid_spec(text: str):
     return axes
 
 
-def _default_grid_spec(d: int) -> str:
-    if d == 1:
-        return "-3:3:31"
-    if d == 2:
-        return "-3:3:19,-3:3:19"
-    raise ConfigurationError(f"no default grid for d={d}; pass --grid")
-
-
 def _provenance_lines(command: str, pairs: list) -> list:
     lines = [f"# tool=factorgof version={__version__}", f"# command={command}"]
     lines += [f"# {key}={value}" for key, value in pairs]
@@ -325,7 +335,7 @@ def _resolve_fit(args, data: DataMatrix):
         source = [("fit_sha256", _sha256(args.fit))]
     else:
         spec = load_model_file(args.model)
-        fit = fit_ml(data, spec, OptimOptions(info_draws=0, seed=args.seed))
+        fit = fit_ml(data, spec)
         source = [("model_sha256", _sha256(args.model))]
     if data.m != fit.spec.m:
         raise ConfigurationError(f"data has m={data.m}, model has m={fit.spec.m}")
@@ -348,13 +358,13 @@ def _item_index(args, m: int) -> int:
 def _cmd_fit(args) -> int:
     data = ingest_csv(args.data)
     spec = load_model_file(args.model)
-    fit = fit_ml(data, spec, OptimOptions(info_draws=args.M, seed=args.seed))
+    fit = fit_ml(data, spec)
     inputs = {
         "data_path": os.path.basename(args.data),
         "data_sha256": _sha256(args.data),
         "model_sha256": _sha256(args.model),
     }
-    write_fit_document(args.out, fit, data, inputs, seed=args.seed, info_draws=args.M)
+    write_fit_document(args.out, fit, data, inputs, seed=args.seed)
     status = "converged" if fit.converged else "NOT CONVERGED"
     print(f"fit written to {args.out} ({status}, loglik={fit.loglik:.4f})")
     return 0 if fit.converged else 1
@@ -375,8 +385,7 @@ def _make_problem(battery: str, grid, item0: int):
 def _cmd_test(args) -> int:
     data = ingest_csv(args.data)
     fit, source = _resolve_fit(args, data)
-    grid_spec = args.grid or _default_grid_spec(fit.spec.d)
-    axes = _parse_grid_spec(grid_spec)
+    axes = _parse_grid_spec(args.grid) if args.grid else default_grid(fit.spec.d).axes
     if len(axes) != fit.spec.d:
         raise ConfigurationError(
             f"grid has {len(axes)} dimensions, model has d={fit.spec.d}"
@@ -436,9 +445,8 @@ def _cmd_simulate(args) -> int:
         axes = _parse_grid_spec(args.grid)
         summary_axes = _parse_grid_spec(args.summary_grid) if args.summary_grid else None
         grid = make_grid(axes, summary_axes)
-    item0 = args.item - 1
-    if args.item < 1:
-        raise IndexError(f"--item {args.item} out of range")
+    spec = model_spec_study1() if args.study == "study1" else model_spec_study2()
+    item0 = _item_index(args, spec.m)
     table = run_rejection_study(
         cfg,
         reps=args.reps,
@@ -530,9 +538,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--model", required=True)
     p_fit.add_argument("--out", default="fit.json")
-    p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--M", type=int, default=10_000,
-                       help="Monte Carlo draws for the inverse information")
+    p_fit.add_argument("--seed", type=int, default=0,
+                       help="recorded in the fit document; does not change the fit")
     p_fit.set_defaults(func=_cmd_fit)
 
     p_test = sub.add_parser("test", help="run one residual test")
@@ -570,7 +577,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ind.add_argument("--data", required=True)
     p_ind.add_argument("--model")
     p_ind.add_argument("--fit")
-    p_ind.add_argument("--seed", type=int, default=0)
     p_ind.add_argument("--out", default="indices.json")
     p_ind.set_defaults(func=_cmd_indices)
 

@@ -15,7 +15,7 @@ mean and covariance), so each iteration costs O(m^3) regardless of n.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -191,15 +191,23 @@ def _as_mapping(spec) -> ParamMapping:
 
 @dataclass
 class OptimOptions:
-    """Fit controls: iteration cap, gradient tolerance, variance floor,
-    and the Monte Carlo budget for the reported inverse information
-    (``info_draws=0`` skips that step)."""
+    """Fit controls: iteration cap, gradient tolerance and variance floor.
+
+    The fit draws no random numbers.  ``info_draws`` is accepted for older
+    callers and only as 0; it is not stored.
+    """
 
     max_iter: int = 500
     gtol: float = 1e-4
     theta_floor: float = 1e-6
-    info_draws: int = 10_000
-    seed: int = 0
+    info_draws: InitVar[int] = 0
+
+    def __post_init__(self, info_draws):
+        if info_draws != 0:
+            raise ConfigurationError(
+                f"info_draws={info_draws}: the fit draws no Monte Carlo information; "
+                "only 0 is accepted"
+            )
 
 
 @dataclass(eq=False)
@@ -207,11 +215,10 @@ class FitResult:
     """Fitted parameters plus convergence diagnostics.
 
     ``converged`` requires the gradient criterion, a negative-definite
-    free-parameter Hessian and the absence of Heywood cases.
-    ``inv_information`` is the Monte Carlo estimate of the inverse
-    per-observation information, or None when skipped;
-    ``inv_observed_information`` inverts the observed (negative mean
-    Hessian) information and is always available on converged fits.
+    free-parameter Hessian that inverts with bounded condition number, and
+    the absence of Heywood cases.  ``inv_observed_information`` inverts the
+    observed (negative mean Hessian) information and is always available on
+    converged fits.
     """
 
     params: ParamSet
@@ -222,7 +229,6 @@ class FitResult:
     converged: bool
     gradient_norm: float
     n_iter: int
-    inv_information: np.ndarray = None
     inv_observed_information: np.ndarray = None
     warnings: list = field(default_factory=list)
 
@@ -344,9 +350,11 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
 
     Convergence requires all three of: max-abs mean-log-likelihood gradient
     below ``opts.gtol``, no error variance at the floor (Heywood case), and a
-    negative-definite Hessian of the mean log-likelihood at the solution.
-    Failing fits are returned with ``converged=False`` and reasons listed in
-    ``warnings``; downstream residual tests refuse them.
+    negative-definite Hessian of the mean log-likelihood at the solution
+    whose negative, the observed information, inverts without near
+    singularity (the identification check).  Failing fits are returned with
+    ``converged=False`` and reasons listed in ``warnings``; downstream
+    residual tests refuse them.  The fit draws no random numbers.
     """
     if opts is None:
         opts = OptimOptions()
@@ -408,16 +416,6 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
             warn.append(f"observed information: {exc}")
             converged = False
 
-    inv_info = None
-    if opts.info_draws > 0:
-        try:
-            _, inv_info = expected_information(
-                params, spec, opts.info_draws, np.random.default_rng(opts.seed)
-            )
-        except IdentificationError as exc:
-            warn.append(f"information: {exc}")
-            converged = False
-
     return FitResult(
         params=params,
         spec=spec,
@@ -427,7 +425,6 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
         converged=converged,
         gradient_norm=gradient_norm,
         n_iter=int(res.nit),
-        inv_information=inv_info,
         inv_observed_information=inv_observed,
         warnings=warn,
     )
@@ -457,19 +454,6 @@ def invert_information(info: np.ndarray) -> np.ndarray:
     L = np.linalg.cholesky(info)
     inv = cho_solve((L, True), np.eye(info.shape[0]))
     return 0.5 * (inv + inv.T)
-
-
-def expected_information(params: ParamSet, spec, M: int, rng) -> tuple:
-    """Monte Carlo per-observation information and its inverse.
-
-    Draws M observations from the marginal law at ``params`` and averages
-    score outer products.  Requires ``M >= 1000``.
-    """
-    if M < 1000:
-        raise ConfigurationError(f"information draws M={M} below the minimum of 1000")
-    draws = simulate_data(params, M, rng).values
-    info = monte_carlo_information(params, spec, draws)
-    return info, invert_information(info)
 
 
 def simulate_data(params: ParamSet, n: int, rng, column_names=None) -> DataMatrix:

@@ -244,7 +244,7 @@ def replication(cfg, seed: int, rep: int, max_iter: int = 500):
         data, spec = generate_study1(cfg, data_rng), model_spec_study1()
     else:
         data, spec = generate_study2(cfg, data_rng), model_spec_study2()
-    fit = fit_ml(data, spec, OptimOptions(info_draws=0, max_iter=max_iter))
+    fit = fit_ml(data, spec, OptimOptions(max_iter=max_iter))
     return data, fit, int(mc_seq.generate_state(1)[0])
 
 

@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from scipy.stats import kstest, ncx2
 
 import factorgof as fg
-from factorgof.estimate import OptimOptions, ParamMapping
+from factorgof.estimate import ParamMapping
 from factorgof.model import marginal_logpdf
 from factorgof.simstudy import (
     _STUDY1_PHI,
@@ -211,7 +211,7 @@ def _predicted_study2_rate(problem, table, *, N, M, data_seed, mc_seed):
     """
     cfg = fg.Study2Config(n=N, misspecified=table.misspecified)
     data = fg.generate_study2(cfg, np.random.default_rng(data_seed))
-    fit = fg.fit_ml(data, model_spec_study2(), OptimOptions(info_draws=0))
+    fit = fg.fit_ml(data, model_spec_study2())
     assert fit.converged
     report = fg.run_residual_test(
         problem, fit, data, fg.McConfig(M=M, seed=mc_seed)
@@ -431,7 +431,7 @@ def test_criterion_8_cli_determinism(tmp_path):
     pairs = []
     for label, args in {
         "fit": ["fit", "--data", str(csv_path), "--model", str(model_path),
-                "--M", "1000", "--seed", "3"],
+                "--seed", "3"],
         "test": ["test", "linearity", "--item", "2", "--data", str(csv_path),
                  "--model", str(model_path), "--M", "1200", "--seed", "5"],
         "simulate": ["simulate", "study2", "--reps", "3", "--n", "150",

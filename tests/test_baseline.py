@@ -36,7 +36,7 @@ def saturated_case():
     truth = ParamSet(nu=np.zeros(3), lam=np.array([[0.8], [0.7], [0.6]]),
                      phi=np.eye(1), theta=np.array([0.36, 0.51, 0.64]))
     data = simulate_data(truth, 800, np.random.default_rng(42))
-    fit = fit_ml(data, spec, OptimOptions(info_draws=0))
+    fit = fit_ml(data, spec)
     assert fit.converged
     return fit, data
 
@@ -50,17 +50,17 @@ class TestLrChi2:
 
     def test_requires_convergence(self, one_factor_params, one_factor_spec):
         data = simulate_data(one_factor_params, 200, np.random.default_rng(0))
-        bad = fit_ml(data, one_factor_spec, OptimOptions(max_iter=1, info_draws=0))
+        bad = fit_ml(data, one_factor_spec, OptimOptions(max_iter=1))
         with pytest.raises(NotConvergedError):
             lr_chi2(bad, data)
 
     def test_row_permutation_invariance(self, one_factor_params, one_factor_spec):
         rng = np.random.default_rng(5)
         data = simulate_data(one_factor_params, 300, rng)
-        fit = fit_ml(data, one_factor_spec, OptimOptions(info_draws=0))
+        fit = fit_ml(data, one_factor_spec)
         chi2_a, *_ = lr_chi2(fit, data)
         perm = DataMatrix(data.values[rng.permutation(300)])
-        fit_b = fit_ml(perm, one_factor_spec, OptimOptions(info_draws=0))
+        fit_b = fit_ml(perm, one_factor_spec)
         chi2_b, *_ = lr_chi2(fit_b, perm)
         assert chi2_a == pytest.approx(chi2_b, abs=1e-6)
 
@@ -85,8 +85,8 @@ class TestLrChi2:
         freed_pattern = pattern.copy()
         freed_pattern[0, 1] = 1
         freed = ModelSpec(m=8, d=2, loading_pattern=freed_pattern)
-        chi2_r, df_r, _ = lr_chi2(fit_ml(data, restricted, OptimOptions(info_draws=0)), data)
-        chi2_f, df_f, _ = lr_chi2(fit_ml(data, freed, OptimOptions(info_draws=0)), data)
+        chi2_r, df_r, _ = lr_chi2(fit_ml(data, restricted), data)
+        chi2_f, df_f, _ = lr_chi2(fit_ml(data, freed), data)
         assert df_f == df_r - 1
         assert chi2_f <= chi2_r + 1e-8
 
@@ -96,7 +96,7 @@ class TestLrChi2:
         for rep in range(reps):
             rng = np.random.default_rng(1000 + rep)
             data = simulate_data(one_factor_params, 400, rng)
-            fit = fit_ml(data, one_factor_spec, OptimOptions(info_draws=0))
+            fit = fit_ml(data, one_factor_spec)
             if not fit.converged:
                 continue
             _, _, p = lr_chi2(fit, data)
@@ -115,19 +115,19 @@ class TestFitIndices:
     def test_srmr_zero_iff_moments_match(self, one_factor_params, one_factor_spec):
         rng = np.random.default_rng(3)
         data = exact_moment_sample(one_factor_params, 500, rng)
-        fit = fit_ml(data, one_factor_spec, OptimOptions(info_draws=0))
+        fit = fit_ml(data, one_factor_spec)
         assert fit.converged
         _, _, srmr, _ = fit_indices(fit, data)
         assert srmr < 1e-6
         # and on ordinary sampled data it is strictly positive
         noisy = simulate_data(one_factor_params, 500, rng)
-        fit2 = fit_ml(noisy, one_factor_spec, OptimOptions(info_draws=0))
+        fit2 = fit_ml(noisy, one_factor_spec)
         _, _, srmr2, _ = fit_indices(fit2, noisy)
         assert srmr2 > 1e-4
 
     def test_good_fit_on_correct_model(self, one_factor_params, one_factor_spec):
         data = simulate_data(one_factor_params, 1000, np.random.default_rng(77))
-        fit = fit_ml(data, one_factor_spec, OptimOptions(info_draws=0))
+        fit = fit_ml(data, one_factor_spec)
         report = baseline_report(fit, data)
         assert report.cfi > 0.97
         assert report.rmsea < 0.05

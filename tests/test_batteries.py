@@ -8,7 +8,6 @@ from factorgof import (
     DataMatrix,
     McConfig,
     ModelSpec,
-    OptimOptions,
     ParamSet,
     default_grid,
     fit_ml,
@@ -69,9 +68,18 @@ def fitted():
     lam = np.full((8, 1), np.sqrt(0.5))
     truth = ParamSet(nu=np.zeros(8), lam=lam, phi=np.eye(1), theta=np.full(8, 0.5))
     data = simulate_data(truth, 2500, np.random.default_rng(606))
-    fit = fit_ml(data, spec, OptimOptions(info_draws=0))
+    fit = fit_ml(data, spec)
     assert fit.converged
     return spec, truth, data, fit
+
+
+@pytest.mark.parametrize(
+    "make", [mv_linearity_problem, mv_homoscedasticity_problem, mv_linearity_direct_problem]
+)
+def test_item_beyond_fit_rejected(fitted, make):
+    _, _, data, fit = fitted
+    with pytest.raises(IndexError, match="item 8 out of range for m=8"):
+        run_residual_test(make(default_grid(1), 8), fit, data, McConfig(M=1000, seed=0))
 
 
 class TestLvDensityBattery:
@@ -199,7 +207,7 @@ class TestDirectLinearityBattery:
         Y = x[:, None] * lam + rng.standard_normal((n, m)) * np.sqrt(0.5)
         data = DataMatrix(Y)
         spec = ModelSpec(m=m, d=1, loading_pattern=np.ones((m, 1), dtype=int))
-        fit = fit_ml(data, spec, OptimOptions(info_draws=0))
+        fit = fit_ml(data, spec)
         assert fit.converged
         grid = default_grid(1)
         reports = run_residual_batch(
@@ -232,7 +240,7 @@ class TestPointwiseJointConsistency:
 class TestSliceReport:
     def test_two_dimensional_slices(self, two_factor_params, two_factor_spec):
         data = simulate_data(two_factor_params, 1500, np.random.default_rng(3))
-        fit = fit_ml(data, two_factor_spec, OptimOptions(info_draws=0))
+        fit = fit_ml(data, two_factor_spec)
         assert fit.converged
         report = run_residual_test(
             lv_density_problem(default_grid(2)), fit, data, McConfig(M=2000, seed=0)

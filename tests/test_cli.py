@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from factorgof import DataError, simulate_data, study2_paramset
+from factorgof import cli
 from factorgof.cli import ingest_csv, load_fit_document, load_model_file, main
 
 
@@ -221,16 +222,83 @@ class TestFitCommand:
     def test_writes_fit_document(self, workdir):
         tmp, csv_path, model_path = workdir
         out = str(tmp / "fit.json")
-        rc = main(["fit", "--data", csv_path, "--model", model_path,
-                   "--out", out, "--M", "1000"])
+        rc = main(["fit", "--data", csv_path, "--model", model_path, "--out", out])
         assert rc == 0
         doc = json.loads(open(out).read())
         assert doc["kind"] == "fit" and doc["converged"]
         assert len(doc["free_vector"]) == 30
-        assert len(doc["inv_information"]) == 30
+        assert "inv_information" not in doc and "info_draws" not in doc
+        assert np.asarray(doc["inv_observed_information"]).shape == (30, 30)
         fit = load_fit_document(out)
         assert fit.converged
         np.testing.assert_allclose(fit.params.theta, np.exp(np.array(doc["free_vector"])[-10:]))
+
+    def test_seed_is_provenance_only(self, workdir):
+        tmp, csv_path, model_path = workdir
+        docs = []
+        for seed in ("1", "2"):
+            out = str(tmp / f"fit{seed}.json")
+            assert main(["fit", "--data", csv_path, "--model", model_path,
+                         "--seed", seed, "--out", out]) == 0
+            docs.append(json.loads(open(out).read()))
+        assert [doc.pop("seed") for doc in docs] == [1, 2]
+        assert docs[0] == docs[1]
+
+
+class TestFitDocument:
+    def _write_fit(self, workdir):
+        tmp, csv_path, model_path = workdir
+        out = str(tmp / "fit.json")
+        assert main(["fit", "--data", csv_path, "--model", model_path, "--out", out]) == 0
+        return out
+
+    def test_truncated_document_names_missing_keys(self, tmp_path):
+        path = tmp_path / "short.json"
+        path.write_text('{"kind": "fit"}')
+        with pytest.raises(DataError, match=r"missing keys \['model', 'free_vector'"):
+            load_fit_document(str(path))
+
+    def test_missing_model_key(self, workdir):
+        path = self._write_fit(workdir)
+        doc = json.loads(open(path).read())
+        del doc["model"]["d"]
+        open(path, "w").write(json.dumps(doc))
+        with pytest.raises(DataError, match=r"missing keys \['model.d'\]"):
+            load_fit_document(path)
+
+    def test_malformed_value(self, workdir):
+        path = self._write_fit(workdir)
+        doc = json.loads(open(path).read())
+        doc["loglik"] = "abc"
+        open(path, "w").write(json.dumps(doc))
+        with pytest.raises(DataError, match="could not convert"):
+            load_fit_document(path)
+
+    def test_truncated_document_on_command_line(self, workdir, capsys):
+        tmp, csv_path, _ = workdir
+        path = tmp / "short.json"
+        path.write_text('{"kind": "fit"}')
+        for argv in (["indices"], ["test", "lv-density"]):
+            rc = main(argv + ["--data", csv_path, "--fit", str(path),
+                              "--out", str(tmp / "x.out")])
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert "missing keys" in err and "Traceback" not in err
+
+    def test_older_document_with_mc_information_loads(self, workdir):
+        # documents written before the fit stopped drawing its own
+        # information carry inv_information and info_draws as well
+        path = self._write_fit(workdir)
+        doc = json.loads(open(path).read())
+        doc["info_draws"] = 10_000
+        doc["inv_information"] = doc["inv_observed_information"]
+        old = path + ".old"
+        open(old, "w").write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        new_fit, old_fit = load_fit_document(path), load_fit_document(old)
+        assert old_fit.converged
+        np.testing.assert_array_equal(old_fit.free_vector, new_fit.free_vector)
+        np.testing.assert_array_equal(old_fit.inv_observed_information,
+                                      new_fit.inv_observed_information)
 
 
 class TestTestCommand:
@@ -284,7 +352,7 @@ class TestTestCommand:
         tmp, csv_path, model_path = workdir
         fit_doc = str(tmp / "fit.json")
         assert main(["fit", "--data", csv_path, "--model", model_path,
-                     "--out", fit_doc, "--M", "1000"]) == 0
+                     "--out", fit_doc]) == 0
         out_model = str(tmp / "via_model.tsv")
         out_fit = str(tmp / "via_fit.tsv")
         common = ["test", "variance", "--item", "3", "--data", csv_path,
@@ -293,6 +361,17 @@ class TestTestCommand:
         assert main(common + ["--fit", fit_doc, "--out", out_fit]) == 0
         strip = lambda p: [l for l in open(p).read().splitlines() if not l.startswith("#")]
         assert strip(out_model) == strip(out_fit)
+
+    def test_default_grid_pools_every_point(self, workdir):
+        tmp, csv_path, model_path = workdir
+        outs = [str(tmp / "default.tsv"), str(tmp / "explicit.tsv")]
+        common = ["test", "lv-density", "--data", csv_path, "--model", model_path,
+                  "--M", "1000", "--seed", "4"]
+        assert main(common + ["--out", outs[0]]) == 0
+        assert main(common + ["--grid", "-3:3:31", "--out", outs[1]]) == 0
+        text = open(outs[0], "rb").read()
+        assert text == open(outs[1], "rb").read()
+        assert b"# summary_grid=-3:3:31\n" in text
 
     def test_requires_exactly_one_source(self, workdir):
         tmp, csv_path, model_path = workdir
@@ -314,11 +393,20 @@ class TestSimulateCommand:
         # header + 2 batteries x (31 points + 1 summary)
         assert len(body) == 1 + 2 * 32
 
-    def test_item_validation(self, workdir):
+    def test_item_validation(self, workdir, capsys, monkeypatch):
         tmp, *_ = workdir
-        rc = main(["simulate", "study2", "--reps", "1", "--n", "120",
-                   "--M", "1000", "--item", "0", "--out", str(tmp / "x.tsv")])
-        assert rc != 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a replication ran before --item was checked")
+
+        monkeypatch.setattr(cli, "run_rejection_study", refuse)
+        for item in ("0", "11"):
+            rc = main(["simulate", "study2", "--reps", "1", "--n", "120",
+                       "--M", "1000", "--item", item, "--out", str(tmp / "x.tsv")])
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert f"--item {item} out of range 1..10" in err
+            assert "Traceback" not in err
 
 
 class TestIndicesCommand:

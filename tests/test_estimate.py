@@ -14,7 +14,6 @@ from factorgof import (
     OptimOptions,
     ParamSet,
     SpecificationError,
-    expected_information,
     fit_ml,
     log_likelihood,
     monte_carlo_information,
@@ -22,7 +21,8 @@ from factorgof import (
     score_rows,
     simulate_data,
 )
-from factorgof.estimate import ParamMapping, _mean_loglik_and_grad
+from factorgof import estimate
+from factorgof.estimate import ParamMapping, _mean_loglik_and_grad, invert_information
 from factorgof.model import marginal_logpdf
 
 from conftest import random_admissible_free_vector
@@ -156,7 +156,7 @@ class TestFit:
     def test_recovers_generating_loadings(self, one_factor_params, one_factor_spec):
         rng = np.random.default_rng(314)
         data = simulate_data(one_factor_params, 5000, rng)
-        fit = fit_ml(data, one_factor_spec, OptimOptions(info_draws=0))
+        fit = fit_ml(data, one_factor_spec)
         assert fit.converged
         assert np.abs(fit.params.lam - one_factor_params.lam).max() < 0.05
         assert np.abs(fit.params.nu - one_factor_params.nu).max() < 0.05
@@ -171,7 +171,7 @@ class TestFit:
         target = one_factor_params.implied_covariance()
         Y = one_factor_params.nu + white @ np.linalg.cholesky(target).T
         data = DataMatrix(Y)
-        fit = fit_ml(data, one_factor_spec, OptimOptions(info_draws=0))
+        fit = fit_ml(data, one_factor_spec)
         assert fit.converged
         assert fit.loglik >= log_likelihood(one_factor_params, data) - 1e-6
         # mean structure is saturated: implied mean equals the sample mean
@@ -180,16 +180,15 @@ class TestFit:
     def test_row_permutation_invariance(self, one_factor_params, one_factor_spec):
         rng = np.random.default_rng(9)
         data = simulate_data(one_factor_params, 400, rng)
-        fit_a = fit_ml(data, one_factor_spec, OptimOptions(info_draws=0))
+        fit_a = fit_ml(data, one_factor_spec)
         perm = rng.permutation(400)
-        fit_b = fit_ml(DataMatrix(data.values[perm]), one_factor_spec,
-                       OptimOptions(info_draws=0))
+        fit_b = fit_ml(DataMatrix(data.values[perm]), one_factor_spec)
         np.testing.assert_allclose(fit_a.free_vector, fit_b.free_vector, atol=1e-6)
 
     def test_nonconvergence_is_flagged(self, one_factor_params, one_factor_spec):
         rng = np.random.default_rng(11)
         data = simulate_data(one_factor_params, 300, rng)
-        fit = fit_ml(data, one_factor_spec, OptimOptions(max_iter=1, info_draws=0))
+        fit = fit_ml(data, one_factor_spec, OptimOptions(max_iter=1))
         assert not fit.converged
         assert any("gradient" in w for w in fit.warnings)
 
@@ -199,8 +198,31 @@ class TestFit:
         fit = fit_ml(data, two_factor_spec)
         assert fit.converged
         assert abs(fit.params.phi[0, 1] - 0.2) < 0.08
-        assert fit.inv_information is not None
-        assert (np.linalg.eigvalsh(fit.inv_information) > 0).all()
+        assert fit.inv_observed_information.shape == (fit.mapping.q, fit.mapping.q)
+        assert (np.linalg.eigvalsh(fit.inv_observed_information) > 0).all()
+
+    def test_default_fit_draws_nothing(self, one_factor_params, one_factor_spec, monkeypatch):
+        data = simulate_data(one_factor_params, 400, np.random.default_rng(5))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fit_ml drew model data")
+
+        monkeypatch.setattr(estimate, "simulate_data", refuse)
+        fit = fit_ml(data, one_factor_spec)
+        assert fit.converged
+        assert fit.inv_observed_information is not None
+
+
+class TestOptimOptions:
+    def test_info_draws_zero_accepted(self):
+        # older callers pass info_draws=0; it is accepted and not stored
+        opts = OptimOptions(info_draws=0, max_iter=500)
+        assert opts == OptimOptions()
+        assert "info_draws" not in vars(opts)
+
+    def test_info_draws_nonzero_rejected(self):
+        with pytest.raises(ConfigurationError, match="info_draws=1000"):
+            OptimOptions(info_draws=1000)
 
 
 class TestInformation:
@@ -219,8 +241,9 @@ class TestInformation:
         spec = ModelSpec(m=4, d=1, loading_pattern=np.ones((4, 1), dtype=int))
         params = ParamSet(nu=np.zeros(4), lam=np.zeros((4, 1)), phi=np.eye(1),
                           theta=np.ones(4))
+        draws = simulate_data(params, 2000, np.random.default_rng(0)).values
         with pytest.raises(IdentificationError):
-            expected_information(params, spec, 2000, np.random.default_rng(0))
+            invert_information(monte_carlo_information(params, spec, draws))
 
     def test_doubling_draws_approaches_reference(self, one_factor_params, one_factor_spec):
         rng = np.random.default_rng(7)
@@ -234,11 +257,6 @@ class TestInformation:
             monte_carlo_information(one_factor_params, one_factor_spec, stream) - ref
         )
         assert err_big < err_small
-
-    def test_minimum_draw_budget(self, one_factor_params, one_factor_spec):
-        with pytest.raises(ConfigurationError):
-            expected_information(one_factor_params, one_factor_spec, 500,
-                                 np.random.default_rng(0))
 
 
 class TestSimulate:

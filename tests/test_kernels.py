@@ -14,7 +14,6 @@ from factorgof import (
     ConfigurationError,
     McConfig,
     ModelSpec,
-    OptimOptions,
     SummaryBattery,
     Study2Config,
     default_grid,
@@ -117,7 +116,7 @@ def small_fit():
     params = study2_paramset()
     spec = ModelSpec(m=10, d=1, loading_pattern=np.ones((10, 1), dtype=int))
     data = simulate_data(params, 600, np.random.default_rng(2024))
-    fit = fit_ml(data, spec, OptimOptions(info_draws=0))
+    fit = fit_ml(data, spec)
     assert fit.converged
     return data, fit
 
@@ -243,7 +242,7 @@ def test_lookup_reads_paths_with_spaces_and_skips_unopenable(
 
         battery = SummaryBattery(k=3, name="record", _evaluate=evaluate, _eta=lambda p: p.nu[:3])
         problem = ResidualProblem(battery, identity_transformation(3), make_grid([(-1, 1, 3)]))
-        refit = fit_ml(data, fit.spec, OptimOptions(info_draws=0))
+        refit = fit_ml(data, fit.spec)
         assert refit.converged
         run_residual_test(problem, refit, data, McConfig(M=1000, seed=1))
     finally:

@@ -393,7 +393,7 @@ def fitted_setup():
     spec = ModelSpec(m=10, d=1, loading_pattern=np.ones((10, 1), dtype=int))
     params = study2_paramset()
     data = simulate_data(params, 600, np.random.default_rng(2024))
-    fit = fit_ml(data, spec, OptimOptions(info_draws=0))
+    fit = fit_ml(data, spec)
     assert fit.converged
     return spec, params, data, fit
 
@@ -414,7 +414,7 @@ class TestRunResidualTest:
 
     def test_refuses_nonconverged_fit(self, fitted_setup):
         spec, params, data, fit = fitted_setup
-        bad = fit_ml(data, spec, OptimOptions(max_iter=1, info_draws=0))
+        bad = fit_ml(data, spec, OptimOptions(max_iter=1))
         problem = lv_density_problem(make_grid([(-2, 2, 5)]))
         with pytest.raises(NotConvergedError):
             run_residual_test(problem, bad, data, McConfig(M=1000, seed=0))
