@@ -57,6 +57,7 @@ from .residuals import (
     SummaryBattery,
     TestReport,
     Transformation,
+    WeightedBattery,
     assemble_acm,
     chi2_statistic,
     estimate_A,

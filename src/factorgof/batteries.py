@@ -12,6 +12,13 @@ Three assessments are bundled, all conditioned on a grid of latent values:
 ``mv_linearity_direct_problem`` is a non-ratio variant of the linearity
 check kept for comparison; it is deliberately not part of the default CLI
 report because its residuals also react to latent-density misfit.
+
+All four are ``WeightedBattery``s on one matrix W, the posterior densities
+of the grid points given each row (``posterior_weights``): the latent-density
+battery is W itself, linearity and variance are [f(y) * W, W] for their
+item's f, and the direct variant is y_j * W / density.  ``evaluate`` computes
+W itself; ``run_residual_batch`` computes it once per row set and grid for a
+whole batch and passes it to every battery on that grid.
 """
 
 from dataclasses import dataclass
@@ -22,8 +29,8 @@ from .errors import ConfigurationError
 from .model import _check_item, conditional_mean_grid, lv_logpdf, posterior_log_weights
 from .residuals import (
     ResidualProblem,
-    SummaryBattery,
     TestReport,
+    WeightedBattery,
     identity_transformation,
     ratio_transformation,
 )
@@ -121,22 +128,28 @@ def _check_item_index(item: int) -> int:
     return item
 
 
-def _posterior_weights(Y, grid, params):
+def posterior_weights(Y, grid, params):
+    """Posterior densities of the grid points given each row of Y ((n, Q))."""
     out = posterior_log_weights(Y, grid.points, params)
     return np.exp(out, out=out)
+
+
+def _weighted_battery(grid, k, name, from_weights, eta_fn):
+    return WeightedBattery(k=k, name=name, _evaluate=from_weights, _eta=eta_fn,
+                           grid=grid, weights=posterior_weights)
 
 
 def lv_density_problem(grid: LvGrid) -> ResidualProblem:
     """Latent-density check: posterior densities vs. the model density."""
     Q = grid.Q
 
-    def ev(Y, params):
-        return _posterior_weights(Y, grid, params)
+    def from_weights(Y, W, params):
+        return W
 
     def eta_fn(params):
         return np.exp(lv_logpdf(grid.points, params))
 
-    battery = SummaryBattery(k=Q, name="lv-density", _evaluate=ev, _eta=eta_fn)
+    battery = _weighted_battery(grid, Q, "lv-density", from_weights, eta_fn)
     return ResidualProblem(battery, identity_transformation(Q), grid)
 
 
@@ -145,9 +158,8 @@ def mv_linearity_problem(grid: LvGrid, item: int) -> ResidualProblem:
     item = _check_item_index(item)
     Q = grid.Q
 
-    def ev(Y, params):
+    def from_weights(Y, W, params):
         _check_item(item, params)
-        W = _posterior_weights(Y, grid, params)
         return np.hstack([Y[:, item : item + 1] * W, W])
 
     def eta_fn(params):
@@ -155,9 +167,7 @@ def mv_linearity_problem(grid: LvGrid, item: int) -> ResidualProblem:
         mu = conditional_mean_grid(grid.points, params)[:, item]
         return np.concatenate([dens * mu, dens])
 
-    battery = SummaryBattery(
-        k=2 * Q, name=f"linearity[{item}]", _evaluate=ev, _eta=eta_fn
-    )
+    battery = _weighted_battery(grid, 2 * Q, f"linearity[{item}]", from_weights, eta_fn)
     return ResidualProblem(battery, ratio_transformation(Q), grid)
 
 
@@ -166,9 +176,8 @@ def mv_homoscedasticity_problem(grid: LvGrid, item: int) -> ResidualProblem:
     item = _check_item_index(item)
     Q = grid.Q
 
-    def ev(Y, params):
+    def from_weights(Y, W, params):
         _check_item(item, params)
-        W = _posterior_weights(Y, grid, params)
         mu = conditional_mean_grid(grid.points, params)[:, item]
         dev = (Y[:, item : item + 1] - mu[None, :]) ** 2
         return np.hstack([dev * W, W])
@@ -177,9 +186,7 @@ def mv_homoscedasticity_problem(grid: LvGrid, item: int) -> ResidualProblem:
         dens = np.exp(lv_logpdf(grid.points, params))
         return np.concatenate([dens * params.theta[item], dens])
 
-    battery = SummaryBattery(
-        k=2 * Q, name=f"variance[{item}]", _evaluate=ev, _eta=eta_fn
-    )
+    battery = _weighted_battery(grid, 2 * Q, f"variance[{item}]", from_weights, eta_fn)
     return ResidualProblem(battery, ratio_transformation(Q), grid)
 
 
@@ -194,18 +201,15 @@ def mv_linearity_direct_problem(grid: LvGrid, item: int) -> ResidualProblem:
     item = _check_item_index(item)
     Q = grid.Q
 
-    def ev(Y, params):
+    def from_weights(Y, W, params):
         _check_item(item, params)
-        W = _posterior_weights(Y, grid, params)
         dens = np.exp(lv_logpdf(grid.points, params))
         return Y[:, item : item + 1] * W / dens[None, :]
 
     def eta_fn(params):
         return conditional_mean_grid(grid.points, params)[:, item].copy()
 
-    battery = SummaryBattery(
-        k=Q, name=f"linearity-direct[{item}]", _evaluate=ev, _eta=eta_fn
-    )
+    battery = _weighted_battery(grid, Q, f"linearity-direct[{item}]", from_weights, eta_fn)
     return ResidualProblem(battery, identity_transformation(Q), grid)
 
 

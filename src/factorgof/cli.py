@@ -382,17 +382,21 @@ def _make_problem(battery: str, grid, item0: int):
     raise ConfigurationError(f"unknown battery {battery!r}")
 
 
+def _grid_from_flags(grid_spec, summary_spec, d):
+    """The grid of --grid, or the default grid's axes for d latent
+    variables; without --summary-grid the summary statistic pools every
+    grid point."""
+    axes = _parse_grid_spec(grid_spec) if grid_spec else default_grid(d).axes
+    if len(axes) != d:
+        raise ConfigurationError(f"grid has {len(axes)} dimensions, model has d={d}")
+    summary_axes = _parse_grid_spec(summary_spec) if summary_spec else axes
+    return make_grid(axes, summary_axes)
+
+
 def _cmd_test(args) -> int:
     data = ingest_csv(args.data)
     fit, source = _resolve_fit(args, data)
-    axes = _parse_grid_spec(args.grid) if args.grid else default_grid(fit.spec.d).axes
-    if len(axes) != fit.spec.d:
-        raise ConfigurationError(
-            f"grid has {len(axes)} dimensions, model has d={fit.spec.d}"
-        )
-    # Without --summary-grid the summary statistic pools every grid point.
-    summary_axes = _parse_grid_spec(args.summary_grid) if args.summary_grid else axes
-    grid = make_grid(axes, summary_axes)
+    grid = _grid_from_flags(args.grid, args.summary_grid, fit.spec.d)
 
     item0 = None
     if args.battery in _BATTERIES_WITH_ITEM:
@@ -440,12 +444,10 @@ def _cmd_simulate(args) -> int:
         cfg = Study1Config(n=args.n, misspecified=args.misspecified)
     else:
         cfg = Study2Config(n=args.n, misspecified=args.misspecified)
-    grid = None
-    if args.grid:
-        axes = _parse_grid_spec(args.grid)
-        summary_axes = _parse_grid_spec(args.summary_grid) if args.summary_grid else None
-        grid = make_grid(axes, summary_axes)
     spec = model_spec_study1() if args.study == "study1" else model_spec_study2()
+    grid = None
+    if args.grid or args.summary_grid:
+        grid = _grid_from_flags(args.grid, args.summary_grid, spec.d)
     item0 = _item_index(args, spec.m)
     table = run_rejection_study(
         cfg,
@@ -523,6 +525,10 @@ def _cmd_indices(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_GRID_HELP = "lo:hi:count per dimension, comma separated"
+_SUMMARY_GRID_HELP = "subgrid for the summary statistic (default: all grid points)"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="factorgof",
@@ -548,9 +554,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--data", required=True)
     p_test.add_argument("--model")
     p_test.add_argument("--fit")
-    p_test.add_argument("--grid", help="lo:hi:count per dimension, comma separated")
-    p_test.add_argument("--summary-grid", dest="summary_grid",
-                        help="subgrid for the summary statistic (default: all grid points)")
+    p_test.add_argument("--grid", help=_GRID_HELP)
+    p_test.add_argument("--summary-grid", dest="summary_grid", help=_SUMMARY_GRID_HELP)
     p_test.add_argument("--item", type=int, help="1-based item index")
     p_test.add_argument("--M", type=int, default=10_000)
     p_test.add_argument("--s", type=int, default=1)
@@ -568,8 +573,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--alpha", type=float, default=0.05)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--item", type=int, default=2, help="1-based item index (study2)")
-    p_sim.add_argument("--grid")
-    p_sim.add_argument("--summary-grid", dest="summary_grid")
+    p_sim.add_argument("--grid", help=_GRID_HELP
+                       + " (default: the design's grid and its summary subgrid)")
+    p_sim.add_argument("--summary-grid", dest="summary_grid", help=_SUMMARY_GRID_HELP)
     p_sim.add_argument("--out", default="rejections.tsv")
     p_sim.set_defaults(func=_cmd_simulate)
 

@@ -26,6 +26,13 @@ column's centred sum of squares over M - 1 minus the row-wise
 (JA) I^{-1} (JA)', and the block is the centred cross product of the kept
 columns minus the same term on them.  ``assemble_acm`` builds the full
 matrix from sigma_H and A and is kept as the dense reference.
+
+The bundled batteries are ``WeightedBattery``s: each is a function of the
+(rows x Q) matrix W of posterior densities of its grid points given each
+row.  ``run_residual_batch`` computes W once per row set (the shared draws
+and the data) and grid for the whole batch, read-only, and each problem
+adds only its own f(y) * W columns.  A battery that gives only
+``_evaluate(Y, params)`` is evaluated on its own rows.
 """
 
 from dataclasses import dataclass
@@ -70,15 +77,51 @@ class SummaryBattery:
             raise ConfigurationError("battery must have k >= 1 components")
 
     def evaluate(self, Y: np.ndarray, params: ParamSet) -> np.ndarray:
-        out = self._evaluate(np.atleast_2d(Y), params)
+        return self._checked(self._evaluate(np.atleast_2d(Y), params))
+
+    def eta_closed(self, params: ParamSet):
+        return None if self._eta is None else np.asarray(self._eta(params), dtype=np.float64)
+
+    def _checked(self, out):
         if out.shape[1] != self.k:
             raise ConfigurationError(
                 f"battery {self.name} returned {out.shape[1]} components, declared {self.k}"
             )
         return out
 
-    def eta_closed(self, params: ParamSet):
-        return None if self._eta is None else np.asarray(self._eta(params), dtype=np.float64)
+
+@dataclass(eq=False)
+class WeightedBattery(SummaryBattery):
+    """A battery built from the weights of its rows on a latent grid.
+
+    ``weights(Y, grid, params)`` returns the (n, Q) weight matrix W of the
+    rows of Y on ``grid``, and ``_evaluate(Y, W, params)`` maps the rows and
+    their weights to the (n, k) battery values without writing into W.
+    ``evaluate`` applies the one to the other; ``run_residual_batch`` instead
+    computes W once per row set for every battery with the same ``weights``
+    and grid points, so both paths give the same bits.
+    """
+
+    grid: object = None
+    weights: callable = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.grid is None or self.weights is None:
+            raise ConfigurationError(f"weighted battery {self.name} needs a grid and weights")
+
+    def evaluate(self, Y: np.ndarray, params: ParamSet) -> np.ndarray:
+        Y = np.atleast_2d(Y)
+        return self.evaluate_weights(Y, self.weights(Y, self.grid, params), params)
+
+    def evaluate_weights(self, Y: np.ndarray, W: np.ndarray, params: ParamSet) -> np.ndarray:
+        """The battery on the rows Y, given their weights W."""
+        return self._checked(self._evaluate(Y, W, params))
+
+    def weight_key(self) -> tuple:
+        """Batteries with equal keys have equal weights on the same rows."""
+        points = np.asarray(self.grid.points, dtype=np.float64)
+        return self.weights, points.shape, points.tobytes()
 
 
 @dataclass(eq=False)
@@ -403,7 +446,9 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
 
     The M model draws, their scores, and the information matrix are computed
     once and reused by every problem, which dominates the cost when testing
-    several items on the same fit.
+    several items on the same fit.  So is the weight matrix W of each
+    ``WeightedBattery`` grid: once on the draws and once on the data per
+    distinct ``weight_key``, read-only, and released when the batch returns.
     """
     if mc is None:
         mc = McConfig()
@@ -428,21 +473,49 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
         inv_info = fit.inv_observed_information
     else:
         inv_info = invert_information(monte_carlo_information(params, fit.mapping, draws))
-    return [_run_problem(problem, params, data, draws, scores, inv_info, mc)
-            for problem in problems]
+    shared = {}
+    reports = []
+    for problem in problems:
+        battery = problem.battery
+        weights = (None, None)
+        if isinstance(battery, WeightedBattery):
+            key = battery.weight_key()
+            if key not in shared:
+                shared[key] = tuple(_read_only(battery.weights(Y, battery.grid, params))
+                                    for Y in (draws, data.values))
+            weights = shared[key]
+        reports.append(_run_problem(problem, params, data, draws, scores, inv_info, mc,
+                                    weights))
+    return reports
 
 
-def _run_problem(problem, params, data, draws, scores, inv_info, mc):
-    """One problem's report from the shared draws, scores and inverse information."""
+def _read_only(W):
+    W.flags.writeable = False
+    return W
+
+
+def _battery_rows(battery, Y, params, W):
+    """The battery on the rows Y, from their shared weights W when given."""
+    if W is None:
+        return battery.evaluate(Y, params)
+    return battery.evaluate_weights(Y, W, params)
+
+
+def _run_problem(problem, params, data, draws, scores, inv_info, mc, weights):
+    """One problem's report from the shared draws, scores and inverse
+    information, and the shared weights of its grid on the draws and the
+    data ((None, None) for a battery without them)."""
     battery = problem.battery
     trans = problem.transformation
-    H = np.ascontiguousarray(battery.evaluate(draws, params))
+    W_draws, W_data = weights
+    H = np.ascontiguousarray(_battery_rows(battery, draws, params, W_draws))
     g = battery.eta_closed(params)
     if g is None:
         g = kernels.colmean(H)
     G = trans.project(H, g)
     del H  # the k-column block is no longer needed once projected
-    g_hat = eta_hat(battery, data, params)
+    g_hat = kernels.colmean(np.ascontiguousarray(
+        _battery_rows(battery, data.values, params, W_data)))
 
     subset = getattr(problem.grid, "summary_subset", None)
     subset = np.empty(0, dtype=np.intp) if subset is None else np.asarray(subset, dtype=np.intp)

@@ -21,7 +21,7 @@ from factorgof import (
     simulate_data,
     slice_report,
 )
-from factorgof.model import posterior_log_weights
+from factorgof.model import conditional_mean_grid, lv_logpdf, posterior_log_weights
 
 
 class TestMakeGrid:
@@ -287,3 +287,28 @@ def test_mc_fallback_consistency_for_each_battery(fitted):
         mc = H.mean(axis=0)
         mc_se = H.std(axis=0, ddof=1) / np.sqrt(len(draws))
         assert (np.abs(mc - closed) < 4 * mc_se + 1e-12).all(), battery.name
+
+
+def test_standalone_evaluate_matches_definition_from_weights(fitted):
+    # a bundled battery's public evaluate computes W itself; the engine hands
+    # it the batch's shared W instead.  Both must equal the definition rebuilt
+    # here from the log-weights, bit for bit.
+    _, _, data, fit = fitted
+    params, Y = fit.params, data.values[:300]
+    grid = make_grid([(-2.5, 2.5, 9)])
+    W = np.exp(posterior_log_weights(Y, grid.points, params))
+    dens = np.exp(lv_logpdf(grid.points, params))
+    y = Y[:, 3:4]
+    mu = conditional_mean_grid(grid.points, params)[:, 3]
+    cases = {
+        "lv-density": (lv_density_problem(grid), W),
+        "linearity": (mv_linearity_problem(grid, 3), np.hstack([y * W, W])),
+        "variance": (mv_homoscedasticity_problem(grid, 3),
+                     np.hstack([(y - mu[None, :]) ** 2 * W, W])),
+        "linearity-direct": (mv_linearity_direct_problem(grid, 3), y * W / dens[None, :]),
+    }
+    for name, (problem, expected) in cases.items():
+        battery = problem.battery
+        got = battery.evaluate(Y, params)
+        assert got.tobytes() == expected.tobytes(), name
+        assert battery.evaluate_weights(Y, W, params).tobytes() == expected.tobytes(), name

@@ -393,6 +393,34 @@ class TestSimulateCommand:
         # header + 2 batteries x (31 points + 1 summary)
         assert len(body) == 1 + 2 * 32
 
+    def test_grid_without_summary_grid_pools_every_point(self, workdir):
+        tmp, *_ = workdir
+        out = str(tmp / "grid.tsv")
+        assert main(["simulate", "study2", "--reps", "2", "--n", "300", "--M", "1000",
+                     "--grid", "-3:3:7", "--out", out]) == 0
+        lines = open(out).read().splitlines()
+        assert "# summary_grid=-3:3:7" in lines
+        summary = [l.split("\t") for l in lines if "\tsummary\t" in l]
+        assert [row[0] for row in summary] == ["linearity[1]", "variance[1]"]
+        for row in summary:
+            rejections, valid, rate = row[3:6]
+            assert valid == "2"
+            assert np.isfinite(float(rate))
+            assert float(rate) == int(rejections) / 2
+
+    def test_summary_grid_without_grid_uses_default_axes(self, workdir, capsys):
+        tmp, *_ = workdir
+        out = str(tmp / "sub.tsv")
+        assert main(["simulate", "study2", "--reps", "1", "--n", "300", "--M", "1000",
+                     "--summary-grid", "-1:1:3", "--out", out]) == 0
+        lines = open(out).read().splitlines()
+        assert "# grid=-3:3:31" in lines
+        assert "# summary_grid=-1:1:3" in lines
+        rc = main(["simulate", "study2", "--reps", "1", "--n", "300", "--M", "1000",
+                   "--grid", "-3:3:7,-3:3:7", "--out", out])
+        assert rc == 1
+        assert "grid has 2 dimensions, model has d=1" in capsys.readouterr().err
+
     def test_item_validation(self, workdir, capsys, monkeypatch):
         tmp, *_ = workdir
 

@@ -477,19 +477,75 @@ class TestRunResidualTest:
             run_residual_test(problem, fit, data, McConfig(M=2000, info_source="bogus"))
 
     def test_shared_draws_batch_equals_single_runs(self, fitted_setup):
+        # one batch over weighted batteries on three grids, two of them
+        # distinct objects with equal points, and a custom battery; every
+        # report must equal its solo run bit for bit
         spec, params, data, fit = fitted_setup
-        from factorgof import mv_homoscedasticity_problem, mv_linearity_problem
+        from factorgof import (mv_homoscedasticity_problem, mv_linearity_direct_problem,
+                               mv_linearity_problem)
 
         grid = make_grid([(-2, 2, 5)], [(-2, 2, 5)])
+        twin = make_grid([(-2, 2, 5)], [(-1, 1, 3)])
+        other = make_grid([(-3, 3, 7)], [(-2, 2, 5)])
+        custom = SummaryBattery(k=2, name="custom",
+                                _evaluate=lambda Y, p: np.column_stack([Y[:, 0], Y[:, 1] ** 2]))
         problems = [mv_linearity_problem(grid, 1), mv_homoscedasticity_problem(grid, 1),
-                    lv_density_problem(grid)]
+                    mv_linearity_problem(grid, 4), mv_homoscedasticity_problem(grid, 4),
+                    lv_density_problem(grid), mv_linearity_direct_problem(grid, 2),
+                    ResidualProblem(custom, identity_transformation(2),
+                                    make_grid([(-1, 1, 2)], [(-1, 1, 2)])),
+                    mv_linearity_problem(twin, 1), lv_density_problem(twin),
+                    mv_homoscedasticity_problem(other, 6), lv_density_problem(other)]
         mc = McConfig(M=1200, seed=5)
         batch = run_residual_batch(problems, fit, data, mc)
         solo = [run_residual_test(p, fit, data, mc) for p in problems]
         for b, s_ in zip(batch, solo):
-            for attr in ("z", "se"):
-                np.testing.assert_array_equal(
-                    [getattr(pt, attr) for pt in b.points],
-                    [getattr(pt, attr) for pt in s_.points],
-                )
-            assert b.summary.T == s_.summary.T
+            assert b.battery == s_.battery
+            for attr in ("eta_hat", "eta", "residual", "se", "z", "p", "unstable"):
+                got = np.array([getattr(pt, attr) for pt in b.points])
+                want = np.array([getattr(pt, attr) for pt in s_.points])
+                assert got.tobytes() == want.tobytes(), (b.battery, attr)
+            assert np.array(b.summary.T).tobytes() == np.array(s_.summary.T).tobytes()
+
+    def test_one_weight_pass_per_row_set_and_grid(self, fitted_setup, monkeypatch):
+        spec, params, data, fit = fitted_setup
+        from factorgof import batteries, mv_homoscedasticity_problem, mv_linearity_problem
+
+        calls = []
+        original = batteries.posterior_log_weights
+
+        def counted(Y, points, p):
+            calls.append(len(points))
+            return original(Y, points, p)
+
+        monkeypatch.setattr(batteries, "posterior_log_weights", counted)
+        grid = make_grid([(-3, 3, 31)], [(-2, 2, 11)])
+        items = (1, 7, 8, 9)
+        problems = ([mv_linearity_problem(grid, j) for j in items]
+                    + [mv_homoscedasticity_problem(grid, j) for j in items])
+        mc = McConfig(M=1000, seed=3)
+        run_residual_batch(problems, fit, data, mc)
+        assert calls == [31, 31]
+
+        calls.clear()
+        other = make_grid([(-2, 2, 9)])
+        run_residual_batch(problems + [lv_density_problem(other),
+                                       mv_linearity_problem(other, 2)], fit, data, mc)
+        assert calls == [31, 31, 9, 9]
+
+    def test_shared_weights_are_read_only(self, fitted_setup):
+        spec, params, data, fit = fitted_setup
+        from factorgof import WeightedBattery
+        from factorgof.batteries import posterior_weights
+
+        def scale_in_place(Y, W, p):
+            W *= 2.0
+            return W
+
+        grid = make_grid([(-2, 2, 5)], [(-2, 2, 5)])
+        battery = WeightedBattery(k=5, name="writer", _evaluate=scale_in_place,
+                                  grid=grid, weights=posterior_weights)
+        problem = ResidualProblem(battery, identity_transformation(5), grid)
+        with pytest.raises(ValueError, match="read-only"):
+            run_residual_batch([lv_density_problem(grid), problem], fit, data,
+                               McConfig(M=1000, seed=3))
