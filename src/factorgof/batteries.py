@@ -14,11 +14,11 @@ check kept for comparison; it is deliberately not part of the default CLI
 report because its residuals also react to latent-density misfit.
 
 All four are ``WeightedBattery``s on one matrix W, the posterior densities
-of the grid points given each row (``posterior_weights``): the latent-density
-battery is W itself, linearity and variance are [f(y) * W, W] for their
-item's f, and the direct variant is y_j * W / density.  ``evaluate`` computes
-W itself; ``run_residual_batch`` computes it once per row set and grid for a
-whole batch and passes it to every battery on that grid.
+of the grid points given each row: the latent-density battery is W itself,
+linearity and variance are [f(y) * W, W] for their item's f, and the direct
+variant is y_j * W / density.  ``evaluate`` computes W itself;
+``run_residual_batch`` computes it once per row set and grid for a whole
+batch and passes it to every battery on that grid.
 """
 
 from dataclasses import dataclass
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import _check_item, conditional_mean_grid, lv_logpdf, posterior_log_weights
+from .model import _check_item, conditional_mean_grid, lv_logpdf
 from .residuals import (
     ResidualProblem,
     TestReport,
@@ -128,17 +128,6 @@ def _check_item_index(item: int) -> int:
     return item
 
 
-def posterior_weights(Y, grid, params):
-    """Posterior densities of the grid points given each row of Y ((n, Q))."""
-    out = posterior_log_weights(Y, grid.points, params)
-    return np.exp(out, out=out)
-
-
-def _weighted_battery(grid, k, name, from_weights, eta_fn):
-    return WeightedBattery(k=k, name=name, _evaluate=from_weights, _eta=eta_fn,
-                           grid=grid, weights=posterior_weights)
-
-
 def lv_density_problem(grid: LvGrid) -> ResidualProblem:
     """Latent-density check: posterior densities vs. the model density."""
     Q = grid.Q
@@ -149,7 +138,8 @@ def lv_density_problem(grid: LvGrid) -> ResidualProblem:
     def eta_fn(params):
         return np.exp(lv_logpdf(grid.points, params))
 
-    battery = _weighted_battery(grid, Q, "lv-density", from_weights, eta_fn)
+    battery = WeightedBattery(k=Q, name="lv-density", _evaluate=from_weights,
+                              _eta=eta_fn, grid=grid)
     return ResidualProblem(battery, identity_transformation(Q), grid)
 
 
@@ -167,7 +157,8 @@ def mv_linearity_problem(grid: LvGrid, item: int) -> ResidualProblem:
         mu = conditional_mean_grid(grid.points, params)[:, item]
         return np.concatenate([dens * mu, dens])
 
-    battery = _weighted_battery(grid, 2 * Q, f"linearity[{item}]", from_weights, eta_fn)
+    battery = WeightedBattery(k=2 * Q, name=f"linearity[{item}]", _evaluate=from_weights,
+                              _eta=eta_fn, grid=grid)
     return ResidualProblem(battery, ratio_transformation(Q), grid)
 
 
@@ -186,7 +177,8 @@ def mv_homoscedasticity_problem(grid: LvGrid, item: int) -> ResidualProblem:
         dens = np.exp(lv_logpdf(grid.points, params))
         return np.concatenate([dens * params.theta[item], dens])
 
-    battery = _weighted_battery(grid, 2 * Q, f"variance[{item}]", from_weights, eta_fn)
+    battery = WeightedBattery(k=2 * Q, name=f"variance[{item}]", _evaluate=from_weights,
+                              _eta=eta_fn, grid=grid)
     return ResidualProblem(battery, ratio_transformation(Q), grid)
 
 
@@ -209,7 +201,8 @@ def mv_linearity_direct_problem(grid: LvGrid, item: int) -> ResidualProblem:
     def eta_fn(params):
         return conditional_mean_grid(grid.points, params)[:, item].copy()
 
-    battery = _weighted_battery(grid, Q, f"linearity-direct[{item}]", from_weights, eta_fn)
+    battery = WeightedBattery(k=Q, name=f"linearity-direct[{item}]", _evaluate=from_weights,
+                              _eta=eta_fn, grid=grid)
     return ResidualProblem(battery, identity_transformation(Q), grid)
 
 

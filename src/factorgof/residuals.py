@@ -30,11 +30,13 @@ matrix from sigma_H and A and is kept as the dense reference.
 The bundled batteries are ``WeightedBattery``s: each is a function of the
 (rows x Q) matrix W of posterior densities of its grid points given each
 row.  ``run_residual_batch`` computes W once per row set (the shared draws
-and the data) and grid for the whole batch, read-only, and each problem
-adds only its own f(y) * W columns.  A battery that gives only
-``_evaluate(Y, params)`` is evaluated on its own rows.
+and the data) and grid for the whole batch, read-only, and drops it after
+the last problem on that grid; each problem adds only its own f(y) * W
+columns.  A battery that gives only ``_evaluate(Y, params)`` is evaluated
+on its own rows.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +52,7 @@ from .estimate import (
     simulate_data,
     score_rows,
 )
-from .model import ParamSet
+from .model import ParamSet, posterior_log_weights
 
 _DIAG_FLOOR = 1e-12
 _EIG_RTOL = 1e-10
@@ -76,52 +78,61 @@ class SummaryBattery:
         if self.k < 1:
             raise ConfigurationError("battery must have k >= 1 components")
 
-    def evaluate(self, Y: np.ndarray, params: ParamSet) -> np.ndarray:
-        return self._checked(self._evaluate(np.atleast_2d(Y), params))
-
-    def eta_closed(self, params: ParamSet):
-        return None if self._eta is None else np.asarray(self._eta(params), dtype=np.float64)
-
-    def _checked(self, out):
+    def evaluate(self, Y: np.ndarray, params: ParamSet, W: np.ndarray = None) -> np.ndarray:
+        """The (n, k) battery values on the rows of Y.  ``W`` is for a
+        ``WeightedBattery`` only: its rows' posterior weights, when the
+        caller already has them."""
+        out = self._values(np.atleast_2d(Y), params, W)
         if out.shape[1] != self.k:
             raise ConfigurationError(
                 f"battery {self.name} returned {out.shape[1]} components, declared {self.k}"
             )
         return out
 
+    def eta_closed(self, params: ParamSet):
+        return None if self._eta is None else np.asarray(self._eta(params), dtype=np.float64)
+
+    def _values(self, Y, params, W):
+        if W is not None:
+            raise ConfigurationError(f"battery {self.name} takes no posterior weights")
+        return self._evaluate(Y, params)
+
+
+def _posterior_weights(Y, points, params):
+    """Posterior densities of the grid points given each row of Y ((n, Q))."""
+    out = posterior_log_weights(Y, points, params)
+    return np.exp(out, out=out)
+
+
+def _points_key(grid) -> tuple:
+    """Grids with equal keys give equal posterior weights on the same rows."""
+    points = np.asarray(grid.points, dtype=np.float64)
+    return points.shape, points.tobytes()
+
 
 @dataclass(eq=False)
 class WeightedBattery(SummaryBattery):
-    """A battery built from the weights of its rows on a latent grid.
+    """A battery built from the posterior weights of its rows on a grid.
 
-    ``weights(Y, grid, params)`` returns the (n, Q) weight matrix W of the
-    rows of Y on ``grid``, and ``_evaluate(Y, W, params)`` maps the rows and
-    their weights to the (n, k) battery values without writing into W.
-    ``evaluate`` applies the one to the other; ``run_residual_batch`` instead
-    computes W once per row set for every battery with the same ``weights``
-    and grid points, so both paths give the same bits.
+    W is the (n, Q) matrix of posterior densities of ``grid.points`` given
+    each row, and ``_evaluate(Y, W, params)`` maps the rows and their W to
+    the (n, k) battery values without writing into W.  ``evaluate`` computes
+    W itself unless it is given; ``run_residual_batch`` computes it once per
+    row set for every battery on the same grid points and passes it in, so
+    both paths give the same bits.
     """
 
     grid: object = None
-    weights: callable = None
 
     def __post_init__(self):
         super().__post_init__()
-        if self.grid is None or self.weights is None:
-            raise ConfigurationError(f"weighted battery {self.name} needs a grid and weights")
+        if self.grid is None:
+            raise ConfigurationError(f"weighted battery {self.name} needs a grid")
 
-    def evaluate(self, Y: np.ndarray, params: ParamSet) -> np.ndarray:
-        Y = np.atleast_2d(Y)
-        return self.evaluate_weights(Y, self.weights(Y, self.grid, params), params)
-
-    def evaluate_weights(self, Y: np.ndarray, W: np.ndarray, params: ParamSet) -> np.ndarray:
-        """The battery on the rows Y, given their weights W."""
-        return self._checked(self._evaluate(Y, W, params))
-
-    def weight_key(self) -> tuple:
-        """Batteries with equal keys have equal weights on the same rows."""
-        points = np.asarray(self.grid.points, dtype=np.float64)
-        return self.weights, points.shape, points.tobytes()
+    def _values(self, Y, params, W):
+        if W is None:
+            W = _posterior_weights(Y, self.grid.points, params)
+        return self._evaluate(Y, W, params)
 
 
 @dataclass(eq=False)
@@ -311,9 +322,11 @@ class TestReport:
 # ---------------------------------------------------------------------------
 
 
-def eta_hat(battery: SummaryBattery, data: DataMatrix, params: ParamSet) -> np.ndarray:
-    """Sample average of the battery over the data rows."""
-    H = battery.evaluate(data.values, params)
+def eta_hat(battery: SummaryBattery, data: DataMatrix, params: ParamSet,
+            W: np.ndarray = None) -> np.ndarray:
+    """Sample average of the battery over the data rows (``W``: their
+    posterior weights on a ``WeightedBattery``'s grid, when already known)."""
+    H = battery.evaluate(data.values, params, W)
     return kernels.colmean(np.ascontiguousarray(H))
 
 
@@ -446,9 +459,10 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
 
     The M model draws, their scores, and the information matrix are computed
     once and reused by every problem, which dominates the cost when testing
-    several items on the same fit.  So is the weight matrix W of each
-    ``WeightedBattery`` grid: once on the draws and once on the data per
-    distinct ``weight_key``, read-only, and released when the batch returns.
+    several items on the same fit.  So is the posterior-weight matrix W of
+    each ``WeightedBattery`` grid: once on the draws and once on the data per
+    distinct set of grid points, read-only, and released after the last
+    problem on that grid has read it.
     """
     if mc is None:
         mc = McConfig()
@@ -473,49 +487,51 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
         inv_info = fit.inv_observed_information
     else:
         inv_info = invert_information(monte_carlo_information(params, fit.mapping, draws))
-    shared = {}
-    reports = []
-    for problem in problems:
-        battery = problem.battery
-        weights = (None, None)
-        if isinstance(battery, WeightedBattery):
-            key = battery.weight_key()
-            if key not in shared:
-                shared[key] = tuple(_read_only(battery.weights(Y, battery.grid, params))
-                                    for Y in (draws, data.values))
-            weights = shared[key]
-        reports.append(_run_problem(problem, params, data, draws, scores, inv_info, mc,
-                                    weights))
-    return reports
+    weights = _SharedWeights(problems, params, draws, data.values)
+    return [_run_problem(problem, params, data, draws, scores, inv_info, mc, weights)
+            for problem in problems]
 
 
-def _read_only(W):
-    W.flags.writeable = False
-    return W
+class _SharedWeights:
+    """The posterior weights of each grid in a batch, on the draws and on
+    the data: computed on first use, read-only, and dropped as soon as the
+    last problem on that grid has taken them."""
 
+    def __init__(self, problems, params, draws, data_rows):
+        self._params = params
+        self._rows = {"draws": draws, "data": data_rows}
+        self._cache = {}
+        self._left = Counter((_points_key(p.battery.grid), rows) for p in problems
+                             if isinstance(p.battery, WeightedBattery) for rows in self._rows)
 
-def _battery_rows(battery, Y, params, W):
-    """The battery on the rows Y, from their shared weights W when given."""
-    if W is None:
-        return battery.evaluate(Y, params)
-    return battery.evaluate_weights(Y, W, params)
+    def take(self, battery, rows):
+        """W of the battery's grid on the "draws" or "data" rows; None for a
+        battery without one."""
+        if not isinstance(battery, WeightedBattery):
+            return None
+        slot = (_points_key(battery.grid), rows)
+        W = self._cache.pop(slot, None)
+        if W is None:
+            W = _posterior_weights(self._rows[rows], battery.grid.points, self._params)
+            W.flags.writeable = False
+        self._left[slot] -= 1
+        if self._left[slot]:
+            self._cache[slot] = W
+        return W
 
 
 def _run_problem(problem, params, data, draws, scores, inv_info, mc, weights):
-    """One problem's report from the shared draws, scores and inverse
-    information, and the shared weights of its grid on the draws and the
-    data ((None, None) for a battery without them)."""
+    """One problem's report from the shared draws, scores, inverse
+    information and posterior weights."""
     battery = problem.battery
     trans = problem.transformation
-    W_draws, W_data = weights
-    H = np.ascontiguousarray(_battery_rows(battery, draws, params, W_draws))
+    H = np.ascontiguousarray(battery.evaluate(draws, params, weights.take(battery, "draws")))
     g = battery.eta_closed(params)
     if g is None:
         g = kernels.colmean(H)
     G = trans.project(H, g)
     del H  # the k-column block is no longer needed once projected
-    g_hat = kernels.colmean(np.ascontiguousarray(
-        _battery_rows(battery, data.values, params, W_data)))
+    g_hat = eta_hat(battery, data, params, weights.take(battery, "data"))
 
     subset = getattr(problem.grid, "summary_subset", None)
     subset = np.empty(0, dtype=np.intp) if subset is None else np.asarray(subset, dtype=np.intp)

@@ -311,4 +311,4 @@ def test_standalone_evaluate_matches_definition_from_weights(fitted):
         battery = problem.battery
         got = battery.evaluate(Y, params)
         assert got.tobytes() == expected.tobytes(), name
-        assert battery.evaluate_weights(Y, W, params).tobytes() == expected.tobytes(), name
+        assert battery.evaluate(Y, params, W).tobytes() == expected.tobytes(), name

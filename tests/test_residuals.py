@@ -188,6 +188,12 @@ class TestBatteryBasics:
             got, [data.values[0, 0], data.values[0, 1] ** 2], rtol=1e-14
         )
 
+    def test_plain_battery_takes_no_weights(self, one_factor_params, rng):
+        battery = SummaryBattery(k=1, name="first", _evaluate=lambda Y, p: Y[:, :1])
+        Y = rng.normal(size=(4, 6))
+        with pytest.raises(ConfigurationError, match="takes no posterior weights"):
+            battery.evaluate(Y, one_factor_params, np.ones((4, 3)))
+
     def test_eta_hat_unbiased_at_generating_parameters(self, one_factor_params):
         # sample average of posterior densities estimates the latent density
         grid = make_grid([(-2, 2, 5)])
@@ -509,16 +515,16 @@ class TestRunResidualTest:
 
     def test_one_weight_pass_per_row_set_and_grid(self, fitted_setup, monkeypatch):
         spec, params, data, fit = fitted_setup
-        from factorgof import batteries, mv_homoscedasticity_problem, mv_linearity_problem
+        from factorgof import mv_homoscedasticity_problem, mv_linearity_problem, residuals
 
         calls = []
-        original = batteries.posterior_log_weights
+        original = residuals.posterior_log_weights
 
         def counted(Y, points, p):
             calls.append(len(points))
             return original(Y, points, p)
 
-        monkeypatch.setattr(batteries, "posterior_log_weights", counted)
+        monkeypatch.setattr(residuals, "posterior_log_weights", counted)
         grid = make_grid([(-3, 3, 31)], [(-2, 2, 11)])
         items = (1, 7, 8, 9)
         problems = ([mv_linearity_problem(grid, j) for j in items]
@@ -536,15 +542,13 @@ class TestRunResidualTest:
     def test_shared_weights_are_read_only(self, fitted_setup):
         spec, params, data, fit = fitted_setup
         from factorgof import WeightedBattery
-        from factorgof.batteries import posterior_weights
 
         def scale_in_place(Y, W, p):
             W *= 2.0
             return W
 
         grid = make_grid([(-2, 2, 5)], [(-2, 2, 5)])
-        battery = WeightedBattery(k=5, name="writer", _evaluate=scale_in_place,
-                                  grid=grid, weights=posterior_weights)
+        battery = WeightedBattery(k=5, name="writer", _evaluate=scale_in_place, grid=grid)
         problem = ResidualProblem(battery, identity_transformation(5), grid)
         with pytest.raises(ValueError, match="read-only"):
             run_residual_batch([lv_density_problem(grid), problem], fit, data,
