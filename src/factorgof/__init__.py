@@ -11,6 +11,7 @@ from .batteries import (
     default_grid,
     lv_density_problem,
     make_grid,
+    make_problem,
     mv_homoscedasticity_problem,
     mv_linearity_direct_problem,
     mv_linearity_problem,
@@ -60,9 +61,6 @@ from .residuals import (
     WeightedBattery,
     assemble_acm,
     chi2_statistic,
-    estimate_A,
-    estimate_sigma_H,
-    eta,
     eta_hat,
     identity_transformation,
     ratio_transformation,

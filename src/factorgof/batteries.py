@@ -18,7 +18,8 @@ of the grid points given each row: the latent-density battery is W itself,
 linearity and variance are [f(y) * W, W] for their item's f, and the direct
 variant is y_j * W / density.  ``evaluate`` computes W itself;
 ``run_residual_batch`` computes it once per row set and grid for a whole
-batch and passes it to every battery on that grid.
+batch and passes it to every battery on that grid.  ``make_problem`` maps a
+battery kind's name to its problem.
 """
 
 from dataclasses import dataclass
@@ -204,6 +205,26 @@ def mv_linearity_direct_problem(grid: LvGrid, item: int) -> ResidualProblem:
     battery = WeightedBattery(k=Q, name=f"linearity-direct[{item}]", _evaluate=from_weights,
                               _eta=eta_fn, grid=grid)
     return ResidualProblem(battery, identity_transformation(Q), grid)
+
+
+_ITEM_PROBLEMS = {
+    "linearity": mv_linearity_problem,
+    "variance": mv_homoscedasticity_problem,
+    "linearity-direct": mv_linearity_direct_problem,
+}
+
+
+def make_problem(kind: str, grid: LvGrid, item: int = None) -> ResidualProblem:
+    """The problem of a battery kind on ``grid``: ``"lv-density"``, or
+    ``"linearity"``, ``"variance"`` or ``"linearity-direct"`` for the
+    0-based ``item``."""
+    if kind == "lv-density":
+        return lv_density_problem(grid)
+    if kind not in _ITEM_PROBLEMS:
+        raise ConfigurationError(f"unknown battery kind {kind!r}")
+    if item is None:
+        raise ConfigurationError(f"battery kind {kind!r} needs an item")
+    return _ITEM_PROBLEMS[kind](grid, item)
 
 
 def slice_report(report: TestReport, axis: int = 0, tol: float = 1e-9) -> list:

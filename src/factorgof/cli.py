@@ -27,14 +27,7 @@ import numpy as np
 
 from . import __version__
 from .baseline import baseline_report
-from .batteries import (
-    default_grid,
-    lv_density_problem,
-    make_grid,
-    mv_homoscedasticity_problem,
-    mv_linearity_direct_problem,
-    mv_linearity_problem,
-)
+from .batteries import default_grid, make_grid, make_problem
 from .errors import ConfigurationError, DataError, FactorGofError
 from .estimate import DataMatrix, FitResult, ParamMapping, fit_ml
 from .kernels import single_blas_thread
@@ -370,18 +363,6 @@ def _cmd_fit(args) -> int:
     return 0 if fit.converged else 1
 
 
-def _make_problem(battery: str, grid, item0: int):
-    if battery == "lv-density":
-        return lv_density_problem(grid)
-    if battery == "linearity":
-        return mv_linearity_problem(grid, item0)
-    if battery == "variance":
-        return mv_homoscedasticity_problem(grid, item0)
-    if battery == "linearity-direct":
-        return mv_linearity_direct_problem(grid, item0)
-    raise ConfigurationError(f"unknown battery {battery!r}")
-
-
 def _grid_from_flags(grid_spec, summary_spec, d):
     """The grid of --grid, or the default grid's axes for d latent
     variables; without --summary-grid the summary statistic pools every
@@ -403,7 +384,7 @@ def _cmd_test(args) -> int:
         item0 = _item_index(args, fit.spec.m)
     elif args.item is not None:
         raise ConfigurationError("--item applies only to item-level batteries")
-    problem = _make_problem(args.battery, grid, item0)
+    problem = make_problem(args.battery, grid, item0)
     report = run_residual_test(problem, fit, data, McConfig(M=args.M, seed=args.seed, s=args.s))
 
     d = fit.spec.d

@@ -174,10 +174,3 @@ def centred_sums(X, mean, cols):
         cross, cross_comp = _kahan_combine(cross, cross_comp, Xs.T @ Xs)
     return sq, cross
 
-
-def covariance(X):
-    """Sample covariance with divisor n - 1, each chunk centred before its
-    cross product."""
-    _, cross = centred_sums(X, colmean(X), np.arange(X.shape[1]))
-    raw = cross / (X.shape[0] - 1)
-    return 0.5 * (raw + raw.T)

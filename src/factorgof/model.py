@@ -73,10 +73,6 @@ class ModelSpec:
             )
         object.__setattr__(self, "loading_pattern", pattern)
 
-    @property
-    def n_free_loadings(self) -> int:
-        return int(self.loading_pattern.sum())
-
 
 @dataclass(eq=False)
 class ParamSet:

@@ -29,14 +29,14 @@ matrix from sigma_H and A and is kept as the dense reference.
 
 The bundled batteries are ``WeightedBattery``s: each is a function of the
 (rows x Q) matrix W of posterior densities of its grid points given each
-row.  ``run_residual_batch`` computes W once per row set (the shared draws
-and the data) and grid for the whole batch, read-only, and drops it after
-the last problem on that grid; each problem adds only its own f(y) * W
-columns.  A battery that gives only ``_evaluate(Y, params)`` is evaluated
-on its own rows.
+row.  ``run_residual_batch`` makes one pass per distinct set of grid points:
+it computes W on the data, takes every problem's sample average from it,
+drops it, and computes W on the shared draws for the problems' covariance
+entries.  Each W is read-only, and each problem adds only its own f(y) * W
+columns.  Batteries that give only ``_evaluate(Y, params)`` share one pass
+without W.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +65,8 @@ class SummaryBattery:
 
     ``evaluate`` maps an (n, m) data block to the (n, k) matrix of per-row
     summary values.  ``eta_closed`` returns the model-implied expectation
-    when a closed form exists, else None (callers fall back to a Monte Carlo
-    average over model draws).
+    when a closed form exists, else None; the engine then takes the
+    battery's mean over the shared Monte Carlo draws.
     """
 
     k: int
@@ -266,18 +266,13 @@ class DenseAcm:
 
 @dataclass
 class McConfig:
-    """Monte Carlo settings for one test run.
-
-    ``info_source`` picks the inverse information entering the covariance
-    assembly: ``"mc-shared"`` (default) estimates it from the same draw set
-    used for the other moments; ``"observed"`` inverts the negative mean
-    Hessian at the solution instead, which is draw-noise free.
-    """
+    """Monte Carlo settings for one test run: the number of model draws M
+    from which sigma_H, A and the information are all estimated, their
+    seed, and the number s of eigenvalues the summary statistic keeps."""
 
     M: int = 10_000
     seed: int = 0
     s: int = 1
-    info_source: str = "mc-shared"
 
 
 @dataclass(eq=False)
@@ -330,44 +325,6 @@ def eta_hat(battery: SummaryBattery, data: DataMatrix, params: ParamSet,
     return kernels.colmean(np.ascontiguousarray(H))
 
 
-def eta(battery: SummaryBattery, params: ParamSet, draws: np.ndarray = None,
-        M: int = None, rng=None) -> np.ndarray:
-    """Model-implied expectation of the battery.
-
-    Uses the closed form when the battery provides one; otherwise averages
-    the battery over model draws (either presampled ``draws`` or ``M`` fresh
-    draws from ``rng``).
-    """
-    closed = battery.eta_closed(params)
-    if closed is not None:
-        return closed
-    if draws is None:
-        if M is None or rng is None:
-            raise ConfigurationError(
-                f"battery {battery.name} has no closed form; supply draws or (M, rng)"
-            )
-        draws = simulate_data(params, M, rng).values
-    H = battery.evaluate(draws, params)
-    return kernels.colmean(np.ascontiguousarray(H))
-
-
-def estimate_A(battery: SummaryBattery, params: ParamSet, spec, draws: np.ndarray) -> np.ndarray:
-    """Mean outer product of H with the score over model draws ((k, q))."""
-    if draws.shape[0] < 1000:
-        raise ConfigurationError(f"M={draws.shape[0]} draws below the minimum of 1000")
-    H = battery.evaluate(draws, params)
-    scores = score_rows(params, spec, draws)
-    return kernels.crossprod_mean(np.ascontiguousarray(H), np.ascontiguousarray(scores))
-
-
-def estimate_sigma_H(battery: SummaryBattery, params: ParamSet, draws: np.ndarray) -> np.ndarray:
-    """Sample covariance (divisor M - 1) of the battery over model draws."""
-    if draws.shape[0] < 1000:
-        raise ConfigurationError(f"M={draws.shape[0]} draws below the minimum of 1000")
-    H = battery.evaluate(draws, params)
-    return kernels.covariance(np.ascontiguousarray(H))
-
-
 def assemble_acm(jac: np.ndarray, A: np.ndarray, inv_info: np.ndarray,
                  sigma_H: np.ndarray) -> DenseAcm:
     """Assemble and symmetrize the full residual covariance.
@@ -394,13 +351,13 @@ def assemble_acm(jac: np.ndarray, A: np.ndarray, inv_info: np.ndarray,
     )
 
 
-def z_statistic(residual: float, se: float, n: int) -> tuple:
-    """Standardized residual and its two-sided normal p-value."""
-    if se <= 0:
+def z_statistic(residual, se, n: int) -> tuple:
+    """Standardized residuals and their two-sided normal p-values, for
+    scalars or elementwise for arrays."""
+    if np.any(se <= 0):
         raise ValueError("se must be positive")
     z = residual / (se / np.sqrt(n))
-    p = 2.0 * float(ndtr(-abs(z)))
-    return float(z), p
+    return z, 2.0 * ndtr(-np.abs(z))
 
 
 def truncated_inverse(sigma: np.ndarray, s: int) -> np.ndarray:
@@ -459,10 +416,11 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
 
     The M model draws, their scores, and the information matrix are computed
     once and reused by every problem, which dominates the cost when testing
-    several items on the same fit.  So is the posterior-weight matrix W of
-    each ``WeightedBattery`` grid: once on the draws and once on the data per
-    distinct set of grid points, read-only, and released after the last
-    problem on that grid has read it.
+    several items on the same fit.  The problems are then run one grid at a
+    time: the posterior-weight matrix W of the grid's points is computed on
+    the data, every problem on the grid takes its sample average from it,
+    and it is dropped before W on the draws is computed for their covariance
+    entries.  Reports come back in the order of ``problems``.
     """
     if mc is None:
         mc = McConfig()
@@ -473,65 +431,51 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
         )
     if mc.M < 1000:
         raise ConfigurationError(f"M={mc.M} below the minimum of 1000")
-    if mc.info_source not in ("mc-shared", "observed"):
-        raise ConfigurationError(f"unknown info_source {mc.info_source!r}")
-    if mc.info_source == "observed" and fit.inv_observed_information is None:
-        raise ConfigurationError(
-            "fit carries no observed information; refit or use info_source='mc-shared'"
-        )
     params = fit.params
     rng = np.random.default_rng(mc.seed)
     draws = simulate_data(params, mc.M, rng).values
     scores = np.ascontiguousarray(score_rows(params, fit.mapping, draws))
-    if mc.info_source == "observed":
-        inv_info = fit.inv_observed_information
-    else:
-        inv_info = invert_information(monte_carlo_information(params, fit.mapping, draws))
-    weights = _SharedWeights(problems, params, draws, data.values)
-    return [_run_problem(problem, params, data, draws, scores, inv_info, mc, weights)
-            for problem in problems]
+    inv_info = invert_information(monte_carlo_information(params, fit.mapping, draws))
+
+    groups = {}
+    for i, problem in enumerate(problems):
+        grid = problem.battery.grid if isinstance(problem.battery, WeightedBattery) else None
+        key = None if grid is None else _points_key(grid)
+        groups.setdefault(key, (grid, []))[1].append(i)
+    reports = [None] * len(problems)
+    for grid, members in groups.values():
+        W = _grid_weights(data.values, grid, params)
+        g_hats = [eta_hat(problems[i].battery, data, params, W) for i in members]
+        del W
+        W = _grid_weights(draws, grid, params)
+        for i, g_hat in zip(members, g_hats):
+            reports[i] = _run_problem(problems[i], params, data.n, draws, W, g_hat,
+                                      scores, inv_info, mc)
+        del W
+    return reports
 
 
-class _SharedWeights:
-    """The posterior weights of each grid in a batch, on the draws and on
-    the data: computed on first use, read-only, and dropped as soon as the
-    last problem on that grid has taken them."""
-
-    def __init__(self, problems, params, draws, data_rows):
-        self._params = params
-        self._rows = {"draws": draws, "data": data_rows}
-        self._cache = {}
-        self._left = Counter((_points_key(p.battery.grid), rows) for p in problems
-                             if isinstance(p.battery, WeightedBattery) for rows in self._rows)
-
-    def take(self, battery, rows):
-        """W of the battery's grid on the "draws" or "data" rows; None for a
-        battery without one."""
-        if not isinstance(battery, WeightedBattery):
-            return None
-        slot = (_points_key(battery.grid), rows)
-        W = self._cache.pop(slot, None)
-        if W is None:
-            W = _posterior_weights(self._rows[rows], battery.grid.points, self._params)
-            W.flags.writeable = False
-        self._left[slot] -= 1
-        if self._left[slot]:
-            self._cache[slot] = W
-        return W
+def _grid_weights(Y, grid, params):
+    """Read-only posterior weights of the grid's points given each row of Y;
+    None without a grid."""
+    if grid is None:
+        return None
+    W = _posterior_weights(Y, grid.points, params)
+    W.flags.writeable = False
+    return W
 
 
-def _run_problem(problem, params, data, draws, scores, inv_info, mc, weights):
-    """One problem's report from the shared draws, scores, inverse
-    information and posterior weights."""
+def _run_problem(problem, params, n, draws, W, g_hat, scores, inv_info, mc):
+    """One problem's report from its sample average ``g_hat`` and the shared
+    draws, their posterior weights ``W``, scores and inverse information."""
     battery = problem.battery
     trans = problem.transformation
-    H = np.ascontiguousarray(battery.evaluate(draws, params, weights.take(battery, "draws")))
+    H = np.ascontiguousarray(battery.evaluate(draws, params, W))
     g = battery.eta_closed(params)
     if g is None:
         g = kernels.colmean(H)
     G = trans.project(H, g)
     del H  # the k-column block is no longer needed once projected
-    g_hat = eta_hat(battery, data, params, weights.take(battery, "data"))
 
     subset = getattr(problem.grid, "summary_subset", None)
     subset = np.empty(0, dtype=np.intp) if subset is None else np.asarray(subset, dtype=np.intp)
@@ -542,7 +486,7 @@ def _run_problem(problem, params, data, draws, scores, inv_info, mc, weights):
 
     unstable = var <= _DIAG_FLOOR
     if trans.denominator_index is not None:
-        denom = g_hat[trans.denominator_index] * data.n
+        denom = g_hat[trans.denominator_index] * n
         unstable |= denom < _DENOM_FLOOR
     with np.errstate(divide="ignore", invalid="ignore"):
         t_hat = trans.apply(g_hat)
@@ -554,8 +498,7 @@ def _run_problem(problem, params, data, draws, scores, inv_info, mc, weights):
     ok = ~unstable & np.isfinite(resid)
     unstable |= ~np.isfinite(resid)
     se[ok] = np.sqrt(var[ok])
-    z[ok] = resid[ok] / (se[ok] / np.sqrt(data.n))
-    p[ok] = 2.0 * ndtr(-np.abs(z[ok]))
+    z[ok], p[ok] = z_statistic(resid[ok], se[ok], n)
 
     coords = getattr(problem.grid, "points", None)
     points = []
@@ -579,7 +522,7 @@ def _run_problem(problem, params, data, draws, scores, inv_info, mc, weights):
     eigvals = np.empty(0)
     summary = None
     if len(keep) >= 1:
-        T, p_sum, eigvals = _chi2_statistic(resid[keep], block, data.n, mc.s)
+        T, p_sum, eigvals = _chi2_statistic(resid[keep], block, n, mc.s)
         summary = SummaryStat(T=T, s=mc.s, p=p_sum,
                               n_points=len(keep), n_dropped=len(subset) - len(keep))
 
@@ -588,7 +531,7 @@ def _run_problem(problem, params, data, draws, scores, inv_info, mc, weights):
         "M": mc.M,
         "seed": mc.seed,
         "s": mc.s,
-        "n": data.n,
+        "n": n,
         "grid": getattr(problem.grid, "label", ""),
         "summary_grid": getattr(problem.grid, "summary_label", ""),
     }

@@ -23,12 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batteries import (
-    default_grid,
-    lv_density_problem,
-    mv_homoscedasticity_problem,
-    mv_linearity_problem,
-)
+from .batteries import default_grid, make_problem
 from .baseline import baseline_report
 from .errors import ConfigurationError, NotConvergedError
 from .estimate import DataMatrix, OptimOptions, fit_ml, simulate_data
@@ -214,22 +209,6 @@ class RejectionTable:
         return 1.96 * float(np.sqrt(self.alpha * (1.0 - self.alpha) / r))
 
 
-def _build_problems(grid, items, kinds, is_study1):
-    if kinds is None:
-        kinds = ("lv-density",) if is_study1 else ("linearity", "variance")
-    problems = []
-    for kind in kinds:
-        if kind == "lv-density":
-            problems.append(lv_density_problem(grid))
-        elif kind == "linearity":
-            problems.extend(mv_linearity_problem(grid, item) for item in items)
-        elif kind == "variance":
-            problems.extend(mv_homoscedasticity_problem(grid, item) for item in items)
-        else:
-            raise ConfigurationError(f"unknown battery kind {kind!r}")
-    return problems
-
-
 def replication(cfg, seed: int, rep: int, max_iter: int = 500):
     """Data, fit and Monte Carlo seed of replication ``rep`` of a study seeded
     with ``seed``.
@@ -269,14 +248,27 @@ def run_rejection_study(
     Replications whose fit fails any convergence check are excluded from
     every count and reported in ``excluded``.  Pointwise counts additionally
     exclude grid points flagged unstable within a replication.
+
+    ``kinds`` names the battery kinds of ``batteries.make_problem``
+    (default: lv-density for study1, linearity and variance for study2);
+    each item kind is built once per entry of ``items``.
     """
     if reps < 1:
         raise ConfigurationError("reps must be >= 1")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
     is_study1 = isinstance(cfg, Study1Config)
     spec = model_spec_study1() if is_study1 else model_spec_study2()
     if grid is None:
         grid = default_grid(spec.d)
-    problems = _build_problems(grid, items, kinds, is_study1)
+    if kinds is None:
+        kinds = ("lv-density",) if is_study1 else ("linearity", "variance")
+    problems = [make_problem(kind, grid, item) for kind in kinds
+                for item in ((None,) if kind == "lv-density" else items)]
+    names = [prob.battery.name for prob in problems]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigurationError(f"repeated batteries: {', '.join(repeated)}")
 
     counts = {}
     raw = {} if collect_raw else None

@@ -13,6 +13,7 @@ from factorgof import (
     fit_ml,
     lv_density_problem,
     make_grid,
+    make_problem,
     mv_homoscedasticity_problem,
     mv_linearity_direct_problem,
     mv_linearity_problem,
@@ -60,6 +61,25 @@ class TestMakeGrid:
         assert g2.Q == 361 and len(g2.summary_subset) == 49
         with pytest.raises(ConfigurationError):
             default_grid(3)
+
+
+def test_make_problem_maps_each_kind():
+    grid = make_grid([(-2, 2, 5)])
+    cases = {
+        "lv-density": lv_density_problem(grid),
+        "linearity": mv_linearity_problem(grid, 3),
+        "variance": mv_homoscedasticity_problem(grid, 3),
+        "linearity-direct": mv_linearity_direct_problem(grid, 3),
+    }
+    for kind, want in cases.items():
+        got = make_problem(kind, grid, None if kind == "lv-density" else 3)
+        assert got.battery.name == want.battery.name
+        assert got.transformation.name == want.transformation.name
+        assert got.grid is grid
+    with pytest.raises(ConfigurationError, match="unknown battery kind 'density'"):
+        make_problem("density", grid)
+    with pytest.raises(ConfigurationError, match="'variance' needs an item"):
+        make_problem("variance", grid)
 
 
 @pytest.fixture(scope="module")

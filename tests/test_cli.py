@@ -436,6 +436,17 @@ class TestSimulateCommand:
             assert f"--item {item} out of range 1..10" in err
             assert "Traceback" not in err
 
+    def test_alpha_outside_unit_interval_rejected(self, workdir, capsys):
+        tmp, *_ = workdir
+        out = tmp / "alpha.tsv"
+        rc = main(["simulate", "study2", "--reps", "2", "--n", "300", "--M", "1000",
+                   "--alpha", "1.5", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "alpha must lie in (0, 1), got 1.5" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestIndicesCommand:
     def test_writes_indices(self, workdir):

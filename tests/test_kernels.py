@@ -61,14 +61,6 @@ def test_crossprod_mean_matches_blas(rng):
     )
 
 
-def test_covariance_matches_npcov(rng):
-    X = np.ascontiguousarray(rng.normal(size=(1200, 5)) + 3.0)
-    ref = np.cov(X.T, ddof=1)
-    got = kernels.covariance(X)
-    np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
-    assert np.array_equal(got, got.T)
-
-
 def test_centred_sums_match_covariance(rng):
     # several chunks and a short last one; the mean is far from zero, so an
     # uncentred accumulation would lose digits

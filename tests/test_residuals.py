@@ -1,10 +1,10 @@
 """Residual engine: weight-matrix algebra, statistics, ACM assembly,
 and the end-to-end orchestration contract."""
 
-import dataclasses
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2 as chi2_dist
 
 from factorgof import (
@@ -18,9 +18,6 @@ from factorgof import (
     Transformation,
     assemble_acm,
     chi2_statistic,
-    estimate_A,
-    estimate_sigma_H,
-    eta,
     eta_hat,
     fit_ml,
     identity_transformation,
@@ -32,7 +29,7 @@ from factorgof import (
     truncated_inverse,
     z_statistic,
 )
-from factorgof import residuals
+from factorgof import kernels, residuals
 from factorgof.estimate import (
     ParamMapping,
     invert_information,
@@ -102,6 +99,16 @@ class TestZStatistic:
     def test_rejects_bad_se(self):
         with pytest.raises(ValueError):
             z_statistic(1.0, se=0.0, n=10)
+        with pytest.raises(ValueError):
+            z_statistic(np.ones(3), se=np.array([1.0, 0.0, 2.0]), n=10)
+
+    def test_arrays_match_scalars_bit_for_bit(self, rng):
+        resid = rng.normal(size=6)
+        se = rng.uniform(0.5, 2.0, size=6)
+        z, p = z_statistic(resid, se, n=77)
+        pairs = [z_statistic(r, s_, n=77) for r, s_ in zip(resid, se)]
+        assert z.tobytes() == np.array([zp[0] for zp in pairs]).tobytes()
+        assert p.tobytes() == np.array([zp[1] for zp in pairs]).tobytes()
 
 
 class TestChi2Statistic:
@@ -205,23 +212,20 @@ class TestBatteryBasics:
         target = problem.battery.eta_closed(one_factor_params)
         assert (np.abs(got - target) < 4 * mc_se).all()
 
-    def test_eta_requires_budget_without_closed_form(self, one_factor_params):
-        battery = SummaryBattery(k=1, name="noeta",
-                                 _evaluate=lambda Y, p: Y[:, :1])
-        with pytest.raises(ConfigurationError):
-            eta(battery, one_factor_params)
-
-    def test_eta_mc_fallback_matches_closed_form(self, one_factor_params):
+    def test_eta_mc_fallback_matches_closed_form(self, fitted_setup):
+        # a battery without a closed form gets eta from the shared draws
+        spec, params, data, fit = fitted_setup
         grid = make_grid([(-2, 2, 5)])
-        problem = lv_density_problem(grid)
-        battery = problem.battery
-        rng = np.random.default_rng(12)
-        draws = simulate_data(one_factor_params, 200_000, rng).values
-        closed = eta(battery, one_factor_params)
-        H = battery.evaluate(draws, one_factor_params)
-        mc = H.mean(axis=0)
-        mc_se = H.std(axis=0, ddof=1) / np.sqrt(len(draws))
-        assert (np.abs(mc - closed) < 4 * mc_se).all()
+        density = lv_density_problem(grid).battery
+        battery = SummaryBattery(k=5, name="no-closed-form", _evaluate=density.evaluate)
+        problem = ResidualProblem(battery, identity_transformation(5), grid)
+        mc = McConfig(M=50_000, seed=12)
+        report = run_residual_test(problem, fit, data, mc)
+        draws = simulate_data(fit.params, mc.M, np.random.default_rng(mc.seed)).values
+        mc_se = density.evaluate(draws, fit.params).std(axis=0, ddof=1) / np.sqrt(mc.M)
+        closed = density.eta_closed(fit.params)
+        got = np.array([pt.eta for pt in report.points])
+        assert (np.abs(got - closed) < 4 * mc_se).all()
 
 
 @pytest.fixture(scope="module")
@@ -235,12 +239,21 @@ def zero_loading_setup():
     return spec, params, draws
 
 
+def _mc_moments(battery, params, spec, draws):
+    """A = mean of H s' and sigma_H = Cov(H) over the draws, by the
+    reductions the engine applies to an identity-projected battery."""
+    H = np.ascontiguousarray(battery.evaluate(draws, params))
+    A = kernels.crossprod_mean(H, np.ascontiguousarray(score_rows(params, spec, draws)))
+    _, cross = kernels.centred_sums(H, kernels.colmean(H), np.arange(battery.k))
+    return A, cross / (len(draws) - 1)
+
+
 class TestMcMoments:
     def test_estimate_A_zero_for_constant_battery(self, zero_loading_setup):
         spec, params, draws = zero_loading_setup
         battery = SummaryBattery(k=1, name="const",
                                  _evaluate=lambda Y, p: np.ones((len(Y), 1)))
-        A = estimate_A(battery, params, spec, draws)
+        A, _ = _mc_moments(battery, params, spec, draws)
         scores = score_rows(params, spec, draws)
         mc_se = scores.std(axis=0, ddof=1) / np.sqrt(len(draws))
         assert (np.abs(A[0]) < 4 * mc_se + 1e-12).all()
@@ -252,7 +265,7 @@ class TestMcMoments:
             k=4, name="nu-scores",
             _evaluate=lambda Y, p: score_rows(p, spec, Y)[:, mapping.nu_slice],
         )
-        A = estimate_A(battery, params, spec, draws)
+        A, _ = _mc_moments(battery, params, spec, draws)
         # intercept block of the information is the identity here
         assert np.abs(A[:, mapping.nu_slice] - np.eye(4)).max() < 0.05
 
@@ -260,26 +273,21 @@ class TestMcMoments:
         spec, params, draws = zero_loading_setup
         battery = SummaryBattery(k=2, name="const2",
                                  _evaluate=lambda Y, p: np.ones((len(Y), 2)))
-        np.testing.assert_allclose(estimate_sigma_H(battery, params, draws), 0.0, atol=1e-20)
+        _, sigma_H = _mc_moments(battery, params, spec, draws)
+        np.testing.assert_allclose(sigma_H, 0.0, atol=1e-20)
 
     def test_sigma_H_unit_variance(self, zero_loading_setup):
         spec, params, draws = zero_loading_setup
         battery = SummaryBattery(k=1, name="y1", _evaluate=lambda Y, p: Y[:, :1])
-        got = estimate_sigma_H(battery, params, draws)[0, 0]
+        got = _mc_moments(battery, params, spec, draws)[1][0, 0]
         assert abs(got - 1.0) < 4 / np.sqrt(len(draws)) * np.sqrt(2)
 
     def test_symmetry_exact(self, zero_loading_setup, rng):
         spec, params, draws = zero_loading_setup
         battery = SummaryBattery(k=3, name="mix",
                                  _evaluate=lambda Y, p: Y[:, :3] ** 2)
-        S = estimate_sigma_H(battery, params, draws)
+        _, S = _mc_moments(battery, params, spec, draws)
         assert np.array_equal(S, S.T)
-
-    def test_minimum_draws(self, zero_loading_setup):
-        spec, params, draws = zero_loading_setup
-        battery = SummaryBattery(k=1, name="y1", _evaluate=lambda Y, p: Y[:, :1])
-        with pytest.raises(ConfigurationError):
-            estimate_A(battery, params, spec, draws[:100])
 
 
 class TestAssembleAcm:
@@ -392,6 +400,40 @@ def _check_engine_against_dense(case, problem, fit, data):
                                atol=1e-12 * eigs[0], err_msg=case)
 
 
+_BATCH_MC = McConfig(M=1200, seed=5)
+
+
+def _batch_problems():
+    """Weighted batteries of every bundled kind on three grids (two distinct
+    objects with equal points, and one with other points) and a custom
+    battery without a grid."""
+    from factorgof import (mv_homoscedasticity_problem, mv_linearity_direct_problem,
+                           mv_linearity_problem)
+
+    grid = make_grid([(-2, 2, 5)], [(-2, 2, 5)])
+    twin = make_grid([(-2, 2, 5)], [(-1, 1, 3)])
+    other = make_grid([(-3, 3, 7)], [(-2, 2, 5)])
+    custom = SummaryBattery(k=2, name="custom",
+                            _evaluate=lambda Y, p: np.column_stack([Y[:, 0], Y[:, 1] ** 2]))
+    return [mv_linearity_problem(grid, 1), mv_homoscedasticity_problem(grid, 1),
+            mv_linearity_problem(grid, 4), mv_homoscedasticity_problem(grid, 4),
+            lv_density_problem(grid), mv_linearity_direct_problem(grid, 2),
+            ResidualProblem(custom, identity_transformation(2),
+                            make_grid([(-1, 1, 2)], [(-1, 1, 2)])),
+            mv_linearity_problem(twin, 1), lv_density_problem(twin),
+            mv_homoscedasticity_problem(other, 6), lv_density_problem(other)]
+
+
+def _assert_same_report(got, want):
+    """Every point field and T of two reports agree bit for bit."""
+    assert got.battery == want.battery
+    for attr in ("eta_hat", "eta", "residual", "se", "z", "p", "unstable"):
+        a = np.array([getattr(pt, attr) for pt in got.points])
+        b = np.array([getattr(pt, attr) for pt in want.points])
+        assert a.tobytes() == b.tobytes(), (got.battery, attr)
+    assert np.array(got.summary.T).tobytes() == np.array(want.summary.T).tobytes()
+
+
 @pytest.fixture(scope="module")
 def fitted_setup():
     from factorgof import ModelSpec, study2_paramset
@@ -439,20 +481,6 @@ class TestRunResidualTest:
         for case, problem in _engine_cases().items():
             _check_engine_against_dense(case, problem, fit, data)
 
-    def test_unknown_info_source_rejected_before_drawing(self, fitted_setup, monkeypatch):
-        spec, params, data, fit = fitted_setup
-
-        def no_draws(*args, **kwargs):
-            raise AssertionError("simulate_data called before the configuration was checked")
-
-        monkeypatch.setattr(residuals, "simulate_data", no_draws)
-        problem = lv_density_problem(make_grid([(-2, 2, 5)]))
-        with pytest.raises(ConfigurationError, match="unknown info_source"):
-            run_residual_test(problem, fit, data, McConfig(M=2000, info_source="shared"))
-        bare = dataclasses.replace(fit, inv_observed_information=None)
-        with pytest.raises(ConfigurationError, match="no observed information"):
-            run_residual_test(problem, bare, data, McConfig(M=2000, info_source="observed"))
-
     def test_bit_reproducible_under_fixed_seed(self, fitted_setup):
         spec, params, data, fit = fitted_setup
         problem = lv_density_problem(make_grid([(-3, 3, 9)], [(-1.5, 1.5, 3)]))
@@ -463,65 +491,36 @@ class TestRunResidualTest:
         assert r1.summary.T == r2.summary.T
         assert r1.config["seed"] == 31 and r1.config["M"] == 1500 and r1.config["s"] == 1
 
-    def test_observed_information_variant(self, fitted_setup):
-        spec, params, data, fit = fitted_setup
-        problem = lv_density_problem(make_grid([(-2, 2, 7)], [(-2, 2, 7)]))
-        shared = run_residual_test(problem, fit, data, McConfig(M=2000, seed=6))
-        observed = run_residual_test(
-            problem, fit, data, McConfig(M=2000, seed=6, info_source="observed")
-        )
-        z_a = np.array([pt.z for pt in shared.points])
-        z_b = np.array([pt.z for pt in observed.points])
-        # same residuals, slightly different standardization
-        np.testing.assert_allclose(
-            [pt.residual for pt in shared.points],
-            [pt.residual for pt in observed.points], rtol=1e-12,
-        )
-        assert not np.allclose(z_a, z_b)
-        assert np.abs(z_a - z_b).max() < 0.5
-        with pytest.raises(ConfigurationError):
-            run_residual_test(problem, fit, data, McConfig(M=2000, info_source="bogus"))
-
     def test_shared_draws_batch_equals_single_runs(self, fitted_setup):
         # one batch over weighted batteries on three grids, two of them
         # distinct objects with equal points, and a custom battery; every
         # report must equal its solo run bit for bit
         spec, params, data, fit = fitted_setup
-        from factorgof import (mv_homoscedasticity_problem, mv_linearity_direct_problem,
-                               mv_linearity_problem)
-
-        grid = make_grid([(-2, 2, 5)], [(-2, 2, 5)])
-        twin = make_grid([(-2, 2, 5)], [(-1, 1, 3)])
-        other = make_grid([(-3, 3, 7)], [(-2, 2, 5)])
-        custom = SummaryBattery(k=2, name="custom",
-                                _evaluate=lambda Y, p: np.column_stack([Y[:, 0], Y[:, 1] ** 2]))
-        problems = [mv_linearity_problem(grid, 1), mv_homoscedasticity_problem(grid, 1),
-                    mv_linearity_problem(grid, 4), mv_homoscedasticity_problem(grid, 4),
-                    lv_density_problem(grid), mv_linearity_direct_problem(grid, 2),
-                    ResidualProblem(custom, identity_transformation(2),
-                                    make_grid([(-1, 1, 2)], [(-1, 1, 2)])),
-                    mv_linearity_problem(twin, 1), lv_density_problem(twin),
-                    mv_homoscedasticity_problem(other, 6), lv_density_problem(other)]
-        mc = McConfig(M=1200, seed=5)
-        batch = run_residual_batch(problems, fit, data, mc)
-        solo = [run_residual_test(p, fit, data, mc) for p in problems]
+        problems = _batch_problems()
+        batch = run_residual_batch(problems, fit, data, _BATCH_MC)
+        solo = [run_residual_test(p, fit, data, _BATCH_MC) for p in problems]
         for b, s_ in zip(batch, solo):
-            assert b.battery == s_.battery
-            for attr in ("eta_hat", "eta", "residual", "se", "z", "p", "unstable"):
-                got = np.array([getattr(pt, attr) for pt in b.points])
-                want = np.array([getattr(pt, attr) for pt in s_.points])
-                assert got.tobytes() == want.tobytes(), (b.battery, attr)
-            assert np.array(b.summary.T).tobytes() == np.array(s_.summary.T).tobytes()
+            _assert_same_report(b, s_)
+
+    @settings(max_examples=25, deadline=None)
+    @given(order=st.permutations(range(11)))
+    def test_batch_order_does_not_change_reports(self, fitted_setup, order):
+        spec, params, data, fit = fitted_setup
+        problems = _batch_problems()
+        reports = run_residual_batch(problems, fit, data, _BATCH_MC)
+        permuted = run_residual_batch([problems[i] for i in order], fit, data, _BATCH_MC)
+        for i, report in zip(order, permuted):
+            _assert_same_report(report, reports[i])
 
     def test_one_weight_pass_per_row_set_and_grid(self, fitted_setup, monkeypatch):
         spec, params, data, fit = fitted_setup
-        from factorgof import mv_homoscedasticity_problem, mv_linearity_problem, residuals
+        from factorgof import mv_homoscedasticity_problem, mv_linearity_problem
 
         calls = []
         original = residuals.posterior_log_weights
 
         def counted(Y, points, p):
-            calls.append(len(points))
+            calls.append((len(Y), len(points)))
             return original(Y, points, p)
 
         monkeypatch.setattr(residuals, "posterior_log_weights", counted)
@@ -530,14 +529,15 @@ class TestRunResidualTest:
         problems = ([mv_linearity_problem(grid, j) for j in items]
                     + [mv_homoscedasticity_problem(grid, j) for j in items])
         mc = McConfig(M=1000, seed=3)
+        n, M = data.n, mc.M
         run_residual_batch(problems, fit, data, mc)
-        assert calls == [31, 31]
+        assert calls == [(n, 31), (M, 31)]
 
         calls.clear()
         other = make_grid([(-2, 2, 9)])
         run_residual_batch(problems + [lv_density_problem(other),
                                        mv_linearity_problem(other, 2)], fit, data, mc)
-        assert calls == [31, 31, 9, 9]
+        assert calls == [(n, 31), (M, 31), (n, 9), (M, 9)]
 
     def test_shared_weights_are_read_only(self, fitted_setup):
         spec, params, data, fit = fitted_setup

@@ -1,9 +1,12 @@
 """Data-generating designs and the replication driver."""
 
+import re
+
 import numpy as np
 import pytest
 
 from factorgof import (
+    ConfigurationError,
     McConfig,
     NotConvergedError,
     Study1Config,
@@ -19,6 +22,7 @@ from factorgof import (
     study1_paramset,
     study2_paramset,
 )
+from factorgof import simstudy
 from factorgof.simstudy import RejectionTable, mixture_lv_logpdf, study2_dgp
 
 
@@ -184,6 +188,28 @@ class TestRejectionStudy:
             cfg, reps=30, seed=606, kinds=(), collect_baseline=True
         )
         assert abs(table.baseline["mean_srmr"] - 0.01) < 0.01
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a replication ran before alpha was checked")
+
+        monkeypatch.setattr(simstudy, "generate_study2", refuse)
+        with pytest.raises(ConfigurationError, match="alpha must lie in"):
+            run_rejection_study(Study2Config(n=300), reps=2, seed=1, M=1000, alpha=alpha)
+
+    @pytest.mark.parametrize("kwargs, names", [
+        (dict(items=(1, 1)), "linearity[1], variance[1]"),
+        (dict(items=(1, 4), kinds=("variance", "linearity", "variance")), "variance[1], variance[4]"),
+        (dict(kinds=("lv-density", "lv-density")), "lv-density"),
+    ])
+    def test_repeated_batteries_rejected(self, kwargs, names, monkeypatch):
+        def refuse(*_, **__):
+            raise AssertionError("a replication ran before the batteries were checked")
+
+        monkeypatch.setattr(simstudy, "generate_study2", refuse)
+        with pytest.raises(ConfigurationError, match=f"repeated batteries: {re.escape(names)}$"):
+            run_rejection_study(Study2Config(n=300), reps=2, seed=1, M=1000, **kwargs)
 
     def test_all_replications_failing_raises(self):
         cfg = Study2Config(n=150)
