@@ -11,7 +11,9 @@ Free parameters are optimized on an unconstrained scale:
 
 The per-observation score is analytic and chain-ruled through this
 reparametrization; the optimizer works from sufficient statistics (sample
-mean and covariance), so each iteration costs O(m^3) regardless of n.
+mean and covariance), so each iteration costs O(m^3) regardless of n.  The
+identification check uses the exact Hessian of the mean log-likelihood,
+formed in closed form from the same sufficient statistics.
 """
 
 import warnings
@@ -129,6 +131,18 @@ class ParamMapping:
         C = np.linalg.cholesky(phi)
         return C[self.w_rows, self.w_cols] / C[self.w_rows, self.w_rows]
 
+    def _normalized_rows(self, w: np.ndarray):
+        """L, its row norms, the normalized rows Lt and, per transform entry
+        t in row a, the derivative of Lt[a] with respect to w_t."""
+        L = self._unit_lower(w)
+        norms = np.linalg.norm(L, axis=1)
+        Lt = L / norms[:, None]
+        dLt = np.empty((len(self.w_rows), self.spec.d))
+        for t, (a, b) in enumerate(zip(self.w_rows, self.w_cols)):
+            dLt[t] = -L[a] * (w[t] / norms[a] ** 3)
+            dLt[t, b] += 1.0 / norms[a]
+        return L, norms, Lt, dLt
+
     def dphi_dw(self, w: np.ndarray) -> np.ndarray:
         """Derivative of phi with respect to each transform entry.
 
@@ -136,17 +150,42 @@ class ParamMapping:
         column of the latent variable that entry t belongs to.
         """
         d = self.spec.d
-        L = self._unit_lower(w)
-        norms = np.linalg.norm(L, axis=1)
-        Lt = L / norms[:, None]
+        _, _, Lt, dLt = self._normalized_rows(w)
         out = np.zeros((len(self.w_rows), d, d))
-        for t, (a, b) in enumerate(zip(self.w_rows, self.w_cols)):
-            tvec = -L[a] * (w[t] / norms[a] ** 3)
-            tvec[b] += 1.0 / norms[a]
-            row = Lt @ tvec
+        for t, a in enumerate(self.w_rows):
+            row = Lt @ dLt[t]
             row[a] = 0.0
             out[t, a, :] = row
             out[t, :, a] = row
+        return out
+
+    def d2phi_dw2(self, w: np.ndarray) -> np.ndarray:
+        """Second derivative of phi with respect to each pair of transform entries.
+
+        Returns (n_w, n_w, d, d).  Entries t and s of one row a move only the
+        normalized row Lt[a], so slab (t, s) holds Lt @ d2Lt[a] on row and
+        column a (the unit diagonal stays fixed).  Entries of rows a != c
+        meet only in phi[a, c] = Lt[a] . Lt[c], so that slab holds
+        dLt[t] . dLt[s] at (a, c) and (c, a).
+        """
+        d = self.spec.d
+        n_w = len(self.w_rows)
+        L, norms, Lt, dLt = self._normalized_rows(w)
+        out = np.zeros((n_w, n_w, d, d))
+        for t, (a, b) in enumerate(zip(self.w_rows, self.w_cols)):
+            for s, (c, e) in enumerate(zip(self.w_rows, self.w_cols)):
+                if a != c:
+                    out[t, s, a, c] = out[t, s, c, a] = dLt[t] @ dLt[s]
+                    continue
+                n3 = norms[a] ** 3
+                vec = L[a] * (3.0 * L[a, b] * L[a, e] / (n3 * norms[a] ** 2)
+                              - float(b == e) / n3)
+                vec[b] -= L[a, e] / n3
+                vec[e] -= L[a, b] / n3
+                row = Lt @ vec
+                row[a] = 0.0
+                out[t, s, a, :] = row
+                out[t, s, :, a] = row
         return out
 
     # -- pack / unpack ----------------------------------------------------
@@ -295,15 +334,22 @@ def score(params: ParamSet, y: np.ndarray, spec) -> np.ndarray:
     return score_rows(params, spec, y[None, :])[0]
 
 
-def _mean_loglik_and_grad(v, mapping, ybar, S):
-    """Mean log-likelihood and its gradient from sufficient statistics."""
+def _moment_terms(v, mapping, ybar, S):
+    """Parameters at v, Cholesky factor and inverse of the implied
+    covariance, the mean residual delta and S* = S + delta delta'."""
     params = mapping.unpack(v)
-    m = params.m
     L = params.sigma_cholesky()
-    sig_inv = cho_solve((L, True), np.eye(m))
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+    sig_inv = cho_solve((L, True), np.eye(params.m))
     delta = ybar - params.nu
     s_star = S + np.outer(delta, delta)
+    return params, L, sig_inv, delta, s_star
+
+
+def _mean_loglik_and_grad(v, mapping, ybar, S):
+    """Mean log-likelihood and its gradient from sufficient statistics."""
+    params, L, sig_inv, delta, s_star = _moment_terms(v, mapping, ybar, S)
+    m = params.m
+    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     f = -0.5 * (m * _LOG_2PI + logdet + float(np.einsum("ij,ji->", sig_inv, s_star)))
     gmat = sig_inv @ s_star @ sig_inv - sig_inv
     g = np.empty(mapping.q)
@@ -323,19 +369,60 @@ def _mean_loglik_and_grad(v, mapping, ybar, S):
     return f, g
 
 
-def _fd_hessian(v, mapping, ybar, S, step=1e-5):
-    """Central-difference Hessian of the mean log-likelihood."""
-    q = v.shape[0]
-    H = np.empty((q, q))
-    for i in range(q):
-        h = step * (1.0 + abs(v[i]))
-        vp = v.copy()
-        vp[i] += h
-        vm = v.copy()
-        vm[i] -= h
-        _, gp = _mean_loglik_and_grad(vp, mapping, ybar, S)
-        _, gm = _mean_loglik_and_grad(vm, mapping, ybar, S)
-        H[i] = (gp - gm) / (2.0 * h)
+def _mean_loglik_hessian(v, mapping, ybar, S):
+    """Exact Hessian of the mean log-likelihood from sufficient statistics.
+
+    With D_a = dSigma/dv_a for a covariance parameter, E = Sigma^-1 S*
+    Sigma^-1 and G = E - Sigma^-1 (the gradient's ``gmat``), the covariance
+    block is -tr(Sigma^-1 D_a E D_b) + tr(Sigma^-1 D_a Sigma^-1 D_b)/2
+    + tr(G d2Sigma/dv_a dv_b)/2, the intercept block is -Sigma^-1 and the
+    intercept-covariance block is -Sigma^-1 D_b Sigma^-1 delta.
+    """
+    params, _, sig_inv, delta, s_star = _moment_terms(v, mapping, ybar, S)
+    m = params.m
+    lam, phi, theta = params.lam, params.phi, params.theta
+    E = sig_inv @ s_star @ sig_inv
+    gmat = E - sig_inv
+    rows, cols = mapping.lam_rows, mapping.lam_cols
+    n_lam, n_w = len(rows), len(mapping.w_rows)
+    c0 = mapping.lam_slice.start
+    nc = mapping.q - c0
+    lam_b, w_b = slice(0, n_lam), slice(n_lam, n_lam + n_w)
+    diag_m = np.arange(m)
+    u_b = n_lam + n_w + diag_m
+
+    # dSigma/dv_a, one m x m slab per covariance parameter
+    D = np.zeros((nc, m, m))
+    P = lam @ phi
+    D[np.arange(n_lam), rows, :] = P[:, cols].T
+    D[np.arange(n_lam), :, rows] += P[:, cols].T
+    w = v[mapping.w_slice]
+    K = mapping.dphi_dw(w)
+    D[w_b] = lam @ K @ lam.T
+    D[u_b, diag_m, diag_m] = theta
+
+    # -tr(Sigma^-1 D_a (E D_b - Sigma^-1 D_b / 2)) for every pair at once
+    A = sig_inv @ D
+    C = E @ D - 0.5 * A
+    H = np.zeros((mapping.q, mapping.q))
+    hc = H[c0:, c0:]
+    hc[...] = -A.reshape(nc, -1) @ C.transpose(0, 2, 1).reshape(nc, -1).T
+
+    # tr(G d2Sigma/dv_a dv_b)/2, nonzero only for these pairs
+    hc[lam_b, lam_b] += phi[np.ix_(cols, cols)] * gmat[np.ix_(rows, rows)]
+    if n_w:
+        GLK = (gmat @ lam @ K)[:, rows, cols]
+        hc[lam_b, w_b] += GLK.T
+        hc[w_b, lam_b] += GLK
+        gphi = lam.T @ gmat @ lam
+        hc[w_b, w_b] += 0.5 * np.einsum("ij,tsij->ts", gphi, mapping.d2phi_dw2(w))
+    hc[u_b, u_b] += 0.5 * np.diag(gmat) * theta
+
+    if mapping.spec.mean_structure:
+        nu = mapping.nu_slice
+        H[nu, nu] = -sig_inv
+        H[nu, c0:] = -(A @ (sig_inv @ delta)).T
+        H[c0:, nu] = H[nu, c0:].T
     return 0.5 * (H + H.T)
 
 
@@ -401,7 +488,7 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
     if heywood.any():
         idx = np.nonzero(heywood)[0]
         warn.append(f"heywood: error variance at floor for items {idx.tolist()}")
-    hess = _fd_hessian(v, mapping, ybar, S)
+    hess = _mean_loglik_hessian(v, mapping, ybar, S)
     min_eig = float(np.linalg.eigvalsh(-hess)[0])
     hess_ok = min_eig > 0.0
     if not hess_ok:
@@ -439,7 +526,13 @@ _MAX_CONDITION = 1e12
 
 def monte_carlo_information(params: ParamSet, spec, draws: np.ndarray) -> np.ndarray:
     """Mean outer product of scores over presampled model draws."""
-    scores = score_rows(params, spec, draws)
+    return score_information(score_rows(params, spec, draws))
+
+
+def score_information(scores: np.ndarray) -> np.ndarray:
+    """Symmetrised mean outer product of the rows of ``scores``: the
+    information of ``monte_carlo_information`` for draws whose scores are
+    already at hand."""
     info = kernels.crossprod_mean(scores, scores)
     return 0.5 * (info + info.T)
 

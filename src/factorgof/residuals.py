@@ -48,7 +48,7 @@ from .estimate import (
     DataMatrix,
     FitResult,
     invert_information,
-    monte_carlo_information,
+    score_information,
     simulate_data,
     score_rows,
 )
@@ -435,7 +435,7 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
     rng = np.random.default_rng(mc.seed)
     draws = simulate_data(params, mc.M, rng).values
     scores = np.ascontiguousarray(score_rows(params, fit.mapping, draws))
-    inv_info = invert_information(monte_carlo_information(params, fit.mapping, draws))
+    inv_info = invert_information(score_information(scores))
 
     groups = {}
     for i, problem in enumerate(problems):

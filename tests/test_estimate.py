@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorgof import (
     ConfigurationError,
@@ -22,8 +24,14 @@ from factorgof import (
     simulate_data,
 )
 from factorgof import estimate
-from factorgof.estimate import ParamMapping, _mean_loglik_and_grad, invert_information
+from factorgof.estimate import (
+    ParamMapping,
+    _mean_loglik_and_grad,
+    _mean_loglik_hessian,
+    invert_information,
+)
 from factorgof.model import marginal_logpdf
+from factorgof.simstudy import model_spec_study1, model_spec_study2
 
 from conftest import random_admissible_free_vector
 
@@ -201,6 +209,19 @@ class TestFit:
         assert fit.inv_observed_information.shape == (fit.mapping.q, fit.mapping.q)
         assert (np.linalg.eigvalsh(fit.inv_observed_information) > 0).all()
 
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_rotationally_unidentified_fit_flagged(self, two_factor_params, seed):
+        # every loading free on both factors: the likelihood is flat along
+        # rotations, so the fit must fail the identification check even
+        # though the optimizer meets its gradient criterion
+        spec = ModelSpec(m=8, d=2, loading_pattern=np.ones((8, 2), dtype=int))
+        data = simulate_data(two_factor_params, 1000, np.random.default_rng(seed))
+        fit = fit_ml(data, spec)
+        assert not fit.converged
+        assert fit.gradient_norm < OptimOptions().gtol
+        assert any(w.startswith(("hessian:", "observed information:")) for w in fit.warnings)
+        assert fit.inv_observed_information is None
+
     def test_default_fit_draws_nothing(self, one_factor_params, one_factor_spec, monkeypatch):
         data = simulate_data(one_factor_params, 400, np.random.default_rng(5))
 
@@ -290,3 +311,89 @@ def test_mean_gradient_consistent_with_row_scores(two_factor_spec, rng):
     params = mapping.unpack(v)
     np.testing.assert_allclose(g, score_rows(params, mapping, Y).mean(axis=0), atol=1e-12)
     np.testing.assert_allclose(f, marginal_logpdf(Y, params).mean(), rtol=1e-12)
+
+
+def _fd_hessian(v, mapping, ybar, S, step=1e-5):
+    """Central differences of the analytic mean gradient."""
+    q = v.shape[0]
+    H = np.empty((q, q))
+    for i in range(q):
+        h = step * (1.0 + abs(v[i]))
+        vp, vm = v.copy(), v.copy()
+        vp[i] += h
+        vm[i] -= h
+        H[i] = (_mean_loglik_and_grad(vp, mapping, ybar, S)[1]
+                - _mean_loglik_and_grad(vm, mapping, ybar, S)[1]) / (2.0 * h)
+    return 0.5 * (H + H.T)
+
+
+def _sufficient_statistics(Y):
+    ybar = Y.mean(axis=0)
+    resid = Y - ybar
+    return ybar, resid.T @ resid / len(Y)
+
+
+def _hessian_case_spec(case):
+    if case == "study1":
+        return model_spec_study1()
+    if case == "study2":
+        return model_spec_study2()
+    d, mean_structure = {"d1": (1, True), "d2": (2, True), "d3": (3, True),
+                         "d3-no-mean": (3, False)}[case]
+    m = 3 * d + 1
+    pattern = np.zeros((m, d), dtype=int)
+    pattern[np.arange(m), np.arange(m) % d] = 1
+    pattern[-1] = 1  # one item on every factor
+    return ModelSpec(m=m, d=d, loading_pattern=pattern, mean_structure=mean_structure)
+
+
+@pytest.mark.parametrize("case", ["d1", "d2", "d3", "d3-no-mean", "study1", "study2"])
+def test_hessian_matches_finite_differences(case, rng):
+    spec = _hessian_case_spec(case)
+    mapping = ParamMapping(spec)
+    if spec.d == 3:
+        assert mapping.w_slice.stop - mapping.w_slice.start == 3
+    for _ in range(3):
+        # random points away from the optimum: nu differs from the sample mean
+        v = random_admissible_free_vector(mapping, rng)
+        ybar, S = _sufficient_statistics(rng.normal(0.3, 1.2, size=(60, spec.m)))
+        H = _mean_loglik_hessian(v, mapping, ybar, S)
+        fd = _fd_hessian(v, mapping, ybar, S)
+        assert np.abs(H - fd).max() <= 1e-7 * np.abs(fd).max()
+        np.testing.assert_array_equal(H, H.T)
+
+
+def test_hessian_at_fit_matches_finite_differences(two_factor_params, two_factor_spec):
+    data = simulate_data(two_factor_params, 2000, np.random.default_rng(4))
+    fit = fit_ml(data, two_factor_spec)
+    assert fit.converged
+    ybar, S = _sufficient_statistics(data.values)
+    H = _mean_loglik_hessian(fit.free_vector, fit.mapping, ybar, S)
+    fd = _fd_hessian(fit.free_vector, fit.mapping, ybar, S)
+    assert np.abs(H - fd).max() <= 1e-8 * np.abs(fd).max()
+    np.testing.assert_allclose(invert_information(-H), fit.inv_observed_information,
+                               rtol=0, atol=1e-12 * np.abs(fit.inv_observed_information).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2]), factor=st.integers(0, 1))
+def test_factor_sign_flip_conjugates_hessian(seed, d, factor):
+    # negating one factor (its loadings, and phi's off-diagonal when d = 2)
+    # leaves Sigma unchanged, so f(Dv) = f(v) and H(Dv) = D H(v) D
+    factor %= d
+    spec = _hessian_case_spec(f"d{d}")
+    mapping = ParamMapping(spec)
+    rng = np.random.default_rng(seed)
+    v = random_admissible_free_vector(mapping, rng)
+    ybar, S = _sufficient_statistics(rng.normal(0.3, 1.2, size=(40, spec.m)))
+    sign = np.ones(mapping.q)
+    sign[mapping.lam_slice] = np.where(mapping.lam_cols == factor, -1.0, 1.0)
+    sign[mapping.w_slice] = -1.0
+    f, g = _mean_loglik_and_grad(v, mapping, ybar, S)
+    f_flip, g_flip = _mean_loglik_and_grad(sign * v, mapping, ybar, S)
+    assert f_flip == pytest.approx(f, rel=1e-12)
+    np.testing.assert_allclose(g_flip, sign * g, rtol=0, atol=1e-10 * np.abs(g).max())
+    H = _mean_loglik_hessian(v, mapping, ybar, S)
+    H_flip = _mean_loglik_hessian(sign * v, mapping, ybar, S)
+    np.testing.assert_allclose(H_flip, sign[:, None] * H * sign[None, :],
+                               rtol=0, atol=1e-10 * np.abs(H).max())
