@@ -54,16 +54,14 @@ from .residuals import (
     AcmEstimate,
     DenseAcm,
     McConfig,
+    RatioBattery,
     ResidualProblem,
     SummaryBattery,
     TestReport,
-    Transformation,
     WeightedBattery,
     assemble_acm,
     chi2_statistic,
     eta_hat,
-    identity_transformation,
-    ratio_transformation,
     run_residual_batch,
     run_residual_test,
     truncated_inverse,

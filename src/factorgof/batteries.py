@@ -3,9 +3,9 @@
 Three assessments are bundled, all conditioned on a grid of latent values:
 
 * ``lv_density_problem`` compares the average posterior density against the
-  model's latent density (identity transformation),
+  model's latent density,
 * ``mv_linearity_problem`` compares a posterior-weighted conditional-mean
-  estimate of one variable against the fitted line (ratio transformation),
+  estimate of one variable against the fitted line,
 * ``mv_homoscedasticity_problem`` does the same for the conditional variance
   against the constant fitted error variance.
 
@@ -14,10 +14,12 @@ check kept for comparison; it is deliberately not part of the default CLI
 report because its residuals also react to latent-density misfit.
 
 All four are ``WeightedBattery``s on one matrix W, the posterior densities
-of the grid points given each row: the latent-density battery is W itself,
-linearity and variance are [f(y) * W, W] for their item's f, and the direct
-variant is y_j * W / density.  ``evaluate`` computes W itself;
-``run_residual_batch`` computes it once per row set and grid for a whole
+of the grid points given each row.  The latent-density battery is W itself
+and the direct variant is y_j * W / density.  Linearity and variance are
+``RatioBattery``s: each gives its item's f (y_j, or the squared deviation
+from the fitted line) and the model value of the ratio colmean(f W) /
+colmean(W) (the fitted line, or the error variance).
+``run_residual_batch`` computes W once per row set and grid for a whole
 batch and passes it to every battery on that grid.  ``make_problem`` maps a
 battery kind's name to its problem.
 """
@@ -28,13 +30,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .model import _check_item, conditional_mean_grid, lv_logpdf
-from .residuals import (
-    ResidualProblem,
-    TestReport,
-    WeightedBattery,
-    identity_transformation,
-    ratio_transformation,
-)
+from .residuals import RatioBattery, ResidualProblem, TestReport, WeightedBattery
 
 
 @dataclass(eq=False)
@@ -141,46 +137,40 @@ def lv_density_problem(grid: LvGrid) -> ResidualProblem:
 
     battery = WeightedBattery(k=Q, name="lv-density", _evaluate=from_weights,
                               _eta=eta_fn, grid=grid)
-    return ResidualProblem(battery, identity_transformation(Q), grid)
+    return ResidualProblem(battery, grid)
 
 
 def mv_linearity_problem(grid: LvGrid, item: int) -> ResidualProblem:
     """Conditional-mean check for one variable via posterior-weight ratios."""
     item = _check_item_index(item)
-    Q = grid.Q
 
-    def from_weights(Y, W, params):
+    def response(Y, params):
         _check_item(item, params)
-        return np.hstack([Y[:, item : item + 1] * W, W])
+        return Y[:, item : item + 1]
 
     def eta_fn(params):
-        dens = np.exp(lv_logpdf(grid.points, params))
-        mu = conditional_mean_grid(grid.points, params)[:, item]
-        return np.concatenate([dens * mu, dens])
+        return conditional_mean_grid(grid.points, params)[:, item]
 
-    battery = WeightedBattery(k=2 * Q, name=f"linearity[{item}]", _evaluate=from_weights,
-                              _eta=eta_fn, grid=grid)
-    return ResidualProblem(battery, ratio_transformation(Q), grid)
+    battery = RatioBattery(k=grid.Q, name=f"linearity[{item}]", _evaluate=response,
+                           _eta=eta_fn, grid=grid)
+    return ResidualProblem(battery, grid)
 
 
 def mv_homoscedasticity_problem(grid: LvGrid, item: int) -> ResidualProblem:
     """Conditional-variance check for one variable via posterior-weight ratios."""
     item = _check_item_index(item)
-    Q = grid.Q
 
-    def from_weights(Y, W, params):
+    def squared_deviation(Y, params):
         _check_item(item, params)
         mu = conditional_mean_grid(grid.points, params)[:, item]
-        dev = (Y[:, item : item + 1] - mu[None, :]) ** 2
-        return np.hstack([dev * W, W])
+        return (Y[:, item : item + 1] - mu[None, :]) ** 2
 
     def eta_fn(params):
-        dens = np.exp(lv_logpdf(grid.points, params))
-        return np.concatenate([dens * params.theta[item], dens])
+        return np.full(grid.Q, params.theta[item])
 
-    battery = WeightedBattery(k=2 * Q, name=f"variance[{item}]", _evaluate=from_weights,
-                              _eta=eta_fn, grid=grid)
-    return ResidualProblem(battery, ratio_transformation(Q), grid)
+    battery = RatioBattery(k=grid.Q, name=f"variance[{item}]", _evaluate=squared_deviation,
+                           _eta=eta_fn, grid=grid)
+    return ResidualProblem(battery, grid)
 
 
 def mv_linearity_direct_problem(grid: LvGrid, item: int) -> ResidualProblem:
@@ -188,7 +178,7 @@ def mv_linearity_direct_problem(grid: LvGrid, item: int) -> ResidualProblem:
 
     The summary component is the response times the conditional-to-marginal
     density ratio, so its expectation is the conditional mean itself and no
-    transformation is needed.  Misfit in the latent density leaks into these
+    ratio is needed.  Misfit in the latent density leaks into these
     residuals, which is why the ratio form is the default.
     """
     item = _check_item_index(item)
@@ -204,7 +194,7 @@ def mv_linearity_direct_problem(grid: LvGrid, item: int) -> ResidualProblem:
 
     battery = WeightedBattery(k=Q, name=f"linearity-direct[{item}]", _evaluate=from_weights,
                               _eta=eta_fn, grid=grid)
-    return ResidualProblem(battery, identity_transformation(Q), grid)
+    return ResidualProblem(battery, grid)
 
 
 _ITEM_PROBLEMS = {

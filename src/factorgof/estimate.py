@@ -454,7 +454,13 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
     S = resid.T @ resid / data.n
 
     def objective(v):
-        f, g = _mean_loglik_and_grad(v, mapping, ybar, S)
+        # A trial step can overflow exp(u) to an infinite error variance;
+        # +inf there sends the line search back towards finite points.
+        with np.errstate(over="ignore"):
+            try:
+                f, g = _mean_loglik_and_grad(v, mapping, ybar, S)
+            except SpecificationError:
+                return np.inf, np.zeros_like(v)
         return -f, -g
 
     v0 = mapping.start_values(data)

@@ -1,40 +1,43 @@
 """Generalized-residual machinery.
 
-A test is defined by a battery of summary functions H (evaluated per
-observation), the model-implied expectation eta of H, and a smooth
-transformation applied to both the sample average eta_hat and eta.  The
-difference of the transformed vectors is the residual; its asymptotic
-covariance combines the battery covariance with a penalty for parameter
-estimation:
+A test is defined by a battery of summary functions of one observation,
+evaluated against a latent grid, and the battery's model value eta.  The
+residual is the sample value eta_hat less eta, both on the reported scale;
+its asymptotic covariance combines the covariance of each row's
+contribution G with a penalty for parameter estimation:
 
-    sigma_phi = J (sigma_H - A I^{-1} A') J'
+    sigma_phi = Cov(G) - A I^{-1} A'
 
-with J the transformation Jacobian at eta, A the mean outer product of H and
-the score, and I the per-observation information.  A, sigma_H and I are all
-estimated from one shared set of Monte Carlo draws from the fitted model.
-Pointwise residuals are referred to N(0, 1) after standardization; a summary
-quadratic form over a designated subgrid is referred to a chi-square whose
-weight matrix inverts only the leading s eigenvalues of sigma_phi.
+with A the mean outer product of G and the score, and I the
+per-observation information.  G, A and I are all estimated from one shared
+set of Monte Carlo draws from the fitted model.  Pointwise residuals are
+referred to N(0, 1) after standardization; a summary quadratic form over a
+designated subgrid is referred to a chi-square whose weight matrix inverts
+only the leading s eigenvalues of sigma_phi.
+
+A mean battery's sample value is the column mean of its values H, so G = H.
+A ``RatioBattery`` is a posterior-weighted conditional moment of f(y) at
+each grid point, t_q = colmean(f W_q) / colmean(W_q), with W the posterior
+densities of the grid points given each row (the generalized residuals of
+Haberman & Sinharay, 2013).  Its model value r_q is known in closed form,
+and by the delta method each row contributes G_q = W_q (f - r_q) / D_q,
+with D the model's latent density at the grid points.
 
 A report reads two parts of sigma_phi: its diagonal, for the pointwise
 standard errors, and its block on the stable summary points, for T.  The
-engine forms only those.  It maps the (M, k) battery draws H onto the
-reported scale first, G = H J' (H itself for the identity, two scaled column
-blocks for ratios), so that J sigma_H J' is the covariance of G and J A is
-the mean cross product of G with the scores.  The diagonal is then each
-column's centred sum of squares over M - 1 minus the row-wise
-(JA) I^{-1} (JA)', and the block is the centred cross product of the kept
-columns minus the same term on them.  ``assemble_acm`` builds the full
-matrix from sigma_H and A and is kept as the dense reference.
+engine forms only those.  The diagonal is each column of G's centred sum of
+squares over M - 1 minus the row-wise A I^{-1} A', and the block is the
+centred cross product of the kept columns minus the same term on them.
+``assemble_acm`` builds the full matrix J (sigma_H - A I^{-1} A') J' from
+the covariance of a battery's values and a Jacobian J, and is kept as the
+dense reference.
 
-The bundled batteries are ``WeightedBattery``s: each is a function of the
-(rows x Q) matrix W of posterior densities of its grid points given each
-row.  ``run_residual_batch`` makes one pass per distinct set of grid points:
-it computes W on the data, takes every problem's sample average from it,
-drops it, and computes W on the shared draws for the problems' covariance
-entries.  Each W is read-only, and each problem adds only its own f(y) * W
-columns.  Batteries that give only ``_evaluate(Y, params)`` share one pass
-without W.
+The bundled batteries are ``WeightedBattery``s on one (rows x Q) matrix W.
+``run_residual_batch`` makes one pass per distinct set of grid points: it
+computes W on the data, takes W's column means (the ratios' denominators)
+and every problem's sample value from it, drops it, and computes W on the
+shared draws for the problems' covariance entries.  Each W is read-only.
+Batteries that give only ``_evaluate(Y, params)`` share one pass without W.
 """
 
 from dataclasses import dataclass
@@ -52,7 +55,7 @@ from .estimate import (
     simulate_data,
     score_rows,
 )
-from .model import ParamSet, posterior_log_weights
+from .model import ParamSet, lv_logpdf, posterior_log_weights
 
 _DIAG_FLOOR = 1e-12
 _EIG_RTOL = 1e-10
@@ -64,8 +67,9 @@ class SummaryBattery:
     """A vector of k summary functions of one observation.
 
     ``evaluate`` maps an (n, m) data block to the (n, k) matrix of per-row
-    summary values.  ``eta_closed`` returns the model-implied expectation
-    when a closed form exists, else None; the engine then takes the
+    summary values.  ``eta_closed`` returns the model value eta of the
+    battery's sample value, for a mean battery the expectation of its
+    values, when a closed form exists, else None; the engine then takes the
     battery's mean over the shared Monte Carlo draws.
     """
 
@@ -136,112 +140,63 @@ class WeightedBattery(SummaryBattery):
 
 
 @dataclass(eq=False)
-class Transformation:
-    """Smooth map applied to summary expectations, with its Jacobian.
+class RatioBattery(WeightedBattery):
+    """Posterior-weighted conditional moments of f(y) on a grid.
 
-    ``denominator_index`` optionally maps each output component to the input
-    component used as its denominator, letting the engine flag outputs whose
-    empirical denominator underflowed.
+    Component q is the ratio t_q = colmean(f W_q) / colmean(W_q) of a
+    posterior-weighted mean of f to the weights' own mean.
+    ``_evaluate(Y, params)`` returns f on the rows, broadcastable to (n, k)
+    with k the number of grid points, and ``_eta(params)`` the model value
+    r_q of each ratio, which must be given in closed form.  ``evaluate``
+    returns f broadcast to (n, k), as a read-only view; it needs no W.
     """
 
-    k_in: int
-    k_out: int
-    _apply: callable
-    _jacobian: callable
-    name: str = "custom"
-    denominator_index: np.ndarray = None
+    def __post_init__(self):
+        super().__post_init__()
+        if self._eta is None:
+            raise ConfigurationError(f"ratio battery {self.name} needs a closed-form eta")
+        if self.k != len(self.grid.points):
+            raise ConfigurationError(
+                f"ratio battery {self.name} has k={self.k} for {len(self.grid.points)} grid points"
+            )
 
-    def apply(self, g: np.ndarray) -> np.ndarray:
-        return self._apply(np.asarray(g, dtype=np.float64))
-
-    def jacobian(self, g: np.ndarray) -> np.ndarray:
-        return self._jacobian(np.asarray(g, dtype=np.float64))
-
-    def project(self, H: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Draws mapped onto the reported scale, H J(g)' ((M, k_out))."""
-        return H @ self.jacobian(g).T
+    def _values(self, Y, params, W):
+        return np.broadcast_to(self._evaluate(Y, params), (len(Y), self.k))
 
 
-class _IdentityTransformation(Transformation):
-    """Identity map; its projection is H itself, without a copy."""
+def _ratio_draws(f, W, r, D):
+    """Each row's contribution G to a ratio battery's residual covariance.
 
-    def project(self, H, g):
-        return H
-
-
-class _RatioTransformation(Transformation):
-    """Componentwise ratios of the first to the second half of g."""
-
-    def project(self, H, g):
-        # J is zero off the diagonals of its two Q x Q blocks, so each output
-        # column combines one numerator and one denominator column of H;
-        # einsum forms that without temporaries the size of H's halves
-        Q = self.k_out
-        J = self.jacobian(g)
-        scale = np.stack([np.diagonal(J[:, :Q]), np.diagonal(J[:, Q:])])
-        return np.einsum("mkq,kq->mq", H.reshape(H.shape[0], 2, Q), scale)
-
-
-def identity_transformation(k: int) -> Transformation:
-    return _IdentityTransformation(
-        k_in=k,
-        k_out=k,
-        _apply=lambda g: g.copy(),
-        _jacobian=lambda g: np.eye(k),
-        name="identity",
-    )
-
-
-def ratio_transformation(Q: int) -> Transformation:
-    """Maps (g_1..g_Q, g_{Q+1}..g_{2Q}) to componentwise ratios g_l / g_{Q+l}."""
-
-    def _apply(g):
-        return g[:Q] / g[Q:]
-
-    def _jacobian(g):
-        J = np.zeros((Q, 2 * Q))
-        idx = np.arange(Q)
-        J[idx, idx] = 1.0 / g[Q:]
-        J[idx, Q + idx] = -g[:Q] / g[Q:] ** 2
-        return J
-
-    return _RatioTransformation(
-        k_in=2 * Q,
-        k_out=Q,
-        _apply=_apply,
-        _jacobian=_jacobian,
-        name="ratio",
-        denominator_index=np.arange(Q, 2 * Q),
-    )
+    By the delta method, the ratio of the column means of [f W, W] at their
+    model values [D r, D] moves by G_q = W_q (f - r_q) / D_q per row, with r
+    the ratio's model value and D the latent density at the grid points.
+    """
+    G = f - r
+    G *= W
+    G /= D
+    return G
 
 
 @dataclass(eq=False)
 class ResidualProblem:
-    """A battery, the transformation applied to it, and the latent grid."""
+    """A battery and the latent grid that labels its report's points."""
 
     battery: SummaryBattery
-    transformation: Transformation
     grid: object  # LvGrid; duck-typed to avoid a circular import
-
-    def __post_init__(self):
-        if self.transformation.k_in != self.battery.k:
-            raise ConfigurationError(
-                f"transformation expects k={self.transformation.k_in}, battery has k={self.battery.k}"
-            )
 
 
 @dataclass(eq=False)
 class AcmEstimate:
     """The entries of the residual covariance sigma_phi that a report reads.
 
-    ``diag`` is the diagonal of sigma_phi (k_out,), from which the pointwise
+    ``diag`` is the diagonal of sigma_phi (k,), from which the pointwise
     se are taken.  ``summary_index`` lists the summary points that entered T
     (the summary subgrid less its unstable points), ``summary_block`` is
     sigma_phi on those rows and columns, and ``summary_eigvals`` holds that
     block's eigenvalues in descending order, from the eigendecomposition
     behind T's truncated inverse.  Without a summary statistic the three are
-    empty.  The engine forms them from the projected draws G = H J' (see the
-    module docstring) and never forms the full k_out x k_out matrix.
+    empty.  The engine forms them from the rows' contributions G (see the
+    module docstring) and never forms the full k x k matrix.
     """
 
     diag: np.ndarray
@@ -300,9 +255,9 @@ class SummaryStat:
 class TestReport:
     """Pointwise and summary results of one residual test.
 
-    Point values are on the reported (transformed) scale, so for ratio
-    batteries ``eta_hat`` and ``eta`` are the empirical and model-implied
-    conditional moments themselves.
+    Point values are on the reported scale, so for ratio batteries
+    ``eta_hat`` and ``eta`` are the empirical and model-implied conditional
+    moments themselves.
     """
 
     battery: str
@@ -319,10 +274,26 @@ class TestReport:
 
 def eta_hat(battery: SummaryBattery, data: DataMatrix, params: ParamSet,
             W: np.ndarray = None) -> np.ndarray:
-    """Sample average of the battery over the data rows (``W``: their
-    posterior weights on a ``WeightedBattery``'s grid, when already known)."""
-    H = battery.evaluate(data.values, params, W)
-    return kernels.colmean(np.ascontiguousarray(H))
+    """Sample value of the battery over the data rows, on the reported scale:
+    the column means of its values, or for a ``RatioBattery`` the ratios
+    colmean(f W) / colmean(W).  ``W``: the rows' posterior weights on a
+    ``WeightedBattery``'s grid, when already known."""
+    wbar = None
+    if isinstance(battery, RatioBattery):
+        if W is None:
+            W = _posterior_weights(data.values, battery.grid.points, params)
+        wbar = kernels.colmean(W)
+    return _eta_hat(battery, data.values, params, W, wbar)
+
+
+def _eta_hat(battery, Y, params, W, wbar):
+    """``eta_hat`` on the rows Y, given their weights' column means ``wbar``
+    for a ratio battery."""
+    H = battery.evaluate(Y, params, W)
+    if not isinstance(battery, RatioBattery):
+        return kernels.colmean(np.ascontiguousarray(H))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return kernels.colmean(H * W) / wbar
 
 
 def assemble_acm(jac: np.ndarray, A: np.ndarray, inv_info: np.ndarray,
@@ -418,8 +389,8 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
     once and reused by every problem, which dominates the cost when testing
     several items on the same fit.  The problems are then run one grid at a
     time: the posterior-weight matrix W of the grid's points is computed on
-    the data, every problem on the grid takes its sample average from it,
-    and it is dropped before W on the draws is computed for their covariance
+    the data, every problem on the grid takes its sample value from it, and
+    it is dropped before W on the draws is computed for their covariance
     entries.  Reports come back in the order of ``problems``.
     """
     if mc is None:
@@ -445,12 +416,17 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
     reports = [None] * len(problems)
     for grid, members in groups.values():
         W = _grid_weights(data.values, grid, params)
-        g_hats = [eta_hat(problems[i].battery, data, params, W) for i in members]
+        wbar = dens = None
+        if grid is not None:
+            wbar = kernels.colmean(W)
+            dens = np.exp(lv_logpdf(grid.points, params))
+        t_hats = [_eta_hat(problems[i].battery, data.values, params, W, wbar)
+                  for i in members]
         del W
         W = _grid_weights(draws, grid, params)
-        for i, g_hat in zip(members, g_hats):
-            reports[i] = _run_problem(problems[i], params, data.n, draws, W, g_hat,
-                                      scores, inv_info, mc)
+        for i, t_hat in zip(members, t_hats):
+            reports[i] = _run_problem(problems[i], params, data.n, draws, W, dens, wbar,
+                                      t_hat, scores, inv_info, mc)
         del W
     return reports
 
@@ -465,17 +441,22 @@ def _grid_weights(Y, grid, params):
     return W
 
 
-def _run_problem(problem, params, n, draws, W, g_hat, scores, inv_info, mc):
-    """One problem's report from its sample average ``g_hat`` and the shared
-    draws, their posterior weights ``W``, scores and inverse information."""
+def _run_problem(problem, params, n, draws, W, dens, wbar, t_hat, scores, inv_info, mc):
+    """One problem's report from its sample value ``t_hat`` and the shared
+    draws, their posterior weights ``W``, scores and inverse information;
+    ``dens`` and ``wbar`` are the grid's latent density and the data
+    weights' column means."""
     battery = problem.battery
-    trans = problem.transformation
-    H = np.ascontiguousarray(battery.evaluate(draws, params, W))
-    g = battery.eta_closed(params)
-    if g is None:
-        g = kernels.colmean(H)
-    G = trans.project(H, g)
-    del H  # the k-column block is no longer needed once projected
+    H = battery.evaluate(draws, params, W)
+    eta = battery.eta_closed(params)
+    if isinstance(battery, RatioBattery):
+        G = _ratio_draws(H, W, eta, dens)
+    else:
+        G = np.ascontiguousarray(H)
+        if eta is None:
+            eta = kernels.colmean(G)
+    del H
+    k = battery.k
 
     subset = getattr(problem.grid, "summary_subset", None)
     subset = np.empty(0, dtype=np.intp) if subset is None else np.asarray(subset, dtype=np.intp)
@@ -485,16 +466,12 @@ def _run_problem(problem, params, n, draws, W, g_hat, scores, inv_info, mc):
     var = sq / (mc.M - 1) - np.einsum("ij,ij->i", penalty, JA)
 
     unstable = var <= _DIAG_FLOOR
-    if trans.denominator_index is not None:
-        denom = g_hat[trans.denominator_index] * n
-        unstable |= denom < _DENOM_FLOOR
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_hat = trans.apply(g_hat)
-        t_pop = trans.apply(g)
-    resid = t_hat - t_pop
-    se = np.full(trans.k_out, np.nan)
-    z = np.full(trans.k_out, np.nan)
-    p = np.full(trans.k_out, np.nan)
+    if isinstance(battery, RatioBattery):
+        unstable |= wbar * n < _DENOM_FLOOR
+    resid = t_hat - eta
+    se = np.full(k, np.nan)
+    z = np.full(k, np.nan)
+    p = np.full(k, np.nan)
     ok = ~unstable & np.isfinite(resid)
     unstable |= ~np.isfinite(resid)
     se[ok] = np.sqrt(var[ok])
@@ -502,12 +479,12 @@ def _run_problem(problem, params, n, draws, W, g_hat, scores, inv_info, mc):
 
     coords = getattr(problem.grid, "points", None)
     points = []
-    for l in range(trans.k_out):
-        c = coords[l] if coords is not None and len(coords) == trans.k_out else np.array([float(l)])
+    for l in range(k):
+        c = coords[l] if coords is not None and len(coords) == k else np.array([float(l)])
         points.append(TestPoint(
             coords=np.asarray(c, dtype=np.float64),
             eta_hat=float(t_hat[l]) if np.isfinite(t_hat[l]) else float("nan"),
-            eta=float(t_pop[l]),
+            eta=float(eta[l]),
             residual=float(resid[l]) if np.isfinite(resid[l]) else float("nan"),
             se=float(se[l]),
             z=float(z[l]),

@@ -274,11 +274,10 @@ def run_rejection_study(
     raw = {} if collect_raw else None
     for prob in problems:
         name = prob.battery.name
-        k_out = prob.transformation.k_out
         counts[name] = BatteryCounts(
             coords=grid.points.copy(),
-            point_rejections=np.zeros(k_out, dtype=np.int64),
-            point_valid=np.zeros(k_out, dtype=np.int64),
+            point_rejections=np.zeros(grid.Q, dtype=np.int64),
+            point_valid=np.zeros(grid.Q, dtype=np.int64),
         )
         if collect_raw:
             raw[name] = {"T": [], "z": []}

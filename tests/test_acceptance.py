@@ -15,6 +15,7 @@ from scipy.stats import kstest, ncx2
 import factorgof as fg
 from factorgof.estimate import ParamMapping
 from factorgof.model import marginal_logpdf
+from factorgof.residuals import _ratio_draws
 from factorgof.simstudy import (
     _STUDY1_PHI,
     mixture_lv_logpdf,
@@ -142,17 +143,20 @@ def test_criterion_1_numerical_oracles(two_factor_params, two_factor_spec,
             c2 = abs(np.trace(W @ sigma) - s) < 1e-8
             checks.append(c1 and c2)
 
-    # ratio-transformation Jacobian vs finite differences
-    t = fg.ratio_transformation(4)
+    # a ratio battery's per-row contributions vs the finite-difference
+    # derivative of N / D at the model means g = [D r, D], applied to rows
+    # of [f W, W]
     g = rng.uniform(0.5, 2.0, 8)
-    J = t.jacobian(g)
-    fd = np.empty_like(J)
+    f = rng.normal(size=(5, 4))
+    W = rng.uniform(0.1, 2.0, size=(5, 4))
+    fd = np.empty((4, 8))
     for i in range(8):
         gp, gm = g.copy(), g.copy()
         gp[i] += 1e-6
         gm[i] -= 1e-6
-        fd[:, i] = (t.apply(gp) - t.apply(gm)) / 2e-6
-    checks.append(np.allclose(J, fd, rtol=1e-6, atol=1e-9))
+        fd[:, i] = (gp[:4] / gp[4:] - gm[:4] / gm[4:]) / 2e-6
+    G = _ratio_draws(f, W, g[:4] / g[4:], g[4:])
+    checks.append(np.allclose(G, np.hstack([f * W, W]) @ fd.T, rtol=1e-6, atol=1e-9))
 
     # pack/unpack round trip
     for spec in (one_factor_spec, two_factor_spec):

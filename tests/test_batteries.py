@@ -9,7 +9,9 @@ from factorgof import (
     McConfig,
     ModelSpec,
     ParamSet,
+    RatioBattery,
     default_grid,
+    eta_hat,
     fit_ml,
     lv_density_problem,
     make_grid,
@@ -74,7 +76,7 @@ def test_make_problem_maps_each_kind():
     for kind, want in cases.items():
         got = make_problem(kind, grid, None if kind == "lv-density" else 3)
         assert got.battery.name == want.battery.name
-        assert got.transformation.name == want.transformation.name
+        assert type(got.battery) is type(want.battery)
         assert got.grid is grid
     with pytest.raises(ConfigurationError, match="unknown battery kind 'density'"):
         make_problem("density", grid)
@@ -146,22 +148,21 @@ class TestLinearityBattery:
         )
 
     def test_exact_linear_data_gives_zero_residuals(self, fitted):
-        # if every response equals the model's conditional mean under the
-        # posterior-weighted average, the transformed residual vanishes
+        # responses whose posterior-weighted mean equals the fitted line at
+        # every grid point give a zero ratio residual; the rows' weights are
+        # held at those of the observed data
         spec, truth, data, fit = fitted
         grid = make_grid([(-1, 1, 3)])
         item = 0
-        problem = mv_linearity_problem(grid, item)
-        g_hat = problem.battery.evaluate(data.values, fit.params).mean(axis=0)
-        Q = grid.Q
-        # replace numerators with denominator * fitted line
+        battery = mv_linearity_problem(grid, item).battery
+        W = np.exp(posterior_log_weights(data.values, grid.points, fit.params))
         line = fit.params.nu[item] + grid.points[:, 0] * fit.params.lam[item, 0]
-        forced = np.concatenate([g_hat[Q:] * line, g_hat[Q:]])
-        t = problem.transformation
-        np.testing.assert_allclose(
-            t.apply(forced) - t.apply(problem.battery.eta_closed(fit.params)),
-            0.0, atol=1e-12,
-        )
+        # least-norm y with W' y = line * W' 1
+        y = np.linalg.lstsq(W.T, line * W.sum(axis=0), rcond=None)[0]
+        Y = data.values.copy()
+        Y[:, item] = y
+        got = eta_hat(battery, DataMatrix(Y), fit.params, W)
+        np.testing.assert_allclose(got - battery.eta_closed(fit.params), 0.0, atol=1e-12)
 
     def test_correct_model_interior_calibration(self, fitted):
         spec, truth, data, fit = fitted
@@ -184,16 +185,11 @@ class TestHomoscedasticityBattery:
         z_interior = [pt.z for pt in report.points if abs(pt.coords[0]) <= 2]
         assert np.nanmax(np.abs(z_interior)) < 4.0
 
-    def test_eta_closed_is_density_times_theta(self, fitted):
+    def test_eta_closed_is_theta(self, fitted):
         spec, truth, data, fit = fitted
         grid = make_grid([(-2, 2, 5)])
-        problem = mv_homoscedasticity_problem(grid, 4)
-        got = problem.battery.eta_closed(fit.params)
-        from factorgof.model import lv_logpdf
-
-        dens = np.exp(lv_logpdf(grid.points, fit.params))
-        np.testing.assert_allclose(got[:5], dens * fit.params.theta[4], rtol=1e-12)
-        np.testing.assert_allclose(got[5:], dens, rtol=1e-12)
+        got = mv_homoscedasticity_problem(grid, 4).battery.eta_closed(fit.params)
+        assert got.tolist() == [fit.params.theta[4]] * 5
 
 
 class TestDirectLinearityBattery:
@@ -291,9 +287,13 @@ class TestSliceReport:
 
 
 def test_mc_fallback_consistency_for_each_battery(fitted):
+    # a mean battery's values average to its closed form over model draws; a
+    # ratio battery's f W averages to D r, its ratio's denominator times r
     spec, truth, data, fit = fitted
     grid = make_grid([(-2, 2, 5)])
     draws = simulate_data(fit.params, 200_000, np.random.default_rng(13)).values
+    W = np.exp(posterior_log_weights(draws, grid.points, fit.params))
+    dens = np.exp(lv_logpdf(grid.points, fit.params))
     for make in (
         lv_density_problem,
         lambda g: mv_linearity_problem(g, 1),
@@ -304,6 +304,8 @@ def test_mc_fallback_consistency_for_each_battery(fitted):
         battery = problem.battery
         closed = battery.eta_closed(fit.params)
         H = battery.evaluate(draws, fit.params)
+        if isinstance(battery, RatioBattery):
+            H, closed = H * W, dens * closed
         mc = H.mean(axis=0)
         mc_se = H.std(axis=0, ddof=1) / np.sqrt(len(draws))
         assert (np.abs(mc - closed) < 4 * mc_se + 1e-12).all(), battery.name
@@ -312,7 +314,8 @@ def test_mc_fallback_consistency_for_each_battery(fitted):
 def test_standalone_evaluate_matches_definition_from_weights(fitted):
     # a bundled battery's public evaluate computes W itself; the engine hands
     # it the batch's shared W instead.  Both must equal the definition rebuilt
-    # here from the log-weights, bit for bit.
+    # here from the log-weights, bit for bit.  A ratio battery's values are
+    # its f, which needs no W.
     _, _, data, fit = fitted
     params, Y = fit.params, data.values[:300]
     grid = make_grid([(-2.5, 2.5, 9)])
@@ -322,9 +325,8 @@ def test_standalone_evaluate_matches_definition_from_weights(fitted):
     mu = conditional_mean_grid(grid.points, params)[:, 3]
     cases = {
         "lv-density": (lv_density_problem(grid), W),
-        "linearity": (mv_linearity_problem(grid, 3), np.hstack([y * W, W])),
-        "variance": (mv_homoscedasticity_problem(grid, 3),
-                     np.hstack([(y - mu[None, :]) ** 2 * W, W])),
+        "linearity": (mv_linearity_problem(grid, 3), np.broadcast_to(y, W.shape)),
+        "variance": (mv_homoscedasticity_problem(grid, 3), (y - mu[None, :]) ** 2),
         "linearity-direct": (mv_linearity_direct_problem(grid, 3), y * W / dens[None, :]),
     }
     for name, (problem, expected) in cases.items():
@@ -332,3 +334,32 @@ def test_standalone_evaluate_matches_definition_from_weights(fitted):
         got = battery.evaluate(Y, params)
         assert got.tobytes() == expected.tobytes(), name
         assert battery.evaluate(Y, params, W).tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.parametrize("item,a,b", [(3, 2.5, -1.0), (5, 0.3, 2.0)])
+def test_affine_rescale_of_an_item_leaves_item_tests_unchanged(item, a, b):
+    # y_j -> a y_j + b (a > 0) maps the fit to nu_j -> a nu_j + b,
+    # lam_j -> a lam_j, theta_j -> a^2 theta_j and leaves the posterior
+    # weights and the draws' other items alone, so every linearity and
+    # variance z and T agree up to the optimizer's tolerance
+    from factorgof import DataMatrix, study2_paramset
+
+    spec = ModelSpec(m=10, d=1, loading_pattern=np.ones((10, 1), dtype=int))
+    data = simulate_data(study2_paramset(), 800, np.random.default_rng(4242))
+    Y = data.values.copy()
+    Y[:, item] = a * Y[:, item] + b
+    rescaled = DataMatrix(Y)
+    grid = default_grid(1)
+    problems = [make_problem(kind, grid, j) for kind in ("linearity", "variance")
+                for j in range(10)]
+    mc = McConfig(M=2000, seed=9)
+    fits = [fit_ml(d, spec) for d in (data, rescaled)]
+    assert all(fit.converged for fit in fits)
+    before, after = (run_residual_batch(problems, fit, d, mc)
+                     for fit, d in zip(fits, (data, rescaled)))
+    for r0, r1 in zip(before, after):
+        z0 = np.array([pt.z for pt in r0.points])
+        z1 = np.array([pt.z for pt in r1.points])
+        np.testing.assert_array_equal(np.isnan(z1), np.isnan(z0), err_msg=r0.battery)
+        assert np.nanmax(np.abs(z1 - z0)) < 1e-3, r0.battery
+        assert r1.summary.T == pytest.approx(r0.summary.T, rel=1e-3), r0.battery

@@ -209,16 +209,19 @@ class TestFit:
         assert fit.inv_observed_information.shape == (fit.mapping.q, fit.mapping.q)
         assert (np.linalg.eigvalsh(fit.inv_observed_information) > 0).all()
 
-    @pytest.mark.parametrize("seed", [0, 2])
+    @pytest.mark.parametrize("seed", [0, 2, 4, 5])
     def test_rotationally_unidentified_fit_flagged(self, two_factor_params, seed):
         # every loading free on both factors: the likelihood is flat along
-        # rotations, so the fit must fail the identification check even
-        # though the optimizer meets its gradient criterion
+        # rotations, so the fit must fail the identification check.  At
+        # seeds 0 and 2 the optimizer meets its gradient criterion; at 4 and
+        # 5 a trial step overflows an error variance, and the fit must still
+        # come back, unconverged, instead of raising
         spec = ModelSpec(m=8, d=2, loading_pattern=np.ones((8, 2), dtype=int))
         data = simulate_data(two_factor_params, 1000, np.random.default_rng(seed))
         fit = fit_ml(data, spec)
         assert not fit.converged
-        assert fit.gradient_norm < OptimOptions().gtol
+        if seed in (0, 2):
+            assert fit.gradient_norm < OptimOptions().gtol
         assert any(w.startswith(("hessian:", "observed information:")) for w in fit.warnings)
         assert fit.inv_observed_information is None
 
@@ -267,9 +270,11 @@ class TestInformation:
             invert_information(monte_carlo_information(params, spec, draws))
 
     def test_doubling_draws_approaches_reference(self, one_factor_params, one_factor_spec):
-        rng = np.random.default_rng(7)
-        big = simulate_data(one_factor_params, 1_000_000, rng).values
-        ref = monte_carlo_information(one_factor_params, one_factor_spec, big)
+        # the exact information is minus the mean log-likelihood's Hessian
+        # at the generating parameters with ybar = nu and S = Sigma
+        p = one_factor_params
+        mapping = ParamMapping(one_factor_spec)
+        ref = -_mean_loglik_hessian(mapping.pack(p), mapping, p.nu, p.implied_covariance())
         stream = simulate_data(one_factor_params, 8000, np.random.default_rng(17)).values
         err_small = np.linalg.norm(
             monte_carlo_information(one_factor_params, one_factor_spec, stream[:4000]) - ref

@@ -18,7 +18,6 @@ from factorgof import (
     Study2Config,
     default_grid,
     fit_ml,
-    identity_transformation,
     kernels,
     make_grid,
     mv_linearity_problem,
@@ -122,7 +121,7 @@ def _recording_problem(seen, k=3):
         return Y[:, :k]
 
     battery = SummaryBattery(k=3, name="record", _evaluate=evaluate, _eta=lambda p: p.nu[:3])
-    return ResidualProblem(battery, identity_transformation(3), make_grid([(-1, 1, 3)]))
+    return ResidualProblem(battery, make_grid([(-1, 1, 3)]))
 
 
 @needs_openblas
@@ -233,7 +232,7 @@ def test_lookup_reads_paths_with_spaces_and_skips_unopenable(
             return Y[:, :3]
 
         battery = SummaryBattery(k=3, name="record", _evaluate=evaluate, _eta=lambda p: p.nu[:3])
-        problem = ResidualProblem(battery, identity_transformation(3), make_grid([(-1, 1, 3)]))
+        problem = ResidualProblem(battery, make_grid([(-1, 1, 3)]))
         refit = fit_ml(data, fit.spec)
         assert refit.converged
         run_residual_test(problem, refit, data, McConfig(M=1000, seed=1))

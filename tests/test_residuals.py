@@ -14,16 +14,14 @@ from factorgof import (
     NotConvergedError,
     OptimOptions,
     RankError,
+    RatioBattery,
     SummaryBattery,
-    Transformation,
     assemble_acm,
     chi2_statistic,
     eta_hat,
     fit_ml,
-    identity_transformation,
     lv_density_problem,
     make_grid,
-    ratio_transformation,
     run_residual_test,
     simulate_data,
     truncated_inverse,
@@ -36,7 +34,8 @@ from factorgof.estimate import (
     monte_carlo_information,
     score_rows,
 )
-from factorgof.residuals import ResidualProblem, run_residual_batch
+from factorgof.model import lv_logpdf, posterior_log_weights
+from factorgof.residuals import ResidualProblem, _ratio_draws, run_residual_batch
 
 
 def random_psd(rng, k, rank=None):
@@ -142,34 +141,49 @@ class TestChi2Statistic:
             chi2_statistic(rng.normal(size=4), sigma, n=100, s=3)
 
 
+def _ratio_jacobian(g):
+    """Jacobian of the ratio map g -> g[:Q] / g[Q:] of a 2Q-vector."""
+    Q = len(g) // 2
+    idx = np.arange(Q)
+    J = np.zeros((Q, 2 * Q))
+    J[idx, idx] = 1.0 / g[Q:]
+    J[idx, Q + idx] = -g[:Q] / g[Q:] ** 2
+    return J
+
+
 class TestTransformations:
-    def test_identity_jacobian(self):
-        t = identity_transformation(5)
-        g = np.arange(1.0, 6.0)
-        np.testing.assert_allclose(t.apply(g), g)
-        np.testing.assert_allclose(t.jacobian(g), np.eye(5))
+    """The ratio map (N, D) -> N / D behind ratio batteries, as the engine
+    applies it to each row: ``_ratio_draws`` is the delta-method projection
+    of the row's [f W, W] at the model means [D r, D]."""
 
     def test_ratio_values_and_structure(self):
-        t = ratio_transformation(2)
-        g = np.array([2.0, 6.0, 4.0, 3.0])
-        np.testing.assert_allclose(t.apply(g), [0.5, 2.0])
-        J = t.jacobian(g)
-        np.testing.assert_allclose(J[0], [1 / 4.0, 0, -2 / 16.0, 0])
-        np.testing.assert_allclose(J[1], [0, 1 / 3.0, 0, -6 / 9.0])
+        # Q = 2: each output column combines only its own numerator and
+        # denominator column, W_q (f - r_q) / D_q
+        f = np.array([[1.0], [3.0]])
+        W = np.array([[0.5, 2.0], [1.0, 4.0]])
+        r = np.array([2.0, 1.0])
+        D = np.array([4.0, 0.5])
+        G = _ratio_draws(f, W, r, D)
+        np.testing.assert_allclose(G, [[0.5 * -1 / 4, 2.0 * 0 / 0.5],
+                                       [1.0 * 1 / 4, 4.0 * 2 / 0.5]], rtol=1e-15)
 
     @pytest.mark.parametrize("Q", [1, 3, 8])
     def test_ratio_jacobian_matches_finite_differences(self, Q, rng):
-        t = ratio_transformation(Q)
-        g = rng.uniform(0.5, 2.0, 2 * Q)
-        J = t.jacobian(g)
-        fd = np.empty_like(J)
+        f = rng.normal(size=(6, Q))
+        W = rng.uniform(0.1, 2.0, size=(6, Q))
+        r = rng.normal(size=Q)
+        D = rng.uniform(0.5, 2.0, Q)
+        g = np.concatenate([D * r, D])
+        fd = np.empty((Q, 2 * Q))
         for i in range(2 * Q):
             h = 1e-6 * max(1.0, abs(g[i]))
             gp, gm = g.copy(), g.copy()
             gp[i] += h
             gm[i] -= h
-            fd[:, i] = (t.apply(gp) - t.apply(gm)) / (2 * h)
-        np.testing.assert_allclose(J, fd, rtol=1e-6, atol=1e-9)
+            fd[:, i] = (gp[:Q] / gp[Q:] - gm[:Q] / gm[Q:]) / (2 * h)
+        np.testing.assert_allclose(_ratio_jacobian(g), fd, rtol=1e-6, atol=1e-9)
+        H = np.hstack([f * W, W])
+        np.testing.assert_allclose(_ratio_draws(f, W, r, D), H @ fd.T, rtol=1e-6, atol=1e-9)
 
 
 class TestBatteryBasics:
@@ -195,6 +209,14 @@ class TestBatteryBasics:
             got, [data.values[0, 0], data.values[0, 1] ** 2], rtol=1e-14
         )
 
+    def test_ratio_battery_needs_closed_form_eta_and_one_column_per_point(self):
+        grid = make_grid([(-2, 2, 5)])
+        with pytest.raises(ConfigurationError, match="needs a closed-form eta"):
+            RatioBattery(k=5, name="ratio", _evaluate=lambda Y, p: Y[:, :1], grid=grid)
+        with pytest.raises(ConfigurationError, match="has k=4 for 5 grid points"):
+            RatioBattery(k=4, name="ratio", _evaluate=lambda Y, p: Y[:, :1],
+                         _eta=lambda p: np.zeros(4), grid=grid)
+
     def test_plain_battery_takes_no_weights(self, one_factor_params, rng):
         battery = SummaryBattery(k=1, name="first", _evaluate=lambda Y, p: Y[:, :1])
         Y = rng.normal(size=(4, 6))
@@ -218,7 +240,7 @@ class TestBatteryBasics:
         grid = make_grid([(-2, 2, 5)])
         density = lv_density_problem(grid).battery
         battery = SummaryBattery(k=5, name="no-closed-form", _evaluate=density.evaluate)
-        problem = ResidualProblem(battery, identity_transformation(5), grid)
+        problem = ResidualProblem(battery, grid)
         mc = McConfig(M=50_000, seed=12)
         report = run_residual_test(problem, fit, data, mc)
         draws = simulate_data(fit.params, mc.M, np.random.default_rng(mc.seed)).values
@@ -322,11 +344,12 @@ class TestAssembleAcm:
 
 
 def _engine_cases():
-    """One problem per projection path: identity, ratio, and a dense
-    Jacobian through the generic H J' product.  The custom battery has no
-    closed-form expectation, and its last output loads only on a constant
-    component, so it is unstable and drops out of the summary subgrid."""
-    from factorgof import mv_linearity_problem
+    """One problem per battery path: mean batteries (lv-density and a custom
+    battery) and ratio batteries (linearity, and variance, whose f differs
+    per grid point).  The custom battery has no closed-form expectation, and
+    its last column is constant, so it is unstable and drops out of the
+    summary subgrid."""
+    from factorgof import mv_homoscedasticity_problem, mv_linearity_problem
 
     grid = make_grid([(-3, 3, 7)], [(-2, 2, 5)])
     mix = np.array([[1.0, 0.5, -0.3, 0.2],
@@ -337,16 +360,36 @@ def _engine_cases():
         k=4, name="dense-custom",
         _evaluate=lambda Y, p: np.column_stack(
             [Y[:, 0] ** 3, np.abs(Y[:, 1]), Y[:, 0] * Y[:, 2] * Y[:, 3],
-             np.full(len(Y), 2.0)]),
+             np.full(len(Y), 2.0)]) @ mix.T,
     )
-    dense = Transformation(k_in=4, k_out=4, _apply=lambda g: mix @ g,
-                           _jacobian=lambda g: mix, name="dense")
     custom_grid = make_grid([(-1.5, 1.5, 4)], [(-1.5, 1.5, 4)])
     return {
         "lv-density": lv_density_problem(grid),
         "linearity": mv_linearity_problem(grid, 2),
-        "dense-custom": ResidualProblem(battery, dense, custom_grid),
+        "variance": mv_homoscedasticity_problem(grid, 5),
+        "dense-custom": ResidualProblem(battery, custom_grid),
     }
+
+
+def _dense_battery(battery, Y, params):
+    """A battery's values as a plain mean battery on the rows Y, with the
+    Jacobian that maps their means onto the reported scale: the values and
+    the identity, or for a ratio battery [f W, W] and the ratio Jacobian at
+    the model means [D r, D].  Also returns those model means (None without
+    a closed form)."""
+    H = battery.evaluate(Y, params)
+    g = battery.eta_closed(params)
+    if not isinstance(battery, RatioBattery):
+        return np.asarray(H), np.eye(battery.k), g
+    W = np.exp(posterior_log_weights(Y, battery.grid.points, params))
+    dens = np.exp(lv_logpdf(battery.grid.points, params))
+    g = np.concatenate([dens * g, dens])
+    return np.hstack([H * W, W]), _ratio_jacobian(g), g
+
+
+def _reported(battery, g):
+    """Means of ``_dense_battery``'s values mapped onto the reported scale."""
+    return g[:battery.k] / g[battery.k:] if isinstance(battery, RatioBattery) else g
 
 
 def _check_engine_against_dense(case, problem, fit, data):
@@ -356,17 +399,17 @@ def _check_engine_against_dense(case, problem, fit, data):
     report = run_residual_test(problem, fit, data, mc)
 
     draws = simulate_data(fit.params, mc.M, np.random.default_rng(mc.seed)).values
-    battery, trans = problem.battery, problem.transformation
-    H = battery.evaluate(draws, fit.params)
+    battery = problem.battery
+    H, jac, g = _dense_battery(battery, draws, fit.params)
     scores = score_rows(fit.params, fit.mapping, draws)
     A = (H.T @ scores) / mc.M
     sigma_H = np.cov(H.T, ddof=1)
     inv_info = invert_information(monte_carlo_information(fit.params, fit.mapping, draws))
-    g = battery.eta_closed(fit.params)
     if g is None:
         g = H.mean(axis=0)
-    dense = assemble_acm(trans.jacobian(g), A, inv_info, sigma_H)
-    e = trans.apply(eta_hat(battery, data, fit.params)) - trans.apply(g)
+    dense = assemble_acm(jac, A, inv_info, sigma_H)
+    H_data = _dense_battery(battery, data.values, fit.params)[0]
+    e = _reported(battery, H_data.mean(axis=0)) - _reported(battery, g)
     var = np.diag(dense.sigma_phi_hat)
 
     unstable = np.array([pt.unstable for pt in report.points])
@@ -418,8 +461,7 @@ def _batch_problems():
     return [mv_linearity_problem(grid, 1), mv_homoscedasticity_problem(grid, 1),
             mv_linearity_problem(grid, 4), mv_homoscedasticity_problem(grid, 4),
             lv_density_problem(grid), mv_linearity_direct_problem(grid, 2),
-            ResidualProblem(custom, identity_transformation(2),
-                            make_grid([(-1, 1, 2)], [(-1, 1, 2)])),
+            ResidualProblem(custom, make_grid([(-1, 1, 2)], [(-1, 1, 2)])),
             mv_linearity_problem(twin, 1), lv_density_problem(twin),
             mv_homoscedasticity_problem(other, 6), lv_density_problem(other)]
 
@@ -455,7 +497,7 @@ class TestRunResidualTest:
             _evaluate=lambda Y, p: np.full((len(Y), 3), 2.5),
             _eta=lambda p: np.full(3, 2.5),
         )
-        problem = ResidualProblem(battery, identity_transformation(3), grid)
+        problem = ResidualProblem(battery, grid)
         report = run_residual_test(problem, fit, data, McConfig(M=1000, seed=4))
         assert all(pt.residual == 0.0 for pt in report.points)
         assert all(pt.unstable for pt in report.points)  # zero variance
@@ -549,7 +591,7 @@ class TestRunResidualTest:
 
         grid = make_grid([(-2, 2, 5)], [(-2, 2, 5)])
         battery = WeightedBattery(k=5, name="writer", _evaluate=scale_in_place, grid=grid)
-        problem = ResidualProblem(battery, identity_transformation(5), grid)
+        problem = ResidualProblem(battery, grid)
         with pytest.raises(ValueError, match="read-only"):
             run_residual_batch([lv_density_problem(grid), problem], fit, data,
                                McConfig(M=1000, seed=3))
