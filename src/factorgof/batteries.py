@@ -14,11 +14,12 @@ check kept for comparison; it is deliberately not part of the default CLI
 report because its residuals also react to latent-density misfit.
 
 All four are ``WeightedBattery``s on one matrix W, the posterior densities
-of the grid points given each row.  The latent-density battery is W itself
-and the direct variant is y_j * W / density.  Linearity and variance are
-``RatioBattery``s: each gives its item's f (y_j, or the squared deviation
-from the fitted line) and the model value of the ratio colmean(f W) /
-colmean(W) (the fitted line, or the error variance).
+of the grid points given each row.  The latent-density battery is W itself,
+whose residual covariance is known in closed form, and the direct variant
+is y_j * W / density.  Linearity and variance are ``RatioBattery``s: each
+gives its item's f (y_j, or the squared deviation from the fitted line) and
+the model value of the ratio colmean(f W) / colmean(W) (the fitted line, or
+the error variance).
 ``run_residual_batch`` computes W once per row set and grid for a whole
 batch and passes it to every battery on that grid.  ``make_problem`` maps a
 battery kind's name to its problem.
@@ -29,7 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import _check_item, conditional_mean_grid, lv_logpdf
+from .estimate import _mean_loglik_and_grad, score_rows
+from .kernels import mvn_loglik_rows
+from .model import _check_item, _posterior_precision, conditional_mean_grid, lv_logpdf
 from .residuals import RatioBattery, ResidualProblem, TestReport, WeightedBattery
 
 
@@ -126,7 +129,10 @@ def _check_item_index(item: int) -> int:
 
 
 def lv_density_problem(grid: LvGrid) -> ResidualProblem:
-    """Latent-density check: posterior densities vs. the model density."""
+    """Latent-density check: posterior densities vs. the model density.
+
+    Its residual covariance is exact (``_lv_density_moments``), so a batch
+    needs no Monte Carlo draws for it."""
     Q = grid.Q
 
     def from_weights(Y, W, params):
@@ -135,9 +141,56 @@ def lv_density_problem(grid: LvGrid) -> ResidualProblem:
     def eta_fn(params):
         return np.exp(lv_logpdf(grid.points, params))
 
+    def moments(params, mapping, cols):
+        return _lv_density_moments(grid.points, params, mapping, cols)
+
     battery = WeightedBattery(k=Q, name="lv-density", _evaluate=from_weights,
-                              _eta=eta_fn, grid=grid)
+                              _eta=eta_fn, _moments=moments, grid=grid)
     return ResidualProblem(battery, grid)
+
+
+def _weight_products(X1, X2, params):
+    """E[W(x1) W(x2)] under the model for paired rows of X1 and X2 ((Q,)).
+
+    W(x) = N(x; E[x | y], V) is the posterior density of the latent point x
+    given y, with V the posterior covariance.  E[x | y] ~ N(0, phi - V), and
+    the product of the two normal densities in E[x | y] integrates to
+    N(x1 - x2; 0, 2V) N((x1 + x2) / 2; 0, phi - V / 2).
+    """
+    V = np.linalg.inv(_posterior_precision(params)[1])
+    zero = np.zeros(params.d)
+    out = mvn_loglik_rows(X1 - X2, zero, np.linalg.cholesky(2.0 * V))
+    out += mvn_loglik_rows(0.5 * (X1 + X2), zero, np.linalg.cholesky(params.phi - 0.5 * V))
+    return np.exp(out, out=out)
+
+
+def _lv_density_moments(points, params, mapping, cols):
+    """Exact moments of the latent-density battery W under the fitted model:
+    Var(W_q) at every point, Cov(W_q, W_r) among the points ``cols``, and
+    A = E[W s'] with s the score on ``mapping``'s free parameters.
+
+    Weighting the model density of y by W_q(y) = p(x_q | y) gives
+    p(x_q) p(y | x_q), so E[W_q h(y)] = D_q E[h(y) | x = x_q] for any h,
+    with D the latent density.  The score is affine in y - nu and its outer
+    product, so E[s | x_q] is the score at the conditional mean
+    nu + lambda x_q plus the term the error covariance theta adds:
+    g(nu, theta) - g(nu, 0), with g(ybar, S) the gradient of the mean
+    log-likelihood at sample mean ybar and sample covariance S.
+    """
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    dens = np.exp(lv_logpdf(points, params))
+    var = _weight_products(points, points, params) - dens**2
+    sub, k = points[cols], len(cols)
+    cov = _weight_products(np.repeat(sub, k, axis=0), np.tile(sub, (k, 1)), params)
+    cov = cov.reshape(k, k) - np.outer(dens[cols], dens[cols])
+
+    v = mapping.pack(params)
+    g_theta = _mean_loglik_and_grad(v, mapping, params.nu, np.diag(params.theta))[1]
+    g_zero = _mean_loglik_and_grad(v, mapping, params.nu, np.zeros((params.m, params.m)))[1]
+    A = score_rows(params, mapping, conditional_mean_grid(points, params))
+    A += g_theta - g_zero
+    A *= dens[:, None]
+    return var, cov, A
 
 
 def mv_linearity_problem(grid: LvGrid, item: int) -> ResidualProblem:

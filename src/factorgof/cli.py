@@ -6,7 +6,8 @@ report), ``simulate`` (write a rejection table for a bundled design), and
 that touches the filesystem.
 
 Output files are written atomically and carry a provenance header (tool
-version, seed, Monte Carlo budget, grid, input digests) but no timestamps,
+version, seed, Monte Carlo budget, for a test report whether its residual
+covariance is exact or from the draws, grid, input digests) but no timestamps,
 so a rerun with the same seed on the same machine is byte-identical; where
 OpenBLAS is the BLAS, the caller's BLAS thread count does not change a bit
 (``kernels.single_blas_thread``).  Item indices are 1-based on the command
@@ -392,7 +393,8 @@ def _cmd_test(args) -> int:
     pairs = [
         ("battery", args.battery),
         ("item", args.item if args.item is not None else ""),
-        ("seed", args.seed), ("M", args.M), ("s", args.s),
+        ("seed", args.seed), ("M", args.M),
+        ("covariance", report.config["covariance"]), ("s", args.s),
         ("n", data.n),
         ("grid", grid.label), ("summary_grid", grid.summary_label),
         ("data_sha256", _sha256(args.data)),

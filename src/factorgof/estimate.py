@@ -530,6 +530,18 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
 _MAX_CONDITION = 1e12
 
 
+def expected_information(params: ParamSet, spec) -> np.ndarray:
+    """Exact per-observation information at ``params``.
+
+    The Hessian of the mean log-likelihood is linear in (ybar - nu, S*), so
+    its expectation under the model is its value at ybar = nu and
+    S = Sigma; the information is minus that.
+    """
+    mapping = _as_mapping(spec)
+    return -_mean_loglik_hessian(mapping.pack(params), mapping, params.nu,
+                                 params.implied_covariance())
+
+
 def monte_carlo_information(params: ParamSet, spec, draws: np.ndarray) -> np.ndarray:
     """Mean outer product of scores over presampled model draws."""
     return score_information(score_rows(params, spec, draws))

@@ -237,6 +237,13 @@ def marginal_logpdf(Y: np.ndarray, params: ParamSet) -> np.ndarray:
     return kernels.mvn_loglik_rows(Y, params.nu, params.sigma_cholesky())
 
 
+def _posterior_precision(params: ParamSet) -> tuple:
+    """theta^-1 lambda ((m, d)) and the posterior precision
+    P = phi^-1 + lambda' theta^-1 lambda, which is the same for every y."""
+    lam_w = params.lam / params.theta[:, None]
+    return lam_w, np.linalg.inv(params.phi) + params.lam.T @ lam_w
+
+
 def posterior_log_weights(Y: np.ndarray, points: np.ndarray, params: ParamSet) -> np.ndarray:
     """Log posterior density of each grid row given each data row ((n, Q)).
 
@@ -246,8 +253,7 @@ def posterior_log_weights(Y: np.ndarray, points: np.ndarray, params: ParamSet) -
     """
     Y = np.asarray(Y, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
-    lam_w = params.lam / params.theta[:, None]
-    prec = np.linalg.inv(params.phi) + params.lam.T @ lam_w
+    lam_w, prec = _posterior_precision(params)
     B = (Y - params.nu) @ lam_w
     _, logdet = np.linalg.slogdet(prec)
     const = 0.5 * (logdet - params.d * np.log(2.0 * np.pi))

@@ -9,11 +9,16 @@ contribution G with a penalty for parameter estimation:
     sigma_phi = Cov(G) - A I^{-1} A'
 
 with A the mean outer product of G and the score, and I the
-per-observation information.  G, A and I are all estimated from one shared
-set of Monte Carlo draws from the fitted model.  Pointwise residuals are
-referred to N(0, 1) after standardization; a summary quadratic form over a
-designated subgrid is referred to a chi-square whose weight matrix inverts
-only the leading s eigenvalues of sigma_phi.
+per-observation information, all at the fitted model.  A battery that knows
+these moments in closed form (the latent-density battery) gives them
+through its ``_moments`` hook, and the engine pairs them with the exact
+information ``expected_information``.  For every other battery Cov(G), A
+and I are estimated from one shared set of M Monte Carlo draws from the
+fitted model; a batch in which every battery has the hook draws nothing.
+Pointwise residuals are referred to N(0, 1) after standardization; a
+summary quadratic form over a designated subgrid is referred to a
+chi-square whose weight matrix inverts only the leading s eigenvalues of
+sigma_phi.
 
 A mean battery's sample value is the column mean of its values H, so G = H.
 A ``RatioBattery`` is a posterior-weighted conditional moment of f(y) at
@@ -25,9 +30,10 @@ with D the model's latent density at the grid points.
 
 A report reads two parts of sigma_phi: its diagonal, for the pointwise
 standard errors, and its block on the stable summary points, for T.  The
-engine forms only those.  The diagonal is each column of G's centred sum of
-squares over M - 1 minus the row-wise A I^{-1} A', and the block is the
-centred cross product of the kept columns minus the same term on them.
+engine forms only those: Var(G) less the row-wise A I^{-1} A', and Cov(G)
+on the kept columns less the same term on them.  On the draws, Var(G) is
+each column's centred sum of squares over M - 1 and Cov(G) the centred
+cross product of the summary columns over M - 1.
 ``assemble_acm`` builds the full matrix J (sigma_H - A I^{-1} A') J' from
 the covariance of a battery's values and a Jacobian J, and is kept as the
 dense reference.
@@ -35,8 +41,9 @@ dense reference.
 The bundled batteries are ``WeightedBattery``s on one (rows x Q) matrix W.
 ``run_residual_batch`` makes one pass per distinct set of grid points: it
 computes W on the data, takes W's column means (the ratios' denominators)
-and every problem's sample value from it, drops it, and computes W on the
-shared draws for the problems' covariance entries.  Each W is read-only.
+and every problem's sample value from it, drops it, and, when a problem on
+the grid has no closed-form moments, computes W on the shared draws for
+their covariance entries.  Each W is read-only.
 Batteries that give only ``_evaluate(Y, params)`` share one pass without W.
 """
 
@@ -50,6 +57,7 @@ from .errors import ConfigurationError, NotConvergedError, RankError
 from .estimate import (
     DataMatrix,
     FitResult,
+    expected_information,
     invert_information,
     score_information,
     simulate_data,
@@ -71,16 +79,26 @@ class SummaryBattery:
     battery's sample value, for a mean battery the expectation of its
     values, when a closed form exists, else None; the engine then takes the
     battery's mean over the shared Monte Carlo draws.
+
+    ``_moments(params, mapping, cols)``, when given, returns in closed form
+    the moments of the rows' contributions G (a mean battery's values) under
+    the model at ``params``: Var(G) (k,), Cov(G) among the columns ``cols``,
+    and A = E[G s'] (k, q) with s the score on ``mapping``'s free
+    parameters.  The engine then draws nothing for the battery.
     """
 
     k: int
     name: str
     _evaluate: callable
     _eta: callable = None
+    _moments: callable = None
 
     def __post_init__(self):
         if self.k < 1:
             raise ConfigurationError("battery must have k >= 1 components")
+        if self._moments is not None and self._eta is None:
+            raise ConfigurationError(f"battery {self.name} has closed-form moments "
+                                     "but no closed-form eta")
 
     def evaluate(self, Y: np.ndarray, params: ParamSet, W: np.ndarray = None) -> np.ndarray:
         """The (n, k) battery values on the rows of Y.  ``W`` is for a
@@ -195,8 +213,10 @@ class AcmEstimate:
     sigma_phi on those rows and columns, and ``summary_eigvals`` holds that
     block's eigenvalues in descending order, from the eigendecomposition
     behind T's truncated inverse.  Without a summary statistic the three are
-    empty.  The engine forms them from the rows' contributions G (see the
-    module docstring) and never forms the full k x k matrix.
+    empty.  The engine forms them from the moments of the rows'
+    contributions G (see the module docstring) and never forms the full
+    k x k matrix.  ``M`` is the number of draws they were estimated from,
+    0 when they are exact.
     """
 
     diag: np.ndarray
@@ -221,9 +241,11 @@ class DenseAcm:
 
 @dataclass
 class McConfig:
-    """Monte Carlo settings for one test run: the number of model draws M
-    from which sigma_H, A and the information are all estimated, their
-    seed, and the number s of eigenvalues the summary statistic keeps."""
+    """Settings for one test run: the number of model draws M, from which
+    Cov(G), A and the information are estimated for every battery without
+    closed-form moments, their seed, and the number s of eigenvalues the
+    summary statistic keeps.  A battery with closed-form moments uses
+    neither M nor the seed."""
 
     M: int = 10_000
     seed: int = 0
@@ -385,13 +407,15 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
                        mc: McConfig = None) -> list:
     """Run several residual tests sharing one draw set.
 
-    The M model draws, their scores, and the information matrix are computed
-    once and reused by every problem, which dominates the cost when testing
-    several items on the same fit.  The problems are then run one grid at a
+    A problem whose battery has closed-form moments takes them with the
+    exact information.  The others share the M model draws, their scores
+    and the information estimated from them, which are made only when the
+    batch holds such a problem.  The problems are then run one grid at a
     time: the posterior-weight matrix W of the grid's points is computed on
     the data, every problem on the grid takes its sample value from it, and
-    it is dropped before W on the draws is computed for their covariance
-    entries.  Reports come back in the order of ``problems``.
+    it is dropped before W on the draws is computed for the covariance
+    entries of the grid's problems without closed-form moments.  Reports
+    come back in the order of ``problems``.
     """
     if mc is None:
         mc = McConfig()
@@ -403,10 +427,14 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
     if mc.M < 1000:
         raise ConfigurationError(f"M={mc.M} below the minimum of 1000")
     params = fit.params
-    rng = np.random.default_rng(mc.seed)
-    draws = simulate_data(params, mc.M, rng).values
-    scores = np.ascontiguousarray(score_rows(params, fit.mapping, draws))
-    inv_info = invert_information(score_information(scores))
+    exact = [problem.battery._moments is not None for problem in problems]
+    if not all(exact):
+        rng = np.random.default_rng(mc.seed)
+        draws = simulate_data(params, mc.M, rng).values
+        scores = np.ascontiguousarray(score_rows(params, fit.mapping, draws))
+        draw_inv_info = invert_information(score_information(scores))
+    if any(exact):
+        exact_inv_info = invert_information(expected_information(params, fit.mapping))
 
     groups = {}
     for i, problem in enumerate(problems):
@@ -422,11 +450,24 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
             dens = np.exp(lv_logpdf(grid.points, params))
         t_hats = [_eta_hat(problems[i].battery, data.values, params, W, wbar)
                   for i in members]
-        del W
-        W = _grid_weights(draws, grid, params)
+        W = None
+        if not all(exact[i] for i in members):
+            W = _grid_weights(draws, grid, params)
         for i, t_hat in zip(members, t_hats):
-            reports[i] = _run_problem(problems[i], params, data.n, draws, W, dens, wbar,
-                                      t_hat, scores, inv_info, mc)
+            problem = problems[i]
+            battery = problem.battery
+            subset = getattr(problem.grid, "summary_subset", None)
+            subset = (np.empty(0, dtype=np.intp) if subset is None
+                      else np.asarray(subset, dtype=np.intp))
+            if exact[i]:
+                moments = (battery.eta_closed(params),
+                           *battery._moments(params, fit.mapping, subset))
+                inv_info, M = exact_inv_info, 0
+            else:
+                moments = _draw_moments(battery, params, draws, W, dens, scores, subset)
+                inv_info, M = draw_inv_info, mc.M
+            reports[i] = _run_problem(problem, data.n, t_hat, wbar, subset, moments,
+                                      inv_info, M, mc)
         del W
     return reports
 
@@ -441,12 +482,11 @@ def _grid_weights(Y, grid, params):
     return W
 
 
-def _run_problem(problem, params, n, draws, W, dens, wbar, t_hat, scores, inv_info, mc):
-    """One problem's report from its sample value ``t_hat`` and the shared
-    draws, their posterior weights ``W``, scores and inverse information;
-    ``dens`` and ``wbar`` are the grid's latent density and the data
-    weights' column means."""
-    battery = problem.battery
+def _draw_moments(battery, params, draws, W, dens, scores, cols):
+    """A battery's eta, and the moments of its rows' contributions G
+    estimated on the shared draws: Var(G), Cov(G) among the columns
+    ``cols`` and A = E[G s'], from the draws' posterior weights ``W``,
+    scores and the grid's latent density ``dens``."""
     H = battery.evaluate(draws, params, W)
     eta = battery.eta_closed(params)
     if isinstance(battery, RatioBattery):
@@ -456,14 +496,23 @@ def _run_problem(problem, params, n, draws, W, dens, wbar, t_hat, scores, inv_in
         if eta is None:
             eta = kernels.colmean(G)
     del H
+    M = len(draws)
+    A = kernels.crossprod_mean(G, scores)
+    sq, cross = kernels.centred_sums(G, kernels.colmean(G), cols)
+    return eta, sq / (M - 1), cross / (M - 1), A
+
+
+def _run_problem(problem, n, t_hat, wbar, subset, moments, inv_info, M, mc):
+    """One problem's report from its sample value ``t_hat``, the data
+    weights' column means ``wbar``, and ``moments``: eta, Var(G), Cov(G) on
+    the summary ``subset`` and A, estimated on M draws or exact (M = 0),
+    with the matching inverse information."""
+    battery = problem.battery
+    eta, var_G, cov_G, A = moments
     k = battery.k
 
-    subset = getattr(problem.grid, "summary_subset", None)
-    subset = np.empty(0, dtype=np.intp) if subset is None else np.asarray(subset, dtype=np.intp)
-    JA = kernels.crossprod_mean(G, scores)
-    penalty = JA @ inv_info
-    sq, cross = kernels.centred_sums(G, kernels.colmean(G), subset)
-    var = sq / (mc.M - 1) - np.einsum("ij,ij->i", penalty, JA)
+    penalty = A @ inv_info
+    var = var_G - np.einsum("ij,ij->i", penalty, A)
 
     unstable = var <= _DIAG_FLOOR
     if isinstance(battery, RatioBattery):
@@ -494,7 +543,7 @@ def _run_problem(problem, params, n, draws, W, dens, wbar, t_hat, scores, inv_in
 
     kept = np.flatnonzero(~unstable[subset])
     keep = subset[kept]
-    block = cross[np.ix_(kept, kept)] / (mc.M - 1) - penalty[keep] @ JA[keep].T
+    block = cov_G[np.ix_(kept, kept)] - penalty[keep] @ A[keep].T
     block = 0.5 * (block + block.T)
     eigvals = np.empty(0)
     summary = None
@@ -506,6 +555,7 @@ def _run_problem(problem, params, n, draws, W, dens, wbar, t_hat, scores, inv_in
     config = {
         "battery": battery.name,
         "M": mc.M,
+        "covariance": "exact" if M == 0 else "monte-carlo",
         "seed": mc.seed,
         "s": mc.s,
         "n": n,
@@ -513,6 +563,6 @@ def _run_problem(problem, params, n, draws, W, dens, wbar, t_hat, scores, inv_in
         "summary_grid": getattr(problem.grid, "summary_label", ""),
     }
     acm = AcmEstimate(diag=var, summary_index=keep, summary_block=block,
-                      summary_eigvals=eigvals, M=mc.M)
+                      summary_eigvals=eigvals, M=M)
     return TestReport(battery=battery.name, points=points, summary=summary,
                       config=config, acm=acm)

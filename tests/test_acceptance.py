@@ -68,9 +68,9 @@ def s2_missp():
     )
 
 
-# The two-factor batches use the default draw budget M=10000 for the
-# 361-point latent-density battery.  A larger budget does not change the
-# criterion-5 power: M=40000 gives the same 0.445 on the s1_missp batch.
+# The 361-point latent-density battery's covariance is exact, so the
+# two-factor batches draw nothing and their M=10000 is provenance only; the
+# criterion-5 rates carry no Monte Carlo noise.
 @pytest.fixture(scope="session")
 def s1_correct():
     return fg.run_rejection_study(
@@ -301,17 +301,18 @@ def test_criterion_4_false_detection(s2_missp):
 # ---------------------------------------------------------------------------
 
 
-# The power check fails at s = 1 (0.445 against > 0.5) for a measured reason,
-# not draw noise (M = 40000 gives the same rate).  At the generating
-# parameters the 49 x 49 summary covariance has a nearly tied leading pair,
-# lambda2/lambda1 = 0.994-0.999 (M = 400000 and 200000 draws), with both
-# eigenvectors close to symmetric under swapping the factors.  The mixture
-# drift puts about 30% of its Mahalanobis norm in span(v1, v2), split between
-# them as the draw set happens to rotate the pair (0.1% / 32.7% and
-# 3.9% / 25.7% in those two runs), so the s = 1 noncentrality at n = 1000 is
-# ill-determined (0.03 to 1.3), while s = 2 gives about 10 (power 0.82-0.84).
-# Each fit breaks the tie by a few percent and so fixes which direction in
-# the pair is kept.  The verdict line prints lambda2/lambda1 at one fit.
+# The power check fails at s = 1 (0.400 against > 0.5) for a measured
+# reason; the covariance is exact, so draw noise plays no part.  The design
+# gives both factors the same loadings, and at the generating parameters the
+# exact 49 x 49 summary covariance has a nearly tied leading pair,
+# lambda2/lambda1 = 0.995, with v1 antisymmetric and v2 symmetric under
+# swapping the factors.  The mixture drift is symmetric: it puts 33% of its
+# Mahalanobis norm on v2 and none on v1, so the s = 1 noncentrality at
+# n = 1000 is 0 there, while s = 2 gives 10.6 (power 0.84).  Each fit breaks
+# the tie (lambda2/lambda1 from 0.973 to 1.000 over the s1_missp batch) and
+# so fixes which direction is kept.  On these batches s = 2 gives power
+# 0.850 and a null rate of 0.067.  The verdict line prints lambda2/lambda1
+# at one fit.
 def test_criterion_5_lv_density(s1_correct, s1_missp):
     null_rate = s1_correct.batteries["lv-density"].summary_rate()
     ok_null = _in_band(null_rate, BAND_R300)

@@ -347,6 +347,10 @@ class TestTestCommand:
         assert head[0].startswith("# tool=factorgof version=")
         for key in ("seed=13", "M=1000", "s=1", "grid=", "data_sha256="):
             assert key in joined
+        assert "# covariance=exact" in head
+        assert main(["test", "linearity", "--item", "2", "--data", csv_path,
+                     "--model", model_path, "--M", "1000", "--out", out]) == 0
+        assert "# covariance=monte-carlo" in open(out).read().splitlines()
 
     def test_fit_roundtrip_matches_refit(self, workdir):
         tmp, csv_path, model_path = workdir

@@ -28,6 +28,7 @@ from factorgof.estimate import (
     ParamMapping,
     _mean_loglik_and_grad,
     _mean_loglik_hessian,
+    expected_information,
     invert_information,
 )
 from factorgof.model import marginal_logpdf
@@ -268,13 +269,13 @@ class TestInformation:
         draws = simulate_data(params, 2000, np.random.default_rng(0)).values
         with pytest.raises(IdentificationError):
             invert_information(monte_carlo_information(params, spec, draws))
+        with pytest.raises(IdentificationError):
+            invert_information(expected_information(params, spec))
 
     def test_doubling_draws_approaches_reference(self, one_factor_params, one_factor_spec):
         # the exact information is minus the mean log-likelihood's Hessian
         # at the generating parameters with ybar = nu and S = Sigma
-        p = one_factor_params
-        mapping = ParamMapping(one_factor_spec)
-        ref = -_mean_loglik_hessian(mapping.pack(p), mapping, p.nu, p.implied_covariance())
+        ref = expected_information(one_factor_params, one_factor_spec)
         stream = simulate_data(one_factor_params, 8000, np.random.default_rng(17)).values
         err_small = np.linalg.norm(
             monte_carlo_information(one_factor_params, one_factor_spec, stream[:4000]) - ref

@@ -1,33 +1,44 @@
 """Residual engine: weight-matrix algebra, statistics, ACM assembly,
 and the end-to-end orchestration contract."""
 
+import dataclasses
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.hermite_e import hermegauss
 from scipy.stats import chi2 as chi2_dist
 
 from factorgof import (
     ConfigurationError,
     DataMatrix,
     McConfig,
+    ModelSpec,
     NotConvergedError,
     OptimOptions,
+    ParamSet,
     RankError,
     RatioBattery,
     SummaryBattery,
     assemble_acm,
     chi2_statistic,
+    default_grid,
     eta_hat,
     fit_ml,
     lv_density_problem,
     make_grid,
+    mv_homoscedasticity_problem,
+    mv_linearity_direct_problem,
+    mv_linearity_problem,
     run_residual_test,
     simulate_data,
     truncated_inverse,
     z_statistic,
 )
-from factorgof import kernels, residuals
+from factorgof import batteries, kernels, residuals
 from factorgof.estimate import (
     ParamMapping,
     invert_information,
@@ -217,6 +228,11 @@ class TestBatteryBasics:
             RatioBattery(k=4, name="ratio", _evaluate=lambda Y, p: Y[:, :1],
                          _eta=lambda p: np.zeros(4), grid=grid)
 
+    def test_closed_form_moments_need_closed_form_eta(self):
+        with pytest.raises(ConfigurationError, match="closed-form moments but no"):
+            SummaryBattery(k=1, name="moments", _evaluate=lambda Y, p: Y[:, :1],
+                           _moments=lambda p, mapping, cols: None)
+
     def test_plain_battery_takes_no_weights(self, one_factor_params, rng):
         battery = SummaryBattery(k=1, name="first", _evaluate=lambda Y, p: Y[:, :1])
         Y = rng.normal(size=(4, 6))
@@ -252,8 +268,6 @@ class TestBatteryBasics:
 
 @pytest.fixture(scope="module")
 def zero_loading_setup():
-    from factorgof import ModelSpec, ParamSet
-
     spec = ModelSpec(m=4, d=1, loading_pattern=np.ones((4, 1), dtype=int))
     params = ParamSet(nu=np.zeros(4), lam=np.zeros((4, 1)), phi=np.eye(1),
                       theta=np.ones(4))
@@ -344,13 +358,12 @@ class TestAssembleAcm:
 
 
 def _engine_cases():
-    """One problem per battery path: mean batteries (lv-density and a custom
-    battery) and ratio batteries (linearity, and variance, whose f differs
-    per grid point).  The custom battery has no closed-form expectation, and
-    its last column is constant, so it is unstable and drops out of the
-    summary subgrid."""
-    from factorgof import mv_homoscedasticity_problem, mv_linearity_problem
-
+    """One problem per battery path on the draws: mean batteries
+    (linearity-direct and a custom battery) and ratio batteries (linearity,
+    and variance, whose f differs per grid point).  The custom battery has no
+    closed-form expectation, and its last column is constant, so it is
+    unstable and drops out of the summary subgrid.  The lv-density battery's
+    exact path is checked in ``TestExactLvDensity``."""
     grid = make_grid([(-3, 3, 7)], [(-2, 2, 5)])
     mix = np.array([[1.0, 0.5, -0.3, 0.2],
                     [0.2, 1.0, 0.4, -0.1],
@@ -364,7 +377,7 @@ def _engine_cases():
     )
     custom_grid = make_grid([(-1.5, 1.5, 4)], [(-1.5, 1.5, 4)])
     return {
-        "lv-density": lv_density_problem(grid),
+        "linearity-direct": mv_linearity_direct_problem(grid, 3),
         "linearity": mv_linearity_problem(grid, 2),
         "variance": mv_homoscedasticity_problem(grid, 5),
         "dense-custom": ResidualProblem(battery, custom_grid),
@@ -450,9 +463,6 @@ def _batch_problems():
     """Weighted batteries of every bundled kind on three grids (two distinct
     objects with equal points, and one with other points) and a custom
     battery without a grid."""
-    from factorgof import (mv_homoscedasticity_problem, mv_linearity_direct_problem,
-                           mv_linearity_problem)
-
     grid = make_grid([(-2, 2, 5)], [(-2, 2, 5)])
     twin = make_grid([(-2, 2, 5)], [(-1, 1, 3)])
     other = make_grid([(-3, 3, 7)], [(-2, 2, 5)])
@@ -478,7 +488,7 @@ def _assert_same_report(got, want):
 
 @pytest.fixture(scope="module")
 def fitted_setup():
-    from factorgof import ModelSpec, study2_paramset
+    from factorgof import study2_paramset
 
     spec = ModelSpec(m=10, d=1, loading_pattern=np.ones((10, 1), dtype=int))
     params = study2_paramset()
@@ -556,8 +566,6 @@ class TestRunResidualTest:
 
     def test_one_weight_pass_per_row_set_and_grid(self, fitted_setup, monkeypatch):
         spec, params, data, fit = fitted_setup
-        from factorgof import mv_homoscedasticity_problem, mv_linearity_problem
-
         calls = []
         original = residuals.posterior_log_weights
 
@@ -595,3 +603,205 @@ class TestRunResidualTest:
         with pytest.raises(ValueError, match="read-only"):
             run_residual_batch([lv_density_problem(grid), problem], fit, data,
                                McConfig(M=1000, seed=3))
+
+
+def _gauss_hermite(m, n):
+    """Product Gauss-Hermite rule for the standard normal in m dimensions:
+    nodes (n**m, m) and weights summing to one."""
+    x, w = hermegauss(n)
+    nodes = np.array(list(itertools.product(x, repeat=m)))
+    weights = np.prod(np.array(list(itertools.product(w / np.sqrt(2 * np.pi), repeat=m))),
+                      axis=1)
+    return nodes, weights
+
+
+def _small_model(d):
+    """Parameters, mapping and a few latent points of a model small enough
+    for product quadrature over y: three items on one factor, or two items
+    on each of two correlated factors."""
+    if d == 1:
+        lam = np.array([[0.6], [0.7], [0.5]])
+        phi = np.eye(1)
+        points = np.array([[-1.5], [0.0], [0.8], [2.0]])
+    else:
+        lam = np.array([[0.6, 0.0], [0.7, 0.0], [0.0, 0.5], [0.0, 0.8]])
+        phi = np.array([[1.0, 0.3], [0.3, 1.0]])
+        points = np.array([[-1.0, 0.5], [0.0, 0.0], [0.8, -1.2], [1.5, 1.0]])
+    m = lam.shape[0]
+    theta = 1.0 - np.einsum("jk,kl,jl->j", lam, phi, lam) + 0.1
+    params = ParamSet(nu=np.linspace(-0.3, 0.4, m), lam=lam, phi=phi, theta=theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # m < 3d: identification is not needed here
+        spec = ModelSpec(m=m, d=d, loading_pattern=(lam != 0).astype(int))
+    return params, ParamMapping(spec), points
+
+
+def _mirror_fit(fit, factor):
+    """The fit with one factor's sign flipped: its loadings, and phi's
+    off-diagonal entries, negated.  Sigma and the likelihood are unchanged."""
+    mapping = fit.mapping
+    sign = np.ones(mapping.q)
+    sign[mapping.lam_slice] = np.where(mapping.lam_cols == factor, -1.0, 1.0)
+    sign[mapping.w_slice] = -1.0
+    v = sign * fit.free_vector
+    return dataclasses.replace(fit, free_vector=v, params=mapping.unpack(v))
+
+
+class TestExactLvDensity:
+    """The latent-density battery's closed-form moments, and the engine's
+    draw-free path through them."""
+
+    @pytest.mark.parametrize("d,nodes", [(1, 30), (2, 24)])
+    def test_weight_moments_match_quadrature(self, d, nodes):
+        # E[W_q W_r], E[W_q z], E[W_q z z'] and A = E[W_q s] with z = y - nu
+        # and s the score, by product Gauss-Hermite quadrature over y
+        params, mapping, points = _small_model(d)
+        U, wt = _gauss_hermite(params.m, nodes)
+        Z = U @ params.sigma_cholesky().T
+        W = np.exp(posterior_log_weights(params.nu + Z, points, params))
+        Ww = W * wt[:, None]
+        dens = np.exp(lv_logpdf(points, params))
+        Q = len(points)
+        var, cov, A = batteries._lv_density_moments(points, params, mapping, np.arange(Q))
+
+        EWW = Ww.T @ W
+        pairs = batteries._weight_products(np.repeat(points, Q, axis=0),
+                                           np.tile(points, (Q, 1)), params).reshape(Q, Q)
+        np.testing.assert_allclose(pairs, EWW, rtol=0, atol=1e-10 * EWW.max())
+        np.testing.assert_allclose(cov, EWW - np.outer(dens, dens), rtol=0,
+                                   atol=1e-10 * EWW.max())
+        np.testing.assert_allclose(var, np.diag(cov), rtol=0, atol=1e-10 * EWW.max())
+
+        # the tilted law of y under W_q is y | x = x_q ~ N(nu + lambda x_q, theta)
+        mu = points @ params.lam.T
+        np.testing.assert_allclose(Ww.T @ Z, dens[:, None] * mu, rtol=0, atol=1e-10)
+        EWzz = np.einsum("nq,ni,nj->qij", Ww, Z, Z)
+        want = dens[:, None, None] * (np.diag(params.theta) + mu[:, :, None] * mu[:, None, :])
+        np.testing.assert_allclose(EWzz, want, rtol=0, atol=1e-10)
+
+        EWs = Ww.T @ score_rows(params, mapping, params.nu + Z)
+        np.testing.assert_allclose(A, EWs, rtol=0, atol=1e-10 * np.abs(EWs).max())
+
+    def test_engine_matches_dense_monte_carlo(self, fitted_setup):
+        # the dense assembly on M draws converges to the exact entries: each
+        # error within 4 Monte Carlo standard errors at both budgets, and
+        # 16 times the draws cut the largest error by about 4
+        spec, params, data, fit = fitted_setup
+        grid = make_grid([(-3, 3, 7)], [(-2, 2, 5)])
+        report = run_residual_test(lv_density_problem(grid), fit, data,
+                                   McConfig(M=1000, seed=1))
+        keep = report.acm.summary_index
+        assert keep.tolist() == [1, 2, 3, 4, 5]
+        p = fit.params
+        errors = []
+        for M, seed in ((20_000, 3), (320_000, 4)):
+            draws = simulate_data(p, M, np.random.default_rng(seed)).values
+            H = np.exp(posterior_log_weights(draws, grid.points, p))
+            scores = score_rows(p, fit.mapping, draws)
+            A = H.T @ scores / M
+            inv_info = invert_information(monte_carlo_information(p, fit.mapping, draws))
+            dense = assemble_acm(np.eye(grid.Q), A, inv_info, np.cov(H.T, ddof=1))
+            # each entry's estimator is the mean of products of the rows'
+            # residualized contributions, so their spread gives its MC se
+            R = H - H.mean(axis=0) - scores @ (inv_info @ A.T)
+            se_diag = (R**2).std(axis=0, ddof=1) / np.sqrt(M)
+            Rk = R[:, keep]
+            se_block = (Rk[:, :, None] * Rk[:, None, :]).std(axis=0, ddof=1) / np.sqrt(M)
+            err_diag = np.abs(np.diag(dense.sigma_phi_hat) - report.acm.diag)
+            err_block = np.abs(dense.sigma_phi_hat[np.ix_(keep, keep)]
+                               - report.acm.summary_block)
+            assert (err_diag <= 4 * se_diag).all(), M
+            assert (err_block <= 4 * se_block).all(), M
+            errors.append((err_diag.max(), err_block.max()))
+        for small, big in zip(*errors):
+            assert 2 < small / big < 8
+
+    def test_report_is_exact_and_says_so(self, fitted_setup):
+        spec, params, data, fit = fitted_setup
+        grid = make_grid([(-3, 3, 7)], [(-2, 2, 5)])
+        mc = McConfig(M=1500, seed=31)
+        report = run_residual_test(lv_density_problem(grid), fit, data, mc)
+        assert report.acm.M == 0
+        assert report.config["covariance"] == "exact"
+        assert report.config["M"] == 1500
+        # no draws: another seed or budget gives the same bits
+        other = run_residual_test(lv_density_problem(grid), fit, data,
+                                  McConfig(M=4000, seed=2))
+        _assert_same_report(other, report)
+        ratio = run_residual_test(mv_linearity_problem(grid, 1), fit, data, mc)
+        assert ratio.acm.M == 1500 and ratio.config["covariance"] == "monte-carlo"
+
+    def test_lv_density_batch_draws_nothing(self, fitted_setup, monkeypatch):
+        spec, params, data, fit = fitted_setup
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the batch drew or scored model draws")
+
+        calls = []
+        original = residuals.posterior_log_weights
+
+        def counted(Y, points, p):
+            calls.append((len(Y), len(points)))
+            return original(Y, points, p)
+
+        monkeypatch.setattr(residuals, "simulate_data", forbidden)
+        monkeypatch.setattr(residuals, "score_rows", forbidden)
+        monkeypatch.setattr(residuals, "posterior_log_weights", counted)
+        grids = [make_grid([(-3, 3, 7)], [(-2, 2, 5)]), make_grid([(-2, 2, 9)])]
+        reports = run_residual_batch([lv_density_problem(g) for g in grids], fit, data,
+                                     McConfig(M=1000, seed=3))
+        assert calls == [(data.n, 7), (data.n, 9)]
+        assert all(r.acm.M == 0 for r in reports)
+
+    def test_exact_problem_leaves_draw_problems_unchanged(self, fitted_setup):
+        spec, params, data, fit = fitted_setup
+        grid = make_grid([(-3, 3, 31)], [(-2, 2, 11)])
+        ratio = [mv_linearity_problem(grid, 1), mv_homoscedasticity_problem(grid, 7)]
+        mc = McConfig(M=2000, seed=8)
+        mixed = run_residual_batch([lv_density_problem(grid)] + ratio, fit, data, mc)
+        alone = run_residual_batch(ratio, fit, data, mc)
+        for got, want in zip(mixed[1:], alone):
+            _assert_same_report(got, want)
+
+    @pytest.mark.parametrize("d,factor", [(1, 0), (2, 0), (2, 1)])
+    def test_factor_sign_flip_mirrors_report(self, d, factor, fitted_setup,
+                                             two_factor_params, two_factor_spec):
+        if d == 1:
+            _, _, data, fit = fitted_setup
+        else:
+            data = simulate_data(two_factor_params, 1500, np.random.default_rng(3))
+            fit = fit_ml(data, two_factor_spec)
+            assert fit.converged
+        grid = default_grid(d)
+        mc = McConfig(M=1000, seed=0)
+        report = run_residual_test(lv_density_problem(grid), fit, data, mc)
+        flipped = run_residual_test(lv_density_problem(grid), _mirror_fit(fit, factor), data, mc)
+
+        mirror = grid.points.copy()
+        mirror[:, factor] *= -1
+        dist = np.abs(grid.points[None, :, :] - mirror[:, None, :]).max(axis=2)
+        partner = dist.argmin(axis=1)
+        assert (dist[np.arange(grid.Q), partner] < 1e-9).all()
+        for attr in ("eta_hat", "eta", "se", "z"):
+            a = np.array([getattr(pt, attr) for pt in report.points])
+            b = np.array([getattr(flipped.points[r], attr) for r in partner])
+            np.testing.assert_allclose(b, a, rtol=1e-10, atol=1e-10, err_msg=attr)
+        assert ([flipped.points[r].unstable for r in partner]
+                == [pt.unstable for pt in report.points])
+        assert flipped.summary.T == pytest.approx(report.summary.T, rel=1e-10)
+
+    def test_row_permutation_leaves_report_unchanged(self, fitted_setup):
+        # on the same fit; the fit's own row-order invariance is tested with
+        # the estimator
+        spec, params, data, fit = fitted_setup
+        grid = default_grid(1)
+        mc = McConfig(M=1000, seed=0)
+        report = run_residual_test(lv_density_problem(grid), fit, data, mc)
+        perm = np.random.default_rng(5).permutation(data.n)
+        permuted = run_residual_test(lv_density_problem(grid), fit,
+                                     DataMatrix(data.values[perm]), mc)
+        for attr in ("eta_hat", "eta", "residual", "se", "z", "p"):
+            a = np.array([getattr(pt, attr) for pt in report.points])
+            b = np.array([getattr(pt, attr) for pt in permuted.points])
+            np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12, err_msg=attr)
+        assert permuted.summary.T == pytest.approx(report.summary.T, rel=1e-12, abs=1e-12)
