@@ -14,12 +14,15 @@ check kept for comparison; it is deliberately not part of the default CLI
 report because its residuals also react to latent-density misfit.
 
 All four are ``WeightedBattery``s on one matrix W, the posterior densities
-of the grid points given each row.  The latent-density battery is W itself,
-whose residual covariance is known in closed form, and the direct variant
-is y_j * W / density.  Linearity and variance are ``RatioBattery``s: each
-gives its item's f (y_j, or the squared deviation from the fitted line) and
-the model value of the ratio colmean(f W) / colmean(W) (the fitted line, or
-the error variance).
+of the grid points given each row.  The latent-density battery is W itself
+and the direct variant is y_j * W / density.  Linearity and variance are
+``RatioBattery``s: each gives its item's f (y_j, or the squared deviation
+from the fitted line) and the model value of the ratio
+colmean(f W) / colmean(W) (the fitted line, or the error variance).
+The residual covariance of the latent-density, linearity and variance
+batteries is known in closed form (their ``_moments`` hooks): every moment
+it needs is a Gaussian integral at the fitted model.  Only the direct
+variant's is estimated on Monte Carlo draws.
 ``run_residual_batch`` computes W once per row set and grid for a whole
 batch and passes it to every battery on that grid.  ``make_problem`` maps a
 battery kind's name to its problem.
@@ -30,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .estimate import _mean_loglik_and_grad, score_rows
+from .estimate import _mean_loglik_grad, _moment_terms, score_rows
 from .kernels import mvn_loglik_rows
-from .model import _check_item, _posterior_precision, conditional_mean_grid, lv_logpdf
+from .model import ParamSet, _check_item, _posterior_precision, conditional_mean_grid, lv_logpdf
 from .residuals import RatioBattery, ResidualProblem, TestReport, WeightedBattery
 
 
@@ -141,8 +144,8 @@ def lv_density_problem(grid: LvGrid) -> ResidualProblem:
     def eta_fn(params):
         return np.exp(lv_logpdf(grid.points, params))
 
-    def moments(params, mapping, cols):
-        return _lv_density_moments(grid.points, params, mapping, cols)
+    def moments(params, mapping, cols, shared):
+        return _lv_density_moments(grid.points, params, mapping, cols, shared)
 
     battery = WeightedBattery(k=Q, name="lv-density", _evaluate=from_weights,
                               _eta=eta_fn, _moments=moments, grid=grid)
@@ -164,7 +167,75 @@ def _weight_products(X1, X2, params):
     return np.exp(out, out=out)
 
 
-def _lv_density_moments(points, params, mapping, cols):
+def _shared(shared, key, build):
+    """``shared[key]``, built on first use.  ``shared`` is the dict a batch
+    passes to every closed-form moment hook, so constants that several
+    problems need are made once per batch."""
+    if key not in shared:
+        shared[key] = build()
+    return shared[key]
+
+
+@dataclass(eq=False)
+class _FitConstants:
+    """Per-fit constants of the closed-form moments.
+
+    ``score_shift(ybar, S)`` is g(ybar, S) - g(nu, 0), with g(ybar, S) the
+    gradient of the mean log-likelihood at sample mean ybar and sample
+    covariance S: the mean score of y ~ N(ybar, S) less the score at nu.
+    ``tilt`` ((m, d)) and ``tau2`` ((m,)) give the doubly tilted law of the
+    ratio batteries, y_j | xt = xbar ~ N(nu_j + tilt_j' xbar, tau2_j), where
+    xt = E[x | y] + N(0, V / 2) ~ N(0, phi - V / 2) and Cov(y, xt) = lambda phi.
+    """
+
+    v: np.ndarray
+    mapping: object
+    unpacked: ParamSet
+    sig_inv: np.ndarray
+    g0: np.ndarray
+    tilt: np.ndarray
+    tau2: np.ndarray
+
+    @classmethod
+    def build(cls, params, mapping):
+        v = mapping.pack(params)
+        unpacked, _, sig_inv, delta, s_star = _moment_terms(
+            v, mapping, params.nu, np.zeros((params.m, params.m)))
+        g0 = _mean_loglik_grad(v, mapping, unpacked, sig_inv, delta, s_star)
+        V = np.linalg.inv(_posterior_precision(params)[1])
+        cross = params.lam @ params.phi
+        tilt = np.linalg.solve(params.phi - 0.5 * V, cross.T).T
+        tau2 = np.diag(params.implied_covariance()) - np.einsum("jk,jk->j", tilt, cross)
+        return cls(v=v, mapping=mapping, unpacked=unpacked, sig_inv=sig_inv, g0=g0,
+                   tilt=tilt, tau2=tau2)
+
+    def score_shift(self, ybar, S):
+        delta = ybar - self.unpacked.nu
+        g = _mean_loglik_grad(self.v, self.mapping, self.unpacked, self.sig_inv, delta,
+                              S + np.outer(delta, delta))
+        return g - self.g0
+
+
+def _fit_constants(params, mapping, shared):
+    return _shared(shared, "fit", lambda: _FitConstants.build(params, mapping))
+
+
+def _grid_products(points, params, cols, shared):
+    """The latent density D at ``points``, E[W_q^2] at every point and
+    E[W_q W_r] among the points ``cols`` ((k, k)): the factors that every
+    closed-form battery on these points shares."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
+
+    def build():
+        dens = np.exp(lv_logpdf(points, params))
+        sub, k = points[cols], len(cols)
+        block = _weight_products(np.repeat(sub, k, axis=0), np.tile(sub, (k, 1)), params)
+        return dens, _weight_products(points, points, params), block.reshape(k, k)
+
+    return _shared(shared, ("grid", points.shape, points.tobytes(), cols.tobytes()), build)
+
+
+def _lv_density_moments(points, params, mapping, cols, shared):
     """Exact moments of the latent-density battery W under the fitted model:
     Var(W_q) at every point, Cov(W_q, W_r) among the points ``cols``, and
     A = E[W s'] with s the score on ``mapping``'s free parameters.
@@ -174,27 +245,54 @@ def _lv_density_moments(points, params, mapping, cols):
     with D the latent density.  The score is affine in y - nu and its outer
     product, so E[s | x_q] is the score at the conditional mean
     nu + lambda x_q plus the term the error covariance theta adds:
-    g(nu, theta) - g(nu, 0), with g(ybar, S) the gradient of the mean
-    log-likelihood at sample mean ybar and sample covariance S.
+    g(nu, theta) - g(nu, 0) (``_FitConstants.score_shift``).
     """
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    dens = np.exp(lv_logpdf(points, params))
-    var = _weight_products(points, points, params) - dens**2
-    sub, k = points[cols], len(cols)
-    cov = _weight_products(np.repeat(sub, k, axis=0), np.tile(sub, (k, 1)), params)
-    cov = cov.reshape(k, k) - np.outer(dens[cols], dens[cols])
-
-    v = mapping.pack(params)
-    g_theta = _mean_loglik_and_grad(v, mapping, params.nu, np.diag(params.theta))[1]
-    g_zero = _mean_loglik_and_grad(v, mapping, params.nu, np.zeros((params.m, params.m)))[1]
+    dens, ww, block = _grid_products(points, params, cols, shared)
+    var = ww - dens**2
+    cov = block - np.outer(dens[cols], dens[cols])
     A = score_rows(params, mapping, conditional_mean_grid(points, params))
-    A += g_theta - g_zero
+    A += _fit_constants(params, mapping, shared).score_shift(params.nu, np.diag(params.theta))
     A *= dens[:, None]
     return var, cov, A
 
 
+def _ratio_moments(points, params, cols, shared, consts, item, products):
+    """Exact Var(G) at every point and Cov(G) among the points ``cols`` of a
+    ratio battery on ``item``, G_q = W_q h_q / D_q with h_q = f - r_q.
+
+    E[G_q] = E[h_q | x = x_q] is zero for both bundled batteries, and
+    E[G_q G_r] = E[W_q W_r] E~[h_q h_r] / (D_q D_r): weighting the model
+    density of y by W_q W_r tilts it to the law of y given
+    xt = (x_q + x_r) / 2 (``_FitConstants``).  ``products(alpha, beta,
+    tau2)`` is E~[h_q h_r], with tau2 the tilted variance of y_j and alpha,
+    beta the tilted mean less the conditional means mu_qj and mu_rj.
+    """
+    dens, ww, block = _grid_products(points, params, cols, shared)
+    tilt, tau2 = consts.tilt[item], consts.tau2[item]
+    mu = conditional_mean_grid(points, params)[:, item]
+    alpha = params.nu[item] + points @ tilt - mu
+    var = ww * products(alpha, alpha, tau2) / dens**2
+    sub = points[cols]
+    mean = params.nu[item] + 0.5 * ((sub @ tilt)[:, None] + (sub @ tilt)[None, :])
+    mu_c = mu[cols]
+    cov = block * products(mean - mu_c[:, None], mean - mu_c[None, :], tau2)
+    cov /= np.outer(dens[cols], dens[cols])
+    return var, cov
+
+
 def mv_linearity_problem(grid: LvGrid, item: int) -> ResidualProblem:
-    """Conditional-mean check for one variable via posterior-weight ratios."""
+    """Conditional-mean check for one variable via posterior-weight ratios.
+
+    Its residual covariance is exact: h_q = y_j - mu_qj gives
+    E~[h_q h_r] = tau2 + alpha beta (``_ratio_moments``), and by Stein's
+    lemma A_q = E[h_q s | x = x_q] is theta_j times the slope of the score
+    along y_j at the conditional mean nu + lambda x_q.  The score is
+    quadratic in y, so that slope is affine in x_q: with t = theta_j u_j
+    (u_j the j-th unit vector),
+    A_q = g(nu + t, -t t') - g(nu, 0)
+          + sum_k x_qk (g(nu, lambda_k t' + t lambda_k') - g(nu, 0)),
+    with g as in ``_FitConstants``.
+    """
     item = _check_item_index(item)
 
     def response(Y, params):
@@ -204,13 +302,33 @@ def mv_linearity_problem(grid: LvGrid, item: int) -> ResidualProblem:
     def eta_fn(params):
         return conditional_mean_grid(grid.points, params)[:, item]
 
+    def products(alpha, beta, tau2):
+        return tau2 + alpha * beta
+
+    def moments(params, mapping, cols, shared):
+        consts = _fit_constants(params, mapping, shared)
+        var, cov = _ratio_moments(grid.points, params, cols, shared, consts, item, products)
+        step = np.zeros(params.m)
+        step[item] = params.theta[item]
+        A = consts.score_shift(params.nu + step, -np.outer(step, step))
+        slopes = [consts.score_shift(params.nu, np.outer(lam_k, step) + np.outer(step, lam_k))
+                  for lam_k in params.lam.T]
+        return var, cov, A + grid.points @ np.array(slopes)
+
     battery = RatioBattery(k=grid.Q, name=f"linearity[{item}]", _evaluate=response,
-                           _eta=eta_fn, grid=grid)
+                           _eta=eta_fn, _moments=moments, grid=grid)
     return ResidualProblem(battery, grid)
 
 
 def mv_homoscedasticity_problem(grid: LvGrid, item: int) -> ResidualProblem:
-    """Conditional-variance check for one variable via posterior-weight ratios."""
+    """Conditional-variance check for one variable via posterior-weight ratios.
+
+    Its residual covariance is exact: h_q = (y_j - mu_qj)^2 - theta_j gives
+    E~[h_q h_r] from the normal moments of degree <= 4 (``_ratio_moments``),
+    and by Stein's lemma A_q = E[h_q s | x = x_q] is theta_j^2 times the
+    score's second derivative along y_j, the same at every point since the
+    score is quadratic in y: with t = theta_j u_j, g(nu, 2 t t') - g(nu, 0).
+    """
     item = _check_item_index(item)
 
     def squared_deviation(Y, params):
@@ -221,8 +339,22 @@ def mv_homoscedasticity_problem(grid: LvGrid, item: int) -> ResidualProblem:
     def eta_fn(params):
         return np.full(grid.Q, params.theta[item])
 
+    def moments(params, mapping, cols, shared):
+        theta = params.theta[item]
+
+        def products(alpha, beta, tau2):
+            return (3.0 * tau2**2 + tau2 * (alpha**2 + beta**2 + 4.0 * alpha * beta - 2.0 * theta)
+                    + (alpha**2 - theta) * (beta**2 - theta))
+
+        consts = _fit_constants(params, mapping, shared)
+        var, cov = _ratio_moments(grid.points, params, cols, shared, consts, item, products)
+        step = np.zeros(params.m)
+        step[item] = theta
+        A = consts.score_shift(params.nu, 2.0 * np.outer(step, step))
+        return var, cov, np.tile(A, (grid.Q, 1))
+
     battery = RatioBattery(k=grid.Q, name=f"variance[{item}]", _evaluate=squared_deviation,
-                           _eta=eta_fn, grid=grid)
+                           _eta=eta_fn, _moments=moments, grid=grid)
     return ResidualProblem(battery, grid)
 
 

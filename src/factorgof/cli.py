@@ -7,7 +7,8 @@ that touches the filesystem.
 
 Output files are written atomically and carry a provenance header (tool
 version, seed, Monte Carlo budget, for a test report whether its residual
-covariance is exact or from the draws, grid, input digests) but no timestamps,
+covariance is exact or from the draws (only ``linearity-direct`` draws),
+grid, input digests) but no timestamps,
 so a rerun with the same seed on the same machine is byte-identical; where
 OpenBLAS is the BLAS, the caller's BLAS thread count does not change a bit
 (``kernels.single_blas_thread``).  Item indices are 1-based on the command
@@ -540,7 +541,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--grid", help=_GRID_HELP)
     p_test.add_argument("--summary-grid", dest="summary_grid", help=_SUMMARY_GRID_HELP)
     p_test.add_argument("--item", type=int, help="1-based item index")
-    p_test.add_argument("--M", type=int, default=10_000)
+    p_test.add_argument("--M", type=int, default=10_000,
+                        help="Monte Carlo draws for the residual covariance; only "
+                             "linearity-direct uses them, the other batteries are exact")
     p_test.add_argument("--s", type=int, default=1)
     p_test.add_argument("--seed", type=int, default=0)
     p_test.add_argument("--out", default="report.tsv")
@@ -551,7 +554,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--reps", type=int, default=300)
     p_sim.add_argument("--n", type=int, default=500)
     p_sim.add_argument("--misspecified", action="store_true")
-    p_sim.add_argument("--M", type=int, default=4000)
+    p_sim.add_argument("--M", type=int, default=4000,
+                       help="Monte Carlo draws for the residual covariance; only "
+                            "linearity-direct and custom batteries use them, so the "
+                            "bundled studies record it as provenance")
     p_sim.add_argument("--s", type=int, default=1)
     p_sim.add_argument("--alpha", type=float, default=0.05)
     p_sim.add_argument("--seed", type=int, default=0)

@@ -351,6 +351,11 @@ def _mean_loglik_and_grad(v, mapping, ybar, S):
     m = params.m
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     f = -0.5 * (m * _LOG_2PI + logdet + float(np.einsum("ij,ji->", sig_inv, s_star)))
+    return f, _mean_loglik_grad(v, mapping, params, sig_inv, delta, s_star)
+
+
+def _mean_loglik_grad(v, mapping, params, sig_inv, delta, s_star):
+    """The gradient of ``_mean_loglik_and_grad`` from ``_moment_terms``."""
     gmat = sig_inv @ s_star @ sig_inv - sig_inv
     g = np.empty(mapping.q)
     if mapping.spec.mean_structure:
@@ -366,7 +371,7 @@ def _mean_loglik_and_grad(v, mapping, ybar, S):
             a = mapping.w_rows[t]
             g[base + t] = gphi[a] @ K[t, a, :]
     g[mapping.u_slice] = 0.5 * np.diag(gmat) * params.theta
-    return f, g
+    return g
 
 
 def _mean_loglik_hessian(v, mapping, ybar, S):

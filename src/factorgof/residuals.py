@@ -10,11 +10,12 @@ contribution G with a penalty for parameter estimation:
 
 with A the mean outer product of G and the score, and I the
 per-observation information, all at the fitted model.  A battery that knows
-these moments in closed form (the latent-density battery) gives them
-through its ``_moments`` hook, and the engine pairs them with the exact
-information ``expected_information``.  For every other battery Cov(G), A
-and I are estimated from one shared set of M Monte Carlo draws from the
-fitted model; a batch in which every battery has the hook draws nothing.
+these moments in closed form gives them through its ``_moments`` hook, and
+the engine pairs them with the exact information ``expected_information``;
+every bundled battery but the comparison variant ``linearity-direct`` has
+the hook.  For a battery without it Cov(G), A and I are estimated from one
+shared set of M Monte Carlo draws from the fitted model; a batch in which
+every battery has the hook draws nothing.
 Pointwise residuals are referred to N(0, 1) after standardization; a
 summary quadratic form over a designated subgrid is referred to a
 chi-square whose weight matrix inverts only the leading s eigenvalues of
@@ -41,9 +42,9 @@ dense reference.
 The bundled batteries are ``WeightedBattery``s on one (rows x Q) matrix W.
 ``run_residual_batch`` makes one pass per distinct set of grid points: it
 computes W on the data, takes W's column means (the ratios' denominators)
-and every problem's sample value from it, drops it, and, when a problem on
-the grid has no closed-form moments, computes W on the shared draws for
-their covariance entries.  Each W is read-only.
+and every problem's sample value from it and drops it.  Only when a problem
+on the grid has no closed-form moments does it compute W on the shared
+draws for that problem's covariance entries.  Each W is read-only.
 Batteries that give only ``_evaluate(Y, params)`` share one pass without W.
 """
 
@@ -80,11 +81,14 @@ class SummaryBattery:
     values, when a closed form exists, else None; the engine then takes the
     battery's mean over the shared Monte Carlo draws.
 
-    ``_moments(params, mapping, cols)``, when given, returns in closed form
-    the moments of the rows' contributions G (a mean battery's values) under
-    the model at ``params``: Var(G) (k,), Cov(G) among the columns ``cols``,
-    and A = E[G s'] (k, q) with s the score on ``mapping``'s free
-    parameters.  The engine then draws nothing for the battery.
+    ``_moments(params, mapping, cols, shared)``, when given, returns in
+    closed form the moments of the rows' contributions G (a mean battery's
+    values, or a ratio battery's delta-method terms) under the model at
+    ``params``: Var(G) (k,), Cov(G) among the columns ``cols``, and
+    A = E[G s'] (k, q) with s the score on ``mapping``'s free parameters.
+    ``shared`` is a dict that lives for one batch and is passed to every
+    hook in it, where hooks keep constants that several problems need.  The
+    engine then draws nothing for the battery.
     """
 
     k: int
@@ -167,6 +171,9 @@ class RatioBattery(WeightedBattery):
     with k the number of grid points, and ``_eta(params)`` the model value
     r_q of each ratio, which must be given in closed form.  ``evaluate``
     returns f broadcast to (n, k), as a read-only view; it needs no W.
+    The bundled linearity and variance batteries also give ``_moments``,
+    the exact moments of G_q = W_q (f - r_q) / D_q; a ratio battery without
+    them has its covariance estimated on the draws.
     """
 
     def __post_init__(self):
@@ -244,8 +251,9 @@ class McConfig:
     """Settings for one test run: the number of model draws M, from which
     Cov(G), A and the information are estimated for every battery without
     closed-form moments, their seed, and the number s of eigenvalues the
-    summary statistic keeps.  A battery with closed-form moments uses
-    neither M nor the seed."""
+    summary statistic keeps.  Every bundled battery but ``linearity-direct``
+    has closed-form moments and uses neither M nor the seed; for those, the
+    two are provenance only."""
 
     M: int = 10_000
     seed: int = 0
@@ -405,17 +413,18 @@ def run_residual_test(problem: ResidualProblem, fit: FitResult, data: DataMatrix
 @kernels.single_blas_thread
 def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
                        mc: McConfig = None) -> list:
-    """Run several residual tests sharing one draw set.
+    """Run several residual tests on one fit.
 
     A problem whose battery has closed-form moments takes them with the
-    exact information.  The others share the M model draws, their scores
-    and the information estimated from them, which are made only when the
-    batch holds such a problem.  The problems are then run one grid at a
-    time: the posterior-weight matrix W of the grid's points is computed on
-    the data, every problem on the grid takes its sample value from it, and
-    it is dropped before W on the draws is computed for the covariance
-    entries of the grid's problems without closed-form moments.  Reports
-    come back in the order of ``problems``.
+    exact information; its hook shares per-fit and per-grid constants with
+    the batch's other hooks.  The others share the M model draws, their
+    scores and the information estimated from them, which are made only
+    when the batch holds such a problem.  The problems are then run one
+    grid at a time: the posterior-weight matrix W of the grid's points is
+    computed on the data, every problem on the grid takes its sample value
+    from it, and it is dropped before W on the draws is computed for the
+    covariance entries of the grid's problems without closed-form moments.
+    Reports come back in the order of ``problems``.
     """
     if mc is None:
         mc = McConfig()
@@ -435,6 +444,7 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
         draw_inv_info = invert_information(score_information(scores))
     if any(exact):
         exact_inv_info = invert_information(expected_information(params, fit.mapping))
+    shared = {}
 
     groups = {}
     for i, problem in enumerate(problems):
@@ -461,7 +471,7 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
                       else np.asarray(subset, dtype=np.intp))
             if exact[i]:
                 moments = (battery.eta_closed(params),
-                           *battery._moments(params, fit.mapping, subset))
+                           *battery._moments(params, fit.mapping, subset, shared))
                 inv_info, M = exact_inv_info, 0
             else:
                 moments = _draw_moments(battery, params, draws, W, dens, scores, subset)

@@ -52,6 +52,10 @@ def _halfwidth_99(rate: float, reps: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+# The covariance of every bundled battery (linearity, variance and the
+# 361-point latent-density battery) is exact, so none of these batches
+# draws: their M is provenance only, and the rates carry no Monte Carlo
+# noise from the covariance.
 @pytest.fixture(scope="session")
 def s2_correct():
     return fg.run_rejection_study(
@@ -68,9 +72,6 @@ def s2_missp():
     )
 
 
-# The 361-point latent-density battery's covariance is exact, so the
-# two-factor batches draw nothing and their M=10000 is provenance only; the
-# criterion-5 rates carry no Monte Carlo noise.
 @pytest.fixture(scope="session")
 def s1_correct():
     return fg.run_rejection_study(
@@ -208,10 +209,11 @@ def _predicted_study2_rate(problem, table, *, N, M, data_seed, mc_seed):
     """Large-sample prediction of a study2 summary rejection rate.
 
     Fits the design of ``table`` on N rows, where the residual e is close to
-    its population drift, and estimates the residual covariance from M
-    draws.  At that fit T = N e'We, so the noncentrality at the table's
-    sample size is T n / N, and the predicted rate is the chi-square(1) tail
-    at that noncentrality.  Returns ``(noncentrality, rate)``.
+    its population drift, and takes the exact residual covariance at that
+    fit (``M`` and ``mc_seed`` are provenance only).  At that fit
+    T = N e'We, so the noncentrality at the table's sample size is T n / N,
+    and the predicted rate is the chi-square(1) tail at that noncentrality.
+    Returns ``(noncentrality, rate)``.
     """
     cfg = fg.Study2Config(n=N, misspecified=table.misspecified)
     data = fg.generate_study2(cfg, np.random.default_rng(data_seed))
@@ -237,7 +239,7 @@ def _predicted_study2_rate(problem, table, *, N, M, data_seed, mc_seed):
 # * variance[7] (quadratic mean): the battery is (y - mu_hat(x))^2 about the
 #   fitted straight line, so the squared bias of the quadratic mean enters
 #   its target although Var(y | x) is constant.  Over 1000 replications the
-#   rate is 0.074, above alpha.
+#   rate is 0.070, above alpha.
 def test_criterion_3_power_differentiation(s2_missp):
     table = s2_missp
     rate = {name: acc.summary_rate() for name, acc in table.batteries.items()}

@@ -348,7 +348,11 @@ class TestTestCommand:
         for key in ("seed=13", "M=1000", "s=1", "grid=", "data_sha256="):
             assert key in joined
         assert "# covariance=exact" in head
-        assert main(["test", "linearity", "--item", "2", "--data", csv_path,
+        for kind in ("linearity", "variance"):
+            assert main(["test", kind, "--item", "2", "--data", csv_path,
+                         "--model", model_path, "--M", "1000", "--out", out]) == 0
+            assert "# covariance=exact" in open(out).read().splitlines()
+        assert main(["test", "linearity-direct", "--item", "2", "--data", csv_path,
                      "--model", model_path, "--M", "1000", "--out", out]) == 0
         assert "# covariance=monte-carlo" in open(out).read().splitlines()
 

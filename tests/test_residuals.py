@@ -2,7 +2,6 @@
 and the end-to-end orchestration contract."""
 
 import dataclasses
-import itertools
 import warnings
 
 import numpy as np
@@ -231,7 +230,7 @@ class TestBatteryBasics:
     def test_closed_form_moments_need_closed_form_eta(self):
         with pytest.raises(ConfigurationError, match="closed-form moments but no"):
             SummaryBattery(k=1, name="moments", _evaluate=lambda Y, p: Y[:, :1],
-                           _moments=lambda p, mapping, cols: None)
+                           _moments=lambda p, mapping, cols, shared: None)
 
     def test_plain_battery_takes_no_weights(self, one_factor_params, rng):
         battery = SummaryBattery(k=1, name="first", _evaluate=lambda Y, p: Y[:, :1])
@@ -357,13 +356,20 @@ class TestAssembleAcm:
         assert acm.sym_delta < 1e-12
 
 
+def _drawn(problem):
+    """The problem with its battery's closed-form moments removed, so the
+    engine estimates its covariance on the draws."""
+    return ResidualProblem(dataclasses.replace(problem.battery, _moments=None), problem.grid)
+
+
 def _engine_cases():
     """One problem per battery path on the draws: mean batteries
     (linearity-direct and a custom battery) and ratio batteries (linearity,
-    and variance, whose f differs per grid point).  The custom battery has no
-    closed-form expectation, and its last column is constant, so it is
-    unstable and drops out of the summary subgrid.  The lv-density battery's
-    exact path is checked in ``TestExactLvDensity``."""
+    and variance, whose f differs per grid point, without their closed-form
+    moments).  The custom battery has no closed-form expectation, and its
+    last column is constant, so it is unstable and drops out of the summary
+    subgrid.  The exact paths are checked in ``TestExactLvDensity`` and
+    ``TestExactItemMoments``."""
     grid = make_grid([(-3, 3, 7)], [(-2, 2, 5)])
     mix = np.array([[1.0, 0.5, -0.3, 0.2],
                     [0.2, 1.0, 0.4, -0.1],
@@ -378,8 +384,8 @@ def _engine_cases():
     custom_grid = make_grid([(-1.5, 1.5, 4)], [(-1.5, 1.5, 4)])
     return {
         "linearity-direct": mv_linearity_direct_problem(grid, 3),
-        "linearity": mv_linearity_problem(grid, 2),
-        "variance": mv_homoscedasticity_problem(grid, 5),
+        "linearity": _drawn(mv_linearity_problem(grid, 2)),
+        "variance": _drawn(mv_homoscedasticity_problem(grid, 5)),
         "dense-custom": ResidualProblem(battery, custom_grid),
     }
 
@@ -576,8 +582,8 @@ class TestRunResidualTest:
         monkeypatch.setattr(residuals, "posterior_log_weights", counted)
         grid = make_grid([(-3, 3, 31)], [(-2, 2, 11)])
         items = (1, 7, 8, 9)
-        problems = ([mv_linearity_problem(grid, j) for j in items]
-                    + [mv_homoscedasticity_problem(grid, j) for j in items])
+        problems = ([_drawn(mv_linearity_problem(grid, j)) for j in items]
+                    + [_drawn(mv_homoscedasticity_problem(grid, j)) for j in items])
         mc = McConfig(M=1000, seed=3)
         n, M = data.n, mc.M
         run_residual_batch(problems, fit, data, mc)
@@ -586,7 +592,7 @@ class TestRunResidualTest:
         calls.clear()
         other = make_grid([(-2, 2, 9)])
         run_residual_batch(problems + [lv_density_problem(other),
-                                       mv_linearity_problem(other, 2)], fit, data, mc)
+                                       mv_linearity_direct_problem(other, 2)], fit, data, mc)
         assert calls == [(n, 31), (M, 31), (n, 9), (M, 9)]
 
     def test_shared_weights_are_read_only(self, fitted_setup):
@@ -609,10 +615,10 @@ def _gauss_hermite(m, n):
     """Product Gauss-Hermite rule for the standard normal in m dimensions:
     nodes (n**m, m) and weights summing to one."""
     x, w = hermegauss(n)
-    nodes = np.array(list(itertools.product(x, repeat=m)))
-    weights = np.prod(np.array(list(itertools.product(w / np.sqrt(2 * np.pi), repeat=m))),
-                      axis=1)
-    return nodes, weights
+    nodes = np.stack(np.meshgrid(*[x] * m, indexing="ij"), axis=-1).reshape(-1, m)
+    weights = np.stack(np.meshgrid(*[w / np.sqrt(2 * np.pi)] * m, indexing="ij"),
+                       axis=-1).reshape(-1, m)
+    return nodes, np.prod(weights, axis=1)
 
 
 def _small_model(d):
@@ -647,6 +653,119 @@ def _mirror_fit(fit, factor):
     return dataclasses.replace(fit, free_vector=v, params=mapping.unpack(v))
 
 
+def _contributions(battery, Y, params):
+    """Each row's contribution G to a battery's residual covariance, from
+    the posterior weights W: W itself, or W (f - r) / D for a ratio
+    battery."""
+    points = battery.grid.points
+    W = np.exp(posterior_log_weights(Y, points, params))
+    if not isinstance(battery, RatioBattery):
+        return W
+    dens = np.exp(lv_logpdf(points, params))
+    return W * (battery.evaluate(Y, params) - battery.eta_closed(params)) / dens
+
+
+def _exact_against_dense_mc(problem, fit, data):
+    """The engine's exact entries against the dense assembly on 2e4 and
+    3.2e5 draws: each error within 4 Monte Carlo standard errors at both
+    budgets.  Returns the report's summary index and, per budget, the
+    absolute errors of the diagonal and of the summary block."""
+    report = run_residual_test(problem, fit, data, McConfig(M=1000, seed=1))
+    assert report.acm.M == 0
+    keep = report.acm.summary_index
+    assert keep.tolist() == [1, 2, 3, 4, 5]
+    p = fit.params
+    errors = []
+    for M, seed in ((20_000, 3), (320_000, 4)):
+        draws = simulate_data(p, M, np.random.default_rng(seed)).values
+        H = _contributions(problem.battery, draws, p)
+        scores = score_rows(p, fit.mapping, draws)
+        A = H.T @ scores / M
+        inv_info = invert_information(monte_carlo_information(p, fit.mapping, draws))
+        dense = assemble_acm(np.eye(problem.battery.k), A, inv_info, np.cov(H.T, ddof=1))
+        # each entry's estimator is the mean of products of the rows'
+        # residualized contributions, so their spread gives its MC se
+        R = H - H.mean(axis=0) - scores @ (inv_info @ A.T)
+        se_diag = (R**2).std(axis=0, ddof=1) / np.sqrt(M)
+        Rk = R[:, keep]
+        se_block = (Rk[:, :, None] * Rk[:, None, :]).std(axis=0, ddof=1) / np.sqrt(M)
+        err_diag = np.abs(np.diag(dense.sigma_phi_hat) - report.acm.diag)
+        err_block = np.abs(dense.sigma_phi_hat[np.ix_(keep, keep)]
+                           - report.acm.summary_block)
+        assert (err_diag <= 4 * se_diag).all(), M
+        assert (err_block <= 4 * se_block).all(), M
+        errors.append((err_diag, err_block))
+    return keep, errors
+
+
+def _forbid_draws(monkeypatch):
+    """Make simulating or scoring model draws in the engine raise; returns
+    the list of (rows, points) of every posterior-weight pass it makes."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the batch drew or scored model draws")
+
+    calls = []
+    original = residuals.posterior_log_weights
+
+    def counted(Y, points, p):
+        calls.append((len(Y), len(points)))
+        return original(Y, points, p)
+
+    monkeypatch.setattr(residuals, "simulate_data", forbidden)
+    monkeypatch.setattr(residuals, "score_rows", forbidden)
+    monkeypatch.setattr(residuals, "posterior_log_weights", counted)
+    return calls
+
+
+def _fit_for_flip(d, fitted_setup, two_factor_params, two_factor_spec):
+    """Data and fit of the one-factor setup, or of a two-factor sample."""
+    if d == 1:
+        _, _, data, fit = fitted_setup
+        return data, fit
+    data = simulate_data(two_factor_params, 1500, np.random.default_rng(3))
+    fit = fit_ml(data, two_factor_spec)
+    assert fit.converged
+    return data, fit
+
+
+def _check_sign_flip_mirrors_report(make, fit, data, factor):
+    """Flipping ``factor``'s sign mirrors the report of the problem
+    ``make(grid)`` on the default grid: every point's eta_hat, eta, se and
+    z reappear at its mirror image, and T is unchanged."""
+    grid = default_grid(fit.params.d)
+    mc = McConfig(M=1000, seed=0)
+    report = run_residual_test(make(grid), fit, data, mc)
+    flipped = run_residual_test(make(grid), _mirror_fit(fit, factor), data, mc)
+
+    mirror = grid.points.copy()
+    mirror[:, factor] *= -1
+    dist = np.abs(grid.points[None, :, :] - mirror[:, None, :]).max(axis=2)
+    partner = dist.argmin(axis=1)
+    assert (dist[np.arange(grid.Q), partner] < 1e-9).all()
+    for attr in ("eta_hat", "eta", "se", "z"):
+        a = np.array([getattr(pt, attr) for pt in report.points])
+        b = np.array([getattr(flipped.points[r], attr) for r in partner])
+        np.testing.assert_allclose(b, a, rtol=1e-10, atol=1e-10, err_msg=attr)
+    assert ([flipped.points[r].unstable for r in partner]
+            == [pt.unstable for pt in report.points])
+    assert flipped.summary.T == pytest.approx(report.summary.T, rel=1e-10)
+
+
+def _check_row_permutation_leaves_report(problem, fit, data):
+    """Permuting the data rows leaves the report on the same fit unchanged
+    to 1e-12; the fit's own row-order invariance is tested with the
+    estimator."""
+    mc = McConfig(M=1000, seed=0)
+    report = run_residual_test(problem, fit, data, mc)
+    perm = np.random.default_rng(5).permutation(data.n)
+    permuted = run_residual_test(problem, fit, DataMatrix(data.values[perm]), mc)
+    for attr in ("eta_hat", "eta", "residual", "se", "z", "p"):
+        a = np.array([getattr(pt, attr) for pt in report.points])
+        b = np.array([getattr(pt, attr) for pt in permuted.points])
+        np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12, err_msg=attr)
+    assert permuted.summary.T == pytest.approx(report.summary.T, rel=1e-12, abs=1e-12)
+
+
 class TestExactLvDensity:
     """The latent-density battery's closed-form moments, and the engine's
     draw-free path through them."""
@@ -662,7 +781,7 @@ class TestExactLvDensity:
         Ww = W * wt[:, None]
         dens = np.exp(lv_logpdf(points, params))
         Q = len(points)
-        var, cov, A = batteries._lv_density_moments(points, params, mapping, np.arange(Q))
+        var, cov, A = batteries._lv_density_moments(points, params, mapping, np.arange(Q), {})
 
         EWW = Ww.T @ W
         pairs = batteries._weight_products(np.repeat(points, Q, axis=0),
@@ -683,38 +802,12 @@ class TestExactLvDensity:
         np.testing.assert_allclose(A, EWs, rtol=0, atol=1e-10 * np.abs(EWs).max())
 
     def test_engine_matches_dense_monte_carlo(self, fitted_setup):
-        # the dense assembly on M draws converges to the exact entries: each
-        # error within 4 Monte Carlo standard errors at both budgets, and
         # 16 times the draws cut the largest error by about 4
-        spec, params, data, fit = fitted_setup
+        _, _, data, fit = fitted_setup
         grid = make_grid([(-3, 3, 7)], [(-2, 2, 5)])
-        report = run_residual_test(lv_density_problem(grid), fit, data,
-                                   McConfig(M=1000, seed=1))
-        keep = report.acm.summary_index
-        assert keep.tolist() == [1, 2, 3, 4, 5]
-        p = fit.params
-        errors = []
-        for M, seed in ((20_000, 3), (320_000, 4)):
-            draws = simulate_data(p, M, np.random.default_rng(seed)).values
-            H = np.exp(posterior_log_weights(draws, grid.points, p))
-            scores = score_rows(p, fit.mapping, draws)
-            A = H.T @ scores / M
-            inv_info = invert_information(monte_carlo_information(p, fit.mapping, draws))
-            dense = assemble_acm(np.eye(grid.Q), A, inv_info, np.cov(H.T, ddof=1))
-            # each entry's estimator is the mean of products of the rows'
-            # residualized contributions, so their spread gives its MC se
-            R = H - H.mean(axis=0) - scores @ (inv_info @ A.T)
-            se_diag = (R**2).std(axis=0, ddof=1) / np.sqrt(M)
-            Rk = R[:, keep]
-            se_block = (Rk[:, :, None] * Rk[:, None, :]).std(axis=0, ddof=1) / np.sqrt(M)
-            err_diag = np.abs(np.diag(dense.sigma_phi_hat) - report.acm.diag)
-            err_block = np.abs(dense.sigma_phi_hat[np.ix_(keep, keep)]
-                               - report.acm.summary_block)
-            assert (err_diag <= 4 * se_diag).all(), M
-            assert (err_block <= 4 * se_block).all(), M
-            errors.append((err_diag.max(), err_block.max()))
+        _, errors = _exact_against_dense_mc(lv_density_problem(grid), fit, data)
         for small, big in zip(*errors):
-            assert 2 < small / big < 8
+            assert 2 < small.max() / big.max() < 8
 
     def test_report_is_exact_and_says_so(self, fitted_setup):
         spec, params, data, fit = fitted_setup
@@ -728,25 +821,15 @@ class TestExactLvDensity:
         other = run_residual_test(lv_density_problem(grid), fit, data,
                                   McConfig(M=4000, seed=2))
         _assert_same_report(other, report)
-        ratio = run_residual_test(mv_linearity_problem(grid, 1), fit, data, mc)
-        assert ratio.acm.M == 1500 and ratio.config["covariance"] == "monte-carlo"
+        for make in (mv_linearity_problem, mv_homoscedasticity_problem):
+            ratio = run_residual_test(make(grid, 1), fit, data, mc)
+            assert ratio.acm.M == 0 and ratio.config["covariance"] == "exact"
+        direct = run_residual_test(mv_linearity_direct_problem(grid, 1), fit, data, mc)
+        assert direct.acm.M == 1500 and direct.config["covariance"] == "monte-carlo"
 
     def test_lv_density_batch_draws_nothing(self, fitted_setup, monkeypatch):
         spec, params, data, fit = fitted_setup
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the batch drew or scored model draws")
-
-        calls = []
-        original = residuals.posterior_log_weights
-
-        def counted(Y, points, p):
-            calls.append((len(Y), len(points)))
-            return original(Y, points, p)
-
-        monkeypatch.setattr(residuals, "simulate_data", forbidden)
-        monkeypatch.setattr(residuals, "score_rows", forbidden)
-        monkeypatch.setattr(residuals, "posterior_log_weights", counted)
+        calls = _forbid_draws(monkeypatch)
         grids = [make_grid([(-3, 3, 7)], [(-2, 2, 5)]), make_grid([(-2, 2, 9)])]
         reports = run_residual_batch([lv_density_problem(g) for g in grids], fit, data,
                                      McConfig(M=1000, seed=3))
@@ -756,52 +839,100 @@ class TestExactLvDensity:
     def test_exact_problem_leaves_draw_problems_unchanged(self, fitted_setup):
         spec, params, data, fit = fitted_setup
         grid = make_grid([(-3, 3, 31)], [(-2, 2, 11)])
-        ratio = [mv_linearity_problem(grid, 1), mv_homoscedasticity_problem(grid, 7)]
+        drawn = [_drawn(mv_linearity_problem(grid, 1)), mv_linearity_direct_problem(grid, 7)]
         mc = McConfig(M=2000, seed=8)
-        mixed = run_residual_batch([lv_density_problem(grid)] + ratio, fit, data, mc)
-        alone = run_residual_batch(ratio, fit, data, mc)
+        mixed = run_residual_batch([lv_density_problem(grid)] + drawn, fit, data, mc)
+        alone = run_residual_batch(drawn, fit, data, mc)
         for got, want in zip(mixed[1:], alone):
             _assert_same_report(got, want)
 
     @pytest.mark.parametrize("d,factor", [(1, 0), (2, 0), (2, 1)])
     def test_factor_sign_flip_mirrors_report(self, d, factor, fitted_setup,
                                              two_factor_params, two_factor_spec):
-        if d == 1:
-            _, _, data, fit = fitted_setup
-        else:
-            data = simulate_data(two_factor_params, 1500, np.random.default_rng(3))
-            fit = fit_ml(data, two_factor_spec)
-            assert fit.converged
-        grid = default_grid(d)
-        mc = McConfig(M=1000, seed=0)
-        report = run_residual_test(lv_density_problem(grid), fit, data, mc)
-        flipped = run_residual_test(lv_density_problem(grid), _mirror_fit(fit, factor), data, mc)
-
-        mirror = grid.points.copy()
-        mirror[:, factor] *= -1
-        dist = np.abs(grid.points[None, :, :] - mirror[:, None, :]).max(axis=2)
-        partner = dist.argmin(axis=1)
-        assert (dist[np.arange(grid.Q), partner] < 1e-9).all()
-        for attr in ("eta_hat", "eta", "se", "z"):
-            a = np.array([getattr(pt, attr) for pt in report.points])
-            b = np.array([getattr(flipped.points[r], attr) for r in partner])
-            np.testing.assert_allclose(b, a, rtol=1e-10, atol=1e-10, err_msg=attr)
-        assert ([flipped.points[r].unstable for r in partner]
-                == [pt.unstable for pt in report.points])
-        assert flipped.summary.T == pytest.approx(report.summary.T, rel=1e-10)
+        data, fit = _fit_for_flip(d, fitted_setup, two_factor_params, two_factor_spec)
+        _check_sign_flip_mirrors_report(lv_density_problem, fit, data, factor)
 
     def test_row_permutation_leaves_report_unchanged(self, fitted_setup):
-        # on the same fit; the fit's own row-order invariance is tested with
-        # the estimator
         spec, params, data, fit = fitted_setup
-        grid = default_grid(1)
-        mc = McConfig(M=1000, seed=0)
-        report = run_residual_test(lv_density_problem(grid), fit, data, mc)
-        perm = np.random.default_rng(5).permutation(data.n)
-        permuted = run_residual_test(lv_density_problem(grid), fit,
-                                     DataMatrix(data.values[perm]), mc)
-        for attr in ("eta_hat", "eta", "residual", "se", "z", "p"):
-            a = np.array([getattr(pt, attr) for pt in report.points])
-            b = np.array([getattr(pt, attr) for pt in permuted.points])
-            np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12, err_msg=attr)
-        assert permuted.summary.T == pytest.approx(report.summary.T, rel=1e-12, abs=1e-12)
+        _check_row_permutation_leaves_report(lv_density_problem(default_grid(1)), fit, data)
+
+
+def _item_problem(kind, points, item):
+    """A bundled item battery on arbitrary latent points."""
+    grid = batteries.LvGrid(axes=(), points=points, summary_subset=None, label="",
+                            summary_label="")
+    return batteries.make_problem(kind, grid, item)
+
+
+class TestExactItemMoments:
+    """The linearity and variance batteries' closed-form moments, and the
+    engine's draw-free path through them."""
+
+    @pytest.mark.parametrize("d,nodes", [(1, 40), (2, 30)])
+    @pytest.mark.parametrize("kind", ["linearity", "variance"])
+    def test_ratio_moments_match_quadrature(self, kind, d, nodes):
+        # E[G], E[G G'] and A = E[G s'] of G_q = W_q (f - r_q) / D_q, with s
+        # the score, by product Gauss-Hermite quadrature over y
+        params, mapping, points = _small_model(d)
+        U, wt = _gauss_hermite(params.m, nodes)
+        Q, L = len(points), params.sigma_cholesky()
+        for item in range(params.m):
+            battery = _item_problem(kind, points, item).battery
+            EG, EGG, EGs = 0.0, 0.0, 0.0
+            for lo in range(0, len(wt), 200_000):
+                Y = params.nu + U[lo:lo + 200_000] @ L.T
+                G = _contributions(battery, Y, params)
+                Gw = G * wt[lo:lo + 200_000, None]
+                EG = EG + Gw.sum(axis=0)
+                EGG = EGG + Gw.T @ G
+                EGs = EGs + Gw.T @ score_rows(params, mapping, Y)
+            var, cov, A = battery._moments(params, mapping, np.arange(Q), {})
+
+            scale = np.abs(EGG).max()
+            np.testing.assert_allclose(EG, 0.0, rtol=0, atol=1e-10 * np.sqrt(scale))
+            np.testing.assert_allclose(cov, EGG, rtol=0, atol=1e-10 * scale)
+            np.testing.assert_allclose(var, np.diag(EGG), rtol=0, atol=1e-10 * scale)
+            np.testing.assert_allclose(A, EGs, rtol=0, atol=1e-10 * np.abs(EGs).max())
+            if kind == "variance":
+                assert (A == A[0]).all()
+
+    @pytest.mark.parametrize("kind", ["linearity", "variance"])
+    def test_engine_matches_dense_monte_carlo(self, kind, fitted_setup):
+        _, _, data, fit = fitted_setup
+        grid = make_grid([(-3, 3, 7)], [(-2, 2, 5)])
+        keep, errors = _exact_against_dense_mc(batteries.make_problem(kind, grid, 8), fit, data)
+        # 16 times the draws cut the largest error on the summary points by
+        # about 4; at the edge points +-3, W / D has so heavy a tail that
+        # 3.2e5 draws do not yet show the 1 / sqrt(M) rate
+        (diag_small, block_small), (diag_big, block_big) = errors
+        assert 2 < diag_small[keep].max() / diag_big[keep].max() < 8
+        assert 2 < block_small.max() / block_big.max() < 8
+
+    def test_item_batch_draws_nothing(self, fitted_setup, monkeypatch):
+        spec, params, data, fit = fitted_setup
+        calls = _forbid_draws(monkeypatch)
+        grid, other = default_grid(1), make_grid([(-2, 2, 9)], [(-1, 1, 3)])
+        problems = ([mv_linearity_problem(grid, j) for j in (1, 7, 8, 9)]
+                    + [mv_homoscedasticity_problem(grid, j) for j in (1, 7, 8, 9)]
+                    + [lv_density_problem(other), mv_homoscedasticity_problem(other, 2)])
+        reports = run_residual_batch(problems, fit, data, McConfig(M=1000, seed=3))
+        assert calls == [(data.n, 31), (data.n, 9)]
+        assert all(r.acm.M == 0 and r.config["covariance"] == "exact" for r in reports)
+        # no draws: another seed or budget gives the same bits
+        again = run_residual_batch(problems, fit, data, McConfig(M=4000, seed=11))
+        for got, want in zip(again, reports):
+            _assert_same_report(got, want)
+
+    @pytest.mark.parametrize("kind", ["linearity", "variance"])
+    @pytest.mark.parametrize("d,factor,item", [(1, 0, 1), (2, 0, 1), (2, 1, 5), (2, 1, 2)])
+    def test_factor_sign_flip_mirrors_report(self, kind, d, factor, item, fitted_setup,
+                                             two_factor_params, two_factor_spec):
+        data, fit = _fit_for_flip(d, fitted_setup, two_factor_params, two_factor_spec)
+        _check_sign_flip_mirrors_report(
+            lambda grid: batteries.make_problem(kind, grid, item), fit, data, factor)
+
+    @pytest.mark.parametrize("kind", ["linearity", "variance"])
+    def test_row_permutation_leaves_report_unchanged(self, kind, fitted_setup):
+        spec, params, data, fit = fitted_setup
+        _check_row_permutation_leaves_report(
+            batteries.make_problem(kind, default_grid(1), 8), fit, data)
