@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .estimate import _mean_loglik_grad, _moment_terms, score_rows
 from .kernels import mvn_loglik_rows
-from .model import ParamSet, _check_item, _posterior_precision, conditional_mean_grid, lv_logpdf
+from .model import _check_item, _posterior_precision, conditional_mean_grid, lv_logpdf
 from .residuals import RatioBattery, ResidualProblem, TestReport, WeightedBattery
 
 
@@ -95,14 +95,18 @@ def make_grid(axes, summary_axes=None) -> LvGrid:
         sub_values = [_axis_values(*ax) for ax in summary_axes]
         sub_mesh = np.meshgrid(*sub_values, indexing="ij")
         sub_points = np.stack([g.ravel(order="C") for g in sub_mesh], axis=1)
-        subset = np.empty(sub_points.shape[0], dtype=np.intp)
-        for i, pt in enumerate(sub_points):
-            hits = np.nonzero(np.all(np.abs(points - pt) < 1e-9, axis=1))[0]
-            if hits.size != 1:
-                raise ConfigurationError(
-                    f"summary point {pt.tolist()} is not on the main grid"
-                )
-            subset[i] = hits[0]
+        # Both grids are products of their axes, so a summary point is on the
+        # main grid exactly when each coordinate matches one value of its axis.
+        hits = [np.abs(main[None, :] - sub[:, None]) < 1e-9
+                for main, sub in zip(values, sub_values)]
+        single = np.meshgrid(*[h.sum(axis=1) == 1 for h in hits], indexing="ij")
+        on_grid = np.logical_and.reduce(single).ravel(order="C")
+        if not on_grid.all():
+            pt = sub_points[np.argmin(on_grid)]
+            raise ConfigurationError(f"summary point {pt.tolist()} is not on the main grid")
+        axis_index = np.meshgrid(*[h.argmax(axis=1) for h in hits], indexing="ij")
+        subset = np.ravel_multi_index([a.ravel(order="C") for a in axis_index],
+                                      [len(main) for main in values])
         summary_label = _axis_label(summary_axes)
 
     return LvGrid(
@@ -190,8 +194,7 @@ class _FitConstants:
 
     v: np.ndarray
     mapping: object
-    unpacked: ParamSet
-    sig_inv: np.ndarray
+    terms: tuple
     g0: np.ndarray
     tilt: np.ndarray
     tau2: np.ndarray
@@ -199,20 +202,18 @@ class _FitConstants:
     @classmethod
     def build(cls, params, mapping):
         v = mapping.pack(params)
-        unpacked, _, sig_inv, delta, s_star = _moment_terms(
-            v, mapping, params.nu, np.zeros((params.m, params.m)))
-        g0 = _mean_loglik_grad(v, mapping, unpacked, sig_inv, delta, s_star)
+        terms = _moment_terms(v, mapping, params.nu, np.zeros((params.m, params.m)))
+        g0 = _mean_loglik_grad(v, mapping, terms)
         V = np.linalg.inv(_posterior_precision(params)[1])
         cross = params.lam @ params.phi
         tilt = np.linalg.solve(params.phi - 0.5 * V, cross.T).T
         tau2 = np.diag(params.implied_covariance()) - np.einsum("jk,jk->j", tilt, cross)
-        return cls(v=v, mapping=mapping, unpacked=unpacked, sig_inv=sig_inv, g0=g0,
-                   tilt=tilt, tau2=tau2)
+        return cls(v=v, mapping=mapping, terms=terms, g0=g0, tilt=tilt, tau2=tau2)
 
     def score_shift(self, ybar, S):
-        delta = ybar - self.unpacked.nu
-        g = _mean_loglik_grad(self.v, self.mapping, self.unpacked, self.sig_inv, delta,
-                              S + np.outer(delta, delta))
+        delta = ybar - self.terms.nu
+        shifted = self.terms._replace(delta=delta, s_star=S + np.outer(delta, delta))
+        g = _mean_loglik_grad(self.v, self.mapping, shifted)
         return g - self.g0
 
 

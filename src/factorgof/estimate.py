@@ -10,23 +10,28 @@ Free parameters are optimized on an unconstrained scale:
   solution is detectable as a Heywood case.
 
 The per-observation score is analytic and chain-ruled through this
-reparametrization; the optimizer works from sufficient statistics (sample
-mean and covariance), so each iteration costs O(m^3) regardless of n.  The
-identification check uses the exact Hessian of the mean log-likelihood,
-formed in closed form from the same sufficient statistics.
+reparametrization.  The fit works from sufficient statistics (sample mean
+and covariance), so no iteration's cost depends on n.  It is a
+projected Newton iteration on the exact Hessian of the mean log-likelihood,
+formed in closed form from the same statistics, with Fisher scoring where
+the Hessian is not negative definite (the classical ML factor-analysis
+algorithms: Jennrich & Robinson, 1969, Psychometrika 34:111; Lee &
+Jennrich, 1979, Psychometrika 44:99).  The identification check reuses the
+Hessian of the final iterate.
 """
 
 import warnings
 from dataclasses import InitVar, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.optimize import minimize
 
 from . import kernels
 from .errors import (
     ConfigurationError,
     DataError,
+    DegenerateCovarianceError,
     IdentificationError,
     SpecificationError,
 )
@@ -232,8 +237,12 @@ def _as_mapping(spec) -> ParamMapping:
 class OptimOptions:
     """Fit controls: iteration cap, gradient tolerance and variance floor.
 
-    The fit draws no random numbers.  ``info_draws`` is accepted for older
-    callers and only as 0; it is not stored.
+    ``max_iter`` caps the fit's Newton iterations (each one Hessian, one
+    step and its line search).  ``gtol`` bounds the max-abs gradient of a
+    converged fit; the iteration itself runs to min(1e-6, 0.1 gtol).  Error
+    variances are bounded below by ``theta_floor``; a fit that ends there is
+    a Heywood case.  The fit draws no random numbers.  ``info_draws`` is
+    accepted for older callers and only as 0; it is not stored.
     """
 
     max_iter: int = 500
@@ -334,48 +343,86 @@ def score(params: ParamSet, y: np.ndarray, spec) -> np.ndarray:
     return score_rows(params, spec, y[None, :])[0]
 
 
-def _moment_terms(v, mapping, ybar, S):
-    """Parameters at v, Cholesky factor and inverse of the implied
-    covariance, the mean residual delta and S* = S + delta delta'."""
-    params = mapping.unpack(v)
-    L = params.sigma_cholesky()
-    sig_inv = cho_solve((L, True), np.eye(params.m))
-    delta = ybar - params.nu
-    s_star = S + np.outer(delta, delta)
-    return params, L, sig_inv, delta, s_star
+class _Terms(NamedTuple):
+    """Model quantities at a free vector and the data moments about them."""
+
+    nu: np.ndarray
+    lam: np.ndarray
+    phi: np.ndarray
+    theta: np.ndarray
+    L: np.ndarray        # lower Cholesky factor of the implied covariance
+    sig_inv: np.ndarray
+    delta: np.ndarray    # ybar - nu
+    s_star: np.ndarray   # S + delta delta'
+
+
+def _moment_terms(v, mapping, ybar, S) -> _Terms:
+    """nu, lambda, phi, theta, the Cholesky factor and inverse of the
+    implied covariance at v, the mean residual delta and S* = S + delta
+    delta'.  Formed straight from v, without a validated ParamSet; a
+    non-finite v or theta raises SpecificationError and a covariance that
+    does not factor DegenerateCovarianceError."""
+    spec = mapping.spec
+    v = np.asarray(v, dtype=np.float64)
+    theta = np.exp(v[mapping.u_slice])
+    if not (np.isfinite(v).all() and np.isfinite(theta).all() and (theta > 0).all()):
+        raise SpecificationError("parameters must be finite with positive error variances")
+    nu = v[mapping.nu_slice].copy() if spec.mean_structure else np.zeros(spec.m)
+    lam = np.zeros((spec.m, spec.d))
+    lam[mapping.lam_rows, mapping.lam_cols] = v[mapping.lam_slice]
+    phi = mapping.phi_from_w(v[mapping.w_slice])
+    try:
+        L = np.linalg.cholesky(lam @ phi @ lam.T + np.diag(theta))
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateCovarianceError(
+            "model-implied covariance is not positive definite"
+        ) from exc
+    sig_inv = cho_solve((L, True), np.eye(spec.m))
+    delta = ybar - nu
+    return _Terms(nu, lam, phi, theta, L, sig_inv, delta, S + np.outer(delta, delta))
+
+
+def _mean_loglik(t: _Terms) -> float:
+    """Mean log-likelihood from ``_moment_terms``."""
+    logdet = 2.0 * float(np.sum(np.log(np.diag(t.L))))
+    return -0.5 * (len(t.nu) * _LOG_2PI + logdet
+                   + float(np.einsum("ij,ji->", t.sig_inv, t.s_star)))
 
 
 def _mean_loglik_and_grad(v, mapping, ybar, S):
     """Mean log-likelihood and its gradient from sufficient statistics."""
-    params, L, sig_inv, delta, s_star = _moment_terms(v, mapping, ybar, S)
-    m = params.m
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    f = -0.5 * (m * _LOG_2PI + logdet + float(np.einsum("ij,ji->", sig_inv, s_star)))
-    return f, _mean_loglik_grad(v, mapping, params, sig_inv, delta, s_star)
+    t = _moment_terms(v, mapping, ybar, S)
+    return _mean_loglik(t), _mean_loglik_grad(v, mapping, t)
 
 
-def _mean_loglik_grad(v, mapping, params, sig_inv, delta, s_star):
+def _mean_loglik_grad(v, mapping, t: _Terms):
     """The gradient of ``_mean_loglik_and_grad`` from ``_moment_terms``."""
-    gmat = sig_inv @ s_star @ sig_inv - sig_inv
+    sig_inv = t.sig_inv
+    gmat = sig_inv @ t.s_star @ sig_inv - sig_inv
     g = np.empty(mapping.q)
     if mapping.spec.mean_structure:
-        g[mapping.nu_slice] = sig_inv @ delta
-    P = params.lam @ params.phi
+        g[mapping.nu_slice] = sig_inv @ t.delta
+    P = t.lam @ t.phi
     g[mapping.lam_slice] = (gmat @ P)[mapping.lam_rows, mapping.lam_cols]
     n_w = len(mapping.w_rows)
     if n_w:
-        gphi = params.lam.T @ gmat @ params.lam
+        gphi = t.lam.T @ gmat @ t.lam
         K = mapping.dphi_dw(v[mapping.w_slice])
         base = mapping.w_slice.start
-        for t in range(n_w):
-            a = mapping.w_rows[t]
-            g[base + t] = gphi[a] @ K[t, a, :]
-    g[mapping.u_slice] = 0.5 * np.diag(gmat) * params.theta
+        for i in range(n_w):
+            a = mapping.w_rows[i]
+            g[base + i] = gphi[a] @ K[i, a, :]
+    g[mapping.u_slice] = 0.5 * np.diag(gmat) * t.theta
     return g
 
 
 def _mean_loglik_hessian(v, mapping, ybar, S):
-    """Exact Hessian of the mean log-likelihood from sufficient statistics.
+    """Exact Hessian of the mean log-likelihood from sufficient statistics."""
+    return _hessian_from_terms(v, mapping, _moment_terms(v, mapping, ybar, S))
+
+
+def _hessian_from_terms(v, mapping, t: _Terms):
+    """The Hessian of ``_mean_loglik_hessian`` from ``_moment_terms``.
 
     With D_a = dSigma/dv_a for a covariance parameter, E = Sigma^-1 S*
     Sigma^-1 and G = E - Sigma^-1 (the gradient's ``gmat``), the covariance
@@ -383,10 +430,9 @@ def _mean_loglik_hessian(v, mapping, ybar, S):
     + tr(G d2Sigma/dv_a dv_b)/2, the intercept block is -Sigma^-1 and the
     intercept-covariance block is -Sigma^-1 D_b Sigma^-1 delta.
     """
-    params, _, sig_inv, delta, s_star = _moment_terms(v, mapping, ybar, S)
-    m = params.m
-    lam, phi, theta = params.lam, params.phi, params.theta
-    E = sig_inv @ s_star @ sig_inv
+    lam, phi, theta, sig_inv = t.lam, t.phi, t.theta, t.sig_inv
+    m = len(theta)
+    E = sig_inv @ t.s_star @ sig_inv
     gmat = E - sig_inv
     rows, cols = mapping.lam_rows, mapping.lam_cols
     n_lam, n_w = len(rows), len(mapping.w_rows)
@@ -426,7 +472,7 @@ def _mean_loglik_hessian(v, mapping, ybar, S):
     if mapping.spec.mean_structure:
         nu = mapping.nu_slice
         H[nu, nu] = -sig_inv
-        H[nu, c0:] = -(A @ (sig_inv @ delta)).T
+        H[nu, c0:] = -(A @ (sig_inv @ t.delta)).T
         H[c0:, nu] = H[nu, c0:].T
     return 0.5 * (H + H.T)
 
@@ -440,13 +486,16 @@ def _mean_loglik_hessian(v, mapping, ybar, S):
 def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitResult:
     """Fit the factor model by maximum likelihood.
 
-    Convergence requires all three of: max-abs mean-log-likelihood gradient
-    below ``opts.gtol``, no error variance at the floor (Heywood case), and a
-    negative-definite Hessian of the mean log-likelihood at the solution
-    whose negative, the observed information, inverts without near
-    singularity (the identification check).  Failing fits are returned with
-    ``converged=False`` and reasons listed in ``warnings``; downstream
-    residual tests refuse them.  The fit draws no random numbers.
+    The fit is a projected Newton iteration on the exact Hessian of the mean
+    log-likelihood (see ``_newton``); ``FitResult.n_iter`` counts its
+    iterations, at most ``opts.max_iter``.  Convergence requires all three
+    of: max-abs mean-log-likelihood gradient below ``opts.gtol``, no error
+    variance at the floor (Heywood case), and a negative-definite Hessian of
+    the mean log-likelihood at the solution whose negative, the observed
+    information, inverts without near singularity (the identification
+    check).  Failing fits are returned with ``converged=False`` and reasons
+    listed in ``warnings``; downstream residual tests refuse them.  The fit
+    draws no random numbers.
     """
     if opts is None:
         opts = OptimOptions()
@@ -458,36 +507,7 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
     resid = Y - ybar
     S = resid.T @ resid / data.n
 
-    def objective(v):
-        # A trial step can overflow exp(u) to an infinite error variance;
-        # +inf there sends the line search back towards finite points.
-        with np.errstate(over="ignore"):
-            try:
-                f, g = _mean_loglik_and_grad(v, mapping, ybar, S)
-            except SpecificationError:
-                return np.inf, np.zeros_like(v)
-        return -f, -g
-
-    v0 = mapping.start_values(data)
-    bounds = [(None, None)] * mapping.q
-    lo = float(np.log(opts.theta_floor))
-    for i in range(mapping.u_slice.start, mapping.u_slice.stop):
-        bounds[i] = (lo, None)
-    res = minimize(
-        objective,
-        v0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={
-            "maxiter": opts.max_iter,
-            "maxls": 50,
-            "ftol": 1e-13,
-            "gtol": min(1e-6, 0.1 * opts.gtol),
-        },
-    )
-    v = np.asarray(res.x, dtype=np.float64)
-    _, g = _mean_loglik_and_grad(v, mapping, ybar, S)
+    v, g, hess, n_iter = _newton(mapping, ybar, S, mapping.start_values(data), opts)
     gradient_norm = float(np.abs(g).max())
     params = mapping.unpack(v)
 
@@ -499,7 +519,6 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
     if heywood.any():
         idx = np.nonzero(heywood)[0]
         warn.append(f"heywood: error variance at floor for items {idx.tolist()}")
-    hess = _mean_loglik_hessian(v, mapping, ybar, S)
     min_eig = float(np.linalg.eigvalsh(-hess)[0])
     hess_ok = min_eig > 0.0
     if not hess_ok:
@@ -522,10 +541,90 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
         loglik=log_likelihood(params, data),
         converged=converged,
         gradient_norm=gradient_norm,
-        n_iter=int(res.nit),
+        n_iter=n_iter,
         inv_observed_information=inv_observed,
         warnings=warn,
     )
+
+
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 50
+
+
+def _newton(mapping, ybar, S, v, opts):
+    """Maximize the mean log-likelihood from v by projected Newton.
+
+    The only bound is log theta >= log(theta_floor).  Each iteration holds
+    fixed the log-theta entries at the floor whose gradient points outward
+    and solves -H_FF delta = g_F on the rest (F) by Cholesky, with the
+    expected information in place of -H_FF where that is not positive
+    definite (Fisher scoring), and delta = g_F where neither factors.  An
+    Armijo backtracking search projects each trial onto the bound and
+    rejects trials that are inadmissible or whose value is not finite.  The
+    iteration stops once the projected max-abs gradient is below
+    min(1e-6, 0.1 gtol), after ``opts.max_iter`` iterations, or when no
+    trial along the step is accepted.
+
+    Returns the final iterate, its gradient and Hessian, and the number of
+    iterations taken.
+    """
+    lo = float(np.log(opts.theta_floor))
+    bounded = np.zeros(mapping.q, dtype=bool)
+    bounded[mapping.u_slice] = True
+    tol = min(1e-6, 0.1 * opts.gtol)
+    v = np.where(bounded, np.maximum(v, lo), v)
+    t = _moment_terms(v, mapping, ybar, S)
+    f = _mean_loglik(t)
+    n_iter = 0
+    while True:
+        g = _mean_loglik_grad(v, mapping, t)
+        hess = _hessian_from_terms(v, mapping, t)
+        projected = np.where(bounded, np.maximum(v + g, lo) - v, g)
+        if np.abs(projected).max() < tol or n_iter >= opts.max_iter:
+            break
+        free = ~(bounded & (v <= lo) & (g < 0.0))
+        step = np.zeros(mapping.q)
+        step[free] = _ascent_step(hess, g, free,
+                                  lambda: expected_information(mapping.unpack(v), mapping))
+        found = _line_search(mapping, ybar, S, v, f, g, step, bounded, lo)
+        if found is None:
+            break
+        v, t, f = found
+        n_iter += 1
+    return v, g, hess, n_iter
+
+
+def _ascent_step(hess, g, free, information):
+    """Newton step on the entries ``free``; Fisher scoring with
+    ``information()`` where -H is not positive definite there; the gradient
+    itself where neither factors."""
+    ix = np.ix_(free, free)
+    for matrix in (lambda: -hess[ix], lambda: information()[ix]):
+        try:
+            return cho_solve((np.linalg.cholesky(matrix()), True), g[free])
+        except np.linalg.LinAlgError:
+            pass
+    return g[free]
+
+
+def _line_search(mapping, ybar, S, v, f, g, step, bounded, lo):
+    """Armijo backtracking along ``step`` projected onto the floor; the
+    accepted point with its terms and value, or None."""
+    alpha = 1.0
+    for _ in range(_MAX_HALVINGS):
+        trial = v + alpha * step
+        trial[bounded] = np.maximum(trial[bounded], lo)
+        # a long step can overflow exp(log theta); that trial is rejected
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                t = _moment_terms(trial, mapping, ybar, S)
+                f_trial = _mean_loglik(t)
+            except (SpecificationError, DegenerateCovarianceError):
+                f_trial = -np.inf
+        if np.isfinite(f_trial) and f_trial >= f + _ARMIJO * float(g @ (trial - v)):
+            return trial, t, f_trial
+        alpha *= 0.5
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -537,19 +537,21 @@ def _run_problem(problem, n, t_hat, wbar, subset, moments, inv_info, M, mc):
     z[ok], p[ok] = z_statistic(resid[ok], se[ok], n)
 
     coords = getattr(problem.grid, "points", None)
-    points = []
-    for l in range(k):
-        c = coords[l] if coords is not None and len(coords) == k else np.array([float(l)])
-        points.append(TestPoint(
-            coords=np.asarray(c, dtype=np.float64),
-            eta_hat=float(t_hat[l]) if np.isfinite(t_hat[l]) else float("nan"),
-            eta=float(eta[l]),
-            residual=float(resid[l]) if np.isfinite(resid[l]) else float("nan"),
-            se=float(se[l]),
-            z=float(z[l]),
-            p=float(p[l]),
-            unstable=bool(unstable[l]),
-        ))
+    if coords is None or len(coords) != k:
+        coords = np.arange(k, dtype=np.float64)[:, None]
+    points = [
+        TestPoint(*fields)
+        for fields in zip(
+            np.asarray(coords, dtype=np.float64),
+            np.where(np.isfinite(t_hat), t_hat, np.nan).tolist(),
+            np.asarray(eta, dtype=np.float64).tolist(),
+            np.where(np.isfinite(resid), resid, np.nan).tolist(),
+            se.tolist(),
+            z.tolist(),
+            p.tolist(),
+            unstable.tolist(),
+        )
+    ]
 
     kept = np.flatnonzero(~unstable[subset])
     keep = subset[kept]
