@@ -10,11 +10,10 @@ included, means excluded); CFI and TLI are stored raw, without clamping.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .errors import NotConvergedError
 from .estimate import DataMatrix, FitResult
-from .kernels import single_blas_thread
+from .kernels import chi2_sf, single_blas_thread
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -59,7 +58,7 @@ def lr_chi2(fit: FitResult, data: DataMatrix) -> tuple:
     loglik_sat = -0.5 * data.n * (m * _LOG_2PI + logdet + m)
     chi2 = max(2.0 * (loglik_sat - fit.loglik), 0.0)
     df = m * (m + 3) // 2 - fit.mapping.q
-    p = float(chdtrc(df, chi2)) if df > 0 else float("nan")
+    p = chi2_sf(df, chi2) if df > 0 else float("nan")
     return float(chi2), int(df), p
 
 

@@ -25,7 +25,6 @@ from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from . import kernels
 from .errors import (
@@ -309,9 +308,7 @@ def score_rows(params: ParamSet, spec, Y: np.ndarray) -> np.ndarray:
     """
     mapping = _as_mapping(spec)
     Y = np.ascontiguousarray(Y, dtype=np.float64)
-    m = params.m
-    L = params.sigma_cholesky()
-    sig_inv = cho_solve((L, True), np.eye(m))
+    sig_inv = kernels.spd_inverse(params.sigma_cholesky())
     Z = (Y - params.nu) @ sig_inv
     out = np.empty((Y.shape[0], mapping.q))
     if mapping.spec.mean_structure:
@@ -377,7 +374,7 @@ def _moment_terms(v, mapping, ybar, S) -> _Terms:
         raise DegenerateCovarianceError(
             "model-implied covariance is not positive definite"
         ) from exc
-    sig_inv = cho_solve((L, True), np.eye(spec.m))
+    sig_inv = kernels.spd_inverse(L)
     delta = ybar - nu
     return _Terms(nu, lam, phi, theta, L, sig_inv, delta, S + np.outer(delta, delta))
 
@@ -519,7 +516,8 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
     if heywood.any():
         idx = np.nonzero(heywood)[0]
         warn.append(f"heywood: error variance at floor for items {idx.tolist()}")
-    min_eig = float(np.linalg.eigvalsh(-hess)[0])
+    eigs = np.linalg.eigvalsh(-hess)
+    min_eig = float(eigs[0])
     hess_ok = min_eig > 0.0
     if not hess_ok:
         warn.append(f"hessian: not negative definite (min eig of -H = {min_eig:.3g})")
@@ -528,7 +526,7 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
     inv_observed = None
     if hess_ok:
         try:
-            inv_observed = invert_information(-hess)
+            inv_observed = _invert_information(-hess, eigs)
         except IdentificationError as exc:
             warn.append(f"observed information: {exc}")
             converged = False
@@ -601,7 +599,7 @@ def _ascent_step(hess, g, free, information):
     ix = np.ix_(free, free)
     for matrix in (lambda: -hess[ix], lambda: information()[ix]):
         try:
-            return cho_solve((np.linalg.cholesky(matrix()), True), g[free])
+            return kernels.spd_inverse(np.linalg.cholesky(matrix())) @ g[free]
         except np.linalg.LinAlgError:
             pass
     return g[free]
@@ -661,14 +659,16 @@ def score_information(scores: np.ndarray) -> np.ndarray:
 
 def invert_information(info: np.ndarray) -> np.ndarray:
     """Symmetric PD inverse, rejecting near-singular information."""
-    eigs = np.linalg.eigvalsh(info)
+    return _invert_information(info, np.linalg.eigvalsh(info))
+
+
+def _invert_information(info, eigs):
+    """``invert_information`` given the ascending eigenvalues of ``info``."""
     if eigs[0] <= 0 or eigs[-1] / eigs[0] > _MAX_CONDITION:
         raise IdentificationError(
             f"information matrix near singular (eigenvalue range {eigs[0]:.3g}..{eigs[-1]:.3g})"
         )
-    L = np.linalg.cholesky(info)
-    inv = cho_solve((L, True), np.eye(info.shape[0]))
-    return 0.5 * (inv + inv.T)
+    return kernels.spd_inverse(np.linalg.cholesky(info))
 
 
 def simulate_data(params: ParamSet, n: int, rng, column_names=None) -> DataMatrix:

@@ -1,16 +1,29 @@
-"""Numeric kernels: multivariate normal log-density rows and compensated
-reductions over Monte Carlo draws, in numpy, and the single-BLAS-thread
-scope that the package's entry points run in."""
+"""Numeric kernels, in numpy and the standard library only.
+
+* ``mvn_loglik_rows``: multivariate normal log-density rows.
+* ``spd_inverse``: the inverse of a positive definite matrix from its
+  Cholesky factor.
+* ``chi2_sf`` and ``normal_two_sided_p``: the chi-square survival function
+  for integer degrees of freedom and the two-sided standard normal p-value.
+* ``colmean``, ``crossprod_mean``, ``centred_sums``: compensated reductions
+  over Monte Carlo draws.
+* ``single_blas_thread``: the single-BLAS-thread scope that the package's
+  entry points run in.
+"""
 
 import ctypes
 import functools
+import math
+import operator
 import os
 import threading
 
 import numpy as np
-from scipy.linalg import solve_triangular
+
+from .errors import ConfigurationError
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_SQRT2 = math.sqrt(2.0)
 
 
 def backend() -> str:
@@ -21,12 +34,13 @@ def backend() -> str:
 # ---------------------------------------------------------------------------
 # BLAS threading
 #
-# numpy and scipy each load their own OpenBLAS, and each keeps a worker pool.
-# On this package's small matrices the pools cost more than they save: a
-# worker woken by scipy keeps spinning while numpy's threaded GEMMs run, and
-# threaded reductions round differently from serial ones.  Entry points
-# therefore run with every loaded OpenBLAS at one thread and give the
-# caller's counts back on return.
+# factorgof loads one OpenBLAS, numpy's, but a caller may load others (scipy
+# brings its own), and each keeps a worker pool.  On this package's small
+# matrices the pools cost more than they save: a worker woken by another
+# pool keeps spinning while numpy's threaded GEMMs run, and threaded
+# reductions round differently from serial ones.  Entry points therefore run
+# with every loaded OpenBLAS at one thread and give the caller's counts back
+# on return.
 # ---------------------------------------------------------------------------
 
 
@@ -111,10 +125,69 @@ def single_blas_thread(fn):
 
 def mvn_loglik_rows(Y, nu, chol_lower):
     """Log N(y; nu, L L^T) for each row of Y, given the lower Cholesky L."""
-    resid = Y - nu
-    Z = solve_triangular(chol_lower, resid.T, lower=True).T
+    Z = (Y - nu) @ np.linalg.inv(chol_lower).T
     const = -0.5 * Y.shape[1] * _LOG_2PI - float(np.sum(np.log(np.diag(chol_lower))))
     return const - 0.5 * np.einsum("ij,ij->i", Z, Z)
+
+
+def spd_inverse(chol_lower):
+    """(L L^T)^-1 given the lower Cholesky factor L.
+
+    The product L^-T L^-1 of one array with its own transpose is evaluated
+    as a symmetric rank-k update, so the result is exactly symmetric.
+    """
+    Linv = np.linalg.inv(chol_lower)
+    return Linv.T @ Linv
+
+
+# ---------------------------------------------------------------------------
+# p-values
+# ---------------------------------------------------------------------------
+
+
+def chi2_sf(df, x) -> float:
+    """P(X > x) for X chi-square with integer ``df`` >= 1.
+
+    With k = df / 2 and h = x / 2 this is the Poisson sum
+    sum_{j < k} exp(-h) h^j / j! for even df, and for odd df
+    erfc(sqrt(h)) + sum_{0 < j < k + 1/2} exp(-h) h^(j - 1/2) / Gamma(j + 1/2).
+    Each term is formed in log space and exponentiated once, so no power or
+    factorial overflows or underflows before the term itself does.  It is 1
+    for x <= 0, 0 for x = inf and nan for nan; a df that is not an integer
+    >= 1 raises ConfigurationError.
+    """
+    try:
+        df = operator.index(df)
+    except TypeError:
+        raise ConfigurationError(f"chi-square df must be an integer, got {df!r}") from None
+    if df < 1:
+        raise ConfigurationError(f"chi-square df must be at least 1, got {df}")
+    x = float(x)
+    if math.isnan(x):
+        return math.nan
+    if x <= 0.0:
+        return 1.0
+    if math.isinf(x):
+        return 0.0
+    half = 0.5 * x
+    log_half = math.log(half)
+    if df % 2 == 0:
+        terms = [math.exp(-half + j * log_half - math.lgamma(j + 1.0))
+                 for j in range(df // 2)]
+    else:
+        terms = [math.erfc(math.sqrt(half))]
+        terms += [math.exp(-half + (j - 0.5) * log_half - math.lgamma(j + 0.5))
+                  for j in range(1, (df + 1) // 2)]
+    # each term may round up, which can lift the sum an ulp above 1
+    return min(math.fsum(terms), 1.0)
+
+
+def normal_two_sided_p(z):
+    """2 P(Z > |z|) = erfc(|z| / sqrt 2) for standard normal Z, for a
+    scalar or elementwise for an array."""
+    z = np.asarray(z, dtype=np.float64)
+    p = np.array([math.erfc(abs(t) / _SQRT2) for t in z.ravel().tolist()])
+    return p.reshape(z.shape)[()]
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ Batteries that give only ``_evaluate(Y, params)`` share one pass without W.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc, ndtr
 
 from . import kernels
 from .errors import ConfigurationError, NotConvergedError, RankError
@@ -358,7 +357,7 @@ def z_statistic(residual, se, n: int) -> tuple:
     if np.any(se <= 0):
         raise ValueError("se must be positive")
     z = residual / (se / np.sqrt(n))
-    return z, 2.0 * ndtr(-np.abs(z))
+    return z, kernels.normal_two_sided_p(z)
 
 
 def truncated_inverse(sigma: np.ndarray, s: int) -> np.ndarray:
@@ -396,7 +395,7 @@ def _chi2_statistic(e, sigma, n, s):
     W, vals = _truncated_inverse(sigma, s)
     T = float(n * e @ W @ e)
     T = max(T, 0.0)
-    return T, float(chdtrc(s, T)), vals
+    return T, kernels.chi2_sf(s, T), vals
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line interface: ingestion diagnostics, file outputs, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -466,6 +467,47 @@ class TestIndicesCommand:
         assert doc["kind"] == "indices"
         assert doc["df"] == 35
         assert 0 <= doc["srmr"] < 0.2
+
+
+_WITHOUT_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is not installed")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from factorgof.cli import main
+
+tmp, csv_path, model_path = sys.argv[1:4]
+fit_path = f"{tmp}/fit.json"
+runs = [
+    ["fit", "--data", csv_path, "--model", model_path, "--out", fit_path],
+    ["test", "lv-density", "--data", csv_path, "--fit", fit_path,
+     "--out", f"{tmp}/lv.tsv"],
+    ["test", "variance", "--item", "1", "--data", csv_path, "--fit", fit_path,
+     "--out", f"{tmp}/var.tsv"],
+    ["indices", "--data", csv_path, "--fit", fit_path, "--out", f"{tmp}/idx.json"],
+    ["simulate", "study2", "--reps", "1", "--n", "300", "--out", f"{tmp}/sim.tsv"],
+]
+print([main(args) for args in runs])
+"""
+
+
+def test_commands_run_where_scipy_cannot_be_imported(workdir):
+    # the runtime is numpy-only: every command completes in a process in
+    # which any import of scipy fails
+    tmp, csv_path, model_path = workdir
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp), csv_path, model_path],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0]", out.stdout + out.stderr
 
 
 def test_module_entry_point_version():

@@ -221,6 +221,20 @@ class TestFit:
         assert fit.inv_observed_information.shape == (fit.mapping.q, fit.mapping.q)
         assert (np.linalg.eigvalsh(fit.inv_observed_information) > 0).all()
 
+    def test_observed_information_inverse_is_the_public_one(self, two_factor_params,
+                                                           two_factor_spec):
+        # the fit reuses the eigenvalues of its identification check, and
+        # returns what invert_information gives on the final Hessian
+        data = simulate_data(two_factor_params, 800, np.random.default_rng(8))
+        fit = fit_ml(data, two_factor_spec)
+        ybar = data.values.mean(axis=0)
+        resid = data.values - ybar
+        hess = _mean_loglik_hessian(fit.free_vector, fit.mapping, ybar,
+                                    resid.T @ resid / data.n)
+        inv = fit.inv_observed_information
+        assert inv.tobytes() == invert_information(-hess).tobytes()
+        assert np.array_equal(inv, inv.T)
+
     @pytest.mark.parametrize("seed", [0, 2, 4, 5])
     def test_rotationally_unidentified_fit_flagged(self, two_factor_params, seed):
         # every loading free on both factors: the likelihood is flat along
@@ -392,16 +406,18 @@ def test_ascent_step_falls_back_to_fisher_scoring_then_gradient():
 
 
 def test_import_leaves_out_scipy_optimize():
-    # the fit needs no scipy.optimize, so importing the package loads none
+    # the runtime needs numpy only, so importing the package and its command
+    # line loads neither scipy.optimize nor any other scipy module
     path = os.pathsep.join([os.path.dirname(os.path.dirname(factorgof.__file__)),
                             os.environ.get("PYTHONPATH", "")])
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, factorgof; print('scipy.optimize' in sys.modules)"],
+         "import sys, factorgof, factorgof.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_mean_gradient_consistent_with_row_scores(two_factor_spec, rng):

@@ -8,6 +8,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.special import chdtrc, ndtr
 from scipy.stats import multivariate_normal
 
 from factorgof import (
@@ -71,6 +72,64 @@ def test_centred_sums_match_covariance(rng):
     np.testing.assert_allclose(cross, ref[np.ix_(cols, cols)], rtol=1e-10, atol=1e-9)
     sq0, cross0 = kernels.centred_sums(X, kernels.colmean(X), np.empty(0, dtype=np.intp))
     assert np.array_equal(sq0, sq) and cross0.shape == (0, 0)
+
+
+def test_spd_inverse_is_exactly_symmetric(rng):
+    for m in (1, 4, 10, 61):
+        A = rng.normal(size=(m, m))
+        spd = A @ A.T + m * np.eye(m)
+        inv = kernels.spd_inverse(np.linalg.cholesky(spd))
+        assert np.array_equal(inv, inv.T)
+        np.testing.assert_allclose(inv, np.linalg.inv(spd), rtol=1e-12, atol=0.0)
+
+
+# x from 0 through 1e-300 up to 3000
+_CHI2_X = np.concatenate([[0.0, 1e-300, 1e-100, 1e-20, 1e-8],
+                          np.geomspace(1e-4, 3000.0, 120), np.arange(1.0, 3001.0, 37.0)])
+
+
+def test_chi2_sf_against_scipy():
+    for df in list(range(1, 201)) + [1001]:
+        ours = np.array([kernels.chi2_sf(df, x) for x in _CHI2_X])
+        ref = chdtrc(df, _CHI2_X)
+        keep = ref > 1e-290
+        assert keep.sum() > 40
+        np.testing.assert_allclose(ours[keep], ref[keep], rtol=1e-11, atol=0.0,
+                                   err_msg=f"df={df}")
+        # below scipy's reach the sum underflows towards 0, never above it
+        assert (ours[~keep] <= 1e-280).all(), df
+        assert kernels.chi2_sf(df, 0.0) == 1.0
+        assert kernels.chi2_sf(df, np.inf) == 0.0
+        assert math.isnan(kernels.chi2_sf(df, np.nan))
+
+
+def test_chi2_sf_integer_types():
+    # numpy integers count as integers
+    assert kernels.chi2_sf(np.int64(169), 180.0) == kernels.chi2_sf(169, 180.0)
+    assert kernels.chi2_sf(169, 180.0) == pytest.approx(float(chdtrc(169, 180.0)), rel=1e-11)
+
+
+@pytest.mark.parametrize("df", [2.0, 1.5, np.float64(3.0), "2", 0, -3, np.int64(0)])
+def test_chi2_sf_rejects_bad_df(df):
+    with pytest.raises(ConfigurationError):
+        kernels.chi2_sf(df, 1.0)
+
+
+def test_normal_two_sided_p_against_scipy():
+    z = np.concatenate([np.linspace(-40.0, 40.0, 801), [0.0, 1e-300, -1e-12, 6.5]])
+    ref = 2.0 * ndtr(-np.abs(z))
+    p = kernels.normal_two_sided_p(z)
+    assert p.shape == z.shape
+    # past |z| = 37.5 the p-value is subnormal, and scipy's is flushed to zero
+    keep = ref > 1e-290
+    assert keep.sum() > 700
+    np.testing.assert_allclose(p[keep], ref[keep], rtol=1e-12, atol=0.0)
+    assert (p[~keep] <= 1e-280).all()
+    assert [kernels.normal_two_sided_p(t) for t in z] == p.tolist()
+    assert kernels.normal_two_sided_p(0.0) == 1.0
+    assert kernels.normal_two_sided_p(np.inf) == 0.0
+    assert math.isnan(kernels.normal_two_sided_p(np.nan))
+    assert kernels.normal_two_sided_p(np.zeros((2, 3))).shape == (2, 3)
 
 
 # ---------------------------------------------------------------------------
