@@ -34,7 +34,6 @@ from .estimate import (
     ParamMapping,
     fit_ml,
     log_likelihood,
-    monte_carlo_information,
     score,
     score_rows,
     simulate_data,
@@ -52,14 +51,12 @@ from .model import (
 )
 from .residuals import (
     AcmEstimate,
-    DenseAcm,
     McConfig,
     RatioBattery,
     ResidualProblem,
     SummaryBattery,
     TestReport,
     WeightedBattery,
-    assemble_acm,
     chi2_statistic,
     eta_hat,
     run_residual_batch,

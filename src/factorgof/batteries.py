@@ -19,16 +19,19 @@ and the direct variant is y_j * W / density.  Linearity and variance are
 ``RatioBattery``s: each gives its item's f (y_j, or the squared deviation
 from the fitted line) and the model value of the ratio
 colmean(f W) / colmean(W) (the fitted line, or the error variance).
-The residual covariance of the latent-density, linearity and variance
-batteries is known in closed form (their ``_moments`` hooks): every moment
-it needs is a Gaussian integral at the fitted model.  Only the direct
-variant's is estimated on Monte Carlo draws.
+Each row contributes G_q = W_q h_q / D_q to a battery's residual
+covariance, with D the latent density and h_q quadratic in the item's
+deviation from its conditional mean, so every moment the covariance needs
+is a Gaussian integral at the fitted model.  ``_quadratic_moments``
+computes them for all four, each declared by its coefficients of h_q, so
+no bundled battery draws.
 ``run_residual_batch`` computes W once per row set and grid for a whole
 batch and passes it to every battery on that grid.  ``make_problem`` maps a
 battery kind's name to its problem.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -138,9 +141,8 @@ def _check_item_index(item: int) -> int:
 def lv_density_problem(grid: LvGrid) -> ResidualProblem:
     """Latent-density check: posterior densities vs. the model density.
 
-    Its residual covariance is exact (``_lv_density_moments``), so a batch
-    needs no Monte Carlo draws for it."""
-    Q = grid.Q
+    G_q = W_q is the case h_q = D_q of ``_quadratic_moments``, so the
+    residual covariance is exact and a batch draws nothing for it."""
 
     def from_weights(Y, W, params):
         return W
@@ -148,10 +150,8 @@ def lv_density_problem(grid: LvGrid) -> ResidualProblem:
     def eta_fn(params):
         return np.exp(lv_logpdf(grid.points, params))
 
-    def moments(params, mapping, cols, shared):
-        return _lv_density_moments(grid.points, params, mapping, cols, shared)
-
-    battery = WeightedBattery(k=Q, name="lv-density", _evaluate=from_weights,
+    moments = partial(_quadratic_moments, grid.points, None, eta_fn, 0.0, 0.0)
+    battery = WeightedBattery(k=grid.Q, name="lv-density", _evaluate=from_weights,
                               _eta=eta_fn, _moments=moments, grid=grid)
     return ResidualProblem(battery, grid)
 
@@ -187,8 +187,8 @@ class _FitConstants:
     ``score_shift(ybar, S)`` is g(ybar, S) - g(nu, 0), with g(ybar, S) the
     gradient of the mean log-likelihood at sample mean ybar and sample
     covariance S: the mean score of y ~ N(ybar, S) less the score at nu.
-    ``tilt`` ((m, d)) and ``tau2`` ((m,)) give the doubly tilted law of the
-    ratio batteries, y_j | xt = xbar ~ N(nu_j + tilt_j' xbar, tau2_j), where
+    ``tilt`` ((m, d)) and ``tau2`` ((m,)) give the doubly tilted law
+    y_j | xt = xbar ~ N(nu_j + tilt_j' xbar, tau2_j), where
     xt = E[x | y] + N(0, V / 2) ~ N(0, phi - V / 2) and Cov(y, xt) = lambda phi.
     """
 
@@ -236,64 +236,106 @@ def _grid_products(points, params, cols, shared):
     return _shared(shared, ("grid", points.shape, points.tobytes(), cols.tobytes()), build)
 
 
-def _lv_density_moments(points, params, mapping, cols, shared):
-    """Exact moments of the latent-density battery W under the fitted model:
-    Var(W_q) at every point, Cov(W_q, W_r) among the points ``cols``, and
-    A = E[W s'] with s the score on ``mapping``'s free parameters.
+def _score_moments(points, params, mapping, shared, item, order):
+    """E[e^order s | x = x_q] at every point for order 0 and 1, and
+    E[(e^2 - theta_j) s | x = x_q] for order 2, with e = y_j - mu_qj the
+    deviation of ``item`` from its conditional mean mu_qj = nu_j + lambda_j' x_q
+    and s the score on ``mapping``'s free parameters.
+
+    The score is affine in y - nu and its outer product, and y | x = x_q is
+    N(nu + lambda x_q, theta).  So order 0 is the score at the conditional
+    mean plus the term theta adds, g(nu, theta) - g(nu, 0), with g as in
+    ``_FitConstants``.  By Stein's lemma order 1 is theta_j times the
+    score's slope along y_j at the conditional mean, affine in x_q: with
+    t = theta_j u_j (u_j the j-th unit vector),
+    g(nu + t, -t t') - g(nu, 0) + sum_k x_qk (g(nu, lambda_k t' + t lambda_k') - g(nu, 0)).
+    Order 2 is theta_j^2 times the score's second derivative along y_j, the
+    same at every point: g(nu, 2 t t') - g(nu, 0).
+    """
+    def build():
+        consts = _fit_constants(params, mapping, shared)
+        if order == 0:
+            S = score_rows(params, mapping, conditional_mean_grid(points, params))
+            S += consts.score_shift(params.nu, np.diag(params.theta))
+            return S
+        step = np.zeros(params.m)
+        step[item] = params.theta[item]
+        if order == 2:
+            return consts.score_shift(params.nu, 2.0 * np.outer(step, step))
+        slopes = [consts.score_shift(params.nu, np.outer(lam_k, step) + np.outer(step, lam_k))
+                  for lam_k in params.lam.T]
+        shift = consts.score_shift(params.nu + step, -np.outer(step, step))
+        return shift + points @ np.array(slopes)
+
+    key = ("score", order, None if order == 0 else item, points.shape, points.tobytes())
+    return _shared(shared, key, build)
+
+
+def _quadratic_moments(points, item, a, b, c, params, mapping, cols, shared):
+    """Exact moments of G_q = W_q h_q / D_q under the fitted model, with
+    h_q = a_q + b e_q + c (e_q^2 - theta_j) and e_q = y_j - mu_qj the
+    deviation of ``item`` from its conditional mean at the point x_q (item
+    None when b = c = 0).  ``a(params)`` gives a_q ((Q,)), or a is None for
+    a_q = 0; ``b`` and ``c`` are scalars.  Bound to its first five
+    arguments, this is a bundled battery's ``_moments`` hook: it returns
+    Var(G) at every point, Cov(G) among the points ``cols`` and A = E[G s']
+    with s the score on ``mapping``'s free parameters.
 
     Weighting the model density of y by W_q(y) = p(x_q | y) gives
-    p(x_q) p(y | x_q), so E[W_q h(y)] = D_q E[h(y) | x = x_q] for any h,
-    with D the latent density.  The score is affine in y - nu and its outer
-    product, so E[s | x_q] is the score at the conditional mean
-    nu + lambda x_q plus the term the error covariance theta adds:
-    g(nu, theta) - g(nu, 0) (``_FitConstants.score_shift``).
+    p(x_q) p(y | x_q), so E[G_q] = E[h_q | x = x_q] = a_q and
+    A_q = E[h_q s | x = x_q] = a_q S0_q + b S1_q + c S2 (``_score_moments``).
+    Weighting it by W_q W_r tilts y_j to N(mt, tau2_j) with
+    mt = nu_j + tilt_j' (x_q + x_r) / 2 (``_FitConstants``), so
+    E[G_q G_r] = E[W_q W_r] E~[h_q h_r] / (D_q D_r).  In e = y_j - mt,
+    h_q = p0 + p1 e + c e^2 with alpha = mt - mu_qj,
+    p0 = a_q + b alpha + c (alpha^2 - theta_j) and p1 = b + 2 c alpha, so
+    E~[h_q h_r] = p0 q0 + tau2 (c (p0 + q0) + p1 q1) + 3 c^2 tau2^2.
     """
     dens, ww, block = _grid_products(points, params, cols, shared)
-    var = ww - dens**2
-    cov = block - np.outer(dens[cols], dens[cols])
-    A = score_rows(params, mapping, conditional_mean_grid(points, params))
-    A += _fit_constants(params, mapping, shared).score_shift(params.nu, np.diag(params.theta))
-    A *= dens[:, None]
+    mean = a is not None
+    a = a(params) if mean else np.zeros(len(points))
+    nu = theta = tau2 = 0.0
+    t = mu = np.zeros(len(points))
+    if item is not None:
+        consts = _fit_constants(params, mapping, shared)
+        nu, theta, tau2 = params.nu[item], params.theta[item], consts.tau2[item]
+        t = points @ consts.tilt[item]
+        mu = conditional_mean_grid(points, params)[:, item]
+
+    def coefficients(a_q, alpha):
+        # (p0, p1); without the quadratic term p1 = b and p0 = a_q + b alpha
+        if not c:
+            return a_q + b * alpha, b
+        return a_q + b * alpha + c * (alpha**2 - theta), b + 2.0 * c * alpha
+
+    def products(p, q):
+        (p0, p1), (q0, q1) = p, q
+        if not c:
+            return p0 * q0 + tau2 * p1 * q1
+        return p0 * q0 + tau2 * (c * (p0 + q0) + p1 * q1) + 3.0 * c * c * tau2**2
+
+    diag = coefficients(a, nu + t - mu)
+    var = ww * (products(diag, diag) / dens**2) - a * a
+    a_c, mu_c, t_c, dens_c = a[cols], mu[cols], t[cols], dens[cols]
+    mt = nu + 0.5 * (t_c[:, None] + t_c[None, :])
+    tilted = products(coefficients(a_c[:, None], mt - mu_c[:, None]),
+                      coefficients(a_c[None, :], mt - mu_c[None, :]))
+    cov = block * (tilted / np.outer(dens_c, dens_c)) - np.outer(a_c, a_c)
+
+    A = np.zeros((len(points), mapping.q))
+    if mean:
+        A += a[:, None] * _score_moments(points, params, mapping, shared, item, 0)
+    for coef, order in ((b, 1), (c, 2)):
+        if coef:
+            A += coef * _score_moments(points, params, mapping, shared, item, order)
     return var, cov, A
-
-
-def _ratio_moments(points, params, cols, shared, consts, item, products):
-    """Exact Var(G) at every point and Cov(G) among the points ``cols`` of a
-    ratio battery on ``item``, G_q = W_q h_q / D_q with h_q = f - r_q.
-
-    E[G_q] = E[h_q | x = x_q] is zero for both bundled batteries, and
-    E[G_q G_r] = E[W_q W_r] E~[h_q h_r] / (D_q D_r): weighting the model
-    density of y by W_q W_r tilts it to the law of y given
-    xt = (x_q + x_r) / 2 (``_FitConstants``).  ``products(alpha, beta,
-    tau2)`` is E~[h_q h_r], with tau2 the tilted variance of y_j and alpha,
-    beta the tilted mean less the conditional means mu_qj and mu_rj.
-    """
-    dens, ww, block = _grid_products(points, params, cols, shared)
-    tilt, tau2 = consts.tilt[item], consts.tau2[item]
-    mu = conditional_mean_grid(points, params)[:, item]
-    alpha = params.nu[item] + points @ tilt - mu
-    var = ww * products(alpha, alpha, tau2) / dens**2
-    sub = points[cols]
-    mean = params.nu[item] + 0.5 * ((sub @ tilt)[:, None] + (sub @ tilt)[None, :])
-    mu_c = mu[cols]
-    cov = block * products(mean - mu_c[:, None], mean - mu_c[None, :], tau2)
-    cov /= np.outer(dens[cols], dens[cols])
-    return var, cov
 
 
 def mv_linearity_problem(grid: LvGrid, item: int) -> ResidualProblem:
     """Conditional-mean check for one variable via posterior-weight ratios.
 
-    Its residual covariance is exact: h_q = y_j - mu_qj gives
-    E~[h_q h_r] = tau2 + alpha beta (``_ratio_moments``), and by Stein's
-    lemma A_q = E[h_q s | x = x_q] is theta_j times the slope of the score
-    along y_j at the conditional mean nu + lambda x_q.  The score is
-    quadratic in y, so that slope is affine in x_q: with t = theta_j u_j
-    (u_j the j-th unit vector),
-    A_q = g(nu + t, -t t') - g(nu, 0)
-          + sum_k x_qk (g(nu, lambda_k t' + t lambda_k') - g(nu, 0)),
-    with g as in ``_FitConstants``.
-    """
+    G_q = W_q (y_j - mu_qj) / D_q is the case (a, b, c) = (0, 1, 0) of
+    ``_quadratic_moments``, so the residual covariance is exact."""
     item = _check_item_index(item)
 
     def response(Y, params):
@@ -303,19 +345,7 @@ def mv_linearity_problem(grid: LvGrid, item: int) -> ResidualProblem:
     def eta_fn(params):
         return conditional_mean_grid(grid.points, params)[:, item]
 
-    def products(alpha, beta, tau2):
-        return tau2 + alpha * beta
-
-    def moments(params, mapping, cols, shared):
-        consts = _fit_constants(params, mapping, shared)
-        var, cov = _ratio_moments(grid.points, params, cols, shared, consts, item, products)
-        step = np.zeros(params.m)
-        step[item] = params.theta[item]
-        A = consts.score_shift(params.nu + step, -np.outer(step, step))
-        slopes = [consts.score_shift(params.nu, np.outer(lam_k, step) + np.outer(step, lam_k))
-                  for lam_k in params.lam.T]
-        return var, cov, A + grid.points @ np.array(slopes)
-
+    moments = partial(_quadratic_moments, grid.points, item, None, 1.0, 0.0)
     battery = RatioBattery(k=grid.Q, name=f"linearity[{item}]", _evaluate=response,
                            _eta=eta_fn, _moments=moments, grid=grid)
     return ResidualProblem(battery, grid)
@@ -324,12 +354,9 @@ def mv_linearity_problem(grid: LvGrid, item: int) -> ResidualProblem:
 def mv_homoscedasticity_problem(grid: LvGrid, item: int) -> ResidualProblem:
     """Conditional-variance check for one variable via posterior-weight ratios.
 
-    Its residual covariance is exact: h_q = (y_j - mu_qj)^2 - theta_j gives
-    E~[h_q h_r] from the normal moments of degree <= 4 (``_ratio_moments``),
-    and by Stein's lemma A_q = E[h_q s | x = x_q] is theta_j^2 times the
-    score's second derivative along y_j, the same at every point since the
-    score is quadratic in y: with t = theta_j u_j, g(nu, 2 t t') - g(nu, 0).
-    """
+    G_q = W_q ((y_j - mu_qj)^2 - theta_j) / D_q is the case
+    (a, b, c) = (0, 0, 1) of ``_quadratic_moments``, so the residual
+    covariance is exact."""
     item = _check_item_index(item)
 
     def squared_deviation(Y, params):
@@ -340,20 +367,7 @@ def mv_homoscedasticity_problem(grid: LvGrid, item: int) -> ResidualProblem:
     def eta_fn(params):
         return np.full(grid.Q, params.theta[item])
 
-    def moments(params, mapping, cols, shared):
-        theta = params.theta[item]
-
-        def products(alpha, beta, tau2):
-            return (3.0 * tau2**2 + tau2 * (alpha**2 + beta**2 + 4.0 * alpha * beta - 2.0 * theta)
-                    + (alpha**2 - theta) * (beta**2 - theta))
-
-        consts = _fit_constants(params, mapping, shared)
-        var, cov = _ratio_moments(grid.points, params, cols, shared, consts, item, products)
-        step = np.zeros(params.m)
-        step[item] = theta
-        A = consts.score_shift(params.nu, 2.0 * np.outer(step, step))
-        return var, cov, np.tile(A, (grid.Q, 1))
-
+    moments = partial(_quadratic_moments, grid.points, item, None, 0.0, 1.0)
     battery = RatioBattery(k=grid.Q, name=f"variance[{item}]", _evaluate=squared_deviation,
                            _eta=eta_fn, _moments=moments, grid=grid)
     return ResidualProblem(battery, grid)
@@ -366,9 +380,10 @@ def mv_linearity_direct_problem(grid: LvGrid, item: int) -> ResidualProblem:
     density ratio, so its expectation is the conditional mean itself and no
     ratio is needed.  Misfit in the latent density leaks into these
     residuals, which is why the ratio form is the default.
+    G_q = y_j W_q / D_q is the case (a, b, c) = (mu_qj, 1, 0) of
+    ``_quadratic_moments``, so the residual covariance is exact.
     """
     item = _check_item_index(item)
-    Q = grid.Q
 
     def from_weights(Y, W, params):
         _check_item(item, params)
@@ -378,8 +393,9 @@ def mv_linearity_direct_problem(grid: LvGrid, item: int) -> ResidualProblem:
     def eta_fn(params):
         return conditional_mean_grid(grid.points, params)[:, item].copy()
 
-    battery = WeightedBattery(k=Q, name=f"linearity-direct[{item}]", _evaluate=from_weights,
-                              _eta=eta_fn, grid=grid)
+    moments = partial(_quadratic_moments, grid.points, item, eta_fn, 1.0, 0.0)
+    battery = WeightedBattery(k=grid.Q, name=f"linearity-direct[{item}]",
+                              _evaluate=from_weights, _eta=eta_fn, _moments=moments, grid=grid)
     return ResidualProblem(battery, grid)
 
 

@@ -6,8 +6,7 @@ report), ``simulate`` (write a rejection table for a bundled design), and
 that touches the filesystem.
 
 Output files are written atomically and carry a provenance header (tool
-version, seed, Monte Carlo budget, for a test report whether its residual
-covariance is exact or from the draws (only ``linearity-direct`` draws),
+version, seed, for a test report that its residual covariance is exact,
 grid, input digests) but no timestamps,
 so a rerun with the same seed on the same machine is byte-identical; where
 OpenBLAS is the BLAS, the caller's BLAS thread count does not change a bit
@@ -387,15 +386,14 @@ def _cmd_test(args) -> int:
     elif args.item is not None:
         raise ConfigurationError("--item applies only to item-level batteries")
     problem = make_problem(args.battery, grid, item0)
-    report = run_residual_test(problem, fit, data, McConfig(M=args.M, seed=args.seed, s=args.s))
+    report = run_residual_test(problem, fit, data, McConfig(seed=args.seed, s=args.s))
 
     d = fit.spec.d
     coord_cols = [f"x{k + 1}" for k in range(d)]
     pairs = [
         ("battery", args.battery),
         ("item", args.item if args.item is not None else ""),
-        ("seed", args.seed), ("M", args.M),
-        ("covariance", report.config["covariance"]), ("s", args.s),
+        ("seed", args.seed), ("covariance", report.config["covariance"]), ("s", args.s),
         ("n", data.n),
         ("grid", grid.label), ("summary_grid", grid.summary_label),
         ("data_sha256", _sha256(args.data)),
@@ -438,7 +436,6 @@ def _cmd_simulate(args) -> int:
         reps=args.reps,
         seed=args.seed,
         alpha=args.alpha,
-        M=args.M,
         s=args.s,
         items=(item0,),
         grid=grid,
@@ -448,7 +445,7 @@ def _cmd_simulate(args) -> int:
         ("study", table.study), ("misspecified", int(table.misspecified)),
         ("n", table.n), ("reps", table.reps),
         ("converged", table.converged_reps), ("excluded", table.excluded),
-        ("alpha", table.alpha), ("M", table.M), ("s", table.s),
+        ("alpha", table.alpha), ("s", table.s),
         ("seed", table.seed),
         ("grid", table.grid_label), ("summary_grid", table.summary_label),
         ("band_halfwidth", _fmt(table.band_halfwidth)),
@@ -541,11 +538,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--grid", help=_GRID_HELP)
     p_test.add_argument("--summary-grid", dest="summary_grid", help=_SUMMARY_GRID_HELP)
     p_test.add_argument("--item", type=int, help="1-based item index")
-    p_test.add_argument("--M", type=int, default=10_000,
-                        help="Monte Carlo draws for the residual covariance; only "
-                             "linearity-direct uses them, the other batteries are exact")
     p_test.add_argument("--s", type=int, default=1)
-    p_test.add_argument("--seed", type=int, default=0)
+    p_test.add_argument("--seed", type=int, default=0,
+                        help="recorded in the report; every battery's covariance is "
+                             "exact, so it does not change the report")
     p_test.add_argument("--out", default="report.tsv")
     p_test.set_defaults(func=_cmd_test)
 
@@ -554,10 +550,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--reps", type=int, default=300)
     p_sim.add_argument("--n", type=int, default=500)
     p_sim.add_argument("--misspecified", action="store_true")
-    p_sim.add_argument("--M", type=int, default=4000,
-                       help="Monte Carlo draws for the residual covariance; only "
-                            "linearity-direct and custom batteries use them, so the "
-                            "bundled studies record it as provenance")
     p_sim.add_argument("--s", type=int, default=1)
     p_sim.add_argument("--alpha", type=float, default=0.05)
     p_sim.add_argument("--seed", type=int, default=0)

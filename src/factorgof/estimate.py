@@ -644,15 +644,9 @@ def expected_information(params: ParamSet, spec) -> np.ndarray:
                                  params.implied_covariance())
 
 
-def monte_carlo_information(params: ParamSet, spec, draws: np.ndarray) -> np.ndarray:
-    """Mean outer product of scores over presampled model draws."""
-    return score_information(score_rows(params, spec, draws))
-
-
 def score_information(scores: np.ndarray) -> np.ndarray:
-    """Symmetrised mean outer product of the rows of ``scores``: the
-    information of ``monte_carlo_information`` for draws whose scores are
-    already at hand."""
+    """Symmetrised mean outer product of the rows of ``scores``: the Monte
+    Carlo information of model draws whose scores are at hand."""
     info = kernels.crossprod_mean(scores, scores)
     return 0.5 * (info + info.T)
 

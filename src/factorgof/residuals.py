@@ -12,10 +12,10 @@ with A the mean outer product of G and the score, and I the
 per-observation information, all at the fitted model.  A battery that knows
 these moments in closed form gives them through its ``_moments`` hook, and
 the engine pairs them with the exact information ``expected_information``;
-every bundled battery but the comparison variant ``linearity-direct`` has
-the hook.  For a battery without it Cov(G), A and I are estimated from one
-shared set of M Monte Carlo draws from the fitted model; a batch in which
-every battery has the hook draws nothing.
+every bundled battery has the hook.  For a custom battery without it
+Cov(G), A and I are estimated from one shared set of M Monte Carlo draws
+from the fitted model; a batch in which every battery has the hook draws
+nothing.
 Pointwise residuals are referred to N(0, 1) after standardization; a
 summary quadratic form over a designated subgrid is referred to a
 chi-square whose weight matrix inverts only the leading s eigenvalues of
@@ -35,16 +35,13 @@ engine forms only those: Var(G) less the row-wise A I^{-1} A', and Cov(G)
 on the kept columns less the same term on them.  On the draws, Var(G) is
 each column's centred sum of squares over M - 1 and Cov(G) the centred
 cross product of the summary columns over M - 1.
-``assemble_acm`` builds the full matrix J (sigma_H - A I^{-1} A') J' from
-the covariance of a battery's values and a Jacobian J, and is kept as the
-dense reference.
 
 The bundled batteries are ``WeightedBattery``s on one (rows x Q) matrix W.
 ``run_residual_batch`` makes one pass per distinct set of grid points: it
 computes W on the data, takes W's column means (the ratios' denominators)
-and every problem's sample value from it and drops it.  Only when a problem
-on the grid has no closed-form moments does it compute W on the shared
-draws for that problem's covariance entries.  Each W is read-only.
+and every problem's sample value from it and drops it.  Only when a custom
+problem on the grid has no closed-form moments does it compute W on the
+shared draws for that problem's covariance entries.  Each W is read-only.
 Batteries that give only ``_evaluate(Y, params)`` share one pass without W.
 """
 
@@ -171,8 +168,8 @@ class RatioBattery(WeightedBattery):
     r_q of each ratio, which must be given in closed form.  ``evaluate``
     returns f broadcast to (n, k), as a read-only view; it needs no W.
     The bundled linearity and variance batteries also give ``_moments``,
-    the exact moments of G_q = W_q (f - r_q) / D_q; a ratio battery without
-    them has its covariance estimated on the draws.
+    the exact moments of G_q = W_q (f - r_q) / D_q; a custom ratio battery
+    without them has its covariance estimated on the draws.
     """
 
     def __post_init__(self):
@@ -186,19 +183,6 @@ class RatioBattery(WeightedBattery):
 
     def _values(self, Y, params, W):
         return np.broadcast_to(self._evaluate(Y, params), (len(Y), self.k))
-
-
-def _ratio_draws(f, W, r, D):
-    """Each row's contribution G to a ratio battery's residual covariance.
-
-    By the delta method, the ratio of the column means of [f W, W] at their
-    model values [D r, D] moves by G_q = W_q (f - r_q) / D_q per row, with r
-    the ratio's model value and D the latent density at the grid points.
-    """
-    G = f - r
-    G *= W
-    G /= D
-    return G
 
 
 @dataclass(eq=False)
@@ -232,27 +216,13 @@ class AcmEstimate:
     M: int
 
 
-@dataclass(eq=False)
-class DenseAcm:
-    """Full residual covariance J (sigma_H - A I^-1 A') J' from ``assemble_acm``.
-
-    ``sym_delta`` is the largest asymmetry before symmetrization and
-    ``unstable`` flags diagonal entries at or below 1e-12.
-    """
-
-    sigma_phi_hat: np.ndarray
-    sym_delta: float
-    unstable: np.ndarray
-
-
 @dataclass
 class McConfig:
-    """Settings for one test run: the number of model draws M, from which
-    Cov(G), A and the information are estimated for every battery without
-    closed-form moments, their seed, and the number s of eigenvalues the
-    summary statistic keeps.  Every bundled battery but ``linearity-direct``
-    has closed-form moments and uses neither M nor the seed; for those, the
-    two are provenance only."""
+    """Settings for one test run: the number s of eigenvalues the summary
+    statistic keeps, and the number of model draws M and their seed, from
+    which Cov(G), A and the information are estimated for a custom battery
+    without closed-form moments.  Every bundled battery has closed-form
+    moments and uses neither M nor the seed."""
 
     M: int = 10_000
     seed: int = 0
@@ -325,32 +295,6 @@ def _eta_hat(battery, Y, params, W, wbar):
         return kernels.colmean(H * W) / wbar
 
 
-def assemble_acm(jac: np.ndarray, A: np.ndarray, inv_info: np.ndarray,
-                 sigma_H: np.ndarray) -> DenseAcm:
-    """Assemble and symmetrize the full residual covariance.
-
-    Outputs with a diagonal entry at or below 1e-12 are flagged unstable;
-    the engine reports them but excludes them from z and summary
-    statistics.  The engine forms only the entries it reads; this dense
-    assembly is the reference those entries are tested against.
-    """
-    k = sigma_H.shape[0]
-    if A.shape[0] != k or inv_info.shape[0] != A.shape[1] or jac.shape[1] != k:
-        raise ConfigurationError(
-            f"non-conformable shapes: jac {jac.shape}, A {A.shape}, "
-            f"inv_info {inv_info.shape}, sigma_H {sigma_H.shape}"
-        )
-    inner = sigma_H - A @ inv_info @ A.T
-    raw = jac @ inner @ jac.T
-    sym_delta = float(np.abs(raw - raw.T).max())
-    sigma_phi = 0.5 * (raw + raw.T)
-    return DenseAcm(
-        sigma_phi_hat=sigma_phi,
-        sym_delta=sym_delta,
-        unstable=np.diag(sigma_phi) <= _DIAG_FLOOR,
-    )
-
-
 def z_statistic(residual, se, n: int) -> tuple:
     """Standardized residuals and their two-sided normal p-values, for
     scalars or elementwise for arrays."""
@@ -414,11 +358,13 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
                        mc: McConfig = None) -> list:
     """Run several residual tests on one fit.
 
-    A problem whose battery has closed-form moments takes them with the
-    exact information; its hook shares per-fit and per-grid constants with
-    the batch's other hooks.  The others share the M model draws, their
-    scores and the information estimated from them, which are made only
-    when the batch holds such a problem.  The problems are then run one
+    A problem whose battery has closed-form moments, as every bundled one
+    does, takes them with the exact information; its hook shares per-fit
+    and per-grid constants with the batch's other hooks.  Custom batteries
+    without them share the ``mc.M`` model draws drawn from ``mc.seed``,
+    their scores and the information estimated from them, which are made,
+    and M checked against its minimum of 1000, only when the batch holds
+    such a problem.  The problems are then run one
     grid at a time: the posterior-weight matrix W of the grid's points is
     computed on the data, every problem on the grid takes its sample value
     from it, and it is dropped before W on the draws is computed for the
@@ -432,11 +378,11 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
             "refusing to run residual tests on a non-converged fit: "
             + "; ".join(fit.warnings)
         )
-    if mc.M < 1000:
-        raise ConfigurationError(f"M={mc.M} below the minimum of 1000")
     params = fit.params
     exact = [problem.battery._moments is not None for problem in problems]
     if not all(exact):
+        if mc.M < 1000:
+            raise ConfigurationError(f"M={mc.M} below the minimum of 1000")
         rng = np.random.default_rng(mc.seed)
         draws = simulate_data(params, mc.M, rng).values
         scores = np.ascontiguousarray(score_rows(params, fit.mapping, draws))
@@ -492,14 +438,20 @@ def _grid_weights(Y, grid, params):
 
 
 def _draw_moments(battery, params, draws, W, dens, scores, cols):
-    """A battery's eta, and the moments of its rows' contributions G
+    """A custom battery's eta, and the moments of its rows' contributions G
     estimated on the shared draws: Var(G), Cov(G) among the columns
     ``cols`` and A = E[G s'], from the draws' posterior weights ``W``,
-    scores and the grid's latent density ``dens``."""
+    scores and the grid's latent density ``dens``.  ``run_residual_batch``
+    makes the draws, their scores and W; everything else that only custom
+    batteries need is here."""
     H = battery.evaluate(draws, params, W)
     eta = battery.eta_closed(params)
     if isinstance(battery, RatioBattery):
-        G = _ratio_draws(H, W, eta, dens)
+        # by the delta method, the ratio of the column means of [f W, W] at
+        # their model values [D r, D] moves by G_q = W_q (f - r_q) / D_q per row
+        G = H - eta
+        G *= W
+        G /= dens
     else:
         G = np.ascontiguousarray(H)
         if eta is None:

@@ -214,8 +214,10 @@ def replication(cfg, seed: int, rep: int, max_iter: int = 500):
     with ``seed``.
 
     Returns ``(data, fit, mc_seed)``.  ``run_rejection_study`` runs each
-    replication from exactly these, so a test run on them with
-    ``McConfig(seed=mc_seed)`` reproduces that replication's report.
+    replication from exactly these and records ``mc_seed`` in its
+    ``McConfig``.  Every bundled battery's covariance is exact, so a test
+    run on (data, fit) reproduces that replication's report whatever the
+    draw settings; ``mc_seed`` seeds the draws of a custom battery only.
     """
     data_seq, mc_seq = np.random.SeedSequence((seed, rep)).spawn(2)
     data_rng = np.random.default_rng(data_seq)
@@ -251,7 +253,9 @@ def run_rejection_study(
 
     ``kinds`` names the battery kinds of ``batteries.make_problem``
     (default: lv-density for study1, linearity and variance for study2);
-    each item kind is built once per entry of ``items``.
+    each item kind is built once per entry of ``items``.  Every bundled
+    battery's covariance is exact, so ``M`` draws nothing; it is recorded
+    in the table.
     """
     if reps < 1:
         raise ConfigurationError("reps must be >= 1")

@@ -1,7 +1,11 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from factorgof import ModelSpec, ParamSet
+from factorgof import ConfigurationError, ModelSpec, ParamSet, RatioBattery, make_grid
+from factorgof.estimate import score_information, score_rows
+from factorgof.residuals import _draw_moments
 
 
 @pytest.fixture
@@ -50,3 +54,57 @@ def two_factor_params(two_factor_spec):
 def random_admissible_free_vector(mapping, rng, scale=0.4):
     """Random free-parameter vector; admissibility holds by construction."""
     return rng.normal(0.0, scale, mapping.q)
+
+
+# ---------------------------------------------------------------------------
+# dense reference: the full residual covariance, and the per-row terms of
+# the draw path, against which the engine's reductions are tested
+# ---------------------------------------------------------------------------
+
+
+@dataclass(eq=False)
+class DenseAcm:
+    """Full residual covariance J (sigma_H - A I^-1 A') J' from ``assemble_acm``.
+
+    ``sym_delta`` is the largest asymmetry before symmetrization and
+    ``unstable`` flags diagonal entries at or below 1e-12, the engine's floor.
+    """
+
+    sigma_phi_hat: np.ndarray
+    sym_delta: float
+    unstable: np.ndarray
+
+
+def assemble_acm(jac, A, inv_info, sigma_H):
+    """Assemble and symmetrize the full residual covariance.  The engine
+    forms only the entries a report reads; this dense assembly is the
+    reference those entries are tested against."""
+    k = sigma_H.shape[0]
+    if A.shape[0] != k or inv_info.shape[0] != A.shape[1] or jac.shape[1] != k:
+        raise ConfigurationError(
+            f"non-conformable shapes: jac {jac.shape}, A {A.shape}, "
+            f"inv_info {inv_info.shape}, sigma_H {sigma_H.shape}"
+        )
+    raw = jac @ (sigma_H - A @ inv_info @ A.T) @ jac.T
+    sigma_phi = 0.5 * (raw + raw.T)
+    return DenseAcm(sigma_phi_hat=sigma_phi, sym_delta=float(np.abs(raw - raw.T).max()),
+                    unstable=np.diag(sigma_phi) <= 1e-12)
+
+
+def monte_carlo_information(params, spec, draws):
+    """Mean outer product of scores over presampled model draws."""
+    return score_information(score_rows(params, spec, draws))
+
+
+def drawn_ratio_contributions(f, W, r, D):
+    """Each row's contribution G to the covariance of a ratio battery with
+    values f ((n, Q)), weights W, model value r and latent density D, as
+    the engine's draw path forms it.  With the rows' scores n times the
+    identity, the path's A = mean of G s' is G' itself."""
+    n, Q = W.shape
+    grid = make_grid([(-1.0, 1.0, Q)])
+    battery = RatioBattery(k=Q, name="custom-ratio", _evaluate=lambda Y, p: f,
+                           _eta=lambda p: r, grid=grid)
+    A = _draw_moments(battery, None, np.zeros((n, 1)), W, D, n * np.eye(n),
+                      np.empty(0, dtype=np.intp))[3]
+    return A.T

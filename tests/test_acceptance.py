@@ -15,12 +15,13 @@ from scipy.stats import kstest, ncx2
 import factorgof as fg
 from factorgof.estimate import ParamMapping
 from factorgof.model import marginal_logpdf
-from factorgof.residuals import _ratio_draws
 from factorgof.simstudy import (
     _STUDY1_PHI,
     mixture_lv_logpdf,
     model_spec_study2,
 )
+
+from conftest import drawn_ratio_contributions
 
 pytestmark = pytest.mark.acceptance
 
@@ -144,9 +145,9 @@ def test_criterion_1_numerical_oracles(two_factor_params, two_factor_spec,
             c2 = abs(np.trace(W @ sigma) - s) < 1e-8
             checks.append(c1 and c2)
 
-    # a ratio battery's per-row contributions vs the finite-difference
-    # derivative of N / D at the model means g = [D r, D], applied to rows
-    # of [f W, W]
+    # a ratio battery's per-row contributions on the draw path vs the
+    # finite-difference derivative of N / D at the model means g = [D r, D],
+    # applied to rows of [f W, W]
     g = rng.uniform(0.5, 2.0, 8)
     f = rng.normal(size=(5, 4))
     W = rng.uniform(0.1, 2.0, size=(5, 4))
@@ -156,7 +157,7 @@ def test_criterion_1_numerical_oracles(two_factor_params, two_factor_spec,
         gp[i] += 1e-6
         gm[i] -= 1e-6
         fd[:, i] = (gp[:4] / gp[4:] - gm[:4] / gm[4:]) / 2e-6
-    G = _ratio_draws(f, W, g[:4] / g[4:], g[4:])
+    G = drawn_ratio_contributions(f, W, g[:4] / g[4:], g[4:])
     checks.append(np.allclose(G, np.hstack([f * W, W]) @ fd.T, rtol=1e-6, atol=1e-9))
 
     # pack/unpack round trip
@@ -440,9 +441,8 @@ def test_criterion_8_cli_determinism(tmp_path):
         "fit": ["fit", "--data", str(csv_path), "--model", str(model_path),
                 "--seed", "3"],
         "test": ["test", "linearity", "--item", "2", "--data", str(csv_path),
-                 "--model", str(model_path), "--M", "1200", "--seed", "5"],
-        "simulate": ["simulate", "study2", "--reps", "3", "--n", "150",
-                     "--M", "1000", "--seed", "9"],
+                 "--model", str(model_path), "--seed", "5"],
+        "simulate": ["simulate", "study2", "--reps", "3", "--n", "150", "--seed", "9"],
         "indices": ["indices", "--data", str(csv_path), "--model", str(model_path)],
     }.items():
         out_a = tmp_path / f"{label}_a.out"

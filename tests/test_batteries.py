@@ -23,6 +23,7 @@ from factorgof import (
     run_residual_test,
     simulate_data,
     slice_report,
+    study2_paramset,
 )
 from factorgof.model import conditional_mean_grid, lv_logpdf, posterior_log_weights
 
@@ -336,30 +337,62 @@ def test_standalone_evaluate_matches_definition_from_weights(fitted):
         assert battery.evaluate(Y, params, W).tobytes() == expected.tobytes(), name
 
 
-@pytest.mark.parametrize("item,a,b", [(3, 2.5, -1.0), (5, 0.3, 2.0)])
-def test_affine_rescale_of_an_item_leaves_item_tests_unchanged(item, a, b):
-    # y_j -> a y_j + b (a > 0) maps the fit to nu_j -> a nu_j + b,
-    # lam_j -> a lam_j, theta_j -> a^2 theta_j and leaves the posterior
-    # weights and the draws' other items alone, so every linearity and
-    # variance z and T agree up to the optimizer's tolerance
-    from factorgof import DataMatrix, study2_paramset
-
+def _rescaled_reports(item, a, b, kinds):
+    """Reports of the ``kinds`` on every item (lv-density once) for study2
+    data and for the same data with y_item -> a y_item + b, each on its own
+    fit."""
     spec = ModelSpec(m=10, d=1, loading_pattern=np.ones((10, 1), dtype=int))
     data = simulate_data(study2_paramset(), 800, np.random.default_rng(4242))
     Y = data.values.copy()
     Y[:, item] = a * Y[:, item] + b
     rescaled = DataMatrix(Y)
     grid = default_grid(1)
-    problems = [make_problem(kind, grid, j) for kind in ("linearity", "variance")
-                for j in range(10)]
+    problems = [make_problem(kind, grid, j) for kind in kinds
+                for j in ((None,) if kind == "lv-density" else range(10))]
     mc = McConfig(M=2000, seed=9)
     fits = [fit_ml(d, spec) for d in (data, rescaled)]
     assert all(fit.converged for fit in fits)
     before, after = (run_residual_batch(problems, fit, d, mc)
                      for fit, d in zip(fits, (data, rescaled)))
+    return data.n, before, after
+
+
+def _points(report, attr):
+    return np.array([getattr(pt, attr) for pt in report.points])
+
+
+def _assert_same_z_and_T(r0, r1):
+    """z and T agree up to the optimizer's tolerance."""
+    z0, z1 = _points(r0, "z"), _points(r1, "z")
+    np.testing.assert_array_equal(np.isnan(z1), np.isnan(z0), err_msg=r0.battery)
+    assert np.nanmax(np.abs(z1 - z0)) < 1e-3, r0.battery
+    assert r1.summary.T == pytest.approx(r0.summary.T, rel=1e-3), r0.battery
+
+
+@pytest.mark.parametrize("item,a,b", [(3, 2.5, -1.0), (5, 0.3, 2.0)])
+def test_affine_rescale_of_an_item_leaves_item_tests_unchanged(item, a, b):
+    # y_j -> a y_j + b (a > 0) maps the fit to nu_j -> a nu_j + b,
+    # lam_j -> a lam_j, theta_j -> a^2 theta_j and leaves the posterior
+    # weights and the draws' other items alone, so every linearity and
+    # variance z and T agree up to the optimizer's tolerance
+    _, before, after = _rescaled_reports(item, a, b, ("linearity", "variance"))
     for r0, r1 in zip(before, after):
-        z0 = np.array([pt.z for pt in r0.points])
-        z1 = np.array([pt.z for pt in r1.points])
-        np.testing.assert_array_equal(np.isnan(z1), np.isnan(z0), err_msg=r0.battery)
-        assert np.nanmax(np.abs(z1 - z0)) < 1e-3, r0.battery
-        assert r1.summary.T == pytest.approx(r0.summary.T, rel=1e-3), r0.battery
+        _assert_same_z_and_T(r0, r1)
+
+
+@pytest.mark.parametrize("item,a,b", [(3, 2.5, -1.0), (5, 0.3, 2.0), (3, 2.5, 0.0)])
+def test_affine_rescale_of_an_item_leaves_density_and_scales_direct_test(item, a, b):
+    # the posterior weights and the latent density do not change, so the
+    # latent-density report and the direct tests of the other items are
+    # unchanged.  linearity-direct[item] averages y_item W / D, so for
+    # b = 0 its residual and se scale by a and its z and T are unchanged
+    n, before, after = _rescaled_reports(item, a, b, ("lv-density", "linearity-direct"))
+    for r0, r1 in zip(before, after):
+        if r0.battery == f"linearity-direct[{item}]":
+            if b != 0.0:
+                continue
+            se0, ok = _points(r0, "se"), ~_points(r0, "unstable")
+            np.testing.assert_allclose(_points(r1, "se")[ok] / a, se0[ok], rtol=1e-3)
+            shift = _points(r1, "residual")[ok] / a - _points(r0, "residual")[ok]
+            assert (np.abs(shift) < 1e-3 * se0[ok] / np.sqrt(n)).all()
+        _assert_same_z_and_T(r0, r1)

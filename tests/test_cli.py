@@ -307,7 +307,7 @@ class TestTestCommand:
         tmp, csv_path, model_path = workdir
         out = str(tmp / "report.tsv")
         rc = main(["test", "lv-density", "--data", csv_path, "--model", model_path,
-                   "--grid", "-3:3:31", "--M", "1000", "--seed", "7", "--out", out])
+                   "--grid", "-3:3:31", "--seed", "7", "--out", out])
         assert rc == 0
         lines = [l for l in open(out).read().splitlines() if not l.startswith("#")]
         header, *rows = lines
@@ -319,21 +319,21 @@ class TestTestCommand:
     def test_item_zero_rejected(self, workdir, capsys):
         tmp, csv_path, model_path = workdir
         rc = main(["test", "linearity", "--data", csv_path, "--model", model_path,
-                   "--item", "0", "--M", "1000", "--out", str(tmp / "x.tsv")])
+                   "--item", "0", "--out", str(tmp / "x.tsv")])
         assert rc != 0
         assert "out of range" in capsys.readouterr().err
 
     def test_missing_item_rejected(self, workdir):
         tmp, csv_path, model_path = workdir
         rc = main(["test", "variance", "--data", csv_path, "--model", model_path,
-                   "--M", "1000", "--out", str(tmp / "x.tsv")])
+                   "--out", str(tmp / "x.tsv")])
         assert rc != 0
 
     def test_byte_identical_reruns(self, workdir):
         tmp, csv_path, model_path = workdir
         out1, out2 = str(tmp / "r1.tsv"), str(tmp / "r2.tsv")
         args = ["test", "linearity", "--item", "2", "--data", csv_path,
-                "--model", model_path, "--M", "1200", "--seed", "3"]
+                "--model", model_path, "--seed", "3"]
         assert main(args + ["--out", out1]) == 0
         assert main(args + ["--out", out2]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
@@ -342,20 +342,26 @@ class TestTestCommand:
         tmp, csv_path, model_path = workdir
         out = str(tmp / "prov.tsv")
         assert main(["test", "lv-density", "--data", csv_path, "--model", model_path,
-                     "--M", "1000", "--seed", "13", "--out", out]) == 0
+                     "--seed", "13", "--out", out]) == 0
         head = [l for l in open(out).read().splitlines() if l.startswith("#")]
         joined = "\n".join(head)
         assert head[0].startswith("# tool=factorgof version=")
-        for key in ("seed=13", "M=1000", "s=1", "grid=", "data_sha256="):
+        for key in ("seed=13", "s=1", "grid=", "data_sha256="):
             assert key in joined
+        assert not any(l.startswith("# M=") for l in head)
         assert "# covariance=exact" in head
-        for kind in ("linearity", "variance"):
+        for kind in ("linearity", "variance", "linearity-direct"):
             assert main(["test", kind, "--item", "2", "--data", csv_path,
-                         "--model", model_path, "--M", "1000", "--out", out]) == 0
+                         "--model", model_path, "--out", out]) == 0
             assert "# covariance=exact" in open(out).read().splitlines()
-        assert main(["test", "linearity-direct", "--item", "2", "--data", csv_path,
-                     "--model", model_path, "--M", "1000", "--out", out]) == 0
-        assert "# covariance=monte-carlo" in open(out).read().splitlines()
+
+    def test_draw_budget_flag_is_gone(self, workdir, capsys):
+        tmp, csv_path, model_path = workdir
+        for argv in (["test", "lv-density", "--data", csv_path, "--model", model_path],
+                     ["simulate", "study2", "--reps", "1"]):
+            with pytest.raises(SystemExit):
+                main(argv + ["--M", "1000", "--out", str(tmp / "x.tsv")])
+            assert "unrecognized arguments: --M 1000" in capsys.readouterr().err
 
     def test_fit_roundtrip_matches_refit(self, workdir):
         tmp, csv_path, model_path = workdir
@@ -365,7 +371,7 @@ class TestTestCommand:
         out_model = str(tmp / "via_model.tsv")
         out_fit = str(tmp / "via_fit.tsv")
         common = ["test", "variance", "--item", "3", "--data", csv_path,
-                  "--M", "1500", "--seed", "11"]
+                  "--seed", "11"]
         assert main(common + ["--model", model_path, "--out", out_model]) == 0
         assert main(common + ["--fit", fit_doc, "--out", out_fit]) == 0
         strip = lambda p: [l for l in open(p).read().splitlines() if not l.startswith("#")]
@@ -375,7 +381,7 @@ class TestTestCommand:
         tmp, csv_path, model_path = workdir
         outs = [str(tmp / "default.tsv"), str(tmp / "explicit.tsv")]
         common = ["test", "lv-density", "--data", csv_path, "--model", model_path,
-                  "--M", "1000", "--seed", "4"]
+                  "--seed", "4"]
         assert main(common + ["--out", outs[0]]) == 0
         assert main(common + ["--grid", "-3:3:31", "--out", outs[1]]) == 0
         text = open(outs[0], "rb").read()
@@ -394,7 +400,7 @@ class TestSimulateCommand:
         tmp, *_ = workdir
         out1, out2 = str(tmp / "s1.tsv"), str(tmp / "s2.tsv")
         args = ["simulate", "study2", "--reps", "3", "--n", "150",
-                "--M", "1000", "--seed", "5", "--item", "2"]
+                "--seed", "5", "--item", "2"]
         assert main(args + ["--out", out1]) == 0
         assert main(args + ["--out", out2]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
@@ -405,7 +411,7 @@ class TestSimulateCommand:
     def test_grid_without_summary_grid_pools_every_point(self, workdir):
         tmp, *_ = workdir
         out = str(tmp / "grid.tsv")
-        assert main(["simulate", "study2", "--reps", "2", "--n", "300", "--M", "1000",
+        assert main(["simulate", "study2", "--reps", "2", "--n", "300",
                      "--grid", "-3:3:7", "--out", out]) == 0
         lines = open(out).read().splitlines()
         assert "# summary_grid=-3:3:7" in lines
@@ -420,12 +426,12 @@ class TestSimulateCommand:
     def test_summary_grid_without_grid_uses_default_axes(self, workdir, capsys):
         tmp, *_ = workdir
         out = str(tmp / "sub.tsv")
-        assert main(["simulate", "study2", "--reps", "1", "--n", "300", "--M", "1000",
+        assert main(["simulate", "study2", "--reps", "1", "--n", "300",
                      "--summary-grid", "-1:1:3", "--out", out]) == 0
         lines = open(out).read().splitlines()
         assert "# grid=-3:3:31" in lines
         assert "# summary_grid=-1:1:3" in lines
-        rc = main(["simulate", "study2", "--reps", "1", "--n", "300", "--M", "1000",
+        rc = main(["simulate", "study2", "--reps", "1", "--n", "300",
                    "--grid", "-3:3:7,-3:3:7", "--out", out])
         assert rc == 1
         assert "grid has 2 dimensions, model has d=1" in capsys.readouterr().err
@@ -439,7 +445,7 @@ class TestSimulateCommand:
         monkeypatch.setattr(cli, "run_rejection_study", refuse)
         for item in ("0", "11"):
             rc = main(["simulate", "study2", "--reps", "1", "--n", "120",
-                       "--M", "1000", "--item", item, "--out", str(tmp / "x.tsv")])
+                       "--item", item, "--out", str(tmp / "x.tsv")])
             err = capsys.readouterr().err
             assert rc == 1
             assert f"--item {item} out of range 1..10" in err
@@ -448,7 +454,7 @@ class TestSimulateCommand:
     def test_alpha_outside_unit_interval_rejected(self, workdir, capsys):
         tmp, *_ = workdir
         out = tmp / "alpha.tsv"
-        rc = main(["simulate", "study2", "--reps", "2", "--n", "300", "--M", "1000",
+        rc = main(["simulate", "study2", "--reps", "2", "--n", "300",
                    "--alpha", "1.5", "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 1

@@ -22,7 +22,6 @@ from factorgof import (
     SpecificationError,
     fit_ml,
     log_likelihood,
-    monte_carlo_information,
     score,
     score_rows,
     simulate_data,
@@ -45,7 +44,7 @@ from factorgof.simstudy import (
     replication,
 )
 
-from conftest import random_admissible_free_vector
+from conftest import monte_carlo_information, random_admissible_free_vector
 
 
 class TestDataMatrix:

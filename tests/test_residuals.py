@@ -22,7 +22,6 @@ from factorgof import (
     RankError,
     RatioBattery,
     SummaryBattery,
-    assemble_acm,
     chi2_statistic,
     default_grid,
     eta_hat,
@@ -38,14 +37,11 @@ from factorgof import (
     z_statistic,
 )
 from factorgof import batteries, kernels, residuals
-from factorgof.estimate import (
-    ParamMapping,
-    invert_information,
-    monte_carlo_information,
-    score_rows,
-)
+from factorgof.estimate import ParamMapping, invert_information, score_rows
 from factorgof.model import lv_logpdf, posterior_log_weights
-from factorgof.residuals import ResidualProblem, _ratio_draws, run_residual_batch
+from factorgof.residuals import ResidualProblem, run_residual_batch
+
+from conftest import assemble_acm, drawn_ratio_contributions, monte_carlo_information
 
 
 def random_psd(rng, k, rank=None):
@@ -162,9 +158,9 @@ def _ratio_jacobian(g):
 
 
 class TestTransformations:
-    """The ratio map (N, D) -> N / D behind ratio batteries, as the engine
-    applies it to each row: ``_ratio_draws`` is the delta-method projection
-    of the row's [f W, W] at the model means [D r, D]."""
+    """The ratio map (N, D) -> N / D behind ratio batteries, as the engine's
+    draw path applies it to each row: the delta-method projection of the
+    row's [f W, W] at the model means [D r, D]."""
 
     def test_ratio_values_and_structure(self):
         # Q = 2: each output column combines only its own numerator and
@@ -173,7 +169,7 @@ class TestTransformations:
         W = np.array([[0.5, 2.0], [1.0, 4.0]])
         r = np.array([2.0, 1.0])
         D = np.array([4.0, 0.5])
-        G = _ratio_draws(f, W, r, D)
+        G = drawn_ratio_contributions(f, W, r, D)
         np.testing.assert_allclose(G, [[0.5 * -1 / 4, 2.0 * 0 / 0.5],
                                        [1.0 * 1 / 4, 4.0 * 2 / 0.5]], rtol=1e-15)
 
@@ -193,7 +189,8 @@ class TestTransformations:
             fd[:, i] = (gp[:Q] / gp[Q:] - gm[:Q] / gm[Q:]) / (2 * h)
         np.testing.assert_allclose(_ratio_jacobian(g), fd, rtol=1e-6, atol=1e-9)
         H = np.hstack([f * W, W])
-        np.testing.assert_allclose(_ratio_draws(f, W, r, D), H @ fd.T, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(drawn_ratio_contributions(f, W, r, D), H @ fd.T,
+                                   rtol=1e-6, atol=1e-9)
 
 
 class TestBatteryBasics:
@@ -357,16 +354,17 @@ class TestAssembleAcm:
 
 
 def _drawn(problem):
-    """The problem with its battery's closed-form moments removed, so the
-    engine estimates its covariance on the draws."""
+    """The problem with its battery's closed-form moments removed: a custom
+    battery with the same values, whose covariance the engine estimates on
+    the draws, as it does for every custom battery without the hook."""
     return ResidualProblem(dataclasses.replace(problem.battery, _moments=None), problem.grid)
 
 
 def _engine_cases():
-    """One problem per battery path on the draws: mean batteries
-    (linearity-direct and a custom battery) and ratio batteries (linearity,
-    and variance, whose f differs per grid point, without their closed-form
-    moments).  The custom battery has no closed-form expectation, and its
+    """One problem per battery path on the draws, each a custom battery
+    without closed-form moments: mean batteries (linearity-direct's values
+    and a custom battery) and ratio batteries (linearity's and variance's,
+    whose f differs per grid point).  The custom battery has no closed-form expectation, and its
     last column is constant, so it is unstable and drops out of the summary
     subgrid.  The exact paths are checked in ``TestExactLvDensity`` and
     ``TestExactItemMoments``."""
@@ -383,7 +381,7 @@ def _engine_cases():
     )
     custom_grid = make_grid([(-1.5, 1.5, 4)], [(-1.5, 1.5, 4)])
     return {
-        "linearity-direct": mv_linearity_direct_problem(grid, 3),
+        "linearity-direct": _drawn(mv_linearity_direct_problem(grid, 3)),
         "linearity": _drawn(mv_linearity_problem(grid, 2)),
         "variance": _drawn(mv_homoscedasticity_problem(grid, 5)),
         "dense-custom": ResidualProblem(battery, custom_grid),
@@ -526,10 +524,22 @@ class TestRunResidualTest:
             run_residual_test(problem, bad, data, McConfig(M=1000, seed=0))
 
     def test_minimum_draws(self, fitted_setup):
+        # the draw budget is checked only where a batch draws
         spec, params, data, fit = fitted_setup
-        problem = lv_density_problem(make_grid([(-2, 2, 5)]))
-        with pytest.raises(ConfigurationError):
-            run_residual_test(problem, fit, data, McConfig(M=500, seed=0))
+        problem = _drawn(lv_density_problem(make_grid([(-2, 2, 5)])))
+        for M in (10, 500):
+            with pytest.raises(ConfigurationError, match=f"M={M} below the minimum"):
+                run_residual_test(problem, fit, data, McConfig(M=M, seed=0))
+
+    def test_exact_batch_takes_any_draw_budget(self, fitted_setup):
+        spec, params, data, fit = fitted_setup
+        grid = make_grid([(-2, 2, 5)], [(-2, 2, 5)])
+        problems = [batteries.make_problem(kind, grid, None if kind == "lv-density" else 2)
+                    for kind in ("lv-density", "linearity", "variance", "linearity-direct")]
+        tiny = run_residual_batch(problems, fit, data, McConfig(M=10, seed=0))
+        default = run_residual_batch(problems, fit, data, McConfig())
+        for got, want in zip(tiny, default):
+            _assert_same_report(got, want)
 
     def test_identity_pipeline_matches_manual_assembly(self, fitted_setup):
         # the engine forms only sigma_phi's diagonal and kept summary block
@@ -592,7 +602,8 @@ class TestRunResidualTest:
         calls.clear()
         other = make_grid([(-2, 2, 9)])
         run_residual_batch(problems + [lv_density_problem(other),
-                                       mv_linearity_direct_problem(other, 2)], fit, data, mc)
+                                       _drawn(mv_linearity_direct_problem(other, 2))],
+                           fit, data, mc)
         assert calls == [(n, 31), (M, 31), (n, 9), (M, 9)]
 
     def test_shared_weights_are_read_only(self, fitted_setup):
@@ -654,13 +665,13 @@ def _mirror_fit(fit, factor):
 
 
 def _contributions(battery, Y, params):
-    """Each row's contribution G to a battery's residual covariance, from
-    the posterior weights W: W itself, or W (f - r) / D for a ratio
-    battery."""
+    """Each row's contribution G to a weighted battery's residual
+    covariance: a mean battery's values, or W (f - r) / D for a ratio
+    battery, from the posterior weights W."""
+    if not isinstance(battery, RatioBattery):
+        return battery.evaluate(Y, params)
     points = battery.grid.points
     W = np.exp(posterior_log_weights(Y, points, params))
-    if not isinstance(battery, RatioBattery):
-        return W
     dens = np.exp(lv_logpdf(points, params))
     return W * (battery.evaluate(Y, params) - battery.eta_closed(params)) / dens
 
@@ -781,7 +792,8 @@ class TestExactLvDensity:
         Ww = W * wt[:, None]
         dens = np.exp(lv_logpdf(points, params))
         Q = len(points)
-        var, cov, A = batteries._lv_density_moments(points, params, mapping, np.arange(Q), {})
+        battery = _problem_on_points("lv-density", points).battery
+        var, cov, A = battery._moments(params, mapping, np.arange(Q), {})
 
         EWW = Ww.T @ W
         pairs = batteries._weight_products(np.repeat(points, Q, axis=0),
@@ -821,11 +833,12 @@ class TestExactLvDensity:
         other = run_residual_test(lv_density_problem(grid), fit, data,
                                   McConfig(M=4000, seed=2))
         _assert_same_report(other, report)
-        for make in (mv_linearity_problem, mv_homoscedasticity_problem):
-            ratio = run_residual_test(make(grid, 1), fit, data, mc)
-            assert ratio.acm.M == 0 and ratio.config["covariance"] == "exact"
-        direct = run_residual_test(mv_linearity_direct_problem(grid, 1), fit, data, mc)
-        assert direct.acm.M == 1500 and direct.config["covariance"] == "monte-carlo"
+        for make in (mv_linearity_problem, mv_homoscedasticity_problem,
+                     mv_linearity_direct_problem):
+            item = run_residual_test(make(grid, 1), fit, data, mc)
+            assert item.acm.M == 0 and item.config["covariance"] == "exact"
+        custom = run_residual_test(_drawn(mv_linearity_direct_problem(grid, 1)), fit, data, mc)
+        assert custom.acm.M == 1500 and custom.config["covariance"] == "monte-carlo"
 
     def test_lv_density_batch_draws_nothing(self, fitted_setup, monkeypatch):
         spec, params, data, fit = fitted_setup
@@ -839,7 +852,8 @@ class TestExactLvDensity:
     def test_exact_problem_leaves_draw_problems_unchanged(self, fitted_setup):
         spec, params, data, fit = fitted_setup
         grid = make_grid([(-3, 3, 31)], [(-2, 2, 11)])
-        drawn = [_drawn(mv_linearity_problem(grid, 1)), mv_linearity_direct_problem(grid, 7)]
+        drawn = [_drawn(mv_linearity_problem(grid, 1)),
+                 _drawn(mv_linearity_direct_problem(grid, 7))]
         mc = McConfig(M=2000, seed=8)
         mixed = run_residual_batch([lv_density_problem(grid)] + drawn, fit, data, mc)
         alone = run_residual_batch(drawn, fit, data, mc)
@@ -857,46 +871,59 @@ class TestExactLvDensity:
         _check_row_permutation_leaves_report(lv_density_problem(default_grid(1)), fit, data)
 
 
-def _item_problem(kind, points, item):
-    """A bundled item battery on arbitrary latent points."""
+def _problem_on_points(kind, points, item=None):
+    """A bundled battery on arbitrary latent points."""
     grid = batteries.LvGrid(axes=(), points=points, summary_subset=None, label="",
                             summary_label="")
     return batteries.make_problem(kind, grid, item)
 
 
+def _check_item_moments_by_quadrature(kind, d, nodes):
+    """E[G], E[G G'] and A = E[G s'] of a bundled item battery's rows'
+    contributions G on every item, with s the score, by product
+    Gauss-Hermite quadrature over y, against its closed-form moments to
+    1e-10 of the largest entry.  E[G] is eta for a mean battery and 0 for
+    a ratio battery, G_q = W_q (f - r_q) / D_q."""
+    params, mapping, points = _small_model(d)
+    U, wt = _gauss_hermite(params.m, nodes)
+    Q, L = len(points), params.sigma_cholesky()
+    for item in range(params.m):
+        battery = _problem_on_points(kind, points, item).battery
+        EG, EGG, EGs = 0.0, 0.0, 0.0
+        for lo in range(0, len(wt), 200_000):
+            Y = params.nu + U[lo:lo + 200_000] @ L.T
+            G = _contributions(battery, Y, params)
+            Gw = G * wt[lo:lo + 200_000, None]
+            EG = EG + Gw.sum(axis=0)
+            EGG = EGG + Gw.T @ G
+            EGs = EGs + Gw.T @ score_rows(params, mapping, Y)
+        var, cov, A = battery._moments(params, mapping, np.arange(Q), {})
+        mean = 0.0 if isinstance(battery, RatioBattery) else battery.eta_closed(params)
+
+        scale = np.abs(EGG).max()
+        np.testing.assert_allclose(EG, mean, rtol=0, atol=1e-10 * np.sqrt(scale))
+        want = EGG - np.outer(mean, mean)
+        np.testing.assert_allclose(cov, want, rtol=0, atol=1e-10 * scale)
+        np.testing.assert_allclose(var, np.diag(want), rtol=0, atol=1e-10 * scale)
+        np.testing.assert_allclose(A, EGs, rtol=0, atol=1e-10 * np.abs(EGs).max())
+        if kind == "variance":
+            assert (A == A[0]).all()
+
+
 class TestExactItemMoments:
-    """The linearity and variance batteries' closed-form moments, and the
-    engine's draw-free path through them."""
+    """The linearity, variance and linearity-direct batteries' closed-form
+    moments, and the engine's draw-free path through them."""
 
     @pytest.mark.parametrize("d,nodes", [(1, 40), (2, 30)])
     @pytest.mark.parametrize("kind", ["linearity", "variance"])
     def test_ratio_moments_match_quadrature(self, kind, d, nodes):
-        # E[G], E[G G'] and A = E[G s'] of G_q = W_q (f - r_q) / D_q, with s
-        # the score, by product Gauss-Hermite quadrature over y
-        params, mapping, points = _small_model(d)
-        U, wt = _gauss_hermite(params.m, nodes)
-        Q, L = len(points), params.sigma_cholesky()
-        for item in range(params.m):
-            battery = _item_problem(kind, points, item).battery
-            EG, EGG, EGs = 0.0, 0.0, 0.0
-            for lo in range(0, len(wt), 200_000):
-                Y = params.nu + U[lo:lo + 200_000] @ L.T
-                G = _contributions(battery, Y, params)
-                Gw = G * wt[lo:lo + 200_000, None]
-                EG = EG + Gw.sum(axis=0)
-                EGG = EGG + Gw.T @ G
-                EGs = EGs + Gw.T @ score_rows(params, mapping, Y)
-            var, cov, A = battery._moments(params, mapping, np.arange(Q), {})
+        _check_item_moments_by_quadrature(kind, d, nodes)
 
-            scale = np.abs(EGG).max()
-            np.testing.assert_allclose(EG, 0.0, rtol=0, atol=1e-10 * np.sqrt(scale))
-            np.testing.assert_allclose(cov, EGG, rtol=0, atol=1e-10 * scale)
-            np.testing.assert_allclose(var, np.diag(EGG), rtol=0, atol=1e-10 * scale)
-            np.testing.assert_allclose(A, EGs, rtol=0, atol=1e-10 * np.abs(EGs).max())
-            if kind == "variance":
-                assert (A == A[0]).all()
+    @pytest.mark.parametrize("d,nodes", [(1, 40), (2, 30)])
+    def test_direct_moments_match_quadrature(self, d, nodes):
+        _check_item_moments_by_quadrature("linearity-direct", d, nodes)
 
-    @pytest.mark.parametrize("kind", ["linearity", "variance"])
+    @pytest.mark.parametrize("kind", ["linearity", "variance", "linearity-direct"])
     def test_engine_matches_dense_monte_carlo(self, kind, fitted_setup):
         _, _, data, fit = fitted_setup
         grid = make_grid([(-3, 3, 7)], [(-2, 2, 5)])
@@ -914,7 +941,9 @@ class TestExactItemMoments:
         grid, other = default_grid(1), make_grid([(-2, 2, 9)], [(-1, 1, 3)])
         problems = ([mv_linearity_problem(grid, j) for j in (1, 7, 8, 9)]
                     + [mv_homoscedasticity_problem(grid, j) for j in (1, 7, 8, 9)]
-                    + [lv_density_problem(other), mv_homoscedasticity_problem(other, 2)])
+                    + [mv_linearity_direct_problem(grid, j) for j in (1, 8)]
+                    + [lv_density_problem(other), mv_homoscedasticity_problem(other, 2),
+                       mv_linearity_direct_problem(other, 2)])
         reports = run_residual_batch(problems, fit, data, McConfig(M=1000, seed=3))
         assert calls == [(data.n, 31), (data.n, 9)]
         assert all(r.acm.M == 0 and r.config["covariance"] == "exact" for r in reports)
@@ -923,7 +952,7 @@ class TestExactItemMoments:
         for got, want in zip(again, reports):
             _assert_same_report(got, want)
 
-    @pytest.mark.parametrize("kind", ["linearity", "variance"])
+    @pytest.mark.parametrize("kind", ["linearity", "variance", "linearity-direct"])
     @pytest.mark.parametrize("d,factor,item", [(1, 0, 1), (2, 0, 1), (2, 1, 5), (2, 1, 2)])
     def test_factor_sign_flip_mirrors_report(self, kind, d, factor, item, fitted_setup,
                                              two_factor_params, two_factor_spec):
@@ -931,7 +960,7 @@ class TestExactItemMoments:
         _check_sign_flip_mirrors_report(
             lambda grid: batteries.make_problem(kind, grid, item), fit, data, factor)
 
-    @pytest.mark.parametrize("kind", ["linearity", "variance"])
+    @pytest.mark.parametrize("kind", ["linearity", "variance", "linearity-direct"])
     def test_row_permutation_leaves_report_unchanged(self, kind, fitted_setup):
         spec, params, data, fit = fitted_setup
         _check_row_permutation_leaves_report(
