@@ -303,15 +303,10 @@ def _quadratic_moments(points, item, a, b, c, params, mapping, cols, shared):
         mu = conditional_mean_grid(points, params)[:, item]
 
     def coefficients(a_q, alpha):
-        # (p0, p1); without the quadratic term p1 = b and p0 = a_q + b alpha
-        if not c:
-            return a_q + b * alpha, b
         return a_q + b * alpha + c * (alpha**2 - theta), b + 2.0 * c * alpha
 
     def products(p, q):
         (p0, p1), (q0, q1) = p, q
-        if not c:
-            return p0 * q0 + tau2 * p1 * q1
         return p0 * q0 + tau2 * (c * (p0 + q0) + p1 * q1) + 3.0 * c * c * tau2**2
 
     diag = coefficients(a, nu + t - mu)

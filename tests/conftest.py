@@ -96,15 +96,19 @@ def monte_carlo_information(params, spec, draws):
     return score_information(score_rows(params, spec, draws))
 
 
-def drawn_ratio_contributions(f, W, r, D):
-    """Each row's contribution G to the covariance of a ratio battery with
-    values f ((n, Q)), weights W, model value r and latent density D, as
-    the engine's draw path forms it.  With the rows' scores n times the
-    identity, the path's A = mean of G s' is G' itself."""
-    n, Q = W.shape
-    grid = make_grid([(-1.0, 1.0, Q)])
+def drawn_ratio_moments(f, W, r, D, scores):
+    """Var(G), Cov(G) among every point and A = E[G s'] as the engine's draw
+    path estimates them for a ratio battery with values f ((M, Q)), weights
+    W, model value r and latent density D, on M draws with scores
+    ``scores``."""
+    M, Q = W.shape
     battery = RatioBattery(k=Q, name="custom-ratio", _evaluate=lambda Y, p: f,
-                           _eta=lambda p: r, grid=grid)
-    A = _draw_moments(battery, None, np.zeros((n, 1)), W, D, n * np.eye(n),
-                      np.empty(0, dtype=np.intp))[3]
-    return A.T
+                           _eta=lambda p: r, grid=make_grid([(-1.0, 1.0, Q)]))
+    return _draw_moments(battery, None, np.zeros((M, 1)), W, D, scores, np.arange(Q))[1:]
+
+
+def sample_moments(G, scores):
+    """The same three moments of given rows' contributions G: their sample
+    variance and covariance, and their mean outer product with the scores."""
+    cov = np.atleast_2d(np.cov(G, rowvar=False))
+    return np.diag(cov), cov, G.T @ scores / len(G)

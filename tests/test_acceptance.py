@@ -21,7 +21,7 @@ from factorgof.simstudy import (
     model_spec_study2,
 )
 
-from conftest import drawn_ratio_contributions
+from conftest import drawn_ratio_moments, sample_moments
 
 pytestmark = pytest.mark.acceptance
 
@@ -157,8 +157,10 @@ def test_criterion_1_numerical_oracles(two_factor_params, two_factor_spec,
         gp[i] += 1e-6
         gm[i] -= 1e-6
         fd[:, i] = (gp[:4] / gp[4:] - gm[:4] / gm[4:]) / 2e-6
-    G = drawn_ratio_contributions(f, W, g[:4] / g[4:], g[4:])
-    checks.append(np.allclose(G, np.hstack([f * W, W]) @ fd.T, rtol=1e-6, atol=1e-9))
+    scores = rng.normal(size=(5, 3))
+    drawn = drawn_ratio_moments(f, W, g[:4] / g[4:], g[4:], scores)
+    want = sample_moments(np.hstack([f * W, W]) @ fd.T, scores)
+    checks.append(all(np.allclose(a, b, rtol=1e-6, atol=1e-9) for a, b in zip(drawn, want)))
 
     # pack/unpack round trip
     for spec in (one_factor_spec, two_factor_spec):

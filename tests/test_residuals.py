@@ -41,7 +41,8 @@ from factorgof.estimate import ParamMapping, invert_information, score_rows
 from factorgof.model import lv_logpdf, posterior_log_weights
 from factorgof.residuals import ResidualProblem, run_residual_batch
 
-from conftest import assemble_acm, drawn_ratio_contributions, monte_carlo_information
+from conftest import (assemble_acm, drawn_ratio_moments, monte_carlo_information,
+                      sample_moments)
 
 
 def random_psd(rng, k, rank=None):
@@ -162,16 +163,17 @@ class TestTransformations:
     draw path applies it to each row: the delta-method projection of the
     row's [f W, W] at the model means [D r, D]."""
 
-    def test_ratio_values_and_structure(self):
+    def test_ratio_values_and_structure(self, rng):
         # Q = 2: each output column combines only its own numerator and
         # denominator column, W_q (f - r_q) / D_q
         f = np.array([[1.0], [3.0]])
         W = np.array([[0.5, 2.0], [1.0, 4.0]])
         r = np.array([2.0, 1.0])
         D = np.array([4.0, 0.5])
-        G = drawn_ratio_contributions(f, W, r, D)
-        np.testing.assert_allclose(G, [[0.5 * -1 / 4, 2.0 * 0 / 0.5],
-                                       [1.0 * 1 / 4, 4.0 * 2 / 0.5]], rtol=1e-15)
+        G = np.array([[0.5 * -1 / 4, 2.0 * 0 / 0.5], [1.0 * 1 / 4, 4.0 * 2 / 0.5]])
+        scores = rng.normal(size=(2, 3))
+        for got, want in zip(drawn_ratio_moments(f, W, r, D, scores), sample_moments(G, scores)):
+            np.testing.assert_allclose(got, want, rtol=1e-15)
 
     @pytest.mark.parametrize("Q", [1, 3, 8])
     def test_ratio_jacobian_matches_finite_differences(self, Q, rng):
@@ -188,9 +190,10 @@ class TestTransformations:
             gm[i] -= h
             fd[:, i] = (gp[:Q] / gp[Q:] - gm[:Q] / gm[Q:]) / (2 * h)
         np.testing.assert_allclose(_ratio_jacobian(g), fd, rtol=1e-6, atol=1e-9)
-        H = np.hstack([f * W, W])
-        np.testing.assert_allclose(drawn_ratio_contributions(f, W, r, D), H @ fd.T,
-                                   rtol=1e-6, atol=1e-9)
+        G = np.hstack([f * W, W]) @ fd.T
+        scores = rng.normal(size=(6, 3))
+        for got, want in zip(drawn_ratio_moments(f, W, r, D, scores), sample_moments(G, scores)):
+            np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
 
 
 class TestBatteryBasics:
@@ -878,50 +881,42 @@ def _problem_on_points(kind, points, item=None):
     return batteries.make_problem(kind, grid, item)
 
 
-def _check_item_moments_by_quadrature(kind, d, nodes):
-    """E[G], E[G G'] and A = E[G s'] of a bundled item battery's rows'
-    contributions G on every item, with s the score, by product
-    Gauss-Hermite quadrature over y, against its closed-form moments to
-    1e-10 of the largest entry.  E[G] is eta for a mean battery and 0 for
-    a ratio battery, G_q = W_q (f - r_q) / D_q."""
-    params, mapping, points = _small_model(d)
-    U, wt = _gauss_hermite(params.m, nodes)
-    Q, L = len(points), params.sigma_cholesky()
-    for item in range(params.m):
-        battery = _problem_on_points(kind, points, item).battery
-        EG, EGG, EGs = 0.0, 0.0, 0.0
-        for lo in range(0, len(wt), 200_000):
-            Y = params.nu + U[lo:lo + 200_000] @ L.T
-            G = _contributions(battery, Y, params)
-            Gw = G * wt[lo:lo + 200_000, None]
-            EG = EG + Gw.sum(axis=0)
-            EGG = EGG + Gw.T @ G
-            EGs = EGs + Gw.T @ score_rows(params, mapping, Y)
-        var, cov, A = battery._moments(params, mapping, np.arange(Q), {})
-        mean = 0.0 if isinstance(battery, RatioBattery) else battery.eta_closed(params)
-
-        scale = np.abs(EGG).max()
-        np.testing.assert_allclose(EG, mean, rtol=0, atol=1e-10 * np.sqrt(scale))
-        want = EGG - np.outer(mean, mean)
-        np.testing.assert_allclose(cov, want, rtol=0, atol=1e-10 * scale)
-        np.testing.assert_allclose(var, np.diag(want), rtol=0, atol=1e-10 * scale)
-        np.testing.assert_allclose(A, EGs, rtol=0, atol=1e-10 * np.abs(EGs).max())
-        if kind == "variance":
-            assert (A == A[0]).all()
-
-
 class TestExactItemMoments:
     """The linearity, variance and linearity-direct batteries' closed-form
     moments, and the engine's draw-free path through them."""
 
     @pytest.mark.parametrize("d,nodes", [(1, 40), (2, 30)])
-    @pytest.mark.parametrize("kind", ["linearity", "variance"])
+    @pytest.mark.parametrize("kind", ["linearity", "variance", "linearity-direct"])
     def test_ratio_moments_match_quadrature(self, kind, d, nodes):
-        _check_item_moments_by_quadrature(kind, d, nodes)
+        # E[G], E[G G'] and A = E[G s'] of every item battery's rows'
+        # contributions G_q = W_q h_q / D_q, with s the score, by product
+        # Gauss-Hermite quadrature over y, on every item, to 1e-10 of the
+        # largest entry.  E[G] is eta for linearity-direct, a mean battery,
+        # and 0 for the ratio batteries, whose h_q = f - r_q
+        params, mapping, points = _small_model(d)
+        U, wt = _gauss_hermite(params.m, nodes)
+        Q, L = len(points), params.sigma_cholesky()
+        for item in range(params.m):
+            battery = _problem_on_points(kind, points, item).battery
+            EG, EGG, EGs = 0.0, 0.0, 0.0
+            for lo in range(0, len(wt), 200_000):
+                Y = params.nu + U[lo:lo + 200_000] @ L.T
+                G = _contributions(battery, Y, params)
+                Gw = G * wt[lo:lo + 200_000, None]
+                EG = EG + Gw.sum(axis=0)
+                EGG = EGG + Gw.T @ G
+                EGs = EGs + Gw.T @ score_rows(params, mapping, Y)
+            var, cov, A = battery._moments(params, mapping, np.arange(Q), {})
+            mean = 0.0 if isinstance(battery, RatioBattery) else battery.eta_closed(params)
 
-    @pytest.mark.parametrize("d,nodes", [(1, 40), (2, 30)])
-    def test_direct_moments_match_quadrature(self, d, nodes):
-        _check_item_moments_by_quadrature("linearity-direct", d, nodes)
+            scale = np.abs(EGG).max()
+            np.testing.assert_allclose(EG, mean, rtol=0, atol=1e-10 * np.sqrt(scale))
+            want = EGG - np.outer(mean, mean)
+            np.testing.assert_allclose(cov, want, rtol=0, atol=1e-10 * scale)
+            np.testing.assert_allclose(var, np.diag(want), rtol=0, atol=1e-10 * scale)
+            np.testing.assert_allclose(A, EGs, rtol=0, atol=1e-10 * np.abs(EGs).max())
+            if kind == "variance":
+                assert (A == A[0]).all()
 
     @pytest.mark.parametrize("kind", ["linearity", "variance", "linearity-direct"])
     def test_engine_matches_dense_monte_carlo(self, kind, fitted_setup):
