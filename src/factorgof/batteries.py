@@ -18,7 +18,7 @@ of the grid points given each row.  The latent-density battery is W itself
 and the direct variant is y_j * W / density.  Linearity and variance are
 ``RatioBattery``s: each gives its item's f (y_j, or the squared deviation
 from the fitted line) and the model value of the ratio
-colmean(f W) / colmean(W) (the fitted line, or the error variance).
+mean(f W) / mean(W) (the fitted line, or the error variance).
 Each row contributes G_q = W_q h_q / D_q to a battery's residual
 covariance, with D the latent density and h_q quadratic in the item's
 deviation from its conditional mean, so every moment the covariance needs

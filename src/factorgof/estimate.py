@@ -647,7 +647,7 @@ def expected_information(params: ParamSet, spec) -> np.ndarray:
 def score_information(scores: np.ndarray) -> np.ndarray:
     """Symmetrised mean outer product of the rows of ``scores``: the Monte
     Carlo information of model draws whose scores are at hand."""
-    info = kernels.crossprod_mean(scores, scores)
+    info = scores.T @ scores / len(scores)
     return 0.5 * (info + info.T)
 
 

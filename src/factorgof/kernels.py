@@ -5,8 +5,6 @@
   Cholesky factor.
 * ``chi2_sf`` and ``normal_two_sided_p``: the chi-square survival function
   for integer degrees of freedom and the two-sided standard normal p-value.
-* ``colmean``, ``crossprod_mean``, ``centred_sums``: compensated reductions
-  over Monte Carlo draws.
 * ``single_blas_thread``: the single-BLAS-thread scope that the package's
   entry points run in.
 """
@@ -188,62 +186,4 @@ def normal_two_sided_p(z):
     z = np.asarray(z, dtype=np.float64)
     p = np.array([math.erfc(abs(t) / _SQRT2) for t in z.ravel().tolist()])
     return p.reshape(z.shape)[()]
-
-
-# ---------------------------------------------------------------------------
-# compensated reductions
-#
-# Reductions over draws are BLAS-bound: per-chunk partial sums combined with
-# Kahan compensation.  Chunk boundaries are fixed by the row count, so
-# results do not depend on how the draws are scheduled.
-# ---------------------------------------------------------------------------
-
-_CHUNK = 1024
-
-
-def _kahan_combine(total, comp, part):
-    y = part - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
-
-
-def colmean(X):
-    """Column means with chunk-compensated accumulation."""
-    total = np.zeros(X.shape[1])
-    comp = np.zeros_like(total)
-    for start in range(0, X.shape[0], _CHUNK):
-        total, comp = _kahan_combine(total, comp, X[start:start + _CHUNK].sum(axis=0))
-    return total / X.shape[0]
-
-
-def _chunked_crossprod_sum(X, W):
-    total = np.zeros((X.shape[1], W.shape[1]))
-    comp = np.zeros_like(total)
-    for start in range(0, X.shape[0], _CHUNK):
-        stop = start + _CHUNK
-        total, comp = _kahan_combine(total, comp, X[start:stop].T @ W[start:stop])
-    return total
-
-
-def crossprod_mean(X, W):
-    """(1/n) X^T W with chunk-compensated accumulation."""
-    return _chunked_crossprod_sum(X, W) / X.shape[0]
-
-
-def centred_sums(X, mean, cols):
-    """Centred sums of squares of every column of X, and centred cross
-    products among the columns ``cols``, with chunk-compensated
-    accumulation.  Each chunk is centred on its own, so no centred copy of X
-    is made."""
-    sq = np.zeros(X.shape[1])
-    sq_comp = np.zeros_like(sq)
-    cross = np.zeros((len(cols), len(cols)))
-    cross_comp = np.zeros_like(cross)
-    for start in range(0, X.shape[0], _CHUNK):
-        Xc = X[start:start + _CHUNK] - mean
-        sq, sq_comp = _kahan_combine(sq, sq_comp, np.einsum("ij,ij->j", Xc, Xc))
-        Xs = Xc[:, cols]
-        cross, cross_comp = _kahan_combine(cross, cross_comp, Xs.T @ Xs)
-    return sq, cross
 

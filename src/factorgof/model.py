@@ -36,16 +36,15 @@ class ModelSpec:
         1 marks a free loading, 0 a loading fixed at zero.
     mean_structure : bool
         Whether intercepts are free parameters.
-    lv_identification : str
-        Only ``"unit_variance"`` is supported: the latent covariance has a
-        fixed unit diagonal with free off-diagonal entries.
+
+    The latent variables are identified by unit variance: the latent
+    covariance has a fixed unit diagonal with free off-diagonal entries.
     """
 
     m: int
     d: int
     loading_pattern: np.ndarray
     mean_structure: bool = True
-    lv_identification: str = "unit_variance"
 
     def __post_init__(self):
         if self.d < 1 or self.m < 1:
@@ -62,10 +61,6 @@ class ModelSpec:
         if (rows < 1).any():
             j = int(np.argmin(rows))
             raise SpecificationError(f"manifest variable {j} has no free loading")
-        if self.lv_identification != "unit_variance":
-            raise SpecificationError(
-                f"unsupported lv_identification {self.lv_identification!r}"
-            )
         if self.d <= 2 and self.m < 3 * self.d:
             warnings.warn(
                 f"m={self.m} < 3*d={3 * self.d}: model may not be identified",

@@ -23,7 +23,7 @@ sigma_phi.
 
 A mean battery's sample value is the column mean of its values H, so G = H.
 A ``RatioBattery`` is a posterior-weighted conditional moment of f(y) at
-each grid point, t_q = colmean(f W_q) / colmean(W_q), with W the posterior
+each grid point, t_q = mean(f W_q) / mean(W_q), with W the posterior
 densities of the grid points given each row (the generalized residuals of
 Haberman & Sinharay, 2013).  Its model value r_q is known in closed form,
 and by the delta method each row contributes G_q = W_q (f - r_q) / D_q,
@@ -32,9 +32,9 @@ with D the model's latent density at the grid points.
 A report reads two parts of sigma_phi: its diagonal, for the pointwise
 standard errors, and its block on the stable summary points, for T.  The
 engine forms only those: Var(G) less the row-wise A I^{-1} A', and Cov(G)
-on the kept columns less the same term on them.  On the draws, Var(G) is
-each column's centred sum of squares over M - 1 and Cov(G) the centred
-cross product of the summary columns over M - 1.
+on the kept columns less the same term on them.  On the draws, G is
+centred once; Var(G) is each centred column's sum of squares over M - 1 and
+Cov(G) the cross product of the centred summary columns over M - 1.
 
 The bundled batteries are ``WeightedBattery``s on one (rows x Q) matrix W.
 ``run_residual_batch`` makes one pass per distinct set of grid points: it
@@ -161,7 +161,7 @@ class WeightedBattery(SummaryBattery):
 class RatioBattery(WeightedBattery):
     """Posterior-weighted conditional moments of f(y) on a grid.
 
-    Component q is the ratio t_q = colmean(f W_q) / colmean(W_q) of a
+    Component q is the ratio t_q = mean(f W_q) / mean(W_q) of a
     posterior-weighted mean of f to the weights' own mean.
     ``_evaluate(Y, params)`` returns f on the rows, broadcastable to (n, k)
     with k the number of grid points, and ``_eta(params)`` the model value
@@ -275,13 +275,13 @@ def eta_hat(battery: SummaryBattery, data: DataMatrix, params: ParamSet,
             W: np.ndarray = None) -> np.ndarray:
     """Sample value of the battery over the data rows, on the reported scale:
     the column means of its values, or for a ``RatioBattery`` the ratios
-    colmean(f W) / colmean(W).  ``W``: the rows' posterior weights on a
+    mean(f W) / mean(W).  ``W``: the rows' posterior weights on a
     ``WeightedBattery``'s grid, when already known."""
     wbar = None
     if isinstance(battery, RatioBattery):
         if W is None:
             W = _posterior_weights(data.values, battery.grid.points, params)
-        wbar = kernels.colmean(W)
+        wbar = W.mean(axis=0)
     return _eta_hat(battery, data.values, params, W, wbar)
 
 
@@ -290,9 +290,9 @@ def _eta_hat(battery, Y, params, W, wbar):
     for a ratio battery."""
     H = battery.evaluate(Y, params, W)
     if not isinstance(battery, RatioBattery):
-        return kernels.colmean(np.ascontiguousarray(H))
+        return H.mean(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return kernels.colmean(H * W) / wbar
+        return (H * W).mean(axis=0) / wbar
 
 
 def z_statistic(residual, se, n: int) -> tuple:
@@ -385,7 +385,7 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
             raise ConfigurationError(f"M={mc.M} below the minimum of 1000")
         rng = np.random.default_rng(mc.seed)
         draws = simulate_data(params, mc.M, rng).values
-        scores = np.ascontiguousarray(score_rows(params, fit.mapping, draws))
+        scores = score_rows(params, fit.mapping, draws)
         draw_inv_info = invert_information(score_information(scores))
     if any(exact):
         exact_inv_info = invert_information(expected_information(params, fit.mapping))
@@ -399,15 +399,14 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
     reports = [None] * len(problems)
     for grid, members in groups.values():
         W = _grid_weights(data.values, grid, params)
-        wbar = dens = None
-        if grid is not None:
-            wbar = kernels.colmean(W)
-            dens = np.exp(lv_logpdf(grid.points, params))
+        wbar = None if grid is None else W.mean(axis=0)
         t_hats = [_eta_hat(problems[i].battery, data.values, params, W, wbar)
                   for i in members]
-        W = None
+        W = dens = None
         if not all(exact[i] for i in members):
             W = _grid_weights(draws, grid, params)
+            if grid is not None:
+                dens = np.exp(lv_logpdf(grid.points, params))
         for i, t_hat in zip(members, t_hats):
             problem = problems[i]
             battery = problem.battery
@@ -453,14 +452,16 @@ def _draw_moments(battery, params, draws, W, dens, scores, cols):
         G *= W
         G /= dens
     else:
-        G = np.ascontiguousarray(H)
-        if eta is None:
-            eta = kernels.colmean(G)
+        G = H
     del H
     M = len(draws)
-    A = kernels.crossprod_mean(G, scores)
-    sq, cross = kernels.centred_sums(G, kernels.colmean(G), cols)
-    return eta, sq / (M - 1), cross / (M - 1), A
+    mean = G.mean(axis=0)
+    if eta is None:
+        eta = mean
+    A = G.T @ scores / M
+    G = G - mean
+    Gs = G[:, cols]
+    return eta, np.einsum("ij,ij->j", G, G) / (M - 1), Gs.T @ Gs / (M - 1), A
 
 
 def _run_problem(problem, n, t_hat, wbar, subset, moments, inv_info, M, mc):
@@ -517,9 +518,7 @@ def _run_problem(problem, n, t_hat, wbar, subset, moments, inv_info, M, mc):
 
     config = {
         "battery": battery.name,
-        "M": mc.M,
         "covariance": "exact" if M == 0 else "monte-carlo",
-        "seed": mc.seed,
         "s": mc.s,
         "n": n,
         "grid": getattr(problem.grid, "label", ""),

@@ -26,7 +26,7 @@ import numpy as np
 from .batteries import default_grid, make_problem
 from .baseline import baseline_report
 from .errors import ConfigurationError, NotConvergedError
-from .estimate import DataMatrix, OptimOptions, fit_ml, simulate_data
+from .estimate import DataMatrix, OptimOptions, fit_ml
 from .kernels import single_blas_thread
 from .model import ModelSpec, ParamSet
 from .residuals import McConfig, run_residual_batch
@@ -119,9 +119,9 @@ def study2_paramset() -> ParamSet:
 
 def generate_study1(cfg: Study1Config, rng, return_lv: bool = False):
     """Draw a study1 dataset; optionally also return the latent draws."""
+    if cfg.n < 1:
+        raise ConfigurationError("n must be positive")
     params = study1_paramset()
-    if not cfg.misspecified and not return_lv:
-        return simulate_data(params, cfg.n, rng)
     if cfg.misspecified:
         comp = rng.random(cfg.n) < 0.5
         z = rng.standard_normal((cfg.n, 2)) @ np.linalg.cholesky(_STUDY1_MIX_COV).T
@@ -135,8 +135,8 @@ def generate_study1(cfg: Study1Config, rng, return_lv: bool = False):
 
 def generate_study2(cfg: Study2Config, rng, return_lv: bool = False):
     """Draw a study2 dataset; optionally also return the latent draws."""
-    if not cfg.misspecified and not return_lv:
-        return simulate_data(study2_paramset(), cfg.n, rng)
+    if cfg.n < 1:
+        raise ConfigurationError("n must be positive")
     dgp = study2_dgp(cfg)
     x = rng.standard_normal(cfg.n)
     eps = rng.standard_normal((cfg.n, 10))

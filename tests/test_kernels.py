@@ -45,35 +45,6 @@ def test_mvn_loglik_rows_against_scipy(rng):
     np.testing.assert_allclose(kernels.mvn_loglik_rows(Y, nu, L), ref, rtol=1e-10)
 
 
-def test_colmean_matches_mean_and_reference(rng):
-    X = np.ascontiguousarray(rng.normal(size=(3000, 4)) + 5.0)
-    np.testing.assert_allclose(kernels.colmean(X), X.mean(axis=0), rtol=1e-13)
-    # exactly rounded column means as the accuracy reference
-    exact = [math.fsum(col) / X.shape[0] for col in X.T]
-    np.testing.assert_allclose(kernels.colmean(X), exact, rtol=1e-14)
-
-
-def test_crossprod_mean_matches_blas(rng):
-    X = np.ascontiguousarray(rng.normal(size=(2500, 7)))
-    W = np.ascontiguousarray(rng.normal(size=(2500, 3)))
-    np.testing.assert_allclose(
-        kernels.crossprod_mean(X, W), X.T @ W / 2500, rtol=1e-12, atol=1e-14
-    )
-
-
-def test_centred_sums_match_covariance(rng):
-    # several chunks and a short last one; the mean is far from zero, so an
-    # uncentred accumulation would lose digits
-    X = np.ascontiguousarray(rng.normal(size=(2600, 6)) + 40.0)
-    cols = np.array([4, 1, 3])
-    sq, cross = kernels.centred_sums(X, kernels.colmean(X), cols)
-    ref = np.cov(X.T, ddof=1) * (X.shape[0] - 1)
-    np.testing.assert_allclose(sq, np.diag(ref), rtol=1e-12)
-    np.testing.assert_allclose(cross, ref[np.ix_(cols, cols)], rtol=1e-10, atol=1e-9)
-    sq0, cross0 = kernels.centred_sums(X, kernels.colmean(X), np.empty(0, dtype=np.intp))
-    assert np.array_equal(sq0, sq) and cross0.shape == (0, 0)
-
-
 def test_spd_inverse_is_exactly_symmetric(rng):
     for m in (1, 4, 10, 61):
         A = rng.normal(size=(m, m))

@@ -2,6 +2,7 @@
 and the end-to-end orchestration contract."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -36,7 +37,7 @@ from factorgof import (
     truncated_inverse,
     z_statistic,
 )
-from factorgof import batteries, kernels, residuals
+from factorgof import batteries, residuals
 from factorgof.estimate import ParamMapping, invert_information, score_rows
 from factorgof.model import lv_logpdf, posterior_log_weights
 from factorgof.residuals import ResidualProblem, run_residual_batch
@@ -219,6 +220,15 @@ class TestBatteryBasics:
             got, [data.values[0, 0], data.values[0, 1] ** 2], rtol=1e-14
         )
 
+    def test_eta_hat_matches_exactly_rounded_column_means(self, one_factor_params, rng):
+        # a mean battery's sample value is its values' column means; the
+        # columns are far from zero, and the reference sums are exactly rounded
+        data = DataMatrix(rng.normal(size=(3000, 6)) + 5.0)
+        battery = SummaryBattery(k=6, name="columns", _evaluate=lambda Y, p: Y)
+        exact = [math.fsum(col) / data.n for col in data.values.T]
+        np.testing.assert_allclose(eta_hat(battery, data, one_factor_params), exact,
+                                   rtol=1e-14)
+
     def test_ratio_battery_needs_closed_form_eta_and_one_column_per_point(self):
         grid = make_grid([(-2, 2, 5)])
         with pytest.raises(ConfigurationError, match="needs a closed-form eta"):
@@ -276,11 +286,11 @@ def zero_loading_setup():
 
 def _mc_moments(battery, params, spec, draws):
     """A = mean of H s' and sigma_H = Cov(H) over the draws, by the
-    reductions the engine applies to an identity-projected battery."""
-    H = np.ascontiguousarray(battery.evaluate(draws, params))
-    A = kernels.crossprod_mean(H, np.ascontiguousarray(score_rows(params, spec, draws)))
-    _, cross = kernels.centred_sums(H, kernels.colmean(H), np.arange(battery.k))
-    return A, cross / (len(draws) - 1)
+    engine's draw path for a mean battery."""
+    scores = score_rows(params, spec, draws)
+    _, _, cov, A = residuals._draw_moments(battery, params, draws, None, None, scores,
+                                           np.arange(battery.k))
+    return A, cov
 
 
 class TestMcMoments:
@@ -316,6 +326,27 @@ class TestMcMoments:
         battery = SummaryBattery(k=1, name="y1", _evaluate=lambda Y, p: Y[:, :1])
         got = _mc_moments(battery, params, spec, draws)[1][0, 0]
         assert abs(got - 1.0) < 4 / np.sqrt(len(draws)) * np.sqrt(2)
+
+    def test_draw_moments_match_sample_moments_far_from_zero(self, rng):
+        # several thousand contributions with means far from zero, so a sum
+        # of squares taken before centring would lose digits; Cov(G) on a
+        # reordered subset of the columns
+        M = 2600
+        G = rng.normal(size=(M, 6)) + 40.0
+        scores = rng.normal(size=(M, 3))
+        battery = SummaryBattery(k=6, name="columns", _evaluate=lambda Y, p: G)
+        cols = np.array([4, 1, 3])
+        eta, var, cov, A = residuals._draw_moments(battery, None, np.zeros((M, 1)), None,
+                                                   None, scores, cols)
+        ref_var, ref_cov, ref_A = sample_moments(G, scores)
+        np.testing.assert_allclose(eta, G.mean(axis=0), rtol=1e-15)
+        np.testing.assert_allclose(var, ref_var, rtol=1e-12)
+        np.testing.assert_allclose(cov, ref_cov[np.ix_(cols, cols)], rtol=1e-10,
+                                   atol=1e-9 / (M - 1))
+        np.testing.assert_allclose(A, ref_A, rtol=1e-12, atol=1e-14)
+        _, var0, cov0, _ = residuals._draw_moments(battery, None, np.zeros((M, 1)), None,
+                                                   None, scores, np.empty(0, dtype=np.intp))
+        assert np.array_equal(var0, var) and cov0.shape == (0, 0)
 
     def test_symmetry_exact(self, zero_loading_setup, rng):
         spec, params, draws = zero_loading_setup
@@ -560,7 +591,9 @@ class TestRunResidualTest:
         r2 = run_residual_test(problem, fit, data, mc)
         assert [pt.z for pt in r1.points] == [pt.z for pt in r2.points]
         assert r1.summary.T == r2.summary.T
-        assert r1.config["seed"] == 31 and r1.config["M"] == 1500 and r1.config["s"] == 1
+        assert r1.config["s"] == 1
+        # an exact report records no draw budget or seed it never used
+        assert "M" not in r1.config and "seed" not in r1.config
 
     def test_shared_draws_batch_equals_single_runs(self, fitted_setup):
         # one batch over weighted batteries on three grids, two of them
@@ -780,6 +813,42 @@ def _check_row_permutation_leaves_report(problem, fit, data):
     assert permuted.summary.T == pytest.approx(report.summary.T, rel=1e-12, abs=1e-12)
 
 
+def _check_refit_permutation_leaves_report(problem, fit, data):
+    """Refitting on the permuted data rows leaves the report unchanged to
+    first order in the two fits' final gradients.  A fit whose max-abs mean
+    gradient is g lies within |I^-1| g of the maximum, with I^-1 its inverse
+    observed information and |.| the max-abs row sum, so the two free
+    vectors differ by at most delta = |I^-1| (g + g').  Each z, and T, then
+    moves by at most delta times the sum of its absolute sensitivities to
+    the free parameters (central differences), plus the 1e-12 relative that
+    the row order alone may bring (``_check_row_permutation_leaves_report``).
+    """
+    permuted = DataMatrix(data.values[np.random.default_rng(5).permutation(data.n)])
+    refit = fit_ml(permuted, fit.spec)
+    assert refit.converged
+    delta = (np.abs(fit.inv_observed_information).sum(axis=1).max()
+             * (fit.gradient_norm + refit.gradient_norm))
+    assert np.abs(refit.free_vector - fit.free_vector).max() <= delta
+
+    def outputs(fit_, data_):
+        report = run_residual_test(problem, fit_, data_)
+        return np.array([pt.z for pt in report.points] + [report.summary.T])
+
+    def moved(step):
+        v = fit.free_vector + step
+        return dataclasses.replace(fit, free_vector=v, params=fit.mapping.unpack(v))
+
+    want = outputs(fit, data)
+    sensitivity = np.zeros_like(want)
+    for step in 1e-5 * np.eye(fit.mapping.q):
+        sensitivity += np.abs(outputs(moved(step), data) - outputs(moved(-step), data)) / 2e-5
+    bound = sensitivity * delta + 1e-12 * (1.0 + np.abs(want))
+    got = outputs(refit, permuted)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    assert (np.abs(got - want)[ok] <= bound[ok]).all()
+
+
 class TestExactLvDensity:
     """The latent-density battery's closed-form moments, and the engine's
     draw-free path through them."""
@@ -831,7 +900,7 @@ class TestExactLvDensity:
         report = run_residual_test(lv_density_problem(grid), fit, data, mc)
         assert report.acm.M == 0
         assert report.config["covariance"] == "exact"
-        assert report.config["M"] == 1500
+        assert "M" not in report.config and "seed" not in report.config
         # no draws: another seed or budget gives the same bits
         other = run_residual_test(lv_density_problem(grid), fit, data,
                                   McConfig(M=4000, seed=2))
@@ -872,6 +941,10 @@ class TestExactLvDensity:
     def test_row_permutation_leaves_report_unchanged(self, fitted_setup):
         spec, params, data, fit = fitted_setup
         _check_row_permutation_leaves_report(lv_density_problem(default_grid(1)), fit, data)
+
+    def test_refit_on_permuted_rows_leaves_report_unchanged(self, fitted_setup):
+        spec, params, data, fit = fitted_setup
+        _check_refit_permutation_leaves_report(lv_density_problem(default_grid(1)), fit, data)
 
 
 def _problem_on_points(kind, points, item=None):
@@ -960,3 +1033,8 @@ class TestExactItemMoments:
         spec, params, data, fit = fitted_setup
         _check_row_permutation_leaves_report(
             batteries.make_problem(kind, default_grid(1), 8), fit, data)
+
+    def test_refit_on_permuted_rows_leaves_linearity_report_unchanged(self, fitted_setup):
+        spec, params, data, fit = fitted_setup
+        _check_refit_permutation_leaves_report(mv_linearity_problem(default_grid(1), 8),
+                                               fit, data)

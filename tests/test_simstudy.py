@@ -124,6 +124,14 @@ class TestStudy2Design:
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("misspecified", [False, True])
+def test_generators_reject_nonpositive_n(n, misspecified):
+    for generate, config in ((generate_study1, Study1Config), (generate_study2, Study2Config)):
+        with pytest.raises(ConfigurationError, match="n must be positive"):
+            generate(config(n=n, misspecified=misspecified), np.random.default_rng(0))
+
+
 class TestRejectionStudy:
     def test_band_halfwidth_formula(self):
         table = RejectionTable(
