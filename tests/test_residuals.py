@@ -327,27 +327,6 @@ class TestMcMoments:
         got = _mc_moments(battery, params, spec, draws)[1][0, 0]
         assert abs(got - 1.0) < 4 / np.sqrt(len(draws)) * np.sqrt(2)
 
-    def test_draw_moments_match_sample_moments_far_from_zero(self, rng):
-        # several thousand contributions with means far from zero, so a sum
-        # of squares taken before centring would lose digits; Cov(G) on a
-        # reordered subset of the columns
-        M = 2600
-        G = rng.normal(size=(M, 6)) + 40.0
-        scores = rng.normal(size=(M, 3))
-        battery = SummaryBattery(k=6, name="columns", _evaluate=lambda Y, p: G)
-        cols = np.array([4, 1, 3])
-        eta, var, cov, A = residuals._draw_moments(battery, None, np.zeros((M, 1)), None,
-                                                   None, scores, cols)
-        ref_var, ref_cov, ref_A = sample_moments(G, scores)
-        np.testing.assert_allclose(eta, G.mean(axis=0), rtol=1e-15)
-        np.testing.assert_allclose(var, ref_var, rtol=1e-12)
-        np.testing.assert_allclose(cov, ref_cov[np.ix_(cols, cols)], rtol=1e-10,
-                                   atol=1e-9 / (M - 1))
-        np.testing.assert_allclose(A, ref_A, rtol=1e-12, atol=1e-14)
-        _, var0, cov0, _ = residuals._draw_moments(battery, None, np.zeros((M, 1)), None,
-                                                   None, scores, np.empty(0, dtype=np.intp))
-        assert np.array_equal(var0, var) and cov0.shape == (0, 0)
-
     def test_symmetry_exact(self, zero_loading_setup, rng):
         spec, params, draws = zero_loading_setup
         battery = SummaryBattery(k=3, name="mix",
