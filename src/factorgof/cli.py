@@ -403,12 +403,12 @@ def _cmd_test(args) -> int:
         ["kind"] + coord_cols
         + ["eta_hat", "eta", "residual", "se", "z", "p", "unstable", "T", "s"]
     ))
-    for pt in report.points:
+    values = zip(*(a.tolist() for a in (report.eta_hat, report.eta, report.residual,
+                                        report.se, report.z, report.p)))
+    for coords, row, unstable in zip(report.coords.tolist(), values, report.unstable.tolist()):
         lines.append("\t".join(
-            ["point"]
-            + [_fmt(float(c)) for c in pt.coords]
-            + [_fmt(pt.eta_hat), _fmt(pt.eta), _fmt(pt.residual), _fmt(pt.se),
-               _fmt(pt.z), _fmt(pt.p), str(int(pt.unstable)), "", ""]
+            ["point"] + [_fmt(c) for c in coords] + [_fmt(v) for v in row]
+            + [str(int(unstable)), "", ""]
         ))
     if report.summary is not None:
         s = report.summary

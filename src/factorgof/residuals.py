@@ -9,17 +9,12 @@ contribution G with a penalty for parameter estimation:
     sigma_phi = Cov(G) - A I^{-1} A'
 
 with A the mean outer product of G and the score, and I the
-per-observation information, all at the fitted model.  A battery that knows
-these moments in closed form gives them through its ``_moments`` hook, and
-the engine pairs them with the exact information ``expected_information``;
-every bundled battery has the hook.  For a custom battery without it
-Cov(G), A and I are estimated from one shared set of M Monte Carlo draws
-from the fitted model; a batch in which every battery has the hook draws
-nothing.
-Pointwise residuals are referred to N(0, 1) after standardization; a
-summary quadratic form over a designated subgrid is referred to a
-chi-square whose weight matrix inverts only the leading s eigenvalues of
-sigma_phi.
+per-observation information, all at the fitted model.  Pointwise residuals
+are referred to N(0, 1) after standardization; a summary quadratic form over
+a designated subgrid is referred to a chi-square whose weight matrix inverts
+only the leading s eigenvalues of sigma_phi.  A report reads only the
+diagonal of sigma_phi and its block on the stable summary points, and the
+engine forms only those.
 
 A mean battery's sample value is the column mean of its values H, so G = H.
 A ``RatioBattery`` is a posterior-weighted conditional moment of f(y) at
@@ -29,23 +24,26 @@ Haberman & Sinharay, 2013).  Its model value r_q is known in closed form,
 and by the delta method each row contributes G_q = W_q (f - r_q) / D_q,
 with D the model's latent density at the grid points.
 
-A report reads two parts of sigma_phi: its diagonal, for the pointwise
-standard errors, and its block on the stable summary points, for T.  The
-engine forms only those: Var(G) less the row-wise A I^{-1} A', and Cov(G)
-on the kept columns less the same term on them.  On the draws, G is
-centred once; Var(G) is each centred column's sum of squares over M - 1 and
-Cov(G) the cross product of the centred summary columns over M - 1.
+A ``WeightedBattery`` that declares G_q = W_q h_q / D_q as a quadratic form
+in one item (every bundled battery does) has Var(G), Cov(G) and A in closed
+form (``_quadratic_moments``), paired with the exact information.  For a
+custom battery without one they are estimated from one shared set of M
+Monte Carlo draws from the fitted model; a batch without such a battery
+draws nothing.
 
-The bundled batteries are ``WeightedBattery``s on one (rows x Q) matrix W.
 ``run_residual_batch`` makes one pass per distinct set of grid points: it
-computes W on the data, takes W's column means (the ratios' denominators)
-and every problem's sample value from it and drops it.  Only when a custom
-problem on the grid has no closed-form moments does it compute W on the
-shared draws for that problem's covariance entries.  Each W is read-only.
+computes W on the data, read-only, and W's column means (the ratios'
+denominators).  The grid's problems with a form and one summary subset then
+go through one stacked pass: their sample values, moments, se, z and p are
+(P, Q) arrays for P problems on Q points.  Row reductions run column by
+column per problem and matrix products per problem slab, so a report has
+the same bits in any batch.  A custom problem takes its sample value from
+W, which is dropped before W on the draws is computed for its covariance.
 Batteries that give only ``_evaluate(Y, params)`` share one pass without W.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,13 +52,21 @@ from .errors import ConfigurationError, NotConvergedError, RankError
 from .estimate import (
     DataMatrix,
     FitResult,
+    _mean_loglik_grad,
+    _moment_terms,
     expected_information,
     invert_information,
     score_information,
     simulate_data,
     score_rows,
 )
-from .model import ParamSet, lv_logpdf, posterior_log_weights
+from .model import (
+    ParamSet,
+    _posterior_precision,
+    conditional_mean_grid,
+    lv_logpdf,
+    posterior_log_weights,
+)
 
 _DIAG_FLOOR = 1e-12
 _EIG_RTOL = 1e-10
@@ -76,29 +82,16 @@ class SummaryBattery:
     battery's sample value, for a mean battery the expectation of its
     values, when a closed form exists, else None; the engine then takes the
     battery's mean over the shared Monte Carlo draws.
-
-    ``_moments(params, mapping, cols, shared)``, when given, returns in
-    closed form the moments of the rows' contributions G (a mean battery's
-    values, or a ratio battery's delta-method terms) under the model at
-    ``params``: Var(G) (k,), Cov(G) among the columns ``cols``, and
-    A = E[G s'] (k, q) with s the score on ``mapping``'s free parameters.
-    ``shared`` is a dict that lives for one batch and is passed to every
-    hook in it, where hooks keep constants that several problems need.  The
-    engine then draws nothing for the battery.
     """
 
     k: int
     name: str
     _evaluate: callable
     _eta: callable = None
-    _moments: callable = None
 
     def __post_init__(self):
         if self.k < 1:
             raise ConfigurationError("battery must have k >= 1 components")
-        if self._moments is not None and self._eta is None:
-            raise ConfigurationError(f"battery {self.name} has closed-form moments "
-                                     "but no closed-form eta")
 
     def evaluate(self, Y: np.ndarray, params: ParamSet, W: np.ndarray = None) -> np.ndarray:
         """The (n, k) battery values on the rows of Y.  ``W`` is for a
@@ -142,14 +135,26 @@ class WeightedBattery(SummaryBattery):
     W itself unless it is given; ``run_residual_batch`` computes it once per
     row set for every battery on the same grid points and passes it in, so
     both paths give the same bits.
+
+    ``_quadratic``, when given, declares the rows' contributions (a mean
+    battery's values, or a ratio battery's delta-method terms), one per grid
+    point, as G_q = W_q h_q / D_q with h_q = a_q + b e_q + c (e_q^2 - theta_j)
+    and e_q = y_j - mu_qj the deviation of ``item`` from its conditional
+    mean: ``(item, a, b, c)``, with ``a(params)`` giving a_q (a None for 0),
+    scalars b and c, and item None when b = c = 0.  The engine then takes
+    the covariance in closed form and draws nothing for the battery.
     """
 
     grid: object = None
+    _quadratic: tuple = None
 
     def __post_init__(self):
         super().__post_init__()
         if self.grid is None:
             raise ConfigurationError(f"weighted battery {self.name} needs a grid")
+        if self._quadratic is not None and self._eta is None:
+            raise ConfigurationError(f"battery {self.name} has closed-form moments "
+                                     "but no closed-form eta")
 
     def _values(self, Y, params, W):
         if W is None:
@@ -167,9 +172,9 @@ class RatioBattery(WeightedBattery):
     with k the number of grid points, and ``_eta(params)`` the model value
     r_q of each ratio, which must be given in closed form.  ``evaluate``
     returns f broadcast to (n, k), as a read-only view; it needs no W.
-    The bundled linearity and variance batteries also give ``_moments``,
-    the exact moments of G_q = W_q (f - r_q) / D_q; a custom ratio battery
-    without them has its covariance estimated on the draws.
+    The bundled linearity and variance batteries declare the quadratic
+    form of h_q = f - r_q; a custom ratio battery without one has its
+    covariance estimated on the draws.
     """
 
     def __post_init__(self):
@@ -256,14 +261,31 @@ class TestReport:
 
     Point values are on the reported scale, so for ratio batteries
     ``eta_hat`` and ``eta`` are the empirical and model-implied conditional
-    moments themselves.
+    moments themselves.  ``coords`` is (k, d) and the other point fields
+    are arrays over the k points, with NaN se, z and p at unstable points;
+    ``points`` gives the same values as ``TestPoint``s, built on first
+    access and kept.
     """
 
     battery: str
-    points: list
+    coords: np.ndarray
+    eta_hat: np.ndarray
+    eta: np.ndarray
+    residual: np.ndarray
+    se: np.ndarray
+    z: np.ndarray
+    p: np.ndarray
+    unstable: np.ndarray
     summary: SummaryStat
     config: dict
     acm: AcmEstimate
+
+    @cached_property
+    def points(self) -> list:
+        fields = (self.eta_hat, self.eta, self.residual, self.se, self.z, self.p,
+                  self.unstable)
+        return [TestPoint(coords, *values)
+                for coords, *values in zip(self.coords, *(f.tolist() for f in fields))]
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +304,26 @@ def eta_hat(battery: SummaryBattery, data: DataMatrix, params: ParamSet,
         if W is None:
             W = _posterior_weights(data.values, battery.grid.points, params)
         wbar = W.mean(axis=0)
-    return _eta_hat(battery, data.values, params, W, wbar)
+    return _sample_values([battery], data.values, params, W, wbar)[0]
 
 
-def _eta_hat(battery, Y, params, W, wbar):
-    """``eta_hat`` on the rows Y, given their weights' column means ``wbar``
-    for a ratio battery."""
-    H = battery.evaluate(Y, params, W)
-    if not isinstance(battery, RatioBattery):
-        return H.mean(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (H * W).mean(axis=0) / wbar
+def _sample_values(batteries, Y, params, W, wbar):
+    """``eta_hat`` of batteries with equal k on the rows Y ((P, k)), given
+    their weights' column means ``wbar`` for the ratio batteries.  Each
+    battery's rows (f W for a ratio battery, in one reused buffer) are
+    averaged column by column, so its values have the same bits in any batch."""
+    t_hat = np.empty((len(batteries), batteries[0].k))
+    products = None
+    for row, battery in zip(t_hat, batteries):
+        H = battery.evaluate(Y, params, W)
+        if isinstance(battery, RatioBattery):
+            H = products = np.multiply(H, W, out=products)
+        H.mean(axis=0, out=row)
+    ratio = [isinstance(battery, RatioBattery) for battery in batteries]
+    if any(ratio):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_hat[ratio] /= wbar
+    return t_hat
 
 
 def z_statistic(residual, se, n: int) -> tuple:
@@ -314,32 +345,183 @@ def truncated_inverse(sigma: np.ndarray, s: int) -> np.ndarray:
 
 
 def _truncated_inverse(sigma, s):
-    """``truncated_inverse`` and the eigenvalues of sigma, descending."""
-    sigma = 0.5 * (sigma + sigma.T)
+    """``truncated_inverse`` and the eigenvalues of sigma, descending; for a
+    stack of matrices (..., k, k), each one's, from one call per step."""
+    sigma = 0.5 * (sigma + np.swapaxes(sigma, -1, -2))
     vals, vecs = np.linalg.eigh(sigma)
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
-    tol = _EIG_RTOL * max(vals[0], 0.0)
-    n_pos = int(np.sum(vals > tol))
+    vals = vals[..., ::-1]
+    vecs = vecs[..., ::-1]
+    tol = _EIG_RTOL * np.maximum(vals[..., :1], 0.0)
+    n_pos = int(np.sum(vals > tol, axis=-1).min())
     if not 1 <= s <= n_pos:
         raise RankError(f"s={s} outside 1..{n_pos} numerically positive eigenvalues")
     inv_vals = np.zeros_like(vals)
-    inv_vals[:s] = 1.0 / vals[:s]
-    W = (vecs * inv_vals) @ vecs.T
-    return 0.5 * (W + W.T), vals
+    inv_vals[..., :s] = 1.0 / vals[..., :s]
+    W = (vecs * inv_vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    return 0.5 * (W + np.swapaxes(W, -1, -2)), vals
 
 
 def chi2_statistic(e: np.ndarray, sigma: np.ndarray, n: int, s: int) -> tuple:
     """Quadratic-form statistic n e' W e and its chi-square(s) p-value."""
-    return _chi2_statistic(e, sigma, n, s)[:2]
+    return _quadratic_statistic(e, _truncated_inverse(sigma, s)[0], n, s)
 
 
-def _chi2_statistic(e, sigma, n, s):
-    """``chi2_statistic`` and the eigenvalues of sigma, descending."""
-    W, vals = _truncated_inverse(sigma, s)
-    T = float(n * e @ W @ e)
-    T = max(T, 0.0)
-    return T, kernels.chi2_sf(s, T), vals
+def _quadratic_statistic(e, W, n, s):
+    """``chi2_statistic`` given the truncated inverse W."""
+    T = max(float(n * e @ W @ e), 0.0)
+    return T, kernels.chi2_sf(s, T)
+
+
+# ---------------------------------------------------------------------------
+# closed-form moments
+# ---------------------------------------------------------------------------
+
+
+def _weight_products(X1, X2, params):
+    """E[W(x1) W(x2)] under the model for paired rows of X1 and X2 ((Q,)).
+
+    W(x) = N(x; E[x | y], V) is the posterior density of the latent point x
+    given y, with V the posterior covariance.  E[x | y] ~ N(0, phi - V), and
+    the product of the two normal densities in E[x | y] integrates to
+    N(x1 - x2; 0, 2V) N((x1 + x2) / 2; 0, phi - V / 2).
+    """
+    V = np.linalg.inv(_posterior_precision(params)[1])
+    zero = np.zeros(params.d)
+    out = kernels.mvn_loglik_rows(X1 - X2, zero, np.linalg.cholesky(2.0 * V))
+    out += kernels.mvn_loglik_rows(0.5 * (X1 + X2), zero,
+                                   np.linalg.cholesky(params.phi - 0.5 * V))
+    return np.exp(out, out=out)
+
+
+class _FitConstants:
+    """Per-fit constants of the closed-form moments.
+
+    ``score_shift(ybar, S)`` is g(ybar, S) - g(nu, 0), with g(ybar, S) the
+    gradient of the mean log-likelihood at sample mean ybar and sample
+    covariance S: the mean score of y ~ N(ybar, S) less the score at nu.
+    ``tilt`` ((m, d)) and ``tau2`` ((m,)) give the doubly tilted law
+    y_j | xt = xbar ~ N(nu_j + tilt_j' xbar, tau2_j), where
+    xt = E[x | y] + N(0, V / 2) ~ N(0, phi - V / 2) and Cov(y, xt) = lambda phi.
+    """
+
+    def __init__(self, params, mapping):
+        self.v, self.mapping = mapping.pack(params), mapping
+        self.terms = _moment_terms(self.v, mapping, params.nu, np.zeros((params.m, params.m)))
+        self.g0 = _mean_loglik_grad(self.v, mapping, self.terms)
+        V = np.linalg.inv(_posterior_precision(params)[1])
+        cross = params.lam @ params.phi
+        self.tilt = np.linalg.solve(params.phi - 0.5 * V, cross.T).T
+        self.tau2 = np.diag(params.implied_covariance()) - np.einsum("jk,jk->j", self.tilt, cross)
+
+    def score_shift(self, ybar, S):
+        delta = ybar - self.terms.nu
+        shifted = self.terms._replace(delta=delta, s_star=S + np.outer(delta, delta))
+        g = _mean_loglik_grad(self.v, self.mapping, shifted)
+        return g - self.g0
+
+
+def _score_moments(points, params, consts, item, order):
+    """E[e^order s | x = x_q] at every point for order 0 and 1, and
+    E[(e^2 - theta_j) s | x = x_q] for order 2, with e = y_j - mu_qj the
+    deviation of ``item`` from its conditional mean mu_qj = nu_j + lambda_j' x_q
+    and s the score on the free parameters.
+
+    The score is affine in y - nu and its outer product, and y | x = x_q is
+    N(nu + lambda x_q, theta).  So order 0 is the score at the conditional
+    mean plus the term theta adds, g(nu, theta) - g(nu, 0), with g as in
+    ``_FitConstants``.  By Stein's lemma order 1 is theta_j times the
+    score's slope along y_j at the conditional mean, affine in x_q: with
+    t = theta_j u_j (u_j the j-th unit vector),
+    g(nu + t, -t t') - g(nu, 0) + sum_k x_qk (g(nu, lambda_k t' + t lambda_k') - g(nu, 0)).
+    Order 2 is theta_j^2 times the score's second derivative along y_j, the
+    same at every point: g(nu, 2 t t') - g(nu, 0).
+    """
+    if order == 0:
+        S = score_rows(params, consts.mapping, conditional_mean_grid(points, params))
+        S += consts.score_shift(params.nu, np.diag(params.theta))
+        return S
+    step = np.zeros(params.m)
+    step[item] = params.theta[item]
+    if order == 2:
+        return consts.score_shift(params.nu, 2.0 * np.outer(step, step))
+    slopes = [consts.score_shift(params.nu, np.outer(lam_k, step) + np.outer(step, lam_k))
+              for lam_k in params.lam.T]
+    shift = consts.score_shift(params.nu + step, -np.outer(step, step))
+    return shift + points @ np.array(slopes)
+
+
+def _quadratic_moments(points, cols, forms, params, mapping):
+    """Exact moments of P batteries' contributions G_q = W_q h_q / D_q on
+    the grid ``points`` under the fitted model, each declared by its
+    quadratic form ``(item, a, b, c)`` (see ``WeightedBattery``): Var(G) at
+    every point ((P, Q)), Cov(G) among the points ``cols`` ((P, K, K)) and
+    A = E[G s'] ((P, Q, q)) with s the score on ``mapping``'s free
+    parameters.  Every step is elementwise or per problem, so a problem's
+    moments have the same bits in any stack.
+
+    Weighting the model density of y by W_q(y) = p(x_q | y) gives
+    p(x_q) p(y | x_q), so E[G_q] = E[h_q | x = x_q] = a_q and
+    A_q = E[h_q s | x = x_q] = a_q S0_q + b S1_q + c S2 (``_score_moments``).
+    Weighting it by W_q W_r tilts y_j to N(mt, tau2_j) with
+    mt = nu_j + tilt_j' (x_q + x_r) / 2 (``_FitConstants``), so
+    E[G_q G_r] = E[W_q W_r] E~[h_q h_r] / (D_q D_r).  In e = y_j - mt,
+    h_q = p0 + p1 e + c e^2 with alpha = mt - mu_qj,
+    p0 = a_q + b alpha + c (alpha^2 - theta_j) and p1 = b + 2 c alpha, so
+    E~[h_q h_r] = p0 q0 + tau2 (c (p0 + q0) + p1 q1) + 3 c^2 tau2^2.
+    """
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    Q, K = len(points), len(cols)
+    consts = _FitConstants(params, mapping)
+    dens = np.exp(lv_logpdf(points, params))
+    # E[W_q^2] at every point and E[W_q W_r] among the points cols, in one call
+    sub = points[cols]
+    pairs = _weight_products(np.vstack([points, np.repeat(sub, K, axis=0)]),
+                             np.vstack([points, np.tile(sub, (K, 1))]), params)
+    ww, block = pairs[:Q], pairs[Q:].reshape(K, K)
+    cond_mean = conditional_mean_grid(points, params)
+
+    # per problem: scalars as (P, 1, 1) and grid values as (P, 1, Q), so
+    # one set of shapes serves the diagonal and the (K, K) summary block
+    zero = np.zeros(Q)
+    a_q, t, mu, scalars = [], [], [], []
+    for item, a, b, c in forms:
+        a_q.append(zero if a is None else a(params))
+        if item is None:
+            t.append(zero)
+            mu.append(zero)
+            scalars.append((0.0, 0.0, 0.0, b, c))
+        else:
+            t.append(points @ consts.tilt[item])
+            mu.append(cond_mean[:, item])
+            scalars.append((params.nu[item], params.theta[item], consts.tau2[item], b, c))
+    a_q, t, mu = (np.array(x)[:, None, :] for x in (a_q, t, mu))
+    nu, theta, tau2, b, c = np.array(scalars, dtype=np.float64).T[:, :, None, None]
+
+    def coefficients(a_, alpha):
+        return a_ + b * alpha + c * (alpha**2 - theta), b + 2.0 * c * alpha
+
+    def products(p, q):
+        (p0, p1), (q0, q1) = p, q
+        return p0 * q0 + tau2 * (c * (p0 + q0) + p1 * q1) + 3.0 * c * c * tau2**2
+
+    diag = coefficients(a_q, nu + t - mu)
+    var = (ww * (products(diag, diag) / dens**2) - a_q * a_q)[:, 0]
+    a_c, mu_c, t_c, dens_c = a_q[..., cols], mu[..., cols], t[..., cols], dens[cols]
+    mt = nu + 0.5 * (t_c.transpose(0, 2, 1) + t_c)
+    tilted = products(coefficients(a_c.transpose(0, 2, 1), mt - mu_c.transpose(0, 2, 1)),
+                      coefficients(a_c, mt - mu_c))
+    cov = block * (tilted / np.outer(dens_c, dens_c)) - a_c.transpose(0, 2, 1) * a_c
+
+    A = np.zeros((len(forms), Q, mapping.q))
+    score_moments = {}
+    for A_p, (item, a, b, c), a_p in zip(A, forms, a_q[:, 0]):
+        for coef, order in ((a is not None, 0), (b, 1), (c, 2)):
+            if coef:
+                key = (order, None if order == 0 else item)
+                if key not in score_moments:
+                    score_moments[key] = _score_moments(points, params, consts, item, order)
+                A_p += (a_p[:, None] if order == 0 else coef) * score_moments[key]
+    return var, cov, A
 
 
 # ---------------------------------------------------------------------------
@@ -356,20 +538,13 @@ def run_residual_test(problem: ResidualProblem, fit: FitResult, data: DataMatrix
 @kernels.single_blas_thread
 def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
                        mc: McConfig = None) -> list:
-    """Run several residual tests on one fit.
+    """Run several residual tests on one fit, one grid at a time (see the
+    module docstring), and return the reports in the order of ``problems``.
 
-    A problem whose battery has closed-form moments, as every bundled one
-    does, takes them with the exact information; its hook shares per-fit
-    and per-grid constants with the batch's other hooks.  Custom batteries
-    without them share the ``mc.M`` model draws drawn from ``mc.seed``,
-    their scores and the information estimated from them, which are made,
-    and M checked against its minimum of 1000, only when the batch holds
-    such a problem.  The problems are then run one
-    grid at a time: the posterior-weight matrix W of the grid's points is
-    computed on the data, every problem on the grid takes its sample value
-    from it, and it is dropped before W on the draws is computed for the
-    covariance entries of the grid's problems without closed-form moments.
-    Reports come back in the order of ``problems``.
+    Problems without a quadratic form share the ``mc.M`` model draws drawn
+    from ``mc.seed``, their scores and the information estimated from them,
+    which are made, and M checked against its minimum of 1000, only when
+    the batch holds such a problem.
     """
     if mc is None:
         mc = McConfig()
@@ -379,7 +554,8 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
             + "; ".join(fit.warnings)
         )
     params = fit.params
-    exact = [problem.battery._moments is not None for problem in problems]
+    exact = [isinstance(problem.battery, WeightedBattery)
+             and problem.battery._quadratic is not None for problem in problems]
     if not all(exact):
         if mc.M < 1000:
             raise ConfigurationError(f"M={mc.M} below the minimum of 1000")
@@ -389,41 +565,53 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
         draw_inv_info = invert_information(score_information(scores))
     if any(exact):
         exact_inv_info = invert_information(expected_information(params, fit.mapping))
-    shared = {}
 
     groups = {}
     for i, problem in enumerate(problems):
         grid = problem.battery.grid if isinstance(problem.battery, WeightedBattery) else None
         key = None if grid is None else _points_key(grid)
         groups.setdefault(key, (grid, []))[1].append(i)
-    reports = [None] * len(problems)
+    reports = {}
     for grid, members in groups.values():
         W = _grid_weights(data.values, grid, params)
         wbar = None if grid is None else W.mean(axis=0)
-        t_hats = [_eta_hat(problems[i].battery, data.values, params, W, wbar)
-                  for i in members]
-        W = dens = None
-        if not all(exact[i] for i in members):
-            W = _grid_weights(draws, grid, params)
-            if grid is not None:
-                dens = np.exp(lv_logpdf(grid.points, params))
-        for i, t_hat in zip(members, t_hats):
-            problem = problems[i]
-            battery = problem.battery
-            subset = getattr(problem.grid, "summary_subset", None)
-            subset = (np.empty(0, dtype=np.intp) if subset is None
-                      else np.asarray(subset, dtype=np.intp))
+        stacks = {}
+        for i in members:
             if exact[i]:
-                moments = (battery.eta_closed(params),
-                           *battery._moments(params, fit.mapping, subset, shared))
-                inv_info, M = exact_inv_info, 0
-            else:
-                moments = _draw_moments(battery, params, draws, W, dens, scores, subset)
-                inv_info, M = draw_inv_info, mc.M
-            reports[i] = _run_problem(problem, data.n, t_hat, wbar, subset, moments,
-                                      inv_info, M, mc)
+                stacks.setdefault(_summary_subset(problems[i]).tobytes(), []).append(i)
+        for stack in stacks.values():
+            batch = [problems[i].battery for i in stack]
+            t_hat = _sample_values(batch, data.values, params, W, wbar)
+            cols = _summary_subset(problems[stack[0]])
+            eta = np.array([battery.eta_closed(params) for battery in batch])
+            moments = _quadratic_moments(grid.points, cols,
+                                         [battery._quadratic for battery in batch],
+                                         params, fit.mapping)
+            done = _reports([problems[i] for i in stack], data.n, t_hat, wbar, cols,
+                            (eta, *moments), exact_inv_info, 0, mc)
+            reports.update(zip(stack, done))
+
+        drawn = [i for i in members if not exact[i]]
+        t_hats = [_sample_values([problems[i].battery], data.values, params, W, wbar)
+                  for i in drawn]
+        W = None
+        if drawn:
+            W = _grid_weights(draws, grid, params)
+            dens = None if grid is None else np.exp(lv_logpdf(grid.points, params))
+        for i, t_hat in zip(drawn, t_hats):
+            cols = _summary_subset(problems[i])
+            moments = _draw_moments(problems[i].battery, params, draws, W, dens, scores, cols)
+            reports[i] = _reports([problems[i]], data.n, t_hat, wbar, cols,
+                                  [m[None] for m in moments], draw_inv_info, mc.M, mc)[0]
         del W
-    return reports
+    return [reports[i] for i in range(len(problems))]
+
+
+def _summary_subset(problem):
+    """Indices of the problem's summary points; empty without a summary."""
+    subset = getattr(problem.grid, "summary_subset", None)
+    return (np.empty(0, dtype=np.intp) if subset is None
+            else np.asarray(subset, dtype=np.intp))
 
 
 def _grid_weights(Y, grid, params):
@@ -464,67 +652,64 @@ def _draw_moments(battery, params, draws, W, dens, scores, cols):
     return eta, np.einsum("ij,ij->j", G, G) / (M - 1), Gs.T @ Gs / (M - 1), A
 
 
-def _run_problem(problem, n, t_hat, wbar, subset, moments, inv_info, M, mc):
-    """One problem's report from its sample value ``t_hat``, the data
-    weights' column means ``wbar``, and ``moments``: eta, Var(G), Cov(G) on
-    the summary ``subset`` and A, estimated on M draws or exact (M = 0),
-    with the matching inverse information."""
-    battery = problem.battery
+def _reports(problems, n, t_hat, wbar, subset, moments, inv_info, M, mc):
+    """Reports of P problems with k points each from their sample values
+    ``t_hat`` ((P, k)), the data weights' column means ``wbar`` and
+    ``moments``: eta (P, k), Var(G) (P, k), Cov(G) on the summary ``subset``
+    (P, K, K) and A (P, k, q), estimated on M draws or exact (M = 0), with
+    the matching inverse information."""
     eta, var_G, cov_G, A = moments
-    k = battery.k
-
     penalty = A @ inv_info
-    var = var_G - np.einsum("ij,ij->i", penalty, A)
+    var = var_G - np.einsum("pij,pij->pi", penalty, A)
 
     unstable = var <= _DIAG_FLOOR
-    if isinstance(battery, RatioBattery):
-        unstable |= wbar * n < _DENOM_FLOOR
+    ratio = [isinstance(problem.battery, RatioBattery) for problem in problems]
+    if any(ratio):
+        unstable[ratio] |= wbar * n < _DENOM_FLOOR
     resid = t_hat - eta
-    se = np.full(k, np.nan)
-    z = np.full(k, np.nan)
-    p = np.full(k, np.nan)
-    ok = ~unstable & np.isfinite(resid)
-    unstable |= ~np.isfinite(resid)
+    finite = np.isfinite(resid)
+    ok = ~unstable & finite
+    unstable |= ~finite
+    se, z, p = np.full((3, *var.shape), np.nan)
     se[ok] = np.sqrt(var[ok])
     z[ok], p[ok] = z_statistic(resid[ok], se[ok], n)
+    t_hat = np.where(np.isfinite(t_hat), t_hat, np.nan)
+    resid = np.where(finite, resid, np.nan)
+    blocks = cov_G - penalty[:, subset] @ A[:, subset].transpose(0, 2, 1)
+    blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
 
-    coords = getattr(problem.grid, "points", None)
-    if coords is None or len(coords) != k:
-        coords = np.arange(k, dtype=np.float64)[:, None]
-    points = [
-        TestPoint(*fields)
-        for fields in zip(
-            np.asarray(coords, dtype=np.float64),
-            np.where(np.isfinite(t_hat), t_hat, np.nan).tolist(),
-            np.asarray(eta, dtype=np.float64).tolist(),
-            np.where(np.isfinite(resid), resid, np.nan).tolist(),
-            se.tolist(),
-            z.tolist(),
-            p.tolist(),
-            unstable.tolist(),
-        )
-    ]
+    # each problem keeps its stable summary points; blocks of one size share
+    # one eigendecomposition call
+    kepts = [np.flatnonzero(~row) for row in unstable[:, subset]]
+    kept_blocks = [block[kept][:, kept] for block, kept in zip(blocks, kepts)]
+    sizes, inverses = {}, {}
+    for i, kept in enumerate(kepts):
+        sizes.setdefault(len(kept), []).append(i)
+    for size, same in sizes.items():
+        if size:
+            stacked = _truncated_inverse(np.array([kept_blocks[i] for i in same]), mc.s)
+            inverses.update(zip(same, zip(*stacked)))
 
-    kept = np.flatnonzero(~unstable[subset])
-    keep = subset[kept]
-    block = cov_G[np.ix_(kept, kept)] - penalty[keep] @ A[keep].T
-    block = 0.5 * (block + block.T)
-    eigvals = np.empty(0)
-    summary = None
-    if len(keep) >= 1:
-        T, p_sum, eigvals = _chi2_statistic(resid[keep], block, n, mc.s)
-        summary = SummaryStat(T=T, s=mc.s, p=p_sum,
-                              n_points=len(keep), n_dropped=len(subset) - len(keep))
-
-    config = {
-        "battery": battery.name,
-        "covariance": "exact" if M == 0 else "monte-carlo",
-        "s": mc.s,
-        "n": n,
-        "grid": getattr(problem.grid, "label", ""),
-        "summary_grid": getattr(problem.grid, "summary_label", ""),
-    }
-    acm = AcmEstimate(diag=var, summary_index=keep, summary_block=block,
-                      summary_eigvals=eigvals, M=M)
-    return TestReport(battery=battery.name, points=points, summary=summary,
-                      config=config, acm=acm)
+    reports = []
+    for i, problem in enumerate(problems):
+        battery = problem.battery
+        keep, block = subset[kepts[i]], kept_blocks[i]
+        W_inv, eigvals = inverses.get(i, (None, np.empty(0)))
+        summary = None
+        if len(keep) >= 1:
+            T, p_sum = _quadratic_statistic(resid[i, keep], W_inv, n, mc.s)
+            summary = SummaryStat(T=T, s=mc.s, p=p_sum,
+                                  n_points=len(keep), n_dropped=len(subset) - len(keep))
+        coords = getattr(problem.grid, "points", None)
+        if coords is None or len(coords) != battery.k:
+            coords = np.arange(battery.k, dtype=np.float64)[:, None]
+        config = {"battery": battery.name, "covariance": "exact" if M == 0 else "monte-carlo",
+                  "s": mc.s, "n": n, "grid": getattr(problem.grid, "label", ""),
+                  "summary_grid": getattr(problem.grid, "summary_label", "")}
+        acm = AcmEstimate(diag=var[i], summary_index=keep, summary_block=block,
+                          summary_eigvals=eigvals, M=M)
+        reports.append(TestReport(
+            battery=battery.name, coords=np.asarray(coords, dtype=np.float64),
+            eta_hat=t_hat[i], eta=eta[i], residual=resid[i], se=se[i], z=z[i], p=p[i],
+            unstable=unstable[i], summary=summary, config=config, acm=acm))
+    return reports

@@ -300,10 +300,9 @@ def run_rejection_study(
             reports = run_residual_batch(problems, fit, data, mc)
             for prob, report in zip(problems, reports):
                 acc = counts[prob.battery.name]
-                p_vals = np.array([pt.p for pt in report.points])
-                ok = np.isfinite(p_vals)
+                ok = np.isfinite(report.p)
                 acc.point_valid += ok
-                acc.point_rejections += ok & (p_vals < alpha)
+                acc.point_rejections += ok & (report.p < alpha)
                 if report.summary is not None:
                     acc.summary_valid += 1
                     acc.summary_rejections += report.summary.p < alpha
@@ -311,9 +310,7 @@ def run_rejection_study(
                     raw[prob.battery.name]["T"].append(
                         report.summary.T if report.summary else float("nan")
                     )
-                    raw[prob.battery.name]["z"].append(
-                        np.array([pt.z for pt in report.points])
-                    )
+                    raw[prob.battery.name]["z"].append(report.z)
         if collect_baseline:
             rep_base = baseline_report(fit, data)
             base_acc["lr_rejections"] += rep_base.p < alpha

@@ -238,9 +238,11 @@ class TestBatteryBasics:
                          _eta=lambda p: np.zeros(4), grid=grid)
 
     def test_closed_form_moments_need_closed_form_eta(self):
+        from factorgof import WeightedBattery
+
         with pytest.raises(ConfigurationError, match="closed-form moments but no"):
-            SummaryBattery(k=1, name="moments", _evaluate=lambda Y, p: Y[:, :1],
-                           _moments=lambda p, mapping, cols, shared: None)
+            WeightedBattery(k=5, name="moments", _evaluate=lambda Y, W, p: W,
+                            grid=make_grid([(-2, 2, 5)]), _quadratic=(None, None, 1.0, 0.0))
 
     def test_plain_battery_takes_no_weights(self, one_factor_params, rng):
         battery = SummaryBattery(k=1, name="first", _evaluate=lambda Y, p: Y[:, :1])
@@ -367,10 +369,10 @@ class TestAssembleAcm:
 
 
 def _drawn(problem):
-    """The problem with its battery's closed-form moments removed: a custom
+    """The problem with its battery's quadratic form removed: a custom
     battery with the same values, whose covariance the engine estimates on
-    the draws, as it does for every custom battery without the hook."""
-    return ResidualProblem(dataclasses.replace(problem.battery, _moments=None), problem.grid)
+    the draws, as it does for every custom battery without a form."""
+    return ResidualProblem(dataclasses.replace(problem.battery, _quadratic=None), problem.grid)
 
 
 def _engine_cases():
@@ -477,12 +479,16 @@ _BATCH_MC = McConfig(M=1200, seed=5)
 
 
 def _batch_problems():
-    """Weighted batteries of every bundled kind on three grids (two distinct
-    objects with equal points, and one with other points) and a custom
-    battery without a grid."""
+    """Weighted batteries of every bundled kind on four grids (two distinct
+    objects with equal points, one with other points, and one out to +-12
+    whose two problems keep summary blocks of different sizes) and a custom
+    battery without a grid.  On the wide grid the latent-density battery's
+    variance falls below the floor at +-8 and +-12, so its summary keeps 3
+    of the 7 points, while linearity-direct keeps all 7."""
     grid = make_grid([(-2, 2, 5)], [(-2, 2, 5)])
     twin = make_grid([(-2, 2, 5)], [(-1, 1, 3)])
     other = make_grid([(-3, 3, 7)], [(-2, 2, 5)])
+    wide = make_grid([(-12, 12, 7)], [(-12, 12, 7)])
     custom = SummaryBattery(k=2, name="custom",
                             _evaluate=lambda Y, p: np.column_stack([Y[:, 0], Y[:, 1] ** 2]))
     return [mv_linearity_problem(grid, 1), mv_homoscedasticity_problem(grid, 1),
@@ -490,17 +496,36 @@ def _batch_problems():
             lv_density_problem(grid), mv_linearity_direct_problem(grid, 2),
             ResidualProblem(custom, make_grid([(-1, 1, 2)], [(-1, 1, 2)])),
             mv_linearity_problem(twin, 1), lv_density_problem(twin),
-            mv_homoscedasticity_problem(other, 6), lv_density_problem(other)]
+            mv_homoscedasticity_problem(other, 6), lv_density_problem(other),
+            lv_density_problem(wide), mv_linearity_direct_problem(wide, 3)]
+
+
+_POINT_FIELDS = ("eta_hat", "eta", "residual", "se", "z", "p", "unstable")
 
 
 def _assert_same_report(got, want):
-    """Every point field and T of two reports agree bit for bit."""
+    """Every point array, the ACM entries and T of two reports agree bit
+    for bit, and each report's points carry its arrays' bits."""
     assert got.battery == want.battery
-    for attr in ("eta_hat", "eta", "residual", "se", "z", "p", "unstable"):
-        a = np.array([getattr(pt, attr) for pt in got.points])
-        b = np.array([getattr(pt, attr) for pt in want.points])
+    for attr in ("coords",) + _POINT_FIELDS:
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (got.battery, attr)
+    for attr in ("diag", "summary_index", "summary_block", "summary_eigvals"):
+        a, b = getattr(got.acm, attr), getattr(want.acm, attr)
         assert a.tobytes() == b.tobytes(), (got.battery, attr)
     assert np.array(got.summary.T).tobytes() == np.array(want.summary.T).tobytes()
+    for report in (got, want):
+        _assert_points_match_arrays(report)
+
+
+def _assert_points_match_arrays(report):
+    """The on-demand points carry the report's array values bit for bit."""
+    points = report.points
+    assert report.points is points  # built once, then kept
+    assert np.array([pt.coords for pt in points]).tobytes() == report.coords.tobytes()
+    for attr in _POINT_FIELDS:
+        values = np.array([getattr(pt, attr) for pt in points], dtype=getattr(report, attr).dtype)
+        assert values.tobytes() == getattr(report, attr).tobytes(), (report.battery, attr)
 
 
 @pytest.fixture(scope="module")
@@ -584,9 +609,11 @@ class TestRunResidualTest:
         solo = [run_residual_test(p, fit, data, _BATCH_MC) for p in problems]
         for b, s_ in zip(batch, solo):
             _assert_same_report(b, s_)
+        # the wide grid's two problems keep summary blocks of different sizes
+        assert [r.summary.n_points for r in batch[-2:]] == [3, 7]
 
     @settings(max_examples=25, deadline=None)
-    @given(order=st.permutations(range(11)))
+    @given(order=st.permutations(range(13)))
     def test_batch_order_does_not_change_reports(self, fitted_setup, order):
         spec, params, data, fit = fitted_setup
         problems = _batch_problems()
@@ -597,14 +624,19 @@ class TestRunResidualTest:
 
     def test_one_weight_pass_per_row_set_and_grid(self, fitted_setup, monkeypatch):
         spec, params, data, fit = fitted_setup
-        calls = []
-        original = residuals.posterior_log_weights
+        calls, stacks = [], []
+        weights, moments = residuals.posterior_log_weights, residuals._quadratic_moments
 
         def counted(Y, points, p):
             calls.append((len(Y), len(points)))
-            return original(Y, points, p)
+            return weights(Y, points, p)
+
+        def counted_moments(points, cols, forms, p, mapping):
+            stacks.append((len(points), len(forms)))
+            return moments(points, cols, forms, p, mapping)
 
         monkeypatch.setattr(residuals, "posterior_log_weights", counted)
+        monkeypatch.setattr(residuals, "_quadratic_moments", counted_moments)
         grid = make_grid([(-3, 3, 31)], [(-2, 2, 11)])
         items = (1, 7, 8, 9)
         problems = ([_drawn(mv_linearity_problem(grid, j)) for j in items]
@@ -613,6 +645,7 @@ class TestRunResidualTest:
         n, M = data.n, mc.M
         run_residual_batch(problems, fit, data, mc)
         assert calls == [(n, 31), (M, 31)]
+        assert stacks == []
 
         calls.clear()
         other = make_grid([(-2, 2, 9)])
@@ -620,6 +653,19 @@ class TestRunResidualTest:
                                        _drawn(mv_linearity_direct_problem(other, 2))],
                            fit, data, mc)
         assert calls == [(n, 31), (M, 31), (n, 9), (M, 9)]
+        assert stacks == [(9, 1)]
+
+        # the problems with a quadratic form take their moments from one
+        # stacked call per distinct grid, not one per problem
+        calls.clear()
+        stacks.clear()
+        exact = ([mv_linearity_problem(grid, j) for j in items]
+                 + [mv_homoscedasticity_problem(grid, j) for j in items]
+                 + [lv_density_problem(other), mv_linearity_direct_problem(other, 2),
+                    mv_linearity_direct_problem(grid, 3)])
+        run_residual_batch(exact, fit, data, mc)
+        assert calls == [(n, 31), (n, 9)]
+        assert stacks == [(31, 9), (9, 2)]
 
     def test_shared_weights_are_read_only(self, fitted_setup):
         spec, params, data, fit = fitted_setup
@@ -725,8 +771,11 @@ def _exact_against_dense_mc(problem, fit, data):
 
 
 def _forbid_draws(monkeypatch):
-    """Make simulating or scoring model draws in the engine raise; returns
-    the list of (rows, points) of every posterior-weight pass it makes."""
+    """Make simulating model draws in the engine, or estimating the
+    information from their scores, raise; returns the list of (rows, points)
+    of every posterior-weight pass it makes.  (The engine scores the grid's
+    conditional means for the closed-form A, so ``score_rows`` itself is
+    allowed.)"""
     def forbidden(*args, **kwargs):
         raise AssertionError("the batch drew or scored model draws")
 
@@ -738,7 +787,7 @@ def _forbid_draws(monkeypatch):
         return original(Y, points, p)
 
     monkeypatch.setattr(residuals, "simulate_data", forbidden)
-    monkeypatch.setattr(residuals, "score_rows", forbidden)
+    monkeypatch.setattr(residuals, "score_information", forbidden)
     monkeypatch.setattr(residuals, "posterior_log_weights", counted)
     return calls
 
@@ -844,10 +893,10 @@ class TestExactLvDensity:
         dens = np.exp(lv_logpdf(points, params))
         Q = len(points)
         battery = _problem_on_points("lv-density", points).battery
-        var, cov, A = battery._moments(params, mapping, np.arange(Q), {})
+        var, cov, A = _exact_moments(battery, params, mapping)
 
         EWW = Ww.T @ W
-        pairs = batteries._weight_products(np.repeat(points, Q, axis=0),
+        pairs = residuals._weight_products(np.repeat(points, Q, axis=0),
                                            np.tile(points, (Q, 1)), params).reshape(Q, Q)
         np.testing.assert_allclose(pairs, EWW, rtol=0, atol=1e-10 * EWW.max())
         np.testing.assert_allclose(cov, EWW - np.outer(dens, dens), rtol=0,
@@ -926,6 +975,15 @@ class TestExactLvDensity:
         _check_refit_permutation_leaves_report(lv_density_problem(default_grid(1)), fit, data)
 
 
+def _exact_moments(battery, params, mapping):
+    """Var(G), Cov(G) among all points and A of one battery with a
+    quadratic form, from the engine's stacked moment routine."""
+    points = battery.grid.points
+    stacked = residuals._quadratic_moments(points, np.arange(len(points)),
+                                           [battery._quadratic], params, mapping)
+    return [m[0] for m in stacked]
+
+
 def _problem_on_points(kind, points, item=None):
     """A bundled battery on arbitrary latent points."""
     grid = batteries.LvGrid(axes=(), points=points, summary_subset=None, label="",
@@ -958,7 +1016,7 @@ class TestExactItemMoments:
                 EG = EG + Gw.sum(axis=0)
                 EGG = EGG + Gw.T @ G
                 EGs = EGs + Gw.T @ score_rows(params, mapping, Y)
-            var, cov, A = battery._moments(params, mapping, np.arange(Q), {})
+            var, cov, A = _exact_moments(battery, params, mapping)
             mean = 0.0 if isinstance(battery, RatioBattery) else battery.eta_closed(params)
 
             scale = np.abs(EGG).max()

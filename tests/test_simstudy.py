@@ -187,7 +187,9 @@ class TestRejectionStudy:
         )
         (name,) = table.raw
         assert report.summary.T == table.raw[name]["T"][1]
-        assert np.array_equal([pt.z for pt in report.points], table.raw[name]["z"][1])
+        # the raw z is the report's z array, bit for bit, and so are its points
+        assert table.raw[name]["z"][1].tobytes() == report.z.tobytes()
+        assert np.array([pt.z for pt in report.points]).tobytes() == report.z.tobytes()
 
     def test_misspecified_arm_srmr_stays_tiny(self):
         # item-level distortions barely move the covariance residuals
