@@ -206,7 +206,9 @@ def mv_linearity_direct_problem(grid: LvGrid, item: int) -> ResidualProblem:
     def from_weights(Y, W, params):
         _check_item(item, params)
         dens = np.exp(lv_logpdf(grid.points, params))
-        return Y[:, item : item + 1] * W / dens[None, :]
+        out = np.multiply(Y[:, item : item + 1], W)
+        out /= dens
+        return out
 
     def eta_fn(params):
         return conditional_mean_grid(grid.points, params)[:, item].copy()

@@ -11,13 +11,22 @@ Free parameters are optimized on an unconstrained scale:
 
 The per-observation score is analytic and chain-ruled through this
 reparametrization.  The fit works from sufficient statistics (sample mean
-and covariance), so no iteration's cost depends on n.  It is a
-projected Newton iteration on the exact Hessian of the mean log-likelihood,
-formed in closed form from the same statistics, with Fisher scoring where
-the Hessian is not negative definite (the classical ML factor-analysis
-algorithms: Jennrich & Robinson, 1969, Psychometrika 34:111; Lee &
-Jennrich, 1979, Psychometrika 44:99).  The identification check reuses the
-Hessian of the final iterate.
+and covariance), so no iteration's cost depends on n.  With free
+intercepts their estimate is the sample mean ybar in closed form (Lawley &
+Maxwell, 1971); without them nu = 0 and the covariance is fitted to
+S + ybar ybar'.  The loadings, correlation entries and log error variances
+then follow a projected Newton iteration on the exact Hessian of the mean
+log-likelihood in those parameters alone, formed in closed form from the
+same statistics, with Fisher scoring where the Hessian is not negative
+definite (the classical ML factor-analysis algorithms: Jennrich &
+Robinson, 1969, Psychometrika 34:111; Lee & Jennrich, 1979, Psychometrika
+44:99).  Each loading and each log error variance moves Sigma by a rank-2
+matrix e_j p' + p e_j', so the Hessian's block in them is gathered from a
+few m x (d + m) products; only the d(d-1)/2 correlation entries carry a
+dense m x m dSigma.  At nu = ybar the Hessian is block diagonal, so the
+identification check and the inverse observed information take the
+intercepts' block, Sigma^-1, apart from the final iterate's covariance
+block.
 """
 
 import warnings
@@ -105,6 +114,26 @@ class ParamMapping:
         ofs += n_w
         self.u_slice = slice(ofs, ofs + m)
         self.q = ofs + m
+        self.cov_slice = slice(self.lam_slice.start, self.q)
+
+        # Each loading and log error variance a moves Sigma by the rank-2
+        # dSigma/dv_a = e_j p' + p e_j', with p column c of
+        # [lambda phi | diag(theta) / 2] (``_Slopes.cols``).  (j, c) of every
+        # covariance entry in block order, and flat indices that gather
+        # [j_a, c_b], [j_a, j_b] and [c_a, c_b] from (m, d + m), (m, m) and
+        # (d + m, d + m) arrays.  The correlation entries (``dense``, within
+        # the covariance block), whose slabs are dense, hold (0, 0): their
+        # rows and columns are formed apart.
+        self.dense = slice(n_lam, n_lam + n_w)
+        width = d + m
+        zero = np.zeros(n_w, dtype=np.intp)
+        self.rank2_rows = np.concatenate([self.lam_rows, zero, np.arange(m)])
+        self.rank2_cols = np.concatenate([self.lam_cols, zero, d + np.arange(m)])
+        rows, cols = self.rank2_rows, self.rank2_cols
+        self.rank2_at = rows * width + cols
+        self.rank2_rc = rows[:, None] * width + cols
+        self.rank2_rr = rows[:, None] * m + rows
+        self.rank2_cc = cols[:, None] * width + cols
 
     @property
     def labels(self) -> list:
@@ -351,14 +380,32 @@ class _Terms(NamedTuple):
     sig_inv: np.ndarray
     delta: np.ndarray    # ybar - nu
     s_star: np.ndarray   # S + delta delta'
+    E: np.ndarray        # Sigma^-1 S* Sigma^-1
+    gmat: np.ndarray     # E - Sigma^-1, twice the gradient with respect to Sigma
+
+    def about(self, ybar, S):
+        """The same model's terms about the sample mean ybar and covariance S."""
+        delta = ybar - self.nu
+        s_star = S + np.outer(delta, delta)
+        E = self.sig_inv @ s_star @ self.sig_inv
+        return self._replace(delta=delta, s_star=s_star, E=E, gmat=E - self.sig_inv)
+
+
+class _Slopes(NamedTuple):
+    """dSigma/dv at a free vector, in the compact form the gradient and the
+    Hessian share."""
+
+    cols: np.ndarray     # (m, d + m) [lambda phi | diag(theta) / 2], see ParamMapping
+    K: np.ndarray        # (n_w, d, d) dphi/dw
+    d_w: np.ndarray      # (n_w, m, m) dSigma/dw = lambda K lambda'
 
 
 def _moment_terms(v, mapping, ybar, S) -> _Terms:
     """nu, lambda, phi, theta, the Cholesky factor and inverse of the
-    implied covariance at v, the mean residual delta and S* = S + delta
-    delta'.  Formed straight from v, without a validated ParamSet; a
-    non-finite v or theta raises SpecificationError and a covariance that
-    does not factor DegenerateCovarianceError."""
+    implied covariance at v, and the moments about them (``_Terms.about``).
+    Formed straight from v, without a validated ParamSet; a non-finite v or
+    theta raises SpecificationError and a covariance that does not factor
+    DegenerateCovarianceError."""
     spec = mapping.spec
     v = np.asarray(v, dtype=np.float64)
     theta = np.exp(v[mapping.u_slice])
@@ -374,9 +421,15 @@ def _moment_terms(v, mapping, ybar, S) -> _Terms:
         raise DegenerateCovarianceError(
             "model-implied covariance is not positive definite"
         ) from exc
-    sig_inv = kernels.spd_inverse(L)
-    delta = ybar - nu
-    return _Terms(nu, lam, phi, theta, L, sig_inv, delta, S + np.outer(delta, delta))
+    model = _Terms(nu, lam, phi, theta, L, kernels.spd_inverse(L), None, None, None, None)
+    return model.about(ybar, S)
+
+
+def _slopes(v, mapping, t: _Terms) -> _Slopes:
+    """``_Slopes`` at v, whose model quantities are ``t``."""
+    K = mapping.dphi_dw(v[mapping.w_slice])
+    cols = np.hstack([t.lam @ t.phi, np.diag(0.5 * t.theta)])
+    return _Slopes(cols, K, t.lam @ K @ t.lam.T)
 
 
 def _mean_loglik(t: _Terms) -> float:
@@ -389,88 +442,95 @@ def _mean_loglik(t: _Terms) -> float:
 def _mean_loglik_and_grad(v, mapping, ybar, S):
     """Mean log-likelihood and its gradient from sufficient statistics."""
     t = _moment_terms(v, mapping, ybar, S)
-    return _mean_loglik(t), _mean_loglik_grad(v, mapping, t)
+    return _mean_loglik(t), _mean_loglik_grad(mapping, t, _slopes(v, mapping, t))
 
 
-def _mean_loglik_grad(v, mapping, t: _Terms):
-    """The gradient of ``_mean_loglik_and_grad`` from ``_moment_terms``."""
-    sig_inv = t.sig_inv
-    gmat = sig_inv @ t.s_star @ sig_inv - sig_inv
+def _mean_loglik_grad(mapping, t: _Terms, s: _Slopes):
+    """The gradient of ``_mean_loglik_and_grad`` from its terms and slopes:
+    Sigma^-1 delta for the intercepts and tr(G dSigma/dv_a)/2 for the rest,
+    which is (G p)_j for a rank-2 dSigma = e_j p' + p e_j'."""
     g = np.empty(mapping.q)
     if mapping.spec.mean_structure:
-        g[mapping.nu_slice] = sig_inv @ t.delta
-    P = t.lam @ t.phi
-    g[mapping.lam_slice] = (gmat @ P)[mapping.lam_rows, mapping.lam_cols]
-    n_w = len(mapping.w_rows)
-    if n_w:
-        gphi = t.lam.T @ gmat @ t.lam
-        K = mapping.dphi_dw(v[mapping.w_slice])
-        base = mapping.w_slice.start
-        for i in range(n_w):
-            a = mapping.w_rows[i]
-            g[base + i] = gphi[a] @ K[i, a, :]
-    g[mapping.u_slice] = 0.5 * np.diag(gmat) * t.theta
+        g[mapping.nu_slice] = t.sig_inv @ t.delta
+    g[mapping.cov_slice] = (t.gmat @ s.cols).take(mapping.rank2_at)
+    g[mapping.w_slice] = 0.5 * np.einsum("ij,tij->t", t.gmat, s.d_w)
     return g
 
 
 def _mean_loglik_hessian(v, mapping, ybar, S):
     """Exact Hessian of the mean log-likelihood from sufficient statistics."""
-    return _hessian_from_terms(v, mapping, _moment_terms(v, mapping, ybar, S))
+    t = _moment_terms(v, mapping, ybar, S)
+    return _hessian_from_terms(v, mapping, t, _slopes(v, mapping, t))
 
 
-def _hessian_from_terms(v, mapping, t: _Terms):
-    """The Hessian of ``_mean_loglik_hessian`` from ``_moment_terms``.
+def _hessian_from_terms(v, mapping, t: _Terms, s: _Slopes):
+    """The Hessian of ``_mean_loglik_hessian`` from its terms and slopes.
 
-    With D_a = dSigma/dv_a for a covariance parameter, E = Sigma^-1 S*
-    Sigma^-1 and G = E - Sigma^-1 (the gradient's ``gmat``), the covariance
-    block is -tr(Sigma^-1 D_a E D_b) + tr(Sigma^-1 D_a Sigma^-1 D_b)/2
-    + tr(G d2Sigma/dv_a dv_b)/2, the intercept block is -Sigma^-1 and the
-    intercept-covariance block is -Sigma^-1 D_b Sigma^-1 delta.
+    The covariance block is ``_covariance_hessian``; the intercept block is
+    -Sigma^-1 and the intercept-covariance block -Sigma^-1 D_b Sigma^-1 delta,
+    with D_b = dSigma/dv_b, which vanishes where nu = ybar.
     """
-    lam, phi, theta, sig_inv = t.lam, t.phi, t.theta, t.sig_inv
-    m = len(theta)
-    E = sig_inv @ t.s_star @ sig_inv
-    gmat = E - sig_inv
-    rows, cols = mapping.lam_rows, mapping.lam_cols
-    n_lam, n_w = len(rows), len(mapping.w_rows)
-    c0 = mapping.lam_slice.start
-    nc = mapping.q - c0
-    lam_b, w_b = slice(0, n_lam), slice(n_lam, n_lam + n_w)
-    diag_m = np.arange(m)
-    u_b = n_lam + n_w + diag_m
-
-    # dSigma/dv_a, one m x m slab per covariance parameter
-    D = np.zeros((nc, m, m))
-    P = lam @ phi
-    D[np.arange(n_lam), rows, :] = P[:, cols].T
-    D[np.arange(n_lam), :, rows] += P[:, cols].T
-    w = v[mapping.w_slice]
-    K = mapping.dphi_dw(w)
-    D[w_b] = lam @ K @ lam.T
-    D[u_b, diag_m, diag_m] = theta
-
-    # -tr(Sigma^-1 D_a (E D_b - Sigma^-1 D_b / 2)) for every pair at once
-    A = sig_inv @ D
-    C = E @ D - 0.5 * A
     H = np.zeros((mapping.q, mapping.q))
-    hc = H[c0:, c0:]
-    hc[...] = -A.reshape(nc, -1) @ C.transpose(0, 2, 1).reshape(nc, -1).T
-
-    # tr(G d2Sigma/dv_a dv_b)/2, nonzero only for these pairs
-    hc[lam_b, lam_b] += phi[np.ix_(cols, cols)] * gmat[np.ix_(rows, rows)]
-    if n_w:
-        GLK = (gmat @ lam @ K)[:, rows, cols]
-        hc[lam_b, w_b] += GLK.T
-        hc[w_b, lam_b] += GLK
-        gphi = lam.T @ gmat @ lam
-        hc[w_b, w_b] += 0.5 * np.einsum("ij,tsij->ts", gphi, mapping.d2phi_dw2(w))
-    hc[u_b, u_b] += 0.5 * np.diag(gmat) * theta
-
+    c = mapping.cov_slice
+    H[c, c] = _covariance_hessian(v, mapping, t, s)
     if mapping.spec.mean_structure:
         nu = mapping.nu_slice
-        H[nu, nu] = -sig_inv
-        H[nu, c0:] = -(A @ (sig_inv @ t.delta)).T
-        H[c0:, nu] = H[nu, c0:].T
+        z = t.sig_inv @ t.delta
+        rows, cols = mapping.rank2_rows, mapping.rank2_cols
+        # D_b z = p (z_j) + e_j (p'z) for a rank-2 D_b, and D_w z
+        Dz = s.cols.take(cols, axis=1) * z[rows]
+        Dz[rows, np.arange(len(rows))] += (z @ s.cols)[cols]
+        Dz[:, mapping.dense] = (s.d_w @ z).T
+        H[nu, nu] = -t.sig_inv
+        H[nu, c] = -(t.sig_inv @ Dz)
+        H[c, nu] = H[nu, c].T
+    return H
+
+
+def _covariance_hessian(v, mapping, t: _Terms, s: _Slopes):
+    """Hessian of the mean log-likelihood in the loadings, correlation
+    entries and log error variances (the covariance block).
+
+    With D_a = dSigma/dv_a, G = ``gmat`` and R = E - Sigma^-1 / 2, entry
+    (a, b) is -tr(Sigma^-1 D_a R D_b) + tr(G d2Sigma/dv_a dv_b)/2.  For two
+    rank-2 D_a = e_j p' + p e_j' and D_b = e_k r' + r e_k' the trace is
+    (Sigma^-1 r)_j (R p)_k + (Sigma^-1 p)_k (R r)_j + Sigma^-1_jk p'R r
+    + R_jk p'Sigma^-1 r, so the block of all loadings and log error variances
+    is gathered from Sigma^-1 C, R C, C'Sigma^-1 C and C'R C with C =
+    ``_Slopes.cols`` (Jennrich & Robinson, 1969).  Its second-derivative
+    term is G_jk phi_cc' for two loadings and G_jj theta_j / 2 for log
+    theta_j twice.  Only the correlation entries' dense slabs D_w enter
+    their rows and columns.
+    """
+    m, d = mapping.spec.m, mapping.spec.d
+    sig_inv, G, cols = t.sig_inv, t.gmat, s.cols
+    R = t.E - 0.5 * sig_inv
+    SC, RC = sig_inv @ cols, R @ cols
+    rc, rr, cc = mapping.rank2_rc, mapping.rank2_rr, mapping.rank2_cc
+    X = SC.take(rc) * RC.take(rc).T
+    H = -(X + X.T)
+    H -= sig_inv.take(rr) * (cols.T @ RC).take(cc)
+    H -= R.take(rr) * (cols.T @ SC).take(cc)
+    curvature = np.zeros((d + m, d + m))
+    curvature[:d, :d] = t.phi
+    curvature[d:, d:] = np.diag(0.5 * t.theta)
+    H += G.take(rr) * curvature.take(cc)
+
+    n_w = len(mapping.w_rows)
+    if n_w:
+        w = mapping.dense
+        A = sig_inv @ s.d_w
+        # -tr(Sigma^-1 D_t R D_b) = -((M + M') r)_k with M = Sigma^-1 D_t R,
+        # and tr(G d2Sigma/dw_t dlambda_kc)/2 = (G lambda K_t)_kc
+        M = A @ R
+        cross = -(M + M.transpose(0, 2, 1)) @ cols
+        cross[:, :, :d] += G @ t.lam @ s.K
+        cross = cross.reshape(n_w, -1).take(mapping.rank2_at, axis=1)
+        H[w] = cross
+        H[:, w] = cross.T
+        gphi = t.lam.T @ G @ t.lam
+        H[w, w] = (-A.reshape(n_w, -1) @ (R @ s.d_w).transpose(0, 2, 1).reshape(n_w, -1).T
+                   + 0.5 * np.einsum("ij,tsij->ts", gphi, mapping.d2phi_dw2(v[mapping.w_slice])))
     return 0.5 * (H + H.T)
 
 
@@ -483,12 +543,14 @@ def _hessian_from_terms(v, mapping, t: _Terms):
 def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitResult:
     """Fit the factor model by maximum likelihood.
 
-    The fit is a projected Newton iteration on the exact Hessian of the mean
-    log-likelihood (see ``_newton``); ``FitResult.n_iter`` counts its
-    iterations, at most ``opts.max_iter``.  Convergence requires all three
-    of: max-abs mean-log-likelihood gradient below ``opts.gtol``, no error
-    variance at the floor (Heywood case), and a negative-definite Hessian of
-    the mean log-likelihood at the solution whose negative, the observed
+    With a free mean structure the intercepts' estimate is the sample mean
+    in closed form; the rest is a projected Newton iteration on the exact
+    Hessian of the mean log-likelihood in the covariance parameters (see
+    ``_newton``); ``FitResult.n_iter`` counts its iterations, at most
+    ``opts.max_iter``.  Convergence requires all three of: max-abs
+    mean-log-likelihood gradient below ``opts.gtol``, no error variance at
+    the floor (Heywood case), and a negative-definite Hessian of the mean
+    log-likelihood at the solution whose negative, the observed
     information, inverts without near singularity (the identification
     check).  Failing fits are returned with ``converged=False`` and reasons
     listed in ``warnings``; downstream residual tests refuse them.  The fit
@@ -504,7 +566,8 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
     resid = Y - ybar
     S = resid.T @ resid / data.n
 
-    v, g, hess, n_iter = _newton(mapping, ybar, S, mapping.start_values(data), opts)
+    # the start puts the intercepts at ybar, their estimate, where they stay
+    v, t, g, hess, n_iter = _newton(mapping, ybar, S, mapping.start_values(data), opts)
     gradient_norm = float(np.abs(g).max())
     params = mapping.unpack(v)
 
@@ -516,7 +579,11 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
     if heywood.any():
         idx = np.nonzero(heywood)[0]
         warn.append(f"heywood: error variance at floor for items {idx.tolist()}")
+    # at nu = ybar the intercept-covariance block of H vanishes, so -H is
+    # block diagonal: Sigma^-1 for the intercepts and -hess for the rest
     eigs = np.linalg.eigvalsh(-hess)
+    if spec.mean_structure:
+        eigs = np.sort(np.concatenate([np.linalg.eigvalsh(t.sig_inv), eigs]))
     min_eig = float(eigs[0])
     hess_ok = min_eig > 0.0
     if not hess_ok:
@@ -526,10 +593,16 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
     inv_observed = None
     if hess_ok:
         try:
-            inv_observed = _invert_information(-hess, eigs)
+            _check_conditioning(eigs)
         except IdentificationError as exc:
             warn.append(f"observed information: {exc}")
             converged = False
+        else:
+            inv_observed = np.zeros((mapping.q, mapping.q))
+            inv_observed[mapping.cov_slice, mapping.cov_slice] = kernels.spd_inverse(
+                np.linalg.cholesky(-hess))
+            if spec.mean_structure:
+                inv_observed[mapping.nu_slice, mapping.nu_slice] = t.L @ t.L.T
 
     return FitResult(
         params=params,
@@ -550,68 +623,84 @@ _MAX_HALVINGS = 50
 
 
 def _newton(mapping, ybar, S, v, opts):
-    """Maximize the mean log-likelihood from v by projected Newton.
+    """Maximize the mean log-likelihood from v over the covariance block
+    (loadings, correlation entries, log error variances) by projected
+    Newton; the intercepts stay as v holds them.
 
     The only bound is log theta >= log(theta_floor).  Each iteration holds
     fixed the log-theta entries at the floor whose gradient points outward
-    and solves -H_FF delta = g_F on the rest (F) by Cholesky, with the
-    expected information in place of -H_FF where that is not positive
-    definite (Fisher scoring), and delta = g_F where neither factors.  An
-    Armijo backtracking search projects each trial onto the bound and
-    rejects trials that are inadmissible or whose value is not finite.  The
+    and solves -H_FF delta = g_F on the rest (F), with the expected
+    information in place of -H_FF where that does not factor by Cholesky
+    (Fisher scoring), and delta = g_F where neither factors.  An Armijo
+    backtracking search projects each trial onto the bound and rejects
+    trials that are inadmissible or whose value is not finite.  The
     iteration stops once the projected max-abs gradient is below
     min(1e-6, 0.1 gtol), after ``opts.max_iter`` iterations, or when no
     trial along the step is accepted.
 
-    Returns the final iterate, its gradient and Hessian, and the number of
-    iterations taken.
+    Returns the final iterate and its terms, the covariance block of its
+    gradient and Hessian, and the number of iterations taken.
     """
+    c = mapping.cov_slice
     lo = float(np.log(opts.theta_floor))
-    bounded = np.zeros(mapping.q, dtype=bool)
-    bounded[mapping.u_slice] = True
+    bounded = np.zeros(mapping.q - c.start, dtype=bool)
+    bounded[mapping.u_slice.start - c.start:] = True
     tol = min(1e-6, 0.1 * opts.gtol)
-    v = np.where(bounded, np.maximum(v, lo), v)
+    v = v.copy()
+    v[c] = np.where(bounded, np.maximum(v[c], lo), v[c])
     t = _moment_terms(v, mapping, ybar, S)
     f = _mean_loglik(t)
     n_iter = 0
     while True:
-        g = _mean_loglik_grad(v, mapping, t)
-        hess = _hessian_from_terms(v, mapping, t)
-        projected = np.where(bounded, np.maximum(v + g, lo) - v, g)
+        s = _slopes(v, mapping, t)
+        g = _mean_loglik_grad(mapping, t, s)[c]
+        hess = _covariance_hessian(v, mapping, t, s)
+        vc = v[c]
+        projected = np.where(bounded, np.maximum(vc + g, lo) - vc, g)
         if np.abs(projected).max() < tol or n_iter >= opts.max_iter:
             break
-        free = ~(bounded & (v <= lo) & (g < 0.0))
-        step = np.zeros(mapping.q)
-        step[free] = _ascent_step(hess, g, free,
-                                  lambda: expected_information(mapping.unpack(v), mapping))
+        free = ~(bounded & (vc <= lo) & (g < 0.0))
+        step = np.zeros(len(g))
+        step[free] = _ascent_step(
+            hess, g, free, lambda: expected_information(mapping.unpack(v), mapping)[c, c])
         found = _line_search(mapping, ybar, S, v, f, g, step, bounded, lo)
         if found is None:
             break
         v, t, f = found
         n_iter += 1
-    return v, g, hess, n_iter
+    return v, t, g, hess, n_iter
 
 
 def _ascent_step(hess, g, free, information):
     """Newton step on the entries ``free``; Fisher scoring with
-    ``information()`` where -H is not positive definite there; the gradient
-    itself where neither factors."""
+    ``information()`` where -H does not factor by Cholesky there; the
+    gradient itself where neither factors.
+
+    The step is solved with the Cholesky factor L, as L'^-1 (L^-1 g): on a
+    numerically singular matrix that still factors (a rotationally
+    unidentified fit's information), that keeps the step bounded where an
+    LU solve of the matrix itself returned one of order 1e15.
+    """
     ix = np.ix_(free, free)
     for matrix in (lambda: -hess[ix], lambda: information()[ix]):
         try:
-            return kernels.spd_inverse(np.linalg.cholesky(matrix())) @ g[free]
+            L = np.linalg.cholesky(matrix())
         except np.linalg.LinAlgError:
-            pass
+            continue
+        return np.linalg.solve(L.T, np.linalg.solve(L, g[free]))
     return g[free]
 
 
 def _line_search(mapping, ybar, S, v, f, g, step, bounded, lo):
-    """Armijo backtracking along ``step`` projected onto the floor; the
-    accepted point with its terms and value, or None."""
+    """Armijo backtracking along the covariance-block ``step`` projected
+    onto the floor; the accepted point with its terms and value, or None."""
+    c = mapping.cov_slice
     alpha = 1.0
     for _ in range(_MAX_HALVINGS):
-        trial = v + alpha * step
-        trial[bounded] = np.maximum(trial[bounded], lo)
+        trial = v.copy()
+        moved = trial[c]
+        moved += alpha * step
+        moved[bounded] = np.maximum(moved[bounded], lo)
         # a long step can overflow exp(log theta); that trial is rejected
         with np.errstate(over="ignore", invalid="ignore"):
             try:
@@ -619,7 +708,7 @@ def _line_search(mapping, ybar, S, v, f, g, step, bounded, lo):
                 f_trial = _mean_loglik(t)
             except (SpecificationError, DegenerateCovarianceError):
                 f_trial = -np.inf
-        if np.isfinite(f_trial) and f_trial >= f + _ARMIJO * float(g @ (trial - v)):
+        if np.isfinite(f_trial) and f_trial >= f + _ARMIJO * float(g @ (moved - v[c])):
             return trial, t, f_trial
         alpha *= 0.5
     return None
@@ -653,16 +742,17 @@ def score_information(scores: np.ndarray) -> np.ndarray:
 
 def invert_information(info: np.ndarray) -> np.ndarray:
     """Symmetric PD inverse, rejecting near-singular information."""
-    return _invert_information(info, np.linalg.eigvalsh(info))
+    _check_conditioning(np.linalg.eigvalsh(info))
+    return kernels.spd_inverse(np.linalg.cholesky(info))
 
 
-def _invert_information(info, eigs):
-    """``invert_information`` given the ascending eigenvalues of ``info``."""
+def _check_conditioning(eigs):
+    """Raise IdentificationError unless the ascending eigenvalues ``eigs``
+    of an information matrix are positive with a bounded range."""
     if eigs[0] <= 0 or eigs[-1] / eigs[0] > _MAX_CONDITION:
         raise IdentificationError(
             f"information matrix near singular (eigenvalue range {eigs[0]:.3g}..{eigs[-1]:.3g})"
         )
-    return kernels.spd_inverse(np.linalg.cholesky(info))
 
 
 def simulate_data(params: ParamSet, n: int, rng, column_names=None) -> DataMatrix:

@@ -52,9 +52,10 @@ from .errors import ConfigurationError, NotConvergedError, RankError
 from .estimate import (
     DataMatrix,
     FitResult,
+    _hessian_from_terms,
     _mean_loglik_grad,
     _moment_terms,
-    expected_information,
+    _slopes,
     invert_information,
     score_information,
     simulate_data,
@@ -377,7 +378,7 @@ def _quadratic_statistic(e, W, n, s):
 # ---------------------------------------------------------------------------
 
 
-def _weight_products(X1, X2, params):
+def _weight_products(X1, X2, params, V):
     """E[W(x1) W(x2)] under the model for paired rows of X1 and X2 ((Q,)).
 
     W(x) = N(x; E[x | y], V) is the posterior density of the latent point x
@@ -385,7 +386,6 @@ def _weight_products(X1, X2, params):
     the product of the two normal densities in E[x | y] integrates to
     N(x1 - x2; 0, 2V) N((x1 + x2) / 2; 0, phi - V / 2).
     """
-    V = np.linalg.inv(_posterior_precision(params)[1])
     zero = np.zeros(params.d)
     out = kernels.mvn_loglik_rows(X1 - X2, zero, np.linalg.cholesky(2.0 * V))
     out += kernels.mvn_loglik_rows(0.5 * (X1 + X2), zero,
@@ -394,7 +394,12 @@ def _weight_products(X1, X2, params):
 
 
 class _FitConstants:
-    """Per-fit constants of the closed-form moments.
+    """Per-fit constants of the closed-form moments, made once per batch.
+
+    ``information`` is the exact information, minus the expected Hessian
+    (see ``estimate.expected_information``), and ``V`` the posterior
+    covariance of x given y; both share this object's one factorization of
+    the implied covariance and of the posterior precision.
 
     ``score_shift(ybar, S)`` is g(ybar, S) - g(nu, 0), with g(ybar, S) the
     gradient of the mean log-likelihood at sample mean ybar and sample
@@ -407,17 +412,18 @@ class _FitConstants:
     def __init__(self, params, mapping):
         self.v, self.mapping = mapping.pack(params), mapping
         self.terms = _moment_terms(self.v, mapping, params.nu, np.zeros((params.m, params.m)))
-        self.g0 = _mean_loglik_grad(self.v, mapping, self.terms)
-        V = np.linalg.inv(_posterior_precision(params)[1])
+        self.slopes = _slopes(self.v, mapping, self.terms)
+        self.g0 = _mean_loglik_grad(mapping, self.terms, self.slopes)
+        sigma = params.implied_covariance()
+        self.information = -_hessian_from_terms(self.v, mapping,
+                                                self.terms.about(params.nu, sigma), self.slopes)
+        self.V = np.linalg.inv(_posterior_precision(params)[1])
         cross = params.lam @ params.phi
-        self.tilt = np.linalg.solve(params.phi - 0.5 * V, cross.T).T
-        self.tau2 = np.diag(params.implied_covariance()) - np.einsum("jk,jk->j", self.tilt, cross)
+        self.tilt = np.linalg.solve(params.phi - 0.5 * self.V, cross.T).T
+        self.tau2 = np.diag(sigma) - np.einsum("jk,jk->j", self.tilt, cross)
 
     def score_shift(self, ybar, S):
-        delta = ybar - self.terms.nu
-        shifted = self.terms._replace(delta=delta, s_star=S + np.outer(delta, delta))
-        g = _mean_loglik_grad(self.v, self.mapping, shifted)
-        return g - self.g0
+        return _mean_loglik_grad(self.mapping, self.terms.about(ybar, S), self.slopes) - self.g0
 
 
 def _score_moments(points, params, consts, item, order):
@@ -450,14 +456,14 @@ def _score_moments(points, params, consts, item, order):
     return shift + points @ np.array(slopes)
 
 
-def _quadratic_moments(points, cols, forms, params, mapping):
+def _quadratic_moments(points, cols, forms, params, consts):
     """Exact moments of P batteries' contributions G_q = W_q h_q / D_q on
     the grid ``points`` under the fitted model, each declared by its
     quadratic form ``(item, a, b, c)`` (see ``WeightedBattery``): Var(G) at
     every point ((P, Q)), Cov(G) among the points ``cols`` ((P, K, K)) and
-    A = E[G s'] ((P, Q, q)) with s the score on ``mapping``'s free
-    parameters.  Every step is elementwise or per problem, so a problem's
-    moments have the same bits in any stack.
+    A = E[G s'] ((P, Q, q)) with s the score on the free parameters, from
+    the fit's ``_FitConstants``.  Every step is elementwise or per problem,
+    so a problem's moments have the same bits in any stack.
 
     Weighting the model density of y by W_q(y) = p(x_q | y) gives
     p(x_q) p(y | x_q), so E[G_q] = E[h_q | x = x_q] = a_q and
@@ -471,12 +477,11 @@ def _quadratic_moments(points, cols, forms, params, mapping):
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     Q, K = len(points), len(cols)
-    consts = _FitConstants(params, mapping)
     dens = np.exp(lv_logpdf(points, params))
     # E[W_q^2] at every point and E[W_q W_r] among the points cols, in one call
     sub = points[cols]
     pairs = _weight_products(np.vstack([points, np.repeat(sub, K, axis=0)]),
-                             np.vstack([points, np.tile(sub, (K, 1))]), params)
+                             np.vstack([points, np.tile(sub, (K, 1))]), params, consts.V)
     ww, block = pairs[:Q], pairs[Q:].reshape(K, K)
     cond_mean = conditional_mean_grid(points, params)
 
@@ -512,7 +517,7 @@ def _quadratic_moments(points, cols, forms, params, mapping):
                       coefficients(a_c, mt - mu_c))
     cov = block * (tilted / np.outer(dens_c, dens_c)) - a_c.transpose(0, 2, 1) * a_c
 
-    A = np.zeros((len(forms), Q, mapping.q))
+    A = np.zeros((len(forms), Q, consts.mapping.q))
     score_moments = {}
     for A_p, (item, a, b, c), a_p in zip(A, forms, a_q[:, 0]):
         for coef, order in ((a is not None, 0), (b, 1), (c, 2)):
@@ -564,7 +569,8 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
         scores = score_rows(params, fit.mapping, draws)
         draw_inv_info = invert_information(score_information(scores))
     if any(exact):
-        exact_inv_info = invert_information(expected_information(params, fit.mapping))
+        consts = _FitConstants(params, fit.mapping)
+        exact_inv_info = invert_information(consts.information)
 
     groups = {}
     for i, problem in enumerate(problems):
@@ -586,7 +592,7 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
             eta = np.array([battery.eta_closed(params) for battery in batch])
             moments = _quadratic_moments(grid.points, cols,
                                          [battery._quadratic for battery in batch],
-                                         params, fit.mapping)
+                                         params, consts)
             done = _reports([problems[i] for i in stack], data.n, t_hat, wbar, cols,
                             (eta, *moments), exact_inv_info, 0, mc)
             reports.update(zip(stack, done))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from factorgof import ConfigurationError, ModelSpec, ParamSet, RatioBattery, make_grid
-from factorgof.estimate import score_information, score_rows
+from factorgof.estimate import _moment_terms, score_information, score_rows
 from factorgof.residuals import _draw_moments
 
 
@@ -54,6 +54,68 @@ def two_factor_params(two_factor_spec):
 def random_admissible_free_vector(mapping, rng, scale=0.4):
     """Random free-parameter vector; admissibility holds by construction."""
     return rng.normal(0.0, scale, mapping.q)
+
+
+# ---------------------------------------------------------------------------
+# dense reference: the Hessian of the mean log-likelihood from one m x m
+# slab dSigma/dv per covariance parameter, against which the fit's gathered
+# Hessian is tested
+# ---------------------------------------------------------------------------
+
+
+def dense_hessian(v, mapping, ybar, S):
+    """Exact Hessian of the mean log-likelihood at v from the sample mean
+    ybar and covariance S, built from the (q_c, m, m) stack D of
+    dSigma/dv_a over the q_c covariance parameters.
+
+    With E = Sigma^-1 S* Sigma^-1 and G = E - Sigma^-1, the covariance block
+    is -tr(Sigma^-1 D_a E D_b) + tr(Sigma^-1 D_a Sigma^-1 D_b)/2
+    + tr(G d2Sigma/dv_a dv_b)/2, the intercept block is -Sigma^-1 and the
+    intercept-covariance block is -Sigma^-1 D_b Sigma^-1 (ybar - nu).
+    """
+    t = _moment_terms(v, mapping, ybar, S)
+    lam, phi, theta, sig_inv = t.lam, t.phi, t.theta, t.sig_inv
+    m = len(theta)
+    E = sig_inv @ t.s_star @ sig_inv
+    gmat = E - sig_inv
+    rows, cols = mapping.lam_rows, mapping.lam_cols
+    n_lam, n_w = len(rows), len(mapping.w_rows)
+    c0 = mapping.lam_slice.start
+    nc = mapping.q - c0
+    lam_b, w_b = slice(0, n_lam), slice(n_lam, n_lam + n_w)
+    diag_m = np.arange(m)
+    u_b = n_lam + n_w + diag_m
+
+    D = np.zeros((nc, m, m))
+    P = lam @ phi
+    D[np.arange(n_lam), rows, :] = P[:, cols].T
+    D[np.arange(n_lam), :, rows] += P[:, cols].T
+    w = v[mapping.w_slice]
+    K = mapping.dphi_dw(w)
+    D[w_b] = lam @ K @ lam.T
+    D[u_b, diag_m, diag_m] = theta
+
+    A = sig_inv @ D
+    C = E @ D - 0.5 * A
+    H = np.zeros((mapping.q, mapping.q))
+    hc = H[c0:, c0:]
+    hc[...] = -A.reshape(nc, -1) @ C.transpose(0, 2, 1).reshape(nc, -1).T
+
+    hc[lam_b, lam_b] += phi[np.ix_(cols, cols)] * gmat[np.ix_(rows, rows)]
+    if n_w:
+        GLK = (gmat @ lam @ K)[:, rows, cols]
+        hc[lam_b, w_b] += GLK.T
+        hc[w_b, lam_b] += GLK
+        gphi = lam.T @ gmat @ lam
+        hc[w_b, w_b] += 0.5 * np.einsum("ij,tsij->ts", gphi, mapping.d2phi_dw2(w))
+    hc[u_b, u_b] += 0.5 * np.diag(gmat) * theta
+
+    if mapping.spec.mean_structure:
+        nu = mapping.nu_slice
+        H[nu, nu] = -sig_inv
+        H[nu, c0:] = -(A @ (sig_inv @ t.delta)).T
+        H[c0:, nu] = H[nu, c0:].T
+    return 0.5 * (H + H.T)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from factorgof.simstudy import (
     replication,
 )
 
-from conftest import monte_carlo_information, random_admissible_free_vector
+from conftest import dense_hessian, monte_carlo_information, random_admissible_free_vector
 
 
 class TestDataMatrix:
@@ -222,16 +222,21 @@ class TestFit:
 
     def test_observed_information_inverse_is_the_public_one(self, two_factor_params,
                                                            two_factor_spec):
-        # the fit reuses the eigenvalues of its identification check, and
-        # returns what invert_information gives on the final Hessian
+        # at nu = ybar the final Hessian is block diagonal, and the fit
+        # returns Sigma for the intercepts and what invert_information gives
+        # on the Hessian's covariance block, bit for bit
         data = simulate_data(two_factor_params, 800, np.random.default_rng(8))
         fit = fit_ml(data, two_factor_spec)
         ybar = data.values.mean(axis=0)
         resid = data.values - ybar
         hess = _mean_loglik_hessian(fit.free_vector, fit.mapping, ybar,
                                     resid.T @ resid / data.n)
+        nu, c = fit.mapping.nu_slice, fit.mapping.cov_slice
         inv = fit.inv_observed_information
-        assert inv.tobytes() == invert_information(-hess).tobytes()
+        assert inv[c, c].tobytes() == invert_information(-hess[c, c]).tobytes()
+        L = fit.params.sigma_cholesky()
+        assert inv[nu, nu].tobytes() == (L @ L.T).tobytes()
+        assert not inv[nu, c].any() and not hess[nu, c].any()
         assert np.array_equal(inv, inv.T)
 
     @pytest.mark.parametrize("seed", [0, 2, 4, 5])
@@ -480,6 +485,49 @@ def test_hessian_matches_finite_differences(case, rng):
         fd = _fd_hessian(v, mapping, ybar, S)
         assert np.abs(H - fd).max() <= 1e-7 * np.abs(fd).max()
         np.testing.assert_array_equal(H, H.T)
+
+
+@pytest.mark.parametrize("case", ["d1", "d2", "d3", "d3-no-mean", "study1", "study2"])
+def test_hessian_matches_dense_reference(case, rng):
+    # the gathered rank-2 Hessian against the (q, m, m) dSigma stack, at
+    # random points where delta = ybar - nu is nonzero, so the intercept
+    # cross block (and, without a mean structure, S* = S + ybar ybar') is live
+    spec = _hessian_case_spec(case)
+    mapping = ParamMapping(spec)
+    for _ in range(3):
+        v = random_admissible_free_vector(mapping, rng)
+        ybar, S = _sufficient_statistics(rng.normal(0.3, 1.2, size=(60, spec.m)))
+        H = _mean_loglik_hessian(v, mapping, ybar, S)
+        ref = dense_hessian(v, mapping, ybar, S)
+        if spec.mean_structure:
+            assert np.abs(ref[mapping.nu_slice, mapping.cov_slice]).min() > 0
+        assert np.abs(H - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("design", [Study1Config, Study2Config])
+def test_intercepts_are_the_sample_mean(design):
+    # nu-hat = ybar in closed form, bit for bit; there the Hessian's
+    # intercept-covariance block is exactly zero, and the fit's block-wise
+    # inverse information matches the full one
+    for rep in range(2):
+        data, fit, _ = replication(design(n=300, misspecified=bool(rep)), 17, rep)
+        assert fit.converged
+        ybar, S = _sufficient_statistics(data.values)
+        assert fit.params.nu.tobytes() == data.values.mean(axis=0).tobytes()
+        H = _mean_loglik_hessian(fit.free_vector, fit.mapping, ybar, S)
+        assert not H[fit.mapping.nu_slice, fit.mapping.cov_slice].any()
+        inv = fit.inv_observed_information
+        np.testing.assert_allclose(inv, invert_information(-H), rtol=0,
+                                   atol=1e-12 * np.abs(inv).max())
+
+        spec = fit.spec
+        no_mean = ModelSpec(m=spec.m, d=spec.d, loading_pattern=spec.loading_pattern,
+                            mean_structure=False)
+        free = fit_ml(DataMatrix(data.values - ybar), no_mean)
+        assert free.converged
+        assert not free.params.nu.any()
+        np.testing.assert_allclose(free.free_vector, fit.free_vector[fit.mapping.cov_slice],
+                                   rtol=0, atol=1e-8)
 
 
 def test_hessian_at_fit_matches_finite_differences(two_factor_params, two_factor_spec):

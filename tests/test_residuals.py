@@ -631,12 +631,20 @@ class TestRunResidualTest:
             calls.append((len(Y), len(points)))
             return weights(Y, points, p)
 
-        def counted_moments(points, cols, forms, p, mapping):
+        def counted_moments(points, cols, forms, p, consts):
             stacks.append((len(points), len(forms)))
-            return moments(points, cols, forms, p, mapping)
+            return moments(points, cols, forms, p, consts)
+
+        made = []
+
+        class CountedConstants(residuals._FitConstants):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
 
         monkeypatch.setattr(residuals, "posterior_log_weights", counted)
         monkeypatch.setattr(residuals, "_quadratic_moments", counted_moments)
+        monkeypatch.setattr(residuals, "_FitConstants", CountedConstants)
         grid = make_grid([(-3, 3, 31)], [(-2, 2, 11)])
         items = (1, 7, 8, 9)
         problems = ([_drawn(mv_linearity_problem(grid, j)) for j in items]
@@ -646,6 +654,7 @@ class TestRunResidualTest:
         run_residual_batch(problems, fit, data, mc)
         assert calls == [(n, 31), (M, 31)]
         assert stacks == []
+        assert made == []
 
         calls.clear()
         other = make_grid([(-2, 2, 9)])
@@ -656,9 +665,12 @@ class TestRunResidualTest:
         assert stacks == [(9, 1)]
 
         # the problems with a quadratic form take their moments from one
-        # stacked call per distinct grid, not one per problem
+        # stacked call per distinct grid, not one per problem, and the fit's
+        # constants (the implied covariance's factor, the posterior
+        # covariance and the exact information) are formed once per batch
         calls.clear()
         stacks.clear()
+        made.clear()
         exact = ([mv_linearity_problem(grid, j) for j in items]
                  + [mv_homoscedasticity_problem(grid, j) for j in items]
                  + [lv_density_problem(other), mv_linearity_direct_problem(other, 2),
@@ -666,6 +678,7 @@ class TestRunResidualTest:
         run_residual_batch(exact, fit, data, mc)
         assert calls == [(n, 31), (n, 9)]
         assert stacks == [(31, 9), (9, 2)]
+        assert len(made) == 1
 
     def test_shared_weights_are_read_only(self, fitted_setup):
         spec, params, data, fit = fitted_setup
@@ -896,8 +909,9 @@ class TestExactLvDensity:
         var, cov, A = _exact_moments(battery, params, mapping)
 
         EWW = Ww.T @ W
+        V = residuals._FitConstants(params, mapping).V
         pairs = residuals._weight_products(np.repeat(points, Q, axis=0),
-                                           np.tile(points, (Q, 1)), params).reshape(Q, Q)
+                                           np.tile(points, (Q, 1)), params, V).reshape(Q, Q)
         np.testing.assert_allclose(pairs, EWW, rtol=0, atol=1e-10 * EWW.max())
         np.testing.assert_allclose(cov, EWW - np.outer(dens, dens), rtol=0,
                                    atol=1e-10 * EWW.max())
@@ -980,7 +994,8 @@ def _exact_moments(battery, params, mapping):
     quadratic form, from the engine's stacked moment routine."""
     points = battery.grid.points
     stacked = residuals._quadratic_moments(points, np.arange(len(points)),
-                                           [battery._quadratic], params, mapping)
+                                           [battery._quadratic], params,
+                                           residuals._FitConstants(params, mapping))
     return [m[0] for m in stacked]
 
 
