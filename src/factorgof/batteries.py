@@ -25,7 +25,11 @@ deviation from its conditional mean.  Each battery declares that quadratic
 form as ``(item, a, b, c)``, the coefficients of
 h_q = a_q + b e_q + c (e_q^2 - theta_j), and ``run_residual_batch`` takes
 the moments of every battery on one grid in closed form in one stacked
-pass (``residuals._quadratic_moments``), so no bundled battery draws.
+pass (``residuals._quadratic_moments``), so no bundled battery draws.  The
+form fixes the sample value too (``residuals._sample_values``): it needs
+only W's column means and the item's W-weighted sums, so the batch never
+calls a bundled battery's ``evaluate``, which serves direct callers and
+the tests' reference.
 ``make_problem`` maps a battery kind's name to its problem.
 """
 
@@ -138,7 +142,7 @@ def lv_density_problem(grid: LvGrid) -> ResidualProblem:
     """Latent-density check: posterior densities vs. the model density.
 
     G_q = W_q is the quadratic form h_q = D_q, so the residual covariance
-    is exact and a batch draws nothing for it."""
+    and the sample value are closed form, and a batch draws nothing for it."""
 
     def from_weights(Y, W, params):
         return W
@@ -155,7 +159,8 @@ def mv_linearity_problem(grid: LvGrid, item: int) -> ResidualProblem:
     """Conditional-mean check for one variable via posterior-weight ratios.
 
     G_q = W_q (y_j - mu_qj) / D_q is the quadratic form
-    (a, b, c) = (0, 1, 0), so the residual covariance is exact."""
+    (a, b, c) = (0, 1, 0), so the residual covariance and the sample value
+    are closed form."""
     item = _check_item_index(item)
 
     def response(Y, params):
@@ -174,7 +179,8 @@ def mv_homoscedasticity_problem(grid: LvGrid, item: int) -> ResidualProblem:
     """Conditional-variance check for one variable via posterior-weight ratios.
 
     G_q = W_q ((y_j - mu_qj)^2 - theta_j) / D_q is the quadratic form
-    (a, b, c) = (0, 0, 1), so the residual covariance is exact."""
+    (a, b, c) = (0, 0, 1), so the residual covariance and the sample value
+    are closed form."""
     item = _check_item_index(item)
 
     def squared_deviation(Y, params):
@@ -199,7 +205,7 @@ def mv_linearity_direct_problem(grid: LvGrid, item: int) -> ResidualProblem:
     ratio is needed.  Misfit in the latent density leaks into these
     residuals, which is why the ratio form is the default.
     G_q = y_j W_q / D_q is the quadratic form (a, b, c) = (mu_qj, 1, 0), so
-    the residual covariance is exact.
+    the residual covariance and the sample value are closed form.
     """
     item = _check_item_index(item)
 

@@ -294,7 +294,8 @@ class FitResult:
     free-parameter Hessian that inverts with bounded condition number, and
     the absence of Heywood cases.  ``inv_observed_information`` inverts the
     observed (negative mean Hessian) information and is always available on
-    converged fits.
+    converged fits.  ``loglik`` is the log-likelihood at ``params``, n times
+    the mean log-likelihood from the sample mean and covariance.
     """
 
     params: ParamSet
@@ -609,7 +610,7 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
         spec=spec,
         mapping=mapping,
         free_vector=v,
-        loglik=log_likelihood(params, data),
+        loglik=data.n * _mean_loglik(t),
         converged=converged,
         gradient_norm=gradient_norm,
         n_iter=n_iter,

@@ -239,20 +239,28 @@ def _posterior_precision(params: ParamSet) -> tuple:
     return lam_w, np.linalg.inv(params.phi) + params.lam.T @ lam_w
 
 
+@kernels.single_blas_thread
 def posterior_log_weights(Y: np.ndarray, points: np.ndarray, params: ParamSet) -> np.ndarray:
     """Log posterior density of each grid row given each data row ((n, Q)).
 
     The posterior is normal: x | y ~ N(P^-1 b, P^-1) with precision
     P = phi^-1 + lambda' theta^-1 lambda and b = lambda' theta^-1 (y - nu), so
-    the log-density at x is const - (x'P x + b'P^-1 b) / 2 + b'x.
+    the log-density at x is const - (x'P x + b'P^-1 b) / 2 + b'x.  All three
+    terms come from one product [B | row term | 1] [X'; 1; column term].
     """
     Y = np.asarray(Y, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
     lam_w, prec = _posterior_precision(params)
-    B = (Y - params.nu) @ lam_w
+    d = params.d
     _, logdet = np.linalg.slogdet(prec)
-    const = 0.5 * (logdet - params.d * np.log(2.0 * np.pi))
-    out = B @ points.T
-    out -= 0.5 * np.einsum("ij,ij->i", B @ np.linalg.inv(prec), B)[:, None]
-    out += const - 0.5 * np.einsum("qj,qj->q", points @ prec, points)
-    return out
+    const = 0.5 * (logdet - d * np.log(2.0 * np.pi))
+    left = np.empty((len(Y), d + 2))
+    B = left[:, :d]
+    B[...] = (Y - params.nu) @ lam_w
+    left[:, d] = -0.5 * np.einsum("ij,ij->i", B @ np.linalg.inv(prec), B)
+    left[:, d + 1] = 1.0
+    right = np.empty((d + 2, len(points)))
+    right[:d] = points.T
+    right[d] = 1.0
+    right[d + 1] = const - 0.5 * np.einsum("qj,qj->q", points @ prec, points)
+    return left @ right

@@ -31,15 +31,21 @@ custom battery without one they are estimated from one shared set of M
 Monte Carlo draws from the fitted model; a batch without such a battery
 draws nothing.
 
+The form fixes the sample value too: averaged over the data rows,
+W_q h_q needs only W's column means and, per item, the weighted sums
+W' (y_j - nu_j) and W' (y_j - nu_j)^2 (``_sample_values``), so no battery
+with a form is evaluated row by row.
+
 ``run_residual_batch`` makes one pass per distinct set of grid points: it
 computes W on the data, read-only, and W's column means (the ratios'
 denominators).  The grid's problems with a form and one summary subset then
 go through one stacked pass: their sample values, moments, se, z and p are
-(P, Q) arrays for P problems on Q points.  Row reductions run column by
-column per problem and matrix products per problem slab, so a report has
-the same bits in any batch.  A custom problem takes its sample value from
-W, which is dropped before W on the draws is computed for its covariance.
-Batteries that give only ``_evaluate(Y, params)`` share one pass without W.
+(P, Q) arrays for P problems on Q points.  Each item's weighted sums come
+from their own product and the moments from per-problem slabs, so a report
+has the same bits in any batch.  A custom problem takes its sample value
+from its ``evaluate`` on W, which is dropped before W on the draws is
+computed for its covariance.  Batteries that give only
+``_evaluate(Y, params)`` share one pass without W.
 """
 
 from dataclasses import dataclass
@@ -63,6 +69,7 @@ from .estimate import (
 )
 from .model import (
     ParamSet,
+    _check_item,
     _posterior_precision,
     conditional_mean_grid,
     lv_logpdf,
@@ -142,8 +149,11 @@ class WeightedBattery(SummaryBattery):
     point, as G_q = W_q h_q / D_q with h_q = a_q + b e_q + c (e_q^2 - theta_j)
     and e_q = y_j - mu_qj the deviation of ``item`` from its conditional
     mean: ``(item, a, b, c)``, with ``a(params)`` giving a_q (a None for 0),
-    scalars b and c, and item None when b = c = 0.  The engine then takes
-    the covariance in closed form and draws nothing for the battery.
+    scalars b and c, and item None when b = c = 0.  The form fixes the
+    battery's sample value as well as its covariance: the engine takes
+    both in closed form, from W's column means and the item's W-weighted
+    sums, and neither evaluates nor draws for the battery.  A ratio
+    battery's form must be that of h_q = f - r_q.
     """
 
     grid: object = None
@@ -299,32 +309,79 @@ def eta_hat(battery: SummaryBattery, data: DataMatrix, params: ParamSet,
     """Sample value of the battery over the data rows, on the reported scale:
     the column means of its values, or for a ``RatioBattery`` the ratios
     mean(f W) / mean(W).  ``W``: the rows' posterior weights on a
-    ``WeightedBattery``'s grid, when already known."""
+    ``WeightedBattery``'s grid, when already known.  A battery with a
+    quadratic form takes its value from the form, as ``run_residual_batch``
+    does, so both give the same bits."""
+    form = _has_form(battery)
     wbar = None
-    if isinstance(battery, RatioBattery):
+    if form or isinstance(battery, RatioBattery):
         if W is None:
             W = _posterior_weights(data.values, battery.grid.points, params)
         wbar = W.mean(axis=0)
-    return _sample_values([battery], data.values, params, W, wbar)[0]
+    if not form:
+        return _evaluated_sample_value(battery, data.values, params, W, wbar)
+    t_hat, _ = _sample_values([battery], data.values, params, W, wbar)
+    return t_hat[0]
+
+
+def _has_form(battery) -> bool:
+    return isinstance(battery, WeightedBattery) and battery._quadratic is not None
 
 
 def _sample_values(batteries, Y, params, W, wbar):
-    """``eta_hat`` of batteries with equal k on the rows Y ((P, k)), given
-    their weights' column means ``wbar`` for the ratio batteries.  Each
-    battery's rows (f W for a ratio battery, in one reused buffer) are
-    averaged column by column, so its values have the same bits in any batch."""
-    t_hat = np.empty((len(batteries), batteries[0].k))
-    products = None
-    for row, battery in zip(t_hat, batteries):
-        H = battery.evaluate(Y, params, W)
-        if isinstance(battery, RatioBattery):
-            H = products = np.multiply(H, W, out=products)
-        H.mean(axis=0, out=row)
-    ratio = [isinstance(battery, RatioBattery) for battery in batteries]
-    if any(ratio):
+    """Sample values and model values ((P, Q) each) of batteries with a
+    quadratic form on one grid, from the rows' posterior weights W and
+    their column means ``wbar``.
+
+    With yt = y_j - nu_j and mt_q = lambda_j' x_q, so that e_q = yt - mt_q,
+    the mean of W_q h_q over the rows is u_q = a_q wbar_q + v_q with
+    v_q = b (s1_q - mt_q wbar_q) + c (s2_q - 2 mt_q s1_q + (mt_q^2 - theta_j) wbar_q),
+    and s1 = W' yt / n and s2 = W' yt^2 / n from one (n x 2)'(n x Q)
+    product per item.  A ratio battery's value is r_q + u_q / wbar_q, taken
+    as r_q + a_q + v_q / wbar_q, and a mean battery's u_q / D_q, taken as
+    (a_q / D_q) wbar_q + v_q / D_q, which is wbar itself for the latent
+    density.  No product spans items, so a battery's values have the same
+    bits in any batch."""
+    points = batteries[0].grid.points
+    n, Q = len(Y), len(points)
+    t_hat = np.empty((len(batteries), Q))
+    eta = np.empty_like(t_hat)
+    products, dens = {}, None
+    for row, eta_row, battery in zip(t_hat, eta, batteries):
+        item, a, b, c = battery._quadratic
+        v = 0.0
+        if item is not None:
+            if _check_item(item, params) not in products:
+                powers = np.empty((2, n))
+                np.subtract(Y[:, item], params.nu[item], out=powers[0])
+                np.square(powers[0], out=powers[1])
+                products[item] = powers @ W / n
+            s1, s2 = products[item]
+            mt = points @ params.lam[item]
+            if b:
+                v += b * (s1 - mt * wbar)
+            if c:
+                v += c * (s2 - 2.0 * mt * s1 + (mt * mt - params.theta[item]) * wbar)
+        a_q = 0.0 if a is None else a(params)
+        eta_row[:] = battery.eta_closed(params)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_hat[ratio] /= wbar
-    return t_hat
+            if isinstance(battery, RatioBattery):
+                np.add(eta_row + a_q, v / wbar, out=row)
+            else:
+                if dens is None:
+                    dens = np.exp(lv_logpdf(points, params))
+                np.add(a_q / dens * wbar, v / dens, out=row)
+    return t_hat, eta
+
+
+def _evaluated_sample_value(battery, Y, params, W, wbar):
+    """``eta_hat`` of a battery without a quadratic form ((k,)): the column
+    means of its values, or of f W over ``wbar`` for a ratio battery."""
+    H = battery.evaluate(Y, params, W)
+    if not isinstance(battery, RatioBattery):
+        return H.mean(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (H * W).mean(axis=0) / wbar
 
 
 def z_statistic(residual, se, n: int) -> tuple:
@@ -559,8 +616,7 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
             + "; ".join(fit.warnings)
         )
     params = fit.params
-    exact = [isinstance(problem.battery, WeightedBattery)
-             and problem.battery._quadratic is not None for problem in problems]
+    exact = [_has_form(problem.battery) for problem in problems]
     if not all(exact):
         if mc.M < 1000:
             raise ConfigurationError(f"M={mc.M} below the minimum of 1000")
@@ -587,9 +643,8 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
                 stacks.setdefault(_summary_subset(problems[i]).tobytes(), []).append(i)
         for stack in stacks.values():
             batch = [problems[i].battery for i in stack]
-            t_hat = _sample_values(batch, data.values, params, W, wbar)
+            t_hat, eta = _sample_values(batch, data.values, params, W, wbar)
             cols = _summary_subset(problems[stack[0]])
-            eta = np.array([battery.eta_closed(params) for battery in batch])
             moments = _quadratic_moments(grid.points, cols,
                                          [battery._quadratic for battery in batch],
                                          params, consts)
@@ -598,7 +653,7 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
             reports.update(zip(stack, done))
 
         drawn = [i for i in members if not exact[i]]
-        t_hats = [_sample_values([problems[i].battery], data.values, params, W, wbar)
+        t_hats = [_evaluated_sample_value(problems[i].battery, data.values, params, W, wbar)
                   for i in drawn]
         W = None
         if drawn:
@@ -607,7 +662,7 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
         for i, t_hat in zip(drawn, t_hats):
             cols = _summary_subset(problems[i])
             moments = _draw_moments(problems[i].battery, params, draws, W, dens, scores, cols)
-            reports[i] = _reports([problems[i]], data.n, t_hat, wbar, cols,
+            reports[i] = _reports([problems[i]], data.n, t_hat[None], wbar, cols,
                                   [m[None] for m in moments], draw_inv_info, mc.M, mc)[0]
         del W
     return [reports[i] for i in range(len(problems))]

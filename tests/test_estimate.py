@@ -530,6 +530,23 @@ def test_intercepts_are_the_sample_mean(design):
                                    rtol=0, atol=1e-8)
 
 
+@pytest.mark.parametrize("design", [Study1Config, Study2Config])
+def test_loglik_from_sufficient_statistics_matches_row_sum(design):
+    # the fit reports n times the mean log-likelihood of its final iterate,
+    # which must agree with the sum of the rows' log marginal densities,
+    # with and without a mean structure (data means 0.3 for the latter)
+    for rep in range(2):
+        data, fit, _ = replication(design(n=300, misspecified=bool(rep)), 23, rep)
+        spec = fit.spec
+        no_mean = ModelSpec(m=spec.m, d=spec.d, loading_pattern=spec.loading_pattern,
+                            mean_structure=False)
+        shifted = DataMatrix(data.values - data.values.mean(axis=0) + 0.3)
+        for fit_, data_ in ((fit, data), (fit_ml(shifted, no_mean), shifted)):
+            assert fit_.converged
+            want = log_likelihood(fit_.params, data_)
+            assert abs(fit_.loglik - want) <= 1e-12 * abs(want)
+
+
 def test_hessian_at_fit_matches_finite_differences(two_factor_params, two_factor_spec):
     data = simulate_data(two_factor_params, 2000, np.random.default_rng(4))
     fit = fit_ml(data, two_factor_spec)

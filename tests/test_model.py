@@ -18,7 +18,8 @@ from factorgof import (
     marginal_density,
     posterior_lv_density,
 )
-from factorgof.model import lv_logpdf, marginal_logpdf, posterior_log_weights
+from factorgof.model import (_posterior_precision, lv_logpdf, marginal_logpdf,
+                             posterior_log_weights)
 
 SQ5 = math.sqrt(0.5)
 
@@ -258,3 +259,24 @@ def _assert_posterior_matches_bayes_rule(Y, pts, p):
         [[posterior_lv_density(x, y, p) for x in pts] for y in Y],
         rtol=1e-12,
     )
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_posterior_log_weights_match_per_term_formula(d, one_factor_params,
+                                                      two_factor_params, rng):
+    # the one product [B | row term | 1] [X'; 1; column term] against the
+    # rank-d product plus the row and column terms added one at a time, on
+    # grids out to +-12, where the terms reach a few thousand
+    p = one_factor_params if d == 1 else two_factor_params
+    Y = p.nu + rng.normal(size=(300, p.m)) @ p.sigma_cholesky().T
+    axis = np.linspace(-12.0, 12.0, 25)
+    pts = np.stack([g.ravel() for g in np.meshgrid(*[axis] * d, indexing="ij")], axis=1)
+    lam_w, prec = _posterior_precision(p)
+    B = (Y - p.nu) @ lam_w
+    const = 0.5 * (np.linalg.slogdet(prec)[1] - d * np.log(2.0 * np.pi))
+    want = B @ pts.T
+    want -= 0.5 * np.einsum("ij,ij->i", B @ np.linalg.inv(prec), B)[:, None]
+    want += const - 0.5 * np.einsum("qj,qj->q", pts @ prec, pts)
+    got = posterior_log_weights(Y, pts, p)
+    assert np.abs(want).max() > 100.0
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

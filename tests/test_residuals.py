@@ -1090,3 +1090,92 @@ class TestExactItemMoments:
         spec, params, data, fit = fitted_setup
         _check_refit_permutation_leaves_report(mv_linearity_problem(default_grid(1), 8),
                                                fit, data)
+
+
+def _evaluated_sample_values(batteries, Y, params, W, wbar):
+    """The reference for ``residuals._sample_values``: each battery's
+    ``evaluate`` on the rows, averaged by column (over the weights' column
+    means for a ratio battery), and its closed-form eta."""
+    t_hat = [residuals._evaluated_sample_value(b, Y, params, W, wbar) for b in batteries]
+    return np.array(t_hat), np.array([b.eta_closed(params) for b in batteries])
+
+
+def _wide_cases(fitted_setup, two_factor_params, two_factor_spec):
+    """(fit, data, grid, items): the one-factor setup on a 1-d grid and a
+    two-factor fit on a 2-d grid, both out to +-12, and a two-factor fit
+    without a mean structure on data with means 0.3 whose factors
+    correlate at 0.4, so that its ratios lose their denominators at two
+    of the grid's far corners."""
+    _, _, data, fit = fitted_setup
+    data2, fit2 = _fit_for_flip(2, fitted_setup, two_factor_params, two_factor_spec)
+    pattern = two_factor_spec.loading_pattern
+    truth = ParamSet(nu=np.full(8, 0.3), lam=0.7 * pattern, phi=[[1.0, 0.4], [0.4, 1.0]],
+                     theta=np.full(8, 0.5))
+    shifted = simulate_data(truth, 1500, np.random.default_rng(3))
+    fit3 = fit_ml(shifted, ModelSpec(m=8, d=2, loading_pattern=pattern, mean_structure=False))
+    assert fit3.converged
+    wide1 = make_grid([(-12, 12, 25)], [(-2, 2, 5)])
+    wide2 = make_grid([(-12, 12, 9)] * 2, [(-3, 3, 3)] * 2)
+    return [(fit, data, wide1, (1, 8)), (fit2, data2, wide2, (1, 5)),
+            (fit3, shifted, wide2, (2, 6))]
+
+
+class TestSampleValuesFromForms:
+    """A battery with a quadratic form takes its sample value from W's
+    column means and its item's W-weighted sums, without ``evaluate``."""
+
+    def test_batch_matches_evaluated_sample_values(self, fitted_setup, two_factor_params,
+                                                   two_factor_spec, monkeypatch):
+        # every bundled battery, on 1-d and 2-d grids out to +-12 and on a
+        # fit without a mean structure: eta_hat to 1e-12 relative, with the
+        # same NaN points, eta bit for bit and the same unstable flags
+        cases = _wide_cases(fitted_setup, two_factor_params, two_factor_spec)
+        nan_seen = False
+        for fit, data, grid, items in cases:
+            problems = [lv_density_problem(grid)] + [
+                batteries.make_problem(kind, grid, j)
+                for kind in ("linearity", "variance", "linearity-direct") for j in items]
+            got = run_residual_batch(problems, fit, data)
+            with monkeypatch.context() as patch:
+                patch.setattr(residuals, "_sample_values", _evaluated_sample_values)
+                want = run_residual_batch(problems, fit, data)
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g.eta_hat, w.eta_hat, rtol=1e-12, atol=0,
+                                           err_msg=g.battery)
+                assert g.eta.tobytes() == w.eta.tobytes()
+                assert np.array_equal(g.unstable, w.unstable)
+                nan_seen |= bool(np.isnan(w.eta_hat).any())
+        assert nan_seen
+
+    def test_eta_hat_matches_batch_bit_for_bit(self, fitted_setup):
+        spec, params, data, fit = fitted_setup
+        grid = make_grid([(-3, 3, 7)], [(-2, 2, 5)])
+        problems = [batteries.make_problem(kind, grid, None if kind == "lv-density" else 8)
+                    for kind in ("lv-density", "linearity", "variance", "linearity-direct")]
+        reports = run_residual_batch(problems, fit, data)
+        for problem, report in zip(problems, reports):
+            got = eta_hat(problem.battery, data, fit.params)
+            assert got.tobytes() == report.eta_hat.tobytes()
+        # the latent density's value is W's column means themselves
+        W = np.exp(posterior_log_weights(data.values, grid.points, fit.params))
+        assert reports[0].eta_hat.tobytes() == W.mean(axis=0).tobytes()
+
+    def test_exact_batch_evaluates_no_battery(self, fitted_setup, monkeypatch):
+        spec, params, data, fit = fitted_setup
+        calls = []
+        evaluate = SummaryBattery.evaluate
+
+        def counted(self, Y, p, W=None):
+            calls.append(self.name)
+            return evaluate(self, Y, p, W)
+
+        monkeypatch.setattr(SummaryBattery, "evaluate", counted)
+        grid = default_grid(1)
+        exact = ([lv_density_problem(grid)]
+                 + [batteries.make_problem(kind, grid, j)
+                    for kind in ("linearity", "variance", "linearity-direct") for j in (1, 8)])
+        run_residual_batch(exact, fit, data)
+        assert calls == []
+        run_residual_batch(exact + [_drawn(mv_linearity_problem(grid, 8))], fit, data,
+                           McConfig(M=1000, seed=3))
+        assert calls.count("linearity[8]") >= 1
