@@ -17,16 +17,14 @@ Maxwell, 1971); without them nu = 0 and the covariance is fitted to
 S + ybar ybar'.  The loadings, correlation entries and log error variances
 then follow a projected Newton iteration on the exact Hessian of the mean
 log-likelihood in those parameters alone, formed in closed form from the
-same statistics, with Fisher scoring where the Hessian is not negative
-definite (the classical ML factor-analysis algorithms: Jennrich &
-Robinson, 1969, Psychometrika 34:111; Lee & Jennrich, 1979, Psychometrika
-44:99).  Each loading and each log error variance moves Sigma by a rank-2
-matrix e_j p' + p e_j', so the Hessian's block in them is gathered from a
-few m x (d + m) products; only the d(d-1)/2 correlation entries carry a
-dense m x m dSigma.  At nu = ybar the Hessian is block diagonal, so the
+same statistics (Jennrich & Robinson, 1969, Psychometrika 34:111), with
+the Hessian's eigenvalues floored where it is not negative definite.  Each
+loading and each log error variance moves Sigma by a rank-2 matrix
+e_j p' + p e_j', so the Hessian's block in them is gathered from a few
+m x (d + m) products; only the d(d-1)/2 correlation entries carry a dense
+m x m dSigma.  At nu = ybar the Hessian is block diagonal, so the
 identification check and the inverse observed information take the
-intercepts' block, Sigma^-1, apart from the final iterate's covariance
-block.
+intercepts' block, Sigma^-1, apart from the final iterate's covariance block.
 """
 
 import warnings
@@ -68,11 +66,14 @@ class DataMatrix:
         if self.column_names is not None and len(self.column_names) != vals.shape[1]:
             raise DataError("column_names length does not match data")
         if vals.shape[0] >= 2:
-            var = vals.var(axis=0, ddof=1)
-            if (var <= 0).any():
-                j = int(np.argmin(var))
+            with np.errstate(over="ignore"):
+                var = vals.var(axis=0, ddof=1)
+            bad = ~(np.isfinite(var) & (var > 0))
+            if bad.any():
+                j = int(np.argmax(bad))
                 name = self.column_names[j] if self.column_names else str(j)
-                raise DataError(f"column {name} has zero sample variance")
+                what = "zero" if var[j] <= 0 else "an overflowing"
+                raise DataError(f"column {name} has {what} sample variance")
         if vals.shape[0] <= vals.shape[1]:
             warnings.warn(
                 f"n={vals.shape[0]} <= m={vals.shape[1]}: too few rows for a stable fit",
@@ -621,6 +622,7 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
 
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 50
+_EIGEN_FLOOR = 1e-4
 
 
 def _newton(mapping, ybar, S, v, opts):
@@ -630,9 +632,9 @@ def _newton(mapping, ybar, S, v, opts):
 
     The only bound is log theta >= log(theta_floor).  Each iteration holds
     fixed the log-theta entries at the floor whose gradient points outward
-    and solves -H_FF delta = g_F on the rest (F), with the expected
-    information in place of -H_FF where that does not factor by Cholesky
-    (Fisher scoring), and delta = g_F where neither factors.  An Armijo
+    and steps on the rest (F) by ``_ascent_step``: Newton's -H_FF delta = g_F
+    where -H_FF factors by Cholesky, and the step with its eigenvalues
+    floored where it does not (a rotationally unidentified fit).  An Armijo
     backtracking search projects each trial onto the bound and rejects
     trials that are inadmissible or whose value is not finite.  The
     iteration stops once the projected max-abs gradient is below
@@ -662,8 +664,7 @@ def _newton(mapping, ybar, S, v, opts):
             break
         free = ~(bounded & (vc <= lo) & (g < 0.0))
         step = np.zeros(len(g))
-        step[free] = _ascent_step(
-            hess, g, free, lambda: expected_information(mapping.unpack(v), mapping)[c, c])
+        step[free] = _ascent_step(hess, g, free)
         found = _line_search(mapping, ybar, S, v, f, g, step, bounded, lo)
         if found is None:
             break
@@ -672,24 +673,22 @@ def _newton(mapping, ybar, S, v, opts):
     return v, t, g, hess, n_iter
 
 
-def _ascent_step(hess, g, free, information):
-    """Newton step on the entries ``free``; Fisher scoring with
-    ``information()`` where -H does not factor by Cholesky there; the
-    gradient itself where neither factors.
-
-    The step is solved with the Cholesky factor L, as L'^-1 (L^-1 g): on a
-    numerically singular matrix that still factors (a rotationally
-    unidentified fit's information), that keeps the step bounded where an
-    LU solve of the matrix itself returned one of order 1e15.
-    """
-    ix = np.ix_(free, free)
-    for matrix in (lambda: -hess[ix], lambda: information()[ix]):
-        try:
-            L = np.linalg.cholesky(matrix())
-        except np.linalg.LinAlgError:
-            continue
-        return np.linalg.solve(L.T, np.linalg.solve(L, g[free]))
-    return g[free]
+def _ascent_step(hess, g, free):
+    """Newton step on the entries ``free`` where -H factors by Cholesky
+    there, solved as L'^-1 (L^-1 g) with the factor L, which keeps it
+    bounded on a numerically singular -H where an LU solve returned steps of
+    order 1e15.  Otherwise, with -H = U diag(w) U' there, the modified
+    Newton step U diag(1/w~) U' g with w~ = max(w, ``_EIGEN_FLOOR`` max|w|)
+    (Nocedal & Wright, 2006, Numerical Optimization, sec. 3.4): an ascent
+    direction, long along flat and negative curvature, which the line
+    search shortens."""
+    neg = -hess[np.ix_(free, free)]
+    try:
+        L = np.linalg.cholesky(neg)
+    except np.linalg.LinAlgError:
+        w, U = np.linalg.eigh(neg)
+        return U @ ((U.T @ g[free]) / np.maximum(w, _EIGEN_FLOOR * np.abs(w).max()))
+    return np.linalg.solve(L.T, np.linalg.solve(L, g[free]))
 
 
 def _line_search(mapping, ybar, S, v, f, g, step, bounded, lo):

@@ -320,7 +320,8 @@ def eta_hat(battery: SummaryBattery, data: DataMatrix, params: ParamSet,
         wbar = W.mean(axis=0)
     if not form:
         return _evaluated_sample_value(battery, data.values, params, W, wbar)
-    t_hat, _ = _sample_values([battery], data.values, params, W, wbar)
+    dens = np.exp(lv_logpdf(battery.grid.points, params))
+    t_hat, _ = _sample_values([battery], data.values, params, W, wbar, dens)
     return t_hat[0]
 
 
@@ -328,10 +329,10 @@ def _has_form(battery) -> bool:
     return isinstance(battery, WeightedBattery) and battery._quadratic is not None
 
 
-def _sample_values(batteries, Y, params, W, wbar):
+def _sample_values(batteries, Y, params, W, wbar, dens):
     """Sample values and model values ((P, Q) each) of batteries with a
-    quadratic form on one grid, from the rows' posterior weights W and
-    their column means ``wbar``.
+    quadratic form on one grid, from the rows' posterior weights W, their
+    column means ``wbar`` and the grid's latent density ``dens``.
 
     With yt = y_j - nu_j and mt_q = lambda_j' x_q, so that e_q = yt - mt_q,
     the mean of W_q h_q over the rows is u_q = a_q wbar_q + v_q with
@@ -346,7 +347,7 @@ def _sample_values(batteries, Y, params, W, wbar):
     n, Q = len(Y), len(points)
     t_hat = np.empty((len(batteries), Q))
     eta = np.empty_like(t_hat)
-    products, dens = {}, None
+    products = {}
     for row, eta_row, battery in zip(t_hat, eta, batteries):
         item, a, b, c = battery._quadratic
         v = 0.0
@@ -368,8 +369,6 @@ def _sample_values(batteries, Y, params, W, wbar):
             if isinstance(battery, RatioBattery):
                 np.add(eta_row + a_q, v / wbar, out=row)
             else:
-                if dens is None:
-                    dens = np.exp(lv_logpdf(points, params))
                 np.add(a_q / dens * wbar, v / dens, out=row)
     return t_hat, eta
 
@@ -513,14 +512,15 @@ def _score_moments(points, params, consts, item, order):
     return shift + points @ np.array(slopes)
 
 
-def _quadratic_moments(points, cols, forms, params, consts):
+def _quadratic_moments(points, dens, cols, forms, params, consts):
     """Exact moments of P batteries' contributions G_q = W_q h_q / D_q on
-    the grid ``points`` under the fitted model, each declared by its
-    quadratic form ``(item, a, b, c)`` (see ``WeightedBattery``): Var(G) at
-    every point ((P, Q)), Cov(G) among the points ``cols`` ((P, K, K)) and
-    A = E[G s'] ((P, Q, q)) with s the score on the free parameters, from
-    the fit's ``_FitConstants``.  Every step is elementwise or per problem,
-    so a problem's moments have the same bits in any stack.
+    the grid ``points``, whose latent density D is ``dens``, under the
+    fitted model, each declared by its quadratic form ``(item, a, b, c)``
+    (see ``WeightedBattery``): Var(G) at every point ((P, Q)), Cov(G) among
+    the points ``cols`` ((P, K, K)) and A = E[G s'] ((P, Q, q)) with s the
+    score on the free parameters, from the fit's ``_FitConstants``.  Every
+    step is elementwise or per problem, so a problem's moments have the
+    same bits in any stack.
 
     Weighting the model density of y by W_q(y) = p(x_q | y) gives
     p(x_q) p(y | x_q), so E[G_q] = E[h_q | x = x_q] = a_q and
@@ -534,7 +534,6 @@ def _quadratic_moments(points, cols, forms, params, consts):
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     Q, K = len(points), len(cols)
-    dens = np.exp(lv_logpdf(points, params))
     # E[W_q^2] at every point and E[W_q W_r] among the points cols, in one call
     sub = points[cols]
     pairs = _weight_products(np.vstack([points, np.repeat(sub, K, axis=0)]),
@@ -637,15 +636,16 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
     for grid, members in groups.values():
         W = _grid_weights(data.values, grid, params)
         wbar = None if grid is None else W.mean(axis=0)
+        dens = None if grid is None else np.exp(lv_logpdf(grid.points, params))
         stacks = {}
         for i in members:
             if exact[i]:
                 stacks.setdefault(_summary_subset(problems[i]).tobytes(), []).append(i)
         for stack in stacks.values():
             batch = [problems[i].battery for i in stack]
-            t_hat, eta = _sample_values(batch, data.values, params, W, wbar)
+            t_hat, eta = _sample_values(batch, data.values, params, W, wbar, dens)
             cols = _summary_subset(problems[stack[0]])
-            moments = _quadratic_moments(grid.points, cols,
+            moments = _quadratic_moments(grid.points, dens, cols,
                                          [battery._quadratic for battery in batch],
                                          params, consts)
             done = _reports([problems[i] for i in stack], data.n, t_hat, wbar, cols,
@@ -658,7 +658,6 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
         W = None
         if drawn:
             W = _grid_weights(draws, grid, params)
-            dens = None if grid is None else np.exp(lv_logpdf(grid.points, params))
         for i, t_hat in zip(drawn, t_hats):
             cols = _summary_subset(problems[i])
             moments = _draw_moments(problems[i].battery, params, draws, W, dens, scores, cols)

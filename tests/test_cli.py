@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,26 @@ class TestFitCommand:
         fit = load_fit_document(out)
         assert fit.converged
         np.testing.assert_allclose(fit.params.theta, np.exp(np.array(doc["free_vector"])[-10:]))
+
+    def test_overflowing_variance_is_a_data_error(self, workdir, capsys):
+        # one entry of 1e200 overflows its column's sample variance: fit
+        # exits 1 with the DataError that names the column, writes nothing
+        # and raises no overflow warning on the way
+        tmp, csv_path, model_path = workdir
+        lines = open(csv_path).read().splitlines()
+        cells = lines[5].split(",")
+        cells[2] = "1e200"
+        lines[5] = ",".join(cells)
+        path = tmp / "huge.csv"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp / "fit.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["fit", "--data", str(path), "--model", model_path, "--out", str(out)])
+        assert rc == 1
+        assert (capsys.readouterr().err
+                == "factorgof: error: column y2 has an overflowing sample variance\n")
+        assert not out.exists()
 
     def test_seed_is_provenance_only(self, workdir):
         tmp, csv_path, model_path = workdir

@@ -631,9 +631,9 @@ class TestRunResidualTest:
             calls.append((len(Y), len(points)))
             return weights(Y, points, p)
 
-        def counted_moments(points, cols, forms, p, consts):
+        def counted_moments(points, dens, cols, forms, p, consts):
             stacks.append((len(points), len(forms)))
-            return moments(points, cols, forms, p, consts)
+            return moments(points, dens, cols, forms, p, consts)
 
         made = []
 
@@ -993,9 +993,9 @@ def _exact_moments(battery, params, mapping):
     """Var(G), Cov(G) among all points and A of one battery with a
     quadratic form, from the engine's stacked moment routine."""
     points = battery.grid.points
-    stacked = residuals._quadratic_moments(points, np.arange(len(points)),
-                                           [battery._quadratic], params,
-                                           residuals._FitConstants(params, mapping))
+    stacked = residuals._quadratic_moments(points, np.exp(lv_logpdf(points, params)),
+                                           np.arange(len(points)), [battery._quadratic],
+                                           params, residuals._FitConstants(params, mapping))
     return [m[0] for m in stacked]
 
 
@@ -1092,7 +1092,7 @@ class TestExactItemMoments:
                                                fit, data)
 
 
-def _evaluated_sample_values(batteries, Y, params, W, wbar):
+def _evaluated_sample_values(batteries, Y, params, W, wbar, dens):
     """The reference for ``residuals._sample_values``: each battery's
     ``evaluate`` on the rows, averaged by column (over the weights' column
     means for a ratio battery), and its closed-form eta."""
