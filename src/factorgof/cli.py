@@ -99,15 +99,17 @@ def ingest_csv(path: str) -> DataMatrix:
             elif not np.isfinite(values).all():
                 failure = "non-finite value"
     # np.loadtxt skips empty lines, so one shows as a line beyond header + rows
-    if failure is None and _count_lines(path) == len(values) + 1:
-        return DataMatrix(values, column_names=header)
-    error = _first_row_error(path, header)
-    if error is not None:
-        raise error
-    if failure is None:
+    if failure is not None or _count_lines(path) != len(values) + 1:
+        error = _first_row_error(path, header)
+        if error is not None:
+            raise error
+        if failure is not None:
+            raise DataError(f"{path}: {failure}")
         # the extra lines are breaks inside quoted fields: the parse stands
+    try:
         return DataMatrix(values, column_names=header)
-    raise DataError(f"{path}: {failure}")
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _read_header(path: str, reader) -> list:

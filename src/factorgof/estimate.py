@@ -22,9 +22,9 @@ the Hessian's eigenvalues floored where it is not negative definite.  Each
 loading and each log error variance moves Sigma by a rank-2 matrix
 e_j p' + p e_j', so the Hessian's block in them is gathered from a few
 m x (d + m) products; only the d(d-1)/2 correlation entries carry a dense
-m x m dSigma.  At nu = ybar the Hessian is block diagonal, so the
-identification check and the inverse observed information take the
-intercepts' block, Sigma^-1, apart from the final iterate's covariance block.
+m x m dSigma.  At nu = ybar the Hessian's intercept-covariance block
+vanishes, so the observed and the expected information are both Sigma^-1 on
+the intercepts beside minus the covariance block (``_block_information``).
 """
 
 import warnings
@@ -128,9 +128,8 @@ class ParamMapping:
         self.dense = slice(n_lam, n_lam + n_w)
         width = d + m
         zero = np.zeros(n_w, dtype=np.intp)
-        self.rank2_rows = np.concatenate([self.lam_rows, zero, np.arange(m)])
-        self.rank2_cols = np.concatenate([self.lam_cols, zero, d + np.arange(m)])
-        rows, cols = self.rank2_rows, self.rank2_cols
+        rows = np.concatenate([self.lam_rows, zero, np.arange(m)])
+        cols = np.concatenate([self.lam_cols, zero, d + np.arange(m)])
         self.rank2_at = rows * width + cols
         self.rank2_rc = rows[:, None] * width + cols
         self.rank2_rr = rows[:, None] * m + rows
@@ -338,31 +337,12 @@ def score_rows(params: ParamSet, spec, Y: np.ndarray) -> np.ndarray:
     unconstrained free-parameter vector.
     """
     mapping = _as_mapping(spec)
-    Y = np.ascontiguousarray(Y, dtype=np.float64)
-    sig_inv = kernels.spd_inverse(params.sigma_cholesky())
-    Z = (Y - params.nu) @ sig_inv
-    out = np.empty((Y.shape[0], mapping.q))
-    if mapping.spec.mean_structure:
-        out[:, mapping.nu_slice] = Z
-    P = params.lam @ params.phi
-    U = Z @ P
-    B = sig_inv @ P
-    out[:, mapping.lam_slice] = (
-        Z[:, mapping.lam_rows] * U[:, mapping.lam_cols]
-        - B[mapping.lam_rows, mapping.lam_cols]
-    )
-    n_w = len(mapping.w_rows)
-    if n_w:
-        V = Z @ params.lam
-        C = params.lam.T @ sig_inv @ params.lam
-        K = mapping.dphi_dw(mapping.w_from_phi(params.phi))
-        base = mapping.w_slice.start
-        for t in range(n_w):
-            a = mapping.w_rows[t]
-            kvec = K[t, a, :]
-            out[:, base + t] = V[:, a] * (V @ kvec) - C[a] @ kvec
-    out[:, mapping.u_slice] = 0.5 * (Z * Z - np.diag(sig_inv)) * params.theta
-    return out
+    # the model's own terms: phi_from_w(w_from_phi(phi)) can differ from phi
+    # in the last bit, so they are not rebuilt from the packed vector
+    L = params.sigma_cholesky()
+    t = _Terms(params.nu, params.lam, params.phi, params.theta, L, kernels.spd_inverse(L),
+               None, None, None, None)
+    return _row_scores(mapping, t, _slopes(mapping.pack(params), mapping, t), Y - params.nu)
 
 
 def score(params: ParamSet, y: np.ndarray, spec) -> np.ndarray:
@@ -385,13 +365,6 @@ class _Terms(NamedTuple):
     E: np.ndarray        # Sigma^-1 S* Sigma^-1
     gmat: np.ndarray     # E - Sigma^-1, twice the gradient with respect to Sigma
 
-    def about(self, ybar, S):
-        """The same model's terms about the sample mean ybar and covariance S."""
-        delta = ybar - self.nu
-        s_star = S + np.outer(delta, delta)
-        E = self.sig_inv @ s_star @ self.sig_inv
-        return self._replace(delta=delta, s_star=s_star, E=E, gmat=E - self.sig_inv)
-
 
 class _Slopes(NamedTuple):
     """dSigma/dv at a free vector, in the compact form the gradient and the
@@ -404,10 +377,10 @@ class _Slopes(NamedTuple):
 
 def _moment_terms(v, mapping, ybar, S) -> _Terms:
     """nu, lambda, phi, theta, the Cholesky factor and inverse of the
-    implied covariance at v, and the moments about them (``_Terms.about``).
-    Formed straight from v, without a validated ParamSet; a non-finite v or
-    theta raises SpecificationError and a covariance that does not factor
-    DegenerateCovarianceError."""
+    implied covariance at v, and the moments of the sample mean ybar and
+    covariance S about them.  Formed straight from v, without a validated
+    ParamSet; a non-finite v or theta raises SpecificationError and a
+    covariance that does not factor DegenerateCovarianceError."""
     spec = mapping.spec
     v = np.asarray(v, dtype=np.float64)
     theta = np.exp(v[mapping.u_slice])
@@ -423,8 +396,11 @@ def _moment_terms(v, mapping, ybar, S) -> _Terms:
         raise DegenerateCovarianceError(
             "model-implied covariance is not positive definite"
         ) from exc
-    model = _Terms(nu, lam, phi, theta, L, kernels.spd_inverse(L), None, None, None, None)
-    return model.about(ybar, S)
+    sig_inv = kernels.spd_inverse(L)
+    delta = ybar - nu
+    s_star = S + np.outer(delta, delta)
+    E = sig_inv @ s_star @ sig_inv
+    return _Terms(nu, lam, phi, theta, L, sig_inv, delta, s_star, E, E - sig_inv)
 
 
 def _slopes(v, mapping, t: _Terms) -> _Slopes:
@@ -459,34 +435,39 @@ def _mean_loglik_grad(mapping, t: _Terms, s: _Slopes):
     return g
 
 
-def _mean_loglik_hessian(v, mapping, ybar, S):
-    """Exact Hessian of the mean log-likelihood from sufficient statistics."""
-    t = _moment_terms(v, mapping, ybar, S)
-    return _hessian_from_terms(v, mapping, t, _slopes(v, mapping, t))
-
-
-def _hessian_from_terms(v, mapping, t: _Terms, s: _Slopes):
-    """The Hessian of ``_mean_loglik_hessian`` from its terms and slopes.
-
-    The covariance block is ``_covariance_hessian``; the intercept block is
-    -Sigma^-1 and the intercept-covariance block -Sigma^-1 D_b Sigma^-1 delta,
-    with D_b = dSigma/dv_b, which vanishes where nu = ybar.
-    """
-    H = np.zeros((mapping.q, mapping.q))
-    c = mapping.cov_slice
-    H[c, c] = _covariance_hessian(v, mapping, t, s)
+def _row_scores(mapping, t: _Terms, s: _Slopes, D):
+    """Scores of rows with deviations D = y - nu ((n, m) -> (n, q)), from
+    the model's terms and slopes.  With z = Sigma^-1 d, a row's score is z
+    for the intercepts, z_j (z'lambda phi)_c - (Sigma^-1 lambda phi)_jc for
+    loading (j, c), V_a (V k) - (lambda'Sigma^-1 lambda k)_a with V = z'lambda
+    for correlation entry t in row a, where k is row a of dphi/dw_t, and
+    (z_j^2 - Sigma^-1_jj) theta_j / 2 for log theta_j."""
+    Z = D @ t.sig_inv
+    out = np.empty((len(D), mapping.q))
     if mapping.spec.mean_structure:
-        nu = mapping.nu_slice
-        z = t.sig_inv @ t.delta
-        rows, cols = mapping.rank2_rows, mapping.rank2_cols
-        # D_b z = p (z_j) + e_j (p'z) for a rank-2 D_b, and D_w z
-        Dz = s.cols.take(cols, axis=1) * z[rows]
-        Dz[rows, np.arange(len(rows))] += (z @ s.cols)[cols]
-        Dz[:, mapping.dense] = (s.d_w @ z).T
-        H[nu, nu] = -t.sig_inv
-        H[nu, c] = -(t.sig_inv @ Dz)
-        H[c, nu] = H[nu, c].T
-    return H
+        out[:, mapping.nu_slice] = Z
+    P = t.lam @ t.phi
+    rows, cols = mapping.lam_rows, mapping.lam_cols
+    out[:, mapping.lam_slice] = Z[:, rows] * (Z @ P)[:, cols] - (t.sig_inv @ P)[rows, cols]
+    if len(mapping.w_rows):
+        V = Z @ t.lam
+        C = t.lam.T @ t.sig_inv @ t.lam
+        base = mapping.w_slice.start
+        for i, a in enumerate(mapping.w_rows):
+            out[:, base + i] = V[:, a] * (V @ s.K[i, a]) - C[a] @ s.K[i, a]
+    out[:, mapping.u_slice] = 0.5 * (Z * Z - np.diag(t.sig_inv)) * t.theta
+    return out
+
+
+def _block_information(mapping, sig_inv, hess):
+    """Minus the Hessian of the mean log-likelihood where nu = ybar, from its
+    covariance block ``hess``: Sigma^-1 on the intercepts, -hess on the rest
+    and 0 for -Sigma^-1 dSigma/dv_b Sigma^-1 (ybar - nu) between them."""
+    info = np.zeros((mapping.q, mapping.q))
+    if mapping.spec.mean_structure:
+        info[mapping.nu_slice, mapping.nu_slice] = sig_inv
+    info[mapping.cov_slice, mapping.cov_slice] = -hess
+    return info
 
 
 def _covariance_hessian(v, mapping, t: _Terms, s: _Slopes):
@@ -581,11 +562,9 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
     if heywood.any():
         idx = np.nonzero(heywood)[0]
         warn.append(f"heywood: error variance at floor for items {idx.tolist()}")
-    # at nu = ybar the intercept-covariance block of H vanishes, so -H is
-    # block diagonal: Sigma^-1 for the intercepts and -hess for the rest
-    eigs = np.linalg.eigvalsh(-hess)
-    if spec.mean_structure:
-        eigs = np.sort(np.concatenate([np.linalg.eigvalsh(t.sig_inv), eigs]))
+    # the intercepts stay at ybar, so the observed information is block diagonal
+    info = _block_information(mapping, t.sig_inv, hess)
+    eigs = np.linalg.eigvalsh(info)
     min_eig = float(eigs[0])
     hess_ok = min_eig > 0.0
     if not hess_ok:
@@ -600,11 +579,7 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
             warn.append(f"observed information: {exc}")
             converged = False
         else:
-            inv_observed = np.zeros((mapping.q, mapping.q))
-            inv_observed[mapping.cov_slice, mapping.cov_slice] = kernels.spd_inverse(
-                np.linalg.cholesky(-hess))
-            if spec.mean_structure:
-                inv_observed[mapping.nu_slice, mapping.nu_slice] = t.L @ t.L.T
+            inv_observed = kernels.spd_inverse(np.linalg.cholesky(info))
 
     return FitResult(
         params=params,
@@ -726,11 +701,18 @@ def expected_information(params: ParamSet, spec) -> np.ndarray:
 
     The Hessian of the mean log-likelihood is linear in (ybar - nu, S*), so
     its expectation under the model is its value at ybar = nu and
-    S = Sigma; the information is minus that.
+    S = Sigma; the information is minus that (``_block_information``).
     """
-    mapping = _as_mapping(spec)
-    return -_mean_loglik_hessian(mapping.pack(params), mapping, params.nu,
-                                 params.implied_covariance())
+    return _expected_terms(params, _as_mapping(spec))[2]
+
+
+def _expected_terms(params, mapping):
+    """The terms and slopes at ``params`` about ybar = nu and S = Sigma,
+    and the exact information there."""
+    v = mapping.pack(params)
+    t = _moment_terms(v, mapping, params.nu, params.implied_covariance())
+    s = _slopes(v, mapping, t)
+    return t, s, _block_information(mapping, t.sig_inv, _covariance_hessian(v, mapping, t, s))
 
 
 def score_information(scores: np.ndarray) -> np.ndarray:

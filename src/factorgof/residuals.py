@@ -58,10 +58,9 @@ from .errors import ConfigurationError, NotConvergedError, RankError
 from .estimate import (
     DataMatrix,
     FitResult,
-    _hessian_from_terms,
+    _expected_terms,
     _mean_loglik_grad,
-    _moment_terms,
-    _slopes,
+    _row_scores,
     invert_information,
     score_information,
     simulate_data,
@@ -452,34 +451,35 @@ def _weight_products(X1, X2, params, V):
 class _FitConstants:
     """Per-fit constants of the closed-form moments, made once per batch.
 
-    ``information`` is the exact information, minus the expected Hessian
-    (see ``estimate.expected_information``), and ``V`` the posterior
-    covariance of x given y; both share this object's one factorization of
-    the implied covariance and of the posterior precision.
+    ``terms`` and ``slopes`` are the fit's ``_Terms`` at sample mean nu and
+    sample covariance Sigma, and its ``_Slopes``.  ``information`` is the
+    exact information, minus the expected Hessian (see
+    ``estimate.expected_information``), and ``V`` the posterior covariance
+    of x given y; both share this object's one factorization of the implied
+    covariance and of the posterior precision.
 
-    ``score_shift(ybar, S)`` is g(ybar, S) - g(nu, 0), with g(ybar, S) the
-    gradient of the mean log-likelihood at sample mean ybar and sample
-    covariance S: the mean score of y ~ N(ybar, S) less the score at nu.
+    ``score_change(delta, dS)`` is the change in the mean log-likelihood's
+    gradient when the sample mean moves from nu by delta and
+    S* = S + (ybar - nu)(ybar - nu)' moves by dS.  The gradient is linear in
+    (ybar - nu, S*), so the change is Sigma^-1 delta on the intercepts and,
+    on the rest, the gradient with G = Sigma^-1 dS Sigma^-1.
     ``tilt`` ((m, d)) and ``tau2`` ((m,)) give the doubly tilted law
     y_j | xt = xbar ~ N(nu_j + tilt_j' xbar, tau2_j), where
     xt = E[x | y] + N(0, V / 2) ~ N(0, phi - V / 2) and Cov(y, xt) = lambda phi.
     """
 
     def __init__(self, params, mapping):
-        self.v, self.mapping = mapping.pack(params), mapping
-        self.terms = _moment_terms(self.v, mapping, params.nu, np.zeros((params.m, params.m)))
-        self.slopes = _slopes(self.v, mapping, self.terms)
-        self.g0 = _mean_loglik_grad(mapping, self.terms, self.slopes)
-        sigma = params.implied_covariance()
-        self.information = -_hessian_from_terms(self.v, mapping,
-                                                self.terms.about(params.nu, sigma), self.slopes)
+        self.mapping = mapping
+        self.terms, self.slopes, self.information = _expected_terms(params, mapping)
         self.V = np.linalg.inv(_posterior_precision(params)[1])
         cross = params.lam @ params.phi
         self.tilt = np.linalg.solve(params.phi - 0.5 * self.V, cross.T).T
-        self.tau2 = np.diag(sigma) - np.einsum("jk,jk->j", self.tilt, cross)
+        self.tau2 = np.diag(self.terms.s_star) - np.einsum("jk,jk->j", self.tilt, cross)
 
-    def score_shift(self, ybar, S):
-        return _mean_loglik_grad(self.mapping, self.terms.about(ybar, S), self.slopes) - self.g0
+    def score_change(self, delta, dS):
+        sig_inv = self.terms.sig_inv
+        change = self.terms._replace(delta=delta, gmat=sig_inv @ dS @ sig_inv)
+        return _mean_loglik_grad(self.mapping, change, self.slopes)
 
 
 def _score_moments(points, params, consts, item, order):
@@ -490,26 +490,25 @@ def _score_moments(points, params, consts, item, order):
 
     The score is affine in y - nu and its outer product, and y | x = x_q is
     N(nu + lambda x_q, theta).  So order 0 is the score at the conditional
-    mean plus the term theta adds, g(nu, theta) - g(nu, 0), with g as in
-    ``_FitConstants``.  By Stein's lemma order 1 is theta_j times the
+    mean plus the change that theta adds to S*, ``score_change(0, theta)``
+    (see ``_FitConstants``).  By Stein's lemma order 1 is theta_j times the
     score's slope along y_j at the conditional mean, affine in x_q: with
-    t = theta_j u_j (u_j the j-th unit vector),
-    g(nu + t, -t t') - g(nu, 0) + sum_k x_qk (g(nu, lambda_k t' + t lambda_k') - g(nu, 0)).
+    t = theta_j u_j (u_j the j-th unit vector), the change for delta = t
+    plus sum_k x_qk times the change for dS = lambda_k t' + t lambda_k'.
     Order 2 is theta_j^2 times the score's second derivative along y_j, the
-    same at every point: g(nu, 2 t t') - g(nu, 0).
+    same at every point: the change for dS = 2 t t'.
     """
+    zero = np.zeros(params.m)
     if order == 0:
-        S = score_rows(params, consts.mapping, conditional_mean_grid(points, params))
-        S += consts.score_shift(params.nu, np.diag(params.theta))
-        return S
+        return (_row_scores(consts.mapping, consts.terms, consts.slopes, points @ params.lam.T)
+                + consts.score_change(zero, np.diag(params.theta)))
     step = np.zeros(params.m)
     step[item] = params.theta[item]
     if order == 2:
-        return consts.score_shift(params.nu, 2.0 * np.outer(step, step))
-    slopes = [consts.score_shift(params.nu, np.outer(lam_k, step) + np.outer(step, lam_k))
+        return consts.score_change(zero, 2.0 * np.outer(step, step))
+    slopes = [consts.score_change(zero, np.outer(lam_k, step) + np.outer(step, lam_k))
               for lam_k in params.lam.T]
-    shift = consts.score_shift(params.nu + step, -np.outer(step, step))
-    return shift + points @ np.array(slopes)
+    return consts.score_change(step, np.zeros((params.m, params.m))) + points @ np.array(slopes)
 
 
 def _quadratic_moments(points, dens, cols, forms, params, consts):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from factorgof import ConfigurationError, ModelSpec, ParamSet, RatioBattery, make_grid
+from factorgof import kernels
 from factorgof.estimate import _moment_terms, score_information, score_rows
 from factorgof.residuals import _draw_moments
 
@@ -54,6 +55,42 @@ def two_factor_params(two_factor_spec):
 def random_admissible_free_vector(mapping, rng, scale=0.4):
     """Random free-parameter vector; admissibility holds by construction."""
     return rng.normal(0.0, scale, mapping.q)
+
+
+# ---------------------------------------------------------------------------
+# row-by-row reference: the per-row score from the ParamSet's own
+# quantities, against which the engine's row-score kernel is tested bit for bit
+# ---------------------------------------------------------------------------
+
+
+def reference_score_rows(params, mapping, Y):
+    """Per-row score of the log marginal density on the free-parameter scale,
+    formed from ``params`` and a fresh factorization of its covariance."""
+    Y = np.ascontiguousarray(Y, dtype=np.float64)
+    sig_inv = kernels.spd_inverse(params.sigma_cholesky())
+    Z = (Y - params.nu) @ sig_inv
+    out = np.empty((Y.shape[0], mapping.q))
+    if mapping.spec.mean_structure:
+        out[:, mapping.nu_slice] = Z
+    P = params.lam @ params.phi
+    U = Z @ P
+    B = sig_inv @ P
+    out[:, mapping.lam_slice] = (
+        Z[:, mapping.lam_rows] * U[:, mapping.lam_cols]
+        - B[mapping.lam_rows, mapping.lam_cols]
+    )
+    n_w = len(mapping.w_rows)
+    if n_w:
+        V = Z @ params.lam
+        C = params.lam.T @ sig_inv @ params.lam
+        K = mapping.dphi_dw(mapping.w_from_phi(params.phi))
+        base = mapping.w_slice.start
+        for t in range(n_w):
+            a = mapping.w_rows[t]
+            kvec = K[t, a, :]
+            out[:, base + t] = V[:, a] * (V @ kvec) - C[a] @ kvec
+    out[:, mapping.u_slice] = 0.5 * (Z * Z - np.diag(sig_inv)) * params.theta
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -83,8 +83,9 @@ class TestIngestCsv:
     def test_zero_variance_column(self, tmp_path):
         path = tmp_path / "const.csv"
         path.write_text("a,b\n1,2\n3,2\n5,2\n")
-        with pytest.raises(DataError, match="zero sample variance"):
+        with pytest.raises(DataError) as info:
             ingest_csv(str(path))
+        assert str(info.value) == f"{path}: column b has zero sample variance"
 
     @pytest.mark.parametrize("text, line", [
         ("a,b\n1,2\n\n3,4\n", 3),
@@ -237,7 +238,7 @@ class TestFitCommand:
 
     def test_overflowing_variance_is_a_data_error(self, workdir, capsys):
         # one entry of 1e200 overflows its column's sample variance: fit
-        # exits 1 with the DataError that names the column, writes nothing
+        # exits 1 with the DataError that names the file and the column, writes nothing
         # and raises no overflow warning on the way
         tmp, csv_path, model_path = workdir
         lines = open(csv_path).read().splitlines()
@@ -252,7 +253,7 @@ class TestFitCommand:
             rc = main(["fit", "--data", str(path), "--model", model_path, "--out", str(out)])
         assert rc == 1
         assert (capsys.readouterr().err
-                == "factorgof: error: column y2 has an overflowing sample variance\n")
+                == f"factorgof: error: {path}: column y2 has an overflowing sample variance\n")
         assert not out.exists()
 
     def test_seed_is_provenance_only(self, workdir):

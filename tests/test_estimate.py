@@ -31,8 +31,11 @@ import factorgof
 from factorgof import estimate
 from factorgof.estimate import (
     ParamMapping,
+    _block_information,
+    _covariance_hessian,
     _mean_loglik_and_grad,
-    _mean_loglik_hessian,
+    _moment_terms,
+    _slopes,
     expected_information,
     invert_information,
 )
@@ -45,7 +48,12 @@ from factorgof.simstudy import (
     replication,
 )
 
-from conftest import dense_hessian, monte_carlo_information, random_admissible_free_vector
+from conftest import (
+    dense_hessian,
+    monte_carlo_information,
+    random_admissible_free_vector,
+    reference_score_rows,
+)
 
 
 class TestDataMatrix:
@@ -115,9 +123,10 @@ class TestPacking:
 
 
 class TestScore:
-    @pytest.mark.parametrize("case", ["one", "two"])
+    @pytest.mark.parametrize("case", ["one", "two", "d3", "d3-no-mean", "study1"])
     def test_matches_finite_differences(self, case, rng, one_factor_spec, two_factor_spec):
-        spec = one_factor_spec if case == "one" else two_factor_spec
+        specs = {"one": one_factor_spec, "two": two_factor_spec}
+        spec = specs[case] if case in specs else _hessian_case_spec(case)
         mapping = ParamMapping(spec)
         for _ in range(10):
             v = random_admissible_free_vector(mapping, rng)
@@ -135,6 +144,15 @@ class TestScore:
                     - marginal_logpdf(y[None], mapping.unpack(vm))[0]
                 ) / (2 * h)
             np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-7)
+
+    def test_draws_of_a_study1_fit_match_the_reference_bits(self):
+        # the kernel forms each row's score from the fit's own quantities, bit
+        # for bit as the row-by-row reference does; on this fit phi differs
+        # from phi_from_w(w_from_phi(phi)) in its last bit
+        _, fit, _ = replication(Study1Config(n=1000, misspecified=True), 77, 1)
+        draws = simulate_data(fit.params, 10_000, np.random.default_rng(1)).values
+        got = score_rows(fit.params, fit.mapping, draws)
+        assert got.tobytes() == reference_score_rows(fit.params, fit.mapping, draws).tobytes()
 
     def test_stationary_at_saturating_normal_mle(self, rng):
         spec = ModelSpec(m=4, d=1, loading_pattern=np.ones((4, 1), dtype=int))
@@ -234,20 +252,18 @@ class TestFit:
     def test_observed_information_inverse_is_the_public_one(self, two_factor_params,
                                                            two_factor_spec):
         # at nu = ybar the final Hessian is block diagonal, and the fit
-        # returns Sigma for the intercepts and what invert_information gives
-        # on the Hessian's covariance block, bit for bit
+        # returns what invert_information gives on Sigma^-1 beside minus the
+        # final iterate's covariance block, bit for bit
         data = simulate_data(two_factor_params, 800, np.random.default_rng(8))
         fit = fit_ml(data, two_factor_spec)
-        ybar = data.values.mean(axis=0)
-        resid = data.values - ybar
-        hess = _mean_loglik_hessian(fit.free_vector, fit.mapping, ybar,
-                                    resid.T @ resid / data.n)
+        ybar, S = _sufficient_statistics(data.values)
+        info = _observed_information(fit.free_vector, fit.mapping, ybar, S)
         nu, c = fit.mapping.nu_slice, fit.mapping.cov_slice
+        assert info[nu, nu].tobytes() == _moment_terms(fit.free_vector, fit.mapping, ybar,
+                                                       S).sig_inv.tobytes()
+        assert not info[nu, c].any()
         inv = fit.inv_observed_information
-        assert inv[c, c].tobytes() == invert_information(-hess[c, c]).tobytes()
-        L = fit.params.sigma_cholesky()
-        assert inv[nu, nu].tobytes() == (L @ L.T).tobytes()
-        assert not inv[nu, c].any() and not hess[nu, c].any()
+        assert inv.tobytes() == invert_information(info).tobytes()
         assert np.array_equal(inv, inv.T)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -265,11 +281,9 @@ class TestFit:
         assert any(w.startswith(("hessian:", "observed information:")) for w in fit.warnings)
         assert fit.inv_observed_information is None
         assert fit.n_iter <= 25
-        ybar = data.values.mean(axis=0)
-        resid = data.values - ybar
-        c = fit.mapping.cov_slice
-        hess = _mean_loglik_hessian(fit.free_vector, fit.mapping, ybar, resid.T @ resid / data.n)
-        eigs = np.linalg.eigvalsh(-hess[c, c])
+        hess = _covariance_block(fit.free_vector, fit.mapping,
+                                 *_sufficient_statistics(data.values))
+        eigs = np.linalg.eigvalsh(-hess)
         assert eigs[0] >= -1e-6 * np.abs(eigs).max()
 
     def test_unidentified_fit_stable_under_last_bit_hessian_changes(self, two_factor_params,
@@ -437,7 +451,7 @@ def _lbfgsb_reference(data, mapping, opts):
     converged = np.abs(g).max() < opts.gtol and (np.exp(v[mapping.u_slice])
                                                  > opts.theta_floor * (1.0 + 1e-8)).all()
     try:
-        invert_information(-_mean_loglik_hessian(v, mapping, ybar, S))
+        invert_information(_observed_information(v, mapping, ybar, S))
     except IdentificationError:
         converged = False
     return v, converged
@@ -514,6 +528,19 @@ def _sufficient_statistics(Y):
     return ybar, resid.T @ resid / len(Y)
 
 
+def _covariance_block(v, mapping, ybar, S):
+    """The covariance block of the mean log-likelihood's Hessian at v."""
+    t = _moment_terms(v, mapping, ybar, S)
+    return _covariance_hessian(v, mapping, t, _slopes(v, mapping, t))
+
+
+def _observed_information(v, mapping, ybar, S):
+    """Sigma^-1 beside minus the covariance block: the fit's observed
+    information, minus the Hessian where nu = ybar."""
+    return _block_information(mapping, _moment_terms(v, mapping, ybar, S).sig_inv,
+                              _covariance_block(v, mapping, ybar, S))
+
+
 def _hessian_case_spec(case):
     if case == "study1":
         return model_spec_study1()
@@ -538,41 +565,62 @@ def test_hessian_matches_finite_differences(case, rng):
         # random points away from the optimum: nu differs from the sample mean
         v = random_admissible_free_vector(mapping, rng)
         ybar, S = _sufficient_statistics(rng.normal(0.3, 1.2, size=(60, spec.m)))
-        H = _mean_loglik_hessian(v, mapping, ybar, S)
-        fd = _fd_hessian(v, mapping, ybar, S)
+        H = _covariance_block(v, mapping, ybar, S)
+        fd = _fd_hessian(v, mapping, ybar, S)[mapping.cov_slice, mapping.cov_slice]
         assert np.abs(H - fd).max() <= 1e-7 * np.abs(fd).max()
         np.testing.assert_array_equal(H, H.T)
 
 
 @pytest.mark.parametrize("case", ["d1", "d2", "d3", "d3-no-mean", "study1", "study2"])
 def test_hessian_matches_dense_reference(case, rng):
-    # the gathered rank-2 Hessian against the (q, m, m) dSigma stack, at
-    # random points where delta = ybar - nu is nonzero, so the intercept
-    # cross block (and, without a mean structure, S* = S + ybar ybar') is live
+    # the gathered rank-2 covariance block against the (q, m, m) dSigma
+    # stack, at random points where delta = ybar - nu is nonzero (so the
+    # reference's intercept cross block is live, and without a mean
+    # structure S* = S + ybar ybar')
     spec = _hessian_case_spec(case)
     mapping = ParamMapping(spec)
+    c = mapping.cov_slice
     for _ in range(3):
         v = random_admissible_free_vector(mapping, rng)
         ybar, S = _sufficient_statistics(rng.normal(0.3, 1.2, size=(60, spec.m)))
-        H = _mean_loglik_hessian(v, mapping, ybar, S)
+        H = _covariance_block(v, mapping, ybar, S)
         ref = dense_hessian(v, mapping, ybar, S)
         if spec.mean_structure:
-            assert np.abs(ref[mapping.nu_slice, mapping.cov_slice]).min() > 0
-        assert np.abs(H - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.abs(ref[mapping.nu_slice, c]).min() > 0
+        assert np.abs(H - ref[c, c]).max() <= 1e-12 * np.abs(ref[c, c]).max()
+
+
+@pytest.mark.parametrize("case", ["d1", "d2", "d3", "d3-no-mean", "study1", "study2"])
+def test_expected_information_is_minus_the_dense_hessian(case, rng):
+    # at ybar = nu and S = Sigma the intercept cross block vanishes, so the
+    # block-diagonal information is minus the whole dense Hessian
+    spec = _hessian_case_spec(case)
+    mapping = ParamMapping(spec)
+    nu, c = mapping.nu_slice, mapping.cov_slice
+    for _ in range(3):
+        params = mapping.unpack(random_admissible_free_vector(mapping, rng))
+        info = expected_information(params, mapping)
+        ref = -dense_hessian(mapping.pack(params), mapping, params.nu,
+                             params.implied_covariance())
+        assert not info[nu, c].any() and not ref[nu, c].any()
+        assert np.abs(info - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("design", [Study1Config, Study2Config])
 def test_intercepts_are_the_sample_mean(design):
-    # nu-hat = ybar in closed form, bit for bit; there the Hessian's
-    # intercept-covariance block is exactly zero, and the fit's block-wise
-    # inverse information matches the full one
+    # nu-hat = ybar in closed form, bit for bit; there the dense Hessian's
+    # intercept-covariance block is exactly zero, and the fit's
+    # block-diagonal inverse information matches the full one
     for rep in range(2):
         data, fit, _ = replication(design(n=300, misspecified=bool(rep)), 17, rep)
         assert fit.converged
         ybar, S = _sufficient_statistics(data.values)
         assert fit.params.nu.tobytes() == data.values.mean(axis=0).tobytes()
-        H = _mean_loglik_hessian(fit.free_vector, fit.mapping, ybar, S)
-        assert not H[fit.mapping.nu_slice, fit.mapping.cov_slice].any()
+        H = dense_hessian(fit.free_vector, fit.mapping, ybar, S)
+        c = fit.mapping.cov_slice
+        assert not H[fit.mapping.nu_slice, c].any()
+        hess = _covariance_block(fit.free_vector, fit.mapping, ybar, S)
+        assert np.abs(hess - H[c, c]).max() <= 1e-12 * np.abs(H[c, c]).max()
         inv = fit.inv_observed_information
         np.testing.assert_allclose(inv, invert_information(-H), rtol=0,
                                    atol=1e-12 * np.abs(inv).max())
@@ -609,10 +657,12 @@ def test_hessian_at_fit_matches_finite_differences(two_factor_params, two_factor
     fit = fit_ml(data, two_factor_spec)
     assert fit.converged
     ybar, S = _sufficient_statistics(data.values)
-    H = _mean_loglik_hessian(fit.free_vector, fit.mapping, ybar, S)
+    c = fit.mapping.cov_slice
+    H = _covariance_block(fit.free_vector, fit.mapping, ybar, S)
     fd = _fd_hessian(fit.free_vector, fit.mapping, ybar, S)
-    assert np.abs(H - fd).max() <= 1e-8 * np.abs(fd).max()
-    np.testing.assert_allclose(invert_information(-H), fit.inv_observed_information,
+    assert np.abs(H - fd[c, c]).max() <= 1e-8 * np.abs(fd[c, c]).max()
+    ref = dense_hessian(fit.free_vector, fit.mapping, ybar, S)
+    np.testing.assert_allclose(invert_information(-ref), fit.inv_observed_information,
                                rtol=0, atol=1e-12 * np.abs(fit.inv_observed_information).max())
 
 
@@ -634,7 +684,8 @@ def test_factor_sign_flip_conjugates_hessian(seed, d, factor):
     f_flip, g_flip = _mean_loglik_and_grad(sign * v, mapping, ybar, S)
     assert f_flip == pytest.approx(f, rel=1e-12)
     np.testing.assert_allclose(g_flip, sign * g, rtol=0, atol=1e-10 * np.abs(g).max())
-    H = _mean_loglik_hessian(v, mapping, ybar, S)
-    H_flip = _mean_loglik_hessian(sign * v, mapping, ybar, S)
+    H = _covariance_block(v, mapping, ybar, S)
+    H_flip = _covariance_block(sign * v, mapping, ybar, S)
+    sign = sign[mapping.cov_slice]
     np.testing.assert_allclose(H_flip, sign[:, None] * H * sign[None, :],
                                rtol=0, atol=1e-10 * np.abs(H).max())
