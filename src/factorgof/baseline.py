@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotConvergedError
-from .estimate import DataMatrix, FitResult
+from .estimate import DataMatrix, FitResult, _sample_moments
 from .kernels import chi2_sf, single_blas_thread
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -31,14 +31,6 @@ class BaselineReport:
     q: int
 
 
-def _moments(data: DataMatrix):
-    Y = data.values
-    ybar = Y.mean(axis=0)
-    resid = Y - ybar
-    S = resid.T @ resid / data.n
-    return ybar, S
-
-
 def _require_converged(fit: FitResult):
     if not fit.converged:
         raise NotConvergedError(
@@ -53,7 +45,7 @@ def lr_chi2(fit: FitResult, data: DataMatrix) -> tuple:
     """
     _require_converged(fit)
     m = data.m
-    _, S = _moments(data)
+    _, S = _sample_moments(data.values)
     sign, logdet = np.linalg.slogdet(S)
     loglik_sat = -0.5 * data.n * (m * _LOG_2PI + logdet + m)
     chi2 = max(2.0 * (loglik_sat - fit.loglik), 0.0)
@@ -70,7 +62,7 @@ def fit_indices(fit: FitResult, data: DataMatrix) -> tuple:
     """
     _require_converged(fit)
     m = data.m
-    ybar, S = _moments(data)
+    ybar, S = _sample_moments(data.values)
     chi2, df, _ = lr_chi2(fit, data)
 
     sign, logdet = np.linalg.slogdet(S)

@@ -142,7 +142,8 @@ def lv_density_problem(grid: LvGrid) -> ResidualProblem:
     """Latent-density check: posterior densities vs. the model density.
 
     G_q = W_q is the quadratic form h_q = D_q, so the residual covariance
-    and the sample value are closed form, and a batch draws nothing for it."""
+    and the sample value are closed form, and a batch draws nothing for it;
+    the form takes D from the batch, which forms it once per grid."""
 
     def from_weights(Y, W, params):
         return W
@@ -151,7 +152,8 @@ def lv_density_problem(grid: LvGrid) -> ResidualProblem:
         return np.exp(lv_logpdf(grid.points, params))
 
     battery = WeightedBattery(k=grid.Q, name="lv-density", _evaluate=from_weights,
-                              _eta=eta_fn, grid=grid, _quadratic=(None, eta_fn, 0.0, 0.0))
+                              _eta=eta_fn, grid=grid,
+                              _quadratic=(None, lambda params, dens: dens, 0.0, 0.0))
     return ResidualProblem(battery, grid)
 
 
@@ -221,7 +223,7 @@ def mv_linearity_direct_problem(grid: LvGrid, item: int) -> ResidualProblem:
 
     battery = WeightedBattery(k=grid.Q, name=f"linearity-direct[{item}]",
                               _evaluate=from_weights, _eta=eta_fn, grid=grid,
-                              _quadratic=(item, eta_fn, 1.0, 0.0))
+                              _quadratic=(item, lambda params, dens: eta_fn(params), 1.0, 0.0))
     return ResidualProblem(battery, grid)
 
 

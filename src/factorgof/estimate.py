@@ -15,7 +15,8 @@ and covariance), so no iteration's cost depends on n.  With free
 intercepts their estimate is the sample mean ybar in closed form (Lawley &
 Maxwell, 1971); without them nu = 0 and the covariance is fitted to
 S + ybar ybar'.  The loadings, correlation entries and log error variances
-then follow a projected Newton iteration on the exact Hessian of the mean
+start at a principal-axis estimate in the correlation metric and then
+follow a projected Newton iteration on the exact Hessian of the mean
 log-likelihood in those parameters alone, formed in closed form from the
 same statistics (Jennrich & Robinson, 1969, Psychometrika 34:111), with
 the Hessian's eigenvalues floored where it is not negative definite.  Each
@@ -245,16 +246,86 @@ class ParamMapping:
         return ParamSet(nu=nu, lam=lam, phi=phi, theta=theta)
 
     def start_values(self, data: DataMatrix) -> np.ndarray:
-        Y = data.values
-        var = Y.var(axis=0, ddof=1)
-        sd = np.sqrt(var)
+        """The free vector ``fit_ml`` starts from on ``data``."""
+        return self._start(data.values, *_sample_moments(data.values))
+
+    def _start(self, Y, ybar, S):
+        """The start from the data Y, their mean ybar and covariance S.
+
+        Intercepts start at ybar.  The rest is a principal-axis estimate in
+        the correlation metric of the moments the covariance is fitted to
+        (S, or S + ybar ybar' without a mean structure), so it is
+        scale-equivariant and does not depend on row order: with C that
+        correlation matrix, uniquenesses psi_j = 1 / (C^-1)_jj; each
+        factor's loadings sqrt(mu) u from the leading eigenpair of its
+        items' C - diag(psi), signed so that sum(u) >= 0; factor
+        correlations l_a' C_ab l_b / (|l_a|^2 |l_b|^2) clipped to
+        [-0.9, 0.9]; error variances max(1 - lambda_j' phi lambda_j, 0.05);
+        then loadings and error variances back in data units.  It needs
+        every item on at most one factor, every factor on at least 3 items,
+        C and the start's phi to factor by Cholesky, and every psi_j above
+        1e-8: a duplicated item gives a C that is singular but can factor
+        with a pivot of order 1e-16.  Otherwise every
+        loading starts at 0.5 sd, every error variance at 0.5 var (sample
+        variances, divisor n - 1) and phi at I.
+        """
         v = np.empty(self.q)
         if self.spec.mean_structure:
-            v[self.nu_slice] = Y.mean(axis=0)
-        v[self.lam_slice] = 0.5 * sd[self.lam_rows]
-        v[self.w_slice] = 0.0
-        v[self.u_slice] = np.log(0.5 * var)
+            v[self.nu_slice] = ybar
+        else:
+            S = S + np.outer(ybar, ybar)
+        start = self._principal_axes(S)
+        if start is None:
+            var = Y.var(axis=0, ddof=1)
+            v[self.lam_slice] = 0.5 * np.sqrt(var)[self.lam_rows]
+            v[self.w_slice] = 0.0
+            v[self.u_slice] = np.log(0.5 * var)
+        else:
+            v[self.lam_slice], v[self.w_slice], v[self.u_slice] = start
         return v
+
+    def _principal_axes(self, S):
+        """Loadings, correlation entries and log error variances of the
+        principal-axis start from the moment matrix S, or None (see
+        ``_start``)."""
+        spec = self.spec
+        if (np.bincount(self.lam_rows, minlength=spec.m).max() > 1
+                or np.bincount(self.lam_cols, minlength=spec.d).min() < 3):
+            return None
+        sd = np.sqrt(np.diag(S))
+        C = S / np.outer(sd, sd)
+        try:
+            psi = 1.0 / np.diag(kernels.spd_inverse(np.linalg.cholesky(C)))
+        except np.linalg.LinAlgError:
+            return None
+        if not psi.min() > _START_MIN_UNIQUENESS:
+            return None
+        lam = np.zeros((spec.m, spec.d))
+        for c in range(spec.d):
+            items = self.lam_rows[self.lam_cols == c]
+            mu, u = np.linalg.eigh(C[np.ix_(items, items)] - np.diag(psi[items]))
+            lead = u[:, -1] if u[:, -1].sum() >= 0.0 else -u[:, -1]
+            lam[items, c] = np.sqrt(max(mu[-1], 0.0)) * lead
+        norms = np.einsum("jc,jc->c", lam, lam)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi = np.clip(np.nan_to_num(lam.T @ C @ lam / np.outer(norms, norms)), -0.9, 0.9)
+        np.fill_diagonal(phi, 1.0)
+        try:
+            w = self.w_from_phi(phi)
+        except np.linalg.LinAlgError:
+            return None
+        theta = np.maximum(1.0 - np.einsum("jc,cd,jd->j", lam, phi, lam), 0.05)
+        return lam[self.lam_rows, self.lam_cols] * sd[self.lam_rows], w, np.log(theta * sd * sd)
+
+
+_START_MIN_UNIQUENESS = 1e-8
+
+
+def _sample_moments(Y):
+    """The sample mean and the covariance with divisor n of the rows of Y."""
+    ybar = Y.mean(axis=0)
+    resid = Y - ybar
+    return ybar, resid.T @ resid / len(Y)
 
 
 def _as_mapping(spec) -> ParamMapping:
@@ -267,7 +338,10 @@ class OptimOptions:
 
     ``max_iter`` caps the fit's Newton iterations (each one Hessian, one
     step and its line search).  ``gtol`` bounds the max-abs gradient of a
-    converged fit; the iteration itself runs to min(1e-6, 0.1 gtol).  Error
+    converged fit; the iteration itself runs until its projected gradient is
+    below min(1e-6, 0.1 gtol), then takes one full Newton step where minus
+    the Hessian factors by Cholesky, which lands an identified fit at a
+    gradient near rounding.  Error
     variances are bounded below by ``theta_floor``; a fit that ends there is
     a Heywood case.  The fit draws no random numbers.  ``info_draws`` is
     accepted for older callers and only as 0; it is not stored.
@@ -470,6 +544,24 @@ def _block_information(mapping, sig_inv, hess):
     return info
 
 
+def _block_eigvalsh(mapping, sig_inv, hess):
+    """Ascending eigenvalues of ``_block_information``, taken block by block."""
+    eigs = np.linalg.eigvalsh(-hess)
+    if mapping.spec.mean_structure:
+        eigs = np.sort(np.concatenate([np.linalg.eigvalsh(sig_inv), eigs]))
+    return eigs
+
+
+def _block_inverse(mapping, L, hess):
+    """The inverse of ``_block_information``, block by block: Sigma = L L'
+    from its Cholesky factor L on the intercepts and (-hess)^-1 on the rest."""
+    inv = np.zeros((mapping.q, mapping.q))
+    if mapping.spec.mean_structure:
+        inv[mapping.nu_slice, mapping.nu_slice] = L @ L.T
+    inv[mapping.cov_slice, mapping.cov_slice] = kernels.spd_inverse(np.linalg.cholesky(-hess))
+    return inv
+
+
 def _covariance_hessian(v, mapping, t: _Terms, s: _Slopes):
     """Hessian of the mean log-likelihood in the loadings, correlation
     entries and log error variances (the covariance block).
@@ -529,8 +621,12 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
     With a free mean structure the intercepts' estimate is the sample mean
     in closed form; the rest is a projected Newton iteration on the exact
     Hessian of the mean log-likelihood in the covariance parameters (see
-    ``_newton``); ``FitResult.n_iter`` counts its iterations, at most
-    ``opts.max_iter``.  Convergence requires all three of: max-abs
+    ``_newton``) from the principal-axis start of
+    ``ParamMapping.start_values``, closed by one full Newton step;
+    ``FitResult.n_iter`` counts its iterations, at most ``opts.max_iter``
+    (3 on the bundled designs).  The observed information is block
+    diagonal, and its spectrum and inverse are taken block by block.
+    Convergence requires all three of: max-abs
     mean-log-likelihood gradient below ``opts.gtol``, no error variance at
     the floor (Heywood case), and a negative-definite Hessian of the mean
     log-likelihood at the solution whose negative, the observed
@@ -544,13 +640,11 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
     if data.m != spec.m:
         raise SpecificationError(f"data has m={data.m}, spec has m={spec.m}")
     mapping = ParamMapping(spec)
-    Y = data.values
-    ybar = Y.mean(axis=0)
-    resid = Y - ybar
-    S = resid.T @ resid / data.n
+    ybar, S = _sample_moments(data.values)
 
     # the start puts the intercepts at ybar, their estimate, where they stay
-    v, t, g, hess, n_iter = _newton(mapping, ybar, S, mapping.start_values(data), opts)
+    v, t, g, hess, n_iter = _newton(mapping, ybar, S, mapping._start(data.values, ybar, S),
+                                    opts)
     gradient_norm = float(np.abs(g).max())
     params = mapping.unpack(v)
 
@@ -563,8 +657,7 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
         idx = np.nonzero(heywood)[0]
         warn.append(f"heywood: error variance at floor for items {idx.tolist()}")
     # the intercepts stay at ybar, so the observed information is block diagonal
-    info = _block_information(mapping, t.sig_inv, hess)
-    eigs = np.linalg.eigvalsh(info)
+    eigs = _block_eigvalsh(mapping, t.sig_inv, hess)
     min_eig = float(eigs[0])
     hess_ok = min_eig > 0.0
     if not hess_ok:
@@ -579,7 +672,7 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
             warn.append(f"observed information: {exc}")
             converged = False
         else:
-            inv_observed = kernels.spd_inverse(np.linalg.cholesky(info))
+            inv_observed = _block_inverse(mapping, t.L, hess)
 
     return FitResult(
         params=params,
@@ -612,9 +705,16 @@ def _newton(mapping, ybar, S, v, opts):
     floored where it does not (a rotationally unidentified fit).  An Armijo
     backtracking search projects each trial onto the bound and rejects
     trials that are inadmissible or whose value is not finite.  The
-    iteration stops once the projected max-abs gradient is below
-    min(1e-6, 0.1 gtol), after ``opts.max_iter`` iterations, or when no
-    trial along the step is accepted.
+    iteration stops after ``opts.max_iter`` iterations, when no trial along
+    the step is accepted, or once the projected max-abs gradient is below
+    min(1e-6, 0.1 gtol).  In the last case, where -H_FF factors by Cholesky,
+    it first takes one full Newton step, projected onto the bound and
+    without a line search, whose decrease in f would be lost to rounding;
+    the step is kept if it is admissible and does not raise the projected
+    gradient, so an identified fit ends at a gradient near 1e-14 instead of
+    anywhere below the tolerance.  Where -H_FF does not factor (a
+    rotationally unidentified fit on its ridge) the iteration stops as it
+    is.
 
     Returns the final iterate and its terms, the covariance block of its
     gradient and Hessian, and the number of iterations taken.
@@ -629,17 +729,35 @@ def _newton(mapping, ybar, S, v, opts):
     t = _moment_terms(v, mapping, ybar, S)
     f = _mean_loglik(t)
     n_iter = 0
+    before = None
     while True:
         s = _slopes(v, mapping, t)
         g = _mean_loglik_grad(mapping, t, s)[c]
         hess = _covariance_hessian(v, mapping, t, s)
         vc = v[c]
-        projected = np.where(bounded, np.maximum(vc + g, lo) - vc, g)
-        if np.abs(projected).max() < tol or n_iter >= opts.max_iter:
+        small = np.abs(np.where(bounded, np.maximum(vc + g, lo) - vc, g)).max()
+        if before is not None:
+            if small > before[-1]:
+                v, t, g, hess, n_iter = before[:-1]
+            break
+        if n_iter >= opts.max_iter:
             break
         free = ~(bounded & (vc <= lo) & (g < 0.0))
         step = np.zeros(len(g))
-        step[free] = _ascent_step(hess, g, free)
+        step[free], newton = _ascent_step(hess, g, free)
+        if small < tol:
+            if not newton:
+                break
+            trial = v.copy()
+            trial[c] = np.where(bounded, np.maximum(vc + step, lo), vc + step)
+            try:
+                t_trial = _moment_terms(trial, mapping, ybar, S)
+            except (SpecificationError, DegenerateCovarianceError):
+                break
+            before = (v, t, g, hess, n_iter, small)
+            v, t = trial, t_trial
+            n_iter += 1
+            continue
         found = _line_search(mapping, ybar, S, v, f, g, step, bounded, lo)
         if found is None:
             break
@@ -649,21 +767,23 @@ def _newton(mapping, ybar, S, v, opts):
 
 
 def _ascent_step(hess, g, free):
-    """Newton step on the entries ``free`` where -H factors by Cholesky
-    there, solved as L'^-1 (L^-1 g) with the factor L, which keeps it
-    bounded on a numerically singular -H where an LU solve returned steps of
-    order 1e15.  Otherwise, with -H = U diag(w) U' there, the modified
-    Newton step U diag(1/w~) U' g with w~ = max(w, ``_EIGEN_FLOOR`` max|w|)
-    (Nocedal & Wright, 2006, Numerical Optimization, sec. 3.4): an ascent
-    direction, long along flat and negative curvature, which the line
-    search shortens."""
+    """The step on the entries ``free`` and whether it is Newton's.
+
+    Where -H factors by Cholesky there, Newton's step, solved as
+    L'^-1 (L^-1 g) with the factor L, which keeps it bounded on a
+    numerically singular -H where an LU solve returned steps of order 1e15.
+    Otherwise, with -H = U diag(w) U' there, the modified Newton step
+    U diag(1/w~) U' g with w~ = max(w, ``_EIGEN_FLOOR`` max|w|) (Nocedal &
+    Wright, 2006, Numerical Optimization, sec. 3.4): an ascent direction,
+    long along flat and negative curvature, which the line search
+    shortens."""
     neg = -hess[np.ix_(free, free)]
     try:
         L = np.linalg.cholesky(neg)
     except np.linalg.LinAlgError:
         w, U = np.linalg.eigh(neg)
-        return U @ ((U.T @ g[free]) / np.maximum(w, _EIGEN_FLOOR * np.abs(w).max()))
-    return np.linalg.solve(L.T, np.linalg.solve(L, g[free]))
+        return U @ ((U.T @ g[free]) / np.maximum(w, _EIGEN_FLOOR * np.abs(w).max())), False
+    return np.linalg.solve(L.T, np.linalg.solve(L, g[free])), True
 
 
 def _line_search(mapping, ybar, S, v, f, g, step, bounded, lo):
@@ -703,16 +823,18 @@ def expected_information(params: ParamSet, spec) -> np.ndarray:
     its expectation under the model is its value at ybar = nu and
     S = Sigma; the information is minus that (``_block_information``).
     """
-    return _expected_terms(params, _as_mapping(spec))[2]
+    mapping = _as_mapping(spec)
+    t, _, hess = _expected_terms(mapping.pack(params), mapping, params)
+    return _block_information(mapping, t.sig_inv, hess)
 
 
-def _expected_terms(params, mapping):
-    """The terms and slopes at ``params`` about ybar = nu and S = Sigma,
-    and the exact information there."""
-    v = mapping.pack(params)
+def _expected_terms(v, mapping, params):
+    """The terms and slopes at the free vector v about ybar = nu and
+    S = Sigma of ``params``, and the covariance block of the expected
+    Hessian there."""
     t = _moment_terms(v, mapping, params.nu, params.implied_covariance())
     s = _slopes(v, mapping, t)
-    return t, s, _block_information(mapping, t.sig_inv, _covariance_hessian(v, mapping, t, s))
+    return t, s, _covariance_hessian(v, mapping, t, s)
 
 
 def score_information(scores: np.ndarray) -> np.ndarray:

@@ -58,6 +58,9 @@ from .errors import ConfigurationError, NotConvergedError, RankError
 from .estimate import (
     DataMatrix,
     FitResult,
+    _block_eigvalsh,
+    _block_inverse,
+    _check_conditioning,
     _expected_terms,
     _mean_loglik_grad,
     _row_scores,
@@ -147,8 +150,10 @@ class WeightedBattery(SummaryBattery):
     battery's values, or a ratio battery's delta-method terms), one per grid
     point, as G_q = W_q h_q / D_q with h_q = a_q + b e_q + c (e_q^2 - theta_j)
     and e_q = y_j - mu_qj the deviation of ``item`` from its conditional
-    mean: ``(item, a, b, c)``, with ``a(params)`` giving a_q (a None for 0),
-    scalars b and c, and item None when b = c = 0.  The form fixes the
+    mean: ``(item, a, b, c)``, with ``a(params, dens)`` giving a_q from the
+    parameters and the grid's latent density D (a None for 0), scalars b
+    and c, and item None when b = c = 0.  E[G_q] = a_q, so a mean battery's
+    model value is a_q.  The form fixes the
     battery's sample value as well as its covariance: the engine takes
     both in closed form, from W's column means and the item's W-weighted
     sums, and neither evaluates nor draws for the battery.  A ratio
@@ -362,12 +367,13 @@ def _sample_values(batteries, Y, params, W, wbar, dens):
                 v += b * (s1 - mt * wbar)
             if c:
                 v += c * (s2 - 2.0 * mt * s1 + (mt * mt - params.theta[item]) * wbar)
-        a_q = 0.0 if a is None else a(params)
-        eta_row[:] = battery.eta_closed(params)
+        a_q = 0.0 if a is None else a(params, dens)
         with np.errstate(divide="ignore", invalid="ignore"):
             if isinstance(battery, RatioBattery):
+                eta_row[:] = battery.eta_closed(params)
                 np.add(eta_row + a_q, v / wbar, out=row)
             else:
+                eta_row[:] = a_q
                 np.add(a_q / dens * wbar, v / dens, out=row)
     return t_hat, eta
 
@@ -449,14 +455,17 @@ def _weight_products(X1, X2, params, V):
 
 
 class _FitConstants:
-    """Per-fit constants of the closed-form moments, made once per batch.
+    """Per-fit constants of the closed-form moments, made once per batch
+    from the fit's free vector v, so that they describe the model of
+    ``mapping.unpack(v)``, the fit's ``params``, to the last bit.
 
     ``terms`` and ``slopes`` are the fit's ``_Terms`` at sample mean nu and
-    sample covariance Sigma, and its ``_Slopes``.  ``information`` is the
-    exact information, minus the expected Hessian (see
-    ``estimate.expected_information``), and ``V`` the posterior covariance
-    of x given y; both share this object's one factorization of the implied
-    covariance and of the posterior precision.
+    sample covariance Sigma, and its ``_Slopes``.  ``inv_information``
+    inverts the exact information, minus the expected Hessian (see
+    ``estimate.expected_information``), block by block after its
+    conditioning check, and ``V`` is the posterior covariance of x given y;
+    both share this object's one factorization of the implied covariance
+    and of the posterior precision.
 
     ``score_change(delta, dS)`` is the change in the mean log-likelihood's
     gradient when the sample mean moves from nu by delta and
@@ -468,9 +477,12 @@ class _FitConstants:
     xt = E[x | y] + N(0, V / 2) ~ N(0, phi - V / 2) and Cov(y, xt) = lambda phi.
     """
 
-    def __init__(self, params, mapping):
+    def __init__(self, v, mapping):
         self.mapping = mapping
-        self.terms, self.slopes, self.information = _expected_terms(params, mapping)
+        params = mapping.unpack(v)
+        self.terms, self.slopes, hess = _expected_terms(v, mapping, params)
+        _check_conditioning(_block_eigvalsh(mapping, self.terms.sig_inv, hess))
+        self.inv_information = _block_inverse(mapping, self.terms.L, hess)
         self.V = np.linalg.inv(_posterior_precision(params)[1])
         cross = params.lam @ params.phi
         self.tilt = np.linalg.solve(params.phi - 0.5 * self.V, cross.T).T
@@ -545,7 +557,7 @@ def _quadratic_moments(points, dens, cols, forms, params, consts):
     zero = np.zeros(Q)
     a_q, t, mu, scalars = [], [], [], []
     for item, a, b, c in forms:
-        a_q.append(zero if a is None else a(params))
+        a_q.append(zero if a is None else a(params, dens))
         if item is None:
             t.append(zero)
             mu.append(zero)
@@ -623,8 +635,7 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
         scores = score_rows(params, fit.mapping, draws)
         draw_inv_info = invert_information(score_information(scores))
     if any(exact):
-        consts = _FitConstants(params, fit.mapping)
-        exact_inv_info = invert_information(consts.information)
+        consts = _FitConstants(fit.free_vector, fit.mapping)
 
     groups = {}
     for i, problem in enumerate(problems):
@@ -648,7 +659,7 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
                                          [battery._quadratic for battery in batch],
                                          params, consts)
             done = _reports([problems[i] for i in stack], data.n, t_hat, wbar, cols,
-                            (eta, *moments), exact_inv_info, 0, mc)
+                            (eta, *moments), consts.inv_information, 0, mc)
             reports.update(zip(stack, done))
 
         drawn = [i for i in members if not exact[i]]

@@ -252,19 +252,24 @@ class TestFit:
     def test_observed_information_inverse_is_the_public_one(self, two_factor_params,
                                                            two_factor_spec):
         # at nu = ybar the final Hessian is block diagonal, and the fit
-        # returns what invert_information gives on Sigma^-1 beside minus the
-        # final iterate's covariance block, bit for bit
+        # inverts it block by block: Sigma = L L' from the final iterate's
+        # Cholesky factor on the intercepts, and what the public inverse
+        # gives on minus its covariance block, bit for bit; the combined
+        # matrix's inverse agrees to rounding
         data = simulate_data(two_factor_params, 800, np.random.default_rng(8))
         fit = fit_ml(data, two_factor_spec)
         ybar, S = _sufficient_statistics(data.values)
-        info = _observed_information(fit.free_vector, fit.mapping, ybar, S)
         nu, c = fit.mapping.nu_slice, fit.mapping.cov_slice
-        assert info[nu, nu].tobytes() == _moment_terms(fit.free_vector, fit.mapping, ybar,
-                                                       S).sig_inv.tobytes()
-        assert not info[nu, c].any()
+        L = _moment_terms(fit.free_vector, fit.mapping, ybar, S).L
+        hess = _covariance_block(fit.free_vector, fit.mapping, ybar, S)
         inv = fit.inv_observed_information
-        assert inv.tobytes() == invert_information(info).tobytes()
+        assert inv[nu, nu].tobytes() == (L @ L.T).tobytes()
+        assert inv[c, c].tobytes() == invert_information(-hess).tobytes()
+        assert not inv[nu, c].any() and not inv[c, nu].any()
         assert np.array_equal(inv, inv.T)
+        info = _observed_information(fit.free_vector, fit.mapping, ybar, S)
+        np.testing.assert_allclose(inv, invert_information(info), rtol=0,
+                                   atol=1e-12 * np.abs(inv).max())
 
     @pytest.mark.parametrize("seed", range(8))
     def test_rotationally_unidentified_fit_flagged(self, two_factor_params, seed):
@@ -272,8 +277,8 @@ class TestFit:
         # rotations, so the fit must fail the identification check.  Near
         # the flat ridge -H does not factor by Cholesky, so the iteration
         # steps with its eigenvalues floored; it must still meet its
-        # gradient criterion within a few more iterations than an
-        # identified fit's 5, on the ridge rather than at a saddle, and
+        # gradient criterion within 25 iterations (an identified fit
+        # takes 3), on the ridge rather than at a saddle, and
         # come back unconverged instead of raising
         data, fit = _unidentified_fit(two_factor_params, seed)
         assert not fit.converged
@@ -349,6 +354,107 @@ class TestFit:
         fit = fit_ml(data, one_factor_spec)
         assert fit.converged
         assert fit.inv_observed_information is not None
+
+
+class TestStart:
+    """The principal-axis start and the closing Newton step."""
+
+    @pytest.mark.parametrize("design", [Study1Config, Study2Config])
+    def test_bundled_fits_take_three_iterations(self, design):
+        # two Newton steps from the start meet the gradient test and one
+        # more closes the fit, at a gradient near rounding
+        for misspecified in (False, True):
+            for rep in range(20):
+                _, fit, _ = replication(design(n=1000, misspecified=misspecified), 77, rep)
+                assert fit.converged
+                assert fit.n_iter == 3
+                assert fit.gradient_norm < 1e-12
+
+    @pytest.mark.parametrize("design", [Study1Config, Study2Config])
+    @pytest.mark.parametrize("a", [0.1, 10.0])
+    def test_rescaled_item_scales_start_and_fit(self, design, a):
+        # multiplying item 3 by a multiplies its intercept and loading by a
+        # and its error variance by a^2, in the start and in the fit, and
+        # leaves every other entry as it was
+        data, fit, _ = replication(design(n=1000, misspecified=True), 77, 0)
+        mapping = fit.mapping
+        values = data.values.copy()
+        values[:, 3] *= a
+        scaled = DataMatrix(values)
+        scale = np.ones(mapping.q)
+        if mapping.spec.mean_structure:
+            scale[mapping.nu_slice.start + 3] = a
+        scale[mapping.lam_slice.start + np.flatnonzero(mapping.lam_rows == 3)] = a
+        shift = np.zeros(mapping.q)
+        shift[mapping.u_slice.start + 3] = 2.0 * np.log(a)
+        for original, moved in ((mapping.start_values(data), mapping.start_values(scaled)),
+                                (fit.free_vector, fit_ml(scaled, fit.spec).free_vector)):
+            np.testing.assert_allclose((moved - shift) / scale, original, rtol=1e-12,
+                                       atol=1e-12)
+
+    def test_row_permutation_leaves_start_unchanged(self):
+        data, fit, _ = replication(Study1Config(n=1000, misspecified=True), 77, 0)
+        perm = np.random.default_rng(5).permutation(data.n)
+        np.testing.assert_allclose(fit.mapping.start_values(DataMatrix(data.values[perm])),
+                                   fit.mapping.start_values(data), rtol=0, atol=1e-12)
+
+    def test_closing_step_that_raises_the_gradient_is_not_kept(self):
+        # three items, one with a loading near 0: the likelihood is nearly
+        # flat along a ridge, and the full Newton step from below the
+        # tolerance would land at a gradient of 1.6e-5, so the fit keeps
+        # the iterate before it
+        rng = np.random.default_rng(11)
+        lam = rng.uniform(0.05, 0.95, 3)
+        params = ParamSet(nu=np.zeros(3), lam=lam[:, None], phi=np.eye(1),
+                          theta=1.0 - lam**2 + 0.05)
+        data = simulate_data(params, 100, rng)
+        fit = fit_ml(data, ModelSpec(m=3, d=1, loading_pattern=np.ones((3, 1), dtype=int)))
+        assert fit.converged
+        assert fit.gradient_norm < 1e-6
+
+    @pytest.mark.parametrize("case", ["cross-loading", "two-item factor", "all free",
+                                      "duplicated column"])
+    def test_fallback_is_the_default_start(self, case, two_factor_params):
+        # where the principal-axis start does not apply, the fit starts
+        # where it always did, bit for bit, and fits without raising: the
+        # converged flags and kinds of warning are the ones that start gives
+        Y = simulate_data(two_factor_params, 1000, np.random.default_rng(3)).values
+        pattern = np.zeros((8, 2), dtype=int)
+        pattern[:4, 0] = pattern[4:, 1] = 1
+        if case == "cross-loading":
+            pattern[0, 1] = 1
+            want = (True, [])
+        elif case == "two-item factor":
+            pattern[4:6] = [1, 0]
+            want = (False, ["hessian"])
+        elif case == "all free":
+            pattern[:] = 1
+            want = (False, ["hessian"])
+        else:
+            # a copy of item 2: a singular correlation matrix whose Cholesky
+            # factor can exist with a pivot of order 1e-16
+            Y = np.column_stack([Y[:, :4], Y[:, 2]])
+            pattern = np.ones((5, 1), dtype=int)
+            want = (False, ["gradient", "heywood", "hessian"])
+        data = DataMatrix(Y)
+        mapping = ParamMapping(ModelSpec(m=len(pattern), d=pattern.shape[1],
+                                         loading_pattern=pattern))
+        assert mapping.start_values(data).tobytes() == _default_start(mapping, Y).tobytes()
+        fit = fit_ml(data, mapping.spec)
+        assert (fit.converged, [w.split(":")[0] for w in fit.warnings]) == want
+
+
+def _default_start(mapping, Y):
+    """Every loading at half its item's sample SD, every error variance at
+    half its sample variance (divisor n - 1), phi at I, nu at ybar."""
+    var = Y.var(axis=0, ddof=1)
+    v = np.empty(mapping.q)
+    if mapping.spec.mean_structure:
+        v[mapping.nu_slice] = Y.mean(axis=0)
+    v[mapping.lam_slice] = 0.5 * np.sqrt(var)[mapping.lam_rows]
+    v[mapping.w_slice] = 0.0
+    v[mapping.u_slice] = np.log(0.5 * var)
+    return v
 
 
 class TestOptimOptions:
@@ -460,22 +566,26 @@ def _lbfgsb_reference(data, mapping, opts):
 def test_ascent_step_newton_then_floored_eigen():
     # entry 2 is held, and its row and column of H are ignored.  Where -H
     # is positive definite on the free entries the step is the Cholesky
-    # solve bit for bit; where it is indefinite there, each eigenvalue is
-    # floored at 1e-4 of the largest |eigenvalue|, here 4
+    # solve bit for bit, reported as Newton's; where it is indefinite
+    # there, each eigenvalue is floored at 1e-4 of the largest
+    # |eigenvalue|, here 4, and the step is reported as not Newton's
     g = np.array([1.0, -2.0, 5.0])
     free = np.array([True, True, False])
 
     def step_of(hess):
         step = np.zeros(3)
-        step[free] = estimate._ascent_step(hess, g, free)
-        return step
+        step[free], newton = estimate._ascent_step(hess, g, free)
+        return step, newton
 
     hess = -np.array([[3.0, 1.0, 7.0], [1.0, 4.0, -2.0], [7.0, -2.0, -1.0]])
     L = np.linalg.cholesky(-hess[:2, :2])
     newton = np.linalg.solve(L.T, np.linalg.solve(L, g[:2]))
-    assert step_of(hess).tobytes() == np.append(newton, 0.0).tobytes()
+    step, is_newton = step_of(hess)
+    assert is_newton
+    assert step.tobytes() == np.append(newton, 0.0).tobytes()
     hess = -np.array([[3.0, 0.0, 7.0], [0.0, -4.0, -2.0], [7.0, -2.0, -1.0]])
-    step = step_of(hess)
+    step, is_newton = step_of(hess)
+    assert not is_newton
     np.testing.assert_allclose(step[:2], [1 / 3, -5000.0], rtol=1e-12)
     assert step[2] == 0.0
 

@@ -41,6 +41,7 @@ from factorgof import batteries, residuals
 from factorgof.estimate import ParamMapping, invert_information, score_rows
 from factorgof.model import lv_logpdf, posterior_log_weights
 from factorgof.residuals import ResidualProblem, run_residual_batch
+from factorgof.simstudy import Study1Config, replication
 
 from conftest import (assemble_acm, drawn_ratio_moments, monte_carlo_information,
                       sample_moments)
@@ -680,6 +681,36 @@ class TestRunResidualTest:
         assert stacks == [(31, 9), (9, 2)]
         assert len(made) == 1
 
+    def test_one_latent_density_per_grid(self, monkeypatch):
+        # the latent density D of a grid is formed once per batch and handed
+        # to the lv-density form's a, its model value and the moments
+        data, fit, _ = replication(Study1Config(n=1000, misspecified=True), 77, 1)
+        calls = []
+        density = residuals.lv_logpdf
+
+        def counted(points, p):
+            calls.append(len(points))
+            return density(points, p)
+
+        monkeypatch.setattr(residuals, "lv_logpdf", counted)
+        monkeypatch.setattr(batteries, "lv_logpdf", counted)
+        grid, other = default_grid(2), make_grid([(-2, 2, 5)] * 2, [(-1, 1, 3)] * 2)
+        reports = run_residual_batch([lv_density_problem(grid), lv_density_problem(other),
+                                      mv_linearity_direct_problem(grid, 3)], fit, data)
+        assert calls == [361, 25]
+        assert reports[0].eta.tobytes() == np.exp(density(grid.points, fit.params)).tobytes()
+
+    def test_fit_constants_describe_the_fit_params(self):
+        # the constants are built from the fit's free vector, so their model
+        # is fit.params to the last bit, where packing fit.params again
+        # moves phi by an ulp on this fit
+        _, fit, _ = replication(Study1Config(n=1000, misspecified=True), 77, 1)
+        mapping = fit.mapping
+        phi = fit.params.phi
+        assert mapping.phi_from_w(mapping.w_from_phi(phi)).tobytes() != phi.tobytes()
+        consts = residuals._FitConstants(fit.free_vector, mapping)
+        assert consts.terms.phi.tobytes() == phi.tobytes()
+
     def test_shared_weights_are_read_only(self, fitted_setup):
         spec, params, data, fit = fitted_setup
         from factorgof import WeightedBattery
@@ -909,7 +940,7 @@ class TestExactLvDensity:
         var, cov, A = _exact_moments(battery, params, mapping)
 
         EWW = Ww.T @ W
-        V = residuals._FitConstants(params, mapping).V
+        V = residuals._FitConstants(mapping.pack(params), mapping).V
         pairs = residuals._weight_products(np.repeat(points, Q, axis=0),
                                            np.tile(points, (Q, 1)), params, V).reshape(Q, Q)
         np.testing.assert_allclose(pairs, EWW, rtol=0, atol=1e-10 * EWW.max())
@@ -993,9 +1024,10 @@ def _exact_moments(battery, params, mapping):
     """Var(G), Cov(G) among all points and A of one battery with a
     quadratic form, from the engine's stacked moment routine."""
     points = battery.grid.points
+    consts = residuals._FitConstants(mapping.pack(params), mapping)
     stacked = residuals._quadratic_moments(points, np.exp(lv_logpdf(points, params)),
                                            np.arange(len(points)), [battery._quadratic],
-                                           params, residuals._FitConstants(params, mapping))
+                                           params, consts)
     return [m[0] for m in stacked]
 
 
