@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .baseline import baseline_report
-from .batteries import default_grid, make_grid, make_problem
+from .batteries import _ITEM_PROBLEMS, default_grid, make_grid, make_problem
 from .errors import ConfigurationError, DataError, FactorGofError
 from .estimate import DataMatrix, FitResult, ParamMapping, fit_ml
 from .kernels import single_blas_thread
@@ -41,8 +41,6 @@ from .simstudy import (
     model_spec_study2,
     run_rejection_study,
 )
-
-_BATTERIES_WITH_ITEM = ("linearity", "variance", "linearity-direct")
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +265,12 @@ def load_fit_document(path: str) -> FitResult:
         raise DataError(f"{path}: missing keys {missing}")
     if not isinstance(doc["model"], dict):
         raise DataError(f"{path}: model must be a JSON object")
-    spec = _model_spec(path, doc["model"], prefix="model.")
-    mapping = ParamMapping(spec)
+    mapping = ParamMapping(_model_spec(path, doc["model"], prefix="model."))
     inv_observed = doc.get("inv_observed_information")
     try:
-        free_vector = np.asarray(doc["free_vector"], dtype=np.float64)
-        return FitResult(
-            params=mapping.unpack(free_vector),
-            spec=spec,
+        fit = FitResult(
             mapping=mapping,
-            free_vector=free_vector,
+            free_vector=np.asarray(doc["free_vector"], dtype=np.float64),
             loglik=float(doc["loglik"]),
             converged=bool(doc["converged"]),
             gradient_norm=float(doc["gradient_norm"]),
@@ -286,8 +280,10 @@ def load_fit_document(path: str) -> FitResult:
             ),
             warnings=list(doc.get("warnings", [])),
         )
+        fit.params  # unpack here, so a malformed free vector fails on loading
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: {exc}") from None
+    return fit
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +379,7 @@ def _cmd_test(args) -> int:
     grid = _grid_from_flags(args.grid, args.summary_grid, fit.spec.d)
 
     item0 = None
-    if args.battery in _BATTERIES_WITH_ITEM:
+    if args.battery in _ITEM_PROBLEMS:
         item0 = _item_index(args, fit.spec.m)
     elif args.item is not None:
         raise ConfigurationError("--item applies only to item-level batteries")
@@ -532,8 +528,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=_cmd_fit)
 
     p_test = sub.add_parser("test", help="run one residual test")
-    p_test.add_argument("battery",
-                        choices=["lv-density", "linearity", "variance", "linearity-direct"])
+    p_test.add_argument("battery", choices=["lv-density", *_ITEM_PROBLEMS])
     p_test.add_argument("--data", required=True)
     p_test.add_argument("--model")
     p_test.add_argument("--fit")

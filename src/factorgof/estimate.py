@@ -6,7 +6,7 @@ Free parameters are optimized on an unconstrained scale:
 * the latent correlation matrix is parametrized by the sub-diagonal entries
   of a unit lower-triangular matrix whose rows are normalized to unit length
   (positive definiteness and the unit diagonal hold by construction),
-* error variances enter as logs, floored at ``theta_floor`` so a boundary
+* error variances enter as logs, floored at ``_THETA_FLOOR`` so a boundary
   solution is detectable as a Heywood case.
 
 The per-observation score is analytic and chain-ruled through this
@@ -25,11 +25,13 @@ e_j p' + p e_j', so the Hessian's block in them is gathered from a few
 m x (d + m) products; only the d(d-1)/2 correlation entries carry a dense
 m x m dSigma.  At nu = ybar the Hessian's intercept-covariance block
 vanishes, so the observed and the expected information are both Sigma^-1 on
-the intercepts beside minus the covariance block (``_block_information``).
+the intercepts beside minus the covariance block, and are factored block by
+block (``_block_eigvalsh``, ``_block_inverse``).
 """
 
 import warnings
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -334,22 +336,16 @@ def _as_mapping(spec) -> ParamMapping:
 
 @dataclass
 class OptimOptions:
-    """Fit controls: iteration cap, gradient tolerance and variance floor.
+    """Fit controls: the iteration cap.
 
     ``max_iter`` caps the fit's Newton iterations (each one Hessian, one
-    step and its line search).  ``gtol`` bounds the max-abs gradient of a
-    converged fit; the iteration itself runs until its projected gradient is
-    below min(1e-6, 0.1 gtol), then takes one full Newton step where minus
-    the Hessian factors by Cholesky, which lands an identified fit at a
-    gradient near rounding.  Error
-    variances are bounded below by ``theta_floor``; a fit that ends there is
-    a Heywood case.  The fit draws no random numbers.  ``info_draws`` is
-    accepted for older callers and only as 0; it is not stored.
+    step and its line search).  The gradient tolerance (1e-4, ``_GTOL``)
+    and the error-variance floor (1e-6, ``_THETA_FLOOR``) are fixed (see
+    ``fit_ml``).  The fit draws no random numbers.  ``info_draws`` is accepted for older
+    callers and only as 0; it is not stored.
     """
 
     max_iter: int = 500
-    gtol: float = 1e-4
-    theta_floor: float = 1e-6
     info_draws: InitVar[int] = 0
 
     def __post_init__(self, info_draws):
@@ -364,6 +360,8 @@ class OptimOptions:
 class FitResult:
     """Fitted parameters plus convergence diagnostics.
 
+    The model is ``free_vector`` under ``mapping``: ``params`` is
+    ``mapping.unpack(free_vector)`` and ``spec`` is ``mapping.spec``.
     ``converged`` requires the gradient criterion, a negative-definite
     free-parameter Hessian that inverts with bounded condition number, and
     the absence of Heywood cases.  ``inv_observed_information`` inverts the
@@ -372,8 +370,6 @@ class FitResult:
     the mean log-likelihood from the sample mean and covariance.
     """
 
-    params: ParamSet
-    spec: ModelSpec
     mapping: ParamMapping
     free_vector: np.ndarray
     loglik: float
@@ -382,6 +378,14 @@ class FitResult:
     n_iter: int
     inv_observed_information: np.ndarray = None
     warnings: list = field(default_factory=list)
+
+    @cached_property
+    def params(self) -> ParamSet:
+        return self.mapping.unpack(self.free_vector)
+
+    @property
+    def spec(self) -> ModelSpec:
+        return self.mapping.spec
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +495,8 @@ def _mean_loglik(t: _Terms) -> float:
                    + float(np.einsum("ij,ji->", t.sig_inv, t.s_star)))
 
 
-def _mean_loglik_and_grad(v, mapping, ybar, S):
-    """Mean log-likelihood and its gradient from sufficient statistics."""
-    t = _moment_terms(v, mapping, ybar, S)
-    return _mean_loglik(t), _mean_loglik_grad(mapping, t, _slopes(v, mapping, t))
-
-
 def _mean_loglik_grad(mapping, t: _Terms, s: _Slopes):
-    """The gradient of ``_mean_loglik_and_grad`` from its terms and slopes:
+    """The gradient of ``_mean_loglik`` from its terms and slopes:
     Sigma^-1 delta for the intercepts and tr(G dSigma/dv_a)/2 for the rest,
     which is (G p)_j for a rank-2 dSigma = e_j p' + p e_j'."""
     g = np.empty(mapping.q)
@@ -533,19 +531,11 @@ def _row_scores(mapping, t: _Terms, s: _Slopes, D):
     return out
 
 
-def _block_information(mapping, sig_inv, hess):
-    """Minus the Hessian of the mean log-likelihood where nu = ybar, from its
-    covariance block ``hess``: Sigma^-1 on the intercepts, -hess on the rest
-    and 0 for -Sigma^-1 dSigma/dv_b Sigma^-1 (ybar - nu) between them."""
-    info = np.zeros((mapping.q, mapping.q))
-    if mapping.spec.mean_structure:
-        info[mapping.nu_slice, mapping.nu_slice] = sig_inv
-    info[mapping.cov_slice, mapping.cov_slice] = -hess
-    return info
-
-
 def _block_eigvalsh(mapping, sig_inv, hess):
-    """Ascending eigenvalues of ``_block_information``, taken block by block."""
+    """Ascending eigenvalues of minus the Hessian of the mean log-likelihood
+    where nu = ybar, from its covariance block ``hess``, block by block:
+    that information is Sigma^-1 on the intercepts and -hess on the rest,
+    and -Sigma^-1 dSigma/dv_b Sigma^-1 (ybar - nu) = 0 between them."""
     eigs = np.linalg.eigvalsh(-hess)
     if mapping.spec.mean_structure:
         eigs = np.sort(np.concatenate([np.linalg.eigvalsh(sig_inv), eigs]))
@@ -553,8 +543,9 @@ def _block_eigvalsh(mapping, sig_inv, hess):
 
 
 def _block_inverse(mapping, L, hess):
-    """The inverse of ``_block_information``, block by block: Sigma = L L'
-    from its Cholesky factor L on the intercepts and (-hess)^-1 on the rest."""
+    """The inverse of the information of ``_block_eigvalsh``, block by block:
+    Sigma = L L' from its Cholesky factor L on the intercepts and (-hess)^-1
+    on the rest."""
     inv = np.zeros((mapping.q, mapping.q))
     if mapping.spec.mean_structure:
         inv[mapping.nu_slice, mapping.nu_slice] = L @ L.T
@@ -627,8 +618,11 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
     (3 on the bundled designs).  The observed information is block
     diagonal, and its spectrum and inverse are taken block by block.
     Convergence requires all three of: max-abs
-    mean-log-likelihood gradient below ``opts.gtol``, no error variance at
-    the floor (Heywood case), and a negative-definite Hessian of the mean
+    mean-log-likelihood gradient below ``_GTOL``, no error variance at or
+    near the floor (a Heywood case: theta_j at ``_THETA_FLOOR``, or at most
+    ``_NEAR_FLOOR`` times the item's sample variance, where the log-theta
+    gradient theta_j dl/dtheta_j can pass the gradient test before theta_j
+    reaches the floor), and a negative-definite Hessian of the mean
     log-likelihood at the solution whose negative, the observed
     information, inverts without near singularity (the identification
     check).  Failing fits are returned with ``converged=False`` and reasons
@@ -646,16 +640,16 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
     v, t, g, hess, n_iter = _newton(mapping, ybar, S, mapping._start(data.values, ybar, S),
                                     opts)
     gradient_norm = float(np.abs(g).max())
-    params = mapping.unpack(v)
 
     warn = []
-    grad_ok = gradient_norm < opts.gtol
+    grad_ok = gradient_norm < _GTOL
     if not grad_ok:
-        warn.append(f"gradient: max-abs {gradient_norm:.3g} >= {opts.gtol:g}")
-    heywood = params.theta <= opts.theta_floor * (1.0 + 1e-8)
+        warn.append(f"gradient: max-abs {gradient_norm:.3g} >= {_GTOL:g}")
+    heywood = ((t.theta <= _THETA_FLOOR * (1.0 + 1e-8))
+               | (t.theta <= _NEAR_FLOOR * np.diag(S)))
     if heywood.any():
         idx = np.nonzero(heywood)[0]
-        warn.append(f"heywood: error variance at floor for items {idx.tolist()}")
+        warn.append(f"heywood: error variance at or near the floor for items {idx.tolist()}")
     # the intercepts stay at ybar, so the observed information is block diagonal
     eigs = _block_eigvalsh(mapping, t.sig_inv, hess)
     min_eig = float(eigs[0])
@@ -675,8 +669,6 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
             inv_observed = _block_inverse(mapping, t.L, hess)
 
     return FitResult(
-        params=params,
-        spec=spec,
         mapping=mapping,
         free_vector=v,
         loglik=data.n * _mean_loglik(t),
@@ -688,6 +680,9 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
     )
 
 
+_GTOL = 1e-4
+_THETA_FLOOR = 1e-6
+_NEAR_FLOOR = 1e-5
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 50
 _EIGEN_FLOOR = 1e-4
@@ -698,7 +693,7 @@ def _newton(mapping, ybar, S, v, opts):
     (loadings, correlation entries, log error variances) by projected
     Newton; the intercepts stay as v holds them.
 
-    The only bound is log theta >= log(theta_floor).  Each iteration holds
+    The only bound is log theta >= log(``_THETA_FLOOR``).  Each iteration holds
     fixed the log-theta entries at the floor whose gradient points outward
     and steps on the rest (F) by ``_ascent_step``: Newton's -H_FF delta = g_F
     where -H_FF factors by Cholesky, and the step with its eigenvalues
@@ -707,7 +702,7 @@ def _newton(mapping, ybar, S, v, opts):
     trials that are inadmissible or whose value is not finite.  The
     iteration stops after ``opts.max_iter`` iterations, when no trial along
     the step is accepted, or once the projected max-abs gradient is below
-    min(1e-6, 0.1 gtol).  In the last case, where -H_FF factors by Cholesky,
+    min(1e-6, 0.1 ``_GTOL``).  In the last case, where -H_FF factors by Cholesky,
     it first takes one full Newton step, projected onto the bound and
     without a line search, whose decrease in f would be lost to rounding;
     the step is kept if it is admissible and does not raise the projected
@@ -720,10 +715,10 @@ def _newton(mapping, ybar, S, v, opts):
     gradient and Hessian, and the number of iterations taken.
     """
     c = mapping.cov_slice
-    lo = float(np.log(opts.theta_floor))
+    lo = float(np.log(_THETA_FLOOR))
     bounded = np.zeros(mapping.q - c.start, dtype=bool)
     bounded[mapping.u_slice.start - c.start:] = True
-    tol = min(1e-6, 0.1 * opts.gtol)
+    tol = min(1e-6, 0.1 * _GTOL)
     v = v.copy()
     v[c] = np.where(bounded, np.maximum(v[c], lo), v[c])
     t = _moment_terms(v, mapping, ybar, S)
@@ -816,22 +811,13 @@ def _line_search(mapping, ybar, S, v, f, g, step, bounded, lo):
 _MAX_CONDITION = 1e12
 
 
-def expected_information(params: ParamSet, spec) -> np.ndarray:
-    """Exact per-observation information at ``params``.
-
-    The Hessian of the mean log-likelihood is linear in (ybar - nu, S*), so
-    its expectation under the model is its value at ybar = nu and
-    S = Sigma; the information is minus that (``_block_information``).
-    """
-    mapping = _as_mapping(spec)
-    t, _, hess = _expected_terms(mapping.pack(params), mapping, params)
-    return _block_information(mapping, t.sig_inv, hess)
-
-
 def _expected_terms(v, mapping, params):
     """The terms and slopes at the free vector v about ybar = nu and
     S = Sigma of ``params``, and the covariance block of the expected
-    Hessian there."""
+    Hessian there.  The Hessian of the mean log-likelihood is linear in
+    (ybar - nu, S*), so its expectation under the model is its value there;
+    the exact information is minus it, block diagonal as in
+    ``_block_eigvalsh``."""
     t = _moment_terms(v, mapping, params.nu, params.implied_covariance())
     s = _slopes(v, mapping, t)
     return t, s, _covariance_hessian(v, mapping, t, s)

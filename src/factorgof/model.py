@@ -18,9 +18,6 @@ import numpy as np
 from . import kernels
 from .errors import DegenerateCovarianceError, SpecificationError
 
-# A latent evaluation point is a plain 1-d float array of length d.
-LvPoint = np.ndarray
-
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:

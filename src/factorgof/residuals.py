@@ -462,7 +462,7 @@ class _FitConstants:
     ``terms`` and ``slopes`` are the fit's ``_Terms`` at sample mean nu and
     sample covariance Sigma, and its ``_Slopes``.  ``inv_information``
     inverts the exact information, minus the expected Hessian (see
-    ``estimate.expected_information``), block by block after its
+    ``estimate._expected_terms``), block by block after its
     conditioning check, and ``V`` is the posterior covariance of x given y;
     both share this object's one factorization of the implied covariance
     and of the posterior precision.

@@ -26,7 +26,7 @@ import numpy as np
 from .batteries import default_grid, make_problem
 from .baseline import baseline_report
 from .errors import ConfigurationError, NotConvergedError
-from .estimate import DataMatrix, OptimOptions, fit_ml
+from .estimate import DataMatrix, fit_ml
 from .kernels import single_blas_thread
 from .model import ModelSpec, ParamSet
 from .residuals import McConfig, run_residual_batch
@@ -36,6 +36,9 @@ _LOADING_CYCLE = (np.sqrt(0.3), np.sqrt(0.5), np.sqrt(0.7))
 _STUDY1_MIX_MEAN = np.array([0.6, 0.6])
 _STUDY1_MIX_COV = np.array([[0.64, -0.16], [-0.16, 0.64]])
 _STUDY1_PHI = np.array([[1.0, 0.2], [0.2, 1.0]])
+
+_STUDY2_QUAD_COEF = -0.1
+_STUDY2_LOGVAR_SLOPE = 0.3
 
 
 @dataclass
@@ -56,8 +59,6 @@ class Study2Config:
 
     n: int
     misspecified: bool = False
-    quad_coef: float = -0.1
-    logvar_slope: float = 0.3
 
 
 def model_spec_study1() -> ModelSpec:
@@ -98,10 +99,8 @@ def study2_dgp(cfg: Study2Config) -> dict:
     g1 = np.zeros(m)
     if cfg.misspecified:
         lam[7:] = np.sqrt(0.5)
-        kappa[7] = cfg.quad_coef
-        kappa[9] = cfg.quad_coef
-        g1[8] = cfg.logvar_slope
-        g1[9] = cfg.logvar_slope
+        kappa[7] = kappa[9] = _STUDY2_QUAD_COEF
+        g1[8] = g1[9] = _STUDY2_LOGVAR_SLOPE
     theta = 1.0 - lam**2
     return {"lam": lam, "kappa": kappa, "g0": np.log(theta), "g1": g1, "theta": theta}
 
@@ -209,24 +208,21 @@ class RejectionTable:
         return 1.96 * float(np.sqrt(self.alpha * (1.0 - self.alpha) / r))
 
 
-def replication(cfg, seed: int, rep: int, max_iter: int = 500):
-    """Data, fit and Monte Carlo seed of replication ``rep`` of a study seeded
-    with ``seed``.
+def replication(cfg, seed: int, rep: int):
+    """Data and fit of replication ``rep`` of a study seeded with ``seed``.
 
-    Returns ``(data, fit, mc_seed)``.  ``run_rejection_study`` runs each
-    replication from exactly these and records ``mc_seed`` in its
-    ``McConfig``.  Every bundled battery's covariance is exact, so a test
-    run on (data, fit) reproduces that replication's report whatever the
-    draw settings; ``mc_seed`` seeds the draws of a custom battery only.
+    Returns ``(data, fit)``.  The data are drawn from the first child of
+    ``SeedSequence((seed, rep))``, and ``run_rejection_study`` runs each
+    replication from exactly these.  Every bundled battery's covariance is
+    exact, so a test run on (data, fit) reproduces that replication's
+    report whatever the draw settings.
     """
-    data_seq, mc_seq = np.random.SeedSequence((seed, rep)).spawn(2)
-    data_rng = np.random.default_rng(data_seq)
+    data_rng = np.random.default_rng(np.random.SeedSequence((seed, rep)).spawn(1)[0])
     if isinstance(cfg, Study1Config):
         data, spec = generate_study1(cfg, data_rng), model_spec_study1()
     else:
         data, spec = generate_study2(cfg, data_rng), model_spec_study2()
-    fit = fit_ml(data, spec, OptimOptions(max_iter=max_iter))
-    return data, fit, int(mc_seq.generate_state(1)[0])
+    return data, fit_ml(data, spec)
 
 
 @single_blas_thread
@@ -243,7 +239,6 @@ def run_rejection_study(
     grid=None,
     collect_baseline: bool = False,
     collect_raw: bool = False,
-    max_iter: int = 500,
 ) -> RejectionTable:
     """Replicate generate -> fit -> test and tabulate empirical rejections.
 
@@ -253,9 +248,9 @@ def run_rejection_study(
 
     ``kinds`` names the battery kinds of ``batteries.make_problem``
     (default: lv-density for study1, linearity and variance for study2);
-    each item kind is built once per entry of ``items``.  Every bundled
-    battery's covariance is exact, so ``M`` draws nothing; it is recorded
-    in the table.
+    each item kind is built once per entry of ``items``.  Every battery
+    ``make_problem`` builds has an exact covariance, so the tests draw
+    nothing: ``M`` is only recorded in the table.
     """
     if reps < 1:
         raise ConfigurationError("reps must be >= 1")
@@ -287,16 +282,16 @@ def run_rejection_study(
             raw[name] = {"T": [], "z": []}
     base_acc = {"lr_rejections": 0, "cfi": 0.0, "tli": 0.0, "srmr": 0.0, "rmsea": 0.0}
 
+    mc = McConfig(s=s)
     converged_reps = 0
     excluded = 0
     for rep in range(reps):
-        data, fit, mc_seed = replication(cfg, seed, rep, max_iter=max_iter)
+        data, fit = replication(cfg, seed, rep)
         if not fit.converged:
             excluded += 1
             continue
         converged_reps += 1
         if problems:
-            mc = McConfig(M=M, seed=mc_seed, s=s)
             reports = run_residual_batch(problems, fit, data, mc)
             for prob, report in zip(problems, reports):
                 acc = counts[prob.battery.name]

@@ -346,10 +346,10 @@ def test_criterion_5_lv_density(s1_correct, s1_missp):
 
     # leading eigenvalue ratio of the summary covariance, replication 0
     cfg = fg.Study1Config(n=s1_missp.n, misspecified=True)
-    data, fit, mc_seed = fg.replication(cfg, s1_missp.seed, 0)
+    data, fit = fg.replication(cfg, s1_missp.seed, 0)
     grid = fg.default_grid(2)
     rep0 = fg.run_residual_test(fg.lv_density_problem(grid), fit, data,
-                                fg.McConfig(M=s1_missp.M, seed=mc_seed, s=s1_missp.s))
+                                fg.McConfig(s=s1_missp.s))
     assert rep0.summary.T == s1_missp.raw["lv-density"]["T"][0]
     eigs = rep0.acm.summary_eigvals
     tie = eigs[1] / eigs[0]

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from factorgof import DataError, simulate_data, study2_paramset
+from factorgof import DataError, SpecificationError, simulate_data, study2_paramset
 from factorgof import cli
 from factorgof.cli import ingest_csv, load_fit_document, load_model_file, main
 
@@ -296,6 +296,22 @@ class TestFitDocument:
         open(path, "w").write(json.dumps(doc))
         with pytest.raises(DataError, match="could not convert"):
             load_fit_document(path)
+
+    def test_wrong_length_free_vector(self, workdir, capsys):
+        # the document's free vector is unpacked on loading, so a vector
+        # one entry short fails there, and on the command line exits 1
+        tmp, csv_path, _ = workdir
+        path = self._write_fit(workdir)
+        doc = json.loads(open(path).read())
+        doc["free_vector"] = doc["free_vector"][:-1]
+        open(path, "w").write(json.dumps(doc))
+        message = r"free vector has shape \(29,\), expected \(30,\)"
+        with pytest.raises(SpecificationError, match=message):
+            load_fit_document(path)
+        rc = main(["indices", "--data", csv_path, "--fit", path, "--out", str(tmp / "x.out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "factorgof: error: free vector has shape (29,), expected (30,)\n"
 
     def test_truncated_document_on_command_line(self, workdir, capsys):
         tmp, csv_path, _ = workdir

@@ -1,5 +1,6 @@
 """Estimation: packing, scores, fitting, information, simulation."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -31,12 +32,13 @@ import factorgof
 from factorgof import estimate
 from factorgof.estimate import (
     ParamMapping,
-    _block_information,
+    _block_inverse,
     _covariance_hessian,
-    _mean_loglik_and_grad,
+    _expected_terms,
+    _mean_loglik,
+    _mean_loglik_grad,
     _moment_terms,
     _slopes,
-    expected_information,
     invert_information,
 )
 from factorgof.model import marginal_logpdf
@@ -149,7 +151,7 @@ class TestScore:
         # the kernel forms each row's score from the fit's own quantities, bit
         # for bit as the row-by-row reference does; on this fit phi differs
         # from phi_from_w(w_from_phi(phi)) in its last bit
-        _, fit, _ = replication(Study1Config(n=1000, misspecified=True), 77, 1)
+        _, fit = replication(Study1Config(n=1000, misspecified=True), 77, 1)
         draws = simulate_data(fit.params, 10_000, np.random.default_rng(1)).values
         got = score_rows(fit.params, fit.mapping, draws)
         assert got.tobytes() == reference_score_rows(fit.params, fit.mapping, draws).tobytes()
@@ -254,8 +256,8 @@ class TestFit:
         # at nu = ybar the final Hessian is block diagonal, and the fit
         # inverts it block by block: Sigma = L L' from the final iterate's
         # Cholesky factor on the intercepts, and what the public inverse
-        # gives on minus its covariance block, bit for bit; the combined
-        # matrix's inverse agrees to rounding
+        # gives on minus its covariance block, bit for bit; the inverse of
+        # minus the dense Hessian agrees to rounding
         data = simulate_data(two_factor_params, 800, np.random.default_rng(8))
         fit = fit_ml(data, two_factor_spec)
         ybar, S = _sufficient_statistics(data.values)
@@ -267,7 +269,7 @@ class TestFit:
         assert inv[c, c].tobytes() == invert_information(-hess).tobytes()
         assert not inv[nu, c].any() and not inv[c, nu].any()
         assert np.array_equal(inv, inv.T)
-        info = _observed_information(fit.free_vector, fit.mapping, ybar, S)
+        info = -dense_hessian(fit.free_vector, fit.mapping, ybar, S)
         np.testing.assert_allclose(inv, invert_information(info), rtol=0,
                                    atol=1e-12 * np.abs(inv).max())
 
@@ -282,7 +284,7 @@ class TestFit:
         # come back unconverged instead of raising
         data, fit = _unidentified_fit(two_factor_params, seed)
         assert not fit.converged
-        assert fit.gradient_norm < OptimOptions().gtol
+        assert fit.gradient_norm < estimate._GTOL
         assert any(w.startswith(("hessian:", "observed information:")) for w in fit.warnings)
         assert fit.inv_observed_information is None
         assert fit.n_iter <= 25
@@ -320,10 +322,9 @@ class TestFit:
     def test_newton_agrees_with_lbfgsb(self, design, misspecified):
         # an independent L-BFGS-B fit of the same mean log-likelihood, with
         # the fit's own convergence rules applied to its solution
-        opts = OptimOptions()
         for rep in range(3):
-            data, fit, _ = replication(design(n=200, misspecified=misspecified), 41, rep)
-            v_ref, converged_ref = _lbfgsb_reference(data, fit.mapping, opts)
+            data, fit = replication(design(n=200, misspecified=misspecified), 41, rep)
+            v_ref, converged_ref = _lbfgsb_reference(data, fit.mapping)
             np.testing.assert_allclose(fit.free_vector, v_ref, rtol=0, atol=1e-5)
             assert fit.converged == converged_ref
             assert fit.n_iter <= 10
@@ -335,14 +336,47 @@ class TestFit:
         params = ParamSet(nu=np.zeros(6), lam=np.array([0.99, 0.6, 0.5, 0.4, 0.5, 0.6]),
                           phi=np.eye(1), theta=np.array([0.02, 0.64, 0.75, 0.84, 0.75, 0.64]))
         data = simulate_data(params, 60, np.random.default_rng(1))
-        opts = OptimOptions()
-        fit = fit_ml(data, one_factor_spec, opts)
+        fit = fit_ml(data, one_factor_spec)
         assert not fit.converged
-        assert fit.warnings == ["heywood: error variance at floor for items [0]"]
-        assert fit.free_vector[fit.mapping.u_slice][0] == np.log(opts.theta_floor)
-        assert fit.n_iter < opts.max_iter
-        v_ref, _ = _lbfgsb_reference(data, fit.mapping, opts)
+        assert fit.warnings == ["heywood: error variance at or near the floor for items [0]"]
+        assert fit.free_vector[fit.mapping.u_slice][0] == np.log(estimate._THETA_FLOOR)
+        assert fit.n_iter < OptimOptions().max_iter
+        v_ref, _ = _lbfgsb_reference(data, fit.mapping)
         np.testing.assert_allclose(fit.free_vector, v_ref, rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("seed", [26, 250, 357])
+    def test_error_variance_near_the_floor_is_heywood(self, seed):
+        # one-factor, three-item fits whose smallest error variance stops
+        # above the floor but below 1e-6 of its item's sample variance,
+        # where its log-theta gradient already passes the gradient test:
+        # each is a Heywood case, not a converged fit
+        rng = np.random.default_rng(seed)
+        lam = rng.uniform(0.05, 0.95, 3)
+        params = ParamSet(nu=np.zeros(3), lam=lam[:, None], phi=np.eye(1),
+                          theta=1.0 - lam**2 + 0.05)
+        data = simulate_data(params, 200, rng)
+        fit = fit_ml(data, ModelSpec(m=3, d=1, loading_pattern=np.ones((3, 1), dtype=int)))
+        theta = fit.params.theta
+        ratio = theta / _sufficient_statistics(data.values)[1].diagonal()
+        j = int(np.argmin(ratio))
+        assert theta[j] > estimate._THETA_FLOOR * (1.0 + 1e-8)
+        assert ratio[j] < 1e-6
+        assert fit.gradient_norm < estimate._GTOL
+        assert not fit.converged
+        assert fit.warnings == [f"heywood: error variance at or near the floor for items [{j}]"]
+
+    def test_replaced_free_vector_moves_params(self, one_factor_params, one_factor_spec):
+        # params and spec are read from the free vector and the mapping, so
+        # a copy with another free vector describes that vector's model
+        fit = fit_ml(simulate_data(one_factor_params, 400, np.random.default_rng(5)),
+                     one_factor_spec)
+        v = fit.free_vector.copy()
+        v[fit.mapping.lam_slice] *= -1.0
+        moved = dataclasses.replace(fit, free_vector=v)
+        assert moved.params.lam.tobytes() == fit.mapping.unpack(v).lam.tobytes()
+        assert moved.params.lam.tobytes() == (-fit.params.lam).tobytes()
+        assert moved.params.theta.tobytes() == fit.params.theta.tobytes()
+        assert moved.spec is fit.spec is one_factor_spec
 
     def test_default_fit_draws_nothing(self, one_factor_params, one_factor_spec, monkeypatch):
         data = simulate_data(one_factor_params, 400, np.random.default_rng(5))
@@ -365,7 +399,7 @@ class TestStart:
         # more closes the fit, at a gradient near rounding
         for misspecified in (False, True):
             for rep in range(20):
-                _, fit, _ = replication(design(n=1000, misspecified=misspecified), 77, rep)
+                _, fit = replication(design(n=1000, misspecified=misspecified), 77, rep)
                 assert fit.converged
                 assert fit.n_iter == 3
                 assert fit.gradient_norm < 1e-12
@@ -376,7 +410,7 @@ class TestStart:
         # multiplying item 3 by a multiplies its intercept and loading by a
         # and its error variance by a^2, in the start and in the fit, and
         # leaves every other entry as it was
-        data, fit, _ = replication(design(n=1000, misspecified=True), 77, 0)
+        data, fit = replication(design(n=1000, misspecified=True), 77, 0)
         mapping = fit.mapping
         values = data.values.copy()
         values[:, 3] *= a
@@ -393,7 +427,7 @@ class TestStart:
                                        atol=1e-12)
 
     def test_row_permutation_leaves_start_unchanged(self):
-        data, fit, _ = replication(Study1Config(n=1000, misspecified=True), 77, 0)
+        data, fit = replication(Study1Config(n=1000, misspecified=True), 77, 0)
         perm = np.random.default_rng(5).permutation(data.n)
         np.testing.assert_allclose(fit.mapping.start_values(DataMatrix(data.values[perm])),
                                    fit.mapping.start_values(data), rtol=0, atol=1e-12)
@@ -489,12 +523,12 @@ class TestInformation:
         with pytest.raises(IdentificationError):
             invert_information(monte_carlo_information(params, spec, draws))
         with pytest.raises(IdentificationError):
-            invert_information(expected_information(params, spec))
+            invert_information(_expected_information(params, spec))
 
     def test_doubling_draws_approaches_reference(self, one_factor_params, one_factor_spec):
         # the exact information is minus the mean log-likelihood's Hessian
         # at the generating parameters with ybar = nu and S = Sigma
-        ref = expected_information(one_factor_params, one_factor_spec)
+        ref = _expected_information(one_factor_params, one_factor_spec)
         stream = simulate_data(one_factor_params, 8000, np.random.default_rng(17)).values
         err_small = np.linalg.norm(
             monte_carlo_information(one_factor_params, one_factor_spec, stream[:4000]) - ref
@@ -532,7 +566,7 @@ def _unidentified_fit(params, seed):
     return data, fit_ml(data, ModelSpec(m=8, d=2, loading_pattern=np.ones((8, 2), dtype=int)))
 
 
-def _lbfgsb_reference(data, mapping, opts):
+def _lbfgsb_reference(data, mapping):
     """L-BFGS-B maximizer of the mean log-likelihood, and whether it passes
     the fit's convergence rules: gradient, no Heywood case, and an observed
     information that is positive definite and inverts."""
@@ -546,18 +580,20 @@ def _lbfgsb_reference(data, mapping, opts):
                 return np.inf, np.zeros_like(v)
         return -f, -g
 
-    lo = np.log(opts.theta_floor)
+    gtol, floor = estimate._GTOL, estimate._THETA_FLOOR
+    lo = np.log(floor)
     bounds = [(lo, None) if i in range(mapping.u_slice.start, mapping.u_slice.stop)
               else (None, None) for i in range(mapping.q)]
     res = minimize(objective, mapping.start_values(data), jac=True, method="L-BFGS-B",
                    bounds=bounds, options={"maxiter": 500, "maxls": 50, "ftol": 1e-13,
-                                           "gtol": min(1e-6, 0.1 * opts.gtol)})
+                                           "gtol": min(1e-6, 0.1 * gtol)})
     v = res.x
     g = _mean_loglik_and_grad(v, mapping, ybar, S)[1]
-    converged = np.abs(g).max() < opts.gtol and (np.exp(v[mapping.u_slice])
-                                                 > opts.theta_floor * (1.0 + 1e-8)).all()
+    theta = np.exp(v[mapping.u_slice])
+    converged = (np.abs(g).max() < gtol and (theta > floor * (1.0 + 1e-8)).all()
+                 and (theta > estimate._NEAR_FLOOR * np.diag(S)).all())
     try:
-        invert_information(_observed_information(v, mapping, ybar, S))
+        invert_information(-dense_hessian(v, mapping, ybar, S))
     except IdentificationError:
         converged = False
     return v, converged
@@ -618,6 +654,12 @@ def test_mean_gradient_consistent_with_row_scores(two_factor_spec, rng):
     np.testing.assert_allclose(f, marginal_logpdf(Y, params).mean(), rtol=1e-12)
 
 
+def _mean_loglik_and_grad(v, mapping, ybar, S):
+    """Mean log-likelihood and its gradient from sufficient statistics."""
+    t = _moment_terms(v, mapping, ybar, S)
+    return _mean_loglik(t), _mean_loglik_grad(mapping, t, _slopes(v, mapping, t))
+
+
 def _fd_hessian(v, mapping, ybar, S, step=1e-5):
     """Central differences of the analytic mean gradient."""
     q = v.shape[0]
@@ -644,11 +686,12 @@ def _covariance_block(v, mapping, ybar, S):
     return _covariance_hessian(v, mapping, t, _slopes(v, mapping, t))
 
 
-def _observed_information(v, mapping, ybar, S):
-    """Sigma^-1 beside minus the covariance block: the fit's observed
-    information, minus the Hessian where nu = ybar."""
-    return _block_information(mapping, _moment_terms(v, mapping, ybar, S).sig_inv,
-                              _covariance_block(v, mapping, ybar, S))
+def _expected_information(params, spec):
+    """The exact information at ``params``: minus the dense Hessian at
+    ybar = nu and S = Sigma."""
+    mapping = ParamMapping(spec)
+    return -dense_hessian(mapping.pack(params), mapping, params.nu,
+                          params.implied_covariance())
 
 
 def _hessian_case_spec(case):
@@ -703,17 +746,24 @@ def test_hessian_matches_dense_reference(case, rng):
 @pytest.mark.parametrize("case", ["d1", "d2", "d3", "d3-no-mean", "study1", "study2"])
 def test_expected_information_is_minus_the_dense_hessian(case, rng):
     # at ybar = nu and S = Sigma the intercept cross block vanishes, so the
-    # block-diagonal information is minus the whole dense Hessian
+    # exact information, Sigma^-1 on the intercepts beside minus the
+    # expected covariance block, is minus the whole dense Hessian, and its
+    # block-by-block inverse is that matrix's inverse
     spec = _hessian_case_spec(case)
     mapping = ParamMapping(spec)
     nu, c = mapping.nu_slice, mapping.cov_slice
     for _ in range(3):
         params = mapping.unpack(random_admissible_free_vector(mapping, rng))
-        info = expected_information(params, mapping)
-        ref = -dense_hessian(mapping.pack(params), mapping, params.nu,
-                             params.implied_covariance())
-        assert not info[nu, c].any() and not ref[nu, c].any()
-        assert np.abs(info - ref).max() <= 1e-12 * np.abs(ref).max()
+        t, _, hess = _expected_terms(mapping.pack(params), mapping, params)
+        ref = _expected_information(params, spec)
+        assert not ref[nu, c].any()
+        scale = np.abs(ref).max()
+        assert np.abs(-hess - ref[c, c]).max() <= 1e-12 * scale
+        if spec.mean_structure:
+            assert np.abs(t.sig_inv - ref[nu, nu]).max() <= 1e-12 * scale
+        inv = _block_inverse(mapping, t.L, hess)
+        np.testing.assert_allclose(inv, invert_information(ref), rtol=0,
+                                   atol=1e-10 * np.abs(inv).max())
 
 
 @pytest.mark.parametrize("design", [Study1Config, Study2Config])
@@ -722,7 +772,7 @@ def test_intercepts_are_the_sample_mean(design):
     # intercept-covariance block is exactly zero, and the fit's
     # block-diagonal inverse information matches the full one
     for rep in range(2):
-        data, fit, _ = replication(design(n=300, misspecified=bool(rep)), 17, rep)
+        data, fit = replication(design(n=300, misspecified=bool(rep)), 17, rep)
         assert fit.converged
         ybar, S = _sufficient_statistics(data.values)
         assert fit.params.nu.tobytes() == data.values.mean(axis=0).tobytes()
@@ -751,7 +801,7 @@ def test_loglik_from_sufficient_statistics_matches_row_sum(design):
     # which must agree with the sum of the rows' log marginal densities,
     # with and without a mean structure (data means 0.3 for the latter)
     for rep in range(2):
-        data, fit, _ = replication(design(n=300, misspecified=bool(rep)), 23, rep)
+        data, fit = replication(design(n=300, misspecified=bool(rep)), 23, rep)
         spec = fit.spec
         no_mean = ModelSpec(m=spec.m, d=spec.d, loading_pattern=spec.loading_pattern,
                             mean_structure=False)

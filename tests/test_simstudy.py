@@ -7,8 +7,8 @@ import pytest
 
 from factorgof import (
     ConfigurationError,
-    McConfig,
     NotConvergedError,
+    OptimOptions,
     Study1Config,
     Study2Config,
     default_grid,
@@ -174,17 +174,26 @@ class TestRejectionStudy:
         assert table.raw[name]["T"].shape == (2,)
         assert table.raw[name]["z"].shape == (2, 31)
 
+    @pytest.mark.parametrize("cfg", [Study1Config(n=200), Study2Config(n=200, misspecified=True)])
+    def test_replication_draws_from_the_first_child_seed(self, cfg):
+        # replication r of master seed S draws its data from the first of
+        # SeedSequence((S, r)).spawn(2), bit for bit: the derivation a
+        # caller repeats to rebuild one replication from public calls
+        generate = generate_study1 if isinstance(cfg, Study1Config) else generate_study2
+        for rep in range(2):
+            data, _ = replication(cfg, 31, rep)
+            child = np.random.SeedSequence((31, rep)).spawn(2)[0]
+            want = generate(cfg, np.random.default_rng(child)).values
+            assert data.values.tobytes() == want.tobytes()
+
     def test_replication_reproduces_driver_report(self):
         cfg = Study2Config(n=150)
         table = run_rejection_study(
             cfg, reps=2, seed=7, M=1000, items=(1,), kinds=("variance",),
             collect_raw=True,
         )
-        data, fit, mc_seed = replication(cfg, 7, 1)
-        report = run_residual_test(
-            mv_homoscedasticity_problem(default_grid(1), 1), fit, data,
-            McConfig(M=1000, seed=mc_seed),
-        )
+        data, fit = replication(cfg, 7, 1)
+        report = run_residual_test(mv_homoscedasticity_problem(default_grid(1), 1), fit, data)
         (name,) = table.raw
         assert report.summary.T == table.raw[name]["T"][1]
         # the raw z is the report's z array, bit for bit, and so are its points
@@ -221,7 +230,11 @@ class TestRejectionStudy:
         with pytest.raises(ConfigurationError, match=f"repeated batteries: {re.escape(names)}$"):
             run_rejection_study(Study2Config(n=300), reps=2, seed=1, M=1000, **kwargs)
 
-    def test_all_replications_failing_raises(self):
+    def test_all_replications_failing_raises(self, monkeypatch):
+        # one Newton iteration leaves every fit short of the gradient test
+        fit_ml = simstudy.fit_ml
+        monkeypatch.setattr(simstudy, "fit_ml",
+                            lambda data, spec: fit_ml(data, spec, OptimOptions(max_iter=1)))
         cfg = Study2Config(n=150)
-        with pytest.raises(NotConvergedError):
-            run_rejection_study(cfg, reps=2, seed=1, M=1000, items=(1,), max_iter=1)
+        with pytest.raises(NotConvergedError, match="all 2 replications failed"):
+            run_rejection_study(cfg, reps=2, seed=1, M=1000, items=(1,))
