@@ -43,15 +43,7 @@ def lr_chi2(fit: FitResult, data: DataMatrix) -> tuple:
 
     Returns (chi2, df, p) with df = m(m+3)/2 - q for mean-structure models.
     """
-    _require_converged(fit)
-    m = data.m
-    _, S = _sample_moments(data.values)
-    sign, logdet = np.linalg.slogdet(S)
-    loglik_sat = -0.5 * data.n * (m * _LOG_2PI + logdet + m)
-    chi2 = max(2.0 * (loglik_sat - fit.loglik), 0.0)
-    df = m * (m + 3) // 2 - fit.mapping.q
-    p = chi2_sf(df, chi2) if df > 0 else float("nan")
-    return float(chi2), int(df), p
+    return _baseline(fit, data)[:3]
 
 
 def fit_indices(fit: FitResult, data: DataMatrix) -> tuple:
@@ -60,12 +52,21 @@ def fit_indices(fit: FitResult, data: DataMatrix) -> tuple:
     The baseline is the independence-with-means model, whose ML solution is
     analytic (sample means and variances), so it cannot fail to converge.
     """
+    return _baseline(fit, data)[3:]
+
+
+def _baseline(fit: FitResult, data: DataMatrix) -> tuple:
+    """(chi2, df, p, cfi, tli, srmr, rmsea) from one pass over the data
+    for the sample covariance S and one log-determinant of S."""
     _require_converged(fit)
     m = data.m
-    ybar, S = _sample_moments(data.values)
-    chi2, df, _ = lr_chi2(fit, data)
-
+    _, S = _sample_moments(data.values)
     sign, logdet = np.linalg.slogdet(S)
+    loglik_sat = -0.5 * data.n * (m * _LOG_2PI + logdet + m)
+    chi2 = float(max(2.0 * (loglik_sat - fit.loglik), 0.0))
+    df = m * (m + 3) // 2 - fit.mapping.q
+    p = chi2_sf(df, chi2) if df > 0 else float("nan")
+
     chi2_base = data.n * float(np.sum(np.log(np.diag(S))) - logdet)
     df_base = m * (m - 1) // 2
 
@@ -85,13 +86,12 @@ def fit_indices(fit: FitResult, data: DataMatrix) -> tuple:
     iu = np.triu_indices(m)
     srmr = float(np.sqrt(np.mean(std_resid[iu] ** 2)))
 
-    return float(cfi), float(tli), srmr, rmsea
+    return chi2, int(df), p, float(cfi), float(tli), srmr, rmsea
 
 
 @single_blas_thread
 def baseline_report(fit: FitResult, data: DataMatrix) -> BaselineReport:
-    chi2, df, p = lr_chi2(fit, data)
-    cfi, tli, srmr, rmsea = fit_indices(fit, data)
+    chi2, df, p, cfi, tli, srmr, rmsea = _baseline(fit, data)
     return BaselineReport(
         chi2=chi2, df=df, p=p, cfi=cfi, tli=tli, srmr=srmr, rmsea=rmsea,
         n=data.n, q=fit.mapping.q,

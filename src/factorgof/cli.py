@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .baseline import baseline_report
 from .batteries import _ITEM_PROBLEMS, default_grid, make_grid, make_problem
-from .errors import ConfigurationError, DataError, FactorGofError
+from .errors import ConfigurationError, DataError, DegenerateCovarianceError, FactorGofError
 from .estimate import DataMatrix, FitResult, ParamMapping, fit_ml
 from .kernels import single_blas_thread
 from .model import ModelSpec
@@ -248,14 +248,23 @@ def write_fit_document(path, fit: FitResult, data: DataMatrix, inputs: dict,
     _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-_FIT_KEYS = ("model", "free_vector", "loglik", "converged", "gradient_norm", "n_iter")
+_FIT_KEYS = ("model", "free_vector", "loglik", "converged", "gradient_norm", "n_iter",
+             "estimates")
+_ESTIMATES = (("nu", "nu"), ("lambda", "lam"), ("phi", "phi"), ("theta", "theta"))
+_STALE_FREE_VECTOR = ("; the document was edited, or written by an older version whose free "
+                      "vector held a transform of phi")
 
 
 def load_fit_document(path: str) -> FitResult:
     """Reload a fit document so tests can run without refitting.
 
     Keys that older versions wrote and the fit no longer produces are
-    ignored; a missing key or a malformed value raises a DataError.
+    ignored; a missing key or a malformed value raises a DataError.  The
+    free vector must reproduce the stored estimates of nu, lambda, phi and
+    theta to 1e-12 relative, or a DataError is raised: that refuses a
+    hand-edited document, and a fit with d >= 2 written before the free
+    vector held the factor correlations phi_ab themselves, whose
+    correlation entries would be read as a different model.
     """
     doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("kind") != "fit":
@@ -265,6 +274,12 @@ def load_fit_document(path: str) -> FitResult:
         raise DataError(f"{path}: missing keys {missing}")
     if not isinstance(doc["model"], dict):
         raise DataError(f"{path}: model must be a JSON object")
+    estimates = doc["estimates"]
+    if not isinstance(estimates, dict):
+        raise DataError(f"{path}: estimates must be a JSON object")
+    missing = [f"estimates.{key}" for key, _ in _ESTIMATES if key not in estimates]
+    if missing:
+        raise DataError(f"{path}: missing keys {missing}")
     mapping = ParamMapping(_model_spec(path, doc["model"], prefix="model."))
     inv_observed = doc.get("inv_observed_information")
     try:
@@ -280,7 +295,16 @@ def load_fit_document(path: str) -> FitResult:
             ),
             warnings=list(doc.get("warnings", [])),
         )
-        fit.params  # unpack here, so a malformed free vector fails on loading
+        # unpack here, so a malformed free vector fails on loading
+        for key, attr in _ESTIMATES:
+            want = np.asarray(estimates[key], dtype=np.float64)
+            got = getattr(fit.params, attr)
+            if (want.shape != got.shape
+                    or not np.abs(got - want).max() <= 1e-12 * np.abs(want).max()):
+                raise DataError(f"{path}: the free vector does not reproduce estimates.{key}"
+                                f"{_STALE_FREE_VECTOR}")
+    except DegenerateCovarianceError as exc:
+        raise DataError(f"{path}: {exc}{_STALE_FREE_VECTOR}") from None
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: {exc}") from None
     return fit

@@ -1,29 +1,31 @@
 """Maximum-likelihood estimation of the factor model.
 
-Free parameters are optimized on an unconstrained scale:
+The free parameters are the intercepts, the free loadings, the factor
+correlations phi_ab (a > b) themselves and the log error variances.  The fit
+bounds log theta_j >= log(``_THETA_FLOOR``), so a boundary solution is
+detectable as a Heywood case, and |phi_ab| <= ``_PHI_MAX`` = 1 - 1e-6, so
+factors that are one end held at that bound with a ``correlation:``
+warning; with three or more factors a phi that is not positive definite is
+rejected as an inadmissible trial point.  The observed information is on
+this scale, its correlation block in phi_ab.  Free vectors of d >= 2 fits
+from versions that fitted a transform of phi describe another model, and
+``cli.load_fit_document`` refuses them.
 
-* intercepts and free loadings enter directly,
-* the latent correlation matrix is parametrized by the sub-diagonal entries
-  of a unit lower-triangular matrix whose rows are normalized to unit length
-  (positive definiteness and the unit diagonal hold by construction),
-* error variances enter as logs, floored at ``_THETA_FLOOR`` so a boundary
-  solution is detectable as a Heywood case.
-
-The per-observation score is analytic and chain-ruled through this
-reparametrization.  The fit works from sufficient statistics (sample mean
-and covariance), so no iteration's cost depends on n.  With free
-intercepts their estimate is the sample mean ybar in closed form (Lawley &
-Maxwell, 1971); without them nu = 0 and the covariance is fitted to
-S + ybar ybar'.  The loadings, correlation entries and log error variances
-start at a principal-axis estimate in the correlation metric and then
-follow a projected Newton iteration on the exact Hessian of the mean
+The per-observation score is analytic.  The fit works from sufficient
+statistics (sample mean and covariance), so no iteration's cost depends on
+n.  With free intercepts their estimate is the sample mean ybar in closed
+form (Lawley & Maxwell, 1971); without them nu = 0 and the covariance is
+fitted to S + ybar ybar'.  The loadings, correlations and log error
+variances start at a principal-axis estimate in the correlation metric and
+then follow a projected Newton iteration on the exact Hessian of the mean
 log-likelihood in those parameters alone, formed in closed form from the
 same statistics (Jennrich & Robinson, 1969, Psychometrika 34:111), with
 the Hessian's eigenvalues floored where it is not negative definite.  Each
 loading and each log error variance moves Sigma by a rank-2 matrix
 e_j p' + p e_j', so the Hessian's block in them is gathered from a few
 m x (d + m) products; only the d(d-1)/2 correlation entries carry a dense
-m x m dSigma.  At nu = ybar the Hessian's intercept-covariance block
+m x m dSigma, lambda (E_ab + E_ba) lambda', and phi enters Sigma linearly.
+At nu = ybar the Hessian's intercept-covariance block
 vanishes, so the observed and the expected information are both Sigma^-1 on
 the intercepts beside minus the covariance block, and are factored block by
 block (``_block_eigvalsh``, ``_block_inverse``).
@@ -94,31 +96,37 @@ class DataMatrix:
 
 
 class ParamMapping:
-    """Layout of the unconstrained free-parameter vector for a ModelSpec.
+    """Layout of the free-parameter vector for a ModelSpec.
 
     Block order: intercepts (if the mean structure is free), free loadings in
-    row-major pattern order, latent-correlation transform entries in
-    row-major sub-diagonal order, log error variances.
+    row-major pattern order, the factor correlations phi_ab in row-major
+    sub-diagonal order (a > b), log error variances.  ``pack`` and
+    ``unpack`` copy phi_ab exactly; the fit keeps |phi_ab| <= 1 - 1e-6.
+    ``dphi`` ((n_phi, d, d)) is the constant dphi/dphi_ab = E_ab + E_ba.
     """
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         m, d = spec.m, spec.d
         self.lam_rows, self.lam_cols = np.nonzero(spec.loading_pattern)
-        self.w_rows, self.w_cols = np.tril_indices(d, -1)
+        self.phi_rows, self.phi_cols = np.tril_indices(d, -1)
         n_nu = m if spec.mean_structure else 0
         n_lam = len(self.lam_rows)
-        n_w = len(self.w_rows)
+        n_phi = len(self.phi_rows)
         ofs = 0
         self.nu_slice = slice(ofs, ofs + n_nu)
         ofs += n_nu
         self.lam_slice = slice(ofs, ofs + n_lam)
         ofs += n_lam
-        self.w_slice = slice(ofs, ofs + n_w)
-        ofs += n_w
+        self.phi_slice = slice(ofs, ofs + n_phi)
+        ofs += n_phi
         self.u_slice = slice(ofs, ofs + m)
         self.q = ofs + m
         self.cov_slice = slice(self.lam_slice.start, self.q)
+        self.dphi = np.zeros((n_phi, d, d))
+        entry = np.arange(n_phi)
+        self.dphi[entry, self.phi_rows, self.phi_cols] = 1.0
+        self.dphi[entry, self.phi_cols, self.phi_rows] = 1.0
 
         # Each loading and log error variance a moves Sigma by the rank-2
         # dSigma/dv_a = e_j p' + p e_j', with p column c of
@@ -128,9 +136,9 @@ class ParamMapping:
         # (d + m, d + m) arrays.  The correlation entries (``dense``, within
         # the covariance block), whose slabs are dense, hold (0, 0): their
         # rows and columns are formed apart.
-        self.dense = slice(n_lam, n_lam + n_w)
+        self.dense = slice(n_lam, n_lam + n_phi)
         width = d + m
-        zero = np.zeros(n_w, dtype=np.intp)
+        zero = np.zeros(n_phi, dtype=np.intp)
         rows = np.concatenate([self.lam_rows, zero, np.arange(m)])
         cols = np.concatenate([self.lam_cols, zero, d + np.arange(m)])
         self.rank2_at = rows * width + cols
@@ -145,97 +153,28 @@ class ParamMapping:
         if spec.mean_structure:
             out += [f"nu[{j}]" for j in range(spec.m)]
         out += [f"lambda[{r},{c}]" for r, c in zip(self.lam_rows, self.lam_cols)]
-        out += [f"phi[{a},{b}]" for a, b in zip(self.w_rows, self.w_cols)]
+        out += [f"phi[{a},{b}]" for a, b in zip(self.phi_rows, self.phi_cols)]
         out += [f"log_theta[{j}]" for j in range(spec.m)]
         return out
 
-    # -- latent correlation transform ------------------------------------
-
-    def _unit_lower(self, w: np.ndarray) -> np.ndarray:
-        L = np.eye(self.spec.d)
-        L[self.w_rows, self.w_cols] = w
-        return L
-
-    def phi_from_w(self, w: np.ndarray) -> np.ndarray:
-        L = self._unit_lower(w)
-        Lt = L / np.linalg.norm(L, axis=1, keepdims=True)
-        phi = Lt @ Lt.T
-        np.fill_diagonal(phi, 1.0)
+    def _phi(self, v: np.ndarray) -> np.ndarray:
+        """The latent correlation matrix whose free entries v holds."""
+        phi = np.eye(self.spec.d)
+        phi[self.phi_rows, self.phi_cols] = phi[self.phi_cols, self.phi_rows] = v[self.phi_slice]
         return phi
-
-    def w_from_phi(self, phi: np.ndarray) -> np.ndarray:
-        C = np.linalg.cholesky(phi)
-        return C[self.w_rows, self.w_cols] / C[self.w_rows, self.w_rows]
-
-    def _normalized_rows(self, w: np.ndarray):
-        """L, its row norms, the normalized rows Lt and, per transform entry
-        t in row a, the derivative of Lt[a] with respect to w_t."""
-        L = self._unit_lower(w)
-        norms = np.linalg.norm(L, axis=1)
-        Lt = L / norms[:, None]
-        dLt = np.empty((len(self.w_rows), self.spec.d))
-        for t, (a, b) in enumerate(zip(self.w_rows, self.w_cols)):
-            dLt[t] = -L[a] * (w[t] / norms[a] ** 3)
-            dLt[t, b] += 1.0 / norms[a]
-        return L, norms, Lt, dLt
-
-    def dphi_dw(self, w: np.ndarray) -> np.ndarray:
-        """Derivative of phi with respect to each transform entry.
-
-        Returns (n_w, d, d); slab t is symmetric with support on the row and
-        column of the latent variable that entry t belongs to.
-        """
-        d = self.spec.d
-        _, _, Lt, dLt = self._normalized_rows(w)
-        out = np.zeros((len(self.w_rows), d, d))
-        for t, a in enumerate(self.w_rows):
-            row = Lt @ dLt[t]
-            row[a] = 0.0
-            out[t, a, :] = row
-            out[t, :, a] = row
-        return out
-
-    def d2phi_dw2(self, w: np.ndarray) -> np.ndarray:
-        """Second derivative of phi with respect to each pair of transform entries.
-
-        Returns (n_w, n_w, d, d).  Entries t and s of one row a move only the
-        normalized row Lt[a], so slab (t, s) holds Lt @ d2Lt[a] on row and
-        column a (the unit diagonal stays fixed).  Entries of rows a != c
-        meet only in phi[a, c] = Lt[a] . Lt[c], so that slab holds
-        dLt[t] . dLt[s] at (a, c) and (c, a).
-        """
-        d = self.spec.d
-        n_w = len(self.w_rows)
-        L, norms, Lt, dLt = self._normalized_rows(w)
-        out = np.zeros((n_w, n_w, d, d))
-        for t, (a, b) in enumerate(zip(self.w_rows, self.w_cols)):
-            for s, (c, e) in enumerate(zip(self.w_rows, self.w_cols)):
-                if a != c:
-                    out[t, s, a, c] = out[t, s, c, a] = dLt[t] @ dLt[s]
-                    continue
-                n3 = norms[a] ** 3
-                vec = L[a] * (3.0 * L[a, b] * L[a, e] / (n3 * norms[a] ** 2)
-                              - float(b == e) / n3)
-                vec[b] -= L[a, e] / n3
-                vec[e] -= L[a, b] / n3
-                row = Lt @ vec
-                row[a] = 0.0
-                out[t, s, a, :] = row
-                out[t, s, :, a] = row
-        return out
-
-    # -- pack / unpack ----------------------------------------------------
 
     def pack(self, params: ParamSet) -> np.ndarray:
         v = np.empty(self.q)
         if self.spec.mean_structure:
             v[self.nu_slice] = params.nu
         v[self.lam_slice] = params.lam[self.lam_rows, self.lam_cols]
-        v[self.w_slice] = self.w_from_phi(params.phi)
+        v[self.phi_slice] = params.phi[self.phi_rows, self.phi_cols]
         v[self.u_slice] = np.log(params.theta)
         return v
 
     def unpack(self, v: np.ndarray) -> ParamSet:
+        """The ParamSet of v; a phi that is not positive definite raises
+        DegenerateCovarianceError."""
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.q,):
             raise SpecificationError(f"free vector has shape {v.shape}, expected ({self.q},)")
@@ -243,9 +182,7 @@ class ParamMapping:
         nu = v[self.nu_slice].copy() if spec.mean_structure else np.zeros(spec.m)
         lam = np.zeros((spec.m, spec.d))
         lam[self.lam_rows, self.lam_cols] = v[self.lam_slice]
-        phi = self.phi_from_w(v[self.w_slice])
-        theta = np.exp(v[self.u_slice])
-        return ParamSet(nu=nu, lam=lam, phi=phi, theta=theta)
+        return ParamSet(nu=nu, lam=lam, phi=self._phi(v), theta=np.exp(v[self.u_slice]))
 
     def start_values(self, data: DataMatrix) -> np.ndarray:
         """The free vector ``fit_ml`` starts from on ``data``."""
@@ -280,10 +217,10 @@ class ParamMapping:
         if start is None:
             var = Y.var(axis=0, ddof=1)
             v[self.lam_slice] = 0.5 * np.sqrt(var)[self.lam_rows]
-            v[self.w_slice] = 0.0
+            v[self.phi_slice] = 0.0
             v[self.u_slice] = np.log(0.5 * var)
         else:
-            v[self.lam_slice], v[self.w_slice], v[self.u_slice] = start
+            v[self.lam_slice], v[self.phi_slice], v[self.u_slice] = start
         return v
 
     def _principal_axes(self, S):
@@ -313,11 +250,12 @@ class ParamMapping:
             phi = np.clip(np.nan_to_num(lam.T @ C @ lam / np.outer(norms, norms)), -0.9, 0.9)
         np.fill_diagonal(phi, 1.0)
         try:
-            w = self.w_from_phi(phi)
+            np.linalg.cholesky(phi)
         except np.linalg.LinAlgError:
             return None
         theta = np.maximum(1.0 - np.einsum("jc,cd,jd->j", lam, phi, lam), 0.05)
-        return lam[self.lam_rows, self.lam_cols] * sd[self.lam_rows], w, np.log(theta * sd * sd)
+        return (lam[self.lam_rows, self.lam_cols] * sd[self.lam_rows],
+                phi[self.phi_rows, self.phi_cols], np.log(theta * sd * sd))
 
 
 _START_MIN_UNIQUENESS = 1e-8
@@ -339,10 +277,11 @@ class OptimOptions:
     """Fit controls: the iteration cap.
 
     ``max_iter`` caps the fit's Newton iterations (each one Hessian, one
-    step and its line search).  The gradient tolerance (1e-4, ``_GTOL``)
-    and the error-variance floor (1e-6, ``_THETA_FLOOR``) are fixed (see
-    ``fit_ml``).  The fit draws no random numbers.  ``info_draws`` is accepted for older
-    callers and only as 0; it is not stored.
+    step and its line search).  The gradient tolerance (1e-4, ``_GTOL``),
+    the error-variance floor (1e-6, ``_THETA_FLOOR``) and the factor
+    correlations' bound (1 - 1e-6, ``_PHI_MAX``) are fixed (see
+    ``fit_ml``).  The fit draws no random numbers.  ``info_draws`` is
+    accepted for older callers and only as 0; it is not stored.
     """
 
     max_iter: int = 500
@@ -364,10 +303,12 @@ class FitResult:
     ``mapping.unpack(free_vector)`` and ``spec`` is ``mapping.spec``.
     ``converged`` requires the gradient criterion, a negative-definite
     free-parameter Hessian that inverts with bounded condition number, and
-    the absence of Heywood cases.  ``inv_observed_information`` inverts the
-    observed (negative mean Hessian) information and is always available on
-    converged fits.  ``loglik`` is the log-likelihood at ``params``, n times
-    the mean log-likelihood from the sample mean and covariance.
+    the absence of Heywood cases and of factor correlations at their bound.
+    ``inv_observed_information`` inverts the observed (negative mean
+    Hessian) information on the free-vector scale, so its correlation block
+    is in phi_ab, and is always available on converged fits.  ``loglik``
+    is the log-likelihood at ``params``, n times the mean log-likelihood
+    from the sample mean and covariance.
     """
 
     mapping: ParamMapping
@@ -412,15 +353,14 @@ def score_rows(params: ParamSet, spec, Y: np.ndarray) -> np.ndarray:
     Returns
     -------
     (n, q) array; row i is the gradient of log f(y_i) with respect to the
-    unconstrained free-parameter vector.
+    free-parameter vector.
     """
-    mapping = _as_mapping(spec)
-    # the model's own terms: phi_from_w(w_from_phi(phi)) can differ from phi
-    # in the last bit, so they are not rebuilt from the packed vector
+    # the model's own terms, not rebuilt from a packed vector, whose
+    # exp(log theta) can differ from theta in the last bit
     L = params.sigma_cholesky()
     t = _Terms(params.nu, params.lam, params.phi, params.theta, L, kernels.spd_inverse(L),
                None, None, None, None)
-    return _row_scores(mapping, t, _slopes(mapping.pack(params), mapping, t), Y - params.nu)
+    return _row_scores(_as_mapping(spec), t, Y - params.nu)
 
 
 def score(params: ParamSet, y: np.ndarray, spec) -> np.ndarray:
@@ -449,16 +389,15 @@ class _Slopes(NamedTuple):
     Hessian share."""
 
     cols: np.ndarray     # (m, d + m) [lambda phi | diag(theta) / 2], see ParamMapping
-    K: np.ndarray        # (n_w, d, d) dphi/dw
-    d_w: np.ndarray      # (n_w, m, m) dSigma/dw = lambda K lambda'
+    d_phi: np.ndarray    # (n_phi, m, m) dSigma/dphi_ab = lambda (E_ab + E_ba) lambda'
 
 
 def _moment_terms(v, mapping, ybar, S) -> _Terms:
     """nu, lambda, phi, theta, the Cholesky factor and inverse of the
     implied covariance at v, and the moments of the sample mean ybar and
     covariance S about them.  Formed straight from v, without a validated
-    ParamSet; a non-finite v or theta raises SpecificationError and a
-    covariance that does not factor DegenerateCovarianceError."""
+    ParamSet; a non-finite v or theta raises SpecificationError, and a phi
+    or an implied covariance that does not factor DegenerateCovarianceError."""
     spec = mapping.spec
     v = np.asarray(v, dtype=np.float64)
     theta = np.exp(v[mapping.u_slice])
@@ -467,7 +406,12 @@ def _moment_terms(v, mapping, ybar, S) -> _Terms:
     nu = v[mapping.nu_slice].copy() if spec.mean_structure else np.zeros(spec.m)
     lam = np.zeros((spec.m, spec.d))
     lam[mapping.lam_rows, mapping.lam_cols] = v[mapping.lam_slice]
-    phi = mapping.phi_from_w(v[mapping.w_slice])
+    phi = mapping._phi(v)
+    if spec.d > 1:  # the unit phi of one factor needs no check
+        try:
+            np.linalg.cholesky(phi)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateCovarianceError("phi is not positive definite") from exc
     try:
         L = np.linalg.cholesky(lam @ phi @ lam.T + np.diag(theta))
     except np.linalg.LinAlgError as exc:
@@ -481,11 +425,10 @@ def _moment_terms(v, mapping, ybar, S) -> _Terms:
     return _Terms(nu, lam, phi, theta, L, sig_inv, delta, s_star, E, E - sig_inv)
 
 
-def _slopes(v, mapping, t: _Terms) -> _Slopes:
-    """``_Slopes`` at v, whose model quantities are ``t``."""
-    K = mapping.dphi_dw(v[mapping.w_slice])
+def _slopes(mapping, t: _Terms) -> _Slopes:
+    """``_Slopes`` at the model quantities ``t``."""
     cols = np.hstack([t.lam @ t.phi, np.diag(0.5 * t.theta)])
-    return _Slopes(cols, K, t.lam @ K @ t.lam.T)
+    return _Slopes(cols, t.lam @ mapping.dphi @ t.lam.T)
 
 
 def _mean_loglik(t: _Terms) -> float:
@@ -503,17 +446,16 @@ def _mean_loglik_grad(mapping, t: _Terms, s: _Slopes):
     if mapping.spec.mean_structure:
         g[mapping.nu_slice] = t.sig_inv @ t.delta
     g[mapping.cov_slice] = (t.gmat @ s.cols).take(mapping.rank2_at)
-    g[mapping.w_slice] = 0.5 * np.einsum("ij,tij->t", t.gmat, s.d_w)
+    g[mapping.phi_slice] = 0.5 * np.einsum("ij,tij->t", t.gmat, s.d_phi)
     return g
 
 
-def _row_scores(mapping, t: _Terms, s: _Slopes, D):
+def _row_scores(mapping, t: _Terms, D):
     """Scores of rows with deviations D = y - nu ((n, m) -> (n, q)), from
-    the model's terms and slopes.  With z = Sigma^-1 d, a row's score is z
-    for the intercepts, z_j (z'lambda phi)_c - (Sigma^-1 lambda phi)_jc for
-    loading (j, c), V_a (V k) - (lambda'Sigma^-1 lambda k)_a with V = z'lambda
-    for correlation entry t in row a, where k is row a of dphi/dw_t, and
-    (z_j^2 - Sigma^-1_jj) theta_j / 2 for log theta_j."""
+    the model's terms.  With z = Sigma^-1 d, a row's score is z for the
+    intercepts, z_j (z'lambda phi)_c - (Sigma^-1 lambda phi)_jc for loading
+    (j, c), V_a V_b - (lambda'Sigma^-1 lambda)_ab with V = z'lambda for
+    phi_ab, and (z_j^2 - Sigma^-1_jj) theta_j / 2 for log theta_j."""
     Z = D @ t.sig_inv
     out = np.empty((len(D), mapping.q))
     if mapping.spec.mean_structure:
@@ -521,12 +463,10 @@ def _row_scores(mapping, t: _Terms, s: _Slopes, D):
     P = t.lam @ t.phi
     rows, cols = mapping.lam_rows, mapping.lam_cols
     out[:, mapping.lam_slice] = Z[:, rows] * (Z @ P)[:, cols] - (t.sig_inv @ P)[rows, cols]
-    if len(mapping.w_rows):
+    if len(mapping.phi_rows):
+        a, b = mapping.phi_rows, mapping.phi_cols
         V = Z @ t.lam
-        C = t.lam.T @ t.sig_inv @ t.lam
-        base = mapping.w_slice.start
-        for i, a in enumerate(mapping.w_rows):
-            out[:, base + i] = V[:, a] * (V @ s.K[i, a]) - C[a] @ s.K[i, a]
+        out[:, mapping.phi_slice] = V[:, a] * V[:, b] - (t.lam.T @ t.sig_inv @ t.lam)[a, b]
     out[:, mapping.u_slice] = 0.5 * (Z * Z - np.diag(t.sig_inv)) * t.theta
     return out
 
@@ -553,7 +493,7 @@ def _block_inverse(mapping, L, hess):
     return inv
 
 
-def _covariance_hessian(v, mapping, t: _Terms, s: _Slopes):
+def _covariance_hessian(mapping, t: _Terms, s: _Slopes):
     """Hessian of the mean log-likelihood in the loadings, correlation
     entries and log error variances (the covariance block).
 
@@ -565,8 +505,9 @@ def _covariance_hessian(v, mapping, t: _Terms, s: _Slopes):
     is gathered from Sigma^-1 C, R C, C'Sigma^-1 C and C'R C with C =
     ``_Slopes.cols`` (Jennrich & Robinson, 1969).  Its second-derivative
     term is G_jk phi_cc' for two loadings and G_jj theta_j / 2 for log
-    theta_j twice.  Only the correlation entries' dense slabs D_w enter
-    their rows and columns.
+    theta_j twice.  Only the correlation entries' dense slabs D_phi enter
+    their rows and columns; phi enters Sigma linearly, so their own
+    second-derivative term is 0.
     """
     m, d = mapping.spec.m, mapping.spec.d
     sig_inv, G, cols = t.sig_inv, t.gmat, s.cols
@@ -582,21 +523,19 @@ def _covariance_hessian(v, mapping, t: _Terms, s: _Slopes):
     curvature[d:, d:] = np.diag(0.5 * t.theta)
     H += G.take(rr) * curvature.take(cc)
 
-    n_w = len(mapping.w_rows)
-    if n_w:
-        w = mapping.dense
-        A = sig_inv @ s.d_w
+    n_phi = len(mapping.phi_rows)
+    if n_phi:
+        f = mapping.dense
+        A = sig_inv @ s.d_phi
         # -tr(Sigma^-1 D_t R D_b) = -((M + M') r)_k with M = Sigma^-1 D_t R,
-        # and tr(G d2Sigma/dw_t dlambda_kc)/2 = (G lambda K_t)_kc
+        # and tr(G d2Sigma/dphi_t dlambda_kc)/2 = (G lambda dphi_t)_kc
         M = A @ R
         cross = -(M + M.transpose(0, 2, 1)) @ cols
-        cross[:, :, :d] += G @ t.lam @ s.K
-        cross = cross.reshape(n_w, -1).take(mapping.rank2_at, axis=1)
-        H[w] = cross
-        H[:, w] = cross.T
-        gphi = t.lam.T @ G @ t.lam
-        H[w, w] = (-A.reshape(n_w, -1) @ (R @ s.d_w).transpose(0, 2, 1).reshape(n_w, -1).T
-                   + 0.5 * np.einsum("ij,tsij->ts", gphi, mapping.d2phi_dw2(v[mapping.w_slice])))
+        cross[:, :, :d] += G @ t.lam @ mapping.dphi
+        cross = cross.reshape(n_phi, -1).take(mapping.rank2_at, axis=1)
+        H[f] = cross
+        H[:, f] = cross.T
+        H[f, f] = -A.reshape(n_phi, -1) @ (R @ s.d_phi).transpose(0, 2, 1).reshape(n_phi, -1).T
     return 0.5 * (H + H.T)
 
 
@@ -617,12 +556,14 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
     ``FitResult.n_iter`` counts its iterations, at most ``opts.max_iter``
     (3 on the bundled designs).  The observed information is block
     diagonal, and its spectrum and inverse are taken block by block.
-    Convergence requires all three of: max-abs
+    Convergence requires all four of: max-abs
     mean-log-likelihood gradient below ``_GTOL``, no error variance at or
     near the floor (a Heywood case: theta_j at ``_THETA_FLOOR``, or at most
     ``_NEAR_FLOOR`` times the item's sample variance, where the log-theta
     gradient theta_j dl/dtheta_j can pass the gradient test before theta_j
-    reaches the floor), and a negative-definite Hessian of the mean
+    reaches the floor), no factor correlation at the bound
+    |phi_ab| = ``_PHI_MAX`` (factors that are one; warned as
+    ``correlation:``), and a negative-definite Hessian of the mean
     log-likelihood at the solution whose negative, the observed
     information, inverts without near singularity (the identification
     check).  Failing fits are returned with ``converged=False`` and reasons
@@ -650,13 +591,18 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
     if heywood.any():
         idx = np.nonzero(heywood)[0]
         warn.append(f"heywood: error variance at or near the floor for items {idx.tolist()}")
+    at_bound = np.abs(v[mapping.phi_slice]) >= _PHI_MAX
+    if at_bound.any():
+        pairs = [(int(a), int(b)) for a, b in zip(mapping.phi_rows[at_bound],
+                                                   mapping.phi_cols[at_bound])]
+        warn.append(f"correlation: factor correlation at the bound for {pairs}")
     # the intercepts stay at ybar, so the observed information is block diagonal
     eigs = _block_eigvalsh(mapping, t.sig_inv, hess)
     min_eig = float(eigs[0])
     hess_ok = min_eig > 0.0
     if not hess_ok:
         warn.append(f"hessian: not negative definite (min eig of -H = {min_eig:.3g})")
-    converged = grad_ok and not heywood.any() and hess_ok
+    converged = grad_ok and not heywood.any() and not at_bound.any() and hess_ok
 
     inv_observed = None
     if hess_ok:
@@ -682,6 +628,7 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
 
 _GTOL = 1e-4
 _THETA_FLOOR = 1e-6
+_PHI_MAX = 1.0 - 1e-6
 _NEAR_FLOOR = 1e-5
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 50
@@ -693,17 +640,18 @@ def _newton(mapping, ybar, S, v, opts):
     (loadings, correlation entries, log error variances) by projected
     Newton; the intercepts stay as v holds them.
 
-    The only bound is log theta >= log(``_THETA_FLOOR``).  Each iteration holds
-    fixed the log-theta entries at the floor whose gradient points outward
-    and steps on the rest (F) by ``_ascent_step``: Newton's -H_FF delta = g_F
-    where -H_FF factors by Cholesky, and the step with its eigenvalues
-    floored where it does not (a rotationally unidentified fit).  An Armijo
-    backtracking search projects each trial onto the bound and rejects
+    The bounds are log theta_j >= log(``_THETA_FLOOR``) and
+    |phi_ab| <= ``_PHI_MAX``.  Each iteration holds fixed the entries at a
+    bound whose gradient points outward and steps on the rest (F) by
+    ``_ascent_step``: Newton's -H_FF delta = g_F where -H_FF factors by
+    Cholesky, and the step with its eigenvalues floored where it does not
+    (a rotationally unidentified fit).  An Armijo
+    backtracking search projects each trial onto the bounds and rejects
     trials that are inadmissible or whose value is not finite.  The
     iteration stops after ``opts.max_iter`` iterations, when no trial along
     the step is accepted, or once the projected max-abs gradient is below
     min(1e-6, 0.1 ``_GTOL``).  In the last case, where -H_FF factors by Cholesky,
-    it first takes one full Newton step, projected onto the bound and
+    it first takes one full Newton step, projected onto the bounds and
     without a line search, whose decrease in f would be lost to rounding;
     the step is kept if it is admissible and does not raise the projected
     gradient, so an identified fit ends at a gradient near 1e-14 instead of
@@ -715,36 +663,38 @@ def _newton(mapping, ybar, S, v, opts):
     gradient and Hessian, and the number of iterations taken.
     """
     c = mapping.cov_slice
-    lo = float(np.log(_THETA_FLOOR))
-    bounded = np.zeros(mapping.q - c.start, dtype=bool)
-    bounded[mapping.u_slice.start - c.start:] = True
+    lo = np.full(mapping.q - c.start, -np.inf)
+    hi = np.full(mapping.q - c.start, np.inf)
+    lo[mapping.dense], hi[mapping.dense] = -_PHI_MAX, _PHI_MAX
+    lo[mapping.u_slice.start - c.start:] = np.log(_THETA_FLOOR)
+    bounded = np.isfinite(lo)
     tol = min(1e-6, 0.1 * _GTOL)
     v = v.copy()
-    v[c] = np.where(bounded, np.maximum(v[c], lo), v[c])
+    v[c] = np.clip(v[c], lo, hi)
     t = _moment_terms(v, mapping, ybar, S)
     f = _mean_loglik(t)
     n_iter = 0
     before = None
     while True:
-        s = _slopes(v, mapping, t)
+        s = _slopes(mapping, t)
         g = _mean_loglik_grad(mapping, t, s)[c]
-        hess = _covariance_hessian(v, mapping, t, s)
+        hess = _covariance_hessian(mapping, t, s)
         vc = v[c]
-        small = np.abs(np.where(bounded, np.maximum(vc + g, lo) - vc, g)).max()
+        small = np.abs(np.where(bounded, np.clip(vc + g, lo, hi) - vc, g)).max()
         if before is not None:
             if small > before[-1]:
                 v, t, g, hess, n_iter = before[:-1]
             break
         if n_iter >= opts.max_iter:
             break
-        free = ~(bounded & (vc <= lo) & (g < 0.0))
+        free = ~(((vc <= lo) & (g < 0.0)) | ((vc >= hi) & (g > 0.0)))
         step = np.zeros(len(g))
         step[free], newton = _ascent_step(hess, g, free)
         if small < tol:
             if not newton:
                 break
             trial = v.copy()
-            trial[c] = np.where(bounded, np.maximum(vc + step, lo), vc + step)
+            trial[c] = np.clip(vc + step, lo, hi)
             try:
                 t_trial = _moment_terms(trial, mapping, ybar, S)
             except (SpecificationError, DegenerateCovarianceError):
@@ -753,7 +703,7 @@ def _newton(mapping, ybar, S, v, opts):
             v, t = trial, t_trial
             n_iter += 1
             continue
-        found = _line_search(mapping, ybar, S, v, f, g, step, bounded, lo)
+        found = _line_search(mapping, ybar, S, v, f, g, step, lo, hi)
         if found is None:
             break
         v, t, f = found
@@ -781,16 +731,17 @@ def _ascent_step(hess, g, free):
     return np.linalg.solve(L.T, np.linalg.solve(L, g[free])), True
 
 
-def _line_search(mapping, ybar, S, v, f, g, step, bounded, lo):
+def _line_search(mapping, ybar, S, v, f, g, step, lo, hi):
     """Armijo backtracking along the covariance-block ``step`` projected
-    onto the floor; the accepted point with its terms and value, or None."""
+    onto the bounds [lo, hi]; the accepted point with its terms and value,
+    or None."""
     c = mapping.cov_slice
     alpha = 1.0
     for _ in range(_MAX_HALVINGS):
         trial = v.copy()
         moved = trial[c]
         moved += alpha * step
-        moved[bounded] = np.maximum(moved[bounded], lo)
+        np.clip(moved, lo, hi, out=moved)
         # a long step can overflow exp(log theta); that trial is rejected
         with np.errstate(over="ignore", invalid="ignore"):
             try:
@@ -819,8 +770,8 @@ def _expected_terms(v, mapping, params):
     the exact information is minus it, block diagonal as in
     ``_block_eigvalsh``."""
     t = _moment_terms(v, mapping, params.nu, params.implied_covariance())
-    s = _slopes(v, mapping, t)
-    return t, s, _covariance_hessian(v, mapping, t, s)
+    s = _slopes(mapping, t)
+    return t, s, _covariance_hessian(mapping, t, s)
 
 
 def score_information(scores: np.ndarray) -> np.ndarray:

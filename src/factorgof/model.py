@@ -12,6 +12,7 @@ weights), so extreme grid points do not underflow inside this module.
 
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,13 +67,24 @@ class ModelSpec:
         object.__setattr__(self, "loading_pattern", pattern)
 
 
+class PosteriorLaw(NamedTuple):
+    """The normal posterior of x given y, x | y ~ N(cov b, cov) with
+    b = lam_w' (y - nu); its precision is the same for every y."""
+
+    lam_w: np.ndarray       # theta^-1 lambda, (m, d)
+    precision: np.ndarray   # P = phi^-1 + lambda' theta^-1 lambda
+    cov: np.ndarray         # P^-1
+    logdet: float           # log |P|
+
+
 @dataclass(eq=False)
 class ParamSet:
     """Parameter values: intercepts, loadings, latent covariance, error variances.
 
     The implied m x m covariance is Cholesky-factorized lazily and cached,
-    since marginal and posterior densities are evaluated many times per
-    parameter set.  Instances must be treated as immutable after construction.
+    and so is the posterior law of x given y, since marginal and posterior
+    densities are evaluated many times per parameter set.  Instances must
+    be treated as immutable after construction.
     """
 
     nu: np.ndarray
@@ -81,6 +93,7 @@ class ParamSet:
     theta: np.ndarray
     _sigma_chol: np.ndarray = field(default=None, init=False, repr=False)
     _phi_chol: np.ndarray = field(default=None, init=False, repr=False)
+    _posterior: PosteriorLaw = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.nu = np.atleast_1d(np.asarray(self.nu, dtype=np.float64))
@@ -134,6 +147,15 @@ class ParamSet:
 
     def phi_cholesky(self) -> np.ndarray:
         return self._phi_chol
+
+    def posterior_law(self) -> PosteriorLaw:
+        """Cached ``PosteriorLaw``."""
+        if self._posterior is None:
+            lam_w = self.lam / self.theta[:, None]
+            prec = np.linalg.inv(self.phi) + self.lam.T @ lam_w
+            self._posterior = PosteriorLaw(lam_w, prec, np.linalg.inv(prec),
+                                           np.linalg.slogdet(prec)[1])
+        return self._posterior
 
 
 def _check_item(item: int, params: ParamSet) -> int:
@@ -229,13 +251,6 @@ def marginal_logpdf(Y: np.ndarray, params: ParamSet) -> np.ndarray:
     return kernels.mvn_loglik_rows(Y, params.nu, params.sigma_cholesky())
 
 
-def _posterior_precision(params: ParamSet) -> tuple:
-    """theta^-1 lambda ((m, d)) and the posterior precision
-    P = phi^-1 + lambda' theta^-1 lambda, which is the same for every y."""
-    lam_w = params.lam / params.theta[:, None]
-    return lam_w, np.linalg.inv(params.phi) + params.lam.T @ lam_w
-
-
 @kernels.single_blas_thread
 def posterior_log_weights(Y: np.ndarray, points: np.ndarray, params: ParamSet) -> np.ndarray:
     """Log posterior density of each grid row given each data row ((n, Q)).
@@ -247,17 +262,16 @@ def posterior_log_weights(Y: np.ndarray, points: np.ndarray, params: ParamSet) -
     """
     Y = np.asarray(Y, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
-    lam_w, prec = _posterior_precision(params)
+    post = params.posterior_law()
     d = params.d
-    _, logdet = np.linalg.slogdet(prec)
-    const = 0.5 * (logdet - d * np.log(2.0 * np.pi))
+    const = 0.5 * (post.logdet - d * np.log(2.0 * np.pi))
     left = np.empty((len(Y), d + 2))
     B = left[:, :d]
-    B[...] = (Y - params.nu) @ lam_w
-    left[:, d] = -0.5 * np.einsum("ij,ij->i", B @ np.linalg.inv(prec), B)
+    B[...] = (Y - params.nu) @ post.lam_w
+    left[:, d] = -0.5 * np.einsum("ij,ij->i", B @ post.cov, B)
     left[:, d + 1] = 1.0
     right = np.empty((d + 2, len(points)))
     right[:d] = points.T
     right[d] = 1.0
-    right[d + 1] = const - 0.5 * np.einsum("qj,qj->q", points @ prec, points)
+    right[d + 1] = const - 0.5 * np.einsum("qj,qj->q", points @ post.precision, points)
     return left @ right

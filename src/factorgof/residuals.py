@@ -72,7 +72,6 @@ from .estimate import (
 from .model import (
     ParamSet,
     _check_item,
-    _posterior_precision,
     conditional_mean_grid,
     lv_logpdf,
     posterior_log_weights,
@@ -456,16 +455,15 @@ def _weight_products(X1, X2, params, V):
 
 class _FitConstants:
     """Per-fit constants of the closed-form moments, made once per batch
-    from the fit's free vector v, so that they describe the model of
-    ``mapping.unpack(v)``, the fit's ``params``, to the last bit.
+    from the fit's free vector and its ``params``, whose model they
+    describe to the last bit.
 
     ``terms`` and ``slopes`` are the fit's ``_Terms`` at sample mean nu and
     sample covariance Sigma, and its ``_Slopes``.  ``inv_information``
     inverts the exact information, minus the expected Hessian (see
     ``estimate._expected_terms``), block by block after its
-    conditioning check, and ``V`` is the posterior covariance of x given y;
-    both share this object's one factorization of the implied covariance
-    and of the posterior precision.
+    conditioning check, and ``V`` is the posterior covariance of x given y,
+    read from ``params.posterior_law()``.
 
     ``score_change(delta, dS)`` is the change in the mean log-likelihood's
     gradient when the sample mean moves from nu by delta and
@@ -477,13 +475,13 @@ class _FitConstants:
     xt = E[x | y] + N(0, V / 2) ~ N(0, phi - V / 2) and Cov(y, xt) = lambda phi.
     """
 
-    def __init__(self, v, mapping):
-        self.mapping = mapping
-        params = mapping.unpack(v)
-        self.terms, self.slopes, hess = _expected_terms(v, mapping, params)
+    def __init__(self, fit):
+        self.mapping = mapping = fit.mapping
+        params = fit.params
+        self.terms, self.slopes, hess = _expected_terms(fit.free_vector, mapping, params)
         _check_conditioning(_block_eigvalsh(mapping, self.terms.sig_inv, hess))
         self.inv_information = _block_inverse(mapping, self.terms.L, hess)
-        self.V = np.linalg.inv(_posterior_precision(params)[1])
+        self.V = params.posterior_law().cov
         cross = params.lam @ params.phi
         self.tilt = np.linalg.solve(params.phi - 0.5 * self.V, cross.T).T
         self.tau2 = np.diag(self.terms.s_star) - np.einsum("jk,jk->j", self.tilt, cross)
@@ -512,7 +510,7 @@ def _score_moments(points, params, consts, item, order):
     """
     zero = np.zeros(params.m)
     if order == 0:
-        return (_row_scores(consts.mapping, consts.terms, consts.slopes, points @ params.lam.T)
+        return (_row_scores(consts.mapping, consts.terms, points @ params.lam.T)
                 + consts.score_change(zero, np.diag(params.theta)))
     step = np.zeros(params.m)
     step[item] = params.theta[item]
@@ -635,7 +633,7 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
         scores = score_rows(params, fit.mapping, draws)
         draw_inv_info = invert_information(score_information(scores))
     if any(exact):
-        consts = _FitConstants(fit.free_vector, fit.mapping)
+        consts = _FitConstants(fit)
 
     groups = {}
     for i, problem in enumerate(problems):

@@ -53,8 +53,16 @@ def two_factor_params(two_factor_spec):
 
 
 def random_admissible_free_vector(mapping, rng, scale=0.4):
-    """Random free-parameter vector; admissibility holds by construction."""
-    return rng.normal(0.0, scale, mapping.q)
+    """Random free-parameter vector; admissibility holds by construction:
+    the correlation slots hold the entries of the positive definite
+    correlation matrix Lt Lt', with Lt a unit lower-triangular matrix of
+    random entries whose rows are normalized."""
+    v = rng.normal(0.0, scale, mapping.q)
+    L = np.eye(mapping.spec.d)
+    L[mapping.phi_rows, mapping.phi_cols] = v[mapping.phi_slice]
+    L /= np.linalg.norm(L, axis=1, keepdims=True)
+    v[mapping.phi_slice] = (L @ L.T)[mapping.phi_rows, mapping.phi_cols]
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -79,15 +87,14 @@ def reference_score_rows(params, mapping, Y):
         Z[:, mapping.lam_rows] * U[:, mapping.lam_cols]
         - B[mapping.lam_rows, mapping.lam_cols]
     )
-    n_w = len(mapping.w_rows)
-    if n_w:
+    n_phi = len(mapping.phi_rows)
+    if n_phi:
         V = Z @ params.lam
         C = params.lam.T @ sig_inv @ params.lam
-        K = mapping.dphi_dw(mapping.w_from_phi(params.phi))
-        base = mapping.w_slice.start
-        for t in range(n_w):
-            a = mapping.w_rows[t]
-            kvec = K[t, a, :]
+        base = mapping.phi_slice.start
+        for t in range(n_phi):
+            a = mapping.phi_rows[t]
+            kvec = mapping.dphi[t, a, :]
             out[:, base + t] = V[:, a] * (V @ kvec) - C[a] @ kvec
     out[:, mapping.u_slice] = 0.5 * (Z * Z - np.diag(sig_inv)) * params.theta
     return out
@@ -108,7 +115,9 @@ def dense_hessian(v, mapping, ybar, S):
     With E = Sigma^-1 S* Sigma^-1 and G = E - Sigma^-1, the covariance block
     is -tr(Sigma^-1 D_a E D_b) + tr(Sigma^-1 D_a Sigma^-1 D_b)/2
     + tr(G d2Sigma/dv_a dv_b)/2, the intercept block is -Sigma^-1 and the
-    intercept-covariance block is -Sigma^-1 D_b Sigma^-1 (ybar - nu).
+    intercept-covariance block is -Sigma^-1 D_b Sigma^-1 (ybar - nu).  The
+    correlations enter Sigma linearly, through the constant dphi/dphi_ab,
+    so only their cross terms with the loadings carry a second derivative.
     """
     t = _moment_terms(v, mapping, ybar, S)
     lam, phi, theta, sig_inv = t.lam, t.phi, t.theta, t.sig_inv
@@ -116,20 +125,19 @@ def dense_hessian(v, mapping, ybar, S):
     E = sig_inv @ t.s_star @ sig_inv
     gmat = E - sig_inv
     rows, cols = mapping.lam_rows, mapping.lam_cols
-    n_lam, n_w = len(rows), len(mapping.w_rows)
+    n_lam, n_phi = len(rows), len(mapping.phi_rows)
     c0 = mapping.lam_slice.start
     nc = mapping.q - c0
-    lam_b, w_b = slice(0, n_lam), slice(n_lam, n_lam + n_w)
+    lam_b, phi_b = slice(0, n_lam), slice(n_lam, n_lam + n_phi)
     diag_m = np.arange(m)
-    u_b = n_lam + n_w + diag_m
+    u_b = n_lam + n_phi + diag_m
 
     D = np.zeros((nc, m, m))
     P = lam @ phi
     D[np.arange(n_lam), rows, :] = P[:, cols].T
     D[np.arange(n_lam), :, rows] += P[:, cols].T
-    w = v[mapping.w_slice]
-    K = mapping.dphi_dw(w)
-    D[w_b] = lam @ K @ lam.T
+    K = mapping.dphi
+    D[phi_b] = lam @ K @ lam.T
     D[u_b, diag_m, diag_m] = theta
 
     A = sig_inv @ D
@@ -139,12 +147,10 @@ def dense_hessian(v, mapping, ybar, S):
     hc[...] = -A.reshape(nc, -1) @ C.transpose(0, 2, 1).reshape(nc, -1).T
 
     hc[lam_b, lam_b] += phi[np.ix_(cols, cols)] * gmat[np.ix_(rows, rows)]
-    if n_w:
+    if n_phi:
         GLK = (gmat @ lam @ K)[:, rows, cols]
-        hc[lam_b, w_b] += GLK.T
-        hc[w_b, lam_b] += GLK
-        gphi = lam.T @ gmat @ lam
-        hc[w_b, w_b] += 0.5 * np.einsum("ij,tsij->ts", gphi, mapping.d2phi_dw2(w))
+        hc[lam_b, phi_b] += GLK.T
+        hc[phi_b, lam_b] += GLK
     hc[u_b, u_b] += 0.5 * np.diag(gmat) * theta
 
     if mapping.spec.mean_structure:

@@ -133,3 +133,21 @@ class TestFitIndices:
         assert report.rmsea < 0.05
         assert report.srmr < 0.05
         assert report.df == 6 * (6 + 3) // 2 - 18  # m(m+3)/2 - q
+
+
+def test_report_forms_the_moments_once(saturated_case, monkeypatch):
+    # one pass over the data for S and one log-determinant of S per report,
+    # and the same numbers as the two public parts
+    from factorgof import baseline
+
+    fit, data = saturated_case
+    want = lr_chi2(fit, data) + fit_indices(fit, data)
+    calls = []
+    moments, slogdet = baseline._sample_moments, np.linalg.slogdet
+    monkeypatch.setattr(baseline, "_sample_moments",
+                        lambda Y: calls.append("moments") or moments(Y))
+    monkeypatch.setattr(np.linalg, "slogdet", lambda S: calls.append("slogdet") or slogdet(S))
+    report = baseline_report(fit, data)
+    assert calls == ["moments", "slogdet"]
+    got = (report.chi2, report.df, report.p, report.cfi, report.tli, report.srmr, report.rmsea)
+    assert np.array_equal(got, want, equal_nan=True)

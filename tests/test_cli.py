@@ -1,6 +1,7 @@
 """Command-line interface: ingestion diagnostics, file outputs, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-from factorgof import DataError, SpecificationError, simulate_data, study2_paramset
+from factorgof import (DataError, SpecificationError, simulate_data, study1_paramset,
+                       study2_paramset)
 from factorgof import cli
 from factorgof.cli import ingest_csv, load_fit_document, load_model_file, main
 
@@ -323,6 +325,41 @@ class TestFitDocument:
             err = capsys.readouterr().err
             assert rc == 1
             assert "missing keys" in err and "Traceback" not in err
+
+    def test_document_without_estimates_is_refused(self, workdir):
+        path = self._write_fit(workdir)
+        doc = json.loads(open(path).read())
+        del doc["estimates"]
+        open(path, "w").write(json.dumps(doc))
+        with pytest.raises(DataError, match=r"missing keys \['estimates'\]"):
+            load_fit_document(path)
+
+    def test_older_two_factor_document_is_refused(self, tmp_path):
+        # a two-factor document written when the free vector held the
+        # normalized-row transform w = phi / sqrt(1 - phi^2) in place of
+        # phi: read as phi it is another model, which its stored estimates
+        # expose; an entry that gives no positive definite phi is refused too
+        data = simulate_data(study1_paramset(), 300, np.random.default_rng(5))
+        csv_path = tmp_path / "data.csv"
+        header = ",".join(f"y{j}" for j in range(20))
+        rows = "\n".join(",".join(repr(float(v)) for v in row) for row in data.values)
+        csv_path.write_text(header + "\n" + rows + "\n")
+        pattern = [[1, 0]] * 10 + [[0, 1]] * 10
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({"m": 20, "d": 2, "loading_pattern": pattern}))
+        path = str(tmp_path / "fit.json")
+        assert main(["fit", "--data", str(csv_path), "--model", str(model_path),
+                     "--out", path]) == 0
+        doc = json.loads(open(path).read())
+        i = doc["free_labels"].index("phi[1,0]")
+        phi = doc["free_vector"][i]
+        assert load_fit_document(path).params.phi[1, 0] == phi == doc["estimates"]["phi"][1][0]
+        for entry, message in ((phi / math.sqrt(1.0 - phi**2), "does not reproduce estimates.phi"),
+                               (1.5, "phi is not positive definite")):
+            doc["free_vector"][i] = entry
+            open(path, "w").write(json.dumps(doc))
+            with pytest.raises(DataError, match=message):
+                load_fit_document(path)
 
     def test_older_document_with_mc_information_loads(self, workdir):
         # documents written before the fit stopped drawing its own

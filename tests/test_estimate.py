@@ -16,6 +16,7 @@ from scipy.optimize import minimize
 from factorgof import (
     ConfigurationError,
     DataError,
+    DegenerateCovarianceError,
     DataMatrix,
     IdentificationError,
     ModelSpec,
@@ -107,15 +108,28 @@ class TestPacking:
             v = random_admissible_free_vector(mapping, rng)
             params = mapping.unpack(v)
             np.testing.assert_allclose(mapping.pack(params), v, atol=1e-12)
+            # the correlation entries are phi_ab themselves, copied both ways
+            assert mapping.pack(params)[mapping.phi_slice].tobytes() == \
+                v[mapping.phi_slice].tobytes()
+            assert params.phi[mapping.phi_rows, mapping.phi_cols].tobytes() == \
+                v[mapping.phi_slice].tobytes()
 
-    def test_unpack_always_admissible(self, rng):
-        spec = ModelSpec(m=9, d=3, loading_pattern=(np.arange(27) % 2).reshape(9, 3) | 1)
-        mapping = ParamMapping(spec)
-        for scale in (0.1, 1.0, 4.0):
-            params = mapping.unpack(rng.normal(0, scale, mapping.q))
-            assert (np.linalg.eigvalsh(params.phi) > 0).all()
-            assert (params.theta > 0).all()
-            np.testing.assert_allclose(np.diag(params.phi), 1.0, atol=1e-12)
+    @pytest.mark.parametrize("d,entries", [(2, [1.5]), (2, [-1.0]), (3, [-0.6, -0.6, -0.6])],
+                             ids=["d2-above-one", "d2-at-minus-one", "d3-equicorrelated"])
+    def test_unpack_rejects_non_pd_phi(self, d, entries, rng):
+        # each |phi_ab| of the d = 3 case is below 1, but the equicorrelation
+        # matrix with rho = -0.6 has the eigenvalue 1 + 2 rho < 0; the fit's
+        # terms refuse the same vector, so its line search rejects the trial
+        pattern = np.zeros((3 * d, d), dtype=int)
+        pattern[np.arange(3 * d), np.arange(3 * d) % d] = 1
+        mapping = ParamMapping(ModelSpec(m=3 * d, d=d, loading_pattern=pattern))
+        v = random_admissible_free_vector(mapping, rng)
+        v[mapping.phi_slice] = entries
+        with pytest.raises(DegenerateCovarianceError, match="phi is not positive definite"):
+            mapping.unpack(v)
+        Y = rng.normal(size=(50, 3 * d))
+        with pytest.raises(DegenerateCovarianceError, match="phi is not positive definite"):
+            _moment_terms(v, mapping, *_sufficient_statistics(Y))
 
     def test_masked_entries_stay_zero(self, two_factor_spec, rng):
         mapping = ParamMapping(two_factor_spec)
@@ -149,8 +163,9 @@ class TestScore:
 
     def test_draws_of_a_study1_fit_match_the_reference_bits(self):
         # the kernel forms each row's score from the fit's own quantities, bit
-        # for bit as the row-by-row reference does; on this fit phi differs
-        # from phi_from_w(w_from_phi(phi)) in its last bit
+        # for bit as the row-by-row reference does; the reference forms the
+        # correlation column through the constant slab dphi/dphi_ab, the
+        # kernel as V_a V_b - (lambda'Sigma^-1 lambda)_ab
         _, fit = replication(Study1Config(n=1000, misspecified=True), 77, 1)
         draws = simulate_data(fit.params, 10_000, np.random.default_rng(1)).values
         got = score_rows(fit.params, fit.mapping, draws)
@@ -344,6 +359,32 @@ class TestFit:
         v_ref, _ = _lbfgsb_reference(data, fit.mapping)
         np.testing.assert_allclose(fit.free_vector, v_ref, rtol=0, atol=1e-5)
 
+    @pytest.mark.parametrize("seed,interior", [(100, True), (101, False), (102, False),
+                                               (103, True)])
+    def test_factors_that_are_one(self, seed, interior):
+        # two factors with correlation 0.999: on seeds 101 and 102 the
+        # likelihood still rises along phi at |phi| = 1 - 1e-6, where the fit
+        # holds phi at the bound and warns, as the L-BFGS-B reference
+        # ends; on seeds 100 and 103 the estimate (0.992, 0.998) is interior
+        lam = 0.7 * np.kron(np.eye(2), np.ones((4, 1)))
+        params = ParamSet(nu=np.zeros(8), lam=lam, phi=np.array([[1.0, 0.999], [0.999, 1.0]]),
+                          theta=np.full(8, 0.51))
+        data = simulate_data(params, 300, np.random.default_rng(seed))
+        fit = fit_ml(data, ModelSpec(m=8, d=2, loading_pattern=(lam != 0).astype(int)))
+        assert fit.n_iter <= 10
+        assert fit.converged == interior
+        phi = fit.params.phi[1, 0]
+        if interior:
+            assert fit.warnings == []
+            assert 0.99 < phi < estimate._PHI_MAX
+        else:
+            assert phi == estimate._PHI_MAX
+            assert "correlation: factor correlation at the bound for [(1, 0)]" in fit.warnings
+            assert not any(w.startswith("heywood:") for w in fit.warnings)
+        v_ref, converged_ref = _lbfgsb_reference(data, fit.mapping)
+        assert converged_ref == interior
+        np.testing.assert_allclose(fit.free_vector, v_ref, rtol=0, atol=1e-5)
+
     @pytest.mark.parametrize("seed", [26, 250, 357])
     def test_error_variance_near_the_floor_is_heywood(self, seed):
         # one-factor, three-item fits whose smallest error variance stops
@@ -486,7 +527,7 @@ def _default_start(mapping, Y):
     if mapping.spec.mean_structure:
         v[mapping.nu_slice] = Y.mean(axis=0)
     v[mapping.lam_slice] = 0.5 * np.sqrt(var)[mapping.lam_rows]
-    v[mapping.w_slice] = 0.0
+    v[mapping.phi_slice] = 0.0
     v[mapping.u_slice] = np.log(0.5 * var)
     return v
 
@@ -580,10 +621,12 @@ def _lbfgsb_reference(data, mapping):
                 return np.inf, np.zeros_like(v)
         return -f, -g
 
-    gtol, floor = estimate._GTOL, estimate._THETA_FLOOR
-    lo = np.log(floor)
-    bounds = [(lo, None) if i in range(mapping.u_slice.start, mapping.u_slice.stop)
-              else (None, None) for i in range(mapping.q)]
+    gtol, floor, phi_max = estimate._GTOL, estimate._THETA_FLOOR, estimate._PHI_MAX
+    bounds = [(None, None)] * mapping.q
+    for i in range(mapping.phi_slice.start, mapping.phi_slice.stop):
+        bounds[i] = (-phi_max, phi_max)
+    for i in range(mapping.u_slice.start, mapping.u_slice.stop):
+        bounds[i] = (np.log(floor), None)
     res = minimize(objective, mapping.start_values(data), jac=True, method="L-BFGS-B",
                    bounds=bounds, options={"maxiter": 500, "maxls": 50, "ftol": 1e-13,
                                            "gtol": min(1e-6, 0.1 * gtol)})
@@ -591,7 +634,8 @@ def _lbfgsb_reference(data, mapping):
     g = _mean_loglik_and_grad(v, mapping, ybar, S)[1]
     theta = np.exp(v[mapping.u_slice])
     converged = (np.abs(g).max() < gtol and (theta > floor * (1.0 + 1e-8)).all()
-                 and (theta > estimate._NEAR_FLOOR * np.diag(S)).all())
+                 and (theta > estimate._NEAR_FLOOR * np.diag(S)).all()
+                 and (np.abs(v[mapping.phi_slice]) < phi_max).all())
     try:
         invert_information(-dense_hessian(v, mapping, ybar, S))
     except IdentificationError:
@@ -657,7 +701,7 @@ def test_mean_gradient_consistent_with_row_scores(two_factor_spec, rng):
 def _mean_loglik_and_grad(v, mapping, ybar, S):
     """Mean log-likelihood and its gradient from sufficient statistics."""
     t = _moment_terms(v, mapping, ybar, S)
-    return _mean_loglik(t), _mean_loglik_grad(mapping, t, _slopes(v, mapping, t))
+    return _mean_loglik(t), _mean_loglik_grad(mapping, t, _slopes(mapping, t))
 
 
 def _fd_hessian(v, mapping, ybar, S, step=1e-5):
@@ -683,7 +727,7 @@ def _sufficient_statistics(Y):
 def _covariance_block(v, mapping, ybar, S):
     """The covariance block of the mean log-likelihood's Hessian at v."""
     t = _moment_terms(v, mapping, ybar, S)
-    return _covariance_hessian(v, mapping, t, _slopes(v, mapping, t))
+    return _covariance_hessian(mapping, t, _slopes(mapping, t))
 
 
 def _expected_information(params, spec):
@@ -713,7 +757,7 @@ def test_hessian_matches_finite_differences(case, rng):
     spec = _hessian_case_spec(case)
     mapping = ParamMapping(spec)
     if spec.d == 3:
-        assert mapping.w_slice.stop - mapping.w_slice.start == 3
+        assert mapping.phi_slice.stop - mapping.phi_slice.start == 3
     for _ in range(3):
         # random points away from the optimum: nu differs from the sample mean
         v = random_admissible_free_vector(mapping, rng)
@@ -839,7 +883,7 @@ def test_factor_sign_flip_conjugates_hessian(seed, d, factor):
     ybar, S = _sufficient_statistics(rng.normal(0.3, 1.2, size=(40, spec.m)))
     sign = np.ones(mapping.q)
     sign[mapping.lam_slice] = np.where(mapping.lam_cols == factor, -1.0, 1.0)
-    sign[mapping.w_slice] = -1.0
+    sign[mapping.phi_slice] = -1.0
     f, g = _mean_loglik_and_grad(v, mapping, ybar, S)
     f_flip, g_flip = _mean_loglik_and_grad(sign * v, mapping, ybar, S)
     assert f_flip == pytest.approx(f, rel=1e-12)

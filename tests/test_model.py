@@ -18,8 +18,7 @@ from factorgof import (
     marginal_density,
     posterior_lv_density,
 )
-from factorgof.model import (_posterior_precision, lv_logpdf, marginal_logpdf,
-                             posterior_log_weights)
+from factorgof.model import lv_logpdf, marginal_logpdf, posterior_log_weights
 
 SQ5 = math.sqrt(0.5)
 
@@ -271,7 +270,8 @@ def test_posterior_log_weights_match_per_term_formula(d, one_factor_params,
     Y = p.nu + rng.normal(size=(300, p.m)) @ p.sigma_cholesky().T
     axis = np.linspace(-12.0, 12.0, 25)
     pts = np.stack([g.ravel() for g in np.meshgrid(*[axis] * d, indexing="ij")], axis=1)
-    lam_w, prec = _posterior_precision(p)
+    lam_w = p.lam / p.theta[:, None]
+    prec = np.linalg.inv(p.phi) + p.lam.T @ lam_w
     B = (Y - p.nu) @ lam_w
     const = 0.5 * (np.linalg.slogdet(prec)[1] - d * np.log(2.0 * np.pi))
     want = B @ pts.T

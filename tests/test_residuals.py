@@ -38,7 +38,7 @@ from factorgof import (
     z_statistic,
 )
 from factorgof import batteries, residuals
-from factorgof.estimate import ParamMapping, invert_information, score_rows
+from factorgof.estimate import FitResult, ParamMapping, invert_information, score_rows
 from factorgof.model import lv_logpdf, posterior_log_weights
 from factorgof.residuals import ResidualProblem, run_residual_batch
 from factorgof.simstudy import Study1Config, replication
@@ -701,15 +701,14 @@ class TestRunResidualTest:
         assert reports[0].eta.tobytes() == np.exp(density(grid.points, fit.params)).tobytes()
 
     def test_fit_constants_describe_the_fit_params(self):
-        # the constants are built from the fit's free vector, so their model
-        # is fit.params to the last bit, where packing fit.params again
-        # moves phi by an ulp on this fit
+        # the constants are built from the fit and read its params, so their
+        # model is fit.params to the last bit, and their posterior covariance
+        # is the one fit.params caches for the posterior weights
         _, fit = replication(Study1Config(n=1000, misspecified=True), 77, 1)
-        mapping = fit.mapping
-        phi = fit.params.phi
-        assert mapping.phi_from_w(mapping.w_from_phi(phi)).tobytes() != phi.tobytes()
-        consts = residuals._FitConstants(fit.free_vector, mapping)
-        assert consts.terms.phi.tobytes() == phi.tobytes()
+        consts = residuals._FitConstants(fit)
+        for name in ("nu", "lam", "phi", "theta"):
+            assert getattr(consts.terms, name).tobytes() == getattr(fit.params, name).tobytes()
+        assert consts.V is fit.params.posterior_law().cov
 
     def test_shared_weights_are_read_only(self, fitted_setup):
         spec, params, data, fit = fitted_setup
@@ -764,7 +763,7 @@ def _mirror_fit(fit, factor):
     mapping = fit.mapping
     sign = np.ones(mapping.q)
     sign[mapping.lam_slice] = np.where(mapping.lam_cols == factor, -1.0, 1.0)
-    sign[mapping.w_slice] = -1.0
+    sign[mapping.phi_slice] = -1.0
     return dataclasses.replace(fit, free_vector=sign * fit.free_vector)
 
 
@@ -938,7 +937,7 @@ class TestExactLvDensity:
         var, cov, A = _exact_moments(battery, params, mapping)
 
         EWW = Ww.T @ W
-        V = residuals._FitConstants(mapping.pack(params), mapping).V
+        V = params.posterior_law().cov
         pairs = residuals._weight_products(np.repeat(points, Q, axis=0),
                                            np.tile(points, (Q, 1)), params, V).reshape(Q, Q)
         np.testing.assert_allclose(pairs, EWW, rtol=0, atol=1e-10 * EWW.max())
@@ -1022,7 +1021,9 @@ def _exact_moments(battery, params, mapping):
     """Var(G), Cov(G) among all points and A of one battery with a
     quadratic form, from the engine's stacked moment routine."""
     points = battery.grid.points
-    consts = residuals._FitConstants(mapping.pack(params), mapping)
+    fit = FitResult(mapping=mapping, free_vector=mapping.pack(params), loglik=0.0,
+                    converged=True, gradient_norm=0.0, n_iter=0)
+    consts = residuals._FitConstants(fit)
     stacked = residuals._quadratic_moments(points, np.exp(lv_logpdf(points, params)),
                                            np.arange(len(points)), [battery._quadratic],
                                            params, consts)
