@@ -6,10 +6,12 @@ bounds log theta_j >= log(``_THETA_FLOOR``), so a boundary solution is
 detectable as a Heywood case, and |phi_ab| <= ``_PHI_MAX`` = 1 - 1e-6, so
 factors that are one end held at that bound with a ``correlation:``
 warning; with three or more factors a phi that is not positive definite is
-rejected as an inadmissible trial point.  The observed information is on
-this scale, its correlation block in phi_ab.  Free vectors of d >= 2 fits
-from versions that fitted a transform of phi describe another model, and
-``cli.load_fit_document`` refuses them.
+rejected as an inadmissible trial point.  The iteration alone decides
+whether a point is first-order: ``fit_ml`` reads the projected gradient and
+the entries not held at a bound where it stopped.  The observed information
+is on this scale, its correlation block in phi_ab.  Free vectors of d >= 2
+fits from versions that fitted a transform of phi describe another model,
+and ``cli.load_fit_document`` refuses them.
 
 The per-observation score is analytic.  The fit works from sufficient
 statistics (sample mean and covariance), so no iteration's cost depends on
@@ -304,11 +306,14 @@ class FitResult:
     ``converged`` requires the gradient criterion, a negative-definite
     free-parameter Hessian that inverts with bounded condition number, and
     the absence of Heywood cases and of factor correlations at their bound.
-    ``inv_observed_information`` inverts the observed (negative mean
-    Hessian) information on the free-vector scale, so its correlation block
-    is in phi_ab, and is always available on converged fits.  ``loglik``
-    is the log-likelihood at ``params``, n times the mean log-likelihood
-    from the sample mean and covariance.
+    ``gradient_norm`` is the max-abs of the projected gradient P(v + g) - v
+    of the mean log-likelihood, so an entry held at a bound whose gradient
+    points outward counts as 0.  ``inv_observed_information`` inverts the
+    observed (negative mean Hessian) information on the free-vector scale,
+    so its correlation block is in phi_ab; it is formed where no entry is
+    held at a bound and the information inverts, so it is always available
+    on converged fits.  ``loglik`` is the log-likelihood at ``params``, n
+    times the mean log-likelihood from the sample mean and covariance.
     """
 
     mapping: ParamMapping
@@ -556,18 +561,22 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
     ``FitResult.n_iter`` counts its iterations, at most ``opts.max_iter``
     (3 on the bundled designs).  The observed information is block
     diagonal, and its spectrum and inverse are taken block by block.
-    Convergence requires all four of: max-abs
-    mean-log-likelihood gradient below ``_GTOL``, no error variance at or
-    near the floor (a Heywood case: theta_j at ``_THETA_FLOOR``, or at most
-    ``_NEAR_FLOOR`` times the item's sample variance, where the log-theta
-    gradient theta_j dl/dtheta_j can pass the gradient test before theta_j
-    reaches the floor), no factor correlation at the bound
-    |phi_ab| = ``_PHI_MAX`` (factors that are one; warned as
-    ``correlation:``), and a negative-definite Hessian of the mean
+    Convergence requires all four of: the max-abs projected gradient of the
+    mean log-likelihood where the iteration stopped (``_newton``; an entry
+    held at a bound whose gradient points outward counts as 0) below
+    ``_GTOL``, no error variance at or near the floor (a Heywood case:
+    theta_j at ``_THETA_FLOOR``, or at most ``_NEAR_FLOOR`` times the item's
+    sample variance, where the log-theta gradient theta_j dl/dtheta_j can
+    pass the gradient test before theta_j reaches the floor), no factor
+    correlation at the bound |phi_ab| = ``_PHI_MAX`` (factors that are one;
+    warned as ``correlation:``), and a negative-definite Hessian of the mean
     log-likelihood at the solution whose negative, the observed
     information, inverts without near singularity (the identification
-    check).  Failing fits are returned with ``converged=False`` and reasons
-    listed in ``warnings``; downstream residual tests refuse them.  The fit
+    check).  Both Hessian checks take the entries not held at a bound,
+    since a held entry has its own ``heywood:`` or ``correlation:``
+    warning; the inverse is formed only where no entry is held.  Failing
+    fits are returned with ``converged=False`` and reasons listed in
+    ``warnings``; downstream residual tests refuse them.  The fit
     draws no random numbers.
     """
     if opts is None:
@@ -578,9 +587,8 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
     ybar, S = _sample_moments(data.values)
 
     # the start puts the intercepts at ybar, their estimate, where they stay
-    v, t, g, hess, n_iter = _newton(mapping, ybar, S, mapping._start(data.values, ybar, S),
-                                    opts)
-    gradient_norm = float(np.abs(g).max())
+    v, t, hess, gradient_norm, free, n_iter = _newton(
+        mapping, ybar, S, mapping._start(data.values, ybar, S), opts)
 
     warn = []
     grad_ok = gradient_norm < _GTOL
@@ -596,8 +604,10 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
         pairs = [(int(a), int(b)) for a, b in zip(mapping.phi_rows[at_bound],
                                                    mapping.phi_cols[at_bound])]
         warn.append(f"correlation: factor correlation at the bound for {pairs}")
-    # the intercepts stay at ybar, so the observed information is block diagonal
-    eigs = _block_eigvalsh(mapping, t.sig_inv, hess)
+    # the intercepts stay at ybar, so the observed information is block
+    # diagonal; an entry held at a bound is warned above, so the checks take
+    # the block of the entries not held
+    eigs = _block_eigvalsh(mapping, t.sig_inv, hess[np.ix_(free, free)])
     min_eig = float(eigs[0])
     hess_ok = min_eig > 0.0
     if not hess_ok:
@@ -612,7 +622,8 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
             warn.append(f"observed information: {exc}")
             converged = False
         else:
-            inv_observed = _block_inverse(mapping, t.L, hess)
+            if free.all():
+                inv_observed = _block_inverse(mapping, t.L, hess)
 
     return FitResult(
         mapping=mapping,
@@ -633,6 +644,7 @@ _NEAR_FLOOR = 1e-5
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 50
 _EIGEN_FLOOR = 1e-4
+_STOP_GTOL = 1e-6
 
 
 def _newton(mapping, ybar, S, v, opts):
@@ -645,30 +657,32 @@ def _newton(mapping, ybar, S, v, opts):
     bound whose gradient points outward and steps on the rest (F) by
     ``_ascent_step``: Newton's -H_FF delta = g_F where -H_FF factors by
     Cholesky, and the step with its eigenvalues floored where it does not
-    (a rotationally unidentified fit).  An Armijo
-    backtracking search projects each trial onto the bounds and rejects
-    trials that are inadmissible or whose value is not finite.  The
+    (a rotationally unidentified fit).  An Armijo backtracking search
+    projects each trial onto the bounds and rejects trials that are
+    inadmissible, whose value is not finite or that do not raise it.  The
     iteration stops after ``opts.max_iter`` iterations, when no trial along
     the step is accepted, or once the projected max-abs gradient is below
-    min(1e-6, 0.1 ``_GTOL``).  In the last case, where -H_FF factors by Cholesky,
-    it first takes one full Newton step, projected onto the bounds and
-    without a line search, whose decrease in f would be lost to rounding;
-    the step is kept if it is admissible and does not raise the projected
-    gradient, so an identified fit ends at a gradient near 1e-14 instead of
-    anywhere below the tolerance.  Where -H_FF does not factor (a
+    ``_STOP_GTOL`` (1e-6).  In the last case, where -H_FF factors by
+    Cholesky, it first takes one full Newton step, projected onto the bounds
+    and without a line search, whose decrease in f would be lost to
+    rounding; the step is kept if it is admissible and does not raise the
+    projected gradient, so an identified fit ends at a gradient near 1e-14
+    instead of anywhere below the tolerance.  Where -H_FF does not factor (a
     rotationally unidentified fit on its ridge) the iteration stops as it
-    is.
+    is.  This is the fit's one test of a first-order point: ``fit_ml``
+    judges the projected gradient and the entries not held where the
+    iteration stopped.
 
     Returns the final iterate and its terms, the covariance block of its
-    gradient and Hessian, and the number of iterations taken.
+    Hessian, the max-abs of its projected gradient P(v + g) - v, the mask
+    of the covariance entries not held at a bound, and the number of
+    iterations taken.
     """
     c = mapping.cov_slice
     lo = np.full(mapping.q - c.start, -np.inf)
     hi = np.full(mapping.q - c.start, np.inf)
     lo[mapping.dense], hi[mapping.dense] = -_PHI_MAX, _PHI_MAX
     lo[mapping.u_slice.start - c.start:] = np.log(_THETA_FLOOR)
-    bounded = np.isfinite(lo)
-    tol = min(1e-6, 0.1 * _GTOL)
     v = v.copy()
     v[c] = np.clip(v[c], lo, hi)
     t = _moment_terms(v, mapping, ybar, S)
@@ -680,17 +694,19 @@ def _newton(mapping, ybar, S, v, opts):
         g = _mean_loglik_grad(mapping, t, s)[c]
         hess = _covariance_hessian(mapping, t, s)
         vc = v[c]
-        small = np.abs(np.where(bounded, np.clip(vc + g, lo, hi) - vc, g)).max()
+        # the projected gradient P(v + g) - v, which is g wherever v + g is
+        # within the bounds and 0 on an entry held at one
+        small = float(np.abs(np.clip(g, lo - vc, hi - vc)).max())
+        free = ~(((vc <= lo) & (g < 0.0)) | ((vc >= hi) & (g > 0.0)))
         if before is not None:
-            if small > before[-1]:
-                v, t, g, hess, n_iter = before[:-1]
+            if small > before[3]:
+                v, t, hess, small, free, n_iter = before
             break
         if n_iter >= opts.max_iter:
             break
-        free = ~(((vc <= lo) & (g < 0.0)) | ((vc >= hi) & (g > 0.0)))
         step = np.zeros(len(g))
         step[free], newton = _ascent_step(hess, g, free)
-        if small < tol:
+        if small < _STOP_GTOL:
             if not newton:
                 break
             trial = v.copy()
@@ -699,7 +715,7 @@ def _newton(mapping, ybar, S, v, opts):
                 t_trial = _moment_terms(trial, mapping, ybar, S)
             except (SpecificationError, DegenerateCovarianceError):
                 break
-            before = (v, t, g, hess, n_iter, small)
+            before = (v, t, hess, small, free, n_iter)
             v, t = trial, t_trial
             n_iter += 1
             continue
@@ -708,7 +724,7 @@ def _newton(mapping, ybar, S, v, opts):
             break
         v, t, f = found
         n_iter += 1
-    return v, t, g, hess, n_iter
+    return v, t, hess, small, free, n_iter
 
 
 def _ascent_step(hess, g, free):
@@ -734,7 +750,8 @@ def _ascent_step(hess, g, free):
 def _line_search(mapping, ybar, S, v, f, g, step, lo, hi):
     """Armijo backtracking along the covariance-block ``step`` projected
     onto the bounds [lo, hi]; the accepted point with its terms and value,
-    or None."""
+    or None.  A trial must raise f: one that does not move, as where the
+    step is below one ulp of v, is not accepted."""
     c = mapping.cov_slice
     alpha = 1.0
     for _ in range(_MAX_HALVINGS):
@@ -749,7 +766,8 @@ def _line_search(mapping, ybar, S, v, f, g, step, lo, hi):
                 f_trial = _mean_loglik(t)
             except (SpecificationError, DegenerateCovarianceError):
                 f_trial = -np.inf
-        if np.isfinite(f_trial) and f_trial >= f + _ARMIJO * float(g @ (moved - v[c])):
+        if (np.isfinite(f_trial) and f_trial > f
+                and f_trial >= f + _ARMIJO * float(g @ (moved - v[c]))):
             return trial, t, f_trial
         alpha *= 0.5
     return None

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batteries import default_grid, make_problem
-from .baseline import baseline_report
 from .errors import ConfigurationError, NotConvergedError
 from .estimate import DataMatrix, fit_ml
 from .kernels import single_blas_thread
@@ -199,7 +198,6 @@ class RejectionTable:
     grid_label: str
     summary_label: str
     batteries: dict
-    baseline: dict = None
     raw: dict = None
 
     @property
@@ -235,9 +233,7 @@ def run_rejection_study(
     M: int = 4000,
     s: int = 1,
     items=(1,),
-    kinds=None,
     grid=None,
-    collect_baseline: bool = False,
     collect_raw: bool = False,
 ) -> RejectionTable:
     """Replicate generate -> fit -> test and tabulate empirical rejections.
@@ -246,11 +242,10 @@ def run_rejection_study(
     every count and reported in ``excluded``.  Pointwise counts additionally
     exclude grid points flagged unstable within a replication.
 
-    ``kinds`` names the battery kinds of ``batteries.make_problem``
-    (default: lv-density for study1, linearity and variance for study2);
-    each item kind is built once per entry of ``items``.  Every battery
-    ``make_problem`` builds has an exact covariance, so the tests draw
-    nothing: ``M`` is only recorded in the table.
+    Study1 runs the lv-density battery; study2 runs linearity and variance,
+    each once per entry of ``items``.  Every battery ``make_problem`` builds
+    has an exact covariance, so the tests draw nothing: ``M`` is only
+    recorded in the table.
     """
     if reps < 1:
         raise ConfigurationError("reps must be >= 1")
@@ -260,8 +255,7 @@ def run_rejection_study(
     spec = model_spec_study1() if is_study1 else model_spec_study2()
     if grid is None:
         grid = default_grid(spec.d)
-    if kinds is None:
-        kinds = ("lv-density",) if is_study1 else ("linearity", "variance")
+    kinds = ("lv-density",) if is_study1 else ("linearity", "variance")
     problems = [make_problem(kind, grid, item) for kind in kinds
                 for item in ((None,) if kind == "lv-density" else items)]
     names = [prob.battery.name for prob in problems]
@@ -280,7 +274,6 @@ def run_rejection_study(
         )
         if collect_raw:
             raw[name] = {"T": [], "z": []}
-    base_acc = {"lr_rejections": 0, "cfi": 0.0, "tli": 0.0, "srmr": 0.0, "rmsea": 0.0}
 
     mc = McConfig(s=s)
     converged_reps = 0
@@ -291,43 +284,28 @@ def run_rejection_study(
             excluded += 1
             continue
         converged_reps += 1
-        if problems:
-            reports = run_residual_batch(problems, fit, data, mc)
-            for prob, report in zip(problems, reports):
-                acc = counts[prob.battery.name]
-                ok = np.isfinite(report.p)
-                acc.point_valid += ok
-                acc.point_rejections += ok & (report.p < alpha)
-                if report.summary is not None:
-                    acc.summary_valid += 1
-                    acc.summary_rejections += report.summary.p < alpha
-                if collect_raw:
-                    raw[prob.battery.name]["T"].append(
-                        report.summary.T if report.summary else float("nan")
-                    )
-                    raw[prob.battery.name]["z"].append(report.z)
-        if collect_baseline:
-            rep_base = baseline_report(fit, data)
-            base_acc["lr_rejections"] += rep_base.p < alpha
-            for key in ("cfi", "tli", "srmr", "rmsea"):
-                base_acc[key] += getattr(rep_base, key)
+        reports = run_residual_batch(problems, fit, data, mc)
+        for prob, report in zip(problems, reports):
+            acc = counts[prob.battery.name]
+            ok = np.isfinite(report.p)
+            acc.point_valid += ok
+            acc.point_rejections += ok & (report.p < alpha)
+            if report.summary is not None:
+                acc.summary_valid += 1
+                acc.summary_rejections += report.summary.p < alpha
+            if collect_raw:
+                raw[prob.battery.name]["T"].append(
+                    report.summary.T if report.summary else float("nan")
+                )
+                raw[prob.battery.name]["z"].append(report.z)
 
     if converged_reps == 0:
         raise NotConvergedError(f"all {reps} replications failed to converge")
 
-    baseline = None
-    if collect_baseline:
-        baseline = {
-            "lr_rate": base_acc["lr_rejections"] / converged_reps,
-            "mean_cfi": base_acc["cfi"] / converged_reps,
-            "mean_tli": base_acc["tli"] / converged_reps,
-            "mean_srmr": base_acc["srmr"] / converged_reps,
-            "mean_rmsea": base_acc["rmsea"] / converged_reps,
-        }
     if collect_raw:
         for name in raw:
             raw[name]["T"] = np.array(raw[name]["T"])
-            raw[name]["z"] = np.vstack(raw[name]["z"]) if raw[name]["z"] else np.empty((0, 0))
+            raw[name]["z"] = np.vstack(raw[name]["z"])
 
     return RejectionTable(
         study="study1" if is_study1 else "study2",
@@ -343,6 +321,5 @@ def run_rejection_study(
         grid_label=grid.label,
         summary_label=grid.summary_label,
         batteries=counts,
-        baseline=baseline,
         raw=raw,
     )

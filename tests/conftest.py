@@ -3,7 +3,15 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from factorgof import ConfigurationError, ModelSpec, ParamSet, RatioBattery, make_grid
+from factorgof import (
+    ConfigurationError,
+    ModelSpec,
+    ParamSet,
+    RatioBattery,
+    baseline_report,
+    make_grid,
+    replication,
+)
 from factorgof import kernels
 from factorgof.estimate import _moment_terms, score_information, score_rows
 from factorgof.residuals import _draw_moments
@@ -210,6 +218,25 @@ def drawn_ratio_moments(f, W, r, D, scores):
     battery = RatioBattery(k=Q, name="custom-ratio", _evaluate=lambda Y, p: f,
                            _eta=lambda p: r, grid=make_grid([(-1.0, 1.0, Q)]))
     return _draw_moments(battery, None, np.zeros((M, 1)), W, D, scores, np.arange(Q))[1:]
+
+
+def baseline_means(cfg, *, reps, seed, alpha=0.05):
+    """The likelihood-ratio rejection rate and the mean CFI, TLI, SRMR and
+    RMSEA of ``baseline_report`` over the converged fits among replications
+    0..reps-1 of ``cfg``, summed in replication order."""
+    rejections, converged = 0, 0
+    sums = dict.fromkeys(("cfi", "tli", "srmr", "rmsea"), 0.0)
+    for rep in range(reps):
+        data, fit = replication(cfg, seed, rep)
+        if not fit.converged:
+            continue
+        converged += 1
+        report = baseline_report(fit, data)
+        rejections += report.p < alpha
+        for key in sums:
+            sums[key] += getattr(report, key)
+    return {"lr_rate": rejections / converged,
+            **{f"mean_{key}": total / converged for key, total in sums.items()}}
 
 
 def sample_moments(G, scores):

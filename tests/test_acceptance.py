@@ -21,7 +21,7 @@ from factorgof.simstudy import (
     model_spec_study2,
 )
 
-from conftest import drawn_ratio_moments, sample_moments
+from conftest import baseline_means, drawn_ratio_moments, sample_moments
 
 pytestmark = pytest.mark.acceptance
 
@@ -369,11 +369,7 @@ def test_criterion_5_lv_density(s1_correct, s1_missp):
 
 
 def test_criterion_6_baseline_blindness():
-    table = fg.run_rejection_study(
-        fg.Study1Config(n=1000, misspecified=True), reps=100, seed=2601,
-        kinds=(), collect_baseline=True,
-    )
-    base = table.baseline
+    base = baseline_means(fg.Study1Config(n=1000, misspecified=True), reps=100, seed=2601)
     checks = [
         ("LR rejection", base["lr_rate"] <= 0.12, f"{base['lr_rate']:.3f} <= 0.12"),
         ("mean CFI", base["mean_cfi"] >= 0.99, f"{base['mean_cfi']:.4f} >= 0.99"),

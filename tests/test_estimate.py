@@ -378,9 +378,11 @@ class TestFit:
             assert fit.warnings == []
             assert 0.99 < phi < estimate._PHI_MAX
         else:
+            # phi held at the bound is the one cause, warned once; its
+            # outward gradient is not a distance from a first-order point
             assert phi == estimate._PHI_MAX
-            assert "correlation: factor correlation at the bound for [(1, 0)]" in fit.warnings
-            assert not any(w.startswith("heywood:") for w in fit.warnings)
+            assert fit.warnings == ["correlation: factor correlation at the bound for [(1, 0)]"]
+            assert fit.gradient_norm < 1e-6
         v_ref, converged_ref = _lbfgsb_reference(data, fit.mapping)
         assert converged_ref == interior
         np.testing.assert_allclose(fit.free_vector, v_ref, rtol=0, atol=1e-5)
@@ -405,6 +407,37 @@ class TestFit:
         assert fit.gradient_norm < estimate._GTOL
         assert not fit.converged
         assert fit.warnings == [f"heywood: error variance at or near the floor for items [{j}]"]
+
+    @pytest.mark.parametrize("item", [0, 2])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_duplicated_item_is_one_heywood_case(self, two_factor_params, seed, item):
+        # a one-factor fit of four items and a copy of one of them: both
+        # copies' log error variances end held at the floor with an outward
+        # gradient.  That is a first-order point of the bounded problem, so
+        # the projected gradient is small, the Hessian check on the entries
+        # not held passes, and the Heywood case is the only warning.  Seed 4
+        # with a copy of item 2 once ran to max_iter on line-search steps
+        # that rounded to no move; it takes 97 iterations
+        fit = _duplicated_item_fit(two_factor_params, seed, item)
+        assert not fit.converged
+        assert fit.warnings == [f"heywood: error variance at or near the floor for items "
+                                f"[{item}, 4]"]
+        assert fit.gradient_norm < estimate._GTOL
+        assert fit.inv_observed_information is None
+        assert fit.n_iter <= (100 if (seed, item) == (4, 2) else 250)
+
+    @pytest.mark.parametrize("seed", [101, 104])
+    def test_three_factors_two_of_which_are_one(self, seed):
+        # factors 0 and 1 correlate 0.999: on these seeds the fit ends short
+        # of the gradient test where no step raises the likelihood, instead
+        # of running to max_iter on steps that do not move
+        lam = 0.7 * np.kron(np.eye(3), np.ones((4, 1)))
+        phi = np.array([[1.0, 0.999, 0.4], [0.999, 1.0, 0.42], [0.4, 0.42, 1.0]])
+        params = ParamSet(nu=np.zeros(12), lam=lam, phi=phi, theta=np.full(12, 0.51))
+        data = simulate_data(params, 300, np.random.default_rng(seed))
+        fit = fit_ml(data, ModelSpec(m=12, d=3, loading_pattern=(lam != 0).astype(int)))
+        assert not fit.converged
+        assert fit.n_iter <= 30
 
     def test_replaced_free_vector_moves_params(self, one_factor_params, one_factor_spec):
         # params and spec are read from the free vector and the mapping, so
@@ -507,10 +540,11 @@ class TestStart:
             want = (False, ["hessian"])
         else:
             # a copy of item 2: a singular correlation matrix whose Cholesky
-            # factor can exist with a pivot of order 1e-16
+            # factor can exist with a pivot of order 1e-16; both copies end
+            # held at the floor, one Heywood case
             Y = np.column_stack([Y[:, :4], Y[:, 2]])
             pattern = np.ones((5, 1), dtype=int)
-            want = (False, ["gradient", "heywood", "hessian"])
+            want = (False, ["heywood"])
         data = DataMatrix(Y)
         mapping = ParamMapping(ModelSpec(m=len(pattern), d=pattern.shape[1],
                                          loading_pattern=pattern))
@@ -600,6 +634,14 @@ class TestSimulate:
         assert np.abs(off).max() < 4 / math.sqrt(n)
 
 
+def _duplicated_item_fit(params, seed, item):
+    """The one-factor fit of the first four items of 1000 rows drawn from
+    ``params`` and a copy of item ``item`` as a fifth."""
+    Y = simulate_data(params, 1000, np.random.default_rng(seed)).values
+    return fit_ml(DataMatrix(np.column_stack([Y[:, :4], Y[:, item]])),
+                  ModelSpec(m=5, d=1, loading_pattern=np.ones((5, 1), dtype=int)))
+
+
 def _unidentified_fit(params, seed):
     """1000 rows drawn from ``params``, a two-factor model with four items
     per factor, and the fit to them of every loading free on both factors."""
@@ -641,6 +683,22 @@ def _lbfgsb_reference(data, mapping):
     except IdentificationError:
         converged = False
     return v, converged
+
+
+def test_line_search_rejects_a_step_that_does_not_move(one_factor_params, one_factor_spec):
+    # a step below half an ulp of v leaves every trial at v, where f does
+    # not rise: no trial is accepted, so the iteration ends there
+    data = simulate_data(one_factor_params, 200, np.random.default_rng(3))
+    mapping = ParamMapping(one_factor_spec)
+    ybar, S = _sufficient_statistics(data.values)
+    v = mapping.start_values(data)
+    t = _moment_terms(v, mapping, ybar, S)
+    g = _mean_loglik_grad(mapping, t, _slopes(mapping, t))[mapping.cov_slice]
+    vc = v[mapping.cov_slice]
+    step = 0.25 * np.spacing(vc) * np.sign(g)
+    assert (step != 0.0).all() and (vc + step == vc).all()
+    lo, hi = np.full(len(g), -np.inf), np.full(len(g), np.inf)
+    assert estimate._line_search(mapping, ybar, S, v, _mean_loglik(t), g, step, lo, hi) is None
 
 
 def test_ascent_step_newton_then_floored_eigen():

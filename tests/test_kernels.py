@@ -233,7 +233,7 @@ def test_nested_scopes_restore_once_at_outermost_exit(monkeypatch):
 
     monkeypatch.setattr(simstudy, "fit_ml", recording_fit_ml)
     simstudy.run_rejection_study(
-        Study2Config(n=150), reps=2, seed=3, M=1000, items=(1,), kinds=("linearity",)
+        Study2Config(n=150), reps=2, seed=3, M=1000, items=(1,)
     )
     assert inner == [1, 1]
     assert pool.sets == [1, 2]

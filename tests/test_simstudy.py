@@ -25,6 +25,8 @@ from factorgof import (
 from factorgof import simstudy
 from factorgof.simstudy import RejectionTable, mixture_lv_logpdf, study2_dgp
 
+from conftest import baseline_means
+
 
 class TestStudy1Design:
     def test_error_variances_complement_communalities(self):
@@ -143,36 +145,24 @@ class TestRejectionStudy:
 
     def test_small_run_counts_and_determinism(self):
         cfg = Study2Config(n=150)
-        kwargs = dict(reps=3, seed=99, M=1000, items=(1,), kinds=("linearity",))
+        kwargs = dict(reps=3, seed=99, M=1000, items=(1,))
         t1 = run_rejection_study(cfg, **kwargs)
         t2 = run_rejection_study(cfg, **kwargs)
         assert t1.converged_reps == 3 and t1.excluded == 0
-        (name,) = t1.batteries
-        a, b = t1.batteries[name], t2.batteries[name]
-        assert np.array_equal(a.point_rejections, b.point_rejections)
-        assert np.array_equal(a.point_valid, b.point_valid)
-        assert a.summary_rejections == b.summary_rejections
-        assert a.summary_valid == b.summary_valid
-
-    def test_baseline_only_mode(self):
-        cfg = Study1Config(n=150)
-        table = run_rejection_study(
-            cfg, reps=2, seed=5, kinds=(), collect_baseline=True
-        )
-        assert table.batteries == {}
-        assert set(table.baseline) == {
-            "lr_rate", "mean_cfi", "mean_tli", "mean_srmr", "mean_rmsea"
-        }
+        assert list(t1.batteries) == ["linearity[1]", "variance[1]"]
+        for name, a in t1.batteries.items():
+            b = t2.batteries[name]
+            assert np.array_equal(a.point_rejections, b.point_rejections)
+            assert np.array_equal(a.point_valid, b.point_valid)
+            assert a.summary_rejections == b.summary_rejections
+            assert a.summary_valid == b.summary_valid
 
     def test_raw_collection_shapes(self):
         cfg = Study2Config(n=150)
-        table = run_rejection_study(
-            cfg, reps=2, seed=7, M=1000, items=(1,), kinds=("variance",),
-            collect_raw=True,
-        )
-        (name,) = table.raw
-        assert table.raw[name]["T"].shape == (2,)
-        assert table.raw[name]["z"].shape == (2, 31)
+        table = run_rejection_study(cfg, reps=2, seed=7, M=1000, items=(1,), collect_raw=True)
+        for name in ("linearity[1]", "variance[1]"):
+            assert table.raw[name]["T"].shape == (2,)
+            assert table.raw[name]["z"].shape == (2, 31)
 
     @pytest.mark.parametrize("cfg", [Study1Config(n=200), Study2Config(n=200, misspecified=True)])
     def test_replication_draws_from_the_first_child_seed(self, cfg):
@@ -188,25 +178,19 @@ class TestRejectionStudy:
 
     def test_replication_reproduces_driver_report(self):
         cfg = Study2Config(n=150)
-        table = run_rejection_study(
-            cfg, reps=2, seed=7, M=1000, items=(1,), kinds=("variance",),
-            collect_raw=True,
-        )
+        table = run_rejection_study(cfg, reps=2, seed=7, M=1000, items=(1,), collect_raw=True)
         data, fit = replication(cfg, 7, 1)
         report = run_residual_test(mv_homoscedasticity_problem(default_grid(1), 1), fit, data)
-        (name,) = table.raw
-        assert report.summary.T == table.raw[name]["T"][1]
+        raw = table.raw["variance[1]"]
+        assert report.summary.T == raw["T"][1]
         # the raw z is the report's z array, bit for bit, and so are its points
-        assert table.raw[name]["z"][1].tobytes() == report.z.tobytes()
+        assert raw["z"][1].tobytes() == report.z.tobytes()
         assert np.array([pt.z for pt in report.points]).tobytes() == report.z.tobytes()
 
     def test_misspecified_arm_srmr_stays_tiny(self):
         # item-level distortions barely move the covariance residuals
-        cfg = Study2Config(n=1000, misspecified=True)
-        table = run_rejection_study(
-            cfg, reps=30, seed=606, kinds=(), collect_baseline=True
-        )
-        assert abs(table.baseline["mean_srmr"] - 0.01) < 0.01
+        base = baseline_means(Study2Config(n=1000, misspecified=True), reps=30, seed=606)
+        assert abs(base["mean_srmr"] - 0.01) < 0.01
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, float("nan")])
     def test_alpha_outside_unit_interval_rejected(self, alpha, monkeypatch):
@@ -219,8 +203,6 @@ class TestRejectionStudy:
 
     @pytest.mark.parametrize("kwargs, names", [
         (dict(items=(1, 1)), "linearity[1], variance[1]"),
-        (dict(items=(1, 4), kinds=("variance", "linearity", "variance")), "variance[1], variance[4]"),
-        (dict(kinds=("lv-density", "lv-density")), "lv-density"),
     ])
     def test_repeated_batteries_rejected(self, kwargs, names, monkeypatch):
         def refuse(*_, **__):
