@@ -33,6 +33,7 @@ the tests' reference.
 ``make_problem`` maps a battery kind's name to its problem.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,13 +43,15 @@ from .model import _check_item, conditional_mean_grid, lv_logpdf
 from .residuals import RatioBattery, ResidualProblem, TestReport, WeightedBattery
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LvGrid:
     """Outer-product grid of latent evaluation points.
 
     ``points`` is (Q, d) in row-major dimension order (first dimension
     slowest).  ``summary_subset`` holds indices of the points entering the
-    summary statistic, or None when no summary is requested.
+    summary statistic, or None when no summary is requested.  A grid is
+    immutable: both arrays are read-only copies of the ones it is built
+    from, so one grid can be shared, as ``default_grid``'s are.
     """
 
     axes: tuple
@@ -56,6 +59,14 @@ class LvGrid:
     summary_subset: np.ndarray
     label: str
     summary_label: str
+
+    def __post_init__(self):
+        for name in ("points", "summary_subset"):
+            value = getattr(self, name)
+            if value is not None:
+                value = np.array(value)
+                value.flags.writeable = False
+                object.__setattr__(self, name, value)
 
     @property
     def d(self) -> int:
@@ -121,9 +132,13 @@ def make_grid(axes, summary_axes=None) -> LvGrid:
     )
 
 
+@functools.cache
 def default_grid(d: int) -> LvGrid:
     """Default grid: 31 points on [-3, 3] with an 11-point summary subgrid on
-    [-2, 2] for one latent variable; 19 x 19 with a 7 x 7 subgrid for two."""
+    [-2, 2] for one latent variable; 19 x 19 with a 7 x 7 subgrid for two.
+
+    Built on the first call for each d and shared by every later one; a
+    variant grid comes from ``make_grid``."""
     if d == 1:
         return make_grid([(-3, 3, 31)], [(-2, 2, 11)])
     if d == 2:

@@ -23,6 +23,7 @@ import os
 import sys
 import tempfile
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,12 +49,25 @@ from .simstudy import (
 # ---------------------------------------------------------------------------
 
 
-def _sha256(path: str) -> str:
+def _scan(path: str) -> tuple:
+    """SHA-256 hex digest of ``path`` and its number of lines, ended by LF,
+    CRLF or a lone CR, from one binary pass in chunks.
+
+    UTF-8 never uses CR or LF bytes inside a multi-byte character, so the
+    raw bytes are counted; a CRLF split across two chunks counts once.
+    """
     digest = hashlib.sha256()
+    breaks, last = 0, b""
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
-    return digest.hexdigest()
+            breaks += chunk.count(b"\n")
+            if b"\r" in chunk:
+                breaks += chunk.count(b"\r") - chunk.count(b"\r\n")
+            if last == b"\r" and chunk[:1] == b"\n":
+                breaks -= 1
+            last = chunk[-1:]
+    return digest.hexdigest(), breaks + (last not in (b"\n", b"\r", b""))
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -69,35 +83,49 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def ingest_csv(path: str) -> DataMatrix:
+@dataclass(eq=False)
+class CsvData(DataMatrix):
+    """A DataMatrix read by ``ingest_csv``, with its file's SHA-256 hex
+    digest, which the commands record as ``data_sha256``."""
+
+    sha256: str = None
+
+
+def ingest_csv(path: str) -> CsvData:
     """Read a comma-delimited file with a header row into a DataMatrix.
 
     Every data cell must be a finite number; failures report the offending
-    line and column.  The body is parsed in one pass by ``np.loadtxt``; only
-    when that pass or its checks fail is the file re-read row by row, to name
-    the first bad line or cell.
+    line and column.  After the header record, the file is read twice, each
+    time in chunks, so it is never held in memory whole: one binary pass
+    takes its SHA-256 digest and counts its lines, and ``np.loadtxt``
+    parses the body from the path, skipping the header record's lines.  Only
+    when the parse or its checks fail is the file re-read row by row, to
+    name the first bad line or cell.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = _read_header(path, csv.reader(fh))
-        try:
-            with warnings.catch_warnings():
-                # a header-only file is reported as "no data rows" below
-                warnings.simplefilter("ignore", UserWarning)
-                values = np.loadtxt(
-                    fh, delimiter=",", quotechar='"', comments=None, ndmin=2
-                )
-        except ValueError as exc:
-            failure = str(exc)
-        else:
-            failure = None
-            if not len(values):
-                failure = "no data rows after the header"
-            elif values.shape[1] != len(header):
-                failure = f"expected {len(header)} fields, got {values.shape[1]}"
-            elif not np.isfinite(values).all():
-                failure = "non-finite value"
+        reader = csv.reader(fh)
+        header = _read_header(path, reader)
+        # physical lines of the header record: a quoted name may hold a break
+        header_lines = reader.line_num
+    digest, lines = _scan(path)
+    try:
+        with warnings.catch_warnings():
+            # a header-only file is reported as "no data rows" below
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(path, delimiter=",", quotechar='"', comments=None, ndmin=2,
+                                skiprows=header_lines, encoding="utf-8")
+    except ValueError as exc:
+        failure = str(exc)
+    else:
+        failure = None
+        if not len(values):
+            failure = "no data rows after the header"
+        elif values.shape[1] != len(header):
+            failure = f"expected {len(header)} fields, got {values.shape[1]}"
+        elif not np.isfinite(values).all():
+            failure = "non-finite value"
     # np.loadtxt skips empty lines, so one shows as a line beyond header + rows
-    if failure is not None or _count_lines(path) != len(values) + 1:
+    if failure is not None or lines != len(values) + header_lines:
         error = _first_row_error(path, header)
         if error is not None:
             raise error
@@ -105,7 +133,7 @@ def ingest_csv(path: str) -> DataMatrix:
             raise DataError(f"{path}: {failure}")
         # the extra lines are breaks inside quoted fields: the parse stands
     try:
-        return DataMatrix(values, column_names=header)
+        return CsvData(values, column_names=header, sha256=digest)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -119,24 +147,6 @@ def _read_header(path: str, reader) -> list:
     if not header or any(not name for name in header):
         raise DataError(f"{path}: line 1: malformed header")
     return header
-
-
-def _count_lines(path: str) -> int:
-    """Number of lines in ``path``, ended by LF, CRLF or a lone CR.
-
-    UTF-8 never uses CR or LF bytes inside a multi-byte character, so the
-    raw bytes are counted in chunks.
-    """
-    breaks, last = 0, b""
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            breaks += chunk.count(b"\n")
-            if b"\r" in chunk:
-                breaks += chunk.count(b"\r") - chunk.count(b"\r\n")
-            if last == b"\r" and chunk[:1] == b"\n":
-                breaks -= 1
-            last = chunk[-1:]
-    return breaks + (last not in (b"\n", b"\r", b""))
 
 
 def _first_row_error(path: str, header: list):
@@ -348,11 +358,11 @@ def _resolve_fit(args, data: DataMatrix):
         raise ConfigurationError("exactly one of --model or --fit is required")
     if args.fit:
         fit = load_fit_document(args.fit)
-        source = [("fit_sha256", _sha256(args.fit))]
+        source = [("fit_sha256", _scan(args.fit)[0])]
     else:
         spec = load_model_file(args.model)
         fit = fit_ml(data, spec)
-        source = [("model_sha256", _sha256(args.model))]
+        source = [("model_sha256", _scan(args.model)[0])]
     if data.m != fit.spec.m:
         raise ConfigurationError(f"data has m={data.m}, model has m={fit.spec.m}")
     return fit, source
@@ -377,8 +387,8 @@ def _cmd_fit(args) -> int:
     fit = fit_ml(data, spec)
     inputs = {
         "data_path": os.path.basename(args.data),
-        "data_sha256": _sha256(args.data),
-        "model_sha256": _sha256(args.model),
+        "data_sha256": data.sha256,
+        "model_sha256": _scan(args.model)[0],
     }
     write_fit_document(args.out, fit, data, inputs, seed=args.seed)
     status = "converged" if fit.converged else "NOT CONVERGED"
@@ -418,7 +428,7 @@ def _cmd_test(args) -> int:
         ("seed", args.seed), ("covariance", report.config["covariance"]), ("s", args.s),
         ("n", data.n),
         ("grid", grid.label), ("summary_grid", grid.summary_label),
-        ("data_sha256", _sha256(args.data)),
+        ("data_sha256", data.sha256),
     ] + source
     lines = _provenance_lines(f"test {args.battery}", pairs)
     lines.append("\t".join(
@@ -516,7 +526,7 @@ def _cmd_indices(args) -> int:
         "rmsea": report.rmsea,
         "n": report.n,
         "q": report.q,
-        "inputs": dict([("data_sha256", _sha256(args.data))] + source),
+        "inputs": dict([("data_sha256", data.sha256)] + source),
     }
     _atomic_write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"indices written to {args.out}")

@@ -105,6 +105,8 @@ class ParamMapping:
     sub-diagonal order (a > b), log error variances.  ``pack`` and
     ``unpack`` copy phi_ab exactly; the fit keeps |phi_ab| <= 1 - 1e-6.
     ``dphi`` ((n_phi, d, d)) is the constant dphi/dphi_ab = E_ab + E_ba.
+    Its index arrays and ``dphi`` are read-only, so one mapping can be
+    shared by every fit of a spec, as the bundled designs' fits share theirs.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -147,6 +149,9 @@ class ParamMapping:
         self.rank2_rc = rows[:, None] * width + cols
         self.rank2_rr = rows[:, None] * m + rows
         self.rank2_cc = cols[:, None] * width + cols
+        for name in ("lam_rows", "lam_cols", "phi_rows", "phi_cols", "dphi",
+                     "rank2_at", "rank2_rc", "rank2_rr", "rank2_cc"):
+            getattr(self, name).flags.writeable = False
 
     @property
     def labels(self) -> list:
@@ -550,8 +555,10 @@ def _covariance_hessian(mapping, t: _Terms, s: _Slopes):
 
 
 @kernels.single_blas_thread
-def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitResult:
-    """Fit the factor model by maximum likelihood.
+def fit_ml(data: DataMatrix, spec, opts: OptimOptions = None) -> FitResult:
+    """Fit the factor model of ``spec``, a ModelSpec or the ParamMapping of
+    one, by maximum likelihood; the fit's ``mapping`` is that ParamMapping,
+    or one built from the ModelSpec.
 
     With a free mean structure the intercepts' estimate is the sample mean
     in closed form; the rest is a projected Newton iteration on the exact
@@ -581,9 +588,9 @@ def fit_ml(data: DataMatrix, spec: ModelSpec, opts: OptimOptions = None) -> FitR
     """
     if opts is None:
         opts = OptimOptions()
-    if data.m != spec.m:
-        raise SpecificationError(f"data has m={data.m}, spec has m={spec.m}")
-    mapping = ParamMapping(spec)
+    mapping = _as_mapping(spec)
+    if data.m != mapping.spec.m:
+        raise SpecificationError(f"data has m={data.m}, spec has m={mapping.spec.m}")
     ybar, S = _sample_moments(data.values)
 
     # the start puts the intercepts at ybar, their estimate, where they stay

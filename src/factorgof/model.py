@@ -37,6 +37,8 @@ class ModelSpec:
 
     The latent variables are identified by unit variance: the latent
     covariance has a fixed unit diagonal with free off-diagonal entries.
+    A spec is immutable: ``loading_pattern`` is a read-only int8 copy, so
+    one spec can be shared, as the bundled designs' specs are.
     """
 
     m: int
@@ -64,6 +66,7 @@ class ModelSpec:
                 f"m={self.m} < 3*d={3 * self.d}: model may not be identified",
                 stacklevel=2,
             )
+        pattern.flags.writeable = False
         object.__setattr__(self, "loading_pattern", pattern)
 
 
@@ -84,7 +87,8 @@ class ParamSet:
     The implied m x m covariance is Cholesky-factorized lazily and cached,
     and so is the posterior law of x given y, since marginal and posterior
     densities are evaluated many times per parameter set.  Instances must
-    be treated as immutable after construction.
+    be treated as immutable after construction; the cached arrays are
+    read-only.
     """
 
     nu: np.ndarray
@@ -121,6 +125,7 @@ class ParamSet:
             self._phi_chol = np.linalg.cholesky(self.phi)
         except np.linalg.LinAlgError as exc:
             raise DegenerateCovarianceError("phi is not positive definite") from exc
+        self._phi_chol.flags.writeable = False
 
     @property
     def m(self) -> int:
@@ -143,6 +148,7 @@ class ParamSet:
                 raise DegenerateCovarianceError(
                     "model-implied covariance is not positive definite"
                 ) from exc
+            self._sigma_chol.flags.writeable = False
         return self._sigma_chol
 
     def phi_cholesky(self) -> np.ndarray:
@@ -153,8 +159,10 @@ class ParamSet:
         if self._posterior is None:
             lam_w = self.lam / self.theta[:, None]
             prec = np.linalg.inv(self.phi) + self.lam.T @ lam_w
-            self._posterior = PosteriorLaw(lam_w, prec, np.linalg.inv(prec),
-                                           np.linalg.slogdet(prec)[1])
+            cov = np.linalg.inv(prec)
+            for a in (lam_w, prec, cov):
+                a.flags.writeable = False
+            self._posterior = PosteriorLaw(lam_w, prec, cov, np.linalg.slogdet(prec)[1])
         return self._posterior
 
 

@@ -275,10 +275,10 @@ class TestReport:
 
     Point values are on the reported scale, so for ratio batteries
     ``eta_hat`` and ``eta`` are the empirical and model-implied conditional
-    moments themselves.  ``coords`` is (k, d) and the other point fields
-    are arrays over the k points, with NaN se, z and p at unstable points;
-    ``points`` gives the same values as ``TestPoint``s, built on first
-    access and kept.
+    moments themselves.  ``coords`` is (k, d), a read-only view of the
+    grid's points, and the other point fields are arrays over the k
+    points, with NaN se, z and p at unstable points; ``points`` gives the
+    same values as ``TestPoint``s, built on first access and kept.
     """
 
     battery: str
@@ -771,13 +771,16 @@ def _reports(problems, n, t_hat, wbar, subset, moments, inv_info, M, mc):
         coords = getattr(problem.grid, "points", None)
         if coords is None or len(coords) != battery.k:
             coords = np.arange(battery.k, dtype=np.float64)[:, None]
+        # a read-only view, so no report can write into a shared grid
+        coords = np.asarray(coords, dtype=np.float64).view()
+        coords.flags.writeable = False
         config = {"battery": battery.name, "covariance": "exact" if M == 0 else "monte-carlo",
                   "s": mc.s, "n": n, "grid": getattr(problem.grid, "label", ""),
                   "summary_grid": getattr(problem.grid, "summary_label", "")}
         acm = AcmEstimate(diag=var[i], summary_index=keep, summary_block=block,
                           summary_eigvals=eigvals, M=M)
         reports.append(TestReport(
-            battery=battery.name, coords=np.asarray(coords, dtype=np.float64),
+            battery=battery.name, coords=coords,
             eta_hat=t_hat[i], eta=eta[i], residual=resid[i], se=se[i], z=z[i], p=p[i],
             unstable=unstable[i], summary=summary, config=config, acm=acm))
     return reports

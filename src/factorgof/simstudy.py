@@ -16,16 +16,21 @@ Two bundled designs:
 rejections per grid point and per summary statistic.  Replication r of a run
 seeded with master seed ``seed`` derives all randomness from
 ``SeedSequence((seed, r))`` (see ``replication``), so tables reproduce
-bit-for-bit and replications could be executed in any order.
+bit-for-bit and replications could be executed in any order.  Each design's
+spec, the spec's ``ParamMapping`` and the generating law are built on first
+use and shared, read-only, by every later call in the process, and every
+replication's fit runs through the design's mapping.
 """
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .batteries import default_grid, make_problem
 from .errors import ConfigurationError, NotConvergedError
-from .estimate import DataMatrix, fit_ml
+from .estimate import DataMatrix, ParamMapping, fit_ml
 from .kernels import single_blas_thread
 from .model import ModelSpec, ParamSet
 from .residuals import McConfig, run_residual_batch
@@ -60,29 +65,81 @@ class Study2Config:
     misspecified: bool = False
 
 
-def model_spec_study1() -> ModelSpec:
-    pattern = np.zeros((20, 2), dtype=np.int8)
-    pattern[:10, 0] = 1
-    pattern[10:, 1] = 1
-    return ModelSpec(m=20, d=2, loading_pattern=pattern)
+class _Design(NamedTuple):
+    """A bundled design's constants: its spec, the spec's ParamMapping, and
+    its generating law (study1: the ParamSet and the lower Cholesky factor
+    of a mixture component's covariance; study2: the coefficients of the
+    correct and the misspecified arm, in that order)."""
+
+    spec: ModelSpec
+    mapping: ParamMapping
+    law: tuple
 
 
-def model_spec_study2() -> ModelSpec:
-    return ModelSpec(m=10, d=1, loading_pattern=np.ones((10, 1), dtype=np.int8))
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
 
 
 def _cycle_loadings(count: int) -> np.ndarray:
     return np.array([_LOADING_CYCLE[j % 3] for j in range(count)])
 
 
-def study1_paramset() -> ParamSet:
-    """Generating parameters of the two-factor design (both arms)."""
+@functools.cache
+def _study1() -> _Design:
+    """Study1's constants, built on first use and shared by every later one."""
+    pattern = np.zeros((20, 2), dtype=np.int8)
+    pattern[:10, 0] = 1
+    pattern[10:, 1] = 1
+    spec = ModelSpec(m=20, d=2, loading_pattern=pattern)
     a = _cycle_loadings(10)
     lam = np.zeros((20, 2))
     lam[:10, 0] = a
     lam[10:, 1] = a
     theta = 1.0 - np.einsum("jk,kl,jl->j", lam, _STUDY1_PHI, lam)
-    return ParamSet(nu=np.zeros(20), lam=lam, phi=_STUDY1_PHI, theta=theta)
+    params = ParamSet(nu=np.zeros(20), lam=lam, phi=_STUDY1_PHI, theta=theta)
+    mix_chol = np.linalg.cholesky(_STUDY1_MIX_COV)
+    _read_only(params.nu, params.lam, params.phi, params.theta, mix_chol)
+    return _Design(spec, ParamMapping(spec), (params, mix_chol))
+
+
+def _study2_coefficients(misspecified: bool) -> dict:
+    m = 10
+    lam = _cycle_loadings(m)
+    kappa = np.zeros(m)
+    g1 = np.zeros(m)
+    if misspecified:
+        lam[7:] = np.sqrt(0.5)
+        kappa[7] = kappa[9] = _STUDY2_QUAD_COEF
+        g1[8] = g1[9] = _STUDY2_LOGVAR_SLOPE
+    theta = 1.0 - lam**2
+    coef = {"lam": lam, "kappa": kappa, "g0": np.log(theta), "g1": g1, "theta": theta}
+    _read_only(*coef.values())
+    return coef
+
+
+@functools.cache
+def _study2() -> _Design:
+    """Study2's constants, built on first use and shared by every later one."""
+    spec = ModelSpec(m=10, d=1, loading_pattern=np.ones((10, 1), dtype=np.int8))
+    return _Design(spec, ParamMapping(spec),
+                   (_study2_coefficients(False), _study2_coefficients(True)))
+
+
+def model_spec_study1() -> ModelSpec:
+    """The two-factor design's spec, shared (it is immutable)."""
+    return _study1().spec
+
+
+def model_spec_study2() -> ModelSpec:
+    """The one-factor design's spec, shared (it is immutable)."""
+    return _study2().spec
+
+
+def study1_paramset() -> ParamSet:
+    """Generating parameters of the two-factor design (both arms); shared,
+    with read-only arrays."""
+    return _study1().law[0]
 
 
 def study2_dgp(cfg: Study2Config) -> dict:
@@ -90,18 +147,10 @@ def study2_dgp(cfg: Study2Config) -> dict:
 
     Every item has conditional mean lam*x + kappa*x^2 and conditional
     variance exp(g0 + g1*x); clean items have kappa = g1 = 0 and
-    g0 = log(theta).
+    g0 = log(theta).  The dict is new on every call; its arrays are shared
+    and read-only.
     """
-    m = 10
-    lam = _cycle_loadings(m)
-    kappa = np.zeros(m)
-    g1 = np.zeros(m)
-    if cfg.misspecified:
-        lam[7:] = np.sqrt(0.5)
-        kappa[7] = kappa[9] = _STUDY2_QUAD_COEF
-        g1[8] = g1[9] = _STUDY2_LOGVAR_SLOPE
-    theta = 1.0 - lam**2
-    return {"lam": lam, "kappa": kappa, "g0": np.log(theta), "g1": g1, "theta": theta}
+    return dict(_study2().law[bool(cfg.misspecified)])
 
 
 def study2_paramset() -> ParamSet:
@@ -119,10 +168,10 @@ def generate_study1(cfg: Study1Config, rng, return_lv: bool = False):
     """Draw a study1 dataset; optionally also return the latent draws."""
     if cfg.n < 1:
         raise ConfigurationError("n must be positive")
-    params = study1_paramset()
+    params, mix_chol = _study1().law
     if cfg.misspecified:
         comp = rng.random(cfg.n) < 0.5
-        z = rng.standard_normal((cfg.n, 2)) @ np.linalg.cholesky(_STUDY1_MIX_COV).T
+        z = rng.standard_normal((cfg.n, 2)) @ mix_chol.T
         x = np.where(comp[:, None], -_STUDY1_MIX_MEAN, _STUDY1_MIX_MEAN) + z
     else:
         x = rng.standard_normal((cfg.n, 2)) @ params.phi_cholesky().T
@@ -135,7 +184,7 @@ def generate_study2(cfg: Study2Config, rng, return_lv: bool = False):
     """Draw a study2 dataset; optionally also return the latent draws."""
     if cfg.n < 1:
         raise ConfigurationError("n must be positive")
-    dgp = study2_dgp(cfg)
+    dgp = _study2().law[bool(cfg.misspecified)]
     x = rng.standard_normal(cfg.n)
     eps = rng.standard_normal((cfg.n, 10))
     mean = x[:, None] * dgp["lam"] + (x**2)[:, None] * dgp["kappa"]
@@ -217,10 +266,10 @@ def replication(cfg, seed: int, rep: int):
     """
     data_rng = np.random.default_rng(np.random.SeedSequence((seed, rep)).spawn(1)[0])
     if isinstance(cfg, Study1Config):
-        data, spec = generate_study1(cfg, data_rng), model_spec_study1()
+        data, design = generate_study1(cfg, data_rng), _study1()
     else:
-        data, spec = generate_study2(cfg, data_rng), model_spec_study2()
-    return data, fit_ml(data, spec)
+        data, design = generate_study2(cfg, data_rng), _study2()
+    return data, fit_ml(data, design.mapping)
 
 
 @single_blas_thread

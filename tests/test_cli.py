@@ -1,5 +1,6 @@
 """Command-line interface: ingestion diagnostics, file outputs, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -185,6 +186,20 @@ class TestIngestCsv:
     def test_blank_line_inside_quoted_cell_accepted(self, tmp_path):
         dm = _ingest_values(tmp_path, 'a,b\n"1\n\n",2\n3,4\n5,7\n')
         np.testing.assert_array_equal(dm.values, [[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_line_break_inside_a_quoted_name_is_one_header_record(self, tmp_path, eol,
+                                                                  monkeypatch):
+        # the header record spans two lines, which the parse skips, so the
+        # line count matches and the file is not re-read
+        import factorgof.cli as cli
+
+        monkeypatch.setattr(cli, "_first_row_error", lambda path, header: pytest.fail("re-read"))
+        text = eol.join(['"first' + eol + 'name",b', "1,2", "3,4", "5,7"]) + eol
+        dm = _ingest_values(tmp_path, text)
+        assert dm.column_names == ["first" + eol + "name", "b"]
+        np.testing.assert_array_equal(dm.values, [[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])
+        assert dm.sha256 == hashlib.sha256(text.encode()).hexdigest()
 
     def test_unexplained_parse_failure_still_raises(self, tmp_path, monkeypatch):
         import factorgof.cli as cli

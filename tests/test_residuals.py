@@ -555,6 +555,18 @@ class TestRunResidualTest:
         assert all(pt.residual == 0.0 for pt in report.points)
         assert all(pt.unstable for pt in report.points)  # zero variance
 
+    def test_report_coords_are_a_read_only_view_of_the_grid(self, fitted_setup):
+        # the default grid is shared by every later caller, so no report
+        # may write into it
+        spec, params, data, fit = fitted_setup
+        grid = default_grid(1)
+        report = run_residual_test(lv_density_problem(grid), fit, data)
+        for coords in (report.coords[0], report.points[0].coords):
+            with pytest.raises(ValueError, match="read-only"):
+                coords[0] = 99.0
+        assert np.array_equal(report.coords, grid.points)
+        assert grid.points[0, 0] == -3.0
+
     def test_refuses_nonconverged_fit(self, fitted_setup):
         spec, params, data, fit = fitted_setup
         bad = fit_ml(data, spec, OptimOptions(max_iter=1))

@@ -1,19 +1,26 @@
 """Data-generating designs and the replication driver."""
 
+import dataclasses
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from factorgof import (
     ConfigurationError,
+    ModelSpec,
     NotConvergedError,
     OptimOptions,
+    ParamMapping,
     Study1Config,
     Study2Config,
     default_grid,
     generate_study1,
     generate_study2,
+    fit_ml,
     mv_homoscedasticity_problem,
     replication,
     run_rejection_study,
@@ -23,7 +30,7 @@ from factorgof import (
     study2_paramset,
 )
 from factorgof import simstudy
-from factorgof.simstudy import RejectionTable, mixture_lv_logpdf, study2_dgp
+from factorgof.simstudy import RejectionTable, mixture_lv_logpdf, model_spec_study1, study2_dgp
 
 from conftest import baseline_means
 
@@ -220,3 +227,94 @@ class TestRejectionStudy:
         cfg = Study2Config(n=150)
         with pytest.raises(NotConvergedError, match="all 2 replications failed"):
             run_rejection_study(cfg, reps=2, seed=1, M=1000, items=(1,))
+
+
+# Raw T, z and rejection counts of a few replications per arm of both
+# designs, as one digest; run in this process and in a fresh interpreter.
+_STUDY_BITS = """
+import hashlib
+import numpy as np
+from factorgof import Study1Config, Study2Config, run_rejection_study
+
+
+def study_bits():
+    digest = hashlib.sha256()
+    for cfg in (Study1Config(n=300), Study1Config(n=300, misspecified=True),
+                Study2Config(n=300), Study2Config(n=300, misspecified=True)):
+        table = run_rejection_study(cfg, reps=3, seed=41, items=(1, 7), collect_raw=True)
+        for name, acc in table.batteries.items():
+            for a in (table.raw[name]["T"], table.raw[name]["z"], acc.point_rejections,
+                      acc.point_valid, [acc.summary_rejections, acc.summary_valid]):
+                digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+"""
+
+
+def _fresh_interpreter(code):
+    src = os.path.dirname(os.path.dirname(simstudy.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+class TestSharedDesigns:
+    """Each bundled design's spec, mapping, generating law and default grid
+    are built once per process and shared, read-only."""
+
+    def test_warm_and_cold_caches_give_the_same_bits(self):
+        cold = _fresh_interpreter(_STUDY_BITS + "print(study_bits())")
+        # warm every design's constants with other studies first
+        for cfg in (Study1Config(n=200, misspecified=True), Study2Config(n=200)):
+            run_rejection_study(cfg, reps=1, seed=3)
+        namespace = {}
+        exec(_STUDY_BITS, namespace)
+        assert namespace["study_bits"]() == cold
+
+    @pytest.mark.parametrize("cfg, pattern", [
+        (Study1Config(n=1000, misspecified=True), np.kron(np.eye(2, dtype=int), np.ones((10, 1)))),
+        (Study2Config(n=1000, misspecified=True), np.ones((10, 1), dtype=int)),
+    ])
+    def test_fit_through_the_shared_mapping_matches_a_fresh_one(self, cfg, pattern):
+        data, fit = replication(cfg, 77, 0)
+        assert fit.mapping is replication(cfg, 77, 1)[1].mapping
+        spec = ModelSpec(m=pattern.shape[0], d=pattern.shape[1], loading_pattern=pattern)
+        for fresh in (fit_ml(data, ParamMapping(spec)), fit_ml(data, spec)):
+            assert fresh.mapping is not fit.mapping
+            assert fresh.free_vector.tobytes() == fit.free_vector.tobytes()
+            assert fresh.loglik == fit.loglik and fresh.n_iter == fit.n_iter
+            assert fresh.gradient_norm == fit.gradient_norm
+            assert fresh.warnings == fit.warnings
+            assert (fresh.inv_observed_information.tobytes()
+                    == fit.inv_observed_information.tobytes())
+
+    def test_shared_arrays_are_read_only(self):
+        grid = default_grid(2)
+        assert default_grid(2) is grid
+        mapping = replication(Study2Config(n=200), 1, 0)[1].mapping
+        params = study1_paramset()
+        arrays = [grid.points, grid.summary_subset, model_spec_study1().loading_pattern,
+                  params.theta, params.lam, params.phi_cholesky(), params.sigma_cholesky(),
+                  params.posterior_law().cov]
+        arrays += [getattr(mapping, name) for name in (
+            "lam_rows", "lam_cols", "phi_rows", "phi_cols", "dphi",
+            "rank2_at", "rank2_rc", "rank2_rr", "rank2_cc")]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            grid.points = grid.points.copy()
+
+    def test_study2_dgp_hands_out_a_new_dict(self):
+        a = study2_dgp(Study2Config(n=1, misspecified=True))
+        a["kappa"] = np.zeros(10)
+        assert study2_dgp(Study2Config(n=1, misspecified=True))["kappa"][7] == -0.1
+
+    def test_import_builds_no_design(self):
+        out = _fresh_interpreter(
+            "import factorgof\n"
+            "from factorgof import batteries, simstudy\n"
+            "print([f.cache_info().currsize for f in "
+            "(simstudy._study1, simstudy._study2, batteries.default_grid)])")
+        assert out == "[0, 0, 0]"
