@@ -53,7 +53,6 @@ from .residuals import (
     AcmEstimate,
     McConfig,
     RatioBattery,
-    ResidualProblem,
     SummaryBattery,
     TestReport,
     WeightedBattery,

@@ -1,6 +1,7 @@
 """Concrete residual batteries and latent evaluation grids.
 
-Three assessments are bundled, all conditioned on a grid of latent values:
+Three assessments are bundled, each a battery on a grid of latent values
+(a test is its battery):
 
 * ``lv_density_problem`` compares the average posterior density against the
   model's latent density,
@@ -30,7 +31,7 @@ form fixes the sample value too (``residuals._sample_values``): it needs
 only W's column means and the item's W-weighted sums, so the batch never
 calls a bundled battery's ``evaluate``, which serves direct callers and
 the tests' reference.
-``make_problem`` maps a battery kind's name to its problem.
+``make_problem`` maps a battery kind's name to its battery.
 """
 
 import functools
@@ -40,7 +41,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .model import _check_item, conditional_mean_grid, lv_logpdf
-from .residuals import RatioBattery, ResidualProblem, TestReport, WeightedBattery
+from .residuals import RatioBattery, TestReport, WeightedBattery
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +154,7 @@ def _check_item_index(item: int) -> int:
     return item
 
 
-def lv_density_problem(grid: LvGrid) -> ResidualProblem:
+def lv_density_problem(grid: LvGrid) -> WeightedBattery:
     """Latent-density check: posterior densities vs. the model density.
 
     G_q = W_q is the quadratic form h_q = D_q, so the residual covariance
@@ -166,13 +167,12 @@ def lv_density_problem(grid: LvGrid) -> ResidualProblem:
     def eta_fn(params):
         return np.exp(lv_logpdf(grid.points, params))
 
-    battery = WeightedBattery(k=grid.Q, name="lv-density", _evaluate=from_weights,
-                              _eta=eta_fn, grid=grid,
-                              _quadratic=(None, lambda params, dens: dens, 0.0, 0.0))
-    return ResidualProblem(battery, grid)
+    return WeightedBattery(k=grid.Q, name="lv-density", _evaluate=from_weights,
+                           _eta=eta_fn, grid=grid,
+                           _quadratic=(None, lambda params, dens: dens, 0.0, 0.0))
 
 
-def mv_linearity_problem(grid: LvGrid, item: int) -> ResidualProblem:
+def mv_linearity_problem(grid: LvGrid, item: int) -> RatioBattery:
     """Conditional-mean check for one variable via posterior-weight ratios.
 
     G_q = W_q (y_j - mu_qj) / D_q is the quadratic form
@@ -187,12 +187,11 @@ def mv_linearity_problem(grid: LvGrid, item: int) -> ResidualProblem:
     def eta_fn(params):
         return conditional_mean_grid(grid.points, params)[:, item]
 
-    battery = RatioBattery(k=grid.Q, name=f"linearity[{item}]", _evaluate=response,
-                           _eta=eta_fn, grid=grid, _quadratic=(item, None, 1.0, 0.0))
-    return ResidualProblem(battery, grid)
+    return RatioBattery(k=grid.Q, name=f"linearity[{item}]", _evaluate=response,
+                        _eta=eta_fn, grid=grid, _quadratic=(item, None, 1.0, 0.0))
 
 
-def mv_homoscedasticity_problem(grid: LvGrid, item: int) -> ResidualProblem:
+def mv_homoscedasticity_problem(grid: LvGrid, item: int) -> RatioBattery:
     """Conditional-variance check for one variable via posterior-weight ratios.
 
     G_q = W_q ((y_j - mu_qj)^2 - theta_j) / D_q is the quadratic form
@@ -209,12 +208,11 @@ def mv_homoscedasticity_problem(grid: LvGrid, item: int) -> ResidualProblem:
     def eta_fn(params):
         return np.full(grid.Q, params.theta[item])
 
-    battery = RatioBattery(k=grid.Q, name=f"variance[{item}]", _evaluate=squared_deviation,
-                           _eta=eta_fn, grid=grid, _quadratic=(item, None, 0.0, 1.0))
-    return ResidualProblem(battery, grid)
+    return RatioBattery(k=grid.Q, name=f"variance[{item}]", _evaluate=squared_deviation,
+                        _eta=eta_fn, grid=grid, _quadratic=(item, None, 0.0, 1.0))
 
 
-def mv_linearity_direct_problem(grid: LvGrid, item: int) -> ResidualProblem:
+def mv_linearity_direct_problem(grid: LvGrid, item: int) -> WeightedBattery:
     """Non-ratio conditional-mean check; comparison variant only.
 
     The summary component is the response times the conditional-to-marginal
@@ -236,10 +234,9 @@ def mv_linearity_direct_problem(grid: LvGrid, item: int) -> ResidualProblem:
     def eta_fn(params):
         return conditional_mean_grid(grid.points, params)[:, item].copy()
 
-    battery = WeightedBattery(k=grid.Q, name=f"linearity-direct[{item}]",
-                              _evaluate=from_weights, _eta=eta_fn, grid=grid,
-                              _quadratic=(item, lambda params, dens: eta_fn(params), 1.0, 0.0))
-    return ResidualProblem(battery, grid)
+    return WeightedBattery(k=grid.Q, name=f"linearity-direct[{item}]",
+                           _evaluate=from_weights, _eta=eta_fn, grid=grid,
+                           _quadratic=(item, lambda params, dens: eta_fn(params), 1.0, 0.0))
 
 
 _ITEM_PROBLEMS = {
@@ -249,8 +246,8 @@ _ITEM_PROBLEMS = {
 }
 
 
-def make_problem(kind: str, grid: LvGrid, item: int = None) -> ResidualProblem:
-    """The problem of a battery kind on ``grid``: ``"lv-density"``, or
+def make_problem(kind: str, grid: LvGrid, item: int = None) -> WeightedBattery:
+    """The battery of a kind on ``grid``: ``"lv-density"``, or
     ``"linearity"``, ``"variance"`` or ``"linearity-direct"`` for the
     0-based ``item``."""
     if kind == "lv-density":

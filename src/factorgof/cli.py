@@ -15,6 +15,7 @@ line.
 """
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -70,6 +71,17 @@ def _scan(path: str) -> tuple:
     return digest.hexdigest(), breaks + (last not in (b"\n", b"\r", b""))
 
 
+@contextlib.contextmanager
+def _utf8_text(path: str):
+    """``path`` as UTF-8 text; a byte that does not decode raises a DataError."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise DataError(f"{path}: not UTF-8 text (byte 0x{byte:02x}: {exc.reason})") from None
+
+
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".factorgof-")
@@ -102,7 +114,7 @@ def ingest_csv(path: str) -> CsvData:
     when the parse or its checks fail is the file re-read row by row, to
     name the first bad line or cell.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _utf8_text(path) as fh:
         reader = csv.reader(fh)
         header = _read_header(path, reader)
         # physical lines of the header record: a quoted name may hold a break
@@ -156,7 +168,7 @@ def _first_row_error(path: str, header: list):
     A cell is numeric when ``float`` accepts it and it holds neither an
     underscore nor a non-ASCII character, which ``np.loadtxt`` rejects.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _utf8_text(path) as fh:
         reader = csv.reader(fh)
         next(reader)
         lineno = 1
@@ -188,7 +200,7 @@ def _first_row_error(path: str, header: list):
 
 
 def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8_text(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:

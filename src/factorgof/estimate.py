@@ -310,7 +310,8 @@ class FitResult:
     ``mapping.unpack(free_vector)`` and ``spec`` is ``mapping.spec``.
     ``converged`` requires the gradient criterion, a negative-definite
     free-parameter Hessian that inverts with bounded condition number, and
-    the absence of Heywood cases and of factor correlations at their bound.
+    the absence of Heywood cases, of factor correlations at their bound and
+    of a singular factor correlation matrix.
     ``gradient_norm`` is the max-abs of the projected gradient P(v + g) - v
     of the mean log-likelihood, so an entry held at a bound whose gradient
     points outward counts as 0.  ``inv_observed_information`` inverts the
@@ -575,9 +576,10 @@ def fit_ml(data: DataMatrix, spec, opts: OptimOptions = None) -> FitResult:
     theta_j at ``_THETA_FLOOR``, or at most ``_NEAR_FLOOR`` times the item's
     sample variance, where the log-theta gradient theta_j dl/dtheta_j can
     pass the gradient test before theta_j reaches the floor), no factor
-    correlation at the bound |phi_ab| = ``_PHI_MAX`` (factors that are one;
-    warned as ``correlation:``), and a negative-definite Hessian of the mean
-    log-likelihood at the solution whose negative, the observed
+    correlation at the bound |phi_ab| = ``_PHI_MAX`` nor, at d >= 3, a phi
+    whose least eigenvalue is at most 1 - ``_PHI_MAX`` (factors that are
+    one; warned as ``correlation:``), and a negative-definite Hessian of
+    the mean log-likelihood at the solution whose negative, the observed
     information, inverts without near singularity (the identification
     check).  Both Hessian checks take the entries not held at a bound,
     since a held entry has its own ``heywood:`` or ``correlation:``
@@ -607,10 +609,18 @@ def fit_ml(data: DataMatrix, spec, opts: OptimOptions = None) -> FitResult:
         idx = np.nonzero(heywood)[0]
         warn.append(f"heywood: error variance at or near the floor for items {idx.tolist()}")
     at_bound = np.abs(v[mapping.phi_slice]) >= _PHI_MAX
-    if at_bound.any():
+    correlation = at_bound.any()
+    if correlation:
         pairs = [(int(a), int(b)) for a, b in zip(mapping.phi_rows[at_bound],
                                                    mapping.phi_cols[at_bound])]
         warn.append(f"correlation: factor correlation at the bound for {pairs}")
+    elif mapping.spec.d >= 3:
+        # no pair at the bound, but three or more factors can still be
+        # dependent; at d = 2 this bound is the pairwise one
+        min_phi = float(np.linalg.eigvalsh(t.phi)[0])
+        correlation = min_phi <= 1.0 - _PHI_MAX
+        if correlation:
+            warn.append(f"correlation: factor correlation matrix singular (min eig {min_phi:.3g})")
     # the intercepts stay at ybar, so the observed information is block
     # diagonal; an entry held at a bound is warned above, so the checks take
     # the block of the entries not held
@@ -619,7 +629,7 @@ def fit_ml(data: DataMatrix, spec, opts: OptimOptions = None) -> FitResult:
     hess_ok = min_eig > 0.0
     if not hess_ok:
         warn.append(f"hessian: not negative definite (min eig of -H = {min_eig:.3g})")
-    converged = grad_ok and not heywood.any() and not at_bound.any() and hess_ok
+    converged = grad_ok and not heywood.any() and not correlation and hess_ok
 
     inv_observed = None
     if hess_ok:
@@ -797,19 +807,6 @@ def _expected_terms(v, mapping, params):
     t = _moment_terms(v, mapping, params.nu, params.implied_covariance())
     s = _slopes(mapping, t)
     return t, s, _covariance_hessian(mapping, t, s)
-
-
-def score_information(scores: np.ndarray) -> np.ndarray:
-    """Symmetrised mean outer product of the rows of ``scores``: the Monte
-    Carlo information of model draws whose scores are at hand."""
-    info = scores.T @ scores / len(scores)
-    return 0.5 * (info + info.T)
-
-
-def invert_information(info: np.ndarray) -> np.ndarray:
-    """Symmetric PD inverse, rejecting near-singular information."""
-    _check_conditioning(np.linalg.eigvalsh(info))
-    return kernels.spd_inverse(np.linalg.cholesky(info))
 
 
 def _check_conditioning(eigs):

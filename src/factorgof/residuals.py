@@ -1,20 +1,21 @@
 """Generalized-residual machinery.
 
-A test is defined by a battery of summary functions of one observation,
-evaluated against a latent grid, and the battery's model value eta.  The
-residual is the sample value eta_hat less eta, both on the reported scale;
-its asymptotic covariance combines the covariance of each row's
-contribution G with a penalty for parameter estimation:
+A test is its battery: summary functions of one observation, evaluated
+against the latent grid that labels its points, and the battery's model
+value eta.  The residual is the sample value eta_hat less eta, both on the
+reported scale; its asymptotic covariance combines the covariance of each
+row's contribution G with a penalty for parameter estimation:
 
     sigma_phi = Cov(G) - A I^{-1} A'
 
 with A the mean outer product of G and the score, and I the
-per-observation information, all at the fitted model.  Pointwise residuals
-are referred to N(0, 1) after standardization; a summary quadratic form over
-a designated subgrid is referred to a chi-square whose weight matrix inverts
-only the leading s eigenvalues of sigma_phi.  A report reads only the
-diagonal of sigma_phi and its block on the stable summary points, and the
-engine forms only those.
+per-observation information, all at the fitted model.  I is the exact
+information, minus the expected Hessian, for every battery.  Pointwise
+residuals are referred to N(0, 1) after standardization; a summary
+quadratic form over a designated subgrid is referred to a chi-square whose
+weight matrix inverts only the leading s eigenvalues of sigma_phi.  A
+report reads only the diagonal of sigma_phi and its block on the stable
+summary points, and the engine forms only those.
 
 A mean battery's sample value is the column mean of its values H, so G = H.
 A ``RatioBattery`` is a posterior-weighted conditional moment of f(y) at
@@ -26,26 +27,27 @@ with D the model's latent density at the grid points.
 
 A ``WeightedBattery`` that declares G_q = W_q h_q / D_q as a quadratic form
 in one item (every bundled battery does) has Var(G), Cov(G) and A in closed
-form (``_quadratic_moments``), paired with the exact information.  For a
-custom battery without one they are estimated from one shared set of M
-Monte Carlo draws from the fitted model; a batch without such a battery
-draws nothing.
+form (``_quadratic_moments``).  For a custom battery without one, the
+values on one shared set of M Monte Carlo draws from the fitted model
+estimate Cov(G), A and, where the battery has no closed form, eta; a batch
+without such a battery draws nothing.
 
 The form fixes the sample value too: averaged over the data rows,
 W_q h_q needs only W's column means and, per item, the weighted sums
 W' (y_j - nu_j) and W' (y_j - nu_j)^2 (``_sample_values``), so no battery
 with a form is evaluated row by row.
 
-``run_residual_batch`` makes one pass per distinct set of grid points: it
-computes W on the data, read-only, and W's column means (the ratios'
-denominators).  The grid's problems with a form and one summary subset then
-go through one stacked pass: their sample values, moments, se, z and p are
-(P, Q) arrays for P problems on Q points.  Each item's weighted sums come
-from their own product and the moments from per-problem slabs, so a report
-has the same bits in any batch.  A custom problem takes its sample value
-from its ``evaluate`` on W, which is dropped before W on the draws is
-computed for its covariance.  Batteries that give only
-``_evaluate(Y, params)`` share one pass without W.
+``run_residual_batch`` inverts the exact information once and makes one
+pass per distinct set of grid points: it computes W on the data,
+read-only, and W's column means (the ratios' denominators).  The grid's
+batteries with a form and one summary subset then go through one stacked
+pass: their sample values, moments, se, z and p are (P, Q) arrays for P
+batteries on Q points.  Each item's weighted sums come from their own
+product and the moments from per-battery slabs, so a report has the same
+bits in any batch.  A custom battery takes its sample value from its
+``evaluate`` on W, which is dropped before W on the draws is computed for
+its covariance.  Batteries that give only ``_evaluate(Y, params)`` share
+one pass without W.
 """
 
 from dataclasses import dataclass
@@ -64,8 +66,6 @@ from .estimate import (
     _expected_terms,
     _mean_loglik_grad,
     _row_scores,
-    invert_information,
-    score_information,
     simulate_data,
     score_rows,
 )
@@ -84,19 +84,23 @@ _DENOM_FLOOR = 1e-300
 
 @dataclass(eq=False)
 class SummaryBattery:
-    """A vector of k summary functions of one observation.
+    """A residual test: a vector of k summary functions of one observation.
 
     ``evaluate`` maps an (n, m) data block to the (n, k) matrix of per-row
     summary values.  ``eta_closed`` returns the model value eta of the
     battery's sample value, for a mean battery the expectation of its
     values, when a closed form exists, else None; the engine then takes the
-    battery's mean over the shared Monte Carlo draws.
+    battery's mean over the shared Monte Carlo draws.  ``grid`` (an
+    ``LvGrid``) labels the k points of the report and holds the summary
+    subset; a plain mean battery may go without one, and then has no
+    summary statistic.
     """
 
     k: int
     name: str
     _evaluate: callable
     _eta: callable = None
+    grid: object = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -159,7 +163,6 @@ class WeightedBattery(SummaryBattery):
     battery's form must be that of h_q = f - r_q.
     """
 
-    grid: object = None
     _quadratic: tuple = None
 
     def __post_init__(self):
@@ -205,14 +208,6 @@ class RatioBattery(WeightedBattery):
 
 
 @dataclass(eq=False)
-class ResidualProblem:
-    """A battery and the latent grid that labels its report's points."""
-
-    battery: SummaryBattery
-    grid: object  # LvGrid; duck-typed to avoid a circular import
-
-
-@dataclass(eq=False)
 class AcmEstimate:
     """The entries of the residual covariance sigma_phi that a report reads.
 
@@ -238,10 +233,11 @@ class AcmEstimate:
 @dataclass
 class McConfig:
     """Settings for one test run: the number s of eigenvalues the summary
-    statistic keeps, and the number of model draws M and their seed, from
-    which Cov(G), A and the information are estimated for a custom battery
-    without closed-form moments.  Every bundled battery has closed-form
-    moments and uses neither M nor the seed."""
+    statistic keeps, and the number of model draws M and their seed, on
+    which Cov(G), A and a missing eta are estimated for a custom battery
+    without closed-form moments; the information is always exact.  Every
+    bundled battery has closed-form moments and uses neither M nor the
+    seed."""
 
     M: int = 10_000
     seed: int = 0
@@ -454,16 +450,16 @@ def _weight_products(X1, X2, params, V):
 
 
 class _FitConstants:
-    """Per-fit constants of the closed-form moments, made once per batch
-    from the fit's free vector and its ``params``, whose model they
-    describe to the last bit.
+    """Per-fit constants of the penalty and the closed-form moments, made
+    once per batch from the fit's free vector and its ``params``, whose
+    model they describe to the last bit.
 
     ``terms`` and ``slopes`` are the fit's ``_Terms`` at sample mean nu and
     sample covariance Sigma, and its ``_Slopes``.  ``inv_information``
     inverts the exact information, minus the expected Hessian (see
     ``estimate._expected_terms``), block by block after its
-    conditioning check, and ``V`` is the posterior covariance of x given y,
-    read from ``params.posterior_law()``.
+    conditioning check; every report's penalty takes it.  ``V`` is the
+    posterior covariance of x given y, read from ``params.posterior_law()``.
 
     ``score_change(delta, dS)`` is the change in the mean log-likelihood's
     gradient when the sample mean moves from nu by delta and
@@ -528,7 +524,7 @@ def _quadratic_moments(points, dens, cols, forms, params, consts):
     (see ``WeightedBattery``): Var(G) at every point ((P, Q)), Cov(G) among
     the points ``cols`` ((P, K, K)) and A = E[G s'] ((P, Q, q)) with s the
     score on the free parameters, from the fit's ``_FitConstants``.  Every
-    step is elementwise or per problem, so a problem's moments have the
+    step is elementwise or per battery, so a battery's moments have the
     same bits in any stack.
 
     Weighting the model density of y by W_q(y) = p(x_q | y) gives
@@ -550,7 +546,7 @@ def _quadratic_moments(points, dens, cols, forms, params, consts):
     ww, block = pairs[:Q], pairs[Q:].reshape(K, K)
     cond_mean = conditional_mean_grid(points, params)
 
-    # per problem: scalars as (P, 1, 1) and grid values as (P, 1, Q), so
+    # per battery: scalars as (P, 1, 1) and grid values as (P, 1, Q), so
     # one set of shapes serves the diagonal and the (K, K) summary block
     zero = np.zeros(Q)
     a_q, t, mu, scalars = [], [], [], []
@@ -599,22 +595,23 @@ def _quadratic_moments(points, dens, cols, forms, params, consts):
 # ---------------------------------------------------------------------------
 
 
-def run_residual_test(problem: ResidualProblem, fit: FitResult, data: DataMatrix,
+def run_residual_test(battery: SummaryBattery, fit: FitResult, data: DataMatrix,
                       mc: McConfig = None) -> TestReport:
     """Run one residual test end to end."""
-    return run_residual_batch([problem], fit, data, mc)[0]
+    return run_residual_batch([battery], fit, data, mc)[0]
 
 
 @kernels.single_blas_thread
-def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
+def run_residual_batch(batteries, fit: FitResult, data: DataMatrix,
                        mc: McConfig = None) -> list:
     """Run several residual tests on one fit, one grid at a time (see the
-    module docstring), and return the reports in the order of ``problems``.
+    module docstring), and return the reports in the order of ``batteries``.
 
-    Problems without a quadratic form share the ``mc.M`` model draws drawn
-    from ``mc.seed``, their scores and the information estimated from them,
-    which are made, and M checked against its minimum of 1000, only when
-    the batch holds such a problem.
+    Every report's penalty takes the fit's exact information.  Batteries
+    without a quadratic form share the ``mc.M`` model draws drawn from
+    ``mc.seed`` and their scores, which estimate only their Cov(G), A and a
+    missing eta; the draws are made, and M checked against its minimum of
+    1000, only when the batch holds such a battery.
     """
     if mc is None:
         mc = McConfig()
@@ -624,20 +621,18 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
             + "; ".join(fit.warnings)
         )
     params = fit.params
-    exact = [_has_form(problem.battery) for problem in problems]
+    exact = [_has_form(battery) for battery in batteries]
     if not all(exact):
         if mc.M < 1000:
             raise ConfigurationError(f"M={mc.M} below the minimum of 1000")
         rng = np.random.default_rng(mc.seed)
         draws = simulate_data(params, mc.M, rng).values
         scores = score_rows(params, fit.mapping, draws)
-        draw_inv_info = invert_information(score_information(scores))
-    if any(exact):
-        consts = _FitConstants(fit)
+    consts = _FitConstants(fit)
 
     groups = {}
-    for i, problem in enumerate(problems):
-        grid = problem.battery.grid if isinstance(problem.battery, WeightedBattery) else None
+    for i, battery in enumerate(batteries):
+        grid = battery.grid if isinstance(battery, WeightedBattery) else None
         key = None if grid is None else _points_key(grid)
         groups.setdefault(key, (grid, []))[1].append(i)
     reports = {}
@@ -648,36 +643,37 @@ def run_residual_batch(problems, fit: FitResult, data: DataMatrix,
         stacks = {}
         for i in members:
             if exact[i]:
-                stacks.setdefault(_summary_subset(problems[i]).tobytes(), []).append(i)
+                stacks.setdefault(_summary_subset(batteries[i]).tobytes(), []).append(i)
         for stack in stacks.values():
-            batch = [problems[i].battery for i in stack]
+            batch = [batteries[i] for i in stack]
             t_hat, eta = _sample_values(batch, data.values, params, W, wbar, dens)
-            cols = _summary_subset(problems[stack[0]])
+            cols = _summary_subset(batch[0])
             moments = _quadratic_moments(grid.points, dens, cols,
                                          [battery._quadratic for battery in batch],
                                          params, consts)
-            done = _reports([problems[i] for i in stack], data.n, t_hat, wbar, cols,
-                            (eta, *moments), consts.inv_information, 0, mc)
+            done = _reports(batch, data.n, t_hat, wbar, cols, (eta, *moments),
+                            consts.inv_information, 0, mc)
             reports.update(zip(stack, done))
 
         drawn = [i for i in members if not exact[i]]
-        t_hats = [_evaluated_sample_value(problems[i].battery, data.values, params, W, wbar)
+        t_hats = [_evaluated_sample_value(batteries[i], data.values, params, W, wbar)
                   for i in drawn]
         W = None
         if drawn:
             W = _grid_weights(draws, grid, params)
         for i, t_hat in zip(drawn, t_hats):
-            cols = _summary_subset(problems[i])
-            moments = _draw_moments(problems[i].battery, params, draws, W, dens, scores, cols)
-            reports[i] = _reports([problems[i]], data.n, t_hat[None], wbar, cols,
-                                  [m[None] for m in moments], draw_inv_info, mc.M, mc)[0]
+            cols = _summary_subset(batteries[i])
+            moments = _draw_moments(batteries[i], params, draws, W, dens, scores, cols)
+            reports[i] = _reports([batteries[i]], data.n, t_hat[None], wbar, cols,
+                                  [m[None] for m in moments], consts.inv_information,
+                                  mc.M, mc)[0]
         del W
-    return [reports[i] for i in range(len(problems))]
+    return [reports[i] for i in range(len(batteries))]
 
 
-def _summary_subset(problem):
-    """Indices of the problem's summary points; empty without a summary."""
-    subset = getattr(problem.grid, "summary_subset", None)
+def _summary_subset(battery):
+    """Indices of the battery's summary points; empty without a summary."""
+    subset = getattr(battery.grid, "summary_subset", None)
     return (np.empty(0, dtype=np.intp) if subset is None
             else np.asarray(subset, dtype=np.intp))
 
@@ -720,18 +716,18 @@ def _draw_moments(battery, params, draws, W, dens, scores, cols):
     return eta, np.einsum("ij,ij->j", G, G) / (M - 1), Gs.T @ Gs / (M - 1), A
 
 
-def _reports(problems, n, t_hat, wbar, subset, moments, inv_info, M, mc):
-    """Reports of P problems with k points each from their sample values
+def _reports(batteries, n, t_hat, wbar, subset, moments, inv_info, M, mc):
+    """Reports of P batteries with k points each from their sample values
     ``t_hat`` ((P, k)), the data weights' column means ``wbar`` and
     ``moments``: eta (P, k), Var(G) (P, k), Cov(G) on the summary ``subset``
-    (P, K, K) and A (P, k, q), estimated on M draws or exact (M = 0), with
-    the matching inverse information."""
+    (P, K, K) and A (P, k, q), estimated on M draws or exact (M = 0), and
+    the fit's exact inverse information."""
     eta, var_G, cov_G, A = moments
     penalty = A @ inv_info
     var = var_G - np.einsum("pij,pij->pi", penalty, A)
 
     unstable = var <= _DIAG_FLOOR
-    ratio = [isinstance(problem.battery, RatioBattery) for problem in problems]
+    ratio = [isinstance(battery, RatioBattery) for battery in batteries]
     if any(ratio):
         unstable[ratio] |= wbar * n < _DENOM_FLOOR
     resid = t_hat - eta
@@ -746,7 +742,7 @@ def _reports(problems, n, t_hat, wbar, subset, moments, inv_info, M, mc):
     blocks = cov_G - penalty[:, subset] @ A[:, subset].transpose(0, 2, 1)
     blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
 
-    # each problem keeps its stable summary points; blocks of one size share
+    # each battery keeps its stable summary points; blocks of one size share
     # one eigendecomposition call
     kepts = [np.flatnonzero(~row) for row in unstable[:, subset]]
     kept_blocks = [block[kept][:, kept] for block, kept in zip(blocks, kepts)]
@@ -759,8 +755,7 @@ def _reports(problems, n, t_hat, wbar, subset, moments, inv_info, M, mc):
             inverses.update(zip(same, zip(*stacked)))
 
     reports = []
-    for i, problem in enumerate(problems):
-        battery = problem.battery
+    for i, battery in enumerate(batteries):
         keep, block = subset[kepts[i]], kept_blocks[i]
         W_inv, eigvals = inverses.get(i, (None, np.empty(0)))
         summary = None
@@ -768,15 +763,15 @@ def _reports(problems, n, t_hat, wbar, subset, moments, inv_info, M, mc):
             T, p_sum = _quadratic_statistic(resid[i, keep], W_inv, n, mc.s)
             summary = SummaryStat(T=T, s=mc.s, p=p_sum,
                                   n_points=len(keep), n_dropped=len(subset) - len(keep))
-        coords = getattr(problem.grid, "points", None)
+        coords = getattr(battery.grid, "points", None)
         if coords is None or len(coords) != battery.k:
             coords = np.arange(battery.k, dtype=np.float64)[:, None]
         # a read-only view, so no report can write into a shared grid
         coords = np.asarray(coords, dtype=np.float64).view()
         coords.flags.writeable = False
         config = {"battery": battery.name, "covariance": "exact" if M == 0 else "monte-carlo",
-                  "s": mc.s, "n": n, "grid": getattr(problem.grid, "label", ""),
-                  "summary_grid": getattr(problem.grid, "summary_label", "")}
+                  "s": mc.s, "n": n, "grid": getattr(battery.grid, "label", ""),
+                  "summary_grid": getattr(battery.grid, "summary_label", "")}
         acm = AcmEstimate(diag=var[i], summary_index=keep, summary_block=block,
                           summary_eigvals=eigvals, M=M)
         reports.append(TestReport(

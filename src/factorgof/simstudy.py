@@ -305,17 +305,16 @@ def run_rejection_study(
     if grid is None:
         grid = default_grid(spec.d)
     kinds = ("lv-density",) if is_study1 else ("linearity", "variance")
-    problems = [make_problem(kind, grid, item) for kind in kinds
-                for item in ((None,) if kind == "lv-density" else items)]
-    names = [prob.battery.name for prob in problems]
+    batteries = [make_problem(kind, grid, item) for kind in kinds
+                 for item in ((None,) if kind == "lv-density" else items)]
+    names = [battery.name for battery in batteries]
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ConfigurationError(f"repeated batteries: {', '.join(repeated)}")
 
     counts = {}
     raw = {} if collect_raw else None
-    for prob in problems:
-        name = prob.battery.name
+    for name in names:
         counts[name] = BatteryCounts(
             coords=grid.points.copy(),
             point_rejections=np.zeros(grid.Q, dtype=np.int64),
@@ -333,9 +332,9 @@ def run_rejection_study(
             excluded += 1
             continue
         converged_reps += 1
-        reports = run_residual_batch(problems, fit, data, mc)
-        for prob, report in zip(problems, reports):
-            acc = counts[prob.battery.name]
+        reports = run_residual_batch(batteries, fit, data, mc)
+        for name, report in zip(names, reports):
+            acc = counts[name]
             ok = np.isfinite(report.p)
             acc.point_valid += ok
             acc.point_rejections += ok & (report.p < alpha)
@@ -343,10 +342,10 @@ def run_rejection_study(
                 acc.summary_valid += 1
                 acc.summary_rejections += report.summary.p < alpha
             if collect_raw:
-                raw[prob.battery.name]["T"].append(
+                raw[name]["T"].append(
                     report.summary.T if report.summary else float("nan")
                 )
-                raw[prob.battery.name]["z"].append(report.z)
+                raw[name]["z"].append(report.z)
 
     if converged_reps == 0:
         raise NotConvergedError(f"all {reps} replications failed to converge")

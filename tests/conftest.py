@@ -13,7 +13,7 @@ from factorgof import (
     replication,
 )
 from factorgof import kernels
-from factorgof.estimate import _moment_terms, score_information, score_rows
+from factorgof.estimate import _check_conditioning, _moment_terms
 from factorgof.residuals import _draw_moments
 
 
@@ -169,6 +169,20 @@ def dense_hessian(v, mapping, ybar, S):
     return 0.5 * (H + H.T)
 
 
+def exact_information(v, mapping, params):
+    """The exact per-observation information at the free vector v: minus
+    the dense Hessian about ybar = nu and S = Sigma of ``params``."""
+    return -dense_hessian(v, mapping, params.nu, params.implied_covariance())
+
+
+def invert_information(info):
+    """Symmetric positive definite inverse of an information matrix, after
+    the fit's conditioning check, which raises IdentificationError on a
+    near-singular one."""
+    _check_conditioning(np.linalg.eigvalsh(info))
+    return kernels.spd_inverse(np.linalg.cholesky(info))
+
+
 # ---------------------------------------------------------------------------
 # dense reference: the full residual covariance, and the per-row terms of
 # the draw path, against which the engine's reductions are tested
@@ -202,11 +216,6 @@ def assemble_acm(jac, A, inv_info, sigma_H):
     sigma_phi = 0.5 * (raw + raw.T)
     return DenseAcm(sigma_phi_hat=sigma_phi, sym_delta=float(np.abs(raw - raw.T).max()),
                     unstable=np.diag(sigma_phi) <= 1e-12)
-
-
-def monte_carlo_information(params, spec, draws):
-    """Mean outer product of scores over presampled model draws."""
-    return score_information(score_rows(params, spec, draws))
 
 
 def drawn_ratio_moments(f, W, r, D, scores):

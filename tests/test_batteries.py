@@ -76,8 +76,8 @@ def test_make_problem_maps_each_kind():
     }
     for kind, want in cases.items():
         got = make_problem(kind, grid, None if kind == "lv-density" else 3)
-        assert got.battery.name == want.battery.name
-        assert type(got.battery) is type(want.battery)
+        assert got.name == want.name
+        assert type(got) is type(want)
         assert got.grid is grid
     with pytest.raises(ConfigurationError, match="unknown battery kind 'density'"):
         make_problem("density", grid)
@@ -111,10 +111,10 @@ class TestLvDensityBattery:
         params = ParamSet(nu=np.zeros(5), lam=np.zeros((5, 1)), phi=np.eye(1),
                           theta=np.ones(5))
         grid = make_grid([(-3, 3, 7)])
-        problem = lv_density_problem(grid)
+        battery = lv_density_problem(grid)
         Y = rng.normal(size=(50, 5))
-        H = problem.battery.evaluate(Y, params)
-        closed = problem.battery.eta_closed(params)
+        H = battery.evaluate(Y, params)
+        closed = battery.eta_closed(params)
         assert np.abs(H - closed[None, :]).max() < 1e-12
 
     def test_interior_calibration_on_correct_model(self, fitted):
@@ -155,7 +155,7 @@ class TestLinearityBattery:
         spec, truth, data, fit = fitted
         grid = make_grid([(-1, 1, 3)])
         item = 0
-        battery = mv_linearity_problem(grid, item).battery
+        battery = mv_linearity_problem(grid, item)
         W = np.exp(posterior_log_weights(data.values, grid.points, fit.params))
         line = fit.params.nu[item] + grid.points[:, 0] * fit.params.lam[item, 0]
         # least-norm y with W' y = line * W' 1
@@ -189,7 +189,7 @@ class TestHomoscedasticityBattery:
     def test_eta_closed_is_theta(self, fitted):
         spec, truth, data, fit = fitted
         grid = make_grid([(-2, 2, 5)])
-        got = mv_homoscedasticity_problem(grid, 4).battery.eta_closed(fit.params)
+        got = mv_homoscedasticity_problem(grid, 4).eta_closed(fit.params)
         assert got.tolist() == [fit.params.theta[4]] * 5
 
 
@@ -198,11 +198,11 @@ class TestDirectLinearityBattery:
         params = ParamSet(nu=np.full(5, 0.7), lam=np.zeros((5, 1)), phi=np.eye(1),
                           theta=np.ones(5))
         grid = make_grid([(-2, 2, 5)])
-        problem = mv_linearity_direct_problem(grid, 2)
+        battery = mv_linearity_direct_problem(grid, 2)
         Y = rng.normal(0.7, 1.0, size=(300, 5))
-        g_hat = problem.battery.evaluate(Y, params).mean(axis=0)
+        g_hat = battery.evaluate(Y, params).mean(axis=0)
         np.testing.assert_allclose(g_hat, Y[:, 2].mean(), rtol=1e-10)
-        np.testing.assert_allclose(problem.battery.eta_closed(params), 0.7, rtol=1e-12)
+        np.testing.assert_allclose(battery.eta_closed(params), 0.7, rtol=1e-12)
 
     def test_correct_model_calibration(self, fitted):
         spec, truth, data, fit = fitted
@@ -301,8 +301,7 @@ def test_mc_fallback_consistency_for_each_battery(fitted):
         lambda g: mv_homoscedasticity_problem(g, 1),
         lambda g: mv_linearity_direct_problem(g, 1),
     ):
-        problem = make(grid)
-        battery = problem.battery
+        battery = make(grid)
         closed = battery.eta_closed(fit.params)
         H = battery.evaluate(draws, fit.params)
         if isinstance(battery, RatioBattery):
@@ -330,8 +329,7 @@ def test_standalone_evaluate_matches_definition_from_weights(fitted):
         "variance": (mv_homoscedasticity_problem(grid, 3), (y - mu[None, :]) ** 2),
         "linearity-direct": (mv_linearity_direct_problem(grid, 3), y * W / dens[None, :]),
     }
-    for name, (problem, expected) in cases.items():
-        battery = problem.battery
+    for name, (battery, expected) in cases.items():
         got = battery.evaluate(Y, params)
         assert got.tobytes() == expected.tobytes(), name
         assert battery.evaluate(Y, params, W).tobytes() == expected.tobytes(), name

@@ -285,6 +285,36 @@ class TestFitCommand:
         assert docs[0] == docs[1]
 
 
+@pytest.mark.parametrize("case", ["header", "cell", "model", "fit"])
+def test_input_that_is_not_utf8_is_a_data_error(workdir, capsys, case):
+    # a latin-1 byte 0xE9 in a CSV header, in a body cell far past the
+    # first chunk the header read decodes, in a model document or in a fit
+    # document: the command exits 1 with a DataError that names the file
+    tmp, csv_path, model_path = workdir
+    paths = {"data": csv_path, "model": model_path, "fit": str(tmp / "fit.json")}
+    assert main(["fit", "--data", csv_path, "--model", model_path, "--out", paths["fit"]]) == 0
+    text = open(csv_path, "rb").read()
+    last = text.rindex(b"\n", 0, -1) + 1
+    assert last > 5 * 8192
+    key = {"header": "data", "cell": "data"}.get(case, case)
+    bad = tmp / f"bad-{case}"
+    if case == "header":
+        bad.write_bytes(b"caf\xe9" + text[2:])
+    elif case == "cell":
+        bad.write_bytes(text[:last] + b"\xe9" + text[last:])
+    else:
+        bad.write_bytes(open(paths[key], "rb").read().replace(b"{", b'{"caf\xe9": 0, ', 1))
+    paths[key] = str(bad)
+    flag = "fit" if case == "fit" else "model"
+    command = ["test", "lv-density"] if case == "fit" else ["fit"]
+    out = tmp / "out"
+    rc = main(command + [f"--{flag}", paths[flag], "--data", paths["data"], "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"factorgof: error: {bad}: not UTF-8 text "
+                                       "(byte 0xe9: invalid continuation byte)\n")
+    assert not out.exists()
+
+
 class TestFitDocument:
     def _write_fit(self, workdir):
         tmp, csv_path, model_path = workdir

@@ -18,6 +18,7 @@ from factorgof import (
     DataError,
     DegenerateCovarianceError,
     DataMatrix,
+    FitResult,
     IdentificationError,
     ModelSpec,
     OptimOptions,
@@ -34,15 +35,16 @@ from factorgof import estimate
 from factorgof.estimate import (
     ParamMapping,
     _block_inverse,
+    _check_conditioning,
     _covariance_hessian,
     _expected_terms,
     _mean_loglik,
     _mean_loglik_grad,
     _moment_terms,
     _slopes,
-    invert_information,
 )
 from factorgof.model import marginal_logpdf
+from factorgof.residuals import _FitConstants
 from factorgof.simstudy import (
     Study1Config,
     Study2Config,
@@ -53,7 +55,7 @@ from factorgof.simstudy import (
 
 from conftest import (
     dense_hessian,
-    monte_carlo_information,
+    invert_information,
     random_admissible_free_vector,
     reference_score_rows,
 )
@@ -270,8 +272,9 @@ class TestFit:
                                                            two_factor_spec):
         # at nu = ybar the final Hessian is block diagonal, and the fit
         # inverts it block by block: Sigma = L L' from the final iterate's
-        # Cholesky factor on the intercepts, and what the public inverse
-        # gives on minus its covariance block, bit for bit; the inverse of
+        # Cholesky factor on the intercepts, and what the reference inverse
+        # (``spd_inverse`` of the Cholesky factor) gives on minus its
+        # covariance block, bit for bit; the inverse of
         # minus the dense Hessian agrees to rounding
         data = simulate_data(two_factor_params, 800, np.random.default_rng(8))
         fit = fit_ml(data, two_factor_spec)
@@ -431,13 +434,28 @@ class TestFit:
         # factors 0 and 1 correlate 0.999: on these seeds the fit ends short
         # of the gradient test where no step raises the likelihood, instead
         # of running to max_iter on steps that do not move
-        lam = 0.7 * np.kron(np.eye(3), np.ones((4, 1)))
-        phi = np.array([[1.0, 0.999, 0.4], [0.999, 1.0, 0.42], [0.4, 0.42, 1.0]])
-        params = ParamSet(nu=np.zeros(12), lam=lam, phi=phi, theta=np.full(12, 0.51))
-        data = simulate_data(params, 300, np.random.default_rng(seed))
-        fit = fit_ml(data, ModelSpec(m=12, d=3, loading_pattern=(lam != 0).astype(int)))
+        fit = _three_factor_fit(seed)
         assert not fit.converged
         assert fit.n_iter <= 30
+
+    @pytest.mark.parametrize("seed,singular", [(100, False), (101, True), (103, False),
+                                               (104, True), (105, False)])
+    def test_singular_factor_correlations_are_warned(self, seed, singular):
+        # no pair is held at the bound, but on seeds 101 and 104 the fit
+        # ends where the three factors' correlation matrix is singular: it
+        # says so, with the gradient warning; the interior fits keep none
+        fit = _three_factor_fit(seed)
+        min_eig = np.linalg.eigvalsh(fit.params.phi)[0]
+        assert (np.abs(fit.params.phi[np.tril_indices(3, -1)]) < estimate._PHI_MAX).all()
+        if singular:
+            assert not fit.converged
+            assert min_eig <= 1.0 - estimate._PHI_MAX
+            assert fit.warnings[0].startswith("gradient:")
+            assert fit.warnings[1:] == [f"correlation: factor correlation matrix singular "
+                                        f"(min eig {min_eig:.3g})"]
+        else:
+            assert fit.converged and fit.warnings == []
+            assert min_eig > 1e-3
 
     def test_replaced_free_vector_moves_params(self, one_factor_params, one_factor_spec):
         # params and spec are read from the free vector and the mapping, so
@@ -579,39 +597,20 @@ class TestOptimOptions:
 
 
 class TestInformation:
-    def test_nu_block_identity_at_zero_loadings(self):
-        spec = ModelSpec(m=4, d=1, loading_pattern=np.ones((4, 1), dtype=int))
-        params = ParamSet(nu=np.zeros(4), lam=np.zeros((4, 1)), phi=np.eye(1),
-                          theta=np.ones(4))
-        draws = simulate_data(params, 50_000, np.random.default_rng(3)).values
-        info = monte_carlo_information(params, spec, draws)
-        mapping = ParamMapping(spec)
-        nu_block = info[mapping.nu_slice, mapping.nu_slice]
-        assert np.abs(nu_block - np.eye(4)).max() < 0.05
-        np.testing.assert_allclose(info, info.T, atol=0)
-
     def test_zero_loadings_not_identified(self):
+        # at zero loadings the loadings and the log error variances do not
+        # separate: the exact information fails the conditioning check that
+        # the fit and the residual engine apply to it
         spec = ModelSpec(m=4, d=1, loading_pattern=np.ones((4, 1), dtype=int))
         params = ParamSet(nu=np.zeros(4), lam=np.zeros((4, 1)), phi=np.eye(1),
                           theta=np.ones(4))
-        draws = simulate_data(params, 2000, np.random.default_rng(0)).values
         with pytest.raises(IdentificationError):
-            invert_information(monte_carlo_information(params, spec, draws))
+            _check_conditioning(np.linalg.eigvalsh(_expected_information(params, spec)))
+        mapping = ParamMapping(spec)
+        fit = FitResult(mapping=mapping, free_vector=mapping.pack(params), loglik=0.0,
+                        converged=True, gradient_norm=0.0, n_iter=0)
         with pytest.raises(IdentificationError):
-            invert_information(_expected_information(params, spec))
-
-    def test_doubling_draws_approaches_reference(self, one_factor_params, one_factor_spec):
-        # the exact information is minus the mean log-likelihood's Hessian
-        # at the generating parameters with ybar = nu and S = Sigma
-        ref = _expected_information(one_factor_params, one_factor_spec)
-        stream = simulate_data(one_factor_params, 8000, np.random.default_rng(17)).values
-        err_small = np.linalg.norm(
-            monte_carlo_information(one_factor_params, one_factor_spec, stream[:4000]) - ref
-        )
-        err_big = np.linalg.norm(
-            monte_carlo_information(one_factor_params, one_factor_spec, stream) - ref
-        )
-        assert err_big < err_small
+            _FitConstants(fit)
 
 
 class TestSimulate:
@@ -640,6 +639,16 @@ def _duplicated_item_fit(params, seed, item):
     Y = simulate_data(params, 1000, np.random.default_rng(seed)).values
     return fit_ml(DataMatrix(np.column_stack([Y[:, :4], Y[:, item]])),
                   ModelSpec(m=5, d=1, loading_pattern=np.ones((5, 1), dtype=int)))
+
+
+def _three_factor_fit(seed):
+    """The three-factor fit of 300 rows from a model whose factors 0 and 1
+    correlate 0.999."""
+    lam = 0.7 * np.kron(np.eye(3), np.ones((4, 1)))
+    phi = np.array([[1.0, 0.999, 0.4], [0.999, 1.0, 0.42], [0.4, 0.42, 1.0]])
+    params = ParamSet(nu=np.zeros(12), lam=lam, phi=phi, theta=np.full(12, 0.51))
+    data = simulate_data(params, 300, np.random.default_rng(seed))
+    return fit_ml(data, ModelSpec(m=12, d=3, loading_pattern=(lam != 0).astype(int)))
 
 
 def _unidentified_fit(params, seed):

@@ -29,7 +29,6 @@ from factorgof import (
     study2_paramset,
 )
 from factorgof import residuals
-from factorgof.residuals import ResidualProblem
 
 
 def test_backend_reports_active_lane():
@@ -174,16 +173,16 @@ def small_fit():
     return data, fit
 
 
-def _recording_problem(seen, k=3):
-    """A 3-point problem whose battery records the pool counts it runs under
-    and returns k components."""
+def _recording_battery(seen, k=3):
+    """A 3-point battery that records the pool counts it runs under and
+    returns k components."""
 
     def evaluate(Y, p):
         seen.append(_pool_counts())
         return Y[:, :k]
 
-    battery = SummaryBattery(k=3, name="record", _evaluate=evaluate, _eta=lambda p: p.nu[:3])
-    return ResidualProblem(battery, make_grid([(-1, 1, 3)]))
+    return SummaryBattery(k=3, name="record", _evaluate=evaluate, _eta=lambda p: p.nu[:3],
+                          grid=make_grid([(-1, 1, 3)]))
 
 
 @needs_openblas
@@ -191,7 +190,7 @@ def test_scope_runs_battery_on_one_thread(small_fit, set_caller_threads):
     data, fit = small_fit
     set_caller_threads(2)
     seen = []
-    run_residual_test(_recording_problem(seen), fit, data, McConfig(M=1000, seed=1))
+    run_residual_test(_recording_battery(seen), fit, data, McConfig(M=1000, seed=1))
     assert seen and all(counts == [1] * len(counts) for counts in seen)
     assert _pool_counts() == [2] * len(seen[0])
 
@@ -202,7 +201,7 @@ def test_scope_restores_counts_after_an_error(small_fit, set_caller_threads):
     set_caller_threads(2)
     seen = []
     with pytest.raises(ConfigurationError, match="returned 2 components"):
-        run_residual_test(_recording_problem(seen, k=2), fit, data, McConfig(M=1000, seed=1))
+        run_residual_test(_recording_battery(seen, k=2), fit, data, McConfig(M=1000, seed=1))
     assert seen == [[1] * len(seen[0])]
     assert _pool_counts() == [2] * len(seen[0])
     assert kernels._scope_depth == 0
@@ -246,7 +245,7 @@ def test_scope_does_nothing_without_openblas(small_fit, set_caller_threads, monk
     n_pools = len(_openblas_pools())
     monkeypatch.setattr(kernels, "_openblas_pools", lambda: ())
     seen = []
-    run_residual_test(_recording_problem(seen), fit, data, McConfig(M=1000, seed=1))
+    run_residual_test(_recording_battery(seen), fit, data, McConfig(M=1000, seed=1))
     assert seen and all(counts == [2] * n_pools for counts in seen)
     assert _pool_counts() == [2] * n_pools
 
@@ -293,11 +292,11 @@ def test_lookup_reads_paths_with_spaces_and_skips_unopenable(
             seen.append([get() for get, _ in real])
             return Y[:, :3]
 
-        battery = SummaryBattery(k=3, name="record", _evaluate=evaluate, _eta=lambda p: p.nu[:3])
-        problem = ResidualProblem(battery, make_grid([(-1, 1, 3)]))
+        battery = SummaryBattery(k=3, name="record", _evaluate=evaluate, _eta=lambda p: p.nu[:3],
+                                 grid=make_grid([(-1, 1, 3)]))
         refit = fit_ml(data, fit.spec)
         assert refit.converged
-        run_residual_test(problem, refit, data, McConfig(M=1000, seed=1))
+        run_residual_test(battery, refit, data, McConfig(M=1000, seed=1))
     finally:
         _openblas_pools.cache_clear()
     assert seen and all(counts == [1] * len(real) for counts in seen)

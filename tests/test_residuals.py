@@ -38,13 +38,13 @@ from factorgof import (
     z_statistic,
 )
 from factorgof import batteries, residuals
-from factorgof.estimate import FitResult, ParamMapping, invert_information, score_rows
+from factorgof.estimate import FitResult, ParamMapping, score_rows
 from factorgof.model import lv_logpdf, posterior_log_weights
-from factorgof.residuals import ResidualProblem, run_residual_batch
-from factorgof.simstudy import Study1Config, replication
+from factorgof.residuals import run_residual_batch
+from factorgof.simstudy import Study1Config, model_spec_study1, replication
 
-from conftest import (assemble_acm, drawn_ratio_moments, monte_carlo_information,
-                      sample_moments)
+from conftest import (assemble_acm, drawn_ratio_moments, exact_information,
+                      invert_information, sample_moments)
 
 
 def random_psd(rng, k, rank=None):
@@ -254,23 +254,23 @@ class TestBatteryBasics:
     def test_eta_hat_unbiased_at_generating_parameters(self, one_factor_params):
         # sample average of posterior densities estimates the latent density
         grid = make_grid([(-2, 2, 5)])
-        problem = lv_density_problem(grid)
+        battery = lv_density_problem(grid)
         data = simulate_data(one_factor_params, 150_000, np.random.default_rng(31))
-        got = eta_hat(problem.battery, data, one_factor_params)
-        H = problem.battery.evaluate(data.values, one_factor_params)
+        got = eta_hat(battery, data, one_factor_params)
+        H = battery.evaluate(data.values, one_factor_params)
         mc_se = H.std(axis=0, ddof=1) / np.sqrt(data.n)
-        target = problem.battery.eta_closed(one_factor_params)
+        target = battery.eta_closed(one_factor_params)
         assert (np.abs(got - target) < 4 * mc_se).all()
 
     def test_eta_mc_fallback_matches_closed_form(self, fitted_setup):
         # a battery without a closed form gets eta from the shared draws
         spec, params, data, fit = fitted_setup
         grid = make_grid([(-2, 2, 5)])
-        density = lv_density_problem(grid).battery
-        battery = SummaryBattery(k=5, name="no-closed-form", _evaluate=density.evaluate)
-        problem = ResidualProblem(battery, grid)
+        density = lv_density_problem(grid)
+        battery = SummaryBattery(k=5, name="no-closed-form", _evaluate=density.evaluate,
+                                 grid=grid)
         mc = McConfig(M=50_000, seed=12)
-        report = run_residual_test(problem, fit, data, mc)
+        report = run_residual_test(battery, fit, data, mc)
         draws = simulate_data(fit.params, mc.M, np.random.default_rng(mc.seed)).values
         mc_se = density.evaluate(draws, fit.params).std(axis=0, ddof=1) / np.sqrt(mc.M)
         closed = density.eta_closed(fit.params)
@@ -369,15 +369,15 @@ class TestAssembleAcm:
         assert acm.sym_delta < 1e-12
 
 
-def _drawn(problem):
-    """The problem with its battery's quadratic form removed: a custom
-    battery with the same values, whose covariance the engine estimates on
-    the draws, as it does for every custom battery without a form."""
-    return ResidualProblem(dataclasses.replace(problem.battery, _quadratic=None), problem.grid)
+def _drawn(battery):
+    """The battery with its quadratic form removed: a custom battery with
+    the same values, whose covariance the engine estimates on the draws,
+    as it does for every custom battery without a form."""
+    return dataclasses.replace(battery, _quadratic=None)
 
 
 def _engine_cases():
-    """One problem per battery path on the draws, each a custom battery
+    """One battery per path on the draws, each a custom battery
     without closed-form moments: mean batteries (linearity-direct's values
     and a custom battery) and ratio batteries (linearity's and variance's,
     whose f differs per grid point).  The custom battery has no closed-form expectation, and its
@@ -394,13 +394,13 @@ def _engine_cases():
         _evaluate=lambda Y, p: np.column_stack(
             [Y[:, 0] ** 3, np.abs(Y[:, 1]), Y[:, 0] * Y[:, 2] * Y[:, 3],
              np.full(len(Y), 2.0)]) @ mix.T,
+        grid=make_grid([(-1.5, 1.5, 4)], [(-1.5, 1.5, 4)]),
     )
-    custom_grid = make_grid([(-1.5, 1.5, 4)], [(-1.5, 1.5, 4)])
     return {
         "linearity-direct": _drawn(mv_linearity_direct_problem(grid, 3)),
         "linearity": _drawn(mv_linearity_problem(grid, 2)),
         "variance": _drawn(mv_homoscedasticity_problem(grid, 5)),
-        "dense-custom": ResidualProblem(battery, custom_grid),
+        "dense-custom": battery,
     }
 
 
@@ -425,19 +425,19 @@ def _reported(battery, g):
     return g[:battery.k] / g[battery.k:] if isinstance(battery, RatioBattery) else g
 
 
-def _check_engine_against_dense(case, problem, fit, data):
+def _check_engine_against_dense(case, battery, fit, data):
     """The engine's z, se, unstable flags, T and ACM entries against the
-    dense assembly and ``chi2_statistic`` on the same draws."""
+    dense assembly on the same draws, with the exact information, and
+    ``chi2_statistic``."""
     mc = McConfig(M=2000, seed=99, s=2)
-    report = run_residual_test(problem, fit, data, mc)
+    report = run_residual_test(battery, fit, data, mc)
 
     draws = simulate_data(fit.params, mc.M, np.random.default_rng(mc.seed)).values
-    battery = problem.battery
     H, jac, g = _dense_battery(battery, draws, fit.params)
     scores = score_rows(fit.params, fit.mapping, draws)
     A = (H.T @ scores) / mc.M
     sigma_H = np.cov(H.T, ddof=1)
-    inv_info = invert_information(monte_carlo_information(fit.params, fit.mapping, draws))
+    inv_info = invert_information(exact_information(fit.free_vector, fit.mapping, fit.params))
     if g is None:
         g = H.mean(axis=0)
     dense = assemble_acm(jac, A, inv_info, sigma_H)
@@ -458,7 +458,7 @@ def _check_engine_against_dense(case, problem, fit, data):
     if case == "dense-custom":
         assert unstable.tolist() == [False, False, False, True]
 
-    subset = problem.grid.summary_subset
+    subset = battery.grid.summary_subset
     keep = subset[ok[subset]]
     assert report.summary.n_points == len(keep)
     assert report.summary.n_dropped == len(subset) - len(keep)
@@ -479,11 +479,11 @@ def _check_engine_against_dense(case, problem, fit, data):
 _BATCH_MC = McConfig(M=1200, seed=5)
 
 
-def _batch_problems():
+def _batch_batteries():
     """Weighted batteries of every bundled kind on four grids (two distinct
     objects with equal points, one with other points, and one out to +-12
     whose two problems keep summary blocks of different sizes) and a custom
-    battery without a grid.  On the wide grid the latent-density battery's
+    battery without weights.  On the wide grid the latent-density battery's
     variance falls below the floor at +-8 and +-12, so its summary keeps 3
     of the 7 points, while linearity-direct keeps all 7."""
     grid = make_grid([(-2, 2, 5)], [(-2, 2, 5)])
@@ -491,11 +491,12 @@ def _batch_problems():
     other = make_grid([(-3, 3, 7)], [(-2, 2, 5)])
     wide = make_grid([(-12, 12, 7)], [(-12, 12, 7)])
     custom = SummaryBattery(k=2, name="custom",
-                            _evaluate=lambda Y, p: np.column_stack([Y[:, 0], Y[:, 1] ** 2]))
+                            _evaluate=lambda Y, p: np.column_stack([Y[:, 0], Y[:, 1] ** 2]),
+                            grid=make_grid([(-1, 1, 2)], [(-1, 1, 2)]))
     return [mv_linearity_problem(grid, 1), mv_homoscedasticity_problem(grid, 1),
             mv_linearity_problem(grid, 4), mv_homoscedasticity_problem(grid, 4),
             lv_density_problem(grid), mv_linearity_direct_problem(grid, 2),
-            ResidualProblem(custom, make_grid([(-1, 1, 2)], [(-1, 1, 2)])),
+            custom,
             mv_linearity_problem(twin, 1), lv_density_problem(twin),
             mv_homoscedasticity_problem(other, 6), lv_density_problem(other),
             lv_density_problem(wide), mv_linearity_direct_problem(wide, 3)]
@@ -548,10 +549,9 @@ class TestRunResidualTest:
         battery = SummaryBattery(
             k=3, name="const3",
             _evaluate=lambda Y, p: np.full((len(Y), 3), 2.5),
-            _eta=lambda p: np.full(3, 2.5),
+            _eta=lambda p: np.full(3, 2.5), grid=grid,
         )
-        problem = ResidualProblem(battery, grid)
-        report = run_residual_test(problem, fit, data, McConfig(M=1000, seed=4))
+        report = run_residual_test(battery, fit, data, McConfig(M=1000, seed=4))
         assert all(pt.residual == 0.0 for pt in report.points)
         assert all(pt.unstable for pt in report.points)  # zero variance
 
@@ -570,42 +570,42 @@ class TestRunResidualTest:
     def test_refuses_nonconverged_fit(self, fitted_setup):
         spec, params, data, fit = fitted_setup
         bad = fit_ml(data, spec, OptimOptions(max_iter=1))
-        problem = lv_density_problem(make_grid([(-2, 2, 5)]))
+        battery = lv_density_problem(make_grid([(-2, 2, 5)]))
         with pytest.raises(NotConvergedError):
-            run_residual_test(problem, bad, data, McConfig(M=1000, seed=0))
+            run_residual_test(battery, bad, data, McConfig(M=1000, seed=0))
 
     def test_minimum_draws(self, fitted_setup):
         # the draw budget is checked only where a batch draws
         spec, params, data, fit = fitted_setup
-        problem = _drawn(lv_density_problem(make_grid([(-2, 2, 5)])))
+        battery = _drawn(lv_density_problem(make_grid([(-2, 2, 5)])))
         for M in (10, 500):
             with pytest.raises(ConfigurationError, match=f"M={M} below the minimum"):
-                run_residual_test(problem, fit, data, McConfig(M=M, seed=0))
+                run_residual_test(battery, fit, data, McConfig(M=M, seed=0))
 
     def test_exact_batch_takes_any_draw_budget(self, fitted_setup):
         spec, params, data, fit = fitted_setup
         grid = make_grid([(-2, 2, 5)], [(-2, 2, 5)])
-        problems = [batteries.make_problem(kind, grid, None if kind == "lv-density" else 2)
-                    for kind in ("lv-density", "linearity", "variance", "linearity-direct")]
-        tiny = run_residual_batch(problems, fit, data, McConfig(M=10, seed=0))
-        default = run_residual_batch(problems, fit, data, McConfig())
+        exact = [batteries.make_problem(kind, grid, None if kind == "lv-density" else 2)
+                 for kind in ("lv-density", "linearity", "variance", "linearity-direct")]
+        tiny = run_residual_batch(exact, fit, data, McConfig(M=10, seed=0))
+        default = run_residual_batch(exact, fit, data, McConfig())
         for got, want in zip(tiny, default):
             _assert_same_report(got, want)
 
     def test_identity_pipeline_matches_manual_assembly(self, fitted_setup):
         # the engine forms only sigma_phi's diagonal and kept summary block
         # from the projected draws; the dense assembly on the same draws is
-        # the reference, with the parameter penalty estimated independently
+        # the reference, with the penalty from the dense exact information
         spec, params, data, fit = fitted_setup
-        for case, problem in _engine_cases().items():
-            _check_engine_against_dense(case, problem, fit, data)
+        for case, battery in _engine_cases().items():
+            _check_engine_against_dense(case, battery, fit, data)
 
     def test_bit_reproducible_under_fixed_seed(self, fitted_setup):
         spec, params, data, fit = fitted_setup
-        problem = lv_density_problem(make_grid([(-3, 3, 9)], [(-1.5, 1.5, 3)]))
+        battery = lv_density_problem(make_grid([(-3, 3, 9)], [(-1.5, 1.5, 3)]))
         mc = McConfig(M=1500, seed=31, s=1)
-        r1 = run_residual_test(problem, fit, data, mc)
-        r2 = run_residual_test(problem, fit, data, mc)
+        r1 = run_residual_test(battery, fit, data, mc)
+        r2 = run_residual_test(battery, fit, data, mc)
         assert [pt.z for pt in r1.points] == [pt.z for pt in r2.points]
         assert r1.summary.T == r2.summary.T
         assert r1.config["s"] == 1
@@ -617,9 +617,9 @@ class TestRunResidualTest:
         # distinct objects with equal points, and a custom battery; every
         # report must equal its solo run bit for bit
         spec, params, data, fit = fitted_setup
-        problems = _batch_problems()
-        batch = run_residual_batch(problems, fit, data, _BATCH_MC)
-        solo = [run_residual_test(p, fit, data, _BATCH_MC) for p in problems]
+        tests = _batch_batteries()
+        batch = run_residual_batch(tests, fit, data, _BATCH_MC)
+        solo = [run_residual_test(b, fit, data, _BATCH_MC) for b in tests]
         for b, s_ in zip(batch, solo):
             _assert_same_report(b, s_)
         # the wide grid's two problems keep summary blocks of different sizes
@@ -629,9 +629,9 @@ class TestRunResidualTest:
     @given(order=st.permutations(range(13)))
     def test_batch_order_does_not_change_reports(self, fitted_setup, order):
         spec, params, data, fit = fitted_setup
-        problems = _batch_problems()
-        reports = run_residual_batch(problems, fit, data, _BATCH_MC)
-        permuted = run_residual_batch([problems[i] for i in order], fit, data, _BATCH_MC)
+        tests = _batch_batteries()
+        reports = run_residual_batch(tests, fit, data, _BATCH_MC)
+        permuted = run_residual_batch([tests[i] for i in order], fit, data, _BATCH_MC)
         for i, report in zip(order, permuted):
             _assert_same_report(report, reports[i])
 
@@ -667,15 +667,19 @@ class TestRunResidualTest:
         run_residual_batch(problems, fit, data, mc)
         assert calls == [(n, 31), (M, 31)]
         assert stacks == []
-        assert made == []
+        # a batch of custom batteries makes the fit's constants too: every
+        # report's penalty takes their exact information
+        assert len(made) == 1
 
         calls.clear()
+        made.clear()
         other = make_grid([(-2, 2, 9)])
         run_residual_batch(problems + [lv_density_problem(other),
                                        _drawn(mv_linearity_direct_problem(other, 2))],
                            fit, data, mc)
         assert calls == [(n, 31), (M, 31), (n, 9), (M, 9)]
         assert stacks == [(9, 1)]
+        assert len(made) == 1
 
         # the problems with a quadratic form take their moments from one
         # stacked call per distinct grid, not one per problem, and the fit's
@@ -732,9 +736,8 @@ class TestRunResidualTest:
 
         grid = make_grid([(-2, 2, 5)], [(-2, 2, 5)])
         battery = WeightedBattery(k=5, name="writer", _evaluate=scale_in_place, grid=grid)
-        problem = ResidualProblem(battery, grid)
         with pytest.raises(ValueError, match="read-only"):
-            run_residual_batch([lv_density_problem(grid), problem], fit, data,
+            run_residual_batch([lv_density_problem(grid), battery], fit, data,
                                McConfig(M=1000, seed=3))
 
 
@@ -791,12 +794,14 @@ def _contributions(battery, Y, params):
     return W * (battery.evaluate(Y, params) - battery.eta_closed(params)) / dens
 
 
-def _exact_against_dense_mc(problem, fit, data):
+def _exact_against_dense_mc(battery, fit, data):
     """The engine's exact entries against the dense assembly on 2e4 and
     3.2e5 draws: each error within 4 Monte Carlo standard errors at both
     budgets.  Returns the report's summary index and, per budget, the
-    absolute errors of the diagonal and of the summary block."""
-    report = run_residual_test(problem, fit, data, McConfig(M=1000, seed=1))
+    absolute errors of the diagonal and of the summary block.  The
+    reference takes the information from the draws' own scores, so its
+    penalty is the in-sample regression of G on the scores."""
+    report = run_residual_test(battery, fit, data, McConfig(M=1000, seed=1))
     assert report.acm.M == 0
     keep = report.acm.summary_index
     assert keep.tolist() == [1, 2, 3, 4, 5]
@@ -804,11 +809,12 @@ def _exact_against_dense_mc(problem, fit, data):
     errors = []
     for M, seed in ((20_000, 3), (320_000, 4)):
         draws = simulate_data(p, M, np.random.default_rng(seed)).values
-        H = _contributions(problem.battery, draws, p)
+        H = _contributions(battery, draws, p)
         scores = score_rows(p, fit.mapping, draws)
         A = H.T @ scores / M
-        inv_info = invert_information(monte_carlo_information(p, fit.mapping, draws))
-        dense = assemble_acm(np.eye(problem.battery.k), A, inv_info, np.cov(H.T, ddof=1))
+        info = scores.T @ scores / M
+        inv_info = invert_information(0.5 * (info + info.T))
+        dense = assemble_acm(np.eye(battery.k), A, inv_info, np.cov(H.T, ddof=1))
         # each entry's estimator is the mean of products of the rows'
         # residualized contributions, so their spread gives its MC se
         R = H - H.mean(axis=0) - scores @ (inv_info @ A.T)
@@ -825,11 +831,10 @@ def _exact_against_dense_mc(problem, fit, data):
 
 
 def _forbid_draws(monkeypatch):
-    """Make simulating model draws in the engine, or estimating the
-    information from their scores, raise; returns the list of (rows, points)
-    of every posterior-weight pass it makes.  (The engine scores the grid's
-    conditional means for the closed-form A, so ``score_rows`` itself is
-    allowed.)"""
+    """Make simulating model draws in the engine raise; returns the list of
+    (rows, points) of every posterior-weight pass it makes.  (The engine
+    scores the grid's conditional means for the closed-form A, so
+    ``score_rows`` itself is allowed.)"""
     def forbidden(*args, **kwargs):
         raise AssertionError("the batch drew or scored model draws")
 
@@ -841,7 +846,6 @@ def _forbid_draws(monkeypatch):
         return original(Y, points, p)
 
     monkeypatch.setattr(residuals, "simulate_data", forbidden)
-    monkeypatch.setattr(residuals, "score_information", forbidden)
     monkeypatch.setattr(residuals, "posterior_log_weights", counted)
     return calls
 
@@ -858,7 +862,7 @@ def _fit_for_flip(d, fitted_setup, two_factor_params, two_factor_spec):
 
 
 def _check_sign_flip_mirrors_report(make, fit, data, factor):
-    """Flipping ``factor``'s sign mirrors the report of the problem
+    """Flipping ``factor``'s sign mirrors the report of the battery
     ``make(grid)`` on the default grid: every point's eta_hat, eta, se and
     z reappear at its mirror image, and T is unchanged."""
     grid = default_grid(fit.params.d)
@@ -880,14 +884,14 @@ def _check_sign_flip_mirrors_report(make, fit, data, factor):
     assert flipped.summary.T == pytest.approx(report.summary.T, rel=1e-10)
 
 
-def _check_row_permutation_leaves_report(problem, fit, data):
+def _check_row_permutation_leaves_report(battery, fit, data):
     """Permuting the data rows leaves the report on the same fit unchanged
     to 1e-12; the fit's own row-order invariance is tested with the
     estimator."""
     mc = McConfig(M=1000, seed=0)
-    report = run_residual_test(problem, fit, data, mc)
+    report = run_residual_test(battery, fit, data, mc)
     perm = np.random.default_rng(5).permutation(data.n)
-    permuted = run_residual_test(problem, fit, DataMatrix(data.values[perm]), mc)
+    permuted = run_residual_test(battery, fit, DataMatrix(data.values[perm]), mc)
     for attr in ("eta_hat", "eta", "residual", "se", "z", "p"):
         a = np.array([getattr(pt, attr) for pt in report.points])
         b = np.array([getattr(pt, attr) for pt in permuted.points])
@@ -895,7 +899,7 @@ def _check_row_permutation_leaves_report(problem, fit, data):
     assert permuted.summary.T == pytest.approx(report.summary.T, rel=1e-12, abs=1e-12)
 
 
-def _check_refit_permutation_leaves_report(problem, fit, data):
+def _check_refit_permutation_leaves_report(battery, fit, data):
     """Refitting on the permuted data rows leaves the report unchanged to
     first order in the two fits' final gradients.  A fit whose max-abs mean
     gradient is g lies within |I^-1| g of the maximum, with I^-1 its inverse
@@ -913,7 +917,7 @@ def _check_refit_permutation_leaves_report(problem, fit, data):
     assert np.abs(refit.free_vector - fit.free_vector).max() <= delta
 
     def outputs(fit_, data_):
-        report = run_residual_test(problem, fit_, data_)
+        report = run_residual_test(battery, fit_, data_)
         return np.array([pt.z for pt in report.points] + [report.summary.T])
 
     def moved(step):
@@ -945,7 +949,7 @@ class TestExactLvDensity:
         Ww = W * wt[:, None]
         dens = np.exp(lv_logpdf(points, params))
         Q = len(points)
-        battery = _problem_on_points("lv-density", points).battery
+        battery = _battery_on_points("lv-density", points)
         var, cov, A = _exact_moments(battery, params, mapping)
 
         EWW = Ww.T @ W
@@ -1042,7 +1046,7 @@ def _exact_moments(battery, params, mapping):
     return [m[0] for m in stacked]
 
 
-def _problem_on_points(kind, points, item=None):
+def _battery_on_points(kind, points, item=None):
     """A bundled battery on arbitrary latent points."""
     grid = batteries.LvGrid(axes=(), points=points, summary_subset=None, label="",
                             summary_label="")
@@ -1065,7 +1069,7 @@ class TestExactItemMoments:
         U, wt = _gauss_hermite(params.m, nodes)
         Q, L = len(points), params.sigma_cholesky()
         for item in range(params.m):
-            battery = _problem_on_points(kind, points, item).battery
+            battery = _battery_on_points(kind, points, item)
             EG, EGG, EGs = 0.0, 0.0, 0.0
             for lo in range(0, len(wt), 200_000):
                 Y = params.nu + U[lo:lo + 200_000] @ L.T
@@ -1196,8 +1200,8 @@ class TestSampleValuesFromForms:
         problems = [batteries.make_problem(kind, grid, None if kind == "lv-density" else 8)
                     for kind in ("lv-density", "linearity", "variance", "linearity-direct")]
         reports = run_residual_batch(problems, fit, data)
-        for problem, report in zip(problems, reports):
-            got = eta_hat(problem.battery, data, fit.params)
+        for battery, report in zip(problems, reports):
+            got = eta_hat(battery, data, fit.params)
             assert got.tobytes() == report.eta_hat.tobytes()
         # the latent density's value is W's column means themselves
         W = np.exp(posterior_log_weights(data.values, grid.points, fit.params))
@@ -1222,3 +1226,54 @@ class TestSampleValuesFromForms:
         run_residual_batch(exact + [_drawn(mv_linearity_problem(grid, 8))], fit, data,
                            McConfig(M=1000, seed=3))
         assert calls.count("linearity[8]") >= 1
+
+
+def _study1_reports(data, pattern, linearity, variance):
+    """lv-density, ``linearity[linearity]`` and ``variance[variance]`` on
+    the default grid for the two-factor fit of ``pattern`` to the data."""
+    fit = fit_ml(data, ModelSpec(m=data.m, d=2, loading_pattern=pattern))
+    assert fit.converged
+    grid = default_grid(2)
+    return run_residual_batch([lv_density_problem(grid), mv_linearity_problem(grid, linearity),
+                               mv_homoscedasticity_problem(grid, variance)], fit, data)
+
+
+def _assert_same_to_rounding(got, want, points):
+    """T to 1e-10 relative, and z at ``points`` of ``got`` to 1e-10 absolute
+    of z at every point of ``want``, with the same NaN points."""
+    for g, w in zip(got, want):
+        assert g.summary.T == pytest.approx(w.summary.T, rel=1e-10, abs=0), w.battery
+        z = g.z[points]
+        np.testing.assert_array_equal(np.isnan(z), np.isnan(w.z), err_msg=w.battery)
+        np.testing.assert_allclose(z, w.z, rtol=0, atol=1e-10, err_msg=w.battery)
+
+
+class TestStudy1Invariances:
+    """The fit and the tests do not depend on how the items and the factors
+    are labelled (study1, seed 77, misspecified arm)."""
+
+    @pytest.mark.parametrize("rep", range(4))
+    def test_item_order_within_factors(self, rep):
+        data, _ = replication(Study1Config(n=1000, misspecified=True), 77, rep)
+        rng = np.random.default_rng(rep)
+        perm = np.concatenate([rng.permutation(10), 10 + rng.permutation(10)])
+        at = np.argsort(perm)  # item j's column in the reordered data
+        pattern = model_spec_study1().loading_pattern
+        want = _study1_reports(data, pattern, 3, 12)
+        got = _study1_reports(DataMatrix(data.values[:, perm]), pattern, at[3], at[12])
+        _assert_same_to_rounding(got, want, np.arange(default_grid(2).Q))
+
+    @pytest.mark.parametrize("rep", range(4))
+    def test_swapping_the_factors(self, rep):
+        # items 0-9 load on the second factor instead of the first, so the
+        # report at (x1, x2) is the original one at (x2, x1)
+        data, _ = replication(Study1Config(n=1000, misspecified=True), 77, rep)
+        pattern = model_spec_study1().loading_pattern
+        points = default_grid(2).points
+        swapped = points[:, ::-1]
+        dist = np.abs(points[:, None, :] - swapped[None, :, :]).max(axis=2)
+        partner = dist.argmin(axis=0)
+        assert (dist[partner, np.arange(len(points))] < 1e-12).all()
+        want = _study1_reports(data, pattern, 3, 12)
+        got = _study1_reports(data, pattern[:, ::-1], 3, 12)
+        _assert_same_to_rounding(got, want, partner)
