@@ -14,8 +14,11 @@ Three assessments are bundled, each a battery on a grid of latent values
 check kept for comparison; it is deliberately not part of the default CLI
 report because its residuals also react to latent-density misfit.
 
-All four are ``WeightedBattery``s on one matrix W, the posterior densities
-of the grid points given each row.  The latent-density battery is W itself
+All four are ``WeightedBattery``s on the posterior densities W of the grid
+points given each row, read through W's column means and one item's
+W-weighted sums, which on a product grid come from per-axis factors
+without the (n x Q) W (``residuals._weight_sums``).  The latent-density
+battery is W itself
 and the direct variant is y_j * W / density.  Linearity and variance are
 ``RatioBattery``s: each gives its item's f (y_j, or the squared deviation
 from the fitted line) and the model value of the ratio
@@ -46,10 +49,15 @@ from .residuals import RatioBattery, TestReport, WeightedBattery
 
 @dataclass(frozen=True, eq=False)
 class LvGrid:
-    """Outer-product grid of latent evaluation points.
+    """Grid of latent evaluation points.
 
-    ``points`` is (Q, d) in row-major dimension order (first dimension
-    slowest).  ``summary_subset`` holds indices of the points entering the
+    ``points`` is (Q, d).  ``make_grid`` builds them as the outer product
+    of ``axes`` in row-major dimension order (first dimension slowest); a
+    grid built directly may hold any points, and its ``axes`` and labels
+    only describe it.  The residual engine reads the product structure
+    from ``points`` alone: on a product grid the bundled batteries' weight
+    sums run on per-axis factors, on any other the dense weights are
+    formed.  ``summary_subset`` holds indices of the points entering the
     summary statistic, or None when no summary is requested.  A grid is
     immutable: both arrays are read-only copies of the ones it is built
     from, so one grid can be shared, as ``default_grid``'s are.

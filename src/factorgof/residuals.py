@@ -34,24 +34,27 @@ without such a battery draws nothing.
 
 The form fixes the sample value too: averaged over the data rows,
 W_q h_q needs only W's column means and, per item, the weighted sums
-W' (y_j - nu_j) and W' (y_j - nu_j)^2 (``_sample_values``), so no battery
-with a form is evaluated row by row.
+W' (y_j - nu_j) / n and W' (y_j - nu_j)^2 / n (``_sample_values``), so no
+battery with a form is evaluated row by row.  On a grid whose points are
+the product of their axes, those sums come from per-axis factors of W,
+from (n x Q_1)'(n x Q / Q_1) products, and the (n x Q) W is never formed
+(``_weight_sums``).
 
 ``run_residual_batch`` inverts the exact information once and makes one
-pass per distinct set of grid points: it computes W on the data,
-read-only, and W's column means (the ratios' denominators).  The grid's
+pass per distinct set of grid points: it takes W's column means (the
+ratios' denominators) and each form item's weighted sums.  The grid's
 batteries with a form and one summary subset then go through one stacked
 pass: their sample values, moments, se, z and p are (P, Q) arrays for P
 batteries on Q points.  Each item's weighted sums come from their own
 product and the moments from per-battery slabs, so a report has the same
 bits in any batch.  A custom battery takes its sample value from its
-``evaluate`` on W, which is dropped before W on the draws is computed for
-its covariance.  Batteries that give only ``_evaluate(Y, params)`` share
-one pass without W.
+``evaluate`` on W, computed on the data, read-only, and dropped before W on
+the draws is computed for its covariance.  Batteries that give only
+``_evaluate(Y, params)`` share one pass without W.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -80,6 +83,9 @@ from .model import (
 _DIAG_FLOOR = 1e-12
 _EIG_RTOL = 1e-10
 _DENOM_FLOOR = 1e-300
+# the weight sums run on axis factors only where an underflowing factor moves
+# each term by at most 2^-1075 exp(_FACTOR_SPAN) = _DENOM_FLOOR (``_weight_sums``)
+_FACTOR_SPAN = float(np.log(_DENOM_FLOOR) + 1075.0 * np.log(2.0))
 
 
 @dataclass(eq=False)
@@ -138,6 +144,126 @@ def _points_key(grid) -> tuple:
     return points.shape, points.tobytes()
 
 
+@lru_cache(maxsize=32)
+def _grid_axes(key):
+    """The axis values (read-only) of the points keyed by ``_points_key``
+    when they are the outer product of those axes in row-major order (first
+    coordinate slowest), as ``make_grid`` builds them; else None.  Decided
+    from the points alone, once per key."""
+    shape, raw = key
+    points = np.frombuffer(raw).reshape(shape)
+    axes, stride = [], shape[0]
+    for column in points.T:
+        count = len(np.unique(column))
+        if stride % count:
+            return None
+        stride //= count
+        axis = column[:stride * count:stride].copy()
+        axis.flags.writeable = False
+        axes.append(axis)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    if not np.array_equal(np.stack([g.ravel() for g in mesh], axis=1), points):
+        return None
+    return tuple(axes)
+
+
+def _weight_factors(Y, grid, params):
+    """Per-axis factors of the posterior weights of ``grid``'s points given
+    the rows of Y, (F, G, C) with W = (F (x) G) C (see ``_weight_sums``),
+    or None where the dense pass runs: at d = 1, off a product grid and past
+    the range bound."""
+    d = params.d
+    axes = None if d == 1 else _grid_axes(_points_key(grid))
+    if axes is None:
+        return None
+    post = params.posterior_law()
+    P = post.precision
+    points = np.asarray(grid.points, dtype=np.float64)
+    peak = 0.5 * (post.logdet - d * np.log(2.0 * np.pi))
+    cross = sum(P[a, b] * points[:, a] * points[:, b]
+                for a in range(d) for b in range(a + 1, d))
+    low = cross.min()
+    if (1.0 - 1.0 / d) * (peak + cross.max() - low) > _FACTOR_SPAN:
+        return None
+    B = (Y - params.nu) @ post.lam_w
+    # each axis's exponent b x - P_kk x^2 / 2 peaks over the axis's range at
+    # b / P_kk clipped to that range
+    curv = np.diag(P)
+    top = np.clip(B / curv, [a.min() for a in axes], [a.max() for a in axes])
+    top = B * top - 0.5 * curv * top**2
+    share = (peak - low - 0.5 * np.einsum("ij,ij->i", B @ post.cov, B) + top.sum(axis=1)) / d
+    # exponent of axis k's factor, [b_k | 1 | share - top_k] [x; -P_kk x^2 / 2; 1]
+    left = np.empty((len(Y), 3))
+    left[:, 1] = 1.0
+    F = []
+    for k, axis in enumerate(axes):
+        left[:, 0] = B[:, k]
+        left[:, 2] = share - top[:, k]
+        term = left @ np.array([axis, -0.5 * curv[k] * axis**2, np.ones_like(axis)])
+        F.append(np.exp(term, out=term))
+    G = F[1]
+    for f in F[2:]:
+        G = (G[:, :, None] * f[:, None, :]).reshape(len(Y), -1)
+    return F[0], G, np.exp(low - cross)
+
+
+@kernels.single_blas_thread
+def _weight_sums(Y, grid, params, items, W=None):
+    """Column means wbar of the posterior weights W of ``grid``'s points
+    given the rows of Y, and the weighted sums s1 = W' yt / n and
+    s2 = W' yt^2 / n of each item j in ``items``, with yt = y_j - nu_j:
+    ``(wbar, {j: (s1, s2)}, W)``.  W is the read-only dense weights where
+    they were formed (or given), else None.
+
+    The log posterior density at x_q is
+    row_i + sum_k (b_ik x_qk - P_kk x_qk^2 / 2) + peak - cross_q, with
+    cross_q = sum_{k<l} P_kl x_qk x_ql and peak the log of the density's
+    maximum (see ``posterior_log_weights``).  On a product grid the middle
+    sum splits by axis, so W_iq = F_i,j1 G_i,j' C_q with F the first axis's
+    factor, G the row-wise Kronecker product of the other axes' factors and
+    C_q = exp(min(cross) - cross_q) <= 1.  Each sum is then
+    C (.) (F' (r (.) G)) / n for the rows r = 1, yt, yt^2: (Q_1 x Q / Q_1)
+    products instead of one over the (n x Q) W.  Each axis's exponent is
+    shifted by its largest value over the axis's range, and row i's factors
+    share the row's offset t_i evenly, so each is at most exp(t_i / d).  t_i
+    is the largest log W_i - log C over the grid's box, and the cross term
+    is multilinear, so its range there is its range K = max(cross) -
+    min(cross) on the grid, whose corners are the box's: t_i <= peak + K.
+
+    A factor entry below the normal range has an absolute error of at most
+    2^-1075 (it flushes to 0 below that), and the other factors of its term
+    multiply it by at most exp((1 - 1/d) t_i).  So where
+    (1 - 1/d) (peak + K) <= ``_FACTOR_SPAN``, no term of a sum moves by more
+    than 2^-1075 exp(_FACTOR_SPAN) = ``_DENOM_FLOOR``, the mass below which a
+    ratio's denominator is already flagged, and the factors cannot overflow.
+    At d = 2 that is peak + K <= 108.7; the default 19 x 19 grid of a study1
+    fit has K of about 4.  Past the bound, off a product grid and at d = 1,
+    where the one factor is W itself, the dense W = exp(log W) is formed
+    once and summed, as it is when W is given.
+    """
+    n = len(Y)
+    items = sorted(_check_item(item, params) for item in items)
+    factors = None if W is not None else _weight_factors(Y, grid, params)
+    if factors is None:
+        if W is None:
+            W = _grid_weights(Y, grid, params)
+        wbar = W.mean(axis=0)
+    else:
+        F, G, C = factors
+        C /= n
+        wbar = (F.T @ G).ravel() * C
+    sums = {}
+    for item in items:
+        powers = np.empty((2, n))
+        np.subtract(Y[:, item], params.nu[item], out=powers[0])
+        np.square(powers[0], out=powers[1])
+        if factors is None:
+            sums[item] = powers @ W / n
+        else:
+            sums[item] = (F.T @ (powers[:, :, None] * G)).reshape(2, -1) * C
+    return wbar, sums, W
+
+
 @dataclass(eq=False)
 class WeightedBattery(SummaryBattery):
     """A battery built from the posterior weights of its rows on a grid.
@@ -146,8 +272,8 @@ class WeightedBattery(SummaryBattery):
     each row, and ``_evaluate(Y, W, params)`` maps the rows and their W to
     the (n, k) battery values without writing into W.  ``evaluate`` computes
     W itself unless it is given; ``run_residual_batch`` computes it once per
-    row set for every battery on the same grid points and passes it in, so
-    both paths give the same bits.
+    row set for the custom batteries on the same grid points and passes it
+    in, so both paths give the same bits.
 
     ``_quadratic``, when given, declares the rows' contributions (a mean
     battery's values, or a ratio battery's delta-method terms), one per grid
@@ -310,17 +436,19 @@ def eta_hat(battery: SummaryBattery, data: DataMatrix, params: ParamSet,
     mean(f W) / mean(W).  ``W``: the rows' posterior weights on a
     ``WeightedBattery``'s grid, when already known.  A battery with a
     quadratic form takes its value from the form, as ``run_residual_batch``
-    does, so both give the same bits."""
-    form = _has_form(battery)
-    wbar = None
-    if form or isinstance(battery, RatioBattery):
-        if W is None:
-            W = _posterior_weights(data.values, battery.grid.points, params)
-        wbar = W.mean(axis=0)
-    if not form:
+    does, so without ``W`` both give the same bits."""
+    if not _has_form(battery):
+        wbar = None
+        if isinstance(battery, RatioBattery):
+            if W is None:
+                W = _posterior_weights(data.values, battery.grid.points, params)
+            wbar = W.mean(axis=0)
         return _evaluated_sample_value(battery, data.values, params, W, wbar)
+    item = battery._quadratic[0]
+    wbar, sums, _ = _weight_sums(data.values, battery.grid, params,
+                                 () if item is None else (item,), W)
     dens = np.exp(lv_logpdf(battery.grid.points, params))
-    t_hat, _ = _sample_values([battery], data.values, params, W, wbar, dens)
+    t_hat, _ = _sample_values([battery], params, wbar, sums, dens)
     return t_hat[0]
 
 
@@ -328,35 +456,28 @@ def _has_form(battery) -> bool:
     return isinstance(battery, WeightedBattery) and battery._quadratic is not None
 
 
-def _sample_values(batteries, Y, params, W, wbar, dens):
+def _sample_values(batteries, params, wbar, sums, dens):
     """Sample values and model values ((P, Q) each) of batteries with a
-    quadratic form on one grid, from the rows' posterior weights W, their
-    column means ``wbar`` and the grid's latent density ``dens``.
+    quadratic form on one grid, from the column means ``wbar`` of the rows'
+    posterior weights W, each form item's weighted sums ``sums``
+    (``_weight_sums``) and the grid's latent density ``dens``.
 
     With yt = y_j - nu_j and mt_q = lambda_j' x_q, so that e_q = yt - mt_q,
     the mean of W_q h_q over the rows is u_q = a_q wbar_q + v_q with
     v_q = b (s1_q - mt_q wbar_q) + c (s2_q - 2 mt_q s1_q + (mt_q^2 - theta_j) wbar_q),
-    and s1 = W' yt / n and s2 = W' yt^2 / n from one (n x 2)'(n x Q)
-    product per item.  A ratio battery's value is r_q + u_q / wbar_q, taken
-    as r_q + a_q + v_q / wbar_q, and a mean battery's u_q / D_q, taken as
-    (a_q / D_q) wbar_q + v_q / D_q, which is wbar itself for the latent
-    density.  No product spans items, so a battery's values have the same
-    bits in any batch."""
+    s1 = W' yt / n and s2 = W' yt^2 / n.  A ratio battery's value is
+    r_q + u_q / wbar_q, taken as r_q + a_q + v_q / wbar_q, and a mean
+    battery's u_q / D_q, taken as (a_q / D_q) wbar_q + v_q / D_q, which is
+    wbar itself for the latent density.  No product spans items, so a
+    battery's values have the same bits in any batch."""
     points = batteries[0].grid.points
-    n, Q = len(Y), len(points)
-    t_hat = np.empty((len(batteries), Q))
+    t_hat = np.empty((len(batteries), len(points)))
     eta = np.empty_like(t_hat)
-    products = {}
     for row, eta_row, battery in zip(t_hat, eta, batteries):
         item, a, b, c = battery._quadratic
         v = 0.0
         if item is not None:
-            if _check_item(item, params) not in products:
-                powers = np.empty((2, n))
-                np.subtract(Y[:, item], params.nu[item], out=powers[0])
-                np.square(powers[0], out=powers[1])
-                products[item] = powers @ W / n
-            s1, s2 = products[item]
+            s1, s2 = sums[item]
             mt = points @ params.lam[item]
             if b:
                 v += b * (s1 - mt * wbar)
@@ -637,16 +758,18 @@ def run_residual_batch(batteries, fit: FitResult, data: DataMatrix,
         groups.setdefault(key, (grid, []))[1].append(i)
     reports = {}
     for grid, members in groups.values():
-        W = _grid_weights(data.values, grid, params)
-        wbar = None if grid is None else W.mean(axis=0)
         dens = None if grid is None else np.exp(lv_logpdf(grid.points, params))
         stacks = {}
         for i in members:
             if exact[i]:
                 stacks.setdefault(_summary_subset(batteries[i]).tobytes(), []).append(i)
+        W = wbar = None
+        if stacks:
+            items = {batteries[i]._quadratic[0] for i in members if exact[i]} - {None}
+            wbar, sums, W = _weight_sums(data.values, grid, params, items)
         for stack in stacks.values():
             batch = [batteries[i] for i in stack]
-            t_hat, eta = _sample_values(batch, data.values, params, W, wbar, dens)
+            t_hat, eta = _sample_values(batch, params, wbar, sums, dens)
             cols = _summary_subset(batch[0])
             moments = _quadratic_moments(grid.points, dens, cols,
                                          [battery._quadratic for battery in batch],
@@ -656,6 +779,11 @@ def run_residual_batch(batteries, fit: FitResult, data: DataMatrix,
             reports.update(zip(stack, done))
 
         drawn = [i for i in members if not exact[i]]
+        if drawn and W is None and grid is not None:
+            # a custom battery evaluates on the dense W, which the weight
+            # sums did not form
+            W = _grid_weights(data.values, grid, params)
+            wbar = W.mean(axis=0)
         t_hats = [_evaluated_sample_value(batteries[i], data.values, params, W, wbar)
                   for i in drawn]
         W = None
