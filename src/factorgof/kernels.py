@@ -184,6 +184,6 @@ def normal_two_sided_p(z):
     """2 P(Z > |z|) = erfc(|z| / sqrt 2) for standard normal Z, for a
     scalar or elementwise for an array."""
     z = np.asarray(z, dtype=np.float64)
-    p = np.array([math.erfc(abs(t) / _SQRT2) for t in z.ravel().tolist()])
+    p = np.fromiter(map(math.erfc, (np.abs(z) / _SQRT2).ravel().tolist()), np.float64, z.size)
     return p.reshape(z.shape)[()]
 

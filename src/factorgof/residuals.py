@@ -44,13 +44,20 @@ from (n x Q_1)'(n x Q / Q_1) products, and the (n x Q) W is never formed
 pass per distinct set of grid points: it takes W's column means (the
 ratios' denominators) and each form item's weighted sums.  The grid's
 batteries with a form and one summary subset then go through one stacked
-pass: their sample values, moments, se, z and p are (P, Q) arrays for P
-batteries on Q points.  Each item's weighted sums come from their own
-product and the moments from per-battery slabs, so a report has the same
-bits in any batch.  A custom battery takes its sample value from its
-``evaluate`` on W, computed on the data, read-only, and dropped before W on
-the draws is computed for its covariance.  Batteries that give only
-``_evaluate(Y, params)`` share one pass without W.
+pass, in which a battery is a row index into tables built once: per fit,
+every item's score moments (``_FitConstants.item_scores``); per grid
+pass, every item's conditional-mean and tilt columns and the paired grid
+points of E[W_q W_r].  Their sample values, moments, se, z and p are
+(P, Q) arrays for P batteries on Q points, A is (P, Q, q), and the
+batteries that keep the same summary points share one eigendecomposition
+and one quadratic form for T.  Each item's weighted sums come from their
+own product, and no other step mixes batteries, so a report has the same
+bits in any batch.  A point whose variance or summary-block row is not
+finite, as where the latent density underflows, is unstable.  A custom
+battery takes its sample value from its ``evaluate`` on W, computed on the
+data, read-only, and dropped before W on the draws is computed for its
+covariance.  Batteries that give only ``_evaluate(Y, params)`` share one
+pass without W.
 """
 
 from dataclasses import dataclass
@@ -138,9 +145,10 @@ def _posterior_weights(Y, points, params):
     return np.exp(out, out=out)
 
 
-def _points_key(grid) -> tuple:
-    """Grids with equal keys give equal posterior weights on the same rows."""
-    points = np.asarray(grid.points, dtype=np.float64)
+def _points_key(points) -> tuple:
+    """Grids whose points have equal keys give equal posterior weights on
+    the same rows."""
+    points = np.asarray(points, dtype=np.float64)
     return points.shape, points.tobytes()
 
 
@@ -173,7 +181,7 @@ def _weight_factors(Y, grid, params):
     or None where the dense pass runs: at d = 1, off a product grid and past
     the range bound."""
     d = params.d
-    axes = None if d == 1 else _grid_axes(_points_key(grid))
+    axes = None if d == 1 else _grid_axes(_points_key(grid.points))
     if axes is None:
         return None
     post = params.posterior_law()
@@ -468,29 +476,29 @@ def _sample_values(batteries, params, wbar, sums, dens):
     s1 = W' yt / n and s2 = W' yt^2 / n.  A ratio battery's value is
     r_q + u_q / wbar_q, taken as r_q + a_q + v_q / wbar_q, and a mean
     battery's u_q / D_q, taken as (a_q / D_q) wbar_q + v_q / D_q, which is
-    wbar itself for the latent density.  No product spans items, so a
-    battery's values have the same bits in any batch."""
-    points = batteries[0].grid.points
-    t_hat = np.empty((len(batteries), len(points)))
-    eta = np.empty_like(t_hat)
-    for row, eta_row, battery in zip(t_hat, eta, batteries):
-        item, a, b, c = battery._quadratic
-        v = 0.0
-        if item is not None:
-            s1, s2 = sums[item]
-            mt = points @ params.lam[item]
-            if b:
-                v += b * (s1 - mt * wbar)
-            if c:
-                v += c * (s2 - 2.0 * mt * s1 + (mt * mt - params.theta[item]) * wbar)
-        a_q = 0.0 if a is None else a(params, dens)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if isinstance(battery, RatioBattery):
-                eta_row[:] = battery.eta_closed(params)
-                np.add(eta_row + a_q, v / wbar, out=row)
-            else:
-                eta_row[:] = a_q
-                np.add(a_q / dens * wbar, v / dens, out=row)
+    wbar itself for the latent density.  Each battery is a row of (P, Q)
+    arrays, mt_q a column of one (Q, m) table indexed by the items, and no
+    step mixes rows, so a battery's values have the same bits in any
+    batch."""
+    a_q, b, c, items = _form_arrays([battery._quadratic for battery in batteries],
+                                    params, dens)
+    v = np.zeros_like(a_q)
+    if items is not None:
+        points = np.asarray(batteries[0].grid.points, dtype=np.float64)
+        mt = (points @ params.lam.T)[:, items].T
+        theta = params.theta[items][:, None]
+        s1, s2 = np.array([sums[item] if item in sums else np.zeros((2, len(dens)))
+                           for item in items.tolist()]).transpose(1, 0, 2)
+        v = (b[:, None] * (s1 - mt * wbar)
+             + c[:, None] * (s2 - 2.0 * mt * s1 + (mt * mt - theta) * wbar))
+    ratio = np.array([isinstance(battery, RatioBattery) for battery in batteries])
+    eta = a_q.copy()
+    for i in np.flatnonzero(ratio):
+        eta[i] = batteries[i].eta_closed(params)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_hat = eta + a_q + v / wbar
+        if not ratio.all():
+            t_hat[~ratio] = (a_q / dens * wbar + v / dens)[~ratio]
     return t_hat, eta
 
 
@@ -541,12 +549,7 @@ def _truncated_inverse(sigma, s):
 
 def chi2_statistic(e: np.ndarray, sigma: np.ndarray, n: int, s: int) -> tuple:
     """Quadratic-form statistic n e' W e and its chi-square(s) p-value."""
-    return _quadratic_statistic(e, _truncated_inverse(sigma, s)[0], n, s)
-
-
-def _quadratic_statistic(e, W, n, s):
-    """``chi2_statistic`` given the truncated inverse W."""
-    T = max(float(n * e @ W @ e), 0.0)
+    T = max(float(n * e @ truncated_inverse(sigma, s) @ e), 0.0)
     return T, kernels.chi2_sf(s, T)
 
 
@@ -570,6 +573,22 @@ def _weight_products(X1, X2, params, V):
     return np.exp(out, out=out)
 
 
+@lru_cache(maxsize=32)
+def _pair_points(key, cols_key):
+    """The paired rows (X1, X2) at which ``_quadratic_moments`` takes
+    E[W(x1) W(x2)]: each point of the points keyed by ``_points_key`` with
+    itself, then every pair of the summary points ``cols_key`` (the bytes of
+    their index array) in row-major order.  Read-only, built once per key."""
+    shape, raw = key
+    points = np.frombuffer(raw).reshape(shape)
+    sub = points[np.frombuffer(cols_key, dtype=np.intp)]
+    K = len(sub)
+    X1 = np.vstack([points, np.repeat(sub, K, axis=0)])
+    X2 = np.vstack([points, np.tile(sub, (K, 1))])
+    X1.flags.writeable = X2.flags.writeable = False
+    return X1, X2
+
+
 class _FitConstants:
     """Per-fit constants of the penalty and the closed-form moments, made
     once per batch from the fit's free vector and its ``params``, whose
@@ -590,6 +609,7 @@ class _FitConstants:
     ``tilt`` ((m, d)) and ``tau2`` ((m,)) give the doubly tilted law
     y_j | xt = xbar ~ N(nu_j + tilt_j' xbar, tau2_j), where
     xt = E[x | y] + N(0, V / 2) ~ N(0, phi - V / 2) and Cov(y, xt) = lambda phi.
+    ``item_scores`` holds every item's score moments, built on first use.
     """
 
     def __init__(self, fit):
@@ -608,34 +628,72 @@ class _FitConstants:
         change = self.terms._replace(delta=delta, gmat=sig_inv @ dS @ sig_inv)
         return _mean_loglik_grad(self.mapping, change, self.slopes)
 
+    @cached_property
+    def item_scores(self):
+        """``(base, slope, curv)``, every item j's score moments: with
+        e = y_j - mu_qj the deviation of item j from its conditional mean at
+        x_q and s the score on the free parameters,
+        E[e s | x = x_q] = base_j + sum_k x_qk slope_jk ((m, q) and
+        (m, d, q)) and E[(e^2 - theta_j) s | x = x_q] = curv_j ((m, q)).
 
-def _score_moments(points, params, consts, item, order):
-    """E[e^order s | x = x_q] at every point for order 0 and 1, and
-    E[(e^2 - theta_j) s | x = x_q] for order 2, with e = y_j - mu_qj the
-    deviation of ``item`` from its conditional mean mu_qj = nu_j + lambda_j' x_q
-    and s the score on the free parameters.
+        The score is affine in y - nu and its outer product, and y | x = x_q
+        is N(nu + lambda x_q, theta).  By Stein's lemma the first moment is
+        theta_j times the score's slope along y_j at the conditional mean:
+        with t = theta_j u_j (u_j the j-th unit vector), ``score_change``
+        for delta = t, plus x_qk times the change for
+        dS = lambda_k t' + t lambda_k'.  The second is theta_j^2 times the
+        score's second derivative along y_j: the change for dS = 2 t t'.
+        Each dS is rank 2, so G = Sigma^-1 dS Sigma^-1 is a b' + b a' (or
+        2 b b') in the columns a = Sigma^-1 lambda_k and b = Sigma^-1 t, and
+        each gradient entry (G p)_i for dSigma/dv = e_i p' + p e_i' is
+        gathered from those columns and their products with
+        ``_Slopes.cols``, as ``_mean_loglik_grad`` gathers it; a correlation
+        entry's tr(G D_ab) / 2 is a' D_ab b (b' D_ab b).
+        """
+        mapping, t, s = self.mapping, self.terms, self.slopes
+        m, d, q = mapping.spec.m, mapping.spec.d, mapping.q
+        B = t.sig_inv * t.theta             # column j: Sigma^-1 theta_j u_j
+        A = t.sig_inv @ t.lam               # column k: Sigma^-1 lambda_k
+        CB, CA = s.cols.T @ B, s.cols.T @ A
+        at, ct = np.divmod(mapping.rank2_at, d + m)
+        base, slope, curv = np.zeros((m, q)), np.zeros((m, d, q)), np.zeros((m, q))
+        if mapping.spec.mean_structure:
+            base[:, mapping.nu_slice] = B.T
+        slope[:, :, mapping.cov_slice] = (A[at].T * CB[ct].T[:, None]
+                                          + B[at].T[:, None] * CA[ct].T)
+        curv[:, mapping.cov_slice] = 2.0 * B[at].T * CB[ct].T
+        if len(mapping.phi_rows):
+            slope[:, :, mapping.phi_slice] = (A.T @ s.d_phi @ B).transpose(2, 1, 0)
+            curv[:, mapping.phi_slice] = np.einsum("tij,ik,jk->kt", s.d_phi, B, B)
+        return base, slope, curv
 
-    The score is affine in y - nu and its outer product, and y | x = x_q is
-    N(nu + lambda x_q, theta).  So order 0 is the score at the conditional
-    mean plus the change that theta adds to S*, ``score_change(0, theta)``
-    (see ``_FitConstants``).  By Stein's lemma order 1 is theta_j times the
-    score's slope along y_j at the conditional mean, affine in x_q: with
-    t = theta_j u_j (u_j the j-th unit vector), the change for delta = t
-    plus sum_k x_qk times the change for dS = lambda_k t' + t lambda_k'.
-    Order 2 is theta_j^2 times the score's second derivative along y_j, the
-    same at every point: the change for dS = 2 t t'.
-    """
-    zero = np.zeros(params.m)
-    if order == 0:
-        return (_row_scores(consts.mapping, consts.terms, points @ params.lam.T)
-                + consts.score_change(zero, np.diag(params.theta)))
-    step = np.zeros(params.m)
-    step[item] = params.theta[item]
-    if order == 2:
-        return consts.score_change(zero, 2.0 * np.outer(step, step))
-    slopes = [consts.score_change(zero, np.outer(lam_k, step) + np.outer(step, lam_k))
-              for lam_k in params.lam.T]
-    return consts.score_change(step, np.zeros((params.m, params.m))) + points @ np.array(slopes)
+
+def _score_moments(points, params, consts):
+    """E[s | x = x_q] at every point ((Q, q)), s the score on the free
+    parameters.  The score is affine in y - nu and its outer product, and
+    y | x = x_q is N(nu + lambda x_q, theta), so this is the score at the
+    conditional mean plus the change that theta adds to S*,
+    ``score_change(0, theta)`` (see ``_FitConstants``)."""
+    return (_row_scores(consts.mapping, consts.terms, points @ params.lam.T)
+            + consts.score_change(np.zeros(params.m), np.diag(params.theta)))
+
+
+def _form_arrays(forms, params, dens):
+    """P quadratic forms on one grid (see ``WeightedBattery``) as arrays: a_q
+    ((P, Q), 0 where a is None), b and c ((P,)), and the items ((P,)), or
+    None when no form has one.  A form without an item has b = c = 0, so
+    its row may read any item's values: they enter times 0.  It reads
+    item 0's."""
+    items, a, b, c = zip(*forms)
+    a_q = np.zeros((len(forms), len(dens)))
+    for i, a_i in enumerate(a):
+        if a_i is not None:
+            a_q[i] = a_i(params, dens)
+    if items.count(None) == len(items):
+        items = None
+    else:
+        items = np.array([0 if item is None else item for item in items])
+    return a_q, np.array(b, dtype=np.float64), np.array(c, dtype=np.float64), items
 
 
 def _quadratic_moments(points, dens, cols, forms, params, consts):
@@ -644,14 +702,21 @@ def _quadratic_moments(points, dens, cols, forms, params, consts):
     fitted model, each declared by its quadratic form ``(item, a, b, c)``
     (see ``WeightedBattery``): Var(G) at every point ((P, Q)), Cov(G) among
     the points ``cols`` ((P, K, K)) and A = E[G s'] ((P, Q, q)) with s the
-    score on the free parameters, from the fit's ``_FitConstants``.  Every
-    step is elementwise or per battery, so a battery's moments have the
-    same bits in any stack.
+    score on the free parameters, from the fit's ``_FitConstants``.
+
+    The forms are rows of tables: every item's tilt and conditional-mean
+    columns on the grid ((Q, m), built once per call) and the fit's
+    ``item_scores``, indexed by the batteries' items, so every step is
+    elementwise or per battery and a battery's moments have the same bits
+    in any stack.  Where D underflows, Var(G) and Cov(G) are 0/0 or x/0;
+    they are formed without numpy warnings and ``_reports`` flags those
+    points unstable.
 
     Weighting the model density of y by W_q(y) = p(x_q | y) gives
     p(x_q) p(y | x_q), so E[G_q] = E[h_q | x = x_q] = a_q and
-    A_q = E[h_q s | x = x_q] = a_q S0_q + b S1_q + c S2 (``_score_moments``).
-    Weighting it by W_q W_r tilts y_j to N(mt, tau2_j) with
+    A_q = E[h_q s | x = x_q] = a_q S0_q + b S1_q + c S2, with S0 from
+    ``_score_moments`` and S1, S2 from ``item_scores``.  Weighting it by
+    W_q W_r tilts y_j to N(mt, tau2_j) with
     mt = nu_j + tilt_j' (x_q + x_r) / 2 (``_FitConstants``), so
     E[G_q G_r] = E[W_q W_r] E~[h_q h_r] / (D_q D_r).  In e = y_j - mt,
     h_q = p0 + p1 e + c e^2 with alpha = mt - mu_qj,
@@ -661,53 +726,51 @@ def _quadratic_moments(points, dens, cols, forms, params, consts):
     points = np.ascontiguousarray(points, dtype=np.float64)
     Q, K = len(points), len(cols)
     # E[W_q^2] at every point and E[W_q W_r] among the points cols, in one call
-    sub = points[cols]
-    pairs = _weight_products(np.vstack([points, np.repeat(sub, K, axis=0)]),
-                             np.vstack([points, np.tile(sub, (K, 1))]), params, consts.V)
+    pairs = _weight_products(*_pair_points(_points_key(points), cols.tobytes()),
+                             params, consts.V)
     ww, block = pairs[:Q], pairs[Q:].reshape(K, K)
-    cond_mean = conditional_mean_grid(points, params)
 
-    # per battery: scalars as (P, 1, 1) and grid values as (P, 1, Q), so
-    # one set of shapes serves the diagonal and the (K, K) summary block
-    zero = np.zeros(Q)
-    a_q, t, mu, scalars = [], [], [], []
-    for item, a, b, c in forms:
-        a_q.append(zero if a is None else a(params, dens))
-        if item is None:
-            t.append(zero)
-            mu.append(zero)
-            scalars.append((0.0, 0.0, 0.0, b, c))
-        else:
-            t.append(points @ consts.tilt[item])
-            mu.append(cond_mean[:, item])
-            scalars.append((params.nu[item], params.theta[item], consts.tau2[item], b, c))
-    a_q, t, mu = (np.array(x)[:, None, :] for x in (a_q, t, mu))
-    nu, theta, tau2, b, c = np.array(scalars, dtype=np.float64).T[:, :, None, None]
+    # scalars as (P, 1, 1) and grid values as (P, 1, Q), so one set of
+    # shapes serves the diagonal and the (K, K) summary block
+    a_q, b, c, items = _form_arrays(forms, params, dens)
+    P = len(a_q)
+    if items is None:
+        t = mu = np.zeros((P, Q))
+        nu = theta = tau2 = np.zeros(P)
+    else:
+        t = (points @ consts.tilt.T)[:, items].T
+        mu = conditional_mean_grid(points, params)[:, items].T
+        nu, theta, tau2 = params.nu[items], params.theta[items], consts.tau2[items]
+    a_q, t, mu = (x[:, None, :] for x in (a_q, t, mu))
+    nu, theta, tau2, b3, c3 = (x[:, None, None] for x in (nu, theta, tau2, b, c))
 
     def coefficients(a_, alpha):
-        return a_ + b * alpha + c * (alpha**2 - theta), b + 2.0 * c * alpha
+        return a_ + b3 * alpha + c3 * (alpha**2 - theta), b3 + 2.0 * c3 * alpha
 
     def products(p, q):
         (p0, p1), (q0, q1) = p, q
-        return p0 * q0 + tau2 * (c * (p0 + q0) + p1 * q1) + 3.0 * c * c * tau2**2
+        return p0 * q0 + tau2 * (c3 * (p0 + q0) + p1 * q1) + 3.0 * c3 * c3 * tau2**2
 
-    diag = coefficients(a_q, nu + t - mu)
-    var = (ww * (products(diag, diag) / dens**2) - a_q * a_q)[:, 0]
-    a_c, mu_c, t_c, dens_c = a_q[..., cols], mu[..., cols], t[..., cols], dens[cols]
-    mt = nu + 0.5 * (t_c.transpose(0, 2, 1) + t_c)
-    tilted = products(coefficients(a_c.transpose(0, 2, 1), mt - mu_c.transpose(0, 2, 1)),
-                      coefficients(a_c, mt - mu_c))
-    cov = block * (tilted / np.outer(dens_c, dens_c)) - a_c.transpose(0, 2, 1) * a_c
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        diag = coefficients(a_q, nu + t - mu)
+        var = (ww * (products(diag, diag) / dens**2) - a_q * a_q)[:, 0]
+        a_c, mu_c, t_c, dens_c = a_q[..., cols], mu[..., cols], t[..., cols], dens[cols]
+        mt = nu + 0.5 * (t_c.transpose(0, 2, 1) + t_c)
+        tilted = products(coefficients(a_c.transpose(0, 2, 1), mt - mu_c.transpose(0, 2, 1)),
+                          coefficients(a_c, mt - mu_c))
+        cov = block * (tilted / np.outer(dens_c, dens_c)) - a_c.transpose(0, 2, 1) * a_c
 
-    A = np.zeros((len(forms), Q, consts.mapping.q))
-    score_moments = {}
-    for A_p, (item, a, b, c), a_p in zip(A, forms, a_q[:, 0]):
-        for coef, order in ((a is not None, 0), (b, 1), (c, 2)):
-            if coef:
-                key = (order, None if order == 0 else item)
-                if key not in score_moments:
-                    score_moments[key] = _score_moments(points, params, consts, item, order)
-                A_p += (a_p[:, None] if order == 0 else coef) * score_moments[key]
+    if items is None:
+        A = np.zeros((P, Q, consts.mapping.q))
+    else:
+        base, slope, curv = consts.item_scores
+        slope = b[:, None, None] * slope[items]
+        A = points[:, 0, None] * slope[:, None, 0]
+        for k in range(1, params.d):
+            A += points[:, k, None] * slope[:, None, k]
+        A += (b[:, None] * base[items] + c[:, None] * curv[items])[:, None, :]
+    if any(a is not None for _, a, _, _ in forms):
+        A += a_q[:, 0, :, None] * _score_moments(points, params, consts)
     return var, cov, A
 
 
@@ -754,7 +817,7 @@ def run_residual_batch(batteries, fit: FitResult, data: DataMatrix,
     groups = {}
     for i, battery in enumerate(batteries):
         grid = battery.grid if isinstance(battery, WeightedBattery) else None
-        key = None if grid is None else _points_key(grid)
+        key = None if grid is None else _points_key(grid.points)
         groups.setdefault(key, (grid, []))[1].append(i)
     reports = {}
     for grid, members in groups.values():
@@ -849,14 +912,20 @@ def _reports(batteries, n, t_hat, wbar, subset, moments, inv_info, M, mc):
     ``t_hat`` ((P, k)), the data weights' column means ``wbar`` and
     ``moments``: eta (P, k), Var(G) (P, k), Cov(G) on the summary ``subset``
     (P, K, K) and A (P, k, q), estimated on M draws or exact (M = 0), and
-    the fit's exact inverse information."""
+    the fit's exact inverse information.  A point is unstable where its
+    variance is not finite or at most ``_DIAG_FLOOR``, where its row of the
+    summary block is not finite, where a ratio's denominator mass is below
+    ``_DENOM_FLOOR`` and where its residual is not finite."""
     eta, var_G, cov_G, A = moments
     penalty = A @ inv_info
     var = var_G - np.einsum("pij,pij->pi", penalty, A)
+    blocks = cov_G - penalty[:, subset] @ A[:, subset].transpose(0, 2, 1)
+    blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
 
-    unstable = var <= _DIAG_FLOOR
-    ratio = [isinstance(battery, RatioBattery) for battery in batteries]
-    if any(ratio):
+    unstable = ~(var > _DIAG_FLOOR)
+    unstable[:, subset] |= ~np.isfinite(blocks).all(axis=2)
+    ratio = np.array([isinstance(battery, RatioBattery) for battery in batteries])
+    if ratio.any():
         unstable[ratio] |= wbar * n < _DENOM_FLOOR
     resid = t_hat - eta
     finite = np.isfinite(resid)
@@ -867,29 +936,31 @@ def _reports(batteries, n, t_hat, wbar, subset, moments, inv_info, M, mc):
     z[ok], p[ok] = z_statistic(resid[ok], se[ok], n)
     t_hat = np.where(np.isfinite(t_hat), t_hat, np.nan)
     resid = np.where(finite, resid, np.nan)
-    blocks = cov_G - penalty[:, subset] @ A[:, subset].transpose(0, 2, 1)
-    blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
 
-    # each battery keeps its stable summary points; blocks of one size share
-    # one eigendecomposition call
-    kepts = [np.flatnonzero(~row) for row in unstable[:, subset]]
-    kept_blocks = [block[kept][:, kept] for block, kept in zip(blocks, kepts)]
-    sizes, inverses = {}, {}
-    for i, kept in enumerate(kepts):
-        sizes.setdefault(len(kept), []).append(i)
-    for size, same in sizes.items():
-        if size:
-            stacked = _truncated_inverse(np.array([kept_blocks[i] for i in same]), mc.s)
-            inverses.update(zip(same, zip(*stacked)))
+    # batteries that keep the same stable summary points share one
+    # eigendecomposition call and one stacked quadratic form n e' W e
+    groups, summaries = {}, {}
+    for i, row in enumerate(unstable[:, subset]):
+        groups.setdefault(row.tobytes(), []).append(i)
+    for same in groups.values():
+        kept = np.flatnonzero(~unstable[same[0], subset])
+        keep = subset[kept]
+        kept_blocks = blocks.take(same, axis=0).take(kept, axis=1).take(kept, axis=2)
+        eigvals, T = np.empty((len(same), 0)), [None] * len(same)
+        if len(keep):
+            W_inv, eigvals = _truncated_inverse(kept_blocks, mc.s)
+            e = resid.take(same, axis=0).take(keep, axis=1)
+            T = np.maximum(((n * e)[:, None, :] @ W_inv @ e[:, :, None])[:, 0, 0], 0.0)
+        for j, i in enumerate(same):
+            summaries[i] = keep, kept_blocks[j], eigvals[j], T[j]
 
     reports = []
     for i, battery in enumerate(batteries):
-        keep, block = subset[kepts[i]], kept_blocks[i]
-        W_inv, eigvals = inverses.get(i, (None, np.empty(0)))
+        keep, block, eigvals, T = summaries[i]
         summary = None
-        if len(keep) >= 1:
-            T, p_sum = _quadratic_statistic(resid[i, keep], W_inv, n, mc.s)
-            summary = SummaryStat(T=T, s=mc.s, p=p_sum,
+        if len(keep):
+            T = float(T)
+            summary = SummaryStat(T=T, s=mc.s, p=kernels.chi2_sf(mc.s, T),
                                   n_points=len(keep), n_dropped=len(subset) - len(keep))
         coords = getattr(battery.grid, "points", None)
         if coords is None or len(coords) != battery.k:

@@ -193,20 +193,6 @@ def generate_study2(cfg: Study2Config, rng, return_lv: bool = False):
     return (data, x) if return_lv else data
 
 
-def mixture_lv_logpdf(points: np.ndarray) -> np.ndarray:
-    """Log-density of the study1 mixture latent law at each row of points."""
-    inv = np.linalg.inv(_STUDY1_MIX_COV)
-    const = -np.log(2.0 * np.pi) - 0.5 * np.log(np.linalg.det(_STUDY1_MIX_COV))
-    out = np.empty(points.shape[0])
-    for i, pt in enumerate(points):
-        parts = []
-        for mu in (-_STUDY1_MIX_MEAN, _STUDY1_MIX_MEAN):
-            dev = pt - mu
-            parts.append(const - 0.5 * dev @ inv @ dev)
-        out[i] = np.logaddexp(parts[0], parts[1]) + np.log(0.5)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # replication driver
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from factorgof import (
     make_grid,
     replication,
 )
-from factorgof import kernels
+from factorgof import kernels, simstudy
 from factorgof.estimate import _check_conditioning, _moment_terms
 from factorgof.residuals import _draw_moments
 
@@ -227,6 +227,41 @@ def drawn_ratio_moments(f, W, r, D, scores):
     battery = RatioBattery(k=Q, name="custom-ratio", _evaluate=lambda Y, p: f,
                            _eta=lambda p: r, grid=make_grid([(-1.0, 1.0, Q)]))
     return _draw_moments(battery, None, np.zeros((M, 1)), W, D, scores, np.arange(Q))[1:]
+
+
+def dense_item_score_moments(points, params, consts, item, order):
+    """E[e s | x = x_q] at every point ((Q, q)) for order 1, and
+    E[(e^2 - theta_j) s | x = x_q] ((q,)) for order 2, with e the
+    deviation of ``item`` from its conditional mean and s the score, from
+    the dense change in the gradient for each rank-2 dS, one
+    ``_FitConstants.score_change`` each: with t = theta_j u_j, order 1 is
+    the change for delta = t plus sum_k x_qk times the change for
+    dS = lambda_k t' + t lambda_k', and order 2 the change for dS = 2 t t'.
+    The reference for ``_FitConstants.item_scores``."""
+    zero = np.zeros(params.m)
+    step = np.zeros(params.m)
+    step[item] = params.theta[item]
+    if order == 2:
+        return consts.score_change(zero, 2.0 * np.outer(step, step))
+    slopes = [consts.score_change(zero, np.outer(lam_k, step) + np.outer(step, lam_k))
+              for lam_k in params.lam.T]
+    return consts.score_change(step, np.zeros((params.m, params.m))) + points @ np.array(slopes)
+
+
+def mixture_lv_logpdf(points):
+    """Log-density of the study1 mixture latent law at each row of points,
+    one point at a time."""
+    mix_mean, mix_cov = simstudy._STUDY1_MIX_MEAN, simstudy._STUDY1_MIX_COV
+    inv = np.linalg.inv(mix_cov)
+    const = -np.log(2.0 * np.pi) - 0.5 * np.log(np.linalg.det(mix_cov))
+    out = np.empty(points.shape[0])
+    for i, pt in enumerate(points):
+        parts = []
+        for mu in (-mix_mean, mix_mean):
+            dev = pt - mu
+            parts.append(const - 0.5 * dev @ inv @ dev)
+        out[i] = np.logaddexp(parts[0], parts[1]) + np.log(0.5)
+    return out
 
 
 def baseline_means(cfg, *, reps, seed, alpha=0.05):

@@ -15,13 +15,9 @@ from scipy.stats import kstest, ncx2
 import factorgof as fg
 from factorgof.estimate import ParamMapping
 from factorgof.model import marginal_logpdf
-from factorgof.simstudy import (
-    _STUDY1_PHI,
-    mixture_lv_logpdf,
-    model_spec_study2,
-)
+from factorgof.simstudy import _STUDY1_PHI, model_spec_study2
 
-from conftest import baseline_means, drawn_ratio_moments, sample_moments
+from conftest import baseline_means, drawn_ratio_moments, mixture_lv_logpdf, sample_moments
 
 pytestmark = pytest.mark.acceptance
 

@@ -44,8 +44,8 @@ from factorgof.model import lv_logpdf, posterior_log_weights
 from factorgof.residuals import run_residual_batch
 from factorgof.simstudy import Study1Config, Study2Config, model_spec_study1, replication
 
-from conftest import (assemble_acm, drawn_ratio_moments, exact_information,
-                      invert_information, sample_moments)
+from conftest import (assemble_acm, dense_item_score_moments, drawn_ratio_moments,
+                      exact_information, invert_information, sample_moments)
 
 
 def random_psd(rng, k, rank=None):
@@ -998,6 +998,30 @@ class TestExactLvDensity:
         for small, big in zip(*errors):
             assert 2 < small.max() / big.max() < 8
 
+    def test_underflowing_latent_density_drops_its_points(self):
+        # out to +-20 the latent density D underflows, so Var(G) and Cov(G)
+        # are 0/0 or x/0 there; those points are unstable, the rest give a
+        # finite summary, and no numpy warning is raised.  At +-8 every
+        # variance is finite and 280 points are unstable by the floor and
+        # the residuals alone
+        data, fit = replication(Study1Config(n=1000, misspecified=True), 77, 0)
+        for bound, unstable in ((20, None), (8, 280)):
+            grid = make_grid([(-bound, bound, 25)] * 2, [(-bound, bound, 25)] * 2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = run_residual_test(lv_density_problem(grid), fit, data)
+            var, stable = report.acm.diag, ~report.unstable
+            assert (np.isfinite(var[stable]) & (var[stable] > 1e-12)).all()
+            assert np.isfinite(report.se[stable]).all() and np.isnan(report.se[~stable]).all()
+            assert np.isfinite(report.acm.summary_block).all()
+            assert np.isfinite(report.summary.T) and report.summary.n_points >= 1
+            assert report.summary.n_points + report.summary.n_dropped == grid.Q
+            if unstable is None:
+                assert not np.isfinite(var).all()
+                assert report.unstable[~np.isfinite(var)].all()
+            else:
+                assert np.isfinite(var).all() and report.unstable.sum() == unstable
+
     def test_report_is_exact_and_says_so(self, fitted_setup):
         spec, params, data, fit = fitted_setup
         grid = make_grid([(-3, 3, 7)], [(-2, 2, 5)])
@@ -1147,6 +1171,45 @@ class TestExactItemMoments:
         again = run_residual_batch(problems, fit, data, McConfig(M=4000, seed=11))
         for got, want in zip(again, reports):
             _assert_same_report(got, want)
+
+    def test_item_score_table_matches_dense_reference(self, fitted_setup, two_factor_params,
+                                                      two_factor_spec):
+        # every item's row of the fit's score table against the dense
+        # gradient change of each rank-2 dS, on a study2 fit (d = 1), a
+        # study1 fit (d = 2, one correlation entry) and a two-factor fit
+        # without a mean structure, at the default grid's points: to 1e-13
+        # of the largest entry of each item's moment
+        _, fit1 = replication(Study1Config(n=1000, misspecified=True), 77, 0)
+        fit3 = _wide_cases(fitted_setup, two_factor_params, two_factor_spec)[2][0]
+        fits = [fitted_setup[3], fit1, fit3]
+        assert [f.spec.d for f in fits] == [1, 2, 2]
+        assert [f.spec.mean_structure for f in fits] == [True, True, False]
+        for fit in fits:
+            params, consts = fit.params, residuals._FitConstants(fit)
+            points = default_grid(params.d).points
+            base, slope, curv = consts.item_scores
+            for item in range(params.m):
+                first = base[item] + sum(points[:, k, None] * slope[item, k]
+                                         for k in range(params.d))
+                for got, order in ((first, 1), (curv[item], 2)):
+                    want = dense_item_score_moments(points, params, consts, item, order)
+                    scale = np.abs(want).max()
+                    assert scale > 0
+                    assert np.abs(got - want).max() <= 1e-13 * scale, (fit.spec.d, item, order)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_every_item_battery_in_one_batch_matches_its_solo_run(self, d, fitted_setup,
+                                                                 two_factor_params,
+                                                                 two_factor_spec):
+        # all 2m linearity and variance batteries of a fit in one batch read
+        # rows of the same tables: each report equals its solo run bit for bit
+        data, fit = _fit_for_flip(d, fitted_setup, two_factor_params, two_factor_spec)
+        grid = default_grid(d)
+        problems = [make(grid, j) for j in range(fit.params.m)
+                    for make in (mv_linearity_problem, mv_homoscedasticity_problem)]
+        batch = run_residual_batch(problems, fit, data)
+        for battery, report in zip(problems, batch):
+            _assert_same_report(report, run_residual_test(battery, fit, data))
 
     @pytest.mark.parametrize("kind", ["linearity", "variance", "linearity-direct"])
     @pytest.mark.parametrize("d,factor,item", [(1, 0, 1), (2, 0, 1), (2, 1, 5), (2, 1, 2)])

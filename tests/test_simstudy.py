@@ -30,9 +30,9 @@ from factorgof import (
     study2_paramset,
 )
 from factorgof import simstudy
-from factorgof.simstudy import RejectionTable, mixture_lv_logpdf, model_spec_study1, study2_dgp
+from factorgof.simstudy import RejectionTable, model_spec_study1, study2_dgp
 
-from conftest import baseline_means
+from conftest import baseline_means, mixture_lv_logpdf
 
 
 class TestStudy1Design:
