@@ -16,9 +16,9 @@ report because its residuals also react to latent-density misfit.
 
 All four are ``WeightedBattery``s on the posterior densities W of the grid
 points given each row, read through W's column means and one item's
-W-weighted sums, which on a product grid come from per-axis factors
-without the (n x Q) W (``residuals._weight_sums``).  The latent-density
-battery is W itself
+W-weighted sums, which with two or more latent dimensions come from
+per-axis factors of the grid without the (n x Q) W
+(``residuals._weight_sums``).  The latent-density battery is W itself
 and the direct variant is y_j * W / density.  Linearity and variance are
 ``RatioBattery``s: each gives its item's f (y_j, or the squared deviation
 from the fitted line) and the model value of the ratio
@@ -47,98 +47,117 @@ from .model import _check_item, conditional_mean_grid, lv_logpdf
 from .residuals import RatioBattery, TestReport, WeightedBattery
 
 
-@dataclass(frozen=True, eq=False)
-class LvGrid:
-    """Grid of latent evaluation points.
-
-    ``points`` is (Q, d).  ``make_grid`` builds them as the outer product
-    of ``axes`` in row-major dimension order (first dimension slowest); a
-    grid built directly may hold any points, and its ``axes`` and labels
-    only describe it.  The residual engine reads the product structure
-    from ``points`` alone: on a product grid the bundled batteries' weight
-    sums run on per-axis factors, on any other the dense weights are
-    formed.  ``summary_subset`` holds indices of the points entering the
-    summary statistic, or None when no summary is requested.  A grid is
-    immutable: both arrays are read-only copies of the ones it is built
-    from, so one grid can be shared, as ``default_grid``'s are.
-    """
-
-    axes: tuple
-    points: np.ndarray
-    summary_subset: np.ndarray
-    label: str
-    summary_label: str
-
-    def __post_init__(self):
-        for name in ("points", "summary_subset"):
-            value = getattr(self, name)
-            if value is not None:
-                value = np.array(value)
-                value.flags.writeable = False
-                object.__setattr__(self, name, value)
-
-    @property
-    def d(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def Q(self) -> int:
-        return self.points.shape[0]
-
-
-def _axis_values(lo: float, hi: float, count: int) -> np.ndarray:
-    if count < 1:
-        raise ConfigurationError(f"grid count must be >= 1, got {count}")
-    if lo >= hi:
-        raise ConfigurationError(f"grid bounds must satisfy lo < hi, got {lo}:{hi}")
-    return np.linspace(lo, hi, count)
+def _triples(axes) -> tuple:
+    """Per-dimension (lo, hi, count) triples as (float, float, int), checked."""
+    out = []
+    for lo, hi, count in axes:
+        lo, hi = float(lo), float(hi)
+        if not np.isfinite([lo, hi]).all():
+            raise ConfigurationError(f"grid bounds must be finite, got {lo}:{hi}")
+        if lo >= hi:
+            raise ConfigurationError(f"grid bounds must satisfy lo < hi, got {lo}:{hi}")
+        whole = int(count) if np.isfinite(count) else None
+        if whole != count:
+            raise ConfigurationError(f"grid count must be an integer, got {count!r}")
+        if whole < 1:
+            raise ConfigurationError(f"grid count must be >= 1, got {whole}")
+        out.append((lo, hi, whole))
+    return tuple(out)
 
 
 def _axis_label(axes) -> str:
     return ",".join(f"{lo:g}:{hi:g}:{count}" for lo, hi, count in axes)
 
 
-def make_grid(axes, summary_axes=None) -> LvGrid:
-    """Build a grid from per-dimension (lo, hi, count) triples.
+def _read_only(array) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
-    ``summary_axes`` must describe points that all lie on the main grid;
-    they are matched by value and stored as indices.
+
+@dataclass(frozen=True)
+class LvGrid:
+    """Grid of latent evaluation points: the product of its axes.
+
+    ``axes`` holds one (lo, hi, count) triple per latent dimension, and
+    ``summary_axes``, when given, the triples of the points entering the
+    summary statistic, which must all lie on the grid; both are checked
+    and stored as (float, float, int).  Everything else is derived from
+    them: ``axis_values`` (each axis's ``linspace``), ``points`` ((Q, d),
+    their outer product in row-major dimension order, first dimension
+    slowest), ``summary_subset`` (the indices of the summary points, or None
+    without summary axes), ``label`` and ``summary_label``.  The arrays are
+    read-only, so one grid can be shared, as ``default_grid``'s are.  Grids
+    with equal triples are equal and hash alike, and the residual engine
+    keys its per-grid work on them; with two or more latent dimensions the
+    bundled batteries' weight sums run on the axes' factors
+    (``residuals._weight_sums``).
     """
-    axes = tuple((float(lo), float(hi), int(count)) for lo, hi, count in axes)
-    values = [_axis_values(*ax) for ax in axes]
-    mesh = np.meshgrid(*values, indexing="ij")
-    points = np.stack([g.ravel(order="C") for g in mesh], axis=1)
 
-    subset = None
-    summary_label = ""
-    if summary_axes is not None:
-        summary_axes = tuple((float(lo), float(hi), int(count)) for lo, hi, count in summary_axes)
-        if len(summary_axes) != len(axes):
-            raise ConfigurationError("summary grid dimensionality differs from the main grid")
-        sub_values = [_axis_values(*ax) for ax in summary_axes]
-        sub_mesh = np.meshgrid(*sub_values, indexing="ij")
-        sub_points = np.stack([g.ravel(order="C") for g in sub_mesh], axis=1)
+    axes: tuple
+    summary_axes: tuple = None
+
+    def __post_init__(self):
+        axes = _triples(self.axes)
+        object.__setattr__(self, "axes", axes)
+        if self.summary_axes is not None:
+            summary_axes = _triples(self.summary_axes)
+            if len(summary_axes) != len(axes):
+                raise ConfigurationError("summary grid dimensionality differs from the main grid")
+            object.__setattr__(self, "summary_axes", summary_axes)
+            self.summary_subset  # a summary point off the grid fails here
+
+    @functools.cached_property
+    def axis_values(self) -> tuple:
+        return tuple(_read_only(np.linspace(*ax)) for ax in self.axes)
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        mesh = np.meshgrid(*self.axis_values, indexing="ij")
+        return _read_only(np.stack([g.ravel(order="C") for g in mesh], axis=1))
+
+    @functools.cached_property
+    def summary_subset(self):
+        if self.summary_axes is None:
+            return None
+        values = self.axis_values
+        sub_values = [np.linspace(*ax) for ax in self.summary_axes]
         # Both grids are products of their axes, so a summary point is on the
         # main grid exactly when each coordinate matches one value of its axis.
         hits = [np.abs(main[None, :] - sub[:, None]) < 1e-9
                 for main, sub in zip(values, sub_values)]
         single = np.meshgrid(*[h.sum(axis=1) == 1 for h in hits], indexing="ij")
-        on_grid = np.logical_and.reduce(single).ravel(order="C")
+        on_grid = np.logical_and.reduce(single)
         if not on_grid.all():
-            pt = sub_points[np.argmin(on_grid)]
-            raise ConfigurationError(f"summary point {pt.tolist()} is not on the main grid")
+            index = np.unravel_index(np.argmin(on_grid), on_grid.shape)
+            pt = [float(sub[i]) for sub, i in zip(sub_values, index)]
+            raise ConfigurationError(f"summary point {pt} is not on the main grid")
         axis_index = np.meshgrid(*[h.argmax(axis=1) for h in hits], indexing="ij")
-        subset = np.ravel_multi_index([a.ravel(order="C") for a in axis_index],
-                                      [len(main) for main in values])
-        summary_label = _axis_label(summary_axes)
+        return _read_only(np.ravel_multi_index([a.ravel(order="C") for a in axis_index],
+                                               [len(main) for main in values]))
 
-    return LvGrid(
-        axes=axes,
-        points=points,
-        summary_subset=subset,
-        label=_axis_label(axes),
-        summary_label=summary_label,
-    )
+    @functools.cached_property
+    def label(self) -> str:
+        return _axis_label(self.axes)
+
+    @functools.cached_property
+    def summary_label(self) -> str:
+        return "" if self.summary_axes is None else _axis_label(self.summary_axes)
+
+    @property
+    def d(self) -> int:
+        return len(self.axes)
+
+    @property
+    def Q(self) -> int:
+        return self.points.shape[0]
+
+
+def make_grid(axes, summary_axes=None) -> LvGrid:
+    """Build a grid from per-dimension (lo, hi, count) triples.
+
+    ``summary_axes`` must describe points that all lie on the main grid;
+    they are matched by value and stored as indices."""
+    return LvGrid(axes, summary_axes)
 
 
 @functools.cache

@@ -35,20 +35,20 @@ without such a battery draws nothing.
 The form fixes the sample value too: averaged over the data rows,
 W_q h_q needs only W's column means and, per item, the weighted sums
 W' (y_j - nu_j) / n and W' (y_j - nu_j)^2 / n (``_sample_values``), so no
-battery with a form is evaluated row by row.  On a grid whose points are
-the product of their axes, those sums come from per-axis factors of W,
-from (n x Q_1)'(n x Q / Q_1) products, and the (n x Q) W is never formed
-(``_weight_sums``).
+battery with a form is evaluated row by row.  A grid is the product of its
+axes (``LvGrid``), so with two or more latent dimensions those sums come
+from per-axis factors of W, from (n x Q_1)'(n x Q / Q_1) products, and the
+(n x Q) W is never formed (``_weight_sums``).
 
 ``run_residual_batch`` inverts the exact information once and makes one
-pass per distinct set of grid points: it takes W's column means (the
+pass per distinct set of grid axes: it takes W's column means (the
 ratios' denominators) and each form item's weighted sums.  The grid's
-batteries with a form and one summary subset then go through one stacked
-pass, in which a battery is a row index into tables built once: per fit,
-every item's score moments (``_FitConstants.item_scores``); per grid
-pass, every item's conditional-mean and tilt columns and the paired grid
-points of E[W_q W_r].  Their sample values, moments, se, z and p are
-(P, Q) arrays for P batteries on Q points, A is (P, Q, q), and the
+batteries with a form and the same summary axes then go through one
+stacked pass, in which a battery is a row index into tables built once:
+per fit, every item's score moments (``_FitConstants.item_scores``); per
+grid pass, every item's conditional-mean and tilt columns, and per grid
+the paired points of E[W_q W_r].  Their sample values, moments, se, z and
+p are (P, Q) arrays for P batteries on Q points, A is (P, Q, q), and the
 batteries that keep the same summary points share one eigendecomposition
 and one quadratic form for T.  Each item's weighted sums come from their
 own product, and no other step mixes batteries, so a report has the same
@@ -145,48 +145,17 @@ def _posterior_weights(Y, points, params):
     return np.exp(out, out=out)
 
 
-def _points_key(points) -> tuple:
-    """Grids whose points have equal keys give equal posterior weights on
-    the same rows."""
-    points = np.asarray(points, dtype=np.float64)
-    return points.shape, points.tobytes()
-
-
-@lru_cache(maxsize=32)
-def _grid_axes(key):
-    """The axis values (read-only) of the points keyed by ``_points_key``
-    when they are the outer product of those axes in row-major order (first
-    coordinate slowest), as ``make_grid`` builds them; else None.  Decided
-    from the points alone, once per key."""
-    shape, raw = key
-    points = np.frombuffer(raw).reshape(shape)
-    axes, stride = [], shape[0]
-    for column in points.T:
-        count = len(np.unique(column))
-        if stride % count:
-            return None
-        stride //= count
-        axis = column[:stride * count:stride].copy()
-        axis.flags.writeable = False
-        axes.append(axis)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    if not np.array_equal(np.stack([g.ravel() for g in mesh], axis=1), points):
-        return None
-    return tuple(axes)
-
-
 def _weight_factors(Y, grid, params):
     """Per-axis factors of the posterior weights of ``grid``'s points given
     the rows of Y, (F, G, C) with W = (F (x) G) C (see ``_weight_sums``),
-    or None where the dense pass runs: at d = 1, off a product grid and past
-    the range bound."""
+    or None where the dense pass runs: at d = 1 and past the range bound."""
     d = params.d
-    axes = None if d == 1 else _grid_axes(_points_key(grid.points))
-    if axes is None:
+    if d == 1:
         return None
+    axes = grid.axis_values
     post = params.posterior_law()
     P = post.precision
-    points = np.asarray(grid.points, dtype=np.float64)
+    points = grid.points
     peak = 0.5 * (post.logdet - d * np.log(2.0 * np.pi))
     cross = sum(P[a, b] * points[:, a] * points[:, b]
                 for a in range(d) for b in range(a + 1, d))
@@ -226,10 +195,10 @@ def _weight_sums(Y, grid, params, items, W=None):
     The log posterior density at x_q is
     row_i + sum_k (b_ik x_qk - P_kk x_qk^2 / 2) + peak - cross_q, with
     cross_q = sum_{k<l} P_kl x_qk x_ql and peak the log of the density's
-    maximum (see ``posterior_log_weights``).  On a product grid the middle
-    sum splits by axis, so W_iq = F_i,j1 G_i,j' C_q with F the first axis's
-    factor, G the row-wise Kronecker product of the other axes' factors and
-    C_q = exp(min(cross) - cross_q) <= 1.  Each sum is then
+    maximum (see ``posterior_log_weights``).  A grid is the product of its
+    axes, so the middle sum splits by axis: W_iq = F_i,j1 G_i,j' C_q with F
+    the first axis's factor, G the row-wise Kronecker product of the other
+    axes' factors and C_q = exp(min(cross) - cross_q) <= 1.  Each sum is then
     C (.) (F' (r (.) G)) / n for the rows r = 1, yt, yt^2: (Q_1 x Q / Q_1)
     products instead of one over the (n x Q) W.  Each axis's exponent is
     shifted by its largest value over the axis's range, and row i's factors
@@ -245,9 +214,9 @@ def _weight_sums(Y, grid, params, items, W=None):
     than 2^-1075 exp(_FACTOR_SPAN) = ``_DENOM_FLOOR``, the mass below which a
     ratio's denominator is already flagged, and the factors cannot overflow.
     At d = 2 that is peak + K <= 108.7; the default 19 x 19 grid of a study1
-    fit has K of about 4.  Past the bound, off a product grid and at d = 1,
-    where the one factor is W itself, the dense W = exp(log W) is formed
-    once and summed, as it is when W is given.
+    fit has K of about 4.  Past the bound and at d = 1, where the one factor
+    is W itself, the dense W = exp(log W) is formed once and summed, as it
+    is when W is given.
     """
     n = len(Y)
     items = sorted(_check_item(item, params) for item in items)
@@ -484,8 +453,7 @@ def _sample_values(batteries, params, wbar, sums, dens):
                                     params, dens)
     v = np.zeros_like(a_q)
     if items is not None:
-        points = np.asarray(batteries[0].grid.points, dtype=np.float64)
-        mt = (points @ params.lam.T)[:, items].T
+        mt = (batteries[0].grid.points @ params.lam.T)[:, items].T
         theta = params.theta[items][:, None]
         s1, s2 = np.array([sums[item] if item in sums else np.zeros((2, len(dens)))
                            for item in items.tolist()]).transpose(1, 0, 2)
@@ -574,14 +542,12 @@ def _weight_products(X1, X2, params, V):
 
 
 @lru_cache(maxsize=32)
-def _pair_points(key, cols_key):
+def _pair_points(grid):
     """The paired rows (X1, X2) at which ``_quadratic_moments`` takes
-    E[W(x1) W(x2)]: each point of the points keyed by ``_points_key`` with
-    itself, then every pair of the summary points ``cols_key`` (the bytes of
-    their index array) in row-major order.  Read-only, built once per key."""
-    shape, raw = key
-    points = np.frombuffer(raw).reshape(shape)
-    sub = points[np.frombuffer(cols_key, dtype=np.intp)]
+    E[W(x1) W(x2)]: each point of ``grid`` with itself, then every pair of
+    its summary points in row-major order.  Read-only, built once per grid."""
+    points = grid.points
+    sub = points[_summary_subset(grid)]
     K = len(sub)
     X1 = np.vstack([points, np.repeat(sub, K, axis=0)])
     X2 = np.vstack([points, np.tile(sub, (K, 1))])
@@ -696,13 +662,13 @@ def _form_arrays(forms, params, dens):
     return a_q, np.array(b, dtype=np.float64), np.array(c, dtype=np.float64), items
 
 
-def _quadratic_moments(points, dens, cols, forms, params, consts):
+def _quadratic_moments(grid, dens, forms, params, consts):
     """Exact moments of P batteries' contributions G_q = W_q h_q / D_q on
-    the grid ``points``, whose latent density D is ``dens``, under the
-    fitted model, each declared by its quadratic form ``(item, a, b, c)``
-    (see ``WeightedBattery``): Var(G) at every point ((P, Q)), Cov(G) among
-    the points ``cols`` ((P, K, K)) and A = E[G s'] ((P, Q, q)) with s the
-    score on the free parameters, from the fit's ``_FitConstants``.
+    ``grid``, whose latent density D is ``dens``, under the fitted model,
+    each declared by its quadratic form ``(item, a, b, c)`` (see
+    ``WeightedBattery``): Var(G) at every point ((P, Q)), Cov(G) among the
+    grid's K summary points ((P, K, K)) and A = E[G s'] ((P, Q, q)) with s
+    the score on the free parameters, from the fit's ``_FitConstants``.
 
     The forms are rows of tables: every item's tilt and conditional-mean
     columns on the grid ((Q, m), built once per call) and the fit's
@@ -723,11 +689,10 @@ def _quadratic_moments(points, dens, cols, forms, params, consts):
     p0 = a_q + b alpha + c (alpha^2 - theta_j) and p1 = b + 2 c alpha, so
     E~[h_q h_r] = p0 q0 + tau2 (c (p0 + q0) + p1 q1) + 3 c^2 tau2^2.
     """
-    points = np.ascontiguousarray(points, dtype=np.float64)
+    points, cols = grid.points, _summary_subset(grid)
     Q, K = len(points), len(cols)
-    # E[W_q^2] at every point and E[W_q W_r] among the points cols, in one call
-    pairs = _weight_products(*_pair_points(_points_key(points), cols.tobytes()),
-                             params, consts.V)
+    # E[W_q^2] at every point and E[W_q W_r] among the summary points, in one call
+    pairs = _weight_products(*_pair_points(grid), params, consts.V)
     ww, block = pairs[:Q], pairs[Q:].reshape(K, K)
 
     # scalars as (P, 1, 1) and grid values as (P, 1, Q), so one set of
@@ -817,15 +782,14 @@ def run_residual_batch(batteries, fit: FitResult, data: DataMatrix,
     groups = {}
     for i, battery in enumerate(batteries):
         grid = battery.grid if isinstance(battery, WeightedBattery) else None
-        key = None if grid is None else _points_key(grid.points)
-        groups.setdefault(key, (grid, []))[1].append(i)
+        groups.setdefault(None if grid is None else grid.axes, (grid, []))[1].append(i)
     reports = {}
     for grid, members in groups.values():
         dens = None if grid is None else np.exp(lv_logpdf(grid.points, params))
         stacks = {}
         for i in members:
             if exact[i]:
-                stacks.setdefault(_summary_subset(batteries[i]).tobytes(), []).append(i)
+                stacks.setdefault(batteries[i].grid.summary_axes, []).append(i)
         W = wbar = None
         if stacks:
             items = {batteries[i]._quadratic[0] for i in members if exact[i]} - {None}
@@ -833,8 +797,8 @@ def run_residual_batch(batteries, fit: FitResult, data: DataMatrix,
         for stack in stacks.values():
             batch = [batteries[i] for i in stack]
             t_hat, eta = _sample_values(batch, params, wbar, sums, dens)
-            cols = _summary_subset(batch[0])
-            moments = _quadratic_moments(grid.points, dens, cols,
+            cols = _summary_subset(batch[0].grid)
+            moments = _quadratic_moments(batch[0].grid, dens,
                                          [battery._quadratic for battery in batch],
                                          params, consts)
             done = _reports(batch, data.n, t_hat, wbar, cols, (eta, *moments),
@@ -853,7 +817,7 @@ def run_residual_batch(batteries, fit: FitResult, data: DataMatrix,
         if drawn:
             W = _grid_weights(draws, grid, params)
         for i, t_hat in zip(drawn, t_hats):
-            cols = _summary_subset(batteries[i])
+            cols = _summary_subset(batteries[i].grid)
             moments = _draw_moments(batteries[i], params, draws, W, dens, scores, cols)
             reports[i] = _reports([batteries[i]], data.n, t_hat[None], wbar, cols,
                                   [m[None] for m in moments], consts.inv_information,
@@ -862,11 +826,11 @@ def run_residual_batch(batteries, fit: FitResult, data: DataMatrix,
     return [reports[i] for i in range(len(batteries))]
 
 
-def _summary_subset(battery):
-    """Indices of the battery's summary points; empty without a summary."""
-    subset = getattr(battery.grid, "summary_subset", None)
-    return (np.empty(0, dtype=np.intp) if subset is None
-            else np.asarray(subset, dtype=np.intp))
+def _summary_subset(grid):
+    """Indices of the grid's summary points; empty without a summary or a
+    grid."""
+    subset = getattr(grid, "summary_subset", None)
+    return np.empty(0, dtype=np.intp) if subset is None else subset
 
 
 def _grid_weights(Y, grid, params):

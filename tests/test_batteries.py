@@ -1,11 +1,15 @@
 """Grids and the concrete battery constructions."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 from factorgof import (
     ConfigurationError,
     DataMatrix,
+    LvGrid,
     McConfig,
     ModelSpec,
     ParamSet,
@@ -52,6 +56,46 @@ class TestMakeGrid:
     def test_rejects_bad_bounds(self):
         with pytest.raises(ConfigurationError):
             make_grid([(3, -3, 5)])
+
+    @pytest.mark.parametrize("axis", [(np.nan, 3, 5), (-np.inf, 3, 5), (-3, np.inf, 5),
+                                      (-3, 3, 5.7), (-3, 3, np.nan), (-3, 3, np.inf)])
+    def test_rejects_non_finite_bounds_and_non_integer_counts(self, axis):
+        # on the main grid and on the summary grid, before any numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for axes, summary_axes in (([axis], None), ([(-3, 3, 5)], [axis])):
+                with pytest.raises(ConfigurationError, match="must be finite|must be an integer"):
+                    make_grid(axes, summary_axes)
+
+    def test_integral_counts_of_any_type_are_accepted(self):
+        want = make_grid([(-3, 3, 5)])
+        for count in (5.0, np.int64(5), np.float32(5)):
+            assert make_grid([(-3, 3, count)]) == want
+
+    def test_a_grid_is_its_axes(self):
+        with pytest.raises(TypeError):
+            LvGrid(points=np.zeros((3, 1)))
+        grid = make_grid([(-3, 3, 19), (-2, 1, 7)], [(-2, 2, 7), (-2, 1, 4)])
+        assert grid.axes == ((-3.0, 3.0, 19), (-2.0, 1.0, 7))
+        assert grid.summary_axes == ((-2.0, 2.0, 7), (-2.0, 1.0, 4))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            grid.axes = ((-3.0, 3.0, 5),)
+        # the points are the row-major product of the axes, bit for bit
+        mesh = np.meshgrid(*[np.linspace(*axis) for axis in grid.axes], indexing="ij")
+        want = np.stack([g.ravel() for g in mesh], axis=1)
+        assert grid.points.shape == want.shape and grid.points.tobytes() == want.tobytes()
+        for array in (grid.points, grid.summary_subset, *grid.axis_values):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        # both labels come from the triples
+        assert grid.label == "-3:3:19,-2:1:7"
+        assert grid.summary_label == "-2:2:7,-2:1:4"
+        assert make_grid(grid.axes).summary_label == ""
+        # equal triples make equal grids; other summary axes another grid
+        assert make_grid(grid.axes, grid.summary_axes) == grid
+        assert hash(make_grid(grid.axes, grid.summary_axes)) == hash(grid)
+        assert make_grid(grid.axes) != grid
+        assert default_grid(2) is default_grid(2)
 
     def test_rejects_off_grid_summary(self):
         with pytest.raises(ConfigurationError, match="not on the main grid"):

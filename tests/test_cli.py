@@ -436,6 +436,20 @@ class TestTestCommand:
         summaries = [r for r in rows if r.startswith("summary")]
         assert len(points) == 31 and len(summaries) == 1
 
+    @pytest.mark.parametrize("grid", ["nan:3:5", "-inf:3:5"])
+    def test_non_finite_grid_bound_is_an_error(self, workdir, capsys, grid):
+        tmp, csv_path, model_path = workdir
+        out = tmp / "x.tsv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["test", "linearity", "--item", "1", "--data", csv_path,
+                       "--model", model_path, f"--grid={grid}", "--summary-grid=3:4:1",
+                       "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("factorgof: error: grid bounds must be finite")
+        assert not out.exists()
+
     def test_item_zero_rejected(self, workdir, capsys):
         tmp, csv_path, model_path = workdir
         rc = main(["test", "linearity", "--data", csv_path, "--model", model_path,

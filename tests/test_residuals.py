@@ -642,9 +642,9 @@ class TestRunResidualTest:
         calls, stacks = _counted_weight_passes(monkeypatch), []
         moments = residuals._quadratic_moments
 
-        def counted_moments(points, dens, cols, forms, p, consts):
-            stacks.append((len(points), len(forms)))
-            return moments(points, dens, cols, forms, p, consts)
+        def counted_moments(grid, dens, forms, p, consts):
+            stacks.append((grid.Q, len(forms)))
+            return moments(grid, dens, forms, p, consts)
 
         made = []
 
@@ -765,24 +765,25 @@ def _gauss_hermite(m, n):
 
 
 def _small_model(d):
-    """Parameters, mapping and a few latent points of a model small enough
-    for product quadrature over y: three items on one factor, or two items
-    on each of two correlated factors."""
+    """Parameters, mapping and a grid of a few latent points, whose summary
+    points are all its points, of a model small enough for product
+    quadrature over y: three items on one factor, or two items on each of
+    two correlated factors."""
     if d == 1:
         lam = np.array([[0.6], [0.7], [0.5]])
         phi = np.eye(1)
-        points = np.array([[-1.5], [0.0], [0.8], [2.0]])
+        axes = [(-1.5, 2.0, 4)]
     else:
         lam = np.array([[0.6, 0.0], [0.7, 0.0], [0.0, 0.5], [0.0, 0.8]])
         phi = np.array([[1.0, 0.3], [0.3, 1.0]])
-        points = np.array([[-1.0, 0.5], [0.0, 0.0], [0.8, -1.2], [1.5, 1.0]])
+        axes = [(-1.0, 1.5, 2), (-1.2, 1.0, 2)]
     m = lam.shape[0]
     theta = 1.0 - np.einsum("jk,kl,jl->j", lam, phi, lam) + 0.1
     params = ParamSet(nu=np.linspace(-0.3, 0.4, m), lam=lam, phi=phi, theta=theta)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # m < 3d: identification is not needed here
         spec = ModelSpec(m=m, d=d, loading_pattern=(lam != 0).astype(int))
-    return params, ParamMapping(spec), points
+    return params, ParamMapping(spec), make_grid(axes, axes)
 
 
 def _mirror_fit(fit, factor):
@@ -961,14 +962,15 @@ class TestExactLvDensity:
     def test_weight_moments_match_quadrature(self, d, nodes):
         # E[W_q W_r], E[W_q z], E[W_q z z'] and A = E[W_q s] with z = y - nu
         # and s the score, by product Gauss-Hermite quadrature over y
-        params, mapping, points = _small_model(d)
+        params, mapping, grid = _small_model(d)
+        points = grid.points
         U, wt = _gauss_hermite(params.m, nodes)
         Z = U @ params.sigma_cholesky().T
         W = np.exp(posterior_log_weights(params.nu + Z, points, params))
         Ww = W * wt[:, None]
         dens = np.exp(lv_logpdf(points, params))
         Q = len(points)
-        battery = _battery_on_points("lv-density", points)
+        battery = batteries.make_problem("lv-density", grid)
         var, cov, A = _exact_moments(battery, params, mapping)
 
         EWW = Ww.T @ W
@@ -1087,23 +1089,15 @@ class TestExactLvDensity:
 
 
 def _exact_moments(battery, params, mapping):
-    """Var(G), Cov(G) among all points and A of one battery with a
+    """Var(G), Cov(G) among the summary points and A of one battery with a
     quadratic form, from the engine's stacked moment routine."""
-    points = battery.grid.points
+    grid = battery.grid
     fit = FitResult(mapping=mapping, free_vector=mapping.pack(params), loglik=0.0,
                     converged=True, gradient_norm=0.0, n_iter=0)
     consts = residuals._FitConstants(fit)
-    stacked = residuals._quadratic_moments(points, np.exp(lv_logpdf(points, params)),
-                                           np.arange(len(points)), [battery._quadratic],
-                                           params, consts)
+    stacked = residuals._quadratic_moments(grid, np.exp(lv_logpdf(grid.points, params)),
+                                           [battery._quadratic], params, consts)
     return [m[0] for m in stacked]
-
-
-def _battery_on_points(kind, points, item=None):
-    """A bundled battery on arbitrary latent points."""
-    grid = batteries.LvGrid(axes=(), points=points, summary_subset=None, label="",
-                            summary_label="")
-    return batteries.make_problem(kind, grid, item)
 
 
 class TestExactItemMoments:
@@ -1118,11 +1112,11 @@ class TestExactItemMoments:
         # Gauss-Hermite quadrature over y, on every item, to 1e-10 of the
         # largest entry.  E[G] is eta for linearity-direct, a mean battery,
         # and 0 for the ratio batteries, whose h_q = f - r_q
-        params, mapping, points = _small_model(d)
+        params, mapping, grid = _small_model(d)
         U, wt = _gauss_hermite(params.m, nodes)
-        Q, L = len(points), params.sigma_cholesky()
+        L = params.sigma_cholesky()
         for item in range(params.m):
-            battery = _battery_on_points(kind, points, item)
+            battery = batteries.make_problem(kind, grid, item)
             EG, EGG, EGs = 0.0, 0.0, 0.0
             for lo in range(0, len(wt), 200_000):
                 Y = params.nu + U[lo:lo + 200_000] @ L.T
@@ -1387,7 +1381,8 @@ def _weight_cases(draw):
 
 class TestWeightSums:
     """W's column means and the items' weighted sums from per-axis factors
-    of W on product grids, and the dense pass everywhere else."""
+    of W within the range bound at d >= 2, and the dense pass everywhere
+    else."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=_weight_cases())
@@ -1462,27 +1457,6 @@ class TestWeightSums:
             wbar, _, W = residuals._weight_sums(Y, grid, params, ())
             ok = len(Y) * want >= residuals._DENOM_FLOOR
             assert W is None and not np.allclose(wbar[ok], want[ok], rtol=0.5, atol=0)
-
-    def test_points_that_are_not_a_product_take_the_dense_pass(
-            self, fitted_setup, two_factor_params, two_factor_spec, monkeypatch):
-        # the product structure is read from the points, once per set of
-        # points: the default grid's points in a grid without axes still
-        # sum the factors; in another order, less a point or at arbitrary
-        # points they take the dense pass
-        data, fit = _fit_for_flip(2, fitted_setup, two_factor_params, two_factor_spec)
-        points = default_grid(2).points
-        column_major = points.reshape(19, 19, 2).transpose(1, 0, 2).reshape(-1, 2)
-        cases = [(points, []), (column_major, [(data.n, 361)]),
-                 (points[:-1], [(data.n, 360)]),
-                 (_small_model(2)[2], [(data.n, 4)])]
-        calls = _counted_weight_passes(monkeypatch)
-        residuals._grid_axes.cache_clear()
-        for kind in ("lv-density", "variance"):
-            for pts, passes in cases:
-                calls.clear()
-                run_residual_batch([_battery_on_points(kind, pts, 2)], fit, data)
-                assert calls == passes, (kind, len(pts))
-        assert residuals._grid_axes.cache_info().misses == len(cases)
 
 
 def _study1_reports(data, pattern, linearity, variance):
