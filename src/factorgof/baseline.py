@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotConvergedError
-from .estimate import DataMatrix, FitResult, _sample_moments
+from .estimate import DataMatrix, FitResult
 from .kernels import chi2_sf, single_blas_thread
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -56,11 +56,11 @@ def fit_indices(fit: FitResult, data: DataMatrix) -> tuple:
 
 
 def _baseline(fit: FitResult, data: DataMatrix) -> tuple:
-    """(chi2, df, p, cfi, tli, srmr, rmsea) from one pass over the data
-    for the sample covariance S and one log-determinant of S."""
+    """(chi2, df, p, cfi, tli, srmr, rmsea) from the data's sample
+    covariance S, formed with the DataMatrix, and one log-determinant of S."""
     _require_converged(fit)
     m = data.m
-    _, S = _sample_moments(data.values)
+    S = data.S
     sign, logdet = np.linalg.slogdet(S)
     loglik_sat = -0.5 * data.n * (m * _LOG_2PI + logdet + m)
     chi2 = float(max(2.0 * (loglik_sat - fit.loglik), 0.0))

@@ -14,8 +14,9 @@ fits from versions that fitted a transform of phi describe another model,
 and ``cli.load_fit_document`` refuses them.
 
 The per-observation score is analytic.  The fit works from sufficient
-statistics (sample mean and covariance), so no iteration's cost depends on
-n.  With free intercepts their estimate is the sample mean ybar in closed
+statistics, the sample mean and covariance that a ``DataMatrix`` forms once
+at construction, so neither the fit nor any iteration passes over the n
+rows.  With free intercepts their estimate is the sample mean ybar in closed
 form (Lawley & Maxwell, 1971); without them nu = 0 and the covariance is
 fitted to S + ybar ybar'.  The loadings, correlations and log error
 variances start at a principal-axis estimate in the correlation metric and
@@ -30,7 +31,10 @@ m x m dSigma, lambda (E_ab + E_ba) lambda', and phi enters Sigma linearly.
 At nu = ybar the Hessian's intercept-covariance block
 vanishes, so the observed and the expected information are both Sigma^-1 on
 the intercepts beside minus the covariance block, and are factored block by
-block (``_block_eigvalsh``, ``_block_inverse``).
+block (``_block_eigvalsh``, ``_block_inverse``).  The fit keeps its final
+iterate's terms and Hessian: the inverse observed information is formed from
+them when it is first read, and the residual engine takes the Cholesky
+factor and inverse of Sigma from them instead of factoring Sigma again.
 """
 
 import warnings
@@ -55,10 +59,20 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass(eq=False)
 class DataMatrix:
-    """Complete n x m data matrix with optional column labels."""
+    """Complete n x m data matrix with optional column labels.
+
+    The sample mean ``ybar`` and the covariance ``S`` with divisor n
+    (``_sample_moments``) are formed once, at construction, and are what
+    ``fit_ml``, its start and the baseline indices read of the data; the
+    zero and overflowing sample variance checks read diag(S).  Like a
+    ``ParamSet``, a DataMatrix must be treated as immutable after
+    construction; ``ybar`` and ``S`` are read-only.
+    """
 
     values: np.ndarray
     column_names: list = None
+    ybar: np.ndarray = field(default=None, init=False, repr=False)
+    S: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
@@ -72,9 +86,11 @@ class DataMatrix:
             raise DataError(f"non-finite value at row {i}, column {j}")
         if self.column_names is not None and len(self.column_names) != vals.shape[1]:
             raise DataError("column_names length does not match data")
+        # an overflowing column makes inf and nan entries of S; it is named below
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.ybar, self.S = _sample_moments(vals)
         if vals.shape[0] >= 2:
-            with np.errstate(over="ignore"):
-                var = vals.var(axis=0, ddof=1)
+            var = np.diag(self.S)
             bad = ~(np.isfinite(var) & (var > 0))
             if bad.any():
                 j = int(np.argmax(bad))
@@ -87,6 +103,7 @@ class DataMatrix:
                 stacklevel=2,
             )
         self.values = np.ascontiguousarray(vals)
+        self.ybar.flags.writeable = self.S.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -193,7 +210,7 @@ class ParamMapping:
 
     def start_values(self, data: DataMatrix) -> np.ndarray:
         """The free vector ``fit_ml`` starts from on ``data``."""
-        return self._start(data.values, *_sample_moments(data.values))
+        return self._start(data.values, data.ybar, data.S)
 
     def _start(self, Y, ybar, S):
         """The start from the data Y, their mean ybar and covariance S.
@@ -302,6 +319,35 @@ class OptimOptions:
             )
 
 
+class _ObservedInverse:
+    """``FitResult.inv_observed_information``: the array it was given, or,
+    for a fit from ``fit_ml`` that can invert its observed information, that
+    inverse, formed from the fit's final Hessian on first read and kept."""
+
+    def __get__(self, fit, owner=None):
+        if fit is None:
+            return None  # the dataclass default
+        inv = fit.__dict__["_inv_observed"]
+        if inv is _ON_READ:
+            inv = fit.__dict__["_inv_observed"] = _block_inverse(
+                fit.mapping, fit._final.terms.L, fit._final.hess)
+        return inv
+
+    def __set__(self, fit, value):
+        fit.__dict__["_inv_observed"] = value
+
+
+_ON_READ = object()
+
+
+class _Final(NamedTuple):
+    """The terms at a fit's final iterate about the sample moments, and the
+    covariance block of the Hessian there."""
+
+    terms: "_Terms"
+    hess: np.ndarray
+
+
 @dataclass(eq=False)
 class FitResult:
     """Fitted parameters plus convergence diagnostics.
@@ -316,9 +362,14 @@ class FitResult:
     of the mean log-likelihood, so an entry held at a bound whose gradient
     points outward counts as 0.  ``inv_observed_information`` inverts the
     observed (negative mean Hessian) information on the free-vector scale,
-    so its correlation block is in phi_ab; it is formed where no entry is
-    held at a bound and the information inverts, so it is always available
-    on converged fits.  ``loglik`` is the log-likelihood at ``params``, n
+    so its correlation block is in phi_ab; it is available where no entry is
+    held at a bound and the information inverts, so always on converged
+    fits.  A fit from ``fit_ml`` forms it on first read, from the final
+    Hessian it keeps (with the final iterate's terms, whose Cholesky factor
+    and inverse of Sigma the residual engine reuses) in a private field that
+    is not an argument: ``dataclasses.replace`` and ``cli.load_fit_document``
+    make fits without it, and those recompute what they need from
+    ``free_vector``.  ``loglik`` is the log-likelihood at ``params``, n
     times the mean log-likelihood from the sample mean and covariance.
     """
 
@@ -328,8 +379,9 @@ class FitResult:
     converged: bool
     gradient_norm: float
     n_iter: int
-    inv_observed_information: np.ndarray = None
+    inv_observed_information: np.ndarray = _ObservedInverse()
     warnings: list = field(default_factory=list)
+    _final: _Final = field(default=None, init=False, repr=False)
 
     @cached_property
     def params(self) -> ParamSet:
@@ -408,7 +460,8 @@ def _moment_terms(v, mapping, ybar, S) -> _Terms:
     implied covariance at v, and the moments of the sample mean ybar and
     covariance S about them.  Formed straight from v, without a validated
     ParamSet; a non-finite v or theta raises SpecificationError, and a phi
-    or an implied covariance that does not factor DegenerateCovarianceError."""
+    or an implied covariance that is not positive definite
+    DegenerateCovarianceError."""
     spec = mapping.spec
     v = np.asarray(v, dtype=np.float64)
     theta = np.exp(v[mapping.u_slice])
@@ -418,7 +471,13 @@ def _moment_terms(v, mapping, ybar, S) -> _Terms:
     lam = np.zeros((spec.m, spec.d))
     lam[mapping.lam_rows, mapping.lam_cols] = v[mapping.lam_slice]
     phi = mapping._phi(v)
-    if spec.d > 1:  # the unit phi of one factor needs no check
+    # one factor's phi is 1, and two factors' is positive definite exactly
+    # when |phi_12| < 1, which the fit's bound |phi_12| <= _PHI_MAX keeps, so
+    # only d >= 3 takes a Cholesky factor of phi, which can fail inside the
+    # bounds
+    if spec.d == 2 and not abs(phi[1, 0]) < 1.0:
+        raise DegenerateCovarianceError("phi is not positive definite")
+    if spec.d >= 3:
         try:
             np.linalg.cholesky(phi)
         except np.linalg.LinAlgError as exc:
@@ -429,11 +488,17 @@ def _moment_terms(v, mapping, ybar, S) -> _Terms:
         raise DegenerateCovarianceError(
             "model-implied covariance is not positive definite"
         ) from exc
-    sig_inv = kernels.spd_inverse(L)
-    delta = ybar - nu
+    model = _Terms(nu, lam, phi, theta, L, kernels.spd_inverse(L), None, None, None, None)
+    return _moments_about(model, ybar, S)
+
+
+def _moments_about(t: _Terms, ybar, S) -> _Terms:
+    """The model quantities of ``t``, with its factor and inverse of Sigma,
+    and the moments of ybar and S about them."""
+    delta = ybar - t.nu
     s_star = S + np.outer(delta, delta)
-    E = sig_inv @ s_star @ sig_inv
-    return _Terms(nu, lam, phi, theta, L, sig_inv, delta, s_star, E, E - sig_inv)
+    E = t.sig_inv @ s_star @ t.sig_inv
+    return t._replace(delta=delta, s_star=s_star, E=E, gmat=E - t.sig_inv)
 
 
 def _slopes(mapping, t: _Terms) -> _Slopes:
@@ -568,7 +633,10 @@ def fit_ml(data: DataMatrix, spec, opts: OptimOptions = None) -> FitResult:
     ``ParamMapping.start_values``, closed by one full Newton step;
     ``FitResult.n_iter`` counts its iterations, at most ``opts.max_iter``
     (3 on the bundled designs).  The observed information is block
-    diagonal, and its spectrum and inverse are taken block by block.
+    diagonal, and its spectrum and inverse are taken block by block, the
+    inverse on the first read of ``FitResult.inv_observed_information``.
+    The data enter only through their sample moments ``data.ybar`` and
+    ``data.S``.
     Convergence requires all four of: the max-abs projected gradient of the
     mean log-likelihood where the iteration stopped (``_newton``; an entry
     held at a bound whose gradient points outward counts as 0) below
@@ -583,7 +651,7 @@ def fit_ml(data: DataMatrix, spec, opts: OptimOptions = None) -> FitResult:
     information, inverts without near singularity (the identification
     check).  Both Hessian checks take the entries not held at a bound,
     since a held entry has its own ``heywood:`` or ``correlation:``
-    warning; the inverse is formed only where no entry is held.  Failing
+    warning; the inverse is available only where no entry is held.  Failing
     fits are returned with ``converged=False`` and reasons listed in
     ``warnings``; downstream residual tests refuse them.  The fit
     draws no random numbers.
@@ -593,7 +661,7 @@ def fit_ml(data: DataMatrix, spec, opts: OptimOptions = None) -> FitResult:
     mapping = _as_mapping(spec)
     if data.m != mapping.spec.m:
         raise SpecificationError(f"data has m={data.m}, spec has m={mapping.spec.m}")
-    ybar, S = _sample_moments(data.values)
+    ybar, S = data.ybar, data.S
 
     # the start puts the intercepts at ybar, their estimate, where they stay
     v, t, hess, gradient_norm, free, n_iter = _newton(
@@ -640,9 +708,9 @@ def fit_ml(data: DataMatrix, spec, opts: OptimOptions = None) -> FitResult:
             converged = False
         else:
             if free.all():
-                inv_observed = _block_inverse(mapping, t.L, hess)
+                inv_observed = _ON_READ
 
-    return FitResult(
+    fit = FitResult(
         mapping=mapping,
         free_vector=v,
         loglik=data.n * _mean_loglik(t),
@@ -652,6 +720,8 @@ def fit_ml(data: DataMatrix, spec, opts: OptimOptions = None) -> FitResult:
         inv_observed_information=inv_observed,
         warnings=warn,
     )
+    fit._final = _Final(t, hess)
+    return fit
 
 
 _GTOL = 1e-4
@@ -797,14 +867,20 @@ def _line_search(mapping, ybar, S, v, f, g, step, lo, hi):
 _MAX_CONDITION = 1e12
 
 
-def _expected_terms(v, mapping, params):
+def _expected_terms(v, mapping, params, at=None):
     """The terms and slopes at the free vector v about ybar = nu and
     S = Sigma of ``params``, and the covariance block of the expected
     Hessian there.  The Hessian of the mean log-likelihood is linear in
     (ybar - nu, S*), so its expectation under the model is its value there;
     the exact information is minus it, block diagonal as in
-    ``_block_eigvalsh``."""
-    t = _moment_terms(v, mapping, params.nu, params.implied_covariance())
+    ``_block_eigvalsh``.  ``at``, terms at v about other moments (a fit's
+    final ``_Terms``), lends its factor and inverse of Sigma, so Sigma is
+    not factored again."""
+    sigma = params.implied_covariance()
+    if at is None:
+        t = _moment_terms(v, mapping, params.nu, sigma)
+    else:
+        t = _moments_about(at, params.nu, sigma)
     s = _slopes(mapping, t)
     return t, s, _covariance_hessian(mapping, t, s)
 

@@ -27,10 +27,17 @@ with D the model's latent density at the grid points.
 
 A ``WeightedBattery`` that declares G_q = W_q h_q / D_q as a quadratic form
 in one item (every bundled battery does) has Var(G), Cov(G) and A in closed
-form (``_quadratic_moments``).  For a custom battery without one, the
-values on one shared set of M Monte Carlo draws from the fitted model
-estimate Cov(G), A and, where the battery has no closed form, eta; a batch
-without such a battery draws nothing.
+form (``_quadratic_moments``).  E[s | x] is a quadratic in x and the item's
+score moments are linear in x, so its A is the basis
+[1, x_q, a_q (1, x_q, vech x_q x_q')] ((Q, r), r = 2 + 2d + d(d+1)/2)
+times an (r, q) table K of the fit's coefficients; the penalty's diagonal
+and summary block come from the r x r form K I^{-1} K' (``_penalty``),
+and the (Q x q) A is never formed.  E[W_q W_r] is symmetric in (q, r) to
+the last bit, so only the upper triangle of the summary block is computed.
+For a custom battery without a form, the values on one shared set of M
+Monte Carlo draws from the fitted model estimate Cov(G), A and, where the
+battery has no closed form, eta; a batch without such a battery draws
+nothing.
 
 The form fixes the sample value too: averaged over the data rows,
 W_q h_q needs only W's column means and, per item, the weighted sums
@@ -48,16 +55,19 @@ stacked pass, in which a battery is a row index into tables built once:
 per fit, every item's score moments (``_FitConstants.item_scores``); per
 grid pass, every item's conditional-mean and tilt columns, and per grid
 the paired points of E[W_q W_r].  Their sample values, moments, se, z and
-p are (P, Q) arrays for P batteries on Q points, A is (P, Q, q), and the
-batteries that keep the same summary points share one eigendecomposition
-and one quadratic form for T.  Each item's weighted sums come from their
-own product, and no other step mixes batteries, so a report has the same
-bits in any batch.  A point whose variance or summary-block row is not
-finite, as where the latent density underflows, is unstable.  A custom
-battery takes its sample value from its ``evaluate`` on W, computed on the
-data, read-only, and dropped before W on the draws is computed for its
-covariance.  Batteries that give only ``_evaluate(Y, params)`` share one
-pass without W.
+p are (P, Q) arrays for P batteries on Q points, A is a (P, Q, r) basis
+and a (P, r, q) table, and the batteries that keep the same summary points
+share one eigendecomposition and one quadratic form for T, whose truncated
+inverse is formed from the s kept eigenvectors alone.  Each item's
+weighted sums come from their own product, and no other step mixes
+batteries, so a report has the same bits in any batch.  A point whose
+variance or summary-block row is not finite, as where the latent density
+underflows, is unstable.  A custom battery takes its sample value from its
+``evaluate`` on W, computed on the data, read-only, and dropped before W
+on the draws is computed for its covariance; its (Q, q) A, estimated on
+the draws, goes through the same penalty with the identity basis.
+Batteries that give only ``_evaluate(Y, params)`` share one pass without
+W.
 """
 
 from dataclasses import dataclass
@@ -414,6 +424,7 @@ def eta_hat(battery: SummaryBattery, data: DataMatrix, params: ParamSet,
     ``WeightedBattery``'s grid, when already known.  A battery with a
     quadratic form takes its value from the form, as ``run_residual_batch``
     does, so without ``W`` both give the same bits."""
+    _check_grid_dimension(battery, params)
     if not _has_form(battery):
         wbar = None
         if isinstance(battery, RatioBattery):
@@ -509,9 +520,9 @@ def _truncated_inverse(sigma, s):
     n_pos = int(np.sum(vals > tol, axis=-1).min())
     if not 1 <= s <= n_pos:
         raise RankError(f"s={s} outside 1..{n_pos} numerically positive eigenvalues")
-    inv_vals = np.zeros_like(vals)
-    inv_vals[..., :s] = 1.0 / vals[..., :s]
-    W = (vecs * inv_vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    # W from the s kept eigenpairs: the dropped ones would add exact zeros
+    kept = vecs[..., :s]
+    W = (kept * (1.0 / vals[..., None, :s])) @ np.swapaxes(kept, -1, -2)
     return 0.5 * (W + np.swapaxes(W, -1, -2)), vals
 
 
@@ -544,15 +555,21 @@ def _weight_products(X1, X2, params, V):
 @lru_cache(maxsize=32)
 def _pair_points(grid):
     """The paired rows (X1, X2) at which ``_quadratic_moments`` takes
-    E[W(x1) W(x2)]: each point of ``grid`` with itself, then every pair of
-    its summary points in row-major order.  Read-only, built once per grid."""
+    E[W(x1) W(x2)], and the (row, column) indices ``upper`` of the summary
+    block that its pairs fill: each point of ``grid`` with itself, then
+    each pair of its summary points in the block's upper triangle, in
+    row-major order.  E[W(x1) W(x2)] (``_weight_products``) takes x1 - x2,
+    whose sign only negates the solved rows, and x1 + x2, so it has the same
+    bits for (x2, x1) and the lower triangle is its mirror.  Read-only,
+    built once per grid."""
     points = grid.points
     sub = points[_summary_subset(grid)]
-    K = len(sub)
-    X1 = np.vstack([points, np.repeat(sub, K, axis=0)])
-    X2 = np.vstack([points, np.tile(sub, (K, 1))])
-    X1.flags.writeable = X2.flags.writeable = False
-    return X1, X2
+    upper = np.triu_indices(len(sub))
+    X1 = np.vstack([points, sub[upper[0]]])
+    X2 = np.vstack([points, sub[upper[1]]])
+    for a in (X1, X2, *upper):
+        a.flags.writeable = False
+    return X1, X2, upper
 
 
 class _FitConstants:
@@ -561,11 +578,14 @@ class _FitConstants:
     model they describe to the last bit.
 
     ``terms`` and ``slopes`` are the fit's ``_Terms`` at sample mean nu and
-    sample covariance Sigma, and its ``_Slopes``.  ``inv_information``
-    inverts the exact information, minus the expected Hessian (see
-    ``estimate._expected_terms``), block by block after its
-    conditioning check; every report's penalty takes it.  ``V`` is the
-    posterior covariance of x given y, read from ``params.posterior_law()``.
+    sample covariance Sigma, and its ``_Slopes``; a fit from ``fit_ml``
+    lends them the Cholesky factor and inverse of Sigma of its final iterate
+    (see ``FitResult``), and any other fit's are formed from its free
+    vector.  ``inv_information`` inverts the exact information, minus the
+    expected Hessian (see ``estimate._expected_terms``), block by block
+    after its conditioning check; every report's penalty takes it.  ``V``
+    is the posterior covariance of x given y, read from
+    ``params.posterior_law()``.
 
     ``score_change(delta, dS)`` is the change in the mean log-likelihood's
     gradient when the sample mean moves from nu by delta and
@@ -575,13 +595,16 @@ class _FitConstants:
     ``tilt`` ((m, d)) and ``tau2`` ((m,)) give the doubly tilted law
     y_j | xt = xbar ~ N(nu_j + tilt_j' xbar, tau2_j), where
     xt = E[x | y] + N(0, V / 2) ~ N(0, phi - V / 2) and Cov(y, xt) = lambda phi.
-    ``item_scores`` holds every item's score moments, built on first use.
+    ``item_scores`` holds every item's score moments and
+    ``score_coefficients`` the quadratic coefficients of E[s | x], each
+    built on first use.
     """
 
     def __init__(self, fit):
         self.mapping = mapping = fit.mapping
         params = fit.params
-        self.terms, self.slopes, hess = _expected_terms(fit.free_vector, mapping, params)
+        final = None if fit._final is None else fit._final.terms
+        self.terms, self.slopes, hess = _expected_terms(fit.free_vector, mapping, params, final)
         _check_conditioning(_block_eigvalsh(mapping, self.terms.sig_inv, hess))
         self.inv_information = _block_inverse(mapping, self.terms.L, hess)
         self.V = params.posterior_law().cov
@@ -633,15 +656,45 @@ class _FitConstants:
             curv[:, mapping.phi_slice] = np.einsum("tij,ik,jk->kt", s.d_phi, B, B)
         return base, slope, curv
 
+    @cached_property
+    def score_coefficients(self):
+        """E[s | x] as a quadratic in x, s the score on the free parameters:
+        its coefficients ((1 + d + d(d+1)/2, q)) on the monomials
+        [1, x_1..x_d, x_k x_l (k <= l, row-major)] of ``_monomials``.
 
-def _score_moments(points, params, consts):
-    """E[s | x = x_q] at every point ((Q, q)), s the score on the free
-    parameters.  The score is affine in y - nu and its outer product, and
-    y | x = x_q is N(nu + lambda x_q, theta), so this is the score at the
-    conditional mean plus the change that theta adds to S*,
-    ``score_change(0, theta)`` (see ``_FitConstants``)."""
-    return (_row_scores(consts.mapping, consts.terms, points @ params.lam.T)
-            + consts.score_change(np.zeros(params.m), np.diag(params.theta)))
+        The score is affine in y - nu and its outer product, and y | x is
+        N(nu + lambda x, theta), so E[s | x] is the score at the conditional
+        mean, quadratic in x, plus the change that theta adds to S*,
+        ``score_change(0, theta)``.  The quadratic's coefficients come from
+        the score at the 1 + 2d + d(d-1)/2 points 0, +-e_k and e_k + e_l
+        (k < l) by central differences, which are exact for a quadratic:
+        f(e_k) - f(-e_k) = 2 c_k, f(e_k) + f(-e_k) - 2 f(0) = 2 c_kk and
+        f(e_k + e_l) - f(e_k) - f(e_l) + f(0) = c_kl.
+        """
+        mapping, t = self.mapping, self.terms
+        d = mapping.spec.d
+        eye, pairs = np.eye(d), _square_pairs(d)
+        X = np.vstack([np.zeros(d), eye, -eye] + [eye[k] + eye[l] for k, l in pairs if k < l])
+        f = _row_scores(mapping, t, X @ t.lam.T)
+        f0, up, down, mixed = f[0], f[1:d + 1], f[d + 1:2 * d + 1], iter(f[2 * d + 1:])
+        square = [0.5 * (up[k] + down[k]) - f0 if k == l else next(mixed) - up[k] - up[l] + f0
+                  for k, l in pairs]
+        change = self.score_change(np.zeros(mapping.spec.m), np.diag(t.theta))
+        return np.vstack([f0 + change, 0.5 * (up - down), *square])
+
+
+def _square_pairs(d):
+    """The (k, l) with k <= l < d in row-major order: the quadratic
+    monomials x_k x_l of ``_monomials`` and ``score_coefficients``."""
+    return [(k, l) for k in range(d) for l in range(k, d)]
+
+
+def _monomials(points):
+    """[1, x_1..x_d, x_k x_l (k <= l, row-major)] at each row of ``points``
+    ((Q, d) -> (Q, 1 + d + d(d+1)/2))."""
+    return np.column_stack([np.ones(len(points)), points]
+                           + [points[:, k] * points[:, l]
+                              for k, l in _square_pairs(points.shape[1])])
 
 
 def _form_arrays(forms, params, dens):
@@ -667,8 +720,10 @@ def _quadratic_moments(grid, dens, forms, params, consts):
     ``grid``, whose latent density D is ``dens``, under the fitted model,
     each declared by its quadratic form ``(item, a, b, c)`` (see
     ``WeightedBattery``): Var(G) at every point ((P, Q)), Cov(G) among the
-    grid's K summary points ((P, K, K)) and A = E[G s'] ((P, Q, q)) with s
-    the score on the free parameters, from the fit's ``_FitConstants``.
+    grid's K summary points ((P, K, K)), and A = E[G s'] with s the score on
+    the free parameters as the product of a basis ((P, Q, r)) and a table
+    ((P, r, q)), from the fit's ``_FitConstants``; ``_penalty`` takes A in
+    that form, and A itself is never formed.
 
     The forms are rows of tables: every item's tilt and conditional-mean
     columns on the grid ((Q, m), built once per call) and the fit's
@@ -680,8 +735,13 @@ def _quadratic_moments(grid, dens, forms, params, consts):
 
     Weighting the model density of y by W_q(y) = p(x_q | y) gives
     p(x_q) p(y | x_q), so E[G_q] = E[h_q | x = x_q] = a_q and
-    A_q = E[h_q s | x = x_q] = a_q S0_q + b S1_q + c S2, with S0 from
-    ``_score_moments`` and S1, S2 from ``item_scores``.  Weighting it by
+    A_q = E[h_q s | x = x_q] = a_q E[s | x_q] + b S1_q + c S2 with S1, S2
+    from ``item_scores``: S1_q = base_j + x_q' slope_j is linear in x_q, S2
+    is constant, and E[s | x] is a quadratic in x
+    (``score_coefficients``).  So A_q is basis_q times the table, with
+    basis_q = [1, x_q, a_q m(x_q)] for the monomials m of ``_monomials``
+    and the table's rows b base_j + c curv_j, b slope_j and the
+    coefficients of E[s | x]: r = 2 + 2d + d(d+1)/2.  Weighting it by
     W_q W_r tilts y_j to N(mt, tau2_j) with
     mt = nu_j + tilt_j' (x_q + x_r) / 2 (``_FitConstants``), so
     E[G_q G_r] = E[W_q W_r] E~[h_q h_r] / (D_q D_r).  In e = y_j - mt,
@@ -691,14 +751,29 @@ def _quadratic_moments(grid, dens, forms, params, consts):
     """
     points, cols = grid.points, _summary_subset(grid)
     Q, K = len(points), len(cols)
-    # E[W_q^2] at every point and E[W_q W_r] among the summary points, in one call
-    pairs = _weight_products(*_pair_points(grid), params, consts.V)
-    ww, block = pairs[:Q], pairs[Q:].reshape(K, K)
+    # E[W_q^2] at every point and E[W_q W_r] on the summary block's upper
+    # triangle, in one call
+    X1, X2, upper = _pair_points(grid)
+    pairs = _weight_products(X1, X2, params, consts.V)
+    ww, block = pairs[:Q], np.empty((K, K))
+    block[upper] = block[upper[::-1]] = pairs[Q:]
+
+    a_q, b, c, items = _form_arrays(forms, params, dens)
+    P, d, q = len(a_q), params.d, consts.mapping.q
+    basis = np.empty((P, Q, 1 + d + (d + 1) * (d + 2) // 2))
+    basis[:, :, 0] = 1.0
+    basis[:, :, 1:d + 1] = points
+    basis[:, :, d + 1:] = a_q[:, :, None] * _monomials(points)
+    table = np.zeros((P, basis.shape[2], q))
+    if items is not None:
+        base, slope, curv = consts.item_scores
+        table[:, 0] = b[:, None] * base[items] + c[:, None] * curv[items]
+        table[:, 1:d + 1] = b[:, None, None] * slope[items]
+    if any(a is not None for _, a, _, _ in forms):
+        table[:, d + 1:] = consts.score_coefficients
 
     # scalars as (P, 1, 1) and grid values as (P, 1, Q), so one set of
     # shapes serves the diagonal and the (K, K) summary block
-    a_q, b, c, items = _form_arrays(forms, params, dens)
-    P = len(a_q)
     if items is None:
         t = mu = np.zeros((P, Q))
         nu = theta = tau2 = np.zeros(P)
@@ -724,19 +799,21 @@ def _quadratic_moments(grid, dens, forms, params, consts):
         tilted = products(coefficients(a_c.transpose(0, 2, 1), mt - mu_c.transpose(0, 2, 1)),
                           coefficients(a_c, mt - mu_c))
         cov = block * (tilted / np.outer(dens_c, dens_c)) - a_c.transpose(0, 2, 1) * a_c
+    return var, cov, basis, table
 
-    if items is None:
-        A = np.zeros((P, Q, consts.mapping.q))
-    else:
-        base, slope, curv = consts.item_scores
-        slope = b[:, None, None] * slope[items]
-        A = points[:, 0, None] * slope[:, None, 0]
-        for k in range(1, params.d):
-            A += points[:, k, None] * slope[:, None, k]
-        A += (b[:, None] * base[items] + c[:, None] * curv[items])[:, None, :]
-    if any(a is not None for _, a, _, _ in forms):
-        A += a_q[:, 0, :, None] * _score_moments(points, params, consts)
-    return var, cov, A
+
+def _penalty(basis, table, inv_info, subset):
+    """The diagonal ((P, Q)) and the block on the summary ``subset``
+    ((P, K, K)) of A I^-1 A' for P batteries whose A = E[G s'] ((P, Q, q))
+    is ``basis`` ((P, Q, r)) times ``table`` ((P, r, q)), through the r x r
+    form table I^-1 table', so A is never formed.  A basis of None is the
+    identity, whose table is A itself."""
+    form = table @ inv_info @ table.transpose(0, 2, 1)
+    if basis is None:
+        return np.diagonal(form, axis1=1, axis2=2), form[:, subset][:, :, subset]
+    left = basis @ form
+    return (np.einsum("pqr,pqr->pq", left, basis),
+            left[:, subset] @ basis[:, subset].transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -770,6 +847,8 @@ def run_residual_batch(batteries, fit: FitResult, data: DataMatrix,
             + "; ".join(fit.warnings)
         )
     params = fit.params
+    for battery in batteries:
+        _check_grid_dimension(battery, params)
     exact = [_has_form(battery) for battery in batteries]
     if not all(exact):
         if mc.M < 1000:
@@ -819,11 +898,20 @@ def run_residual_batch(batteries, fit: FitResult, data: DataMatrix,
         for i, t_hat in zip(drawn, t_hats):
             cols = _summary_subset(batteries[i].grid)
             moments = _draw_moments(batteries[i], params, draws, W, dens, scores, cols)
+            eta, var, cov, A = (m[None] for m in moments)
             reports[i] = _reports([batteries[i]], data.n, t_hat[None], wbar, cols,
-                                  [m[None] for m in moments], consts.inv_information,
+                                  (eta, var, cov, None, A), consts.inv_information,
                                   mc.M, mc)[0]
         del W
     return [reports[i] for i in range(len(batteries))]
+
+
+def _check_grid_dimension(battery, params):
+    """Raise ConfigurationError where a weighted battery's grid does not
+    have the model's latent dimension."""
+    if isinstance(battery, WeightedBattery) and battery.grid.d != params.d:
+        raise ConfigurationError(f"battery {battery.name} is on a {battery.grid.d}-"
+                                 f"dimensional grid, the fit has d={params.d}")
 
 
 def _summary_subset(grid):
@@ -875,15 +963,16 @@ def _reports(batteries, n, t_hat, wbar, subset, moments, inv_info, M, mc):
     """Reports of P batteries with k points each from their sample values
     ``t_hat`` ((P, k)), the data weights' column means ``wbar`` and
     ``moments``: eta (P, k), Var(G) (P, k), Cov(G) on the summary ``subset``
-    (P, K, K) and A (P, k, q), estimated on M draws or exact (M = 0), and
-    the fit's exact inverse information.  A point is unstable where its
-    variance is not finite or at most ``_DIAG_FLOOR``, where its row of the
-    summary block is not finite, where a ratio's denominator mass is below
-    ``_DENOM_FLOOR`` and where its residual is not finite."""
-    eta, var_G, cov_G, A = moments
-    penalty = A @ inv_info
-    var = var_G - np.einsum("pij,pij->pi", penalty, A)
-    blocks = cov_G - penalty[:, subset] @ A[:, subset].transpose(0, 2, 1)
+    (P, K, K) and A as a basis and a table (see ``_penalty``), estimated on
+    M draws or exact (M = 0), and the fit's exact inverse information.  A
+    point is unstable where its variance is not finite or at most
+    ``_DIAG_FLOOR``, where its row of the summary block is not finite, where
+    a ratio's denominator mass is below ``_DENOM_FLOOR`` and where its
+    residual is not finite."""
+    eta, var_G, cov_G, basis, table = moments
+    diag, block = _penalty(basis, table, inv_info, subset)
+    var = var_G - diag
+    blocks = cov_G - block
     blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
 
     unstable = ~(var > _DIAG_FLOOR)

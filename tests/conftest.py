@@ -13,8 +13,9 @@ from factorgof import (
     replication,
 )
 from factorgof import kernels, simstudy
-from factorgof.estimate import _check_conditioning, _moment_terms
-from factorgof.residuals import _draw_moments
+from factorgof.estimate import _check_conditioning, _moment_terms, _row_scores
+from factorgof.model import lv_logpdf
+from factorgof.residuals import _draw_moments, _summary_subset
 
 
 @pytest.fixture
@@ -246,6 +247,30 @@ def dense_item_score_moments(points, params, consts, item, order):
     slopes = [consts.score_change(zero, np.outer(lam_k, step) + np.outer(step, lam_k))
               for lam_k in params.lam.T]
     return consts.score_change(step, np.zeros((params.m, params.m))) + points @ np.array(slopes)
+
+
+def reference_penalty(battery, params, consts):
+    """The diagonal and the summary block of A I^-1 A' for one battery with
+    a quadratic form (item, a, b, c) under the fit of ``params`` and
+    ``consts`` (its ``_FitConstants``), with A = E[G s'] ((Q, q)) formed point
+    by point: a_q times E[s | x_q], the score at each point's conditional
+    mean plus ``score_change(0, theta)``, plus b S1_q + c S2 from the fit's
+    item table; then (A I^-1) A' on the diagonal and the summary block.  The
+    reference for the engine's factored penalty, ``residuals._penalty``."""
+    mapping, t, grid = consts.mapping, consts.terms, battery.grid
+    points = grid.points
+    item, a, b, c = battery._quadratic
+    A = np.zeros((len(points), mapping.q))
+    if item is not None:
+        base, slope, curv = consts.item_scores
+        A += b * (base[item] + points @ slope[item]) + c * curv[item]
+    if a is not None:
+        mean_score = (_row_scores(mapping, t, points @ t.lam.T)
+                      + consts.score_change(np.zeros(len(t.nu)), np.diag(t.theta)))
+        A += a(params, np.exp(lv_logpdf(points, params)))[:, None] * mean_score
+    penalty = A @ consts.inv_information
+    sub = _summary_subset(grid)
+    return np.einsum("ij,ij->i", penalty, A), penalty[sub] @ A[sub].T
 
 
 def mixture_lv_logpdf(points):

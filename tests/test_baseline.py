@@ -136,18 +136,19 @@ class TestFitIndices:
 
 
 def test_report_forms_the_moments_once(saturated_case, monkeypatch):
-    # one pass over the data for S and one log-determinant of S per report,
-    # and the same numbers as the two public parts
-    from factorgof import baseline
+    # one pass over the data for S, made with the DataMatrix, and one
+    # log-determinant of S per report, and the same numbers as the two
+    # public parts
+    from factorgof import estimate
 
     fit, data = saturated_case
     want = lr_chi2(fit, data) + fit_indices(fit, data)
     calls = []
-    moments, slogdet = baseline._sample_moments, np.linalg.slogdet
-    monkeypatch.setattr(baseline, "_sample_moments",
+    moments, slogdet = estimate._sample_moments, np.linalg.slogdet
+    monkeypatch.setattr(estimate, "_sample_moments",
                         lambda Y: calls.append("moments") or moments(Y))
     monkeypatch.setattr(np.linalg, "slogdet", lambda S: calls.append("slogdet") or slogdet(S))
-    report = baseline_report(fit, data)
+    report = baseline_report(fit, DataMatrix(data.values))
     assert calls == ["moments", "slogdet"]
     got = (report.chi2, report.df, report.p, report.cfi, report.tli, report.srmr, report.rmsea)
     assert np.array_equal(got, want, equal_nan=True)

@@ -97,6 +97,26 @@ class TestDataMatrix:
         with pytest.warns(UserWarning, match="too few rows"):
             DataMatrix(np.random.default_rng(0).normal(size=(3, 3)))
 
+    def test_moments_are_formed_once_with_the_sample_moments_bits(self, one_factor_spec,
+                                                                  monkeypatch):
+        # the mean and the divisor-n covariance, made at construction with
+        # the bits of _sample_moments and read-only; neither the fit nor its
+        # start passes over the rows again
+        vals = np.random.default_rng(3).normal(size=(400, 6)) * [1.0, 10.0, 1e-3, 2.0, 5.0, 1.0]
+        dm = DataMatrix(vals + 7.0)
+        ybar, S = estimate._sample_moments(vals + 7.0)
+        assert dm.ybar.tobytes() == ybar.tobytes() and dm.S.tobytes() == S.tobytes()
+        assert not dm.ybar.flags.writeable and not dm.S.flags.writeable
+        calls = []
+        moments = estimate._sample_moments
+        monkeypatch.setattr(estimate, "_sample_moments",
+                            lambda Y: calls.append(len(Y)) or moments(Y))
+        fit_ml(dm, one_factor_spec)
+        ParamMapping(one_factor_spec).start_values(dm)
+        assert calls == []
+        DataMatrix(vals)
+        assert calls == [400]
+
 
 class TestPacking:
     @pytest.mark.parametrize("d,m", [(1, 5), (2, 8), (3, 9)])
@@ -290,6 +310,50 @@ class TestFit:
         info = -dense_hessian(fit.free_vector, fit.mapping, ybar, S)
         np.testing.assert_allclose(inv, invert_information(info), rtol=0,
                                    atol=1e-12 * np.abs(inv).max())
+
+    def test_observed_inverse_is_formed_on_first_read(self, two_factor_params,
+                                                       two_factor_spec, monkeypatch):
+        # the fit keeps its final terms and Hessian and inverts the observed
+        # information only when it is read, to the bits of the inverse
+        # formed at once from the final iterate, and keeps it; a replaced
+        # fit carries the array and not the state
+        data = simulate_data(two_factor_params, 800, np.random.default_rng(8))
+        calls = []
+        monkeypatch.setattr(estimate, "_block_inverse",
+                            lambda *args: calls.append(1) or _block_inverse(*args))
+        fit = fit_ml(data, two_factor_spec)
+        assert calls == []
+        mapping = fit.mapping
+        t = _moment_terms(fit.free_vector, mapping, data.ybar, data.S)
+        eager = _block_inverse(mapping, t.L, _covariance_hessian(mapping, t, _slopes(mapping, t)))
+        inv = fit.inv_observed_information
+        assert calls == [1] and inv.tobytes() == eager.tobytes()
+        assert fit.inv_observed_information is inv and calls == [1]
+        moved = dataclasses.replace(fit)
+        assert moved._final is None and moved.inv_observed_information is inv
+
+    @pytest.mark.parametrize("cfg", [Study1Config(n=300, misspecified=True),
+                                     Study2Config(n=300, misspecified=True)])
+    def test_rejection_study_forms_no_observed_inverse(self, cfg, monkeypatch):
+        from factorgof.simstudy import run_rejection_study
+
+        calls = []
+        monkeypatch.setattr(estimate, "_block_inverse",
+                            lambda *args: calls.append(1) or _block_inverse(*args))
+        table = run_rejection_study(cfg, reps=3, seed=5)
+        assert table.converged_reps == 3 and calls == []
+
+    def test_two_factor_terms_take_no_factor_of_phi(self, two_factor_params, two_factor_spec,
+                                                    monkeypatch):
+        # at d = 2 the fit's bound |phi_12| <= _PHI_MAX keeps phi positive
+        # definite: the fit's terms factor Sigma alone
+        data = simulate_data(two_factor_params, 800, np.random.default_rng(8))
+        mapping = ParamMapping(two_factor_spec)
+        sizes = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: sizes.append(len(a)) or cholesky(a))
+        _moment_terms(mapping.pack(two_factor_params), mapping, data.ybar, data.S)
+        assert sizes == [8]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_rotationally_unidentified_fit_flagged(self, two_factor_params, seed):

@@ -45,6 +45,7 @@ from factorgof.residuals import run_residual_batch
 from factorgof.simstudy import Study1Config, Study2Config, model_spec_study1, replication
 
 from conftest import (assemble_acm, dense_item_score_moments, drawn_ratio_moments,
+                      reference_penalty,
                       exact_information, invert_information, sample_moments)
 
 
@@ -1090,14 +1091,15 @@ class TestExactLvDensity:
 
 def _exact_moments(battery, params, mapping):
     """Var(G), Cov(G) among the summary points and A of one battery with a
-    quadratic form, from the engine's stacked moment routine."""
+    quadratic form, from the engine's stacked moment routine, with A formed
+    from its basis and table."""
     grid = battery.grid
     fit = FitResult(mapping=mapping, free_vector=mapping.pack(params), loglik=0.0,
                     converged=True, gradient_norm=0.0, n_iter=0)
     consts = residuals._FitConstants(fit)
-    stacked = residuals._quadratic_moments(grid, np.exp(lv_logpdf(grid.points, params)),
-                                           [battery._quadratic], params, consts)
-    return [m[0] for m in stacked]
+    var, cov, basis, table = residuals._quadratic_moments(
+        grid, np.exp(lv_logpdf(grid.points, params)), [battery._quadratic], params, consts)
+    return var[0], cov[0], basis[0] @ table[0]
 
 
 class TestExactItemMoments:
@@ -1536,3 +1538,125 @@ class TestRowOrder:
             np.testing.assert_array_equal(np.isnan(g.z), np.isnan(w.z), err_msg=w.battery)
             ok = ~np.isnan(w.z)
             assert (np.abs(g.z - w.z)[ok] <= 1e-12 * np.maximum(np.abs(w.z[ok]), 1.0)).all()
+
+
+def _factor_fit(d, mean_structure=True):
+    """Data drawn from a d-factor model with four items per factor, means
+    0.3 and factor correlations 0.5, and its converged fit with or without
+    a mean structure."""
+    pattern = np.kron(np.eye(d, dtype=int), np.ones((4, 1), dtype=int))
+    phi = np.full((d, d), 0.5)
+    np.fill_diagonal(phi, 1.0)
+    truth = ParamSet(nu=np.full(4 * d, 0.3), lam=0.7 * pattern, phi=phi,
+                     theta=np.full(4 * d, 0.5))
+    data = simulate_data(truth, 800, np.random.default_rng(3))
+    fit = fit_ml(data, ModelSpec(m=4 * d, d=d, loading_pattern=pattern,
+                                 mean_structure=mean_structure))
+    assert fit.converged
+    return data, fit
+
+
+_KINDS = ("lv-density", "linearity", "variance", "linearity-direct")
+
+
+def _all_kinds(grid, item):
+    return [batteries.make_problem(kind, grid, None if kind == "lv-density" else item)
+            for kind in _KINDS]
+
+
+class TestFitState:
+    """A fit from ``fit_ml`` lends the residual engine its final terms; a
+    fit without them recomputes them from its free vector."""
+
+    @pytest.mark.parametrize("mean_structure", [True, False])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_reports_do_not_depend_on_the_kept_state(self, d, mean_structure, tmp_path):
+        # the fit, the fit reloaded from its document and the fit replaced
+        # by itself give the same reports bit for bit on every battery
+        from factorgof import cli
+
+        data, fit = _factor_fit(d, mean_structure)
+        tests = _all_kinds(default_grid(d), 1)
+        want = run_residual_batch(tests, fit, data)
+        path = str(tmp_path / "fit.json")
+        cli.write_fit_document(path, fit, data, {}, seed=0)
+        assert fit._final is not None
+        for other in (cli.load_fit_document(path), dataclasses.replace(fit)):
+            assert other._final is None
+            for got, report in zip(run_residual_batch(tests, other, data), want):
+                _assert_same_report(got, report)
+
+    def test_mirrored_fit_takes_its_own_terms(self):
+        # a replaced fit drops the state, so the constants of a mirrored fit
+        # are its own model's, not the kept ones of the fit it came from
+        data, fit = _factor_fit(2)
+        mirrored = _mirror_fit(fit, 0)
+        assert mirrored._final is None
+        consts = residuals._FitConstants(mirrored)
+        for name in ("nu", "lam", "phi", "theta"):
+            want = getattr(mirrored.params, name)
+            assert getattr(consts.terms, name).tobytes() == want.tobytes()
+        assert (consts.terms.lam[:, 0] == -fit.params.lam[:, 0]).all()
+        assert consts.terms.lam[:, 0].any()
+
+
+class TestFactoredPenalty:
+    """The penalty's diagonal and summary block through the r x r form
+    K I^-1 K', against A I^-1 A' with A formed point by point."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_the_dense_penalty(self, d):
+        # every battery kind on a default-size grid and on a +-12 grid
+        # (which at d >= 2 takes the dense weight pass), to 1e-13 of the
+        # largest entry of the reference's diagonal and block
+        data, fit = _factor_fit(d)
+        params, consts = fit.params, residuals._FitConstants(fit)
+        grids = {1: [default_grid(1), make_grid([(-12, 12, 49)], [(-12, 12, 25)])],
+                 2: [default_grid(2), make_grid([(-12, 12, 25)] * 2, [(-6, 6, 5)] * 2)],
+                 3: [make_grid([(-3, 3, 7)] * 3, [(-2, 2, 3)] * 3),
+                     make_grid([(-12, 12, 9)] * 3, [(-6, 6, 5)] * 3)]}[d]
+        for grid, dense in zip(grids, (False, True)):
+            if d > 1:
+                assert (residuals._weight_factors(data.values, grid, params) is None) == dense
+            dens = np.exp(lv_logpdf(grid.points, params))
+            for battery in _all_kinds(grid, 2):
+                _, _, basis, table = residuals._quadratic_moments(
+                    grid, dens, [battery._quadratic], params, consts)
+                diag, block = residuals._penalty(basis, table, consts.inv_information,
+                                                 residuals._summary_subset(grid))
+                want_diag, want_block = reference_penalty(battery, params, consts)
+                for got, want in ((diag[0], want_diag), (block[0], want_block)):
+                    scale = np.abs(want).max()
+                    assert scale > 0
+                    assert np.abs(got - want).max() <= 1e-13 * scale, (d, grid.label,
+                                                                       battery.name)
+
+    def test_draw_path_takes_the_identity_basis(self, fitted_setup):
+        # a custom battery's estimated A goes through the same routine with
+        # the identity basis: its diagonal and block are those of A I^-1 A'
+        _, _, data, fit = fitted_setup
+        consts = residuals._FitConstants(fit)
+        A = np.random.default_rng(4).normal(size=(1, 9, fit.mapping.q))
+        sub = np.array([1, 4, 7])
+        diag, block = residuals._penalty(None, A, consts.inv_information, sub)
+        full = A[0] @ consts.inv_information @ A[0].T
+        np.testing.assert_allclose(diag[0], np.diag(full), rtol=1e-13)
+        np.testing.assert_allclose(block[0], full[np.ix_(sub, sub)], rtol=1e-13)
+
+
+class TestGridDimension:
+    @pytest.mark.parametrize("kind", ["lv-density", "linearity"])
+    def test_grid_of_another_dimension_is_a_configuration_error(self, kind, fitted_setup):
+        # a battery whose grid's dimension is not the fit's d is refused,
+        # naming both, on a two-factor and on a one-factor fit, by the batch
+        # and by eta_hat
+        data2, fit2 = replication(Study1Config(n=300, misspecified=True), 77, 0)
+        _, _, data1, fit1 = fitted_setup
+        for data, fit, grid, got, want in ((data2, fit2, default_grid(1), 1, 2),
+                                           (data1, fit1, default_grid(2), 2, 1)):
+            battery = batteries.make_problem(kind, grid, None if kind == "lv-density" else 1)
+            for run in (lambda: run_residual_test(battery, fit, data),
+                        lambda: eta_hat(battery, data, fit.params)):
+                with pytest.raises(ConfigurationError,
+                                   match=rf"{got}-dimensional grid, the fit has d={want}"):
+                    run()
