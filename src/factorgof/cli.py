@@ -273,6 +273,22 @@ def write_fit_document(path, fit: FitResult, data: DataMatrix, inputs: dict,
 _FIT_KEYS = ("model", "free_vector", "loglik", "converged", "gradient_norm", "n_iter",
              "estimates")
 _ESTIMATES = (("nu", "nu"), ("lambda", "lam"), ("phi", "phi"), ("theta", "theta"))
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# the JSON type each entry must have: none is coerced, since bool("false") is True
+_FIT_VALUES = (
+    ("loglik", "a number", _is_number),
+    ("gradient_norm", "a number", _is_number),
+    ("converged", "true or false", lambda value: isinstance(value, bool)),
+    ("n_iter", "an integer",
+     lambda value: isinstance(value, int) and not isinstance(value, bool)),
+    ("warnings", "a list of strings",
+     lambda value: isinstance(value, list) and all(isinstance(w, str) for w in value)),
+)
 _STALE_FREE_VECTOR = ("; the document was edited, or written by an older version whose free "
                       "vector held a transform of phi")
 
@@ -302,6 +318,10 @@ def load_fit_document(path: str) -> FitResult:
     missing = [f"estimates.{key}" for key, _ in _ESTIMATES if key not in estimates]
     if missing:
         raise DataError(f"{path}: missing keys {missing}")
+    doc.setdefault("warnings", [])
+    for key, what, valid in _FIT_VALUES:
+        if not valid(doc[key]):
+            raise DataError(f"{path}: {key} must be {what}, got {doc[key]!r}")
     mapping = ParamMapping(_model_spec(path, doc["model"], prefix="model."))
     inv_observed = doc.get("inv_observed_information")
     try:
@@ -309,13 +329,13 @@ def load_fit_document(path: str) -> FitResult:
             mapping=mapping,
             free_vector=np.asarray(doc["free_vector"], dtype=np.float64),
             loglik=float(doc["loglik"]),
-            converged=bool(doc["converged"]),
+            converged=doc["converged"],
             gradient_norm=float(doc["gradient_norm"]),
-            n_iter=int(doc["n_iter"]),
+            n_iter=doc["n_iter"],
             inv_observed_information=(
                 None if inv_observed is None else np.asarray(inv_observed, dtype=np.float64)
             ),
-            warnings=list(doc.get("warnings", [])),
+            warnings=list(doc["warnings"]),
         )
         # unpack here, so a malformed free vector fails on loading
         for key, attr in _ESTIMATES:

@@ -230,8 +230,11 @@ class ParamMapping:
         1e-8: a duplicated item gives a C that is singular but can factor
         with a pivot of order 1e-16.  Otherwise every
         loading starts at 0.5 sd, every error variance at 0.5 var (sample
-        variances, divisor n - 1) and phi at I.
+        variances, divisor n - 1) and phi at I.  Data with fewer than 2
+        rows raise DataError.
         """
+        if len(Y) < 2:
+            raise DataError(f"data has {len(Y)} row: a fit needs at least 2")
         v = np.empty(self.q)
         if self.spec.mean_structure:
             v[self.nu_slice] = ybar
@@ -900,9 +903,14 @@ def simulate_data(params: ParamSet, n: int, rng, column_names=None) -> DataMatri
     Latent vectors are drawn first, then conditionally normal errors; this is
     exactly equivalent to sampling from N(nu, lambda phi lambda' + theta).
     """
+    return DataMatrix(_draw_rows(params, n, rng), column_names)
+
+
+def _draw_rows(params: ParamSet, n: int, rng) -> np.ndarray:
+    """The n x m rows of ``simulate_data``, without a DataMatrix's moments
+    and checks: the residual engine's model draws."""
     if n < 1:
         raise ConfigurationError("n must be positive")
     x = rng.standard_normal((n, params.d)) @ params.phi_cholesky().T
     eps = rng.standard_normal((n, params.m)) * np.sqrt(params.theta)
-    Y = params.nu + x @ params.lam.T + eps
-    return DataMatrix(Y, column_names)
+    return params.nu + x @ params.lam.T + eps

@@ -83,10 +83,10 @@ from .estimate import (
     _block_eigvalsh,
     _block_inverse,
     _check_conditioning,
+    _draw_rows,
     _expected_terms,
     _mean_loglik_grad,
     _row_scores,
-    simulate_data,
     score_rows,
 )
 from .model import (
@@ -854,7 +854,7 @@ def run_residual_batch(batteries, fit: FitResult, data: DataMatrix,
         if mc.M < 1000:
             raise ConfigurationError(f"M={mc.M} below the minimum of 1000")
         rng = np.random.default_rng(mc.seed)
-        draws = simulate_data(params, mc.M, rng).values
+        draws = _draw_rows(params, mc.M, rng)
         scores = score_rows(params, fit.mapping, draws)
     consts = _FitConstants(fit)
 

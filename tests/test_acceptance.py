@@ -9,8 +9,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.stats import kstest, ncx2
 
 import factorgof as fg
 from factorgof.estimate import ParamMapping
@@ -105,6 +103,7 @@ def test_criterion_1_numerical_oracles(two_factor_params, two_factor_spec,
         checks.append(abs(lhs - rhs) < 1e-12)
 
     # posterior normalization by quadrature (d = 1)
+    quad = pytest.importorskip("scipy.integrate").quad
     y = rng.normal(size=one_factor_params.m)
     total, _ = quad(
         lambda x: math.exp(fg.posterior_lv_density(np.array([x]), y, one_factor_params)),
@@ -222,6 +221,7 @@ def _predicted_study2_rate(problem, table, *, N, M, data_seed, mc_seed):
         problem, fit, data, fg.McConfig(M=M, seed=mc_seed)
     )
     noncentrality = report.summary.T * table.n / N
+    ncx2 = pytest.importorskip("scipy.stats").ncx2
     return noncentrality, float(ncx2.sf(CHI2_1_CRIT, 1, noncentrality))
 
 
@@ -387,6 +387,7 @@ def test_criterion_7_null_distributions(s2_correct):
     at_zero = int(np.where(np.abs(coords) < 1e-9)[0][0])
     z_sample = table.raw["linearity[1]"]["z"][:, at_zero]
     z_sample = z_sample[np.isfinite(z_sample)]
+    kstest = pytest.importorskip("scipy.stats").kstest
     ks = kstest(z_sample, "norm")
     ok_ks = ks.pvalue > 0.01
 

@@ -35,6 +35,39 @@ def workdir(tmp_path):
     return tmp_path, str(csv_path), str(model_path)
 
 
+def _small_design(tmp_path, d):
+    """A CSV and model document: for d = 1, 300 rows of six items (seed 1)
+    and a model with a mean structure; for d = 2, 400 rows of eight items
+    on two correlated factors with item means 0.3 (seed 2), and a model
+    without one, which fits S + ybar ybar'."""
+    rng = np.random.default_rng(d)
+    if d == 1:
+        f = rng.standard_normal((300, 1))
+        Y = 0.7 * f + 0.7 * rng.standard_normal((300, 6))
+        pattern, mean_structure = [[1]] * 6, True
+    else:
+        f = rng.standard_normal((400, 2)) @ np.array([[1.0, 0.0], [0.4, 0.9]]).T
+        lam = np.kron(np.eye(2), np.full((4, 1), 0.7))
+        Y = 0.3 + f @ lam.T + 0.7 * rng.standard_normal((400, 8))
+        pattern, mean_structure = [[1, 0]] * 4 + [[0, 1]] * 4, False
+    csv_path, model_path = tmp_path / f"data{d}.csv", tmp_path / f"model{d}.json"
+    np.savetxt(csv_path, Y, delimiter=",", comments="",
+               header=",".join(f"x{j + 1}" for j in range(Y.shape[1])))
+    model_path.write_text(json.dumps({"m": Y.shape[1], "d": d, "loading_pattern": pattern,
+                                      "mean_structure": mean_structure}))
+    return str(csv_path), str(model_path)
+
+
+def _assert_factorable_inverse(doc):
+    """The document's inverse observed information is a finite, exactly
+    symmetric q x q matrix that factors by Cholesky."""
+    inv = np.asarray(doc["inv_observed_information"], dtype=np.float64)
+    q = len(doc["free_vector"])
+    assert inv.shape == (q, q)
+    assert np.isfinite(inv).all() and np.array_equal(inv, inv.T)
+    np.linalg.cholesky(inv)
+
+
 def _ingest_error(tmp_path, text):
     """Write ``text`` verbatim and return ingest_csv's message without the path."""
     path = tmp_path / "bad.csv"
@@ -248,10 +281,51 @@ class TestFitCommand:
         assert doc["kind"] == "fit" and doc["converged"]
         assert len(doc["free_vector"]) == 30
         assert "inv_information" not in doc and "info_draws" not in doc
-        assert np.asarray(doc["inv_observed_information"]).shape == (30, 30)
+        _assert_factorable_inverse(doc)
         fit = load_fit_document(out)
         assert fit.converged
         np.testing.assert_allclose(fit.params.theta, np.exp(np.array(doc["free_vector"])[-10:]))
+
+    @pytest.mark.parametrize("d, max_iter", [(1, 3), (2, 4)])
+    def test_start_is_a_few_newton_steps_from_the_fit(self, tmp_path, d, max_iter):
+        # both fits start at the principal-axis estimate and end with a
+        # full Newton step; the two-factor fit has no mean structure
+        csv_path, model_path = _small_design(tmp_path, d)
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--data", csv_path, "--model", model_path, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["n_iter"] <= max_iter and doc["gradient_norm"] < 1e-10
+        _assert_factorable_inverse(doc)
+
+    def test_rotationally_unidentified_model_exits_1(self, tmp_path):
+        # every loading free on both factors: the fit steps with the
+        # Hessian's eigenvalues floored and must stop, unconverged, within
+        # 25 iterations; the command writes the document and exits 1
+        csv_path, _ = _small_design(tmp_path, 2)
+        model_path = tmp_path / "free.json"
+        model_path.write_text(json.dumps({"m": 8, "d": 2, "loading_pattern": [[1, 1]] * 8}))
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--data", csv_path, "--model", str(model_path),
+                     "--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert not doc["converged"] and doc["n_iter"] <= 25
+
+    def test_one_row_is_a_data_error(self, workdir, capsys):
+        # a one-row CSV has no sample variances to start the fit from: fit
+        # exits 1 with a DataError that names the row count, writes nothing
+        # and warns of nothing but the row count on the way
+        tmp, csv_path, model_path = workdir
+        path = tmp / "one.csv"
+        path.write_text("".join(open(csv_path).readlines()[:2]))
+        out = tmp / "fit.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["fit", "--data", str(path), "--model", model_path, "--out", str(out)])
+        assert [str(w.message) for w in caught] == ["n=1 <= m=10: too few rows for a stable fit"]
+        assert rc == 1
+        assert (capsys.readouterr().err
+                == "factorgof: error: data has 1 row: a fit needs at least 2\n")
+        assert not out.exists()
 
     def test_overflowing_variance_is_a_data_error(self, workdir, capsys):
         # one entry of 1e200 overflows its column's sample variance: fit
@@ -337,12 +411,22 @@ class TestFitDocument:
             load_fit_document(path)
 
     def test_malformed_value(self, workdir):
+        # each entry must have its JSON type: none is coerced, so "false"
+        # is not read as converged, nor a string as a list of warnings
         path = self._write_fit(workdir)
-        doc = json.loads(open(path).read())
-        doc["loglik"] = "abc"
-        open(path, "w").write(json.dumps(doc))
-        with pytest.raises(DataError, match="could not convert"):
-            load_fit_document(path)
+        good = json.loads(open(path).read())
+        for key, value, message in (
+                ("free_vector", ["abc"] * 30, "could not convert"),
+                ("loglik", "abc", "loglik must be a number, got 'abc'"),
+                ("gradient_norm", None, "gradient_norm must be a number, got None"),
+                ("converged", "false", "converged must be true or false, got 'false'"),
+                ("n_iter", 3.7, "n_iter must be an integer, got 3.7"),
+                ("n_iter", True, "n_iter must be an integer, got True"),
+                ("warnings", "gradient: bad", "warnings must be a list of strings"),
+                ("warnings", [1], "warnings must be a list of strings, got \\[1\\]")):
+            open(path, "w").write(json.dumps({**good, key: value}))
+            with pytest.raises(DataError, match=message):
+                load_fit_document(path)
 
     def test_wrong_length_free_vector(self, workdir, capsys):
         # the document's free vector is unpacked on loading, so a vector

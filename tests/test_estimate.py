@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize
 
 from factorgof import (
     ConfigurationError,
@@ -92,6 +91,17 @@ class TestDataMatrix:
         with pytest.warns(UserWarning, match="too few rows"):
             dm = DataMatrix(np.array([[1.0, 2.0]]))
         assert dm.n == 1
+
+    def test_one_row_cannot_be_fitted(self, one_factor_spec):
+        # one row has no sample variances to start a fit from: fit_ml and
+        # start_values raise a DataError that names the row count before
+        # any arithmetic on the moments
+        with pytest.warns(UserWarning, match="too few rows"):
+            data = DataMatrix(np.random.default_rng(0).normal(size=(1, 6)))
+        mapping = ParamMapping(one_factor_spec)
+        for start in (lambda: fit_ml(data, mapping), lambda: mapping.start_values(data)):
+            with pytest.raises(DataError, match="^data has 1 row: a fit needs at least 2$"):
+                start()
 
     def test_warns_when_n_not_above_m(self):
         with pytest.warns(UserWarning, match="too few rows"):
@@ -726,6 +736,7 @@ def _lbfgsb_reference(data, mapping):
     """L-BFGS-B maximizer of the mean log-likelihood, and whether it passes
     the fit's convergence rules: gradient, no Heywood case, and an observed
     information that is positive definite and inverts."""
+    minimize = pytest.importorskip("scipy.optimize").minimize
     ybar, S = _sufficient_statistics(data.values)
 
     def objective(v):

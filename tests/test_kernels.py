@@ -9,8 +9,6 @@ import threading
 
 import numpy as np
 import pytest
-from scipy.special import chdtrc, ndtr
-from scipy.stats import multivariate_normal
 
 from factorgof import (
     ConfigurationError,
@@ -36,6 +34,7 @@ def test_backend_reports_active_lane():
 
 
 def test_mvn_loglik_rows_against_scipy(rng):
+    multivariate_normal = pytest.importorskip("scipy.stats").multivariate_normal
     m = 5
     A = rng.normal(size=(m, m))
     cov = A @ A.T + m * np.eye(m)
@@ -91,6 +90,7 @@ _CHI2_X = np.concatenate([[0.0, 1e-300, 1e-100, 1e-20, 1e-8],
 
 
 def test_chi2_sf_against_scipy():
+    chdtrc = pytest.importorskip("scipy.special").chdtrc
     for df in list(range(1, 201)) + [1001]:
         ours = np.array([kernels.chi2_sf(df, x) for x in _CHI2_X])
         ref = chdtrc(df, _CHI2_X)
@@ -108,6 +108,7 @@ def test_chi2_sf_against_scipy():
 def test_chi2_sf_integer_types():
     # numpy integers count as integers
     assert kernels.chi2_sf(np.int64(169), 180.0) == kernels.chi2_sf(169, 180.0)
+    chdtrc = pytest.importorskip("scipy.special").chdtrc
     assert kernels.chi2_sf(169, 180.0) == pytest.approx(float(chdtrc(169, 180.0)), rel=1e-11)
 
 
@@ -118,6 +119,7 @@ def test_chi2_sf_rejects_bad_df(df):
 
 
 def test_normal_two_sided_p_against_scipy():
+    ndtr = pytest.importorskip("scipy.special").ndtr
     z = np.concatenate([np.linspace(-40.0, 40.0, 801), [0.0, 1e-300, -1e-12, 6.5]])
     ref = 2.0 * ndtr(-np.abs(z))
     p = kernels.normal_two_sided_p(z)
@@ -150,7 +152,10 @@ def _pool_counts():
 
 @pytest.fixture
 def set_caller_threads():
-    """Set every loaded OpenBLAS pool to n threads; restored after the test."""
+    """Set every loaded OpenBLAS pool to n threads; restored after the test.
+    The lookup is cached at its first call, and a scipy oracle above may
+    have loaded scipy's OpenBLAS since, so it is taken afresh."""
+    _openblas_pools.cache_clear()
     pools = _openblas_pools()
     saved = _pool_counts()
 

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from factorgof import (
     DegenerateCovarianceError,
@@ -84,6 +83,7 @@ class TestLvDensity:
         assert lv_density(x, two_factor_params) == pytest.approx(ref, abs=1e-12)
 
     def test_unit_normalization_by_quadrature(self, one_factor_params):
+        quad = pytest.importorskip("scipy.integrate").quad
         total, _ = quad(
             lambda x: math.exp(lv_density(np.array([x]), one_factor_params)), -10, 10
         )
@@ -134,6 +134,7 @@ class TestMarginalDensity:
         assert marginal_density(np.zeros(2), p) == pytest.approx(ref, abs=1e-12)
 
     def test_quadrature_oracle_random_draws(self, one_factor_params, rng):
+        quad = pytest.importorskip("scipy.integrate").quad
         p = one_factor_params
 
         def integrand(x, y):
@@ -175,6 +176,7 @@ class TestPosterior:
         assert math.exp(got) == pytest.approx(math.exp(ref), abs=1e-10)
 
     def test_normalizes_by_quadrature(self, one_factor_params, rng):
+        quad = pytest.importorskip("scipy.integrate").quad
         y = rng.normal(size=one_factor_params.m)
         total, _ = quad(
             lambda x: math.exp(posterior_lv_density(np.array([x]), y, one_factor_params)),

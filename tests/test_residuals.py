@@ -11,7 +11,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.stats import chi2 as chi2_dist
 
 from factorgof import (
     ConfigurationError,
@@ -38,9 +37,9 @@ from factorgof import (
     truncated_inverse,
     z_statistic,
 )
-from factorgof import batteries, residuals
+from factorgof import batteries, estimate, residuals
 from factorgof.estimate import FitResult, ParamMapping, score_rows
-from factorgof.model import lv_logpdf, posterior_log_weights
+from factorgof.model import conditional_mean_grid, lv_logpdf, posterior_log_weights
 from factorgof.residuals import run_residual_batch
 from factorgof.simstudy import Study1Config, Study2Config, model_spec_study1, replication
 
@@ -139,6 +138,7 @@ class TestChi2Statistic:
         assert T_hi == pytest.approx(3.85, rel=1e-10)
 
     def test_matches_chi2_sf(self, rng):
+        chi2_dist = pytest.importorskip("scipy.stats").chi2
         sigma = random_psd(rng, 6)
         e = rng.normal(size=6) * 0.01
         for s in (1, 2, 4):
@@ -614,6 +614,31 @@ class TestRunResidualTest:
         # an exact report records no draw budget or seed it never used
         assert "M" not in r1.config and "seed" not in r1.config
 
+    def test_custom_battery_draws_are_simulate_data_rows(self, monkeypatch):
+        # a custom ratio battery without a quadratic form takes its
+        # covariance from M = 2000 model draws: the rows simulate_data
+        # draws from the same seed, bit for bit, without their moments
+        rng = np.random.default_rng(1)
+        f = rng.standard_normal((300, 1))
+        data = DataMatrix(0.7 * f + 0.7 * rng.standard_normal((300, 6)))
+        fit = fit_ml(data, ModelSpec(m=6, d=1, loading_pattern=np.ones((6, 1), dtype=int)))
+        grid = make_grid([(-2.0, 2.0, 9)], summary_axes=[(-1.0, 1.0, 5)])
+        battery = RatioBattery(k=9, name="custom-y1", _evaluate=lambda Y, p: Y[:, :1],
+                               grid=grid,
+                               _eta=lambda p: conditional_mean_grid(grid.points, p)[:, 0])
+        mc = McConfig(M=2000)
+        rows = []
+        moments = estimate._sample_moments
+        monkeypatch.setattr(estimate, "_sample_moments",
+                            lambda Y: rows.append(len(Y)) or moments(Y))
+        report = run_residual_batch([battery], fit, data, mc)[0]
+        assert mc.M not in rows
+        assert report.acm.M == mc.M and report.config["covariance"] == "monte-carlo"
+        assert np.isfinite(report.se).all() and np.isfinite(report.summary.T)
+        monkeypatch.setattr(residuals, "_draw_rows",
+                            lambda p, n, rng: simulate_data(p, n, rng).values)
+        _assert_same_report(report, run_residual_batch([battery], fit, data, mc)[0])
+
     def test_shared_draws_batch_equals_single_runs(self, fitted_setup):
         # one batch over weighted batteries on three grids, two of them
         # distinct objects with equal points, and a custom battery; every
@@ -867,7 +892,7 @@ def _forbid_draws(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the batch drew or scored model draws")
 
-    monkeypatch.setattr(residuals, "simulate_data", forbidden)
+    monkeypatch.setattr(residuals, "_draw_rows", forbidden)
     return _counted_weight_passes(monkeypatch)
 
 
