@@ -23,6 +23,7 @@ from .errors import (
     DegenerateCovarianceError,
     FactorGofError,
     IdentificationError,
+    ItemIndexError,
     NotConvergedError,
     RankError,
     SpecificationError,

@@ -13,9 +13,7 @@ import numpy as np
 
 from .errors import NotConvergedError
 from .estimate import DataMatrix, FitResult
-from .kernels import chi2_sf, single_blas_thread
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
+from .kernels import _LOG_2PI, chi2_sf, single_blas_thread
 
 
 @dataclass

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ItemIndexError
 from .model import _check_item, conditional_mean_grid, lv_logpdf
 from .residuals import RatioBattery, TestReport, WeightedBattery
 
@@ -177,7 +177,7 @@ def default_grid(d: int) -> LvGrid:
 def _check_item_index(item: int) -> int:
     item = int(item)
     if item < 0:
-        raise IndexError(f"item index must be non-negative, got {item}")
+        raise ItemIndexError(f"item index must be non-negative, got {item}")
     return item
 
 

@@ -31,7 +31,13 @@ import numpy as np
 from . import __version__
 from .baseline import baseline_report
 from .batteries import _ITEM_PROBLEMS, default_grid, make_grid, make_problem
-from .errors import ConfigurationError, DataError, DegenerateCovarianceError, FactorGofError
+from .errors import (
+    ConfigurationError,
+    DataError,
+    DegenerateCovarianceError,
+    FactorGofError,
+    ItemIndexError,
+)
 from .estimate import DataMatrix, FitResult, ParamMapping, fit_ml
 from .kernels import single_blas_thread
 from .model import ModelSpec
@@ -404,7 +410,7 @@ def _item_index(args, m: int) -> int:
     if args.item is None:
         raise ConfigurationError(f"--item is required for battery {args.battery!r}")
     if not 1 <= args.item <= m:
-        raise IndexError(f"--item {args.item} out of range 1..{m}")
+        raise ItemIndexError(f"--item {args.item} out of range 1..{m}")
     return args.item - 1
 
 
@@ -655,7 +661,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(_merge_grid_flags(list(argv)))
     try:
         return args.func(args)
-    except (FactorGofError, IndexError, OSError) as exc:
+    except (FactorGofError, OSError) as exc:
         print(f"factorgof: error: {exc}", file=sys.stderr)
         return 1
 

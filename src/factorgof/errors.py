@@ -31,3 +31,7 @@ class RankError(FactorGofError):
 
 class ConfigurationError(FactorGofError):
     """Invalid run configuration (missing budget, bad option value)."""
+
+
+class ItemIndexError(FactorGofError, IndexError):
+    """An item index outside the model's items; also an ``IndexError``."""

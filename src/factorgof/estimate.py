@@ -52,9 +52,8 @@ from .errors import (
     IdentificationError,
     SpecificationError,
 )
+from .kernels import _LOG_2PI
 from .model import ModelSpec, ParamSet, marginal_logpdf
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(eq=False)
@@ -100,7 +99,7 @@ class DataMatrix:
         if vals.shape[0] <= vals.shape[1]:
             warnings.warn(
                 f"n={vals.shape[0]} <= m={vals.shape[1]}: too few rows for a stable fit",
-                stacklevel=2,
+                stacklevel=3,  # past __post_init__ and the generated __init__
             )
         self.values = np.ascontiguousarray(vals)
         self.ybar.flags.writeable = self.S.flags.writeable = False

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import DegenerateCovarianceError, SpecificationError
+from .errors import DegenerateCovarianceError, ItemIndexError, SpecificationError
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +169,7 @@ class ParamSet:
 def _check_item(item: int, params: ParamSet) -> int:
     item = int(item)
     if not 0 <= item < params.m:
-        raise IndexError(f"item {item} out of range for m={params.m}")
+        raise ItemIndexError(f"item {item} out of range for m={params.m}")
     return item
 
 

@@ -12,10 +12,11 @@ import pytest
 
 import factorgof as fg
 from factorgof.estimate import ParamMapping
-from factorgof.model import marginal_logpdf
+from factorgof.model import lv_logpdf, marginal_logpdf, posterior_log_weights
 from factorgof.simstudy import _STUDY1_PHI, model_spec_study2
 
-from conftest import baseline_means, drawn_ratio_moments, mixture_lv_logpdf, sample_moments
+from conftest import baseline_means
+from reference import contributions, engine_draw_moments, mixture_lv_logpdf, residual_moments
 
 pytestmark = pytest.mark.acceptance
 
@@ -140,22 +141,31 @@ def test_criterion_1_numerical_oracles(two_factor_params, two_factor_spec,
             c2 = abs(np.trace(W @ sigma) - s) < 1e-8
             checks.append(c1 and c2)
 
-    # a ratio battery's per-row contributions on the draw path vs the
-    # finite-difference derivative of N / D at the model means g = [D r, D],
-    # applied to rows of [f W, W]
-    g = rng.uniform(0.5, 2.0, 8)
-    f = rng.normal(size=(5, 4))
-    W = rng.uniform(0.1, 2.0, size=(5, 4))
+    # a ratio battery's per-row contributions W (f - r) / D, in the
+    # reference and on the engine's draw path, vs the finite-difference
+    # derivative of N / D at the model means g = [D r, D], applied to rows
+    # of [f W, W]
+    p = one_factor_params
+    battery = fg.mv_linearity_problem(fg.make_grid([(-1.5, 1.5, 4)]), 2)
+    points = battery.grid.points
+    y = rng.normal(size=(5, p.m))
+    f = battery.evaluate(y, p)
+    W = np.exp(posterior_log_weights(y, points, p))
+    D = np.exp(lv_logpdf(points, p))
+    g = np.concatenate([D * battery.eta_closed(p), D])
     fd = np.empty((4, 8))
     for i in range(8):
         gp, gm = g.copy(), g.copy()
         gp[i] += 1e-6
         gm[i] -= 1e-6
         fd[:, i] = (gp[:4] / gp[4:] - gm[:4] / gm[4:]) / 2e-6
-    scores = rng.normal(size=(5, 3))
-    drawn = drawn_ratio_moments(f, W, g[:4] / g[4:], g[4:], scores)
-    want = sample_moments(np.hstack([f * W, W]) @ fd.T, scores)
-    checks.append(all(np.allclose(a, b, rtol=1e-6, atol=1e-9) for a, b in zip(drawn, want)))
+    G = np.hstack([f * W, W]) @ fd.T
+    scores = fg.score_rows(p, one_factor_spec, y)
+    drawn = engine_draw_moments(battery, y, scores, p, W, D)[1:]
+    want = residual_moments(G, scores)
+    checks.append(np.allclose(contributions(battery, y, p), G, rtol=1e-6, atol=1e-9)
+                  and all(np.allclose(a, b, rtol=1e-6, atol=1e-9)
+                          for a, b in zip(drawn, (want.var, want.cov, want.A))))
 
     # pack/unpack round trip
     for spec in (one_factor_spec, two_factor_spec):

@@ -9,6 +9,8 @@ import pytest
 from factorgof import (
     ConfigurationError,
     DataMatrix,
+    FactorGofError,
+    ItemIndexError,
     LvGrid,
     McConfig,
     ModelSpec,
@@ -30,6 +32,8 @@ from factorgof import (
     study2_paramset,
 )
 from factorgof.model import conditional_mean_grid, lv_logpdf, posterior_log_weights
+
+from reference import sample_value
 
 
 class TestMakeGrid:
@@ -149,6 +153,17 @@ def test_item_beyond_fit_rejected(fitted, make):
         run_residual_test(make(default_grid(1), 8), fit, data, McConfig(M=1000, seed=0))
 
 
+def test_item_index_errors_are_typed(fitted):
+    # an item index outside the model, and a negative one, raise
+    # ItemIndexError: a FactorGofError that is also an IndexError
+    _, _, data, fit = fitted
+    with pytest.raises(ItemIndexError, match="item 8 out of range for m=8") as info:
+        run_residual_test(mv_linearity_problem(default_grid(1), 8), fit, data)
+    assert isinstance(info.value, FactorGofError) and isinstance(info.value, IndexError)
+    with pytest.raises(ItemIndexError, match="item index must be non-negative, got -1"):
+        mv_homoscedasticity_problem(default_grid(1), -1)
+
+
 class TestLvDensityBattery:
     def test_zero_loadings_collapse(self, rng):
         # with no loading signal the posterior equals the prior for any data
@@ -172,15 +187,13 @@ class TestLvDensityBattery:
 
 class TestLinearityBattery:
     def test_ratio_residual_identity(self, fitted):
-        # independent re-implementation of the weighted conditional-mean form
+        # the reference's weighted conditional mean, mean(y_j W) / mean(W)
         spec, truth, data, fit = fitted
         grid = default_grid(1)
         item = 3
-        report = run_residual_test(
-            mv_linearity_problem(grid, item), fit, data, McConfig(M=1000, seed=1)
-        )
-        W = np.exp(posterior_log_weights(data.values, grid.points, fit.params))
-        kernel_mean = (data.values[:, item : item + 1] * W).sum(0) / W.sum(0)
+        battery = mv_linearity_problem(grid, item)
+        report = run_residual_test(battery, fit, data, McConfig(M=1000, seed=1))
+        kernel_mean = sample_value(battery, data.values, fit.params)
         line = fit.params.nu[item] + grid.points[:, 0] * fit.params.lam[item, 0]
         np.testing.assert_allclose(
             [pt.residual for pt in report.points], kernel_mean - line, atol=1e-12

@@ -541,6 +541,26 @@ class TestTestCommand:
         assert rc != 0
         assert "out of range" in capsys.readouterr().err
 
+    def test_item_out_of_range_exits_1(self, workdir, capsys):
+        tmp, csv_path, model_path = workdir
+        rc = main(["test", "linearity", "--data", csv_path, "--model", model_path,
+                   "--item", "99", "--out", str(tmp / "x.tsv")])
+        assert rc == 1
+        assert capsys.readouterr().err == "factorgof: error: --item 99 out of range 1..10\n"
+
+    def test_bare_index_error_propagates(self, workdir, monkeypatch):
+        # main reports only the package's errors and OSError: an IndexError
+        # from a fault inside a command is not read as a user error
+        tmp, csv_path, model_path = workdir
+
+        def faulty(*args, **kwargs):
+            raise IndexError("index 3 is out of bounds")
+
+        monkeypatch.setattr(cli, "run_residual_test", faulty)
+        with pytest.raises(IndexError, match="index 3 is out of bounds"):
+            main(["test", "linearity", "--data", csv_path, "--model", model_path,
+                  "--item", "2", "--out", str(tmp / "x.tsv")])
+
     def test_missing_item_rejected(self, workdir):
         tmp, csv_path, model_path = workdir
         rc = main(["test", "variance", "--data", csv_path, "--model", model_path,

@@ -52,10 +52,11 @@ from factorgof.simstudy import (
     replication,
 )
 
-from conftest import (
+from conftest import random_admissible_free_vector
+from reference import (
     dense_hessian,
+    exact_information,
     invert_information,
-    random_admissible_free_vector,
     reference_score_rows,
 )
 
@@ -106,6 +107,12 @@ class TestDataMatrix:
     def test_warns_when_n_not_above_m(self):
         with pytest.warns(UserWarning, match="too few rows"):
             DataMatrix(np.random.default_rng(0).normal(size=(3, 3)))
+
+    def test_too_few_rows_warning_points_at_the_caller(self):
+        # not at the dataclass-generated __init__, which reads <string>
+        with pytest.warns(UserWarning, match="too few rows") as record:
+            DataMatrix(np.random.default_rng(0).normal(size=(3, 3)))
+        assert [w.filename for w in record] == [__file__]
 
     def test_moments_are_formed_once_with_the_sample_moments_bits(self, one_factor_spec,
                                                                   monkeypatch):
@@ -161,7 +168,7 @@ class TestPacking:
             mapping.unpack(v)
         Y = rng.normal(size=(50, 3 * d))
         with pytest.raises(DegenerateCovarianceError, match="phi is not positive definite"):
-            _moment_terms(v, mapping, *_sufficient_statistics(Y))
+            _moment_terms(v, mapping, *estimate._sample_moments(Y))
 
     def test_masked_entries_stay_zero(self, two_factor_spec, rng):
         mapping = ParamMapping(two_factor_spec)
@@ -308,7 +315,7 @@ class TestFit:
         # minus the dense Hessian agrees to rounding
         data = simulate_data(two_factor_params, 800, np.random.default_rng(8))
         fit = fit_ml(data, two_factor_spec)
-        ybar, S = _sufficient_statistics(data.values)
+        ybar, S = data.ybar, data.S
         nu, c = fit.mapping.nu_slice, fit.mapping.cov_slice
         L = _moment_terms(fit.free_vector, fit.mapping, ybar, S).L
         hess = _covariance_block(fit.free_vector, fit.mapping, ybar, S)
@@ -381,7 +388,7 @@ class TestFit:
         assert fit.inv_observed_information is None
         assert fit.n_iter <= 25
         hess = _covariance_block(fit.free_vector, fit.mapping,
-                                 *_sufficient_statistics(data.values))
+                                 data.ybar, data.S)
         eigs = np.linalg.eigvalsh(-hess)
         assert eigs[0] >= -1e-6 * np.abs(eigs).max()
 
@@ -477,7 +484,7 @@ class TestFit:
         data = simulate_data(params, 200, rng)
         fit = fit_ml(data, ModelSpec(m=3, d=1, loading_pattern=np.ones((3, 1), dtype=int)))
         theta = fit.params.theta
-        ratio = theta / _sufficient_statistics(data.values)[1].diagonal()
+        ratio = theta / data.S.diagonal()
         j = int(np.argmin(ratio))
         assert theta[j] > estimate._THETA_FLOOR * (1.0 + 1e-8)
         assert ratio[j] < 1e-6
@@ -678,9 +685,10 @@ class TestInformation:
         spec = ModelSpec(m=4, d=1, loading_pattern=np.ones((4, 1), dtype=int))
         params = ParamSet(nu=np.zeros(4), lam=np.zeros((4, 1)), phi=np.eye(1),
                           theta=np.ones(4))
-        with pytest.raises(IdentificationError):
-            _check_conditioning(np.linalg.eigvalsh(_expected_information(params, spec)))
         mapping = ParamMapping(spec)
+        info = exact_information(mapping.pack(params), mapping, params)
+        with pytest.raises(IdentificationError):
+            _check_conditioning(np.linalg.eigvalsh(info))
         fit = FitResult(mapping=mapping, free_vector=mapping.pack(params), loglik=0.0,
                         converged=True, gradient_norm=0.0, n_iter=0)
         with pytest.raises(IdentificationError):
@@ -737,7 +745,7 @@ def _lbfgsb_reference(data, mapping):
     the fit's convergence rules: gradient, no Heywood case, and an observed
     information that is positive definite and inverts."""
     minimize = pytest.importorskip("scipy.optimize").minimize
-    ybar, S = _sufficient_statistics(data.values)
+    ybar, S = data.ybar, data.S
 
     def objective(v):
         with np.errstate(over="ignore"):
@@ -774,7 +782,7 @@ def test_line_search_rejects_a_step_that_does_not_move(one_factor_params, one_fa
     # not rise: no trial is accepted, so the iteration ends there
     data = simulate_data(one_factor_params, 200, np.random.default_rng(3))
     mapping = ParamMapping(one_factor_spec)
-    ybar, S = _sufficient_statistics(data.values)
+    ybar, S = data.ybar, data.S
     v = mapping.start_values(data)
     t = _moment_terms(v, mapping, ybar, S)
     g = _mean_loglik_grad(mapping, t, _slopes(mapping, t))[mapping.cov_slice]
@@ -860,24 +868,10 @@ def _fd_hessian(v, mapping, ybar, S, step=1e-5):
     return 0.5 * (H + H.T)
 
 
-def _sufficient_statistics(Y):
-    ybar = Y.mean(axis=0)
-    resid = Y - ybar
-    return ybar, resid.T @ resid / len(Y)
-
-
 def _covariance_block(v, mapping, ybar, S):
     """The covariance block of the mean log-likelihood's Hessian at v."""
     t = _moment_terms(v, mapping, ybar, S)
     return _covariance_hessian(mapping, t, _slopes(mapping, t))
-
-
-def _expected_information(params, spec):
-    """The exact information at ``params``: minus the dense Hessian at
-    ybar = nu and S = Sigma."""
-    mapping = ParamMapping(spec)
-    return -dense_hessian(mapping.pack(params), mapping, params.nu,
-                          params.implied_covariance())
 
 
 def _hessian_case_spec(case):
@@ -903,7 +897,7 @@ def test_hessian_matches_finite_differences(case, rng):
     for _ in range(3):
         # random points away from the optimum: nu differs from the sample mean
         v = random_admissible_free_vector(mapping, rng)
-        ybar, S = _sufficient_statistics(rng.normal(0.3, 1.2, size=(60, spec.m)))
+        ybar, S = estimate._sample_moments(rng.normal(0.3, 1.2, size=(60, spec.m)))
         H = _covariance_block(v, mapping, ybar, S)
         fd = _fd_hessian(v, mapping, ybar, S)[mapping.cov_slice, mapping.cov_slice]
         assert np.abs(H - fd).max() <= 1e-7 * np.abs(fd).max()
@@ -921,7 +915,7 @@ def test_hessian_matches_dense_reference(case, rng):
     c = mapping.cov_slice
     for _ in range(3):
         v = random_admissible_free_vector(mapping, rng)
-        ybar, S = _sufficient_statistics(rng.normal(0.3, 1.2, size=(60, spec.m)))
+        ybar, S = estimate._sample_moments(rng.normal(0.3, 1.2, size=(60, spec.m)))
         H = _covariance_block(v, mapping, ybar, S)
         ref = dense_hessian(v, mapping, ybar, S)
         if spec.mean_structure:
@@ -941,7 +935,7 @@ def test_expected_information_is_minus_the_dense_hessian(case, rng):
     for _ in range(3):
         params = mapping.unpack(random_admissible_free_vector(mapping, rng))
         t, _, hess = _expected_terms(mapping.pack(params), mapping, params)
-        ref = _expected_information(params, spec)
+        ref = exact_information(mapping.pack(params), mapping, params)
         assert not ref[nu, c].any()
         scale = np.abs(ref).max()
         assert np.abs(-hess - ref[c, c]).max() <= 1e-12 * scale
@@ -960,7 +954,7 @@ def test_intercepts_are_the_sample_mean(design):
     for rep in range(2):
         data, fit = replication(design(n=300, misspecified=bool(rep)), 17, rep)
         assert fit.converged
-        ybar, S = _sufficient_statistics(data.values)
+        ybar, S = data.ybar, data.S
         assert fit.params.nu.tobytes() == data.values.mean(axis=0).tobytes()
         H = dense_hessian(fit.free_vector, fit.mapping, ybar, S)
         c = fit.mapping.cov_slice
@@ -1002,7 +996,7 @@ def test_hessian_at_fit_matches_finite_differences(two_factor_params, two_factor
     data = simulate_data(two_factor_params, 2000, np.random.default_rng(4))
     fit = fit_ml(data, two_factor_spec)
     assert fit.converged
-    ybar, S = _sufficient_statistics(data.values)
+    ybar, S = data.ybar, data.S
     c = fit.mapping.cov_slice
     H = _covariance_block(fit.free_vector, fit.mapping, ybar, S)
     fd = _fd_hessian(fit.free_vector, fit.mapping, ybar, S)
@@ -1022,7 +1016,7 @@ def test_factor_sign_flip_conjugates_hessian(seed, d, factor):
     mapping = ParamMapping(spec)
     rng = np.random.default_rng(seed)
     v = random_admissible_free_vector(mapping, rng)
-    ybar, S = _sufficient_statistics(rng.normal(0.3, 1.2, size=(40, spec.m)))
+    ybar, S = estimate._sample_moments(rng.normal(0.3, 1.2, size=(40, spec.m)))
     sign = np.ones(mapping.q)
     sign[mapping.lam_slice] = np.where(mapping.lam_cols == factor, -1.0, 1.0)
     sign[mapping.phi_slice] = -1.0

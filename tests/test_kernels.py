@@ -26,7 +26,8 @@ from factorgof import (
     simulate_data,
     study2_paramset,
 )
-from factorgof import residuals
+
+from reference import engine_draw_moments
 
 
 def test_backend_reports_active_lane():
@@ -45,17 +46,15 @@ def test_mvn_loglik_rows_against_scipy(rng):
     np.testing.assert_allclose(kernels.mvn_loglik_rows(Y, nu, L), ref, rtol=1e-10)
 
 
-def _column_moments(G, scores, cols):
-    """_draw_moments of a custom battery whose rows' contributions are G."""
-    battery = SummaryBattery(k=G.shape[1], name="columns", _evaluate=lambda Y, p: G)
-    return residuals._draw_moments(battery, None, np.zeros((len(G), 1)), None, None,
-                                   scores, cols)
+def _rows_battery(k):
+    """A custom mean battery whose values are its k-column rows themselves."""
+    return SummaryBattery(k=k, name="rows", _evaluate=lambda Y, p: Y)
 
 
 def test_crossprod_mean_matches_blas(rng):
     X = rng.normal(size=(2500, 7))
     W = rng.normal(size=(2500, 3))
-    eta, _, _, A = _column_moments(X, W, np.empty(0, dtype=np.intp))
+    eta, _, _, A = engine_draw_moments(_rows_battery(7), X, W, cols=np.empty(0, dtype=np.intp))
     np.testing.assert_allclose(eta, X.mean(axis=0), rtol=1e-15)
     np.testing.assert_allclose(A, X.T @ W / 2500, rtol=1e-12, atol=1e-14)
 
@@ -65,13 +64,14 @@ def test_centred_sums_match_covariance(rng):
     # would lose digits; Cov(G) on a reordered subset of the columns
     X = rng.normal(size=(2600, 6)) + 40.0
     cols = np.array([4, 1, 3])
-    _, var, cov, _ = _column_moments(X, rng.normal(size=(2600, 2)), cols)
+    _, var, cov, _ = engine_draw_moments(_rows_battery(6), X, rng.normal(size=(2600, 2)),
+                                         cols=cols)
     ref = np.cov(X.T, ddof=1)
     np.testing.assert_allclose(var, np.diag(ref), rtol=1e-12)
     np.testing.assert_allclose(cov, ref[np.ix_(cols, cols)], rtol=1e-10,
                                atol=1e-9 / (X.shape[0] - 1))
-    _, var0, cov0, _ = _column_moments(X, rng.normal(size=(2600, 2)),
-                                       np.empty(0, dtype=np.intp))
+    _, var0, cov0, _ = engine_draw_moments(_rows_battery(6), X, rng.normal(size=(2600, 2)),
+                                           cols=np.empty(0, dtype=np.intp))
     assert np.array_equal(var0, var) and cov0.shape == (0, 0)
 
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.hermite_e import hermegauss
 
 from factorgof import (
     ConfigurationError,
@@ -37,15 +36,23 @@ from factorgof import (
     truncated_inverse,
     z_statistic,
 )
-from factorgof import batteries, estimate, residuals
+from factorgof import batteries, estimate, kernels, residuals
 from factorgof.estimate import FitResult, ParamMapping, score_rows
 from factorgof.model import conditional_mean_grid, lv_logpdf, posterior_log_weights
 from factorgof.residuals import run_residual_batch
 from factorgof.simstudy import Study1Config, Study2Config, model_spec_study1, replication
 
-from conftest import (assemble_acm, dense_item_score_moments, drawn_ratio_moments,
-                      reference_penalty,
-                      exact_information, invert_information, sample_moments)
+from reference import (
+    contributions,
+    dense_item_score_moments,
+    engine_draw_moments,
+    exact_information,
+    gauss_hermite,
+    invert_information,
+    reference_penalty,
+    residual_moments,
+    sample_value,
+)
 
 
 def random_psd(rng, k, rank=None):
@@ -152,20 +159,11 @@ class TestChi2Statistic:
             chi2_statistic(rng.normal(size=4), sigma, n=100, s=3)
 
 
-def _ratio_jacobian(g):
-    """Jacobian of the ratio map g -> g[:Q] / g[Q:] of a 2Q-vector."""
-    Q = len(g) // 2
-    idx = np.arange(Q)
-    J = np.zeros((Q, 2 * Q))
-    J[idx, idx] = 1.0 / g[Q:]
-    J[idx, Q + idx] = -g[:Q] / g[Q:] ** 2
-    return J
-
-
 class TestTransformations:
     """The ratio map (N, D) -> N / D behind ratio batteries, as the engine's
     draw path applies it to each row: the delta-method projection of the
-    row's [f W, W] at the model means [D r, D]."""
+    row's [f W, W] at the model means [D r, D].  Criterion 1 checks that
+    projection against finite differences."""
 
     def test_ratio_values_and_structure(self, rng):
         # Q = 2: each output column combines only its own numerator and
@@ -175,29 +173,13 @@ class TestTransformations:
         r = np.array([2.0, 1.0])
         D = np.array([4.0, 0.5])
         G = np.array([[0.5 * -1 / 4, 2.0 * 0 / 0.5], [1.0 * 1 / 4, 4.0 * 2 / 0.5]])
+        battery = RatioBattery(k=2, name="custom-ratio", _evaluate=lambda Y, p: f,
+                               _eta=lambda p: r, grid=make_grid([(-1.0, 1.0, 2)]))
         scores = rng.normal(size=(2, 3))
-        for got, want in zip(drawn_ratio_moments(f, W, r, D, scores), sample_moments(G, scores)):
+        drawn = engine_draw_moments(battery, np.zeros((2, 1)), scores, W=W, dens=D)[1:]
+        ref = residual_moments(G, scores)
+        for got, want in zip(drawn, (ref.var, ref.cov, ref.A)):
             np.testing.assert_allclose(got, want, rtol=1e-15)
-
-    @pytest.mark.parametrize("Q", [1, 3, 8])
-    def test_ratio_jacobian_matches_finite_differences(self, Q, rng):
-        f = rng.normal(size=(6, Q))
-        W = rng.uniform(0.1, 2.0, size=(6, Q))
-        r = rng.normal(size=Q)
-        D = rng.uniform(0.5, 2.0, Q)
-        g = np.concatenate([D * r, D])
-        fd = np.empty((Q, 2 * Q))
-        for i in range(2 * Q):
-            h = 1e-6 * max(1.0, abs(g[i]))
-            gp, gm = g.copy(), g.copy()
-            gp[i] += h
-            gm[i] -= h
-            fd[:, i] = (gp[:Q] / gp[Q:] - gm[:Q] / gm[Q:]) / (2 * h)
-        np.testing.assert_allclose(_ratio_jacobian(g), fd, rtol=1e-6, atol=1e-9)
-        G = np.hstack([f * W, W]) @ fd.T
-        scores = rng.normal(size=(6, 3))
-        for got, want in zip(drawn_ratio_moments(f, W, r, D, scores), sample_moments(G, scores)):
-            np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
 
 
 class TestBatteryBasics:
@@ -286,89 +268,51 @@ def zero_loading_setup():
     params = ParamSet(nu=np.zeros(4), lam=np.zeros((4, 1)), phi=np.eye(1),
                       theta=np.ones(4))
     draws = simulate_data(params, 20_000, np.random.default_rng(77)).values
-    return spec, params, draws
-
-
-def _mc_moments(battery, params, spec, draws):
-    """A = mean of H s' and sigma_H = Cov(H) over the draws, by the
-    engine's draw path for a mean battery."""
-    scores = score_rows(params, spec, draws)
-    _, _, cov, A = residuals._draw_moments(battery, params, draws, None, None, scores,
-                                           np.arange(battery.k))
-    return A, cov
+    return spec, params, draws, score_rows(params, spec, draws)
 
 
 class TestMcMoments:
+    """A = mean of G s' and Cov(G) over the draws, by the engine's draw path
+    for a mean battery."""
+
     def test_estimate_A_zero_for_constant_battery(self, zero_loading_setup):
-        spec, params, draws = zero_loading_setup
+        spec, params, draws, scores = zero_loading_setup
         battery = SummaryBattery(k=1, name="const",
                                  _evaluate=lambda Y, p: np.ones((len(Y), 1)))
-        A, _ = _mc_moments(battery, params, spec, draws)
-        scores = score_rows(params, spec, draws)
+        A = engine_draw_moments(battery, draws, scores, params)[3]
         mc_se = scores.std(axis=0, ddof=1) / np.sqrt(len(draws))
         assert (np.abs(A[0]) < 4 * mc_se + 1e-12).all()
 
     def test_estimate_A_score_battery_recovers_information(self, zero_loading_setup):
-        spec, params, draws = zero_loading_setup
+        spec, params, draws, scores = zero_loading_setup
         mapping = ParamMapping(spec)
         battery = SummaryBattery(
             k=4, name="nu-scores",
             _evaluate=lambda Y, p: score_rows(p, spec, Y)[:, mapping.nu_slice],
         )
-        A, _ = _mc_moments(battery, params, spec, draws)
+        A = engine_draw_moments(battery, draws, scores, params)[3]
         # intercept block of the information is the identity here
         assert np.abs(A[:, mapping.nu_slice] - np.eye(4)).max() < 0.05
 
     def test_sigma_H_constant_battery_is_zero(self, zero_loading_setup):
-        spec, params, draws = zero_loading_setup
+        spec, params, draws, scores = zero_loading_setup
         battery = SummaryBattery(k=2, name="const2",
                                  _evaluate=lambda Y, p: np.ones((len(Y), 2)))
-        _, sigma_H = _mc_moments(battery, params, spec, draws)
+        sigma_H = engine_draw_moments(battery, draws, scores, params)[2]
         np.testing.assert_allclose(sigma_H, 0.0, atol=1e-20)
 
     def test_sigma_H_unit_variance(self, zero_loading_setup):
-        spec, params, draws = zero_loading_setup
+        spec, params, draws, scores = zero_loading_setup
         battery = SummaryBattery(k=1, name="y1", _evaluate=lambda Y, p: Y[:, :1])
-        got = _mc_moments(battery, params, spec, draws)[1][0, 0]
+        got = engine_draw_moments(battery, draws, scores, params)[2][0, 0]
         assert abs(got - 1.0) < 4 / np.sqrt(len(draws)) * np.sqrt(2)
 
     def test_symmetry_exact(self, zero_loading_setup, rng):
-        spec, params, draws = zero_loading_setup
+        spec, params, draws, scores = zero_loading_setup
         battery = SummaryBattery(k=3, name="mix",
                                  _evaluate=lambda Y, p: Y[:, :3] ** 2)
-        _, S = _mc_moments(battery, params, spec, draws)
+        S = engine_draw_moments(battery, draws, scores, params)[2]
         assert np.array_equal(S, S.T)
-
-
-class TestAssembleAcm:
-    def test_zero_A_reduces_to_projected_sigma_H(self, rng):
-        sigma_H = random_psd(rng, 4)
-        J = rng.normal(size=(2, 4))
-        acm = assemble_acm(J, np.zeros((4, 3)), np.eye(3), sigma_H)
-        np.testing.assert_allclose(acm.sigma_phi_hat, J @ sigma_H @ J.T, atol=1e-12)
-
-    def test_scalar_case(self):
-        acm = assemble_acm(np.eye(1), np.array([[2.0]]), np.array([[0.5]]),
-                           np.array([[3.0]]))
-        assert acm.sigma_phi_hat[0, 0] == pytest.approx(3.0 - 2.0 * 0.5 * 2.0)
-
-    def test_flags_tiny_diagonal(self):
-        sigma_H = np.diag([1.0, 0.0])
-        acm = assemble_acm(np.eye(2), np.zeros((2, 1)), np.eye(1), sigma_H)
-        assert acm.unstable.tolist() == [False, True]
-
-    def test_shape_mismatch(self, rng):
-        with pytest.raises(ConfigurationError):
-            assemble_acm(np.eye(3), np.zeros((4, 2)), np.eye(2), np.eye(4))
-
-    def test_symmetrized(self, rng):
-        sigma_H = random_psd(rng, 3)
-        A = rng.normal(size=(3, 2))
-        inv_info = random_psd(rng, 2) + np.eye(2)
-        J = rng.normal(size=(3, 3))
-        acm = assemble_acm(J, A, inv_info, sigma_H)
-        assert np.array_equal(acm.sigma_phi_hat, acm.sigma_phi_hat.T)
-        assert acm.sym_delta < 1e-12
 
 
 def _drawn(battery):
@@ -406,49 +350,24 @@ def _engine_cases():
     }
 
 
-def _dense_battery(battery, Y, params):
-    """A battery's values as a plain mean battery on the rows Y, with the
-    Jacobian that maps their means onto the reported scale: the values and
-    the identity, or for a ratio battery [f W, W] and the ratio Jacobian at
-    the model means [D r, D].  Also returns those model means (None without
-    a closed form)."""
-    H = battery.evaluate(Y, params)
-    g = battery.eta_closed(params)
-    if not isinstance(battery, RatioBattery):
-        return np.asarray(H), np.eye(battery.k), g
-    W = np.exp(posterior_log_weights(Y, battery.grid.points, params))
-    dens = np.exp(lv_logpdf(battery.grid.points, params))
-    g = np.concatenate([dens * g, dens])
-    return np.hstack([H * W, W]), _ratio_jacobian(g), g
-
-
-def _reported(battery, g):
-    """Means of ``_dense_battery``'s values mapped onto the reported scale."""
-    return g[:battery.k] / g[battery.k:] if isinstance(battery, RatioBattery) else g
-
-
 def _check_engine_against_dense(case, battery, fit, data):
     """The engine's z, se, unstable flags, T and ACM entries against the
-    dense assembly on the same draws, with the exact information, and
-    ``chi2_statistic``."""
+    reference's full residual covariance on the same draws, with the exact
+    information, and ``chi2_statistic``."""
     mc = McConfig(M=2000, seed=99, s=2)
     report = run_residual_test(battery, fit, data, mc)
 
-    draws = simulate_data(fit.params, mc.M, np.random.default_rng(mc.seed)).values
-    H, jac, g = _dense_battery(battery, draws, fit.params)
-    scores = score_rows(fit.params, fit.mapping, draws)
-    A = (H.T @ scores) / mc.M
-    sigma_H = np.cov(H.T, ddof=1)
-    inv_info = invert_information(exact_information(fit.free_vector, fit.mapping, fit.params))
-    if g is None:
-        g = H.mean(axis=0)
-    dense = assemble_acm(jac, A, inv_info, sigma_H)
-    H_data = _dense_battery(battery, data.values, fit.params)[0]
-    e = _reported(battery, H_data.mean(axis=0)) - _reported(battery, g)
-    var = np.diag(dense.sigma_phi_hat)
+    p = fit.params
+    draws = simulate_data(p, mc.M, np.random.default_rng(mc.seed)).values
+    inv_info = invert_information(exact_information(fit.free_vector, fit.mapping, p))
+    ref = residual_moments(contributions(battery, draws, p),
+                           score_rows(p, fit.mapping, draws), inv_info)
+    eta = battery.eta_closed(p)
+    e = sample_value(battery, data.values, p) - (ref.mean if eta is None else eta)
+    var = np.diag(ref.sigma_phi)
 
     unstable = np.array([pt.unstable for pt in report.points])
-    np.testing.assert_array_equal(unstable, dense.unstable, err_msg=case)
+    np.testing.assert_array_equal(unstable, var <= 1e-12, err_msg=case)
     ok = ~unstable
     se_engine = np.array([pt.se for pt in report.points])
     z_engine = np.array([pt.z for pt in report.points])
@@ -464,7 +383,7 @@ def _check_engine_against_dense(case, battery, fit, data):
     keep = subset[ok[subset]]
     assert report.summary.n_points == len(keep)
     assert report.summary.n_dropped == len(subset) - len(keep)
-    block = dense.sigma_phi_hat[np.ix_(keep, keep)]
+    block = ref.sigma_phi[np.ix_(keep, keep)]
     T_manual, _ = chi2_statistic(e[keep], block, data.n, mc.s)
     assert report.summary.T == pytest.approx(T_manual, rel=1e-12), case
 
@@ -596,8 +515,9 @@ class TestRunResidualTest:
 
     def test_identity_pipeline_matches_manual_assembly(self, fitted_setup):
         # the engine forms only sigma_phi's diagonal and kept summary block
-        # from the projected draws; the dense assembly on the same draws is
-        # the reference, with the penalty from the dense exact information
+        # from the projected draws; the reference's full covariance on the
+        # same draws, with the penalty from the dense exact information, is
+        # what they are checked against
         spec, params, data, fit = fitted_setup
         for case, battery in _engine_cases().items():
             _check_engine_against_dense(case, battery, fit, data)
@@ -780,16 +700,6 @@ class TestRunResidualTest:
                                McConfig(M=1000, seed=3))
 
 
-def _gauss_hermite(m, n):
-    """Product Gauss-Hermite rule for the standard normal in m dimensions:
-    nodes (n**m, m) and weights summing to one."""
-    x, w = hermegauss(n)
-    nodes = np.stack(np.meshgrid(*[x] * m, indexing="ij"), axis=-1).reshape(-1, m)
-    weights = np.stack(np.meshgrid(*[w / np.sqrt(2 * np.pi)] * m, indexing="ij"),
-                       axis=-1).reshape(-1, m)
-    return nodes, np.prod(weights, axis=1)
-
-
 def _small_model(d):
     """Parameters, mapping and a grid of a few latent points, whose summary
     points are all its points, of a model small enough for product
@@ -822,25 +732,13 @@ def _mirror_fit(fit, factor):
     return dataclasses.replace(fit, free_vector=sign * fit.free_vector)
 
 
-def _contributions(battery, Y, params):
-    """Each row's contribution G to a weighted battery's residual
-    covariance: a mean battery's values, or W (f - r) / D for a ratio
-    battery, from the posterior weights W."""
-    if not isinstance(battery, RatioBattery):
-        return battery.evaluate(Y, params)
-    points = battery.grid.points
-    W = np.exp(posterior_log_weights(Y, points, params))
-    dens = np.exp(lv_logpdf(points, params))
-    return W * (battery.evaluate(Y, params) - battery.eta_closed(params)) / dens
-
-
 def _exact_against_dense_mc(battery, fit, data):
-    """The engine's exact entries against the dense assembly on 2e4 and
-    3.2e5 draws: each error within 4 Monte Carlo standard errors at both
-    budgets.  Returns the report's summary index and, per budget, the
-    absolute errors of the diagonal and of the summary block.  The
-    reference takes the information from the draws' own scores, so its
-    penalty is the in-sample regression of G on the scores."""
+    """The engine's exact entries against the reference's residual
+    covariance on 2e4 and 3.2e5 draws: each error within 4 Monte Carlo
+    standard errors at both budgets.  Returns the report's summary index
+    and, per budget, the absolute errors of the diagonal and of the summary
+    block.  The reference takes the information from the draws' own scores,
+    so its penalty is the in-sample regression of G on the scores."""
     report = run_residual_test(battery, fit, data, McConfig(M=1000, seed=1))
     assert report.acm.M == 0
     keep = report.acm.summary_index
@@ -849,21 +747,19 @@ def _exact_against_dense_mc(battery, fit, data):
     errors = []
     for M, seed in ((20_000, 3), (320_000, 4)):
         draws = simulate_data(p, M, np.random.default_rng(seed)).values
-        H = _contributions(battery, draws, p)
+        G = contributions(battery, draws, p)
         scores = score_rows(p, fit.mapping, draws)
-        A = H.T @ scores / M
         info = scores.T @ scores / M
         inv_info = invert_information(0.5 * (info + info.T))
-        dense = assemble_acm(np.eye(battery.k), A, inv_info, np.cov(H.T, ddof=1))
+        ref = residual_moments(G, scores, inv_info)
         # each entry's estimator is the mean of products of the rows'
         # residualized contributions, so their spread gives its MC se
-        R = H - H.mean(axis=0) - scores @ (inv_info @ A.T)
+        R = G - ref.mean - scores @ (inv_info @ ref.A.T)
         se_diag = (R**2).std(axis=0, ddof=1) / np.sqrt(M)
         Rk = R[:, keep]
         se_block = (Rk[:, :, None] * Rk[:, None, :]).std(axis=0, ddof=1) / np.sqrt(M)
-        err_diag = np.abs(np.diag(dense.sigma_phi_hat) - report.acm.diag)
-        err_block = np.abs(dense.sigma_phi_hat[np.ix_(keep, keep)]
-                           - report.acm.summary_block)
+        err_diag = np.abs(np.diag(ref.sigma_phi) - report.acm.diag)
+        err_block = np.abs(ref.sigma_phi[np.ix_(keep, keep)] - report.acm.summary_block)
         assert (err_diag <= 4 * se_diag).all(), M
         assert (err_block <= 4 * se_block).all(), M
         errors.append((err_diag, err_block))
@@ -990,7 +886,7 @@ class TestExactLvDensity:
         # and s the score, by product Gauss-Hermite quadrature over y
         params, mapping, grid = _small_model(d)
         points = grid.points
-        U, wt = _gauss_hermite(params.m, nodes)
+        U, wt = gauss_hermite(params.m, nodes)
         Z = U @ params.sigma_cholesky().T
         W = np.exp(posterior_log_weights(params.nu + Z, points, params))
         Ww = W * wt[:, None]
@@ -1140,27 +1036,20 @@ class TestExactItemMoments:
         # largest entry.  E[G] is eta for linearity-direct, a mean battery,
         # and 0 for the ratio batteries, whose h_q = f - r_q
         params, mapping, grid = _small_model(d)
-        U, wt = _gauss_hermite(params.m, nodes)
-        L = params.sigma_cholesky()
+        U, wt = gauss_hermite(params.m, nodes)
+        Y = params.nu + U @ params.sigma_cholesky().T
+        scores = score_rows(params, mapping, Y)
         for item in range(params.m):
             battery = batteries.make_problem(kind, grid, item)
-            EG, EGG, EGs = 0.0, 0.0, 0.0
-            for lo in range(0, len(wt), 200_000):
-                Y = params.nu + U[lo:lo + 200_000] @ L.T
-                G = _contributions(battery, Y, params)
-                Gw = G * wt[lo:lo + 200_000, None]
-                EG = EG + Gw.sum(axis=0)
-                EGG = EGG + Gw.T @ G
-                EGs = EGs + Gw.T @ score_rows(params, mapping, Y)
+            ref = residual_moments(contributions(battery, Y, params), scores, weights=wt)
             var, cov, A = _exact_moments(battery, params, mapping)
             mean = 0.0 if isinstance(battery, RatioBattery) else battery.eta_closed(params)
 
-            scale = np.abs(EGG).max()
-            np.testing.assert_allclose(EG, mean, rtol=0, atol=1e-10 * np.sqrt(scale))
-            want = EGG - np.outer(mean, mean)
-            np.testing.assert_allclose(cov, want, rtol=0, atol=1e-10 * scale)
-            np.testing.assert_allclose(var, np.diag(want), rtol=0, atol=1e-10 * scale)
-            np.testing.assert_allclose(A, EGs, rtol=0, atol=1e-10 * np.abs(EGs).max())
+            scale = np.abs(ref.cov + np.outer(ref.mean, ref.mean)).max()  # of E[G G']
+            np.testing.assert_allclose(ref.mean, mean, rtol=0, atol=1e-10 * np.sqrt(scale))
+            np.testing.assert_allclose(cov, ref.cov, rtol=0, atol=1e-10 * scale)
+            np.testing.assert_allclose(var, ref.var, rtol=0, atol=1e-10 * scale)
+            np.testing.assert_allclose(A, ref.A, rtol=0, atol=1e-10 * np.abs(ref.A).max())
             if kind == "variance":
                 assert (A == A[0]).all()
 
@@ -1418,7 +1307,9 @@ class TestWeightSums:
         # every point whose dense n wbar is at least the denominator floor,
         # to a tolerance scaled by the largest |log W|, the scale of the
         # dense log weights' own rounding, plus sqrt(n) for summing the rows
-        # in another order; where the dense pass runs, they are its bits
+        # in another order; where the dense pass runs, they are its bits,
+        # which the engine takes in the one-BLAS-thread scope: a product under
+        # several threads may split its sum otherwise
         params, Y, grid = case
         n, items = len(Y), (0, params.m - 1)
         wbar, sums, W = residuals._weight_sums(Y, grid, params, items)
@@ -1432,7 +1323,8 @@ class TestWeightSums:
         if not factored:
             assert wbar.tobytes() == want.tobytes()
             for j in items:
-                assert sums[j].tobytes() == (powers[j] @ dense / n).tobytes()
+                one_thread = kernels.single_blas_thread(np.matmul)(powers[j], dense)
+                assert sums[j].tobytes() == (one_thread / n).tobytes()
             return
         ok = n * want >= residuals._DENOM_FLOOR
         tol = 8 * np.finfo(float).eps * (np.abs(log_w).max() + np.sqrt(n))

@@ -32,7 +32,8 @@ from factorgof import (
 from factorgof import simstudy
 from factorgof.simstudy import RejectionTable, model_spec_study1, study2_dgp
 
-from conftest import baseline_means, mixture_lv_logpdf
+from conftest import baseline_means
+from reference import mixture_lv_logpdf
 
 
 class TestStudy1Design:
